@@ -24,6 +24,11 @@
 //!    that emits messages also records a causal edge
 //!    (`ctx.edge`/`ctx.edge_for`), so the critical-path assembly can
 //!    follow each hop; payload-free sends carry a reasoned allow.
+//! 7. **unsafe-containment** — every `unsafe` token in a scanned crate
+//!    is a violation unless it carries `allow(unsafe, <reason>)`. The
+//!    workspace has one: the call into the `#[target_feature]` SHA-NI
+//!    kernel in `crates/crypto/src/sha256.rs`, right under its runtime
+//!    feature check.
 //!
 //! Escape hatch: `// analyzer: allow(<lint>, <reason>)` on (or directly
 //! above) the offending line. The reason is mandatory, and an allow that

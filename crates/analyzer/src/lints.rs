@@ -1,4 +1,4 @@
-//! The five lint families, implemented over the token stream.
+//! The seven lint families, implemented over the token stream.
 //!
 //! All passes work on [`crate::lexer::Lexed`] output, so comments,
 //! strings, and `#[cfg(test)]` items are already out of the picture.
@@ -20,6 +20,8 @@ pub enum Lint {
     TraceHygiene,
     /// Message emission in a traced module without a causal edge record.
     EdgePairing,
+    /// An `unsafe` block, function, trait or impl (unsafe-containment).
+    Unsafe,
     /// Malformed `analyzer:` annotation.
     BadAllow,
     /// Allow annotation that suppresses nothing.
@@ -36,6 +38,7 @@ impl Lint {
             Lint::ChargeCoverage => "charge-coverage",
             Lint::TraceHygiene => "trace-hygiene",
             Lint::EdgePairing => "edge-pairing",
+            Lint::Unsafe => "unsafe",
             Lint::BadAllow => "bad-allow",
             Lint::UnusedAllow => "unused-allow",
         }
@@ -132,6 +135,7 @@ pub fn check_source(file: &str, src: &str, cfg: FileLints) -> (Vec<Violation>, V
         panic_pass(file, &lexed, &mut raw);
     }
     wire_totality_pass(file, &lexed, &mut raw);
+    unsafe_containment_pass(file, &lexed, &mut raw);
     if cfg.charge_coverage {
         charge_pass(file, &lexed, &mut raw);
     }
@@ -573,6 +577,27 @@ fn edge_pairing_pass(file: &str, lexed: &Lexed, out: &mut Vec<Violation>) {
             ),
         );
     });
+}
+
+// ---------------------------------------------------------------------
+// Family 7: unsafe containment
+// ---------------------------------------------------------------------
+
+/// Flags every `unsafe` keyword. `#![forbid(unsafe_code)]` already keeps
+/// it out of every crate but `crypto`, whose SHA-NI dispatch needs one
+/// block; this lint makes that block (and any later one) carry a written
+/// reason, and makes loosening another crate's `forbid` show up here.
+fn unsafe_containment_pass(file: &str, lexed: &Lexed, out: &mut Vec<Violation>) {
+    for t in lexed.toks.iter().filter(|t| t.is_ident("unsafe")) {
+        violation(
+            out,
+            Lint::Unsafe,
+            file,
+            t.line,
+            "`unsafe` without a stated need; write it in safe Rust, or put an \
+             `allow(unsafe, <reason>)` next to the `// SAFETY:` comment",
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1036,6 +1061,46 @@ mod tests {
         let (found, used) = check_source("t.rs", src, ALL);
         assert!(found.is_empty(), "{found:?}");
         assert_eq!(used.len(), 1);
+    }
+
+    // -- unsafe-containment --------------------------------------------
+
+    #[test]
+    fn unsafe_containment_flags_blocks_fns_and_impls() {
+        let src = "fn f(p: *const u8) -> u8 {\n\
+                       unsafe { *p }\n\
+                   }\n\
+                   unsafe fn g() {}\n\
+                   unsafe impl Send for S {}\n";
+        let found = lints_of(src);
+        assert_eq!(found, vec![(Lint::Unsafe, 2), (Lint::Unsafe, 4), (Lint::Unsafe, 5)]);
+    }
+
+    #[test]
+    fn unsafe_containment_ignores_lint_names_comments_and_strings() {
+        let src = "#![deny(unsafe_code)]\n\
+                   // unsafe in a comment\n\
+                   #[allow(unsafe_code)]\n\
+                   fn f() -> &'static str { \"unsafe\" }\n";
+        assert!(lints_of(src).is_empty());
+    }
+
+    #[test]
+    fn unsafe_containment_allow_needs_a_use() {
+        let src = "fn f() {\n\
+                       // SAFETY: the features were detected on the line above.\n\
+                       // analyzer: allow(unsafe, \"target_feature kernel under its check\")\n\
+                       unsafe { kernel() };\n\
+                   }\n\
+                   // analyzer: allow(unsafe, \"nothing below needs it\")\n\
+                   fn g() {}\n";
+        let (found, used) = check_source("t.rs", src, ALL);
+        assert_eq!(
+            found.iter().map(|v| (v.lint, v.line)).collect::<Vec<_>>(),
+            vec![(Lint::UnusedAllow, 6)]
+        );
+        assert_eq!(used.len(), 1);
+        assert_eq!(used[0].line, 4);
     }
 
     // -- allow handling ------------------------------------------------

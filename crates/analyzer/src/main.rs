@@ -10,9 +10,10 @@ fn usage() -> ! {
         "usage: spider-analyzer check [--json PATH] [--root PATH]\n\
          \n\
          Lints the protocol crates for determinism, panic-freedom,\n\
-         wire-format totality, cost-charge coverage, and trace-span\n\
-         hygiene. Exits 1 when any unallowed violation is found. See\n\
-         README \"Sans-IO invariants\"."
+         wire-format totality, cost-charge coverage, trace-span\n\
+         hygiene, causal-edge pairing, and unsafe containment. Exits 1\n\
+         when any unallowed violation is found. See README \"Sans-IO\n\
+         invariants\"."
     );
     std::process::exit(2);
 }

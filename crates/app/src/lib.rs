@@ -195,7 +195,17 @@ impl Application for KvStore {
     }
 
     fn snapshot(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+        let mut buf = BytesMut::with_capacity(self.snapshot_len());
+        self.snapshot_into(&mut buf);
+        buf.freeze()
+    }
+
+    fn snapshot_len(&self) -> usize {
+        let entries: usize = self.map.iter().map(|(k, v)| 2 + k.len() + 4 + v.len()).sum();
+        4 + entries + 8
+    }
+
+    fn snapshot_into(&self, buf: &mut BytesMut) {
         buf.put_u32(self.map.len() as u32);
         for (k, v) in &self.map {
             buf.put_u16(k.len() as u16);
@@ -204,7 +214,6 @@ impl Application for KvStore {
             buf.put_slice(v);
         }
         buf.put_u64(self.ops_applied);
-        buf.freeze()
     }
 
     fn restore(&mut self, snapshot: &[u8]) {
@@ -364,6 +373,12 @@ mod tests {
             let mut b = KvStore::new();
             b.restore(&a.snapshot());
             prop_assert_eq!(a.state_digest(), b.state_digest());
+            // The in-place form appends the same bytes, sized exactly.
+            let mut framed = BytesMut::new();
+            framed.put_u8(0xff);
+            a.snapshot_into(&mut framed);
+            prop_assert_eq!(&framed[1..], &a.snapshot()[..]);
+            prop_assert_eq!(a.snapshot_len(), a.snapshot().len());
         }
     }
 }

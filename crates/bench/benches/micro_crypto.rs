@@ -1,23 +1,36 @@
 //! Micro-benchmarks of the cryptographic substrate: real host-CPU
 //! throughput of the from-scratch SHA-256/HMAC and the simulated
 //! signature/threshold operations.
+//!
+//! `sha256/*` runs the kernel the dispatcher selects on this host (named
+//! in the group title), `sha256_portable/*` the scalar reference, so the
+//! kernel ratio is two rows of one run; likewise `hmac/64` (key schedule
+//! on every call) next to `hmac_cached/64` (a prepared [`HmacKey`]).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use spider_crypto::hmac::{hmac_sha256, HmacKey};
 use spider_crypto::sha256::Sha256;
 use spider_crypto::threshold::ThresholdGroupId;
-use spider_crypto::{hmac::hmac_sha256, Digest, Keyring, ThresholdKeyring};
+use spider_crypto::{Digest, Keyring, ThresholdKeyring};
 
 fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("crypto");
+    let mut g = c.benchmark_group(format!("crypto[{}]", Sha256::kernel()));
+    let key = HmacKey::new(b"key");
     for size in [64usize, 1024, 16384] {
         let data = vec![0xabu8; size];
         g.throughput(Throughput::Bytes(size as u64));
         g.bench_function(format!("sha256/{size}"), |b| {
             b.iter(|| Sha256::digest(std::hint::black_box(&data)))
         });
+        g.bench_function(format!("sha256_portable/{size}"), |b| {
+            b.iter(|| Sha256::digest_portable(std::hint::black_box(&data)))
+        });
         g.bench_function(format!("hmac/{size}"), |b| {
             b.iter(|| hmac_sha256(b"key", std::hint::black_box(&data)))
         });
+        if size == 64 {
+            g.bench_function("hmac_cached/64", |b| b.iter(|| key.mac(std::hint::black_box(&data))));
+        }
     }
     g.finish();
 

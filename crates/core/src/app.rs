@@ -1,7 +1,7 @@
 //! The application interface (§A.4.4): a deterministic state machine with
 //! snapshot support.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use spider_crypto::{Digest, Digestible};
 
 /// A deterministic replicated application (RSM, §A.4.4).
@@ -21,6 +21,18 @@ pub trait Application: 'static {
 
     /// Serializes the full application state.
     fn snapshot(&self) -> Bytes;
+
+    /// Exact length in bytes of [`Application::snapshot`]. Override it
+    /// together with [`Application::snapshot_into`] so that a checkpoint
+    /// sizes its buffer once and the state is written once, into it.
+    fn snapshot_len(&self) -> usize {
+        self.snapshot().len()
+    }
+
+    /// Appends exactly the bytes of [`Application::snapshot`] to `out`.
+    fn snapshot_into(&self, out: &mut BytesMut) {
+        out.put_slice(&self.snapshot());
+    }
 
     /// Replaces the state with a snapshot produced by [`Application::snapshot`].
     fn restore(&mut self, snapshot: &[u8]);

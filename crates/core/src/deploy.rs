@@ -360,6 +360,12 @@ impl Application for Box<dyn Application> {
     fn snapshot(&self) -> bytes::Bytes {
         (**self).snapshot()
     }
+    fn snapshot_len(&self) -> usize {
+        (**self).snapshot_len()
+    }
+    fn snapshot_into(&self, out: &mut bytes::BytesMut) {
+        (**self).snapshot_into(out)
+    }
     fn restore(&mut self, snapshot: &[u8]) {
         (**self).restore(snapshot)
     }

@@ -327,8 +327,17 @@ impl<A: Application> ExecutionReplica<A> {
 
     /// Serializes `(sn, replies, app)` into the snapshot format.
     fn encode_snapshot(&self) -> Bytes {
-        let app = self.app.snapshot();
-        let mut buf = BytesMut::new();
+        let app_len = self.app.snapshot_len();
+        let replies_len: usize = self
+            .replies
+            .values()
+            .map(|r| match r {
+                CachedReply::Result { result, .. } => 4 + 1 + 8 + 4 + result.len(),
+                CachedReply::Placeholder { .. } => 4 + 1 + 8,
+            })
+            .sum();
+        let len = 8 + 4 + replies_len + 4 + app_len;
+        let mut buf = BytesMut::with_capacity(len);
         buf.put_u64(self.sn);
         buf.put_u32(self.replies.len() as u32);
         let mut entries: Vec<(&ClientId, &CachedReply)> = self.replies.iter().collect();
@@ -348,8 +357,9 @@ impl<A: Application> ExecutionReplica<A> {
                 }
             }
         }
-        buf.put_u32(app.len() as u32);
-        buf.put_slice(&app);
+        buf.put_u32(app_len as u32);
+        self.app.snapshot_into(&mut buf);
+        debug_assert_eq!(buf.len(), len, "the snapshot was sized exactly");
         buf.freeze()
     }
 

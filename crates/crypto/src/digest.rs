@@ -99,16 +99,18 @@ impl DigestBuilder {
     /// Appends a u64 field.
     #[must_use]
     pub fn u64(mut self, v: u64) -> Self {
-        self.hasher.update(&[8]);
-        self.hasher.update(&v.to_be_bytes());
+        let mut field = [8u8; 9];
+        field[1..].copy_from_slice(&v.to_be_bytes());
+        self.hasher.update(&field);
         self
     }
 
     /// Appends a u32 field.
     #[must_use]
     pub fn u32(mut self, v: u32) -> Self {
-        self.hasher.update(&[4]);
-        self.hasher.update(&v.to_be_bytes());
+        let mut field = [4u8; 5];
+        field[1..].copy_from_slice(&v.to_be_bytes());
+        self.hasher.update(&field);
         self
     }
 
@@ -139,6 +141,12 @@ mod tests {
         let a = Digest::builder().bytes(b"ab").bytes(b"c").finish();
         let b = Digest::builder().bytes(b"a").bytes(b"bc").finish();
         assert_ne!(a, b, "length prefixes must separate fields");
+    }
+
+    #[test]
+    fn integer_fields_hash_as_length_tag_then_big_endian_value() {
+        let d = Digest::builder().u64(0x0102_0304_0506_0708).u32(0x0a0b_0c0d).finish();
+        assert_eq!(d, Digest::of_bytes(&[8, 1, 2, 3, 4, 5, 6, 7, 8, 4, 0x0a, 0x0b, 0x0c, 0x0d]));
     }
 
     #[test]

@@ -7,11 +7,18 @@
 //! signatures; MACs stand in for HMAC-SHA-256 authenticators. Byte sizes
 //! and CPU costs of the real primitives are modeled in
 //! [`crate::cost::CostModel`].
+//!
+//! Secrets are pure functions of the seed and the identities, so a keyring
+//! keeps the [`HmacKey`] of every identity and pair it has used: deriving a
+//! secret and running its HMAC key schedule happen once, and every later
+//! tag under that key costs two compressions. The cache changes no tag.
 
 use crate::digest::Digest;
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacKey;
 use crate::sha256::Sha256;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 
 /// Identity of a key owner (replica or client). Conventionally equals the
 /// owner's `NodeId`/`ClientId` value.
@@ -44,56 +51,82 @@ pub struct Mac {
 #[derive(Debug, Clone)]
 pub struct Keyring {
     master: [u8; 32],
+    /// Prepared signing keys of the identities used so far.
+    sig_keys: RefCell<BTreeMap<KeyId, HmacKey>>,
+    /// Prepared keys of the pairs used so far, lower identity first.
+    pair_keys: RefCell<BTreeMap<(KeyId, KeyId), HmacKey>>,
+}
+
+/// `SHA-256` of the concatenated `parts` (at most one block in total),
+/// assembled on the stack so the hasher sees a single update.
+fn hash_concat(parts: &[&[u8]]) -> [u8; 32] {
+    let mut buf = [0u8; 64];
+    let mut len = 0;
+    for part in parts {
+        buf[len..len + part.len()].copy_from_slice(part);
+        len += part.len();
+    }
+    Sha256::digest(&buf[..len])
 }
 
 impl Keyring {
     /// Creates a keyring from a master seed. All parties of one simulation
     /// share the seed (the simulated PKI).
     pub fn new(seed: u64) -> Self {
-        let mut h = Sha256::new();
-        h.update(b"spider-keyring-master");
-        h.update(&seed.to_be_bytes());
-        Keyring { master: h.finalize() }
+        Keyring {
+            master: hash_concat(&[b"spider-keyring-master", &seed.to_be_bytes()]),
+            sig_keys: RefCell::default(),
+            pair_keys: RefCell::default(),
+        }
     }
 
     /// The signing secret of identity `id`.
     fn secret(&self, id: KeyId) -> [u8; 32] {
-        let mut h = Sha256::new();
-        h.update(&self.master);
-        h.update(b"sig");
-        h.update(&id.0.to_be_bytes());
-        h.finalize()
+        hash_concat(&[&self.master, b"sig", &id.0.to_be_bytes()])
     }
 
-    /// The symmetric secret shared by the (unordered) pair `{a, b}`.
-    fn pair_secret(&self, a: KeyId, b: KeyId) -> [u8; 32] {
+    /// The symmetric secret shared by the pair `lo <= hi`.
+    fn pair_secret(&self, lo: KeyId, hi: KeyId) -> [u8; 32] {
+        hash_concat(&[&self.master, b"mac", &lo.0.to_be_bytes(), &hi.0.to_be_bytes()])
+    }
+
+    /// `signer`'s tag over `digest`.
+    fn sig_tag(&self, signer: KeyId, digest: &Digest) -> [u8; 32] {
+        self.sig_keys
+            .borrow_mut()
+            .entry(signer)
+            .or_insert_with(|| HmacKey::new(&self.secret(signer)))
+            .mac(&digest.0)
+    }
+
+    /// The tag over `digest` under the key of the (unordered) pair `{a, b}`.
+    fn pair_tag(&self, a: KeyId, b: KeyId, digest: &Digest) -> [u8; 32] {
         let (lo, hi) = if a.0 <= b.0 { (a, b) } else { (b, a) };
-        let mut h = Sha256::new();
-        h.update(&self.master);
-        h.update(b"mac");
-        h.update(&lo.0.to_be_bytes());
-        h.update(&hi.0.to_be_bytes());
-        h.finalize()
+        self.pair_keys
+            .borrow_mut()
+            .entry((lo, hi))
+            .or_insert_with(|| HmacKey::new(&self.pair_secret(lo, hi)))
+            .mac(&digest.0)
     }
 
     /// Signs `digest` as identity `signer`.
     pub fn sign(&self, signer: KeyId, digest: &Digest) -> Signature {
-        Signature { signer, tag: hmac_sha256(&self.secret(signer), &digest.0) }
+        Signature { signer, tag: self.sig_tag(signer, digest) }
     }
 
     /// Verifies that `sig` is `signer`'s signature over `digest`.
     pub fn verify(&self, signer: KeyId, digest: &Digest, sig: &Signature) -> bool {
-        sig.signer == signer && hmac_sha256(&self.secret(signer), &digest.0) == sig.tag
+        sig.signer == signer && self.sig_tag(signer, digest) == sig.tag
     }
 
     /// Computes the MAC authenticating `digest` from `from` to `to`.
     pub fn mac(&self, from: KeyId, to: KeyId, digest: &Digest) -> Mac {
-        Mac { tag: hmac_sha256(&self.pair_secret(from, to), &digest.0) }
+        Mac { tag: self.pair_tag(from, to, digest) }
     }
 
     /// Verifies a pairwise MAC.
     pub fn verify_mac(&self, from: KeyId, to: KeyId, digest: &Digest, mac: &Mac) -> bool {
-        hmac_sha256(&self.pair_secret(from, to), &digest.0) == mac.tag
+        self.pair_tag(from, to, digest) == mac.tag
     }
 
     /// Computes a PBFT-style MAC vector authenticating `digest` from
@@ -161,6 +194,29 @@ mod tests {
         assert!(r.verify_mac(KeyId(3), KeyId(9), &d, &mac));
         assert!(r.verify_mac(KeyId(9), KeyId(3), &d, &mac), "pair key is unordered");
         assert!(!r.verify_mac(KeyId(3), KeyId(8), &d, &mac));
+    }
+
+    #[test]
+    fn cached_keys_give_the_tags_of_freshly_derived_ones() {
+        use crate::hmac::hmac_sha256;
+        let d = Digest::of_bytes(b"m");
+        let r = ring();
+        // Derived from scratch, past the cache.
+        let sig_tag = hmac_sha256(&r.secret(KeyId(4)), &d.0);
+        let pair_tag = hmac_sha256(&r.pair_secret(KeyId(3), KeyId(9)), &d.0);
+        for pass in ["populating the cache", "served from the cache"] {
+            assert_eq!(r.sign(KeyId(4), &d).tag, sig_tag, "{pass}");
+            assert_eq!(r.mac(KeyId(9), KeyId(3), &d).tag, pair_tag, "{pass}");
+            assert_eq!(r.mac(KeyId(3), KeyId(9), &d).tag, pair_tag, "{pass}");
+        }
+        // A keyring whose cache the other order populated, and a clone of a
+        // warm keyring, agree with it.
+        let other = ring();
+        assert_eq!(other.mac(KeyId(3), KeyId(9), &d).tag, pair_tag);
+        assert_eq!(other.mac(KeyId(9), KeyId(3), &d).tag, pair_tag);
+        let warm = r.clone();
+        assert_eq!(warm.sign(KeyId(4), &d), r.sign(KeyId(4), &d));
+        assert!(warm.verify_mac(KeyId(9), KeyId(3), &d, &other.mac(KeyId(3), KeyId(9), &d)));
     }
 
     #[test]

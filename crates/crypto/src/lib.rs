@@ -5,8 +5,10 @@
 //! crate provides:
 //!
 //! * A from-scratch [`sha256`] implementation (FIPS 180-4, validated against
-//!   the NIST test vectors) and [`hmac`] (RFC 2104, validated against the
-//!   RFC 4231 vectors).
+//!   the NIST test vectors; a portable kernel and a SHA-NI kernel chosen
+//!   per call from the CPU's reported features) and [`hmac`] (RFC 2104,
+//!   validated against the RFC 4231 vectors; [`hmac::HmacKey`] keeps a
+//!   key's schedule for reuse).
 //! * [`Keyring`]-based **simulation-grade signatures**: deterministic,
 //!   verifiable tags derived from per-identity secrets. They preserve the
 //!   message-flow semantics of digital signatures (who can produce what,
@@ -35,7 +37,10 @@
 //! assert!(!ring.verify(KeyId(4), &digest, &sig), "wrong signer");
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid` like every other crate: `sha256::compress_blocks`
+// carries the workspace's one `#[allow(unsafe_code)]`, for the call into
+// its `#[target_feature]` SHA-NI kernel.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cost;

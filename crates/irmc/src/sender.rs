@@ -31,7 +31,7 @@ use spider_types::{Position, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Result of a [`SenderEndpoint::send`] call.
+/// Result of a [`SenderEndpoint::send_batch`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendStatus {
     /// The message was transmitted (RC) or entered share collection (SC).
