@@ -65,7 +65,8 @@ const HOT_PATHS: &[&str] = &[
 /// `sim` owns the clock, so it is exempt from the ambient-time checks (it
 /// still must not use hash collections — the event loop's iteration order
 /// feeds straight into the trace). Crates that run inside the simulator
-/// (`irmc`, `consensus`, `core`) additionally get charge-coverage.
+/// (`irmc`, `consensus`, `core`) additionally get charge-coverage; `app`,
+/// the replicated state machine they host, gets the determinism lints.
 const CRATE_CFG: &[(&str, bool, bool, bool, bool)] = &[
     // (crate, time_sources, charge_coverage, trace_hygiene, edge_pairing)
     ("types", true, false, false, false),
@@ -78,6 +79,11 @@ const CRATE_CFG: &[(&str, bool, bool, bool, bool)] = &[
     // payload must also record a causal edge, or the critical-path
     // assembly silently loses the hop.
     ("core", true, true, true, true),
+    // The store's iteration order decides how a snapshot is cut into
+    // parts, and replicas sign a hash over those parts: a hash
+    // collection or ambient randomness here would split correct
+    // replicas. It runs no protocol code, so nothing to charge or trace.
+    ("app", true, false, false, false),
 ];
 
 /// Files outside the protocol crates that feed CI-gated numbers: the

@@ -5,6 +5,12 @@
 //! [`Application`]: binary get/put operations, full-state snapshots, and a
 //! workload-operation encoder used by the experiment harness.
 //!
+//! The store keeps its entries in a fixed number of key-hashed buckets and
+//! hands a checkpoint one hashed [`Part`] per bucket, reusing the part of
+//! every bucket no write has touched since the previous checkpoint (see
+//! [`KvStore`]); a checkpoint costs the host what was written, not what
+//! is stored.
+//!
 //! # Examples
 //!
 //! ```
@@ -22,7 +28,7 @@
 #![warn(missing_docs)]
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use spider::Application;
+use spider::{Application, Part};
 use std::collections::BTreeMap;
 
 /// A key-value store operation.
@@ -121,12 +127,70 @@ pub const OK: &[u8] = b"\0ok";
 /// Reply returned for a malformed operation.
 pub const MALFORMED: &[u8] = b"\0malformed";
 
-/// A deterministic, snapshotable key-value store.
+/// Number of key-hashed buckets a [`KvStore`] keeps its entries in, and
+/// so the number of entry parts in its snapshot. A constant, not a knob:
+/// it is part of the snapshot encoding every replica must share (the
+/// checkpoint hash covers the part list). A checkpoint pays a floor per
+/// bucket (the part list and its hash) and `len / BUCKETS` entries per
+/// dirty bucket; 256 balances the two for stores of a few thousand keys
+/// (measured in the README's "Checkpoints" section).
+const BUCKETS: usize = 256;
+
+/// The entries whose keys hash to one bucket, with the snapshot part
+/// encoding them while no write has touched the bucket since it was built.
 #[derive(Debug, Clone, Default)]
+struct Bucket {
+    entries: BTreeMap<Vec<u8>, Vec<u8>>,
+    part: Option<Part>,
+}
+
+/// `[key len u16][key][value len u32][value]` per entry, in key order.
+fn encode_into(entries: &BTreeMap<Vec<u8>, Vec<u8>>, buf: &mut BytesMut) {
+    for (k, v) in entries {
+        buf.put_u16(k.len() as u16);
+        buf.put_slice(k);
+        buf.put_u32(v.len() as u32);
+        buf.put_slice(v);
+    }
+}
+
+fn encoded_len(entries: &BTreeMap<Vec<u8>, Vec<u8>>) -> usize {
+    entries.iter().map(|(k, v)| 2 + k.len() + 4 + v.len()).sum()
+}
+
+/// A deterministic, snapshotable key-value store.
+///
+/// Entries live in 256 buckets (a private constant) chosen by an FNV-1a
+/// hash of the key. The snapshot is `[count][bucket 0 entries]…[bucket
+/// 255 entries][ops_applied]` — the count, each bucket and the counter one
+/// [`Part`] each, no per-part header — and a bucket keeps its part until
+/// a `put` lands in it, so [`Application::snapshot_parts`] encodes and
+/// hashes only the buckets written since the last call. Which bucket a
+/// key is in, and the order inside a bucket, depend on the keys alone:
+/// equal contents give equal parts whatever the history. Keys chosen to
+/// collide can make a bucket large and its re-encoding slow; they cannot
+/// make two correct replicas disagree.
+#[derive(Debug, Clone)]
 pub struct KvStore {
-    map: BTreeMap<Vec<u8>, Vec<u8>>,
+    buckets: Vec<Bucket>,
+    len: usize,
     /// Number of executed operations (diagnostics).
     pub ops_applied: u64,
+}
+
+impl Default for KvStore {
+    fn default() -> Self {
+        KvStore { buckets: vec![Bucket::default(); BUCKETS], len: 0, ops_applied: 0 }
+    }
+}
+
+/// FNV-1a over the key, folded onto a bucket index.
+fn bucket_of(key: &[u8]) -> usize {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in key {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    ((h ^ (h >> 32)) % BUCKETS as u64) as usize
 }
 
 impl KvStore {
@@ -137,29 +201,41 @@ impl KvStore {
 
     /// Number of keys.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     /// Direct lookup (tests).
     pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
-        self.map.get(key).map(|v| v.as_slice())
+        self.buckets[bucket_of(key)].entries.get(key).map(|v| v.as_slice())
+    }
+
+    fn put(&mut self, key: Vec<u8>, value: Vec<u8>) {
+        let bucket = &mut self.buckets[bucket_of(&key)];
+        bucket.part = None;
+        if bucket.entries.insert(key, value).is_none() {
+            self.len += 1;
+        }
     }
 
     /// Digest of the key-value contents only, excluding the
-    /// `ops_applied` diagnostic counter.
+    /// `ops_applied` diagnostic counter, over the entries in key order
+    /// (so it says nothing about how the store lays them out).
     ///
     /// Replicas of *one* group always agree on the full
     /// [`Application::state_digest`]; across groups the executed-ops
     /// counter may differ (strongly consistent reads run only at their
     /// target group, §3.3), while the map contents must still match.
     pub fn map_digest(&self) -> spider_crypto::Digest {
-        let mut b = spider_crypto::Digest::builder().u64(self.map.len() as u64);
-        for (k, v) in &self.map {
+        let mut entries: Vec<(&Vec<u8>, &Vec<u8>)> =
+            self.buckets.iter().flat_map(|b| &b.entries).collect();
+        entries.sort_unstable_by_key(|(k, _)| *k);
+        let mut b = spider_crypto::Digest::builder().u64(self.len as u64);
+        for (k, v) in entries {
             b = b.bytes(k).bytes(v);
         }
         b.finish()
@@ -171,11 +247,11 @@ impl Application for KvStore {
         self.ops_applied += 1;
         match KvOp::decode(op) {
             Some(KvOp::Put { key, value }) => {
-                self.map.insert(key, value);
+                self.put(key, value);
                 Bytes::from_static(OK)
             }
-            Some(KvOp::Get { key }) => match self.map.get(&key) {
-                Some(v) => Bytes::from(v.clone()),
+            Some(KvOp::Get { key }) => match self.get(&key) {
+                Some(v) => Bytes::copy_from_slice(v),
                 None => Bytes::from_static(NOT_FOUND),
             },
             None => Bytes::from_static(MALFORMED),
@@ -184,8 +260,8 @@ impl Application for KvStore {
 
     fn execute_read(&self, op: &[u8]) -> Bytes {
         match KvOp::decode(op) {
-            Some(KvOp::Get { key }) => match self.map.get(&key) {
-                Some(v) => Bytes::from(v.clone()),
+            Some(KvOp::Get { key }) => match self.get(&key) {
+                Some(v) => Bytes::copy_from_slice(v),
                 None => Bytes::from_static(NOT_FOUND),
             },
             // Writes through the read path are rejected, not applied.
@@ -195,30 +271,34 @@ impl Application for KvStore {
     }
 
     fn snapshot(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.snapshot_len());
-        self.snapshot_into(&mut buf);
+        let entries: usize = self.buckets.iter().map(|b| encoded_len(&b.entries)).sum();
+        let mut buf = BytesMut::with_capacity(4 + entries + 8);
+        buf.put_u32(self.len as u32);
+        for bucket in &self.buckets {
+            encode_into(&bucket.entries, &mut buf);
+        }
+        buf.put_u64(self.ops_applied);
         buf.freeze()
     }
 
-    fn snapshot_len(&self) -> usize {
-        let entries: usize = self.map.iter().map(|(k, v)| 2 + k.len() + 4 + v.len()).sum();
-        4 + entries + 8
-    }
-
-    fn snapshot_into(&self, buf: &mut BytesMut) {
-        buf.put_u32(self.map.len() as u32);
-        for (k, v) in &self.map {
-            buf.put_u16(k.len() as u16);
-            buf.put_slice(k);
-            buf.put_u32(v.len() as u32);
-            buf.put_slice(v);
+    fn snapshot_parts(&mut self) -> Vec<Part> {
+        let mut parts = Vec::with_capacity(BUCKETS + 2);
+        parts.push(Part::new(Bytes::from((self.len as u32).to_be_bytes().to_vec())));
+        for Bucket { entries, part } in &mut self.buckets {
+            let part = part.get_or_insert_with(|| {
+                let mut buf = BytesMut::with_capacity(encoded_len(entries));
+                encode_into(entries, &mut buf);
+                Part::new(buf.freeze())
+            });
+            parts.push(part.clone());
         }
-        buf.put_u64(self.ops_applied);
+        parts.push(Part::new(Bytes::from(self.ops_applied.to_be_bytes().to_vec())));
+        parts
     }
 
     fn restore(&mut self, snapshot: &[u8]) {
         let mut buf = snapshot;
-        let mut map = BTreeMap::new();
+        let mut restored = KvStore::new();
         if buf.remaining() < 4 {
             return;
         }
@@ -239,9 +319,10 @@ impl Application for KvStore {
             }
             let value = buf[..vlen].to_vec();
             buf.advance(vlen);
-            map.insert(key, value);
+            restored.put(key, value);
         }
-        self.map = map;
+        self.buckets = restored.buckets;
+        self.len = restored.len;
         if buf.remaining() >= 8 {
             self.ops_applied = buf.get_u64();
         }
@@ -373,12 +454,84 @@ mod tests {
             let mut b = KvStore::new();
             b.restore(&a.snapshot());
             prop_assert_eq!(a.state_digest(), b.state_digest());
-            // The in-place form appends the same bytes, sized exactly.
-            let mut framed = BytesMut::new();
-            framed.put_u8(0xff);
-            a.snapshot_into(&mut framed);
-            prop_assert_eq!(&framed[1..], &a.snapshot()[..]);
-            prop_assert_eq!(a.snapshot_len(), a.snapshot().len());
+        }
+
+        /// The parts are a function of the contents: whatever the order
+        /// of puts and wherever snapshots were taken in between, they
+        /// equal those of a store restored from their concatenation and
+        /// of one filled in key order; a snapshot re-encodes at most one
+        /// bucket per put since the previous one.
+        #[test]
+        fn parts_depend_on_contents_alone(steps in prop::collection::vec(
+            (prop::collection::vec(any::<u8>(), 1..4),
+             prop::collection::vec(any::<u8>(), 0..24),
+             0u8..8),
+            1..120,
+        )) {
+            /// Parts of `now` that are not the very buffer `prev` holds.
+            fn reencoded(prev: &[Part], now: &[Part]) -> usize {
+                prev.iter().zip(now).filter(|(p, n)| p.bytes.as_ptr() != n.bytes.as_ptr()).count()
+            }
+            let mut a = KvStore::new();
+            let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+            let mut prev = a.snapshot_parts();
+            let mut puts = 0;
+            for (key, value, action) in steps {
+                match action {
+                    0..=4 => {
+                        a.execute(&KvOp::Put { key: key.clone(), value: value.clone() }.encode());
+                        model.insert(key, value);
+                        puts += 1;
+                    }
+                    5 => {
+                        let expected = model.get(&key).map_or(NOT_FOUND, |v| v.as_slice());
+                        prop_assert_eq!(&a.execute(&KvOp::Get { key }.encode())[..], expected);
+                    }
+                    _ => {
+                        let now = a.snapshot_parts();
+                        // The bucket parts; the count and the counter
+                        // around them are fresh every time.
+                        prop_assert!(reencoded(&prev[1..=BUCKETS], &now[1..=BUCKETS]) <= puts);
+                        prev = now;
+                        puts = 0;
+                    }
+                }
+            }
+            let parts = a.snapshot_parts();
+            prop_assert!(reencoded(&prev[1..=BUCKETS], &parts[1..=BUCKETS]) <= puts);
+            let again = a.snapshot_parts();
+            prop_assert_eq!(reencoded(&parts[1..=BUCKETS], &again[1..=BUCKETS]), 0);
+            prop_assert_eq!(&again, &parts);
+
+            prop_assert_eq!(parts.len(), BUCKETS + 2);
+            prop_assert!(parts.iter().all(Part::is_intact));
+            let concat: Vec<u8> = parts.iter().flat_map(|p| p.bytes.to_vec()).collect();
+            prop_assert_eq!(&concat[..], &a.snapshot()[..]);
+            let entries: usize = model.iter().map(|(k, v)| 2 + k.len() + 4 + v.len()).sum();
+            prop_assert_eq!(concat.len(), 4 + entries + 8, "no per-part header");
+
+            let mut restored = KvStore::new();
+            restored.restore(&concat);
+            prop_assert_eq!(restored.snapshot_parts(), parts.clone());
+            prop_assert_eq!(restored.len(), model.len());
+
+            // Another history of the same contents; `ops_applied` (the
+            // last part) counts the history, the rest must not.
+            let mut sorted = KvStore::new();
+            for (k, v) in &model {
+                sorted.execute(&KvOp::Put { key: k.clone(), value: v.clone() }.encode());
+            }
+            prop_assert_eq!(&sorted.snapshot_parts()[..=BUCKETS], &parts[..=BUCKETS]);
+
+            // The contents digest is over the entries in key order, so it
+            // cannot depend on the bucket layout.
+            let mut d = spider_crypto::Digest::builder().u64(model.len() as u64);
+            for (k, v) in &model {
+                d = d.bytes(k).bytes(v);
+            }
+            let d = d.finish();
+            prop_assert_eq!(a.map_digest(), d);
+            prop_assert_eq!(restored.map_digest(), d);
         }
     }
 }

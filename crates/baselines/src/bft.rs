@@ -1,11 +1,11 @@
 //! The BFT baseline: one PBFT group spread across regions (Fig 1a), with
 //! optional weighted voting (BFT-WV).
 
-use crate::messages::BaseMsg;
+use crate::messages::{BaseMsg, Request};
 use bytes::Bytes;
 use spider::app::Application;
 use spider::directory::Directory;
-use spider::messages::{ClientRequest, Reply};
+use spider::messages::Reply;
 use spider::SpiderConfig;
 use spider_consensus::{Input, Output, Pbft, PbftConfig, TimerToken};
 use spider_sim::{Actor, Context, Simulation, Timer, TimerId};
@@ -22,7 +22,7 @@ const GC_INTERVAL: u64 = 64;
 pub struct BftReplica<A: Application> {
     directory: Directory,
     cfg: SpiderConfig,
-    pbft: Pbft<ClientRequest>,
+    pbft: Pbft<Request>,
     app: A,
     executed: HashMap<ClientId, (u64, Bytes)>,
     delivered: u64,
@@ -63,11 +63,7 @@ impl<A: Application> BftReplica<A> {
         self.pbft.view()
     }
 
-    fn apply_outputs(
-        &mut self,
-        ctx: &mut Context<'_, BaseMsg>,
-        outputs: Vec<Output<ClientRequest>>,
-    ) {
+    fn apply_outputs(&mut self, ctx: &mut Context<'_, BaseMsg>, outputs: Vec<Output<Request>>) {
         let replicas = self.directory.agreement();
         for o in outputs {
             match o {
@@ -97,7 +93,7 @@ impl<A: Application> BftReplica<A> {
         }
     }
 
-    fn execute(&mut self, ctx: &mut Context<'_, BaseMsg>, req: ClientRequest) {
+    fn execute(&mut self, ctx: &mut Context<'_, BaseMsg>, req: Request) {
         let fresh = self.executed.get(&req.client).is_none_or(|(tc, _)| *tc < req.tc);
         if !fresh {
             return;

@@ -8,6 +8,7 @@ use rand::Rng;
 use spider::directory::Directory;
 use spider::messages::{ClientRequest, Operation, Reply};
 use spider::{Sample, SpiderConfig, WorkloadSpec};
+use spider_crypto::Hashed;
 use spider_sim::{Actor, Context, Timer, TimerId};
 use spider_types::{ClientId, NodeId, OpKind, SimTime, WireSize};
 use std::collections::HashMap;
@@ -101,11 +102,11 @@ impl BaselineClient {
 
     fn transmit(&mut self, ctx: &mut Context<'_, BaseMsg>) {
         let Some(inf) = &self.in_flight else { return };
-        let request = ClientRequest {
+        let request = Hashed::new(ClientRequest {
             client: self.id,
             tc: inf.tc,
             operation: Operation { op: inf.op.clone(), kind: inf.kind },
-        };
+        });
         ctx.charge(
             self.cfg.cost.rsa_sign()
                 + self.cfg.cost.mac_vector(self.replicas.len(), request.wire_size()),

@@ -1,21 +1,25 @@
 //! Messages of the baseline systems.
 
 use spider::messages::{ClientRequest, Reply};
-use spider_crypto::{Digest, Digestible, ThresholdSig};
+use spider_crypto::{Digest, Digestible, Hashed, ThresholdSig};
 use spider_types::wire::{DIGEST_BYTES, HEADER_BYTES, MAC_BYTES, SIG_BYTES};
 use spider_types::{SeqNr, WireSize};
+
+/// A client request as the baselines pass it around: hashed once for
+/// every replica and protocol step that authenticates it.
+pub type Request = Hashed<ClientRequest>;
 
 /// Steward (HFT) wide-area and site-internal messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StewardMsg {
     /// A local-site replica forwards a client request to the leader site.
-    Forward(ClientRequest),
+    Forward(Request),
     /// Threshold-signed proposal of `(seq, request)` by the leader site.
     Proposal {
         /// Global sequence number (= leader site's local order).
         seq: SeqNr,
         /// The proposed request.
-        request: ClientRequest,
+        request: Request,
         /// The leader site's threshold signature.
         tsig: ThresholdSig,
     },
@@ -61,11 +65,11 @@ impl WireSize for StewardMsg {
 #[derive(Debug, Clone, PartialEq)]
 pub enum BaseMsg {
     /// Client -> replicas.
-    Request(ClientRequest),
+    Request(Request),
     /// Replica -> client.
     Reply(Reply),
     /// PBFT traffic (BFT / BFT-WV global group; HFT site-local groups).
-    Pbft(spider_consensus::Msg<ClientRequest>),
+    Pbft(spider_consensus::Msg<Request>),
     /// Steward-specific traffic.
     Steward(StewardMsg),
 }
@@ -82,7 +86,7 @@ impl WireSize for BaseMsg {
 }
 
 /// Digest a Steward proposal signs: binds sequence number and request.
-pub fn proposal_digest(seq: SeqNr, request: &ClientRequest) -> Digest {
+pub fn proposal_digest(seq: SeqNr, request: &Request) -> Digest {
     Digest::builder().str("steward-proposal").u64(seq.0).digest(&request.digest()).finish()
 }
 
@@ -98,12 +102,12 @@ mod tests {
     use spider::messages::Operation;
     use spider_types::{ClientId, OpKind};
 
-    fn request() -> ClientRequest {
-        ClientRequest {
+    fn request() -> Request {
+        Hashed::new(ClientRequest {
             client: ClientId(1),
             tc: 1,
             operation: Operation { op: Bytes::from_static(b"x"), kind: OpKind::Write },
-        }
+        })
     }
 
     #[test]

@@ -18,11 +18,11 @@
 //! agreement (§5) — is charged via the cost model, which is why HFT pays
 //! noticeably more CPU per request than Spider's plain channels.
 
-use crate::messages::{accept_digest, proposal_digest, BaseMsg, StewardMsg};
+use crate::messages::{accept_digest, proposal_digest, BaseMsg, Request, StewardMsg};
 use bytes::Bytes;
 use spider::app::Application;
 use spider::directory::Directory;
-use spider::messages::{ClientRequest, Reply};
+use spider::messages::Reply;
 use spider::SpiderConfig;
 use spider_consensus::{Input, Output, Pbft, PbftConfig, TimerToken};
 use spider_crypto::threshold::ThresholdGroupId;
@@ -45,7 +45,7 @@ pub struct StewardReplica<A: Application> {
     tkr: ThresholdKeyring,
     /// Site-local agreement (orders requests at the leader site, proposals
     /// at follower sites).
-    pbft: Pbft<ClientRequest>,
+    pbft: Pbft<Request>,
     app: A,
 
     /// Leader site: next global sequence number to assign.
@@ -55,7 +55,7 @@ pub struct StewardReplica<A: Application> {
     /// changes) must not consume a second sequence number.
     assigned: HashMap<Digest, u64>,
     /// Proposals known: seq -> (request, proposal digest).
-    proposals: BTreeMap<u64, (ClientRequest, Digest)>,
+    proposals: BTreeMap<u64, (Request, Digest)>,
     /// Follower site: proposals awaiting local agreement, by request
     /// digest.
     pending_local: HashMap<Digest, Vec<SeqNr>>,
@@ -160,11 +160,7 @@ impl<A: Application> StewardReplica<A> {
     // Local agreement plumbing
     // ------------------------------------------------------------------
 
-    fn apply_outputs(
-        &mut self,
-        ctx: &mut Context<'_, BaseMsg>,
-        outputs: Vec<Output<ClientRequest>>,
-    ) {
+    fn apply_outputs(&mut self, ctx: &mut Context<'_, BaseMsg>, outputs: Vec<Output<Request>>) {
         let site_nodes = self.my_site_nodes();
         for o in outputs {
             match o {
@@ -197,7 +193,7 @@ impl<A: Application> StewardReplica<A> {
     }
 
     /// The site-local agreement delivered a request.
-    fn on_local_delivery(&mut self, ctx: &mut Context<'_, BaseMsg>, req: ClientRequest) {
+    fn on_local_delivery(&mut self, ctx: &mut Context<'_, BaseMsg>, req: Request) {
         if self.is_leader_site() {
             // Assign the next global sequence number and produce a
             // threshold share for the proposal (deterministic across the
@@ -374,7 +370,7 @@ impl<A: Application> StewardReplica<A> {
         }
     }
 
-    fn order_locally(&mut self, ctx: &mut Context<'_, BaseMsg>, req: ClientRequest) {
+    fn order_locally(&mut self, ctx: &mut Context<'_, BaseMsg>, req: Request) {
         let last = self.forwarded.get(&req.client).copied().unwrap_or(0);
         if req.tc <= last {
             return;

@@ -7,7 +7,7 @@
 //! (skipping up to `z` trailing groups, §3.5), checkpoints `(t, hist)`
 //! periodically, and applies ordered reconfiguration commands (§3.6).
 
-use crate::checkpoint::{CheckpointComponent, CpAction};
+use crate::checkpoint::{CheckpointComponent, CpAction, Snapshot};
 use crate::config::SpiderConfig;
 use crate::directory::Directory;
 use crate::keys;
@@ -17,7 +17,7 @@ use crate::messages::{
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use spider_consensus::{Input, Output, Pbft, PbftConfig, TimerToken};
-use spider_crypto::Keyring;
+use spider_crypto::{Hashed, Keyring};
 use spider_irmc::{
     Action, IrmcConfig, ReceiveResult, ReceiverEndpoint, SenderEndpoint, Variant, OP_RECAST,
 };
@@ -56,8 +56,8 @@ pub enum AgreementFault {
 /// The pair of IRMC endpoints an agreement replica maintains per
 /// execution group (§3.2: one request channel + one commit channel).
 struct GroupChannels {
-    req_recv: ReceiverEndpoint<OrderedRequest>,
-    commit_send: SenderEndpoint<Execute>,
+    req_recv: ReceiverEndpoint<Hashed<OrderedRequest>>,
+    commit_send: SenderEndpoint<Hashed<Execute>>,
 }
 
 /// An agreement replica actor.
@@ -171,15 +171,25 @@ impl AgreementReplica {
     }
 
     /// Applies the configured Byzantine mutation to an outgoing Execute.
-    fn maybe_corrupt(&self, exec: Execute) -> Execute {
+    fn maybe_corrupt(&self, exec: Hashed<Execute>) -> Hashed<Execute> {
         match self.fault {
             AgreementFault::None => exec,
             AgreementFault::CorruptExecutes => {
-                let mut exec = exec;
-                if let ExecutePayload::Full(req) = &mut exec.payload {
-                    req.request.operation.op = bytes::Bytes::from_static(b"add:666");
-                }
-                exec
+                // The only way to a `Hashed` value's fields: take it out
+                // (dropping the digest it remembered), change it, and wrap
+                // the result anew — at every level that held a digest.
+                let Execute { seq, payload } = exec.into_inner();
+                let payload = match payload {
+                    ExecutePayload::Full(ordered) => {
+                        let OrderedRequest { request, origin } = ordered.into_inner();
+                        let mut request = request.into_inner();
+                        request.operation.op = Bytes::from_static(b"add:666");
+                        let ordered = OrderedRequest { request: request.into(), origin };
+                        ExecutePayload::Full(ordered.into())
+                    }
+                    placeholder @ ExecutePayload::Placeholder { .. } => placeholder,
+                };
+                Execute { seq, payload }.into()
             }
         }
     }
@@ -313,7 +323,7 @@ impl AgreementReplica {
     /// own copy and converging on per-slot quorums receiver-side.
     fn process_backlog(&mut self, ctx: &mut Context<'_, SpiderMsg>) {
         loop {
-            let mut run: Vec<(u64, OrderedRequest, OrderItem)> = Vec::new();
+            let mut run: Vec<(u64, Hashed<OrderedRequest>, OrderItem)> = Vec::new();
             let mut completed: Vec<(u64, u64)> = Vec::new();
             let max_run = self.cfg.commit_max_range.max(1);
             let mut stalled = false;
@@ -395,7 +405,7 @@ impl AgreementReplica {
     fn assign_and_forward_run(
         &mut self,
         ctx: &mut Context<'_, SpiderMsg>,
-        run: Vec<(u64, OrderedRequest, OrderItem)>,
+        run: Vec<(u64, Hashed<OrderedRequest>, OrderItem)>,
     ) {
         let Some(first) = run.first().map(|r| r.0) else {
             return;
@@ -418,7 +428,7 @@ impl AgreementReplica {
         }
         let linger = self.cfg.commit_range_linger;
         for group in self.directory.active_groups() {
-            let execs: Vec<Execute> = run
+            let execs: Vec<Hashed<Execute>> = run
                 .iter()
                 .map(|(s, req, _)| self.maybe_corrupt(execute_for_group(*s, req, group)))
                 .collect();
@@ -527,7 +537,9 @@ impl AgreementReplica {
     // Checkpoints (Fig 17 L39-57)
     // ------------------------------------------------------------------
 
-    fn encode_snapshot(&self) -> Bytes {
+    /// Serializes `(sn, t, hist)`. `hist` is bounded by the commit-channel
+    /// capacity, so the snapshot stays small and is one part.
+    fn encode_snapshot(&self) -> Snapshot {
         let mut buf = BytesMut::new();
         buf.put_u64(self.sn);
         buf.put_u32(self.t.len() as u32);
@@ -542,7 +554,7 @@ impl AgreementReplica {
             buf.put_u64(*s);
             encode_order_item(&mut buf, item);
         }
-        buf.freeze()
+        Snapshot::single(buf.freeze())
     }
 
     fn restore_snapshot(&mut self, bytes: &[u8]) -> Option<DecodedSnapshot> {
@@ -591,7 +603,7 @@ impl AgreementReplica {
         &mut self,
         ctx: &mut Context<'_, SpiderMsg>,
         seq: SeqNr,
-        state: Option<Bytes>,
+        state: Option<Snapshot>,
     ) {
         // Fig 17 L44-45: move commit windows + collect consensus garbage.
         let hist_len = self.hist.len() as u64;
@@ -624,9 +636,9 @@ impl AgreementReplica {
                 // snapshot: fetch it (Fig 17 L47 path).
                 self.start_fetch(ctx);
             }
-            if let Some(bytes) = state {
-                ctx.charge(self.cfg.cost.hmac(bytes.len()));
-                if let Some((sn, t, hist)) = self.restore_snapshot(&bytes) {
+            if let Some(snapshot) = state {
+                ctx.charge(self.cfg.cost.hmac(snapshot.len()));
+                if let Some((sn, t, hist)) = self.restore_snapshot(&snapshot.concat()) {
                     debug_assert_eq!(sn, seq.0);
                     // Fig 17 L47-55: apply and replay the skipped tail.
                     let old_sn = self.sn;
@@ -663,7 +675,7 @@ impl AgreementReplica {
         &mut self,
         ctx: &mut Context<'_, SpiderMsg>,
         group: GroupId,
-        actions: Vec<Action<OrderedRequest>>,
+        actions: Vec<Action<Hashed<OrderedRequest>>>,
     ) {
         let exec_nodes = self.directory.group_replicas(group);
         let mut to_poll: Vec<ClientId> = Vec::new();
@@ -703,7 +715,7 @@ impl AgreementReplica {
         &mut self,
         ctx: &mut Context<'_, SpiderMsg>,
         group: GroupId,
-        actions: Vec<Action<Execute>>,
+        actions: Vec<Action<Hashed<Execute>>>,
     ) {
         let exec_nodes = self.directory.group_replicas(group);
         let agreement = self.directory.agreement();
@@ -786,12 +798,12 @@ impl AgreementReplica {
                 }
                 CpAction::ToPeer { idx, msg, state, .. } => {
                     if let Some(node) = agreement.get(idx) {
-                        let blob = state.map(|bytes| StateBlob {
+                        let blob = state.map(|snapshot| StateBlob {
                             seq: match msg {
                                 CheckpointMsg::FetchResponse { seq, .. } => seq,
                                 _ => SeqNr(0),
                             },
-                            bytes,
+                            snapshot,
                         });
                         ctx.send(
                             *node,
@@ -849,7 +861,7 @@ impl AgreementReplica {
 
 /// Builds the per-group `Execute`: full request for writes and for the
 /// read's target group, placeholder elsewhere (§3.3).
-fn execute_for_group(s: u64, req: &OrderedRequest, group: GroupId) -> Execute {
+fn execute_for_group(s: u64, req: &Hashed<OrderedRequest>, group: GroupId) -> Hashed<Execute> {
     let payload = match req.request.operation.kind {
         OpKind::Write => ExecutePayload::Full(req.clone()),
         OpKind::StrongRead if req.origin == group => ExecutePayload::Full(req.clone()),
@@ -859,7 +871,7 @@ fn execute_for_group(s: u64, req: &OrderedRequest, group: GroupId) -> Execute {
             target: req.origin,
         },
     };
-    Execute { seq: SeqNr(s), payload }
+    Execute { seq: SeqNr(s), payload }.into()
 }
 
 fn encode_order_item(buf: &mut BytesMut, item: &OrderItem) {
@@ -912,10 +924,8 @@ fn decode_order_item(buf: &mut &[u8]) -> Option<OrderItem> {
             }
             let op = Bytes::copy_from_slice(buf.get(..len)?);
             buf.advance(len);
-            Some(OrderItem::Request(OrderedRequest {
-                request: ClientRequest { client, tc, operation: Operation { op, kind } },
-                origin,
-            }))
+            let request = ClientRequest { client, tc, operation: Operation { op, kind } };
+            Some(OrderItem::Request(OrderedRequest { request: request.into(), origin }.into()))
         }
         1 => {
             if buf.remaining() < 2 {
@@ -1025,7 +1035,7 @@ impl Actor<SpiderMsg> for AgreementReplica {
                             seq,
                             state_hash,
                             cert,
-                            blob.bytes,
+                            blob.snapshot,
                             &mut actions,
                         );
                     }
@@ -1089,15 +1099,16 @@ mod tests {
     use crate::messages::{ClientRequest, Operation};
     use bytes::Bytes;
 
-    fn request(client: u32, tc: u64, kind: OpKind) -> OrderedRequest {
-        OrderedRequest {
+    fn request(client: u32, tc: u64, kind: OpKind) -> Hashed<OrderedRequest> {
+        Hashed::new(OrderedRequest {
             request: ClientRequest {
                 client: ClientId(client),
                 tc,
                 operation: Operation { op: Bytes::from_static(b"put k v"), kind },
-            },
+            }
+            .into(),
             origin: GroupId(2),
-        }
+        })
     }
 
     #[test]
@@ -1129,6 +1140,32 @@ mod tests {
         assert!(
             spider_types::WireSize::wire_size(&other) < spider_types::WireSize::wire_size(&own)
         );
+    }
+
+    #[test]
+    fn corrupted_execute_does_not_keep_the_honest_digest() {
+        use spider_crypto::Digestible;
+        let dir = crate::directory::Directory::new();
+        let mut a = AgreementReplica::new(SpiderConfig::default(), 0, dir, &[]);
+        let honest = execute_for_group(9, &request(1, 5, OpKind::Write), GroupId(0));
+        // Remembered at every level: execute, ordered request, request.
+        let honest_digest = honest.digest();
+        assert_eq!(a.maybe_corrupt(honest.clone()).digest(), honest_digest);
+
+        a.set_fault(AgreementFault::CorruptExecutes);
+        let bad = a.maybe_corrupt(honest);
+        let ExecutePayload::Full(ordered) = &bad.payload else { panic!("a write stays full") };
+        assert_eq!(&ordered.request.operation.op[..], b"add:666");
+        assert_ne!(bad.digest(), honest_digest, "no stale digest vouches for the new content");
+        // It is the digest of that content built from nothing.
+        let rebuilt = Execute {
+            seq: bad.seq,
+            payload: ExecutePayload::Full(Hashed::new(OrderedRequest {
+                request: Hashed::new(ClientRequest::clone(&ordered.request)),
+                origin: ordered.origin,
+            })),
+        };
+        assert_eq!(bad.digest(), rebuilt.digest());
     }
 
     #[test]
@@ -1177,7 +1214,7 @@ mod tests {
         let snap = a.encode_snapshot();
 
         let mut b = AgreementReplica::new(SpiderConfig::default(), 1, dir, &[]);
-        let (sn, t, hist) = b.restore_snapshot(&snap).expect("valid snapshot");
+        let (sn, t, hist) = b.restore_snapshot(&snap.concat()).expect("valid snapshot");
         assert_eq!(sn, 42);
         assert_eq!(t.get(&ClientId(1)), Some(&7));
         assert_eq!(t.get(&ClientId(9)), Some(&3));

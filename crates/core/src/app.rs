@@ -1,7 +1,16 @@
 //! The application interface (§A.4.4): a deterministic state machine with
 //! snapshot support.
+//!
+//! A checkpoint asks the application for its state as a list of hashed
+//! [`Part`]s ([`Application::snapshot_parts`]) rather than as one buffer:
+//! an application that remembers which parts it has not touched since the
+//! last checkpoint hands the same parts out again, and the checkpoint
+//! costs the host what changed instead of what exists. The default is one
+//! part holding [`Application::snapshot`], which is right for small
+//! states such as [`CounterApp`]'s.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use crate::checkpoint::Part;
+use bytes::Bytes;
 use spider_crypto::{Digest, Digestible};
 
 /// A deterministic replicated application (RSM, §A.4.4).
@@ -22,16 +31,13 @@ pub trait Application: 'static {
     /// Serializes the full application state.
     fn snapshot(&self) -> Bytes;
 
-    /// Exact length in bytes of [`Application::snapshot`]. Override it
-    /// together with [`Application::snapshot_into`] so that a checkpoint
-    /// sizes its buffer once and the state is written once, into it.
-    fn snapshot_len(&self) -> usize {
-        self.snapshot().len()
-    }
-
-    /// Appends exactly the bytes of [`Application::snapshot`] to `out`.
-    fn snapshot_into(&self, out: &mut BytesMut) {
-        out.put_slice(&self.snapshot());
+    /// The bytes of [`Application::snapshot`] cut into hashed parts, in
+    /// order. The cut must depend on the state alone — never on the order
+    /// of operations or on when earlier snapshots were taken — because
+    /// replicas sign a hash over the list. `&mut self` lets an
+    /// implementation keep the parts it built for reuse.
+    fn snapshot_parts(&mut self) -> Vec<Part> {
+        vec![Part::new(self.snapshot())]
     }
 
     /// Replaces the state with a snapshot produced by [`Application::snapshot`].

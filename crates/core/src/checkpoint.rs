@@ -13,12 +13,123 @@
 //! ([`crate::keys`]), so execution replicas can also validate checkpoints
 //! fetched from *other* execution groups (§3.5 — needed by freshly added
 //! groups and by groups skipped under global flow control).
+//!
+//! # Snapshots are lists of hashed parts
+//!
+//! A [`Snapshot`] is an ordered list of immutable [`Part`]s — bytes plus
+//! their digest — whose concatenation is the serialized state. The value a
+//! checkpoint signs ([`Snapshot::hash`]) is one domain-separated hash over
+//! the part count and the part digests, so hashing a snapshot costs
+//! O(parts), not O(state): a replica that re-encodes only the parts that
+//! changed since its last checkpoint (see `spider_app::KvStore`) shares
+//! every other part, bytes and digest, with the previous snapshot. Two
+//! replicas with equal state must cut it into equal parts; the cut is part
+//! of the state's encoding, like field order.
+//!
+//! Nothing about the list is trusted on arrival:
+//! [`CheckpointComponent::on_fetch_response`] re-hashes every part against
+//! the digest it claims, then hashes the list and compares it with the
+//! value under the `f + 1` signatures, so a part that is missing, added,
+//! moved or altered fails one of the two checks. What [`CostModel`]
+//! charges is unchanged — the paper's replicas hash the whole state, so
+//! every charge and wire size is still computed from [`Snapshot::len`].
 
 use crate::messages::CheckpointMsg;
 use bytes::Bytes;
 use spider_crypto::{CostModel, Digest, Keyring, Signature};
 use spider_types::{GroupId, SeqNr, SimTime};
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// One immutable piece of a [`Snapshot`]: some bytes of the serialized
+/// state and the digest they are claimed to hash to. [`Part::new`] makes
+/// the claim true; a part that arrived in a message is only a claim until
+/// [`Part::is_intact`] says so.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Part {
+    /// Claimed digest of `bytes`.
+    pub digest: Digest,
+    /// This part's share of the serialized state.
+    pub bytes: Bytes,
+}
+
+impl Part {
+    /// Hashes `bytes` into a part.
+    pub fn new(bytes: Bytes) -> Part {
+        Part { digest: Self::digest_of(&bytes), bytes }
+    }
+
+    /// Whether the bytes hash to the claimed digest.
+    pub fn is_intact(&self) -> bool {
+        Self::digest_of(&self.bytes) == self.digest
+    }
+
+    fn digest_of(bytes: &[u8]) -> Digest {
+        Digest::builder().str("snapshot-part").bytes(bytes).finish()
+    }
+}
+
+/// A serialized state cut into hashed [`Part`]s (see the
+/// [module docs](self)). Cloning shares the list.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Snapshot {
+    parts: Arc<[Part]>,
+    /// Total length of the parts' bytes.
+    len: usize,
+}
+
+impl Snapshot {
+    /// A snapshot whose serialized state is the concatenation of `parts`.
+    pub fn new(parts: impl IntoIterator<Item = Part>) -> Snapshot {
+        let parts: Arc<[Part]> = parts.into_iter().collect();
+        let len = parts.iter().map(|p| p.bytes.len()).sum();
+        Snapshot { parts, len }
+    }
+
+    /// A snapshot of one part.
+    pub fn single(bytes: Bytes) -> Snapshot {
+        Snapshot::new([Part::new(bytes)])
+    }
+
+    /// The parts, in order.
+    pub fn parts(&self) -> &[Part] {
+        &self.parts
+    }
+
+    /// Length in bytes of the serialized state.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the serialized state has no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The value a checkpoint signs: a hash over how many parts there are
+    /// and what each claims to hash to, in order.
+    pub fn hash(&self) -> Digest {
+        let mut digests = Vec::with_capacity(32 * self.parts.len());
+        for part in self.parts.iter() {
+            digests.extend_from_slice(&part.digest.0);
+        }
+        Digest::builder().str("snapshot").u64(self.parts.len() as u64).bytes(&digests).finish()
+    }
+
+    /// Whether every part hashes to the digest it claims.
+    pub fn is_intact(&self) -> bool {
+        self.parts.iter().all(Part::is_intact)
+    }
+
+    /// The serialized state in one buffer (state transfer decodes this).
+    pub fn concat(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len);
+        for part in self.parts.iter() {
+            out.extend_from_slice(&part.bytes);
+        }
+        out
+    }
+}
 
 /// Effects of checkpoint-component calls.
 #[derive(Debug, Clone)]
@@ -34,7 +145,7 @@ pub enum CpAction {
         /// The message.
         msg: CheckpointMsg,
         /// Snapshot payload for fetch responses.
-        state: Option<Bytes>,
+        state: Option<Snapshot>,
     },
     /// A checkpoint became stable (Fig 13 `stable_cp`): the host must
     /// apply it if it is ahead of the local state. `state` is present when
@@ -42,8 +153,8 @@ pub enum CpAction {
     Stable {
         /// Snapshot sequence number.
         seq: SeqNr,
-        /// Snapshot bytes, if locally available.
-        state: Option<Bytes>,
+        /// The snapshot, if locally available.
+        state: Option<Snapshot>,
     },
     /// Charge CPU to the host node, labeled with the operation the cost
     /// models (for CPU attribution).
@@ -64,7 +175,7 @@ pub struct CheckpointComponent {
     keyring: Keyring,
     cost: CostModel,
     /// Snapshots this replica holds (own or fetched), by sequence number.
-    snapshots: BTreeMap<u64, (Digest, Bytes)>,
+    snapshots: BTreeMap<u64, (Digest, Snapshot)>,
     /// Announce votes per sequence number: member index -> (hash, sig).
     votes: BTreeMap<u64, BTreeMap<usize, (Digest, Signature)>>,
     /// Latest stable checkpoint: (seq, hash, certificate).
@@ -103,8 +214,8 @@ impl CheckpointComponent {
     }
 
     /// Fig 13 `gen_cp`: snapshot taken at `seq`; announce its hash.
-    pub fn generate(&mut self, seq: SeqNr, state: Bytes, out: &mut Vec<CpAction>) {
-        let hash = Digest::of_bytes(&state);
+    pub fn generate(&mut self, seq: SeqNr, state: Snapshot, out: &mut Vec<CpAction>) {
+        let hash = state.hash();
         out.push(CpAction::Charge(self.cost.hmac(state.len()) + self.cost.rsa_sign(), "cp_sign"));
         self.snapshots.insert(seq.0, (hash, state));
         let sig = self.keyring.sign(self.my_key, &cp_digest(self.group, seq, &hash));
@@ -266,7 +377,7 @@ impl CheckpointComponent {
         seq: SeqNr,
         state_hash: Digest,
         cert: Vec<Signature>,
-        state: Bytes,
+        state: Snapshot,
         out: &mut Vec<CpAction>,
     ) {
         out.push(CpAction::Charge(
@@ -276,8 +387,9 @@ impl CheckpointComponent {
         if seq.0 <= self.delivered {
             return;
         }
-        // The state must hash to the certified value…
-        if Digest::of_bytes(&state) != state_hash {
+        // Every part must hash to the digest it claims and the list of
+        // those digests to the certified value…
+        if !state.is_intact() || state.hash() != state_hash {
             return;
         }
         // …and the certificate must carry f+1 valid signatures from
@@ -318,6 +430,17 @@ mod tests {
         CheckpointComponent::new(GroupId(0), me, 1, Keyring::new(3), CostModel::zero())
     }
 
+    /// A snapshot of several parts (one of them empty, as an untouched
+    /// store bucket is) whose concatenation is `head ‖ "-" ‖ tail`.
+    fn snap(head: &'static str, tail: &'static str) -> Snapshot {
+        Snapshot::new(vec![
+            Part::new(Bytes::from_static(head.as_bytes())),
+            Part::new(Bytes::new()),
+            Part::new(Bytes::from_static(b"-")),
+            Part::new(Bytes::from_static(tail.as_bytes())),
+        ])
+    }
+
     fn announce_of(out: &[CpAction]) -> (SeqNr, Digest, Signature) {
         out.iter()
             .find_map(|a| match a {
@@ -329,11 +452,75 @@ mod tests {
             .expect("announce emitted")
     }
 
+    /// `a` and `b` make `state` stable at `seq`; returns `a`'s answer to a
+    /// fetch by replica 2: `(seq, hash, certificate, snapshot)`.
+    fn stable_fetch_response(
+        seq: u64,
+        state: Snapshot,
+    ) -> (SeqNr, Digest, Vec<Signature>, Snapshot) {
+        let mut a = comp(0);
+        let mut b = comp(1);
+        let mut out_a = Vec::new();
+        let mut out_b = Vec::new();
+        a.generate(SeqNr(seq), state.clone(), &mut out_a);
+        b.generate(SeqNr(seq), state, &mut out_b);
+        let (seq, hash, sig) = announce_of(&out_b);
+        let mut sink = Vec::new();
+        a.on_announce(1, seq, hash, sig, &mut sink);
+        let mut resp_out = Vec::new();
+        a.on_fetch_request(GroupId(0), 2, SeqNr(1), &mut resp_out);
+        resp_out
+            .iter()
+            .find_map(|x| match x {
+                CpAction::ToPeer {
+                    msg: CheckpointMsg::FetchResponse { seq, state_hash, cert, state_bytes },
+                    state: Some(state),
+                    ..
+                } => {
+                    assert_eq!(*state_bytes, state.len(), "the wire size is the state's length");
+                    Some((*seq, *state_hash, cert.clone(), state.clone()))
+                }
+                _ => None,
+            })
+            .expect("fetch response with state")
+    }
+
+    /// What a fresh replica 2 delivers when handed this fetch response.
+    fn fetched(
+        seq: SeqNr,
+        hash: Digest,
+        cert: Vec<Signature>,
+        state: Snapshot,
+    ) -> Option<Snapshot> {
+        let mut c = comp(2);
+        let mut out = Vec::new();
+        let keys = crate::keys::exec_keys(GroupId(0), 3);
+        c.on_fetch_response(GroupId(0), &keys, seq, hash, cert, state, &mut out);
+        out.into_iter().find_map(|x| match x {
+            CpAction::Stable { state, .. } => state,
+            _ => None,
+        })
+    }
+
+    #[test]
+    fn snapshot_is_its_parts_in_order() {
+        let s = snap("the", "state");
+        assert_eq!(s.concat(), b"the-state");
+        assert_eq!(s.len(), 9);
+        assert!(!s.is_empty());
+        assert!(s.is_intact());
+        assert_eq!(s.hash(), snap("the", "state").hash());
+        // The same bytes cut differently are a different snapshot: the
+        // cut is part of the encoding.
+        assert_ne!(s.hash(), Snapshot::single(Bytes::from_static(b"the-state")).hash());
+        assert_ne!(s.hash(), snap("state", "the").hash());
+    }
+
     #[test]
     fn two_matching_announcements_make_stable() {
         let mut a = comp(0);
         let mut b = comp(1);
-        let state = Bytes::from_static(b"snapshot-bytes");
+        let state = snap("snapshot", "bytes");
         let mut out_a = Vec::new();
         let mut out_b = Vec::new();
         a.generate(SeqNr(10), state.clone(), &mut out_a);
@@ -356,8 +543,8 @@ mod tests {
         let mut b = comp(1);
         let mut out_a = Vec::new();
         let mut out_b = Vec::new();
-        a.generate(SeqNr(10), Bytes::from_static(b"one"), &mut out_a);
-        b.generate(SeqNr(10), Bytes::from_static(b"two"), &mut out_b);
+        a.generate(SeqNr(10), snap("state", "one"), &mut out_a);
+        b.generate(SeqNr(10), snap("state", "two"), &mut out_b);
         let (seq, hash, sig) = announce_of(&out_b);
         let mut out = Vec::new();
         a.on_announce(1, seq, hash, sig, &mut out);
@@ -367,8 +554,8 @@ mod tests {
     #[test]
     fn forged_announcement_is_rejected() {
         let mut a = comp(0);
-        let state = Bytes::from_static(b"s");
-        let hash = Digest::of_bytes(&state);
+        let state = snap("s", "s");
+        let hash = state.hash();
         // Signed with the wrong identity (member 2 claims to be 1).
         let ring = Keyring::new(3);
         let bad_sig = ring
@@ -382,89 +569,50 @@ mod tests {
     #[test]
     fn fetch_response_transfers_verified_state() {
         // a and b stabilize a checkpoint; c (fresh) fetches it from a.
-        let mut a = comp(0);
-        let mut b = comp(1);
-        let mut c = comp(2);
-        let state = Bytes::from_static(b"the-state");
-        let mut out_a = Vec::new();
-        let mut out_b = Vec::new();
-        a.generate(SeqNr(20), state.clone(), &mut out_a);
-        b.generate(SeqNr(20), state, &mut out_b);
-        let (seq, hash, sig) = announce_of(&out_b);
-        let mut sink = Vec::new();
-        a.on_announce(1, seq, hash, sig, &mut sink);
-
-        let mut fetch_out = Vec::new();
-        c.fetch(SeqNr(1), &mut fetch_out);
-        let mut resp_out = Vec::new();
-        a.on_fetch_request(GroupId(0), 2, SeqNr(1), &mut resp_out);
-        let (seq, hash, cert, state) = resp_out
-            .iter()
-            .find_map(|x| match x {
-                CpAction::ToPeer {
-                    msg: CheckpointMsg::FetchResponse { seq, state_hash, cert, .. },
-                    state: Some(state),
-                    ..
-                } => Some((*seq, *state_hash, cert.clone(), state.clone())),
-                _ => None,
-            })
-            .expect("fetch response with state");
-
-        let mut out = Vec::new();
-        let keys = crate::keys::exec_keys(GroupId(0), 3);
-        c.on_fetch_response(GroupId(0), &keys, seq, hash, cert, state, &mut out);
-        assert!(out.iter().any(|x| matches!(
-            x,
-            CpAction::Stable { seq, state: Some(s) } if *seq == SeqNr(20) && s == &Bytes::from_static(b"the-state")
-        )));
+        let (seq, hash, cert, state) = stable_fetch_response(20, snap("the", "state"));
+        assert_eq!(seq, SeqNr(20));
+        let got = fetched(seq, hash, cert, state).expect("delivered with state");
+        assert_eq!(got, snap("the", "state"));
     }
 
     #[test]
     fn fetch_response_with_tampered_state_rejected() {
-        let mut a = comp(0);
-        let mut b = comp(1);
-        let state = Bytes::from_static(b"real");
-        let mut out_a = Vec::new();
-        let mut out_b = Vec::new();
-        a.generate(SeqNr(5), state.clone(), &mut out_a);
-        b.generate(SeqNr(5), state, &mut out_b);
-        let (seq, hash, sig) = announce_of(&out_b);
-        let mut sink = Vec::new();
-        a.on_announce(1, seq, hash, sig, &mut sink);
-        let mut resp_out = Vec::new();
-        a.on_fetch_request(GroupId(0), 2, SeqNr(1), &mut resp_out);
-        let (seq, hash, cert, _) = resp_out
-            .iter()
-            .find_map(|x| match x {
-                CpAction::ToPeer {
-                    msg: CheckpointMsg::FetchResponse { seq, state_hash, cert, .. },
-                    state: Some(state),
-                    ..
-                } => Some((*seq, *state_hash, cert.clone(), state.clone())),
-                _ => None,
-            })
-            .unwrap();
-        let mut c = comp(2);
-        let mut out = Vec::new();
-        let keys = crate::keys::exec_keys(GroupId(0), 3);
-        c.on_fetch_response(
-            GroupId(0),
-            &keys,
-            seq,
-            hash,
-            cert,
-            Bytes::from_static(b"fake"),
-            &mut out,
-        );
-        assert!(!out.iter().any(|x| matches!(x, CpAction::Stable { .. })));
+        let (seq, hash, cert, state) = stable_fetch_response(5, snap("real", "state"));
+        let parts = state.parts().to_vec();
+        let rebuilt = |parts: Vec<Part>| fetched(seq, hash, cert.clone(), Snapshot::new(parts));
+        assert!(rebuilt(parts.clone()).is_some(), "the untouched list is accepted");
+
+        // Different content, honestly hashed: the list no longer hashes
+        // to the certified value.
+        assert!(fetched(seq, hash, cert.clone(), snap("fake", "state")).is_none());
+
+        // One byte flipped in one part under its old digest: the part no
+        // longer hashes to its claim (the list hash alone would not see it).
+        let mut flipped = parts.clone();
+        flipped[3].bytes = Bytes::from_static(b"stale");
+        assert_eq!(Snapshot::new(flipped.clone()).hash(), hash);
+        assert!(rebuilt(flipped).is_none());
+
+        // A part dropped, two parts swapped, a part added.
+        let mut dropped = parts.clone();
+        dropped.remove(1);
+        assert!(rebuilt(dropped).is_none());
+        let mut swapped = parts.clone();
+        swapped.swap(0, 3);
+        assert!(rebuilt(swapped).is_none());
+        let mut extra = parts.clone();
+        extra.push(Part::new(Bytes::new()));
+        assert!(rebuilt(extra).is_none());
+        let mut extra = parts;
+        extra.push(Part::new(Bytes::from_static(b"more")));
+        assert!(rebuilt(extra).is_none());
     }
 
     #[test]
     fn stable_is_monotonic() {
         let mut a = comp(0);
         let mut b = comp(1);
-        for seq in [10u64, 20] {
-            let state = Bytes::from(format!("state-{seq}"));
+        for (seq, state) in [(10u64, snap("state", "10")), (20, snap("state", "20"))] {
             let mut out_a = Vec::new();
             let mut out_b = Vec::new();
             a.generate(SeqNr(seq), state.clone(), &mut out_a);
@@ -477,7 +625,7 @@ mod tests {
         // A late announce for 10 must not regress anything.
         let mut out_b = Vec::new();
         let mut b2 = comp(1);
-        b2.generate(SeqNr(10), Bytes::from_static(b"state-10"), &mut out_b);
+        b2.generate(SeqNr(10), snap("state", "10"), &mut out_b);
         let (s, h, sig) = announce_of(&out_b);
         let mut out = Vec::new();
         a.on_announce(1, s, h, sig, &mut out);

@@ -12,6 +12,7 @@ use crate::directory::Directory;
 use crate::messages::{ClientRequest, Operation, Reply, SpiderMsg};
 use bytes::Bytes;
 use rand::Rng;
+use spider_crypto::Hashed;
 use spider_sim::{req_id, Actor, Context, Timer, TimerId, PHASE_REQUEST};
 use spider_types::{ClientId, GroupId, NodeId, OpKind, SimTime, WireSize};
 use std::collections::BTreeMap;
@@ -287,11 +288,11 @@ impl SpiderClient {
     fn transmit(&mut self, ctx: &mut Context<'_, SpiderMsg>) {
         let Some(inf) = &self.in_flight else { return };
         let replicas = self.directory.group_replicas(self.group);
-        let request = ClientRequest {
+        let request = Hashed::new(ClientRequest {
             client: self.id,
             tc: inf.tc,
             operation: Operation { op: inf.op.clone(), kind: inf.kind },
-        };
+        });
         // Sign once, MAC per replica (Fig 15 L7).
         ctx.charge(
             self.cfg.cost.rsa_sign()
@@ -308,11 +309,11 @@ impl SpiderClient {
             ClientFault::ConflictingRequests => {
                 // A different operation per replica under one counter.
                 for (i, node) in replicas.into_iter().enumerate() {
-                    let mut bad = request.clone();
+                    let mut bad = request.clone().into_inner();
                     let mut op = inf.op.to_vec();
                     op.push(b'0' + (i as u8 % 10));
                     bad.operation.op = Bytes::from(op);
-                    let msg = SpiderMsg::Request(bad);
+                    let msg = SpiderMsg::Request(bad.into());
                     ctx.edge_for(node, &msg);
                     ctx.send(node, msg);
                 }

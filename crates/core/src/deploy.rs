@@ -360,11 +360,8 @@ impl Application for Box<dyn Application> {
     fn snapshot(&self) -> bytes::Bytes {
         (**self).snapshot()
     }
-    fn snapshot_len(&self) -> usize {
-        (**self).snapshot_len()
-    }
-    fn snapshot_into(&self, out: &mut bytes::BytesMut) {
-        (**self).snapshot_into(out)
+    fn snapshot_parts(&mut self) -> Vec<crate::checkpoint::Part> {
+        (**self).snapshot_parts()
     }
     fn restore(&mut self, snapshot: &[u8]) {
         (**self).restore(snapshot)

@@ -7,7 +7,7 @@
 //! execution checkpointing (with cross-group state transfer for catch-up).
 
 use crate::app::Application;
-use crate::checkpoint::{CheckpointComponent, CpAction};
+use crate::checkpoint::{CheckpointComponent, CpAction, Part, Snapshot};
 use crate::config::SpiderConfig;
 use crate::directory::Directory;
 use crate::keys;
@@ -16,7 +16,7 @@ use crate::messages::{
     SpiderMsg, StateBlob,
 };
 use bytes::{BufMut, Bytes, BytesMut};
-use spider_crypto::Keyring;
+use spider_crypto::{Hashed, Keyring};
 use spider_irmc::{
     Action, IrmcConfig, ReceiveResult, ReceiverEndpoint, SendStatus, SenderEndpoint, Variant,
 };
@@ -77,8 +77,8 @@ pub struct ExecutionReplica<A: Application> {
     forwarded: BTreeMap<ClientId, u64>,
     replies: BTreeMap<ClientId, CachedReply>,
     app: A,
-    req_sender: SenderEndpoint<OrderedRequest>,
-    commit_recv: ReceiverEndpoint<Execute>,
+    req_sender: SenderEndpoint<Hashed<OrderedRequest>>,
+    commit_recv: ReceiverEndpoint<Hashed<Execute>>,
     cp: CheckpointComponent,
 
     /// Outstanding checkpoint fetch (sequence we must reach).
@@ -169,7 +169,7 @@ impl<A: Application> ExecutionReplica<A> {
     // Client requests (Fig 16 L8-22)
     // ------------------------------------------------------------------
 
-    fn on_client_request(&mut self, ctx: &mut Context<'_, SpiderMsg>, req: ClientRequest) {
+    fn on_client_request(&mut self, ctx: &mut Context<'_, SpiderMsg>, req: Hashed<ClientRequest>) {
         // MAC check on every request.
         ctx.charge(self.cfg.cost.hmac(req.wire_size()));
         let c = req.client;
@@ -228,7 +228,7 @@ impl<A: Application> ExecutionReplica<A> {
         let status = self.req_sender.send_batch(
             sc,
             pos,
-            vec![OrderedRequest { request: req, origin: self.group }],
+            vec![OrderedRequest { request: req, origin: self.group }.into()],
             &mut actions,
         );
         debug_assert!(status != SendStatus::TooOld(Position(0)));
@@ -273,11 +273,11 @@ impl<A: Application> ExecutionReplica<A> {
         }
     }
 
-    fn apply_execute(&mut self, ctx: &mut Context<'_, SpiderMsg>, exec: Execute) {
+    fn apply_execute(&mut self, ctx: &mut Context<'_, SpiderMsg>, exec: Hashed<Execute>) {
         debug_assert_eq!(exec.seq.0, self.sn + 1);
         self.sn += 1;
         ctx.charge(self.cfg.cost.msg_overhead());
-        match exec.payload {
+        match &exec.payload {
             ExecutePayload::Full(ordered) => {
                 let c = ordered.request.client;
                 let tc = ordered.request.tc;
@@ -304,7 +304,7 @@ impl<A: Application> ExecutionReplica<A> {
                     }
                 }
             }
-            ExecutePayload::Placeholder { client, tc, .. } => {
+            &ExecutePayload::Placeholder { client, tc, .. } => {
                 // A strong read executed at another group: remember the
                 // counter so duplicates are skipped (Lemma A.35).
                 let fresh = self.replies.get(&client).is_none_or(|r| r.tc() < tc);
@@ -325,9 +325,13 @@ impl<A: Application> ExecutionReplica<A> {
     // Checkpoints (Fig 16 L42-48, §3.4/§3.5)
     // ------------------------------------------------------------------
 
-    /// Serializes `(sn, replies, app)` into the snapshot format.
-    fn encode_snapshot(&self) -> Bytes {
-        let app_len = self.app.snapshot_len();
+    /// Serializes `(sn, replies, app)` into the snapshot format: one
+    /// fresh part for `(sn, replies, app length)`, then the application's
+    /// own parts — the ones it did not touch since the last checkpoint are
+    /// the previous snapshot's.
+    fn encode_snapshot(&mut self) -> Snapshot {
+        let app_parts = self.app.snapshot_parts();
+        let app_len: usize = app_parts.iter().map(|p| p.bytes.len()).sum();
         let replies_len: usize = self
             .replies
             .values()
@@ -336,7 +340,7 @@ impl<A: Application> ExecutionReplica<A> {
                 CachedReply::Placeholder { .. } => 4 + 1 + 8,
             })
             .sum();
-        let len = 8 + 4 + replies_len + 4 + app_len;
+        let len = 8 + 4 + replies_len + 4;
         let mut buf = BytesMut::with_capacity(len);
         buf.put_u64(self.sn);
         buf.put_u32(self.replies.len() as u32);
@@ -358,9 +362,8 @@ impl<A: Application> ExecutionReplica<A> {
             }
         }
         buf.put_u32(app_len as u32);
-        self.app.snapshot_into(&mut buf);
-        debug_assert_eq!(buf.len(), len, "the snapshot was sized exactly");
-        buf.freeze()
+        debug_assert_eq!(buf.len(), len, "the header was sized exactly");
+        Snapshot::new(std::iter::once(Part::new(buf.freeze())).chain(app_parts))
     }
 
     fn restore_snapshot(&mut self, bytes: &[u8]) -> Option<u64> {
@@ -423,7 +426,7 @@ impl<A: Application> ExecutionReplica<A> {
         &mut self,
         ctx: &mut Context<'_, SpiderMsg>,
         seq: SeqNr,
-        state: Option<Bytes>,
+        state: Option<Snapshot>,
     ) {
         // Allow garbage collection of the commit channel (Fig 16 L44)
         // regardless of whether we are ahead or behind.
@@ -432,9 +435,9 @@ impl<A: Application> ExecutionReplica<A> {
         self.apply_commit_channel_actions(ctx, actions);
         if seq.0 > self.sn {
             match state {
-                Some(bytes) => {
-                    ctx.charge(self.cfg.cost.hmac(bytes.len()));
-                    if let Some(sn) = self.restore_snapshot(&bytes) {
+                Some(snapshot) => {
+                    ctx.charge(self.cfg.cost.hmac(snapshot.len()));
+                    if let Some(sn) = self.restore_snapshot(&snapshot.concat()) {
                         debug_assert_eq!(sn, seq.0);
                         self.sn = seq.0;
                         if self.fetching.is_some_and(|f| f <= seq) {
@@ -461,7 +464,7 @@ impl<A: Application> ExecutionReplica<A> {
     fn apply_request_channel_actions(
         &mut self,
         ctx: &mut Context<'_, SpiderMsg>,
-        actions: Vec<Action<OrderedRequest>>,
+        actions: Vec<Action<Hashed<OrderedRequest>>>,
     ) {
         let agreement = self.directory.agreement();
         let peers = self.directory.group_replicas(self.group);
@@ -509,7 +512,7 @@ impl<A: Application> ExecutionReplica<A> {
     fn apply_commit_channel_actions(
         &mut self,
         ctx: &mut Context<'_, SpiderMsg>,
-        actions: Vec<Action<Execute>>,
+        actions: Vec<Action<Hashed<Execute>>>,
     ) {
         let agreement = self.directory.agreement();
         let mut poll = false;
@@ -588,12 +591,12 @@ impl<A: Application> ExecutionReplica<A> {
                         self.directory.group_replicas(group)
                     };
                     if let Some(node) = nodes.get(idx) {
-                        let blob = state.map(|bytes| StateBlob {
+                        let blob = state.map(|snapshot| StateBlob {
                             seq: match msg {
                                 CheckpointMsg::FetchResponse { seq, .. } => seq,
                                 _ => SeqNr(0),
                             },
-                            bytes,
+                            snapshot,
                         });
                         ctx.send(
                             *node,
@@ -766,7 +769,7 @@ impl<A: Application> ExecutionReplica<A> {
                     seq,
                     state_hash,
                     cert,
-                    blob.bytes,
+                    blob.snapshot,
                     &mut actions,
                 );
             }
@@ -803,9 +806,11 @@ mod tests {
             .insert(ClientId(1), CachedReply::Result { tc: 4, result: Bytes::from_static(b"5") });
         a.replies.insert(ClientId(2), CachedReply::Placeholder { tc: 9 });
         let snap = a.encode_snapshot();
+        assert!(snap.parts().len() >= 2, "a header part, then the application's");
+        assert!(snap.is_intact());
 
         let mut b = replica();
-        let sn = b.restore_snapshot(&snap).expect("valid snapshot");
+        let sn = b.restore_snapshot(&snap.concat()).expect("valid snapshot");
         assert_eq!(sn, 16);
         assert_eq!(b.app.value(), 5);
         match b.replies.get(&ClientId(1)) {

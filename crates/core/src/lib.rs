@@ -66,6 +66,7 @@ pub mod keys;
 pub mod messages;
 
 pub use app::{Application, CounterApp};
+pub use checkpoint::{Part, Snapshot};
 pub use client::{ClientFault, Sample, SpiderClient, WorkloadSpec};
 pub use config::SpiderConfig;
 pub use deploy::{Deployment, DeploymentBuilder};

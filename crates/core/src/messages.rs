@@ -4,8 +4,9 @@
 //! type for Spider deployments. It wraps client traffic, IRMC channel
 //! legs, consensus messages, checkpoint traffic, and state transfer.
 
+use crate::checkpoint::Snapshot;
 use bytes::Bytes;
-use spider_crypto::{Digest, Digestible};
+use spider_crypto::{Digest, Digestible, Hashed};
 use spider_irmc::{ChannelMsg, ReceiverMsg};
 use spider_types::wire::{DIGEST_BYTES, HEADER_BYTES, MAC_BYTES, SIG_BYTES};
 use spider_types::{ClientId, GroupId, OpKind, SeqNr, WireSize};
@@ -73,8 +74,9 @@ impl WireSize for ClientRequest {
 /// consensus protocol orders.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrderedRequest {
-    /// The client request (carries the client's signature).
-    pub request: ClientRequest,
+    /// The client request (carries the client's signature), with the
+    /// digest it was authenticated under at the previous hop.
+    pub request: Hashed<ClientRequest>,
     /// The execution group that forwarded it.
     pub origin: GroupId,
 }
@@ -109,7 +111,7 @@ impl WireSize for OrderedRequest {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecutePayload {
     /// The full ordered request.
-    Full(OrderedRequest),
+    Full(Hashed<OrderedRequest>),
     /// Placeholder for a read executed elsewhere.
     Placeholder {
         /// The reading client.
@@ -260,7 +262,7 @@ pub enum AdminCommand {
 #[derive(Debug, Clone, PartialEq)]
 pub enum OrderItem {
     /// A client request forwarded by an execution group.
-    Request(OrderedRequest),
+    Request(Hashed<OrderedRequest>),
     /// A reconfiguration command from the admin client.
     Admin(AdminCommand),
 }
@@ -345,7 +347,7 @@ impl<M: spider_irmc::Content> WireSize for ChannelLeg<M> {
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpiderMsg {
     /// Client -> execution replica.
-    Request(ClientRequest),
+    Request(Hashed<ClientRequest>),
     /// Execution replica -> client.
     Reply(Reply),
     /// Request-channel traffic between execution group `group` and the
@@ -354,7 +356,7 @@ pub enum SpiderMsg {
         /// The execution group owning the channel.
         group: GroupId,
         /// The frame.
-        leg: ChannelLeg<OrderedRequest>,
+        leg: ChannelLeg<Hashed<OrderedRequest>>,
     },
     /// Commit-channel traffic between the agreement group and execution
     /// group `group`.
@@ -362,7 +364,7 @@ pub enum SpiderMsg {
         /// The execution group owning the channel.
         group: GroupId,
         /// The frame.
-        leg: ChannelLeg<Execute>,
+        leg: ChannelLeg<Hashed<Execute>>,
     },
     /// Consensus traffic within the agreement group.
     Agreement(spider_consensus::Msg<OrderItem>),
@@ -381,11 +383,11 @@ pub enum SpiderMsg {
     Admin(AdminCommand),
 }
 
-/// An opaque serialized snapshot travelling in a fetch response.
+/// A snapshot travelling in a fetch response.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateBlob {
     /// Execution or agreement snapshot, encoded by the owning component.
-    pub bytes: Bytes,
+    pub snapshot: Snapshot,
     /// Snapshot sequence number.
     pub seq: SeqNr,
 }
@@ -469,10 +471,9 @@ mod tests {
     fn execute_digest_distinguishes_full_and_placeholder() {
         let full = Execute {
             seq: SeqNr(5),
-            payload: ExecutePayload::Full(OrderedRequest {
-                request: request(1),
-                origin: GroupId(0),
-            }),
+            payload: ExecutePayload::Full(
+                OrderedRequest { request: request(1).into(), origin: GroupId(0) }.into(),
+            ),
         };
         let ph = Execute {
             seq: SeqNr(5),
@@ -485,10 +486,9 @@ mod tests {
     fn placeholder_is_smaller_than_full_request() {
         let full = Execute {
             seq: SeqNr(5),
-            payload: ExecutePayload::Full(OrderedRequest {
-                request: request(1),
-                origin: GroupId(0),
-            }),
+            payload: ExecutePayload::Full(
+                OrderedRequest { request: request(1).into(), origin: GroupId(0) }.into(),
+            ),
         };
         let ph = Execute {
             seq: SeqNr(5),

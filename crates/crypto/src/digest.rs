@@ -8,6 +8,8 @@
 
 use crate::sha256::Sha256;
 use serde::{Deserialize, Serialize};
+use spider_types::WireSize;
+use std::sync::{Arc, OnceLock};
 
 /// Types whose content can be summarized as a [`Digest`].
 ///
@@ -17,6 +19,113 @@ pub trait Digestible {
     /// Content digest. Equal values must produce equal digests; any
     /// semantic difference must change the digest.
     fn digest(&self) -> Digest;
+}
+
+/// An immutable, shared value that remembers its own [`Digest`].
+///
+/// Messages here never change once built, yet every hop that
+/// authenticates one asks for its digest again, and every fan-out copies
+/// it. `Hashed` puts the value and a write-once digest behind one
+/// reference count: the digest is computed on first use, and a clone is
+/// the same value with the same memo, so a message and all its copies are
+/// hashed at most once and copied never.
+///
+/// The memo can never vouch for different content: the value is reachable
+/// only through `Deref` (no `DerefMut`, no public field), and the one way
+/// to change it — [`Hashed::into_inner`], edit, [`Hashed::new`] — starts
+/// from an empty memo. Equality and `Debug` look at the value alone.
+///
+/// # Examples
+///
+/// ```
+/// use spider_crypto::{Digest, Digestible, Hashed};
+///
+/// #[derive(Clone)]
+/// struct Word(&'static str);
+/// impl Digestible for Word {
+///     fn digest(&self) -> Digest {
+///         Digest::of_bytes(self.0.as_bytes())
+///     }
+/// }
+///
+/// let a = Hashed::new(Word("a"));
+/// assert_eq!(a.digest(), Digest::of_bytes(b"a"));
+/// let mut inner = a.into_inner();
+/// inner.0 = "b";
+/// assert_eq!(Hashed::new(inner).digest(), Digest::of_bytes(b"b"));
+/// ```
+pub struct Hashed<T>(Arc<Memoized<T>>);
+
+struct Memoized<T> {
+    value: T,
+    digest: OnceLock<Digest>,
+}
+
+impl<T> Hashed<T> {
+    /// Wraps `value`; nothing is hashed until the digest is asked for.
+    pub fn new(value: T) -> Self {
+        Hashed(Arc::new(Memoized { value, digest: OnceLock::new() }))
+    }
+
+    /// Gives the value back (a copy of it while clones of `self` are
+    /// alive) and forgets its digest.
+    pub fn into_inner(self) -> T
+    where
+        T: Clone,
+    {
+        Arc::try_unwrap(self.0).map_or_else(|shared| shared.value.clone(), |own| own.value)
+    }
+}
+
+impl<T> Clone for Hashed<T> {
+    fn clone(&self) -> Self {
+        Hashed(Arc::clone(&self.0))
+    }
+}
+
+impl<T> From<T> for Hashed<T> {
+    fn from(value: T) -> Self {
+        Hashed::new(value)
+    }
+}
+
+impl<T> std::ops::Deref for Hashed<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0.value
+    }
+}
+
+impl<T: Digestible> Digestible for Hashed<T> {
+    fn digest(&self) -> Digest {
+        *self.0.digest.get_or_init(|| self.0.value.digest())
+    }
+}
+
+impl<T: PartialEq> PartialEq for Hashed<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.value == other.0.value
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for Hashed<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.value.fmt(f)
+    }
+}
+
+impl<T: WireSize> WireSize for Hashed<T> {
+    fn wire_size(&self) -> usize {
+        self.0.value.wire_size()
+    }
+
+    fn trace_kind(&self) -> &'static str {
+        self.0.value.trace_kind()
+    }
+
+    fn trace_reqs(&self, visit: &mut dyn FnMut(u64)) {
+        self.0.value.trace_reqs(visit);
+    }
 }
 
 /// A 32-byte SHA-256 digest identifying message content.
@@ -162,6 +271,47 @@ mod tests {
         let a = Digest::builder().digest(&inner1).finish();
         let b = Digest::builder().digest(&inner2).finish();
         assert_ne!(a, b);
+    }
+
+    /// Counts how often its digest is computed.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Counted {
+        content: u64,
+        hashed: std::rc::Rc<std::cell::Cell<u32>>,
+    }
+
+    impl Digestible for Counted {
+        fn digest(&self) -> Digest {
+            self.hashed.set(self.hashed.get() + 1);
+            Digest::builder().u64(self.content).finish()
+        }
+    }
+
+    #[test]
+    fn hashed_computes_once_and_clones_share_the_memo() {
+        let hashed = std::rc::Rc::new(std::cell::Cell::new(0));
+        let a = Hashed::new(Counted { content: 7, hashed: hashed.clone() });
+        let early = a.clone();
+        assert_eq!(hashed.get(), 0, "nothing is hashed before the first use");
+        let d = a.digest();
+        assert_eq!(a.digest(), d);
+        assert_eq!(a.clone().digest(), d);
+        assert_eq!(early.digest(), d);
+        assert_eq!(hashed.get(), 1, "the value and all its clones share one hash");
+    }
+
+    #[test]
+    fn hashed_rebuilt_after_a_change_forgets_the_old_digest() {
+        let hashed = std::rc::Rc::new(std::cell::Cell::new(0));
+        let a = Hashed::new(Counted { content: 7, hashed });
+        let before = a.digest();
+        let mut inner = a.clone().into_inner();
+        inner.content = 8;
+        let b = Hashed::new(inner);
+        assert_ne!(b.digest(), before, "no stale memo can vouch for changed content");
+        assert_eq!(b.digest(), b.clone().into_inner().digest());
+        assert_ne!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{:?}", a.clone().into_inner()));
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod sha256;
 pub mod threshold;
 
 pub use cost::CostModel;
-pub use digest::{Digest, DigestBuilder, Digestible};
+pub use digest::{Digest, DigestBuilder, Digestible, Hashed};
 pub use keyring::{KeyId, Keyring, Mac, Signature};
 pub use merkle::{merkle_proof, merkle_root, MerkleProof, RootCache};
 pub use threshold::{SigShare, ThresholdKeyring, ThresholdSig};

@@ -1,7 +1,14 @@
 //! The time-ordered event queue at the heart of the simulator.
+//!
+//! The heap orders 24-byte keys `(at, seq, node, slot)`; the payloads —
+//! whole protocol messages, hundreds of bytes each — sit still in a slab
+//! (`Vec<Option<EventKind<M>>>` with a free list) until their key pops, so
+//! a sift moves a key and never a message. Keys order by time, then by
+//! insertion sequence: same-instant events pop in the order they were
+//! pushed, which is what makes a run reproducible.
 
 use spider_types::{NodeId, SimTime};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::actor::Timer;
@@ -20,61 +27,68 @@ pub(crate) enum EventKind<M> {
         /// The timer (id + user tag).
         timer: Timer,
     },
-    /// A node was re-scheduled because it was busy when an event arrived.
-    Resume(Box<EventKind<M>>),
 }
 
 pub(crate) struct Event<M> {
     pub at: SimTime,
-    pub seq: u64,
     pub node: NodeId,
     pub kind: EventKind<M>,
 }
 
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        // Ties break by insertion sequence for determinism.
-        other.at.cmp(&self.at).then_with(|| other.seq.cmp(&self.seq))
-    }
+/// Heap entry. The derived order compares `(at, seq)` first and `seq` is
+/// unique, so `node` and `slot` never decide.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    at: SimTime,
+    seq: u64,
+    node: NodeId,
+    slot: u32,
 }
 
 /// Deterministic priority queue of simulation events.
 pub(crate) struct EventQueue<M> {
-    heap: BinaryHeap<Event<M>>,
+    /// `BinaryHeap` is a max-heap; `Reverse` pops the earliest key first.
+    heap: BinaryHeap<Reverse<Key>>,
+    /// Payload of every queued key, at `Key::slot`.
+    slots: Vec<Option<EventKind<M>>>,
+    /// Vacated slots, reused before the slab grows.
+    free: Vec<u32>,
     next_seq: u64,
 }
 
 impl<M> EventQueue<M> {
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), next_seq: 0 }
+        EventQueue { heap: BinaryHeap::new(), slots: Vec::new(), free: Vec::new(), next_seq: 0 }
     }
 
+    /// Queues `kind` for `node` at `at`, behind everything already queued
+    /// for that instant. A busy node's event is re-queued through here as
+    /// well: it keeps its payload and takes a fresh sequence number.
     pub fn push(&mut self, at: SimTime, node: NodeId, kind: EventKind<M>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Event { at, seq, node, kind });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(kind);
+                slot
+            }
+            None => {
+                self.slots.push(Some(kind));
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 queued events")
+            }
+        };
+        self.heap.push(Reverse(Key { at, seq, node, slot }));
     }
 
     pub fn pop(&mut self) -> Option<Event<M>> {
-        self.heap.pop()
+        let Reverse(Key { at, node, slot, .. }) = self.heap.pop()?;
+        let kind = self.slots[slot as usize].take().expect("a queued key owns its slot");
+        self.free.push(slot);
+        Some(Event { at, node, kind })
     }
 
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        self.heap.peek().map(|Reverse(key)| key.at)
     }
 
     pub fn len(&self) -> usize {
@@ -91,6 +105,13 @@ impl<M> EventQueue<M> {
 mod tests {
     use super::*;
 
+    fn msg_of(kind: EventKind<u32>) -> u32 {
+        match kind {
+            EventKind::Deliver { msg, .. } => msg,
+            EventKind::Fire { .. } => unreachable!("only deliveries are queued here"),
+        }
+    }
+
     #[test]
     fn pops_in_time_order_with_fifo_ties() {
         let mut q: EventQueue<u32> = EventQueue::new();
@@ -99,13 +120,47 @@ mod tests {
         q.push(SimTime::from_millis(1), n, EventKind::Deliver { from: n, msg: 2 });
         q.push(SimTime::from_millis(5), n, EventKind::Deliver { from: n, msg: 3 });
 
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::Deliver { msg, .. } => msg,
-                _ => unreachable!(),
-            })
-            .collect();
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| msg_of(e.kind)).collect();
         assert_eq!(order, vec![2, 1, 3], "time order, then insertion order");
+    }
+
+    #[test]
+    fn popped_slots_are_reused_before_the_slab_grows() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let n = NodeId(0);
+        for round in 0..10u32 {
+            for i in 0..4u32 {
+                let at = SimTime::from_millis(u64::from(round * 10 + (3 - i)));
+                q.push(at, n, EventKind::Deliver { from: n, msg: round * 4 + i });
+            }
+            let popped: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| msg_of(e.kind)).collect();
+            let expected: Vec<u32> = (0..4).rev().map(|i| round * 4 + i).collect();
+            assert_eq!(popped, expected, "a reused slot hands back its own payload");
+        }
+        assert_eq!(q.slots.len(), 4, "never more slots than events queued at once");
+        assert_eq!(q.free.len(), 4);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_requeued_event_goes_behind_its_instant_and_keeps_arrival_order() {
+        // Three messages reach a busy node at t=1 in the order 1, 2, 3 and
+        // one more is already queued for t=5, when the node frees up. The
+        // world re-queues each popped event at t=5 with its payload.
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let n = NodeId(3);
+        let (arrive, free_at) = (SimTime::from_millis(1), SimTime::from_millis(5));
+        q.push(free_at, n, EventKind::Deliver { from: n, msg: 0 });
+        for msg in 1..=3 {
+            q.push(arrive, n, EventKind::Deliver { from: n, msg });
+        }
+        for _ in 0..3 {
+            let e = q.pop().expect("queued");
+            assert_eq!((e.at, e.node), (arrive, n));
+            q.push(free_at, e.node, e.kind);
+        }
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| msg_of(e.kind)).collect();
+        assert_eq!(order, vec![0, 1, 2, 3]);
     }
 
     #[test]

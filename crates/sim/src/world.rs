@@ -324,23 +324,18 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
         };
         self.now = self.now.max(event.at);
         self.stats.total_events += 1;
-        let Event { node, kind, at, .. } = event;
+        let Event { node, kind, at } = event;
 
         // Dead nodes consume nothing.
         if self.net_control.is_crashed(node) {
             return true;
         }
 
-        let kind = match kind {
-            EventKind::Resume(inner) => *inner,
-            k => k,
-        };
-
         // Busy-server model: if the node's CPU is still busy, requeue the
         // event for when it frees up, preserving arrival order via seq.
         let busy_until = self.nodes[node.0 as usize].busy_until;
         if busy_until > at {
-            self.queue.push(busy_until, node, EventKind::Resume(Box::new(kind)));
+            self.queue.push(busy_until, node, kind);
             return true;
         }
 
@@ -357,7 +352,6 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
                 }
                 self.run_handler(node, |actor, ctx| actor.on_timer(ctx, timer));
             }
-            EventKind::Resume(_) => unreachable!("nested resume"),
         }
         true
     }

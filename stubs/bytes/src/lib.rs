@@ -16,40 +16,58 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable, contiguous byte buffer.
+///
+/// Two representations behind one API: a borrowed `&'static [u8]`
+/// (constants never allocate) and a shared heap buffer that takes over
+/// the `Vec` it was built from without copying it. Equality, ordering
+/// and hashing look at the contents only.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Repr,
+}
+
+#[derive(Clone)]
+enum Repr {
+    Static(&'static [u8]),
+    Shared(Arc<Vec<u8>>),
 }
 
 impl Bytes {
     /// Creates an empty `Bytes`.
-    pub fn new() -> Bytes {
-        Bytes { data: Arc::from(&[][..]) }
+    pub const fn new() -> Bytes {
+        Bytes::from_static(&[])
     }
 
     /// Creates `Bytes` from a static slice.
-    pub fn from_static(slice: &'static [u8]) -> Bytes {
-        Bytes { data: Arc::from(slice) }
+    pub const fn from_static(slice: &'static [u8]) -> Bytes {
+        Bytes { data: Repr::Static(slice) }
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.as_slice().len()
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.as_slice().is_empty()
     }
 
     /// Returns a copy of the contents as a `Vec<u8>`.
     pub fn to_vec(&self) -> Vec<u8> {
-        self.data.to_vec()
+        self.as_slice().to_vec()
     }
 
     /// Creates `Bytes` by copying a slice.
     pub fn copy_from_slice(slice: &[u8]) -> Bytes {
-        Bytes { data: Arc::from(slice) }
+        Bytes::from(slice.to_vec())
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        match &self.data {
+            Repr::Static(slice) => slice,
+            Repr::Shared(vec) => vec,
+        }
     }
 }
 
@@ -62,25 +80,25 @@ impl Default for Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data
+        self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.data
+        self.as_slice()
     }
 }
 
 impl Borrow<[u8]> for Bytes {
     fn borrow(&self) -> &[u8] {
-        &self.data
+        self.as_slice()
     }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        Bytes { data: Arc::from(v) }
+        Bytes { data: Repr::Shared(Arc::new(v)) }
     }
 }
 
@@ -104,13 +122,13 @@ impl From<String> for Bytes {
 
 impl From<Box<[u8]>> for Bytes {
     fn from(b: Box<[u8]>) -> Bytes {
-        Bytes { data: Arc::from(b) }
+        Bytes::from(b.into_vec())
     }
 }
 
 impl PartialEq for Bytes {
     fn eq(&self, other: &Bytes) -> bool {
-        self.data[..] == other.data[..]
+        self.as_slice() == other.as_slice()
     }
 }
 
@@ -118,19 +136,19 @@ impl Eq for Bytes {}
 
 impl PartialEq<[u8]> for Bytes {
     fn eq(&self, other: &[u8]) -> bool {
-        &self.data[..] == other
+        self.as_slice() == other
     }
 }
 
 impl PartialEq<&[u8]> for Bytes {
     fn eq(&self, other: &&[u8]) -> bool {
-        &self.data[..] == *other
+        self.as_slice() == *other
     }
 }
 
 impl PartialEq<Vec<u8>> for Bytes {
     fn eq(&self, other: &Vec<u8>) -> bool {
-        self.data[..] == other[..]
+        self.as_slice() == &other[..]
     }
 }
 
@@ -142,20 +160,20 @@ impl PartialOrd for Bytes {
 
 impl Ord for Bytes {
     fn cmp(&self, other: &Bytes) -> std::cmp::Ordering {
-        self.data[..].cmp(&other.data[..])
+        self.as_slice().cmp(other.as_slice())
     }
 }
 
 impl Hash for Bytes {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.data[..].hash(state);
+        self.as_slice().hash(state);
     }
 }
 
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "b\"")?;
-        for &b in self.data.iter() {
+        for &b in self.as_slice() {
             if (0x20..0x7f).contains(&b) && b != b'"' && b != b'\\' {
                 write!(f, "{}", b as char)?;
             } else {
@@ -178,7 +196,7 @@ impl<'a> IntoIterator for &'a Bytes {
     type Item = &'a u8;
     type IntoIter = std::slice::Iter<'a, u8>;
     fn into_iter(self) -> Self::IntoIter {
-        self.data.iter()
+        self.as_slice().iter()
     }
 }
 
@@ -344,5 +362,45 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a, &[1, 2, 3][..]);
         assert_eq!(Bytes::from_static(b"ok").len(), 2);
+    }
+
+    #[test]
+    fn static_and_shared_representations_are_indistinguishable() {
+        use std::collections::hash_map::DefaultHasher;
+        fn hash_of(b: &Bytes) -> u64 {
+            let mut h = DefaultHasher::new();
+            b.hash(&mut h);
+            h.finish()
+        }
+        let mut built = BytesMut::with_capacity(8);
+        built.put_slice(b"\0ok");
+        let pairs = [
+            (Bytes::from_static(b"\0ok"), built.freeze()),
+            (Bytes::from_static(b"\0ok"), Bytes::copy_from_slice(b"\0ok")),
+            (Bytes::new(), Bytes::from(Vec::new())),
+            (Bytes::default(), Bytes::from(Vec::new().into_boxed_slice())),
+        ];
+        for (fixed, heap) in &pairs {
+            assert_eq!(&fixed[..], &heap[..]);
+            assert_eq!(fixed, heap);
+            assert_eq!(fixed.cmp(heap), std::cmp::Ordering::Equal);
+            assert_eq!(hash_of(fixed), hash_of(heap));
+            assert_eq!(format!("{fixed:?}"), format!("{heap:?}"));
+            assert_eq!(fixed.to_vec(), heap.to_vec());
+        }
+        let (fixed_a, fixed_b) = (Bytes::from_static(b"a"), Bytes::from_static(b"b"));
+        let (heap_a, heap_b) = (Bytes::from(vec![b'a']), Bytes::from(vec![b'b']));
+        assert!(fixed_a < heap_b && heap_a < fixed_b, "ordering is by contents");
+    }
+
+    #[test]
+    fn from_vec_and_freeze_take_the_buffer_without_copying() {
+        let v = vec![7u8; 64];
+        let at = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), at);
+        let mut m = BytesMut::with_capacity(64);
+        m.put_slice(&[1; 64]);
+        let at = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), at);
     }
 }

@@ -27,6 +27,14 @@ pub enum Throughput {
     Elements(u64),
 }
 
+/// How many inputs [`Bencher::iter_batched`] prepares ahead; accepted for
+/// API compatibility, the stub always prepares one input per sample.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    /// Small inputs.
+    SmallInput,
+}
+
 /// Top-level benchmark driver; mirrors `criterion::Criterion`.
 #[derive(Debug)]
 pub struct Criterion {
@@ -139,6 +147,22 @@ impl Bencher {
             self.samples.push(start.elapsed());
         }
     }
+
+    /// Measures `routine` on a fresh `setup()` value per sample; the
+    /// setup is not timed.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        black_box(routine(setup()));
+        for _ in 0..self.target {
+            let input = setup();
+            let start = Instant::now();
+            black_box(routine(input));
+            self.samples.push(start.elapsed());
+        }
+    }
 }
 
 /// Bundles benchmark functions into a runnable group; mirrors
@@ -175,6 +199,9 @@ mod tests {
         g.sample_size(3);
         g.throughput(Throughput::Bytes(1024));
         g.bench_function("sum", |b| b.iter(|| (0u64..100).sum::<u64>()));
+        g.bench_function("sum_batched", |b| {
+            b.iter_batched(|| vec![1u64; 100], |v| v.iter().sum::<u64>(), BatchSize::SmallInput)
+        });
         g.finish();
     }
 
