@@ -24,3 +24,14 @@ pub fn standard_deployment(
         .build(&mut sim);
     (sim, dep)
 }
+
+/// FNV-1a over a string: a stable digest for Debug-rendered traces and
+/// rows.
+pub fn digest(s: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in s.bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}

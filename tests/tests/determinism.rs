@@ -15,18 +15,8 @@ use spider_app::kv_op_factory;
 use spider_harness::experiments::disaster;
 use spider_harness::scenarios::{run_scenario, run_scenario_obs, ScenarioCfg, SystemKind};
 use spider_obs::causal;
-use spider_tests::standard_deployment;
+use spider_tests::{digest, standard_deployment};
 use spider_types::SimTime;
-
-/// FNV-1a over a string: a stable digest for Debug-rendered traces.
-fn digest(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn scenario_cfg() -> ScenarioCfg {
     ScenarioCfg {

@@ -11,6 +11,7 @@
 use spider_harness::experiments::disaster::{
     run_correlated_outage, run_placement, run_view_change_storm, run_wan_partition, Config,
 };
+use spider_tests::digest;
 use spider_types::SimTime;
 
 /// Scaled-down scenario clock: fault at 6 s, heal at 14 s, offered load
@@ -25,16 +26,6 @@ fn test_cfg() -> Config {
         seed: 42,
         ..Config::default()
     }
-}
-
-/// FNV-1a over a string: a stable digest for Debug-rendered rows.
-fn digest(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The CI-gated scenario: severing the agreement side from half the

@@ -1,0 +1,86 @@
+//! Golden digests of the modelled plane: small-scale runs of every
+//! measurement mechanism, pinned to the numbers they produced at the
+//! commit that introduced this file.
+//!
+//! `determinism.rs` compares a run with itself, so a refactor that
+//! shifts every number still passes it. These digests do not move
+//! unless simulated behaviour moves: a change that is meant to be
+//! behaviour-preserving must leave them alone, and a change that is
+//! meant to move the model updates them in the same commit as the
+//! regenerated `BENCH_*` artifacts.
+
+use spider_harness::experiments::{commit_channel, disaster, fig11, fig9bcd};
+use spider_harness::scenarios::{run_scenario, ScenarioCfg, SystemKind};
+use spider_irmc::{ChannelMode, Variant};
+use spider_tests::digest;
+use spider_types::SimTime;
+
+fn small() -> ScenarioCfg {
+    ScenarioCfg {
+        clients_per_region: 2,
+        rate_per_client: 3.0,
+        duration: SimTime::from_secs(5),
+        warmup: SimTime::from_secs(1),
+        ..ScenarioCfg::default()
+    }
+}
+
+#[track_caller]
+fn pin(what: &str, rendered: String, expected: u64) {
+    let got = digest(&rendered);
+    assert_eq!(got, expected, "{what} moved: digest {got:#018x}, rendered:\n{rendered}");
+}
+
+#[test]
+fn scenario_sample_traces() {
+    for (kind, expected) in [
+        (SystemKind::Spider { leader_zone: 0 }, 0x29c3_22a0_c2ef_fe88),
+        (SystemKind::Bft { leader: 0 }, 0xe160_7028_388b_1a78),
+        (SystemKind::Hft { leader_site: 0 }, 0xafcf_d915_a1d4_a33f),
+        (SystemKind::Spider0E, 0x134f_6c88_2796_9a8f),
+    ] {
+        pin(&kind.to_string(), format!("{:?}", run_scenario(kind, &small())), expected);
+    }
+}
+
+#[test]
+fn fig9bcd_points() {
+    let cfg = fig9bcd::Config { duration: SimTime::from_secs(1), ..fig9bcd::Config::default() };
+    for (variant, expected) in [
+        (Variant::ReceiverCollect, 0x630b_f214_5132_003a),
+        (Variant::SenderCollect, 0xa125_1520_92f4_c4d7),
+    ] {
+        pin(
+            &variant.to_string(),
+            format!("{:?}", fig9bcd::run_point(variant, 1024, &cfg)),
+            expected,
+        );
+    }
+}
+
+#[test]
+fn commit_channel_flood_and_paced() {
+    let cfg = commit_channel::Config { duration: SimTime::from_secs(1), ..Default::default() };
+    let flood = commit_channel::run_flood(ChannelMode::ReliableCast { dedup: true }, 32, &cfg);
+    pin("dedup flood, range 32", format!("{flood:?}"), 0xb1c9_893d_0fd6_16b8);
+    let paced = commit_channel::run_paced(ChannelMode::SenderCast { overlap: true }, 64, &cfg);
+    pin("overlapped SC paced, range 64", format!("{paced:?}"), 0x9971_1ec6_f4c9_0cb6);
+}
+
+#[test]
+fn wan_partition_row() {
+    let cfg = disaster::Config {
+        warmup: SimTime::from_secs(1),
+        fault_at: SimTime::from_secs(3),
+        heal_at: SimTime::from_secs(6),
+        duration: SimTime::from_secs(10),
+        ..disaster::Config::default()
+    };
+    pin("wan-partition", format!("{:?}", disaster::run_wan_partition(&cfg)), 0xc66a_290f_2847_d028);
+}
+
+#[test]
+fn fig11_f2_rows() {
+    let scenario = ScenarioCfg { clients_per_region: 1, ..small() };
+    pin("fig11", format!("{:?}", fig11::run(&fig11::Config { scenario })), 0x8c83_54da_28c9_f42f);
+}
