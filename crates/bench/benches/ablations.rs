@@ -26,15 +26,9 @@ fn run_with(cfg: SpiderConfig, slow_tokyo_ms: u64, seed: u64) -> (f64, usize) {
         .execution_group("virginia")
         .execution_group("tokyo")
         .build(&mut sim);
-    let workload = WorkloadSpec {
-        rate_per_sec: 8.0,
-        payload_bytes: 200,
-        write_fraction: 1.0,
-        strong_read_fraction: 0.0,
-        max_ops: 0,
-        start_delay: SimTime::from_millis(200),
-        op_factory: kv_op_factory(100),
-    };
+    let workload = WorkloadSpec::writes_per_sec(8.0, 200)
+        .with_start_delay(SimTime::from_millis(200))
+        .with_op_factory(kv_op_factory(100));
     dep.spawn_clients(&mut sim, 0, 4, workload.clone());
     dep.spawn_clients(&mut sim, 1, 4, workload);
     if slow_tokyo_ms > 0 {

@@ -41,8 +41,19 @@ pub struct BatcherConfig {
     /// Maximum time a payload may linger in the queue before it is
     /// proposed. Zero = propose immediately (legacy greedy batching).
     pub delay: SimTime,
-    /// Rate-adaptive target sizing (see [`Batcher`]).
+    /// Rate-adaptive target sizing (see [`Batcher`]): the leader targets
+    /// the expected number of arrivals within one `delay` window instead
+    /// of always waiting for `max_batch`. Needs a non-zero `delay` to
+    /// have any effect.
     pub adaptive: bool,
+}
+
+impl Default for BatcherConfig {
+    /// Legacy greedy batching: up to 8 payloads / 1 MiB, proposed
+    /// immediately.
+    fn default() -> Self {
+        BatcherConfig { max_batch: 8, max_bytes: 1 << 20, delay: SimTime::ZERO, adaptive: false }
+    }
 }
 
 /// Smoothing factor of the inter-arrival EWMA (dimensionless, `0..1`;

@@ -19,19 +19,9 @@ pub struct PbftConfig {
     pub weights: Vec<u32>,
     /// Weight a prepare/commit/view-change quorum must reach.
     pub quorum_weight: u32,
-    /// Maximum number of payloads per proposed batch.
-    pub max_batch: usize,
-    /// Maximum payload wire bytes per proposed batch (an oversized single
-    /// payload still ships alone).
-    pub batch_max_bytes: usize,
-    /// Maximum time a payload may linger in the leader's queue before it
-    /// is proposed. Zero = propose immediately (legacy greedy batching).
-    pub batch_delay: SimTime,
-    /// Rate-adaptive batch sizing: the leader targets the expected number
-    /// of arrivals within one `batch_delay` window instead of always
-    /// waiting for `max_batch` (see [`crate::Batcher`]). Requires a
-    /// non-zero `batch_delay` to have any effect.
-    pub adaptive_batching: bool,
+    /// The leader's batching policy: size, byte and linger caps plus
+    /// rate-adaptive sizing (see [`crate::Batcher`]).
+    pub batching: BatcherConfig,
     /// Maximum number of concurrently active (proposed, undelivered)
     /// instances the leader keeps in flight.
     pub pipeline_depth: usize,
@@ -54,10 +44,7 @@ impl PbftConfig {
             f,
             weights: vec![1; n],
             quorum_weight: (2 * f + 1) as u32,
-            max_batch: 8,
-            batch_max_bytes: 1 << 20,
-            batch_delay: SimTime::ZERO,
-            adaptive_batching: false,
+            batching: BatcherConfig::default(),
             pipeline_depth: 32,
             window: 256,
             view_change_timeout: SimTime::from_millis(500),
@@ -118,15 +105,7 @@ impl PbftConfig {
     #[must_use]
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         assert!(max_batch >= 1);
-        self.max_batch = max_batch;
-        self
-    }
-
-    /// Sets the batch byte cap (builder-style).
-    #[must_use]
-    pub fn with_batch_max_bytes(mut self, bytes: usize) -> Self {
-        assert!(bytes >= 1);
-        self.batch_max_bytes = bytes;
+        self.batching.max_batch = max_batch;
         self
     }
 
@@ -134,14 +113,7 @@ impl PbftConfig {
     /// immediately.
     #[must_use]
     pub fn with_batch_delay(mut self, delay: SimTime) -> Self {
-        self.batch_delay = delay;
-        self
-    }
-
-    /// Enables or disables rate-adaptive batch sizing (builder-style).
-    #[must_use]
-    pub fn with_adaptive_batching(mut self, adaptive: bool) -> Self {
-        self.adaptive_batching = adaptive;
+        self.batching.delay = delay;
         self
     }
 
@@ -152,16 +124,6 @@ impl PbftConfig {
         assert!(depth >= 1);
         self.pipeline_depth = depth;
         self
-    }
-
-    /// The batching policy induced by this configuration.
-    pub fn batcher_config(&self) -> BatcherConfig {
-        BatcherConfig {
-            max_batch: self.max_batch,
-            max_bytes: self.batch_max_bytes,
-            delay: self.batch_delay,
-            adaptive: self.adaptive_batching,
-        }
     }
 
     /// Sets the view-change timeout (builder-style).
@@ -214,24 +176,25 @@ mod tests {
     }
 
     #[test]
-    fn batching_knobs_flow_into_batcher_config() {
+    fn batching_builders_set_the_held_policy() {
         let c = PbftConfig::new(1)
             .with_max_batch(16)
-            .with_batch_max_bytes(4096)
             .with_batch_delay(SimTime::from_millis(2))
-            .with_adaptive_batching(true)
             .with_pipeline_depth(4);
         assert_eq!(c.pipeline_depth, 4);
-        let b = c.batcher_config();
-        assert_eq!(b.max_batch, 16);
-        assert_eq!(b.max_bytes, 4096);
-        assert_eq!(b.delay, SimTime::from_millis(2));
-        assert!(b.adaptive);
+        assert_eq!(
+            c.batching,
+            BatcherConfig {
+                max_batch: 16,
+                delay: SimTime::from_millis(2),
+                ..BatcherConfig::default()
+            }
+        );
     }
 
     #[test]
     fn default_batching_is_legacy_greedy() {
-        let b = PbftConfig::new(1).batcher_config();
+        let b = PbftConfig::new(1).batching;
         assert_eq!(b.delay, SimTime::ZERO);
         assert!(!b.adaptive);
         assert_eq!(b.max_batch, 8);

@@ -172,7 +172,7 @@ impl<P: Payload> Pbft<P> {
     /// Panics if `me` is out of range for the configured group size.
     pub fn new(cfg: PbftConfig, me: usize) -> Self {
         assert!(me < cfg.n(), "replica index out of range");
-        let batcher = Batcher::new(cfg.batcher_config());
+        let batcher = Batcher::new(cfg.batching);
         Pbft {
             cfg,
             me,

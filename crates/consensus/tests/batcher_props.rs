@@ -193,8 +193,8 @@ fn pipeline_depth_one_reproduces_legacy_cut_byte_for_byte() {
         .with_cost(CostModel::zero())
         .with_max_batch(MAX_BATCH)
         .with_pipeline_depth(1);
-    assert_eq!(cfg.batch_delay, SimTime::ZERO, "legacy mode is the default");
-    assert!(!cfg.adaptive_batching, "legacy mode is the default");
+    assert_eq!(cfg.batching.delay, SimTime::ZERO, "legacy mode is the default");
+    assert!(!cfg.batching.adaptive, "legacy mode is the default");
     let mut replicas: Vec<Pbft<TestPayload>> = (0..4).map(|i| Pbft::new(cfg.clone(), i)).collect();
     let mut legacy = LegacyLeader {
         pending: VecDeque::new(),

@@ -1,6 +1,6 @@
 //! Deployment-wide configuration.
 
-use spider_consensus::PbftConfig;
+use spider_consensus::{BatcherConfig, PbftConfig};
 use spider_crypto::CostModel;
 use spider_irmc::{ChannelMode, Variant};
 use spider_types::SimTime;
@@ -48,18 +48,10 @@ pub struct SpiderConfig {
     pub weak_read_retries: u32,
     /// View-change timeout of the agreement group's consensus protocol.
     pub view_change_timeout: SimTime,
-    /// Maximum consensus batch size.
-    pub max_batch: usize,
-    /// Maximum payload wire bytes per consensus batch.
-    pub batch_max_bytes: usize,
-    /// Maximum time a request may linger in the consensus leader's queue
-    /// before it is proposed. Zero = propose immediately (legacy greedy).
-    pub batch_delay: SimTime,
-    /// Rate-adaptive consensus batch sizing: the leader targets the
-    /// expected number of arrivals within one `batch_delay` window
-    /// instead of always waiting for `max_batch`. Requires a non-zero
-    /// `batch_delay`.
-    pub adaptive_batching: bool,
+    /// Consensus batching policy (size, byte and linger caps, adaptive
+    /// sizing), handed unchanged to the agreement group's PBFT leader and
+    /// to every PBFT baseline.
+    pub batching: BatcherConfig,
     /// Consensus pipelining window: proposed-but-undelivered instances
     /// the leader keeps in flight concurrently.
     pub pipeline_depth: usize,
@@ -69,7 +61,7 @@ pub struct SpiderConfig {
     /// one signature per slot. 1 disables range certification (legacy
     /// per-slot wire messages).
     pub commit_max_range: usize,
-    /// Optional commit-channel range linger (mirrors `batch_delay`):
+    /// Optional commit-channel range linger (mirrors `batching.delay`):
     /// consecutive single-slot commit sends accumulate into a pending
     /// range for at most this long before shipping. Zero = ship
     /// immediately at consensus batch boundaries (the default; batches
@@ -104,10 +96,7 @@ impl Default for SpiderConfig {
             group_failover_retries: 3,
             weak_read_retries: 2,
             view_change_timeout: SimTime::from_millis(500),
-            max_batch: 8,
-            batch_max_bytes: 1 << 20,
-            batch_delay: SimTime::ZERO,
-            adaptive_batching: false,
+            batching: BatcherConfig::default(),
             pipeline_depth: 32,
             commit_max_range: 32,
             commit_range_linger: SimTime::ZERO,
@@ -133,10 +122,11 @@ impl SpiderConfig {
         );
         assert!(self.ag_win >= self.ka, "AG-WIN must be >= ka (Fig 17)");
         assert!(self.request_capacity >= 1);
-        assert!(self.max_batch >= 1 && self.batch_max_bytes >= 1 && self.pipeline_depth >= 1);
+        let b = &self.batching;
+        assert!(b.max_batch >= 1 && b.max_bytes >= 1 && self.pipeline_depth >= 1);
         assert!(
-            !self.adaptive_batching || self.batch_delay > SimTime::ZERO,
-            "adaptive batching needs a non-zero batch_delay (the linger cap it adapts within)"
+            !b.adaptive || b.delay > SimTime::ZERO,
+            "adaptive batching needs a non-zero batching.delay (the linger cap it adapts within)"
         );
         assert!(self.commit_max_range >= 1, "commit_max_range must be at least 1");
     }
@@ -190,9 +180,7 @@ impl SpiderConfig {
     #[must_use]
     pub fn with_adaptive_batching(mut self, delay: SimTime, max_batch: usize) -> Self {
         assert!(delay > SimTime::ZERO, "adaptive batching needs a non-zero linger cap");
-        self.adaptive_batching = true;
-        self.batch_delay = delay;
-        self.max_batch = max_batch;
+        self.batching = BatcherConfig { max_batch, delay, adaptive: true, ..self.batching };
         self
     }
 
@@ -221,12 +209,9 @@ impl SpiderConfig {
     /// baselines so scenario sweeps exercise identical batching policies.
     #[must_use]
     pub fn tune_pbft(&self, pbft: PbftConfig) -> PbftConfig {
-        pbft.with_cost(self.cost)
+        PbftConfig { batching: self.batching, ..pbft }
+            .with_cost(self.cost)
             .with_view_change_timeout(self.view_change_timeout)
-            .with_max_batch(self.max_batch)
-            .with_batch_max_bytes(self.batch_max_bytes)
-            .with_batch_delay(self.batch_delay)
-            .with_adaptive_batching(self.adaptive_batching)
             .with_pipeline_depth(self.pipeline_depth)
     }
 }
@@ -254,17 +239,17 @@ mod tests {
         let c = SpiderConfig::default().with_adaptive_batching(SimTime::from_millis(3), 64);
         c.validate();
         let p = c.tune_pbft(PbftConfig::new(c.fa));
-        assert_eq!(p.max_batch, 64);
-        assert_eq!(p.batch_delay, SimTime::from_millis(3));
-        assert!(p.adaptive_batching);
+        assert_eq!(p.batching, c.batching);
+        assert_eq!((p.batching.max_batch, p.batching.delay), (64, SimTime::from_millis(3)));
+        assert!(p.batching.adaptive);
         assert_eq!(p.pipeline_depth, c.pipeline_depth);
-        assert_eq!(p.batch_max_bytes, c.batch_max_bytes);
     }
 
     #[test]
-    #[should_panic(expected = "non-zero batch_delay")]
+    #[should_panic(expected = "non-zero batching.delay")]
     fn adaptive_batching_without_linger_rejected() {
-        let c = SpiderConfig { adaptive_batching: true, ..SpiderConfig::default() };
+        let mut c = SpiderConfig::default();
+        c.batching.adaptive = true;
         c.validate();
     }
 

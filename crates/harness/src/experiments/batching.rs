@@ -129,10 +129,14 @@ pub struct Row {
 
 /// The deployment configuration a mode induces.
 pub fn spider_config(mode: Mode, cfg: &Config) -> SpiderConfig {
-    let base = SpiderConfig { max_batch: cfg.fixed_max_batch, ..SpiderConfig::default() };
+    let mut base = SpiderConfig::default();
+    base.batching.max_batch = cfg.fixed_max_batch;
     match mode {
         Mode::Greedy => base,
-        Mode::Fixed => SpiderConfig { batch_delay: cfg.linger, ..base },
+        Mode::Fixed => {
+            base.batching.delay = cfg.linger;
+            base
+        }
         Mode::Adaptive => base.with_adaptive_batching(cfg.linger, cfg.adaptive_max_batch),
     }
 }
@@ -145,15 +149,9 @@ fn run_point(mode: Mode, load: Load, cfg: &Config) -> Option<Row> {
         .execution_group("virginia")
         .execution_group("oregon")
         .build(&mut sim);
-    let workload = WorkloadSpec {
-        rate_per_sec: load.rate_per_client,
-        payload_bytes: 200,
-        write_fraction: 1.0,
-        strong_read_fraction: 0.0,
-        max_ops: 0,
-        start_delay: SimTime::from_millis(200),
-        op_factory: kv_op_factory(1000),
-    };
+    let workload = WorkloadSpec::writes_per_sec(load.rate_per_client, 200)
+        .with_start_delay(SimTime::from_millis(200))
+        .with_op_factory(kv_op_factory(1000));
     dep.spawn_clients(&mut sim, 0, load.clients / 2, workload.clone());
     dep.spawn_clients(&mut sim, 1, load.clients - load.clients / 2, workload);
     sim.run_until(cfg.duration);

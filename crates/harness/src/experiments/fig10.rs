@@ -57,15 +57,9 @@ pub struct Series {
 }
 
 fn workload(cfg: &Config, weak_reads: bool, start: SimTime) -> WorkloadSpec {
-    WorkloadSpec {
-        rate_per_sec: cfg.rate_per_client,
-        payload_bytes: 200,
-        write_fraction: if weak_reads { 0.0 } else { 1.0 },
-        strong_read_fraction: 0.0,
-        max_ops: 0,
-        start_delay: start,
-        op_factory: kv_op_factory(1000),
-    }
+    let mix =
+        if weak_reads { WorkloadSpec::weak_reads_per_sec } else { WorkloadSpec::writes_per_sec };
+    mix(cfg.rate_per_client, 200).with_start_delay(start).with_op_factory(kv_op_factory(1000))
 }
 
 fn to_series(system: &str, samples: Vec<Sample>, cfg: &Config) -> Series {
@@ -170,14 +164,14 @@ fn run_spider(cfg: &Config, weak: bool) -> (String, Vec<Sample>) {
     ("SPIDER".to_owned(), samples)
 }
 
-/// Runs the four write-workload systems and returns raw samples per
-/// system label.
-fn run_write_systems(cfg: &Config) -> Vec<(String, Vec<Sample>)> {
+/// Runs the four systems under writes or weak reads and returns raw
+/// samples per system label.
+fn run_systems(cfg: &Config, weak: bool) -> Vec<(String, Vec<Sample>)> {
     vec![
-        run_bft(cfg, false, false),
-        run_bft(cfg, false, true),
-        run_hft(cfg, false),
-        run_spider(cfg, false),
+        run_bft(cfg, weak, false),
+        run_bft(cfg, weak, true),
+        run_hft(cfg, weak),
+        run_spider(cfg, weak),
     ]
 }
 
@@ -196,7 +190,7 @@ pub struct SystemSummary {
 /// (p50/p90/throughput) — the headless counterpart of [`run`] used by the
 /// `bench_summary` CI gate.
 pub fn run_write_summaries(cfg: &Config) -> Vec<SystemSummary> {
-    run_write_systems(cfg)
+    run_systems(cfg, false)
         .into_iter()
         .filter_map(|(system, samples)| {
             let summary = LatencySummary::of_samples(&samples)?;
@@ -217,20 +211,13 @@ pub struct Result {
 
 /// Runs all four systems for writes and weak reads.
 pub fn run(cfg: &Config) -> Result {
-    let writes = run_write_systems(cfg)
-        .into_iter()
-        .map(|(system, samples)| to_series(&system, samples, cfg))
-        .collect();
-    let weak_reads = vec![
-        run_bft(cfg, true, false),
-        run_bft(cfg, true, true),
-        run_hft(cfg, true),
-        run_spider(cfg, true),
-    ]
-    .into_iter()
-    .map(|(system, samples)| to_series(&system, samples, cfg))
-    .collect();
-    Result { writes, weak_reads }
+    let series = |weak| {
+        run_systems(cfg, weak)
+            .into_iter()
+            .map(|(sys, samples)| to_series(&sys, samples, cfg))
+            .collect()
+    };
+    Result { writes: series(false), weak_reads: series(true) }
 }
 
 fn render_series(title: &str, series: &[Series]) -> String {

@@ -6,151 +6,55 @@
 //! communicate across neighboring regions), with Spider still clearly
 //! below BFT and HFT.
 
-use super::LatencyRow;
-use crate::scenarios::ScenarioCfg;
-use crate::stats::LatencySummary;
-use crate::topology::{ec2_topology, NEIGHBORS4, REGIONS4};
-use spider::{DeploymentBuilder, Sample, SpiderConfig, WorkloadSpec};
-use spider_app::{kv_op_factory, KvStore};
-use spider_baselines::{BftDeployment, StewardDeployment};
-use spider_sim::Simulation;
-use spider_types::SimTime;
+use super::{latency_rows, LatencyRow};
+use crate::scenarios::{run_bft, run_hft, run_spider, ScenarioCfg};
+use crate::topology::{NEIGHBORS4, REGIONS4};
+use spider::DeploymentBuilder;
 
 /// Scale configuration for Figure 11.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
-    /// Scenario scale (the `f` field is overridden to 2).
+    /// Scenario scale (fault thresholds are overridden to 2, the workload
+    /// to pure writes).
     pub scenario: ScenarioCfg,
 }
 
-fn f2_config() -> SpiderConfig {
-    SpiderConfig::default().with_faults(2, 2)
-}
-
-fn workload(cfg: &ScenarioCfg) -> WorkloadSpec {
-    WorkloadSpec {
-        rate_per_sec: cfg.rate_per_client,
-        payload_bytes: cfg.payload,
+/// Runs the `f = 2` comparison: the Figure 7 systems with `f = 2` group
+/// sizes and the extra replicas spread over neighboring regions.
+pub fn run(cfg: &Config) -> Vec<LatencyRow> {
+    let cfg = &ScenarioCfg {
         write_fraction: 1.0,
         strong_read_fraction: 0.0,
-        max_ops: 0,
-        start_delay: SimTime::from_millis(200),
-        op_factory: kv_op_factory(1000),
-    }
-}
-
-fn summarize(
-    system: &str,
-    samples: Vec<(String, Vec<Sample>)>,
-    warmup: SimTime,
-    rows: &mut Vec<LatencyRow>,
-) {
-    for (region, s) in samples {
-        let kept: Vec<Sample> = s.into_iter().filter(|x| x.completed >= warmup).collect();
-        if let Some(summary) = LatencySummary::of_samples(&kept) {
-            rows.push(LatencyRow { system: system.to_owned(), client_region: region, summary });
-        }
-    }
-}
-
-fn run_bft_f2(cfg: &ScenarioCfg, rows: &mut Vec<LatencyRow>) {
-    let mut sim = Simulation::new(ec2_topology(), cfg.seed);
-    // Seven replicas: the four client regions plus three fault domains.
-    let regions = ["virginia", "oregon", "ireland", "tokyo", "ohio", "california", "london"];
-    let mut dep = BftDeployment::build(&mut sim, f2_config(), &regions, KvStore::new);
-    let mut client_nodes = Vec::new();
-    for region in REGIONS4 {
-        let nodes = dep.spawn_clients(&mut sim, region, cfg.clients_per_region, workload(cfg));
-        client_nodes.push((region.to_owned(), nodes));
-    }
-    sim.run_until(cfg.duration);
-    let samples = client_nodes
-        .into_iter()
-        .map(|(r, nodes)| {
-            let s: Vec<Sample> = nodes
-                .iter()
-                .flat_map(|n| sim.actor::<spider_baselines::BaselineClient>(*n).samples.clone())
-                .collect();
-            (r, s)
-        })
-        .collect();
-    summarize("BFT(f=2, leader=virginia)", samples, cfg.warmup, rows);
-}
-
-fn run_hft_f2(cfg: &ScenarioCfg, rows: &mut Vec<LatencyRow>) {
-    let mut sim = Simulation::new(ec2_topology(), cfg.seed);
-    // Each site: seven replicas cycling home region + neighbor.
-    let spans: Vec<Vec<&str>> = REGIONS4
-        .iter()
-        .zip(NEIGHBORS4.iter())
-        .map(|(home, neighbor)| vec![*home, *neighbor])
-        .collect();
-    let mut dep = StewardDeployment::build_span(&mut sim, f2_config(), &spans, 0, KvStore::new);
-    let mut client_nodes = Vec::new();
-    for (si, region) in REGIONS4.iter().enumerate() {
-        let nodes =
-            dep.spawn_clients(&mut sim, si as u16, region, cfg.clients_per_region, workload(cfg));
-        client_nodes.push(((*region).to_owned(), nodes));
-    }
-    sim.run_until(cfg.duration);
-    let samples = client_nodes
-        .into_iter()
-        .map(|(r, nodes)| {
-            let s: Vec<Sample> = nodes
-                .iter()
-                .flat_map(|n| sim.actor::<spider_baselines::BaselineClient>(*n).samples.clone())
-                .collect();
-            (r, s)
-        })
-        .collect();
-    summarize("HFT(f=2, leader-site=virginia)", samples, cfg.warmup, rows);
-}
-
-fn run_spider_f2(leader_zone: u8, cfg: &ScenarioCfg, rows: &mut Vec<LatencyRow>) {
-    let mut sim = Simulation::new(ec2_topology(), cfg.seed);
-    // Agreement: 7 replicas over Virginia's six zones plus one in Ohio.
-    // Execution groups: 5 replicas, three in the home region + two in the
-    // neighbor.
-    let ag_span = ["virginia", "virginia", "virginia", "virginia", "virginia", "virginia", "ohio"];
-    let mut ordered = ag_span.to_vec();
-    ordered.rotate_left(leader_zone as usize % 6);
-    let mut builder =
-        DeploymentBuilder::new(f2_config()).with_app(KvStore::new).agreement_span(&ordered);
-    for (home, neighbor) in REGIONS4.iter().zip(NEIGHBORS4.iter()) {
-        builder = builder.execution_group_span(&[home, home, home, neighbor, neighbor]);
-    }
-    let mut dep = builder.build(&mut sim);
-    let mut client_nodes = Vec::new();
-    for (gi, region) in REGIONS4.iter().enumerate() {
-        let nodes = dep.spawn_clients(&mut sim, gi, cfg.clients_per_region, workload(cfg));
-        client_nodes.push(((*region).to_owned(), nodes));
-    }
-    sim.run_until(cfg.duration);
-    let samples = client_nodes
-        .into_iter()
-        .map(|(r, nodes)| {
-            let s: Vec<Sample> = nodes
-                .iter()
-                .flat_map(|n| sim.actor::<spider::SpiderClient>(*n).samples.clone())
-                .collect();
-            (r, s)
-        })
-        .collect();
-    summarize(&format!("SPIDER(f=2, leader=V-{})", leader_zone + 1), samples, cfg.warmup, rows);
-}
-
-/// Runs the `f = 2` comparison.
-pub fn run(cfg: &Config) -> Vec<LatencyRow> {
-    let mut rows = Vec::new();
-    run_bft_f2(&cfg.scenario, &mut rows);
-    run_hft_f2(&cfg.scenario, &mut rows);
+        spider: cfg.scenario.spider.clone().with_faults(2, 2),
+        ..cfg.scenario.clone()
+    };
+    // BFT: seven replicas — the four client regions plus three fault
+    // domains.
+    let bft = ["virginia", "oregon", "ireland", "tokyo", "ohio", "california", "london"];
+    let mut rows = latency_rows("BFT(f=2, leader=virginia)", run_bft(&bft.map(|r| (r, 0)), cfg).0);
+    // HFT: each site has seven replicas cycling home region + neighbor.
+    let sites: Vec<_> = REGIONS4.iter().zip(NEIGHBORS4).map(|(h, n)| vec![*h, n]).collect();
+    rows.extend(latency_rows("HFT(f=2, leader-site=virginia)", run_hft(&sites, 0, cfg).0));
+    // Spider agreement: 7 replicas over Virginia's six zones plus one in
+    // Ohio. Execution groups: 5 replicas, three in the home region + two
+    // in the neighbor.
+    let groups: Vec<_> =
+        REGIONS4.iter().zip(NEIGHBORS4).map(|(h, n)| vec![*h, *h, *h, n, n]).collect();
     for leader_zone in [0u8, 1, 3, 5] {
-        run_spider_f2(leader_zone, &cfg.scenario, &mut rows);
+        let mut agreement =
+            ["virginia", "virginia", "virginia", "virginia", "virginia", "virginia", "ohio"];
+        agreement.rotate_left(leader_zone as usize % 6);
+        let builder = DeploymentBuilder::new(cfg.spider.clone()).agreement_span(&agreement);
+        let system = format!("SPIDER(f=2, leader=V-{})", leader_zone + 1);
+        rows.extend(latency_rows(&system, run_spider(builder, &groups, cfg).0));
     }
     rows
 }
 
 /// Renders the result table.
 pub fn render(rows: &[LatencyRow]) -> String {
-    super::render_rows("Figure 11 — write latency (p50/p90) when tolerating f = 2 faults", rows)
+    super::render_rows(
+        "Figure 11 — write latency (p50/p90/p99/p99.9) when tolerating f = 2 faults",
+        rows,
+    )
 }

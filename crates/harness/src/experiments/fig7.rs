@@ -6,9 +6,8 @@
 //! distance to the agreement group, and moving the consensus leader
 //! between Virginia availability zones changes nothing.
 
-use super::LatencyRow;
+use super::{latency_rows, LatencyRow};
 use crate::scenarios::{run_scenario, ScenarioCfg, SystemKind};
-use crate::stats::LatencySummary;
 
 /// Scale configuration for the Figure 7 sweep.
 #[derive(Debug, Clone, Default)]
@@ -37,21 +36,11 @@ pub fn systems() -> Vec<SystemKind> {
 
 /// Runs the sweep; one row per (system, client region).
 pub fn run(cfg: &Config) -> Vec<LatencyRow> {
-    let mut rows = Vec::new();
-    for kind in systems() {
-        if let Some(filter) = cfg.only {
-            if !kind.to_string().starts_with(filter) {
-                continue;
-            }
-        }
-        let samples = run_scenario(kind, &cfg.scenario);
-        for (region, s) in samples {
-            if let Some(summary) = LatencySummary::of_samples(&s) {
-                rows.push(LatencyRow { system: kind.to_string(), client_region: region, summary });
-            }
-        }
-    }
-    rows
+    systems()
+        .into_iter()
+        .filter(|kind| cfg.only.is_none_or(|family| kind.to_string().starts_with(family)))
+        .flat_map(|kind| latency_rows(&kind.to_string(), run_scenario(kind, &cfg.scenario)))
+        .collect()
 }
 
 /// Renders the result table.

@@ -6,9 +6,8 @@
 //! execution group) but require wide-area communication in BFT (a client
 //! needs `f + 1` matching replies and only one replica is local).
 
-use super::LatencyRow;
+use super::{latency_rows, LatencyRow};
 use crate::scenarios::{run_scenario, ScenarioCfg, SystemKind};
-use crate::stats::LatencySummary;
 
 /// Scale configuration for Figure 8.
 #[derive(Debug, Clone, Default)]
@@ -34,48 +33,26 @@ const SYSTEMS: [SystemKind; 3] = [
 
 /// Runs both read experiments.
 pub fn run(cfg: &Config) -> Result {
-    let mut strong_rows = Vec::new();
-    let mut weak_rows = Vec::new();
-    for kind in SYSTEMS {
-        // Strong reads.
-        let mut sc = cfg.scenario.clone();
-        sc.write_fraction = 0.0;
-        sc.strong_read_fraction = 1.0;
-        for (region, s) in run_scenario(kind, &sc) {
-            if let Some(summary) = LatencySummary::of_samples(&s) {
-                strong_rows.push(LatencyRow {
-                    system: kind.to_string(),
-                    client_region: region,
-                    summary,
-                });
-            }
-        }
-        // Weak reads.
-        let mut wc = cfg.scenario.clone();
-        wc.write_fraction = 0.0;
-        wc.strong_read_fraction = 0.0;
-        for (region, s) in run_scenario(kind, &wc) {
-            if let Some(summary) = LatencySummary::of_samples(&s) {
-                weak_rows.push(LatencyRow {
-                    system: kind.to_string(),
-                    client_region: region,
-                    summary,
-                });
-            }
-        }
-    }
-    Result { strong: strong_rows, weak: weak_rows }
+    let reads = |strong_read_fraction: f64| -> Vec<LatencyRow> {
+        let scenario =
+            ScenarioCfg { write_fraction: 0.0, strong_read_fraction, ..cfg.scenario.clone() };
+        SYSTEMS
+            .iter()
+            .flat_map(|kind| latency_rows(&kind.to_string(), run_scenario(*kind, &scenario)))
+            .collect()
+    };
+    Result { strong: reads(1.0), weak: reads(0.0) }
 }
 
 /// Renders both tables.
 pub fn render(result: &Result) -> String {
     let mut out = super::render_rows(
-        "Figure 8a — strongly consistent read latency (p50/p90)",
+        "Figure 8a — strongly consistent read latency (p50/p90/p99/p99.9)",
         &result.strong,
     );
     out.push('\n');
     out.push_str(&super::render_rows(
-        "Figure 8b — weakly consistent read latency (p50/p90)",
+        "Figure 8b — weakly consistent read latency (p50/p90/p99/p99.9)",
         &result.weak,
     ));
     out

@@ -5,9 +5,8 @@
 //! Paper result: wide-area client-replica distance dominates; the
 //! IRMC/externalized-execution machinery adds less than 14 ms.
 
-use super::LatencyRow;
+use super::{latency_rows, LatencyRow};
 use crate::scenarios::{run_scenario, ScenarioCfg, SystemKind};
-use crate::stats::LatencySummary;
 
 /// Scale configuration for Figure 9a.
 #[derive(Debug, Clone, Default)]
@@ -21,15 +20,10 @@ const SYSTEMS: [SystemKind; 3] =
 
 /// Runs the three variants; one row per (variant, region).
 pub fn run(cfg: &Config) -> Vec<LatencyRow> {
-    let mut rows = Vec::new();
-    for kind in SYSTEMS {
-        for (region, s) in run_scenario(kind, &cfg.scenario) {
-            if let Some(summary) = LatencySummary::of_samples(&s) {
-                rows.push(LatencyRow { system: kind.to_string(), client_region: region, summary });
-            }
-        }
-    }
-    rows
+    SYSTEMS
+        .iter()
+        .flat_map(|kind| latency_rows(&kind.to_string(), run_scenario(*kind, &cfg.scenario)))
+        .collect()
 }
 
 /// Renders the result table.

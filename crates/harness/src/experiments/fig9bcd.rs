@@ -8,212 +8,14 @@
 //! `n_s × n_r` signed copies) at the cost of LAN share traffic and extra
 //! sender CPU.
 //!
-//! The harness floods the channel: every sender keeps each subchannel
-//! window full, receivers consume and advance windows; the busy-server
-//! CPU model then yields the saturation throughput directly.
+//! The rig floods the channel: every sender keeps the subchannel window
+//! full with single-slot submissions, receivers consume and advance
+//! windows; the busy-server CPU model then yields the saturation
+//! throughput directly.
 
-use crate::topology::ec2_topology;
-use spider_crypto::{CostModel, Digest, Digestible, Keyring};
-use spider_irmc::{
-    Action, ChannelMsg, IrmcConfig, ReceiveResult, ReceiverEndpoint, ReceiverMsg, SenderEndpoint,
-    Variant,
-};
-use spider_sim::{Actor, Context, NodeId, Simulation, Timer};
-use spider_types::{Position, SimTime, WireSize};
-
-/// Flood-test payload: identical content per position on all senders.
-#[derive(Debug, Clone, PartialEq)]
-struct Blob {
-    pos: u64,
-    size: usize,
-}
-
-impl WireSize for Blob {
-    fn wire_size(&self) -> usize {
-        self.size
-    }
-}
-
-impl Digestible for Blob {
-    fn digest(&self) -> Digest {
-        Digest::builder().str("flood").u64(self.pos).u64(self.size as u64).finish()
-    }
-}
-
-/// Transport frames of the benchmark channel.
-#[derive(Debug, Clone)]
-enum M {
-    ToReceiver(ChannelMsg<Blob>),
-    ToSender(ReceiverMsg),
-    Peer(ChannelMsg<Blob>),
-}
-
-impl WireSize for M {
-    fn wire_size(&self) -> usize {
-        match self {
-            M::ToReceiver(m) | M::Peer(m) => m.wire_size(),
-            M::ToSender(m) => m.wire_size(),
-        }
-    }
-}
-
-const TAG_START: u64 = 0;
-const TAG_TICK: u64 = 1;
-const TAG_COLLECTOR: u64 = 2;
-
-struct SenderHost {
-    ep: SenderEndpoint<Blob>,
-    msg_size: usize,
-    next_pos: u64,
-    receivers: Vec<NodeId>,
-    peers: Vec<NodeId>,
-    sc_tick: bool,
-}
-
-impl SenderHost {
-    fn fill_window(&mut self, ctx: &mut Context<'_, M>) {
-        let mut actions = Vec::new();
-        loop {
-            let w = self.ep.window(0);
-            if w.is_above(Position(self.next_pos)) {
-                break;
-            }
-            let p = self.next_pos.max(w.start().0);
-            self.next_pos = p + 1;
-            self.ep.send_batch(
-                0,
-                Position(p),
-                vec![Blob { pos: p, size: self.msg_size }],
-                &mut actions,
-            );
-        }
-        self.apply(ctx, actions);
-    }
-
-    fn apply(&mut self, ctx: &mut Context<'_, M>, actions: Vec<Action<Blob>>) {
-        let mut moved = false;
-        for a in actions {
-            match a {
-                Action::ToReceiver { to, msg } => ctx.send(self.receivers[to], M::ToReceiver(msg)),
-                Action::ToPeerSender { to, msg } => ctx.send(self.peers[to], M::Peer(msg)),
-                Action::Charge(c, op) => ctx.charge_op("sender", op, c),
-                Action::WindowMoved { .. } | Action::Unblocked { .. } => moved = true,
-                _ => {}
-            }
-        }
-        if moved {
-            self.fill_window(ctx);
-        }
-    }
-}
-
-impl Actor<M> for SenderHost {
-    fn on_start(&mut self, ctx: &mut Context<'_, M>) {
-        // Delay the flood until every node exists.
-        ctx.set_timer(SimTime::from_millis(1), TAG_START);
-        if self.sc_tick {
-            ctx.set_timer(SimTime::from_millis(20), TAG_TICK);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, M>, from: NodeId, msg: M) {
-        let mut actions = Vec::new();
-        match msg {
-            M::ToSender(m) => {
-                let Some(idx) = self.receivers.iter().position(|n| *n == from) else {
-                    return;
-                };
-                let _ = self.ep.on_receiver_message(idx, m, &mut actions);
-            }
-            M::Peer(m) => {
-                let Some(idx) = self.peers.iter().position(|n| *n == from) else {
-                    return;
-                };
-                let _ = self.ep.on_peer_message(idx, m, &mut actions);
-            }
-            M::ToReceiver(_) => return,
-        }
-        self.apply(ctx, actions);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, M>, timer: Timer) {
-        match timer.tag {
-            TAG_START => self.fill_window(ctx),
-            TAG_TICK => {
-                let mut actions = Vec::new();
-                self.ep.tick(ctx.now(), &mut actions);
-                self.apply(ctx, actions);
-                ctx.set_timer(SimTime::from_millis(20), TAG_TICK);
-            }
-            _ => {}
-        }
-    }
-}
-
-struct ReceiverHost {
-    ep: ReceiverEndpoint<Blob>,
-    next: u64,
-    delivered: u64,
-    senders: Vec<NodeId>,
-    /// Move the window forward after this many deliveries.
-    move_every: u64,
-}
-
-impl ReceiverHost {
-    fn drain(&mut self, ctx: &mut Context<'_, M>) {
-        let mut actions = Vec::new();
-        loop {
-            match self.ep.try_receive(0, Position(self.next)) {
-                ReceiveResult::Ready(_) => {
-                    self.delivered += 1;
-                    self.next += 1;
-                    if self.delivered.is_multiple_of(self.move_every) {
-                        self.ep.move_window(0, Position(self.next), &mut actions);
-                    }
-                }
-                ReceiveResult::TooOld(start) => {
-                    self.next = start.0;
-                }
-                ReceiveResult::Pending => break,
-            }
-        }
-        self.apply(ctx, actions);
-    }
-
-    fn apply(&mut self, ctx: &mut Context<'_, M>, actions: Vec<Action<Blob>>) {
-        for a in actions {
-            match a {
-                Action::ToSender { to, msg } => ctx.send(self.senders[to], M::ToSender(msg)),
-                Action::Charge(c, op) => ctx.charge_op("receiver", op, c),
-                Action::SetTimer { token, delay } => {
-                    ctx.set_timer(delay, TAG_COLLECTOR + token);
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-impl Actor<M> for ReceiverHost {
-    fn on_message(&mut self, ctx: &mut Context<'_, M>, from: NodeId, msg: M) {
-        let M::ToReceiver(m) = msg else { return };
-        let Some(idx) = self.senders.iter().position(|n| *n == from) else {
-            return;
-        };
-        let mut actions = Vec::new();
-        let _ = self.ep.on_sender_message(ctx.now(), idx, m, &mut actions);
-        self.apply(ctx, actions);
-        self.drain(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, M>, timer: Timer) {
-        if timer.tag >= TAG_COLLECTOR {
-            let mut actions = Vec::new();
-            let _ = self.ep.on_timer(timer.tag - TAG_COLLECTOR, ctx.now(), &mut actions);
-            self.apply(ctx, actions);
-        }
-    }
-}
+use super::channel_rig::{Feed, Rig};
+use spider_irmc::Variant;
+use spider_types::SimTime;
 
 /// One measurement of the IRMC microbenchmark.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -260,69 +62,26 @@ impl Default for Config {
 
 /// Runs one (variant, size) point and returns its row.
 pub fn run_point(variant: Variant, msg_size: usize, cfg: &Config) -> IrmcRow {
-    let mut sim: Simulation<M> = Simulation::new(ec2_topology(), cfg.seed);
-    let n_senders = 4;
-    let n_receivers = 3;
-    let icfg = IrmcConfig::new(variant, n_senders, 1, n_receivers, 1, cfg.capacity)
-        .with_cost(CostModel::default());
-    let ring = Keyring::new(7);
-
-    // Reserve node ids: senders in Virginia zones, receivers in Tokyo.
-    let sender_nodes: Vec<NodeId> = (0..n_senders as u32).map(NodeId).collect();
-    let receiver_nodes: Vec<NodeId> =
-        (n_senders as u32..(n_senders + n_receivers) as u32).map(NodeId).collect();
-
-    for i in 0..n_senders {
-        let zone = sim.topology().zone("virginia", i as u8);
-        let host = SenderHost {
-            ep: SenderEndpoint::new(icfg.clone(), i, ring.clone()),
-            msg_size,
-            next_pos: 1,
-            receivers: receiver_nodes.clone(),
-            peers: sender_nodes.clone(),
-            sc_tick: variant == Variant::SenderCollect,
-        };
-        let id = sim.add_node(zone, host);
-        debug_assert_eq!(id, sender_nodes[i]);
+    let o = Rig {
+        mode: variant.into(),
+        feed: Feed::FillWindow,
+        msg_size,
+        capacity: cfg.capacity,
+        move_every: (cfg.capacity / 4).max(1),
+        traced: false,
+        duration: cfg.duration,
+        seed: cfg.seed,
     }
-    for (j, &expected_id) in receiver_nodes.iter().enumerate() {
-        let zone = sim.topology().zone("tokyo", j as u8);
-        let host = ReceiverHost {
-            ep: ReceiverEndpoint::new(icfg.clone(), j, ring.clone()),
-            next: 1,
-            delivered: 0,
-            senders: sender_nodes.clone(),
-            move_every: (cfg.capacity / 4).max(1),
-        };
-        let id = sim.add_node(zone, host);
-        debug_assert_eq!(id, expected_id);
-    }
-
-    sim.run_until(cfg.duration);
+    .run();
     let secs = cfg.duration.as_secs_f64();
-    let delivered: u64 =
-        receiver_nodes.iter().map(|n| sim.actor::<ReceiverHost>(*n).delivered).sum();
-    let throughput = delivered as f64 / n_receivers as f64 / secs;
-
-    let sender_cpu =
-        sender_nodes.iter().map(|n| sim.stats().cpu(*n).utilization(cfg.duration)).sum::<f64>()
-            / n_senders as f64;
-    let receiver_cpu =
-        receiver_nodes.iter().map(|n| sim.stats().cpu(*n).utilization(cfg.duration)).sum::<f64>()
-            / n_receivers as f64;
-
-    let wan_bytes: u64 = sender_nodes.iter().map(|n| sim.stats().net(*n).wan_sent).sum::<u64>()
-        + receiver_nodes.iter().map(|n| sim.stats().net(*n).wan_sent).sum::<u64>();
-    let lan_bytes: u64 = sender_nodes.iter().map(|n| sim.stats().net(*n).lan_sent).sum();
-
     IrmcRow {
         variant: variant.to_string(),
         msg_size,
-        throughput_rps: throughput,
-        sender_cpu,
-        receiver_cpu,
-        wan_mbps: wan_bytes as f64 / secs / 1e6,
-        lan_mbps: lan_bytes as f64 / secs / 1e6,
+        throughput_rps: o.slots_per_sec,
+        sender_cpu: o.sender_cpu,
+        receiver_cpu: o.receiver_cpu,
+        wan_mbps: o.wan_bytes as f64 / secs / 1e6,
+        lan_mbps: o.lan_bytes as f64 / secs / 1e6,
     }
 }
 

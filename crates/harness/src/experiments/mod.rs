@@ -5,8 +5,15 @@
 //! function producing the table/series as text. The Criterion benches in
 //! `crates/bench` and the `paper_figures` example are thin wrappers
 //! around these runners.
+//!
+//! The latency figures (7, 8, 9a, 11) are sweeps over
+//! [`crate::scenarios`] summarized by [`latency_rows`]; the two IRMC
+//! microbenchmarks ([`fig9bcd`], [`commit_channel`]) drive the one
+//! Virginia→Tokyo channel rig in `channel_rig.rs` with different feed
+//! policies.
 
 pub mod batching;
+mod channel_rig;
 pub mod commit_channel;
 pub mod disaster;
 pub mod fig10;
@@ -17,6 +24,7 @@ pub mod fig9a;
 pub mod fig9bcd;
 
 use crate::stats::LatencySummary;
+use spider::Sample;
 
 /// A latency-table row shared by several figures.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -27,6 +35,19 @@ pub struct LatencyRow {
     pub client_region: String,
     /// Latency summary for that (system, region) cell.
     pub summary: LatencySummary,
+}
+
+/// Summarizes per-region samples as one row per region that completed
+/// anything, labelled `system`, in the order the regions arrive.
+pub fn latency_rows(
+    system: &str,
+    samples: impl IntoIterator<Item = (String, Vec<Sample>)>,
+) -> Vec<LatencyRow> {
+    let row = |(client_region, s): (String, Vec<Sample>)| {
+        let summary = LatencySummary::of_samples(&s)?;
+        Some(LatencyRow { system: system.to_owned(), client_region, summary })
+    };
+    samples.into_iter().filter_map(row).collect()
 }
 
 /// Renders latency rows as an aligned text table.

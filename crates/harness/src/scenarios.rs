@@ -1,12 +1,19 @@
 //! Shared scenario machinery: deploy a system, run clients in every
 //! region, collect per-region latency samples.
+//!
+//! One loop (`run_regions`) serves every architecture and every fault
+//! threshold: the per-system functions only say where the replicas go
+//! and how a client attaches. The deployment knobs live in the
+//! [`SpiderConfig`] a [`ScenarioCfg`] holds — the same struct configures
+//! Spider's agreement group and the consensus cores of the BFT/HFT
+//! baselines, so a sweep exercises identical batching policies.
 
 use crate::topology::{ec2_topology, REGIONS4};
-use spider::{DeploymentBuilder, Sample, SpiderConfig, WorkloadSpec};
+use spider::{DeploymentBuilder, Sample, SpiderClient, SpiderConfig, WorkloadSpec};
 use spider_app::{kv_op_factory, KvStore};
-use spider_baselines::{BftDeployment, StewardDeployment};
-use spider_sim::{ObsConfig, ObsReport, Simulation};
-use spider_types::{OpKind, SimTime};
+use spider_baselines::{BaseMsg, BaselineClient, BftDeployment, StewardDeployment};
+use spider_sim::{NodeId, ObsConfig, ObsReport, Simulation};
+use spider_types::{ClientId, SimTime, WireSize};
 use std::collections::BTreeMap;
 
 /// Which architecture a scenario runs (§5 "Environment").
@@ -71,29 +78,14 @@ pub struct ScenarioCfg {
     pub warmup: SimTime,
     /// RNG seed.
     pub seed: u64,
-    /// Fault tolerance per group (`f = 1` in the main experiments).
-    pub f: usize,
-    /// Maximum consensus batch size (applies to Spider's agreement group
-    /// and all PBFT baselines alike).
-    pub max_batch: usize,
-    /// Consensus batch linger cap; zero = propose immediately.
-    pub batch_delay: SimTime,
-    /// Rate-adaptive consensus batch sizing.
-    pub adaptive_batching: bool,
-    /// Consensus pipelining window.
-    pub pipeline_depth: usize,
-    /// Commit-channel mode (IRMC-RC with/without digest-only dedup, or
-    /// IRMC-SC with/without §A.9 overlap).
-    pub commit_mode: spider_irmc::ChannelMode,
-    /// End-to-end request tracing: enables the simulator's observability
-    /// recorder (phase spans, per-node metrics, CPU attribution). Off by
-    /// default; [`run_scenario_obs`] turns it on.
-    pub tracing: bool,
+    /// The deployment configuration: fault thresholds, consensus
+    /// batching and pipelining, commit-channel mode, tracing. Used for
+    /// Spider and for the consensus cores of the BFT/HFT baselines.
+    pub spider: SpiderConfig,
 }
 
 impl Default for ScenarioCfg {
     fn default() -> Self {
-        let base = SpiderConfig::default();
         ScenarioCfg {
             clients_per_region: 10,
             rate_per_client: 2.0,
@@ -103,13 +95,7 @@ impl Default for ScenarioCfg {
             duration: SimTime::from_secs(20),
             warmup: SimTime::from_secs(2),
             seed: 42,
-            f: 1,
-            max_batch: base.max_batch,
-            batch_delay: base.batch_delay,
-            adaptive_batching: base.adaptive_batching,
-            pipeline_depth: base.pipeline_depth,
-            commit_mode: base.commit_mode,
-            tracing: false,
+            spider: SpiderConfig::default(),
         }
     }
 }
@@ -126,34 +112,18 @@ impl ScenarioCfg {
             op_factory: kv_op_factory(1000),
         }
     }
-
-    /// The deployment config this scenario induces (used for Spider and
-    /// for the consensus cores of the BFT/HFT baselines).
-    pub fn spider_config(&self) -> SpiderConfig {
-        SpiderConfig {
-            fa: self.f,
-            fe: self.f,
-            max_batch: self.max_batch,
-            batch_delay: self.batch_delay,
-            adaptive_batching: self.adaptive_batching,
-            pipeline_depth: self.pipeline_depth,
-            commit_mode: self.commit_mode,
-            tracing: self.tracing,
-            ..SpiderConfig::default()
-        }
-    }
 }
 
 /// Latency samples per client region.
 pub type RegionSamples = BTreeMap<String, Vec<Sample>>;
 
-fn keep(s: &Sample, warmup: SimTime) -> bool {
-    s.completed >= warmup
-}
+/// What one scenario run yields: per-region samples in [`REGIONS4`]
+/// order, plus the observability report when tracing was on.
+pub(crate) type Run = (Vec<(String, Vec<Sample>)>, Option<ObsReport>);
 
 /// Runs one scenario and returns per-region samples.
 pub fn run_scenario(kind: SystemKind, cfg: &ScenarioCfg) -> RegionSamples {
-    run_scenario_inner(kind, cfg).0
+    run_kind(kind, cfg).0.into_iter().collect()
 }
 
 /// Runs one scenario with end-to-end tracing forced on and returns both
@@ -161,184 +131,139 @@ pub fn run_scenario(kind: SystemKind, cfg: &ScenarioCfg) -> RegionSamples {
 /// metrics snapshots, per-operation CPU attribution).
 pub fn run_scenario_obs(kind: SystemKind, cfg: &ScenarioCfg) -> (RegionSamples, ObsReport) {
     let mut cfg = cfg.clone();
-    cfg.tracing = true;
-    let (samples, obs) = run_scenario_inner(kind, &cfg);
-    (samples, obs.expect("tracing was enabled"))
+    cfg.spider.tracing = true;
+    let (samples, obs) = run_kind(kind, &cfg);
+    (samples.into_iter().collect(), obs.expect("tracing was enabled"))
 }
 
-fn run_scenario_inner(kind: SystemKind, cfg: &ScenarioCfg) -> (RegionSamples, Option<ObsReport>) {
+fn run_kind(kind: SystemKind, cfg: &ScenarioCfg) -> Run {
+    let virginia = || DeploymentBuilder::new(cfg.spider.clone()).agreement_region("virginia");
     match kind {
-        SystemKind::Bft { leader } => run_bft(leader, cfg),
-        SystemKind::Hft { leader_site } => run_hft(leader_site, cfg),
-        SystemKind::Spider { leader_zone } => run_spider(leader_zone, cfg, SpiderShape::Full),
-        SystemKind::Spider0E => run_spider0e(cfg),
-        SystemKind::Spider1E => run_spider(0, cfg, SpiderShape::OneGroup),
+        SystemKind::Bft { leader } => {
+            // Leader region first: replica 0 is the view-0 leader.
+            let mut placements = REGIONS4.map(|r| (r, 0));
+            placements.rotate_left(leader);
+            run_bft(&placements, cfg)
+        }
+        SystemKind::Hft { leader_site } => run_hft(&REGIONS4.map(|r| vec![r]), leader_site, cfg),
+        SystemKind::Spider { leader_zone } => run_spider(
+            virginia().agreement_leader_zone(leader_zone),
+            &REGIONS4.map(|r| vec![r]),
+            cfg,
+        ),
+        SystemKind::Spider0E => {
+            // The agreement group executes directly: equivalent to a PBFT
+            // group whose replicas all sit in separate Virginia zones.
+            let zones = 0..cfg.spider.agreement_size();
+            run_bft(&zones.map(|i| ("virginia", i as u8 % 6)).collect::<Vec<_>>(), cfg)
+        }
+        SystemKind::Spider1E => run_spider(virginia(), &[vec!["virginia"]], cfg),
     }
 }
 
-enum SpiderShape {
-    Full,
-    OneGroup,
-}
-
-fn run_spider(
-    leader_zone: u8,
+/// The scenario loop every system shares: `spawn(sim, i, region)` starts
+/// the clients of `REGIONS4[i]`, the simulation runs for `cfg.duration`,
+/// and `samples(sim, node)` reads back what each client recorded; samples
+/// completing before the warm-up cut are dropped.
+fn run_regions<M: Clone + WireSize + 'static>(
+    mut sim: Simulation<M>,
     cfg: &ScenarioCfg,
-    shape: SpiderShape,
-) -> (RegionSamples, Option<ObsReport>) {
-    let mut sim = Simulation::new(ec2_topology(), cfg.seed);
-    let mut builder = DeploymentBuilder::new(cfg.spider_config())
-        .with_app(KvStore::new)
-        .agreement_region("virginia")
-        .agreement_leader_zone(leader_zone);
-    let group_regions: Vec<&str> = match shape {
-        SpiderShape::Full => REGIONS4.to_vec(),
-        SpiderShape::OneGroup => vec!["virginia"],
-    };
-    for r in &group_regions {
-        builder = builder.execution_group(r);
-    }
-    let mut dep = builder.build(&mut sim);
-
-    // Clients always live in all four regions; with fewer groups they all
-    // attach to the Virginia group (Fig 9a's setup).
-    let mut client_region: Vec<(String, Vec<spider_types::NodeId>)> = Vec::new();
-    for region in REGIONS4 {
-        let group_idx = group_regions.iter().position(|g| *g == region).unwrap_or(0);
-        // Place the clients in their home region even when their group is
-        // remote: spawn via deployment, then note the region.
-        let nodes = spawn_spider_clients_in_region(&mut sim, &mut dep, group_idx, region, cfg);
-        client_region.push((region.to_owned(), nodes));
-    }
+    mut spawn: impl FnMut(&mut Simulation<M>, usize, &'static str) -> Vec<NodeId>,
+    samples: impl Fn(&Simulation<M>, NodeId) -> Vec<Sample>,
+) -> Run {
+    let clients: Vec<Vec<NodeId>> =
+        REGIONS4.iter().enumerate().map(|(i, region)| spawn(&mut sim, i, region)).collect();
     sim.run_until(cfg.duration);
-    let mut out = RegionSamples::new();
-    for (region, nodes) in client_region {
-        let samples: Vec<Sample> = nodes
-            .iter()
-            .flat_map(|n| sim.actor::<spider::SpiderClient>(*n).samples.clone())
-            .filter(|s| keep(s, cfg.warmup))
-            .collect();
-        out.insert(region, samples);
-    }
-    let obs = cfg.tracing.then(|| sim.obs().report());
-    (out, obs)
+    let per_region = REGIONS4
+        .iter()
+        .zip(clients)
+        .map(|(region, nodes)| {
+            let mut kept: Vec<Sample> = nodes.iter().flat_map(|n| samples(&sim, *n)).collect();
+            kept.retain(|s| s.completed >= cfg.warmup);
+            ((*region).to_owned(), kept)
+        })
+        .collect();
+    (per_region, cfg.spider.tracing.then(|| sim.obs().report()))
 }
 
-/// Spawns Spider clients whose *group* is `group_idx` but whose *node*
-/// sits in `region` (needed when the local region has no group).
-fn spawn_spider_clients_in_region(
-    sim: &mut Simulation<spider::SpiderMsg>,
-    dep: &mut spider::Deployment,
-    group_idx: usize,
-    region: &str,
-    cfg: &ScenarioCfg,
-) -> Vec<spider_types::NodeId> {
-    use spider::SpiderClient;
-    let (group, _, _) = dep.groups[group_idx].clone();
-    let zones = sim.topology().num_zones(sim.topology().region(region));
-    let mut nodes = Vec::new();
-    for k in 0..cfg.clients_per_region {
-        let id = spider_types::ClientId(10_000 + dep.clients.len() as u32);
-        let zone = sim.topology().zone(region, (k % zones as usize) as u8);
-        let client = SpiderClient::new(
-            dep.cfg.clone(),
-            id,
-            group,
-            dep.directory.clone(),
-            Some(cfg.workload()),
-        );
-        let node = sim.add_node(zone, client);
-        dep.directory.register_client(id, node);
-        dep.clients.push((id, group, node));
-        nodes.push(node);
-    }
-    nodes
-}
-
-fn run_spider0e(cfg: &ScenarioCfg) -> (RegionSamples, Option<ObsReport>) {
-    // The agreement group executes directly: equivalent to a PBFT group
-    // whose replicas all sit in separate Virginia zones.
+fn new_sim<M: Clone + WireSize + 'static>(cfg: &ScenarioCfg) -> Simulation<M> {
     let mut sim = Simulation::new(ec2_topology(), cfg.seed);
-    if cfg.tracing {
+    if cfg.spider.tracing {
         sim.enable_obs(ObsConfig::default());
     }
-    let n = 3 * cfg.f + 1;
-    let placements: Vec<(&str, u8)> = (0..n).map(|i| ("virginia", i as u8 % 6)).collect();
+    sim
+}
+
+fn baseline_samples(sim: &Simulation<BaseMsg>, node: NodeId) -> Vec<Sample> {
+    sim.actor::<BaselineClient>(node).samples.clone()
+}
+
+/// One global PBFT group with a replica at each `(region, zone)` of
+/// `placements` (replica 0 leads view 0); clients in every region.
+pub(crate) fn run_bft(placements: &[(&str, u8)], cfg: &ScenarioCfg) -> Run {
+    let mut sim = new_sim(cfg);
     let mut dep =
-        BftDeployment::build_in_zones(&mut sim, cfg.spider_config(), &placements, KvStore::new);
-    let mut client_nodes = Vec::new();
-    for region in REGIONS4 {
-        let nodes = dep.spawn_clients(&mut sim, region, cfg.clients_per_region, cfg.workload());
-        client_nodes.push((region.to_owned(), nodes));
-    }
-    sim.run_until(cfg.duration);
-    let obs = cfg.tracing.then(|| sim.obs().report());
-    (collect_baseline(&sim, client_nodes, cfg), obs)
+        BftDeployment::build_in_zones(&mut sim, cfg.spider.clone(), placements, KvStore::new);
+    let spawn = |sim: &mut _, _, region: &'static str| {
+        dep.spawn_clients(sim, region, cfg.clients_per_region, cfg.workload())
+    };
+    run_regions(sim, cfg, spawn, baseline_samples)
 }
 
-fn run_bft(leader: usize, cfg: &ScenarioCfg) -> (RegionSamples, Option<ObsReport>) {
-    let mut sim = Simulation::new(ec2_topology(), cfg.seed);
-    if cfg.tracing {
-        sim.enable_obs(ObsConfig::default());
-    }
-    // Leader region first: replica 0 is the view-0 leader.
-    let mut regions = REGIONS4.to_vec();
-    regions.rotate_left(leader);
-    let mut dep = BftDeployment::build(&mut sim, cfg.spider_config(), &regions, KvStore::new);
-    let mut client_nodes = Vec::new();
-    for region in REGIONS4 {
-        let nodes = dep.spawn_clients(&mut sim, region, cfg.clients_per_region, cfg.workload());
-        client_nodes.push((region.to_owned(), nodes));
-    }
-    sim.run_until(cfg.duration);
-    let obs = cfg.tracing.then(|| sim.obs().report());
-    (collect_baseline(&sim, client_nodes, cfg), obs)
-}
-
-fn run_hft(leader_site: u16, cfg: &ScenarioCfg) -> (RegionSamples, Option<ObsReport>) {
-    let mut sim = Simulation::new(ec2_topology(), cfg.seed);
-    if cfg.tracing {
-        sim.enable_obs(ObsConfig::default());
-    }
-    let mut dep = StewardDeployment::build(
+/// Steward-style hierarchy: site `i` serves `REGIONS4[i]` and cycles its
+/// replicas over `spans[i]`.
+pub(crate) fn run_hft(spans: &[Vec<&str>], leader_site: u16, cfg: &ScenarioCfg) -> Run {
+    let mut sim = new_sim(cfg);
+    let mut dep = StewardDeployment::build_span(
         &mut sim,
-        cfg.spider_config(),
-        &REGIONS4,
+        cfg.spider.clone(),
+        spans,
         leader_site,
         KvStore::new,
     );
-    let mut client_nodes = Vec::new();
-    for (si, region) in REGIONS4.iter().enumerate() {
-        let nodes =
-            dep.spawn_clients(&mut sim, si as u16, region, cfg.clients_per_region, cfg.workload());
-        client_nodes.push(((*region).to_owned(), nodes));
-    }
-    sim.run_until(cfg.duration);
-    let obs = cfg.tracing.then(|| sim.obs().report());
-    (collect_baseline(&sim, client_nodes, cfg), obs)
+    let spawn = |sim: &mut _, site: usize, region: &'static str| {
+        dep.spawn_clients(sim, site as u16, region, cfg.clients_per_region, cfg.workload())
+    };
+    run_regions(sim, cfg, spawn, baseline_samples)
 }
 
-fn collect_baseline(
-    sim: &Simulation<spider_baselines::BaseMsg>,
-    client_nodes: Vec<(String, Vec<spider_types::NodeId>)>,
+/// Spider with the agreement group as placed on `builder` and one
+/// execution group per entry of `group_spans` (group `i` serves
+/// `REGIONS4[i]`). Clients always live in all four regions; a region
+/// without a group of its own attaches to group 0 (Fig 9a's setup).
+pub(crate) fn run_spider(
+    builder: DeploymentBuilder,
+    group_spans: &[Vec<&str>],
     cfg: &ScenarioCfg,
-) -> RegionSamples {
-    let mut out = RegionSamples::new();
-    for (region, nodes) in client_nodes {
-        let samples: Vec<Sample> = nodes
-            .iter()
-            .flat_map(|n| sim.actor::<spider_baselines::BaselineClient>(*n).samples.clone())
-            .filter(|s| keep(s, cfg.warmup))
-            .collect();
-        out.insert(region, samples);
+) -> Run {
+    let mut sim = new_sim(cfg);
+    let mut builder = builder.with_app(KvStore::new);
+    for span in group_spans {
+        builder = builder.execution_group_span(span);
     }
-    out
-}
-
-/// Filters samples of one kind out of a region map.
-pub fn filter_kind(samples: &RegionSamples, kind: OpKind) -> RegionSamples {
-    samples
-        .iter()
-        .map(|(r, s)| (r.clone(), s.iter().filter(|x| x.kind == kind).copied().collect()))
-        .collect()
+    let mut dep = builder.build(&mut sim);
+    let spawn = |sim: &mut Simulation<_>, i: usize, region: &'static str| {
+        // The client's *group* may be remote, but its *node* sits in its
+        // home region.
+        let (group, _, _) = dep.groups[if i < group_spans.len() { i } else { 0 }];
+        let zones = sim.topology().num_zones(sim.topology().region(region));
+        (0..cfg.clients_per_region)
+            .map(|k| {
+                let id = ClientId(10_000 + dep.clients.len() as u32);
+                let zone = sim.topology().zone(region, (k % zones as usize) as u8);
+                let client = SpiderClient::new(
+                    dep.cfg.clone(),
+                    id,
+                    group,
+                    dep.directory.clone(),
+                    Some(cfg.workload()),
+                );
+                let node = sim.add_node(zone, client);
+                dep.directory.register_client(id, node);
+                dep.clients.push((id, group, node));
+                node
+            })
+            .collect()
+    };
+    run_regions(sim, cfg, spawn, |sim, node| sim.actor::<SpiderClient>(node).samples.clone())
 }

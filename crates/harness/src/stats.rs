@@ -109,29 +109,6 @@ pub fn timeline(samples: &[Sample], bucket: SimTime, until: SimTime) -> Vec<Time
         .collect()
 }
 
-/// Completed-ops-per-second in fixed-width buckets over `[0, until)`.
-/// Unlike [`timeline`], *every* bucket is reported — empty buckets show
-/// `0.0`, which is exactly what availability analysis needs.
-pub fn goodput_timeline(
-    samples: &[Sample],
-    bucket: SimTime,
-    until: SimTime,
-) -> Vec<(SimTime, f64)> {
-    assert!(bucket > SimTime::ZERO, "bucket must be positive");
-    let n_buckets = (until.as_nanos() / bucket.as_nanos()) as usize;
-    let mut counts = vec![0u64; n_buckets];
-    for s in samples {
-        let b = (s.completed.as_nanos() / bucket.as_nanos()) as usize;
-        if b < n_buckets {
-            counts[b] += 1;
-        }
-    }
-    let width = bucket.as_secs_f64();
-    (0..n_buckets)
-        .map(|b| (SimTime::from_nanos(b as u64 * bucket.as_nanos()), counts[b] as f64 / width))
-        .collect()
-}
-
 /// Mean completed-ops-per-second over `[start, end)`.
 pub fn mean_goodput(samples: &[Sample], start: SimTime, end: SimTime) -> f64 {
     if end <= start {
@@ -267,16 +244,6 @@ mod tests {
                 completed: SimTime::from_millis(at),
             })
             .collect()
-    }
-
-    #[test]
-    fn goodput_timeline_reports_empty_buckets_as_zero() {
-        let samples = done_at(&[100, 200, 2500]);
-        let tl = goodput_timeline(&samples, SimTime::from_secs(1), SimTime::from_secs(3));
-        assert_eq!(tl.len(), 3);
-        assert_eq!(tl[0], (SimTime::ZERO, 2.0));
-        assert_eq!(tl[1], (SimTime::from_secs(1), 0.0), "empty bucket is present");
-        assert_eq!(tl[2], (SimTime::from_secs(2), 1.0));
     }
 
     #[test]

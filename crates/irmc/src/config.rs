@@ -134,7 +134,7 @@ pub struct IrmcConfig {
     pub max_range: usize,
     /// Optional linger for [`crate::SenderEndpoint::send_buffered`]:
     /// contiguous single-slot sends accumulate into a pending range for at
-    /// most this long (mirrors consensus `batch_delay`). Zero disables
+    /// most this long (mirrors consensus `batching.delay`). Zero disables
     /// buffering — plain `send` never lingers either way.
     pub range_linger: SimTime,
     /// Signing identity of each sender endpoint. Defaults to
@@ -249,17 +249,6 @@ impl IrmcConfig {
         self.mode.overlap()
     }
 
-    /// Enables or disables the §A.9 content/share-exchange overlap for
-    /// IRMC-SC (builder-style).
-    #[deprecated(note = "use `with_mode(ChannelMode::SenderCast { overlap })`")]
-    #[must_use]
-    pub fn with_sc_overlap(mut self, overlap: bool) -> Self {
-        if let ChannelMode::SenderCast { .. } = self.mode {
-            self.mode = ChannelMode::SenderCast { overlap };
-        }
-        self
-    }
-
     /// Replaces the SC collector supervision timing (builder-style).
     #[must_use]
     pub fn with_sc_timing(
@@ -315,8 +304,5 @@ mod tests {
         assert!(c.dedup());
         assert_eq!(c.variant(), Variant::ReceiverCollect);
         assert!(!c.sc_overlap(), "overlap is an SC-only lever");
-        #[allow(deprecated)]
-        let sc = IrmcConfig::new(Variant::SenderCollect, 3, 1, 3, 1, 2).with_sc_overlap(false);
-        assert_eq!(sc.mode, ChannelMode::SenderCast { overlap: false });
     }
 }

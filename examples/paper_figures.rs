@@ -9,43 +9,24 @@
 //! * default — moderate scale (a few minutes), closer to the paper's
 //!   client counts.
 
+use spider_bench::{quick_fig10, quick_scale};
 use spider_harness::experiments::{fig10, fig11, fig7, fig8, fig9a, fig9bcd};
 use spider_harness::scenarios::ScenarioCfg;
 use spider_types::SimTime;
 
 fn scale() -> (ScenarioCfg, fig10::Config, fig9bcd::Config) {
-    let quick = std::env::var("SPIDER_QUICK").is_ok();
-    if quick {
-        (
-            ScenarioCfg {
-                clients_per_region: 3,
-                rate_per_client: 2.0,
-                duration: SimTime::from_secs(12),
-                warmup: SimTime::from_secs(2),
-                ..ScenarioCfg::default()
-            },
-            fig10::Config {
-                clients_per_region: 3,
-                duration: SimTime::from_secs(40),
-                join_at: SimTime::from_secs(25),
-                bucket: SimTime::from_secs(5),
-                ..fig10::Config::default()
-            },
-            fig9bcd::Config { duration: SimTime::from_secs(3), ..fig9bcd::Config::default() },
-        )
-    } else {
-        (
-            ScenarioCfg {
-                clients_per_region: 12,
-                rate_per_client: 2.0,
-                duration: SimTime::from_secs(30),
-                warmup: SimTime::from_secs(4),
-                ..ScenarioCfg::default()
-            },
-            fig10::Config::default(),
-            fig9bcd::Config::default(),
-        )
+    if std::env::var("SPIDER_QUICK").is_ok() {
+        let fig9bcd = fig9bcd::Config { duration: SimTime::from_secs(3), ..Default::default() };
+        return (quick_scale(), quick_fig10(), fig9bcd);
     }
+    let scenario = ScenarioCfg {
+        clients_per_region: 12,
+        rate_per_client: 2.0,
+        duration: SimTime::from_secs(30),
+        warmup: SimTime::from_secs(4),
+        ..ScenarioCfg::default()
+    };
+    (scenario, fig10::Config::default(), fig9bcd::Config::default())
 }
 
 fn main() {

@@ -8,6 +8,10 @@ use spider_app::KvStore;
 use spider_harness::ec2_topology;
 use spider_sim::Simulation;
 
+/// FNV-1a over a string: a stable digest for Debug-rendered traces and
+/// rows.
+pub use spider_obs::export::fnv64 as digest;
+
 /// Builds the canonical four-region Spider deployment over the kv store.
 pub fn standard_deployment(
     seed: u64,
@@ -23,15 +27,4 @@ pub fn standard_deployment(
         .execution_group("tokyo")
         .build(&mut sim);
     (sim, dep)
-}
-
-/// FNV-1a over a string: a stable digest for Debug-rendered traces and
-/// rows.
-pub fn digest(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
