@@ -9,6 +9,7 @@
 //! meant to move the model updates them in the same commit as the
 //! regenerated `BENCH_*` artifacts.
 
+use spider::SpiderConfig;
 use spider_harness::experiments::{commit_channel, disaster, fig11, fig9bcd};
 use spider_harness::scenarios::{run_scenario, ScenarioCfg, SystemKind};
 use spider_irmc::{ChannelMode, Variant};
@@ -65,6 +66,20 @@ fn commit_channel_flood_and_paced() {
     pin("dedup flood, range 32", format!("{flood:?}"), 0xb1c9_893d_0fd6_16b8);
     let paced = commit_channel::run_paced(ChannelMode::SenderCast { overlap: true }, 64, &cfg);
     pin("overlapped SC paced, range 64", format!("{paced:?}"), 0x9971_1ec6_f4c9_0cb6);
+    let flood = commit_channel::run_flood(ChannelMode::ReliableCast { dedup: false }, 8, &cfg);
+    pin("legacy RC flood, range 8", format!("{flood:?}"), 0x3184_6b7a_ead4_ec95);
+    let paced = commit_channel::run_paced(ChannelMode::SenderCast { overlap: false }, 32, &cfg);
+    pin("ship-after-bundle SC paced, range 32", format!("{paced:?}"), 0x3433_56a9_007d_1668);
+}
+
+/// System-wide IRMC-SC (request and commit channels) is otherwise only
+/// exercised by `crates/core/tests/failover.rs`.
+#[test]
+fn spider_over_sender_collect_channels() {
+    let mut cfg = small();
+    cfg.spider = SpiderConfig::default().with_variant(Variant::SenderCollect);
+    let kind = SystemKind::Spider { leader_zone: 0 };
+    pin("Spider over IRMC-SC", format!("{:?}", run_scenario(kind, &cfg)), 0x3f53_32ac_f700_e029);
 }
 
 #[test]
