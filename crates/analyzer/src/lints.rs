@@ -468,7 +468,7 @@ fn finish_arm(toks: &[Tok], m: &mut MatchCtx) {
 // ---------------------------------------------------------------------
 
 /// Identifiers that mark a message emission when called as a method.
-const SEND_METHODS: &[&str] = &["send", "broadcast", "send_many", "send_batch", "send_buffered"];
+const SEND_METHODS: &[&str] = &["send", "broadcast", "send_batch"];
 /// Identifiers that mark a message emission when `Action::`-qualified
 /// (`Action::ToReceiver { .. }`, as the irmc endpoints emit). The bare
 /// variant names also appear in `match` patterns on the receiving
@@ -878,7 +878,7 @@ mod tests {
     fn wire_totality_flags_bare_binder_catch_all() {
         let src = "fn f(m: ChannelMsg<M>) -> u32 {\n\
                        match m {\n\
-                           ChannelMsg::Send { .. } => 1,\n\
+                           ChannelMsg::Cast { .. } => 1,\n\
                            other => 0,\n\
                        }\n\
                    }\n";

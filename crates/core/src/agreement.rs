@@ -18,9 +18,7 @@ use crate::messages::{
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use spider_consensus::{Input, Output, Pbft, PbftConfig, TimerToken};
 use spider_crypto::{Hashed, Keyring};
-use spider_irmc::{
-    Action, IrmcConfig, ReceiveResult, ReceiverEndpoint, SenderEndpoint, Variant, OP_RECAST,
-};
+use spider_irmc::{Action, ReceiveResult, ReceiverEndpoint, SenderEndpoint, Variant, OP_RECAST};
 use spider_sim::{
     req_id, Actor, Context, Timer, TimerId, PHASE_BATCH, PHASE_COMMIT, PHASE_PROPOSE, PHASE_RECAST,
     PHASE_SHIP,
@@ -36,6 +34,9 @@ const TAG_CP_GOSSIP: u64 = 4;
 
 /// Interval of the checkpoint-gossip heartbeat (§A.4.3).
 const CP_GOSSIP_INTERVAL: SimTime = SimTime::from_millis(1_000);
+/// Cadence of the commit-channel sender tick: the SC progress heartbeat
+/// and the unit `spider_irmc::RC_RECAST_TICKS` counts in.
+const COMMIT_TICK_INTERVAL: SimTime = SimTime::from_millis(20);
 
 /// Decoded agreement snapshot: `(sn, t, hist)` as written by
 /// `encode_snapshot`.
@@ -133,29 +134,8 @@ impl AgreementReplica {
     }
 
     fn create_channels(&mut self, group: GroupId) {
-        let n_exec = self.cfg.execution_size();
-        let n_agree = self.cfg.agreement_size();
-        let req_cfg = IrmcConfig::new(
-            self.cfg.request_variant,
-            n_exec,
-            self.cfg.fe,
-            n_agree,
-            self.cfg.fa,
-            self.cfg.request_capacity,
-        )
-        .with_cost(self.cfg.cost)
-        .with_keys(keys::exec_keys(group, n_exec), keys::agreement_keys(n_agree));
-        let commit_cfg = IrmcConfig::new(
-            self.cfg.commit_mode,
-            n_agree,
-            self.cfg.fa,
-            n_exec,
-            self.cfg.fe,
-            self.cfg.commit_capacity,
-        )
-        .with_cost(self.cfg.cost)
-        .with_range(self.cfg.commit_max_range, self.cfg.commit_range_linger)
-        .with_keys(keys::agreement_keys(n_agree), keys::exec_keys(group, n_exec));
+        let (req_cfg, commit_cfg) =
+            (self.cfg.request_channel(group), self.cfg.commit_channel(group));
         self.channels.insert(
             group,
             GroupChannels {
@@ -426,7 +406,6 @@ impl AgreementReplica {
         while self.hist.len() as u64 > self.cfg.commit_capacity {
             self.hist.pop_front();
         }
-        let linger = self.cfg.commit_range_linger;
         for group in self.directory.active_groups() {
             let execs: Vec<Hashed<Execute>> = run
                 .iter()
@@ -434,22 +413,9 @@ impl AgreementReplica {
                 .collect();
             let mut actions = Vec::new();
             if let Some(ch) = self.channels.get_mut(&group) {
-                if linger > SimTime::ZERO {
-                    // Linger knob: let the endpoint coalesce across runs.
-                    for (i, exec) in execs.into_iter().enumerate() {
-                        // analyzer: allow(charge-coverage, "the IRMC endpoint emits Action::Charge; apply_commit_actions applies it")
-                        // analyzer: allow(edge-pairing, "apply_commit_actions records the edges at the actual transmit sites")
-                        ch.commit_send.send_buffered(
-                            0,
-                            Position(first + i as u64),
-                            exec,
-                            ctx.now(),
-                            &mut actions,
-                        );
-                    }
-                } else {
-                    ch.commit_send.send_batch(0, Position(first), execs, &mut actions);
-                }
+                // analyzer: allow(charge-coverage, "the IRMC endpoint emits Action::Charge; apply_commit_actions applies it")
+                // analyzer: allow(edge-pairing, "apply_commit_actions records the edges at the actual transmit sites")
+                ch.commit_send.send_batch(0, Position(first), execs, &mut actions);
             }
             self.apply_commit_actions(ctx, group, actions);
         }
@@ -771,8 +737,7 @@ impl AgreementReplica {
         if self.cfg.commit_mode.variant() != Variant::SenderCollect
             && self.channels.values().any(|ch| ch.commit_send.has_unacked())
         {
-            let interval = self.commit_tick_interval();
-            self.ensure_timer(ctx, TAG_SC_TICK, interval);
+            self.ensure_timer(ctx, TAG_SC_TICK, COMMIT_TICK_INTERVAL);
         }
     }
 
@@ -821,18 +786,6 @@ impl AgreementReplica {
         }
         for (seq, state) in stable {
             self.on_stable_checkpoint(ctx, seq, state);
-        }
-    }
-
-    /// Interval of the commit-channel tick: the SC progress heartbeat
-    /// (20 ms), tightened to the range linger so buffered runs never
-    /// wait past their configured deadline.
-    fn commit_tick_interval(&self) -> SimTime {
-        let base = SimTime::from_millis(20);
-        if self.cfg.commit_range_linger > SimTime::ZERO {
-            base.min(self.cfg.commit_range_linger)
-        } else {
-            base
         }
     }
 
@@ -945,13 +898,9 @@ fn decode_order_item(buf: &mut &[u8]) -> Option<OrderItem> {
 
 impl Actor<SpiderMsg> for AgreementReplica {
     fn on_start(&mut self, ctx: &mut Context<'_, SpiderMsg>) {
-        // The tick drives SC progress announcements and, when the range
-        // linger is on, deadline flushes of buffered commit ranges (so RC
-        // commit channels need it then too).
-        if self.cfg.commit_mode.variant() == Variant::SenderCollect
-            || self.cfg.commit_range_linger > SimTime::ZERO
-        {
-            self.arm_timer(ctx, TAG_SC_TICK, self.commit_tick_interval());
+        // The tick drives SC progress announcements.
+        if self.cfg.commit_mode.variant() == Variant::SenderCollect {
+            self.arm_timer(ctx, TAG_SC_TICK, COMMIT_TICK_INTERVAL);
         }
         self.arm_timer(ctx, TAG_CP_GOSSIP, CP_GOSSIP_INTERVAL);
     }
@@ -974,7 +923,7 @@ impl Actor<SpiderMsg> for AgreementReplica {
                     };
                     let mut actions = Vec::new();
                     if let Some(ch) = self.channels.get_mut(&group) {
-                        let _ = ch.req_recv.on_sender_message(ctx.now(), idx, m, &mut actions);
+                        let _ = ch.req_recv.on_sender_message(idx, m, &mut actions);
                     }
                     self.apply_request_channel_actions(ctx, group, actions);
                 }
@@ -1054,19 +1003,17 @@ impl Actor<SpiderMsg> for AgreementReplica {
                 for g in groups {
                     let mut actions = Vec::new();
                     if let Some(ch) = self.channels.get_mut(&g) {
-                        ch.commit_send.tick(ctx.now(), &mut actions);
+                        ch.commit_send.tick(&mut actions);
                     }
                     self.apply_commit_actions(ctx, g, actions);
                 }
-                // SC (and lingering) channels keep a standing heartbeat;
-                // RC keeps ticking only while content is undelivered
-                // (recast liveness), so idle runs quiesce.
+                // SC channels keep a standing heartbeat; RC keeps ticking
+                // only while content is undelivered (recast liveness), so
+                // idle runs quiesce.
                 if self.cfg.commit_mode.variant() == Variant::SenderCollect
-                    || self.cfg.commit_range_linger > SimTime::ZERO
                     || self.channels.values().any(|ch| ch.commit_send.has_unacked())
                 {
-                    let interval = self.commit_tick_interval();
-                    self.arm_timer(ctx, TAG_SC_TICK, interval);
+                    self.arm_timer(ctx, TAG_SC_TICK, COMMIT_TICK_INTERVAL);
                 }
             }
             TAG_FETCH_RETRY if self.fetching => {

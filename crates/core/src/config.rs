@@ -1,9 +1,10 @@
 //! Deployment-wide configuration.
 
+use crate::keys;
 use spider_consensus::{BatcherConfig, PbftConfig};
 use spider_crypto::CostModel;
-use spider_irmc::{ChannelMode, Variant};
-use spider_types::SimTime;
+use spider_irmc::{ChannelMode, IrmcConfig, Variant};
+use spider_types::{GroupId, SimTime};
 
 /// Configuration of a Spider deployment.
 ///
@@ -58,15 +59,8 @@ pub struct SpiderConfig {
     /// Maximum slots per commit-channel range certificate: a batch of
     /// consecutively ordered requests is certified with **one** RSA
     /// signature over the Merkle root of its per-slot digests instead of
-    /// one signature per slot. 1 disables range certification (legacy
-    /// per-slot wire messages).
+    /// one signature per slot. 1 certifies every slot on its own.
     pub commit_max_range: usize,
-    /// Optional commit-channel range linger (mirrors `batching.delay`):
-    /// consecutive single-slot commit sends accumulate into a pending
-    /// range for at most this long before shipping. Zero = ship
-    /// immediately at consensus batch boundaries (the default; batches
-    /// already amortize well).
-    pub commit_range_linger: SimTime,
     /// CPU cost model applied by all nodes.
     pub cost: CostModel,
     /// Seed for the shared simulated PKI.
@@ -99,7 +93,6 @@ impl Default for SpiderConfig {
             batching: BatcherConfig::default(),
             pipeline_depth: 32,
             commit_max_range: 32,
-            commit_range_linger: SimTime::ZERO,
             cost: CostModel::default(),
             key_seed: 7,
             tracing: false,
@@ -191,17 +184,46 @@ impl SpiderConfig {
         self
     }
 
-    /// Sets the commit-channel range certification knobs (builder-style).
+    /// Sets the maximum slots per commit-channel range certificate
+    /// (builder-style).
     ///
     /// # Panics
     ///
     /// Panics if `max_range` is zero.
     #[must_use]
-    pub fn with_commit_range(mut self, max_range: usize, linger: SimTime) -> Self {
+    pub fn with_commit_range(mut self, max_range: usize) -> Self {
         assert!(max_range >= 1, "commit_max_range must be at least 1");
         self.commit_max_range = max_range;
-        self.commit_range_linger = linger;
         self
+    }
+
+    /// The request channel of execution group `group` (its replicas send,
+    /// the agreement group receives). Both ends build their endpoints
+    /// from this one value: if they ever differed, the channel would
+    /// silently never deliver.
+    pub fn request_channel(&self, group: GroupId) -> IrmcConfig {
+        let (n_exec, n_agree) = (self.execution_size(), self.agreement_size());
+        IrmcConfig::new(
+            self.request_variant,
+            n_exec,
+            self.fe,
+            n_agree,
+            self.fa,
+            self.request_capacity,
+        )
+        .with_cost(self.cost)
+        .with_keys(keys::exec_keys(group, n_exec), keys::agreement_keys(n_agree))
+    }
+
+    /// The commit channel of execution group `group` (the agreement group
+    /// sends, the group's replicas receive); see
+    /// [`Self::request_channel`].
+    pub fn commit_channel(&self, group: GroupId) -> IrmcConfig {
+        let (n_exec, n_agree) = (self.execution_size(), self.agreement_size());
+        IrmcConfig::new(self.commit_mode, n_agree, self.fa, n_exec, self.fe, self.commit_capacity)
+            .with_cost(self.cost)
+            .with_range(self.commit_max_range)
+            .with_keys(keys::agreement_keys(n_agree), keys::exec_keys(group, n_exec))
     }
 
     /// Applies every consensus tuning knob of this deployment config to a
@@ -255,10 +277,10 @@ mod tests {
 
     #[test]
     fn commit_range_knobs_roundtrip() {
-        let c = SpiderConfig::default().with_commit_range(64, SimTime::from_millis(2));
+        let c = SpiderConfig::default().with_commit_range(64);
         c.validate();
         assert_eq!(c.commit_max_range, 64);
-        assert_eq!(c.commit_range_linger, SimTime::from_millis(2));
+        assert_eq!(c.commit_channel(GroupId(1)).max_range, 64, "both ends of the channel see it");
         assert_eq!(
             c.commit_mode,
             ChannelMode::ReliableCast { dedup: true },

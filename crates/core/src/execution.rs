@@ -17,9 +17,7 @@ use crate::messages::{
 };
 use bytes::{BufMut, Bytes, BytesMut};
 use spider_crypto::{Hashed, Keyring};
-use spider_irmc::{
-    Action, IrmcConfig, ReceiveResult, ReceiverEndpoint, SendStatus, SenderEndpoint, Variant,
-};
+use spider_irmc::{Action, ReceiveResult, ReceiverEndpoint, SendStatus, SenderEndpoint, Variant};
 use spider_sim::{req_id, Actor, Context, Timer, TimerId, PHASE_DELIVER, PHASE_EXEC};
 use spider_types::{ClientId, GroupId, NodeId, OpKind, Position, SeqNr, SimTime, WireSize};
 use std::collections::BTreeMap;
@@ -93,23 +91,7 @@ impl<A: Application> ExecutionReplica<A> {
     pub fn new(cfg: SpiderConfig, group: GroupId, me: usize, directory: Directory, app: A) -> Self {
         cfg.validate();
         let keyring = Keyring::new(cfg.key_seed);
-        let n_exec = cfg.execution_size();
-        let n_agree = cfg.agreement_size();
-        let req_cfg = IrmcConfig::new(
-            cfg.request_variant,
-            n_exec,
-            cfg.fe,
-            n_agree,
-            cfg.fa,
-            cfg.request_capacity,
-        )
-        .with_cost(cfg.cost)
-        .with_keys(keys::exec_keys(group, n_exec), keys::agreement_keys(n_agree));
-        let commit_cfg =
-            IrmcConfig::new(cfg.commit_mode, n_agree, cfg.fa, n_exec, cfg.fe, cfg.commit_capacity)
-                .with_cost(cfg.cost)
-                .with_range(cfg.commit_max_range, cfg.commit_range_linger)
-                .with_keys(keys::agreement_keys(n_agree), keys::exec_keys(group, n_exec));
+        let (req_cfg, commit_cfg) = (cfg.request_channel(group), cfg.commit_channel(group));
         ExecutionReplica {
             group,
             me,
@@ -680,7 +662,7 @@ impl<A: Application> Actor<SpiderMsg> for ExecutionReplica<A> {
                 };
                 if let ChannelLeg::ToReceiver(m) = leg {
                     let mut actions = Vec::new();
-                    let _ = self.commit_recv.on_sender_message(ctx.now(), idx, m, &mut actions);
+                    let _ = self.commit_recv.on_sender_message(idx, m, &mut actions);
                     self.apply_commit_channel_actions(ctx, actions);
                 }
             }
@@ -697,7 +679,7 @@ impl<A: Application> Actor<SpiderMsg> for ExecutionReplica<A> {
         match timer.tag {
             TAG_SC_TICK => {
                 let mut actions = Vec::new();
-                self.req_sender.tick(ctx.now(), &mut actions);
+                self.req_sender.tick(&mut actions);
                 self.apply_request_channel_actions(ctx, actions);
                 // SC keeps a standing heartbeat; RC re-arms only while
                 // content is undelivered (recast liveness + quiescence).
@@ -712,7 +694,7 @@ impl<A: Application> Actor<SpiderMsg> for ExecutionReplica<A> {
                 // A `CarrierTimeout` is informational: `actions` already
                 // carries the refetch traffic that works around the slow
                 // or faulty carrier.
-                let _ = self.commit_recv.on_timer(0, ctx.now(), &mut actions);
+                let _ = self.commit_recv.on_timer(0, &mut actions);
                 self.apply_commit_channel_actions(ctx, actions);
             }
             TAG_FETCH_RETRY => {

@@ -449,6 +449,13 @@ mod tests {
     use super::*;
     use spider_types::OpKind;
 
+    /// The simulator's event slab stores one `SpiderMsg` per queued
+    /// event, so its size is host-plane cost on every workload.
+    #[test]
+    fn spider_msg_stays_within_120_bytes() {
+        assert!(std::mem::size_of::<SpiderMsg>() <= 120, "{}", std::mem::size_of::<SpiderMsg>());
+    }
+
     fn request(tc: u64) -> ClientRequest {
         ClientRequest {
             client: ClientId(1),

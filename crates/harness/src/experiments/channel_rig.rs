@@ -311,7 +311,7 @@ impl Actor<M> for SenderHost {
             (TAG_START | TAG_NEXT, _) => self.flood(ctx),
             (TAG_TICK, _) => {
                 let mut actions = Vec::new();
-                self.ep.tick(ctx.now(), &mut actions);
+                self.ep.tick(&mut actions);
                 self.apply(ctx, actions);
                 ctx.set_timer(SimTime::from_millis(20), TAG_TICK);
             }
@@ -389,7 +389,7 @@ impl Actor<M> for ReceiverHost {
             return;
         };
         let mut actions = Vec::new();
-        let _ = self.ep.on_sender_message(ctx.now(), idx, m, &mut actions);
+        let _ = self.ep.on_sender_message(idx, m, &mut actions);
         self.apply(ctx, actions);
         self.drain(ctx);
     }
@@ -399,7 +399,7 @@ impl Actor<M> for ReceiverHost {
             let mut actions = Vec::new();
             // A `CarrierTimeout` is informational: the refetch frames it
             // triggered are already in `actions`.
-            let _ = self.ep.on_timer(timer.tag - TAG_COLLECTOR, ctx.now(), &mut actions);
+            let _ = self.ep.on_timer(timer.tag - TAG_COLLECTOR, &mut actions);
             self.apply(ctx, actions);
         }
     }
@@ -415,7 +415,7 @@ impl Rig {
         let range = self.feed.range();
         let icfg = IrmcConfig::new(self.mode, N_SENDERS, 1, N_RECEIVERS, 1, self.capacity)
             .with_cost(CostModel::default())
-            .with_range(range, SimTime::ZERO);
+            .with_range(range);
         let ring = Keyring::new(7);
         let pace = match self.feed {
             Feed::Paced(_, interval) => Some(interval),

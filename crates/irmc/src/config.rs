@@ -1,12 +1,13 @@
 //! Channel configuration.
 
+use crate::{IrmcError, Subchannel};
 use spider_crypto::{CostModel, KeyId};
-use spider_types::SimTime;
+use spider_types::Position;
 
 /// Which IRMC implementation a channel uses (§4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Variant {
-    /// IRMC-RC: every sender ships its signed `Send` to every receiver;
+    /// IRMC-RC: every sender ships its signed `Cast` to every receiver;
     /// receivers collect `fs + 1` matching copies (Fig 18).
     ReceiverCollect,
     /// IRMC-SC: senders exchange signature shares locally; a collector
@@ -36,11 +37,11 @@ pub enum ChannelMode {
     ReliableCast {
         /// Digest-only fan-in: per range, one deterministically-rotated
         /// carrier ships content + signature while the other senders ship
-        /// a MAC-authenticated `RangeVouch` (subchannel, first, count,
-        /// Merkle root), so content crosses the wire and gets hashed at
-        /// most once on the happy path. `false` is the legacy
-        /// everyone-ships-content fan-in; single-slot sends and ranges of
-        /// length 1 always use the legacy path.
+        /// a MAC-authenticated `Vouch` (subchannel, first, count, Merkle
+        /// root), so content crosses the wire and gets hashed at most
+        /// once on the happy path. `false` is the legacy
+        /// everyone-ships-content fan-in, which a run of one slot always
+        /// uses.
         dedup: bool,
     },
     /// IRMC-SC: senders exchange signature shares locally; a collector
@@ -114,29 +115,10 @@ pub struct IrmcConfig {
     pub capacity: u64,
     /// CPU cost model.
     pub cost: CostModel,
-    /// IRMC-SC: how often senders announce certificate progress.
-    pub progress_interval: SimTime,
-    /// IRMC-SC: how long a receiver waits for a lagging collector before
-    /// switching to another sender.
-    pub collector_timeout: SimTime,
-    /// IRMC-RC dedup: how long a receiver waits for a vouched range's
-    /// content before (re)fetching copies from the vouchers. Unlike
-    /// [`IrmcConfig::collector_timeout`], expiry is not a fault
-    /// accusation — senders routinely cut ranges at diverged boundaries
-    /// under replica-local back-pressure, and the refetch is how the
-    /// receiver converges them — so this is RTT-scale, not
-    /// suspicion-scale.
-    pub refetch_delay: SimTime,
     /// Maximum slots per range certificate
     /// ([`crate::SenderEndpoint::send_batch`] chunks longer submissions).
-    /// 1 disables range certification entirely (always the legacy
-    /// per-slot wire messages).
+    /// 1 certifies every slot on its own (the paper's per-slot protocol).
     pub max_range: usize,
-    /// Optional linger for [`crate::SenderEndpoint::send_buffered`]:
-    /// contiguous single-slot sends accumulate into a pending range for at
-    /// most this long (mirrors consensus `batching.delay`). Zero disables
-    /// buffering — plain `send` never lingers either way.
-    pub range_linger: SimTime,
     /// Signing identity of each sender endpoint. Defaults to
     /// `KeyId(1000 + i)`; deployments with multiple channels override this
     /// with the replicas' node identities via [`IrmcConfig::with_keys`].
@@ -147,7 +129,7 @@ pub struct IrmcConfig {
 }
 
 impl IrmcConfig {
-    /// Creates a configuration with default cost model and SC timing.
+    /// Creates a configuration with the default cost model.
     ///
     /// # Panics
     ///
@@ -172,11 +154,7 @@ impl IrmcConfig {
             fr,
             capacity,
             cost: CostModel::default(),
-            progress_interval: SimTime::from_millis(20),
-            collector_timeout: SimTime::from_millis(500),
-            refetch_delay: SimTime::from_millis(125),
             max_range: 32,
-            range_linger: SimTime::ZERO,
             sender_keys: (0..n_senders).map(|i| KeyId(1000 + i as u32)).collect(),
             receiver_keys: (0..n_receivers).map(|j| KeyId(2000 + j as u32)).collect(),
         }
@@ -211,18 +189,16 @@ impl IrmcConfig {
         self
     }
 
-    /// Replaces the range-certification knobs (builder-style): maximum
-    /// slots per range certificate and the single-send linger
-    /// (see [`IrmcConfig::max_range`] / [`IrmcConfig::range_linger`]).
+    /// Replaces the maximum slots per range certificate (builder-style;
+    /// see [`IrmcConfig::max_range`]).
     ///
     /// # Panics
     ///
     /// Panics if `max_range` is zero.
     #[must_use]
-    pub fn with_range(mut self, max_range: usize, range_linger: SimTime) -> Self {
+    pub fn with_range(mut self, max_range: usize) -> Self {
         assert!(max_range >= 1, "max_range must be at least 1");
         self.max_range = max_range;
-        self.range_linger = range_linger;
         self
     }
 
@@ -249,16 +225,18 @@ impl IrmcConfig {
         self.mode.overlap()
     }
 
-    /// Replaces the SC collector supervision timing (builder-style).
-    #[must_use]
-    pub fn with_sc_timing(
-        mut self,
-        progress_interval: SimTime,
-        collector_timeout: SimTime,
-    ) -> Self {
-        self.progress_interval = progress_interval;
-        self.collector_timeout = collector_timeout;
-        self
+    /// Rejects a frame whose slot count no correct endpoint could have
+    /// sent: zero, or more than the window holds.
+    pub(crate) fn check_count(
+        &self,
+        sc: Subchannel,
+        first: Position,
+        count: u64,
+    ) -> Result<(), IrmcError> {
+        if count < 1 || count > self.capacity {
+            return Err(IrmcError::MalformedRange { sc, first, count });
+        }
+        Ok(())
     }
 }
 

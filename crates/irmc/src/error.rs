@@ -25,8 +25,9 @@ pub enum IrmcError {
         /// First position the signature claimed to cover.
         p: Position,
     },
-    /// Range bounds are malformed: fewer than two slots, or more than the
-    /// window capacity (correct endpoints never emit either).
+    /// Run bounds are malformed: zero slots, more than the window
+    /// capacity, or inline content of another length than the frame
+    /// claims (correct endpoints never emit any of these).
     MalformedRange {
         /// Subchannel of the offending frame.
         sc: Subchannel,

@@ -17,30 +17,31 @@
 //! * **Authentication**: channel-internal messages carry (simulated) RSA
 //!   signatures; invalid ones are discarded.
 //!
-//! Two implementations share one interface, selected by [`ChannelMode`]:
+//! Two implementations share one interface and one frame family
+//! ([`ChannelMsg`]), selected by [`ChannelMode`]:
 //!
 //! * [`ChannelMode::ReliableCast`] (**IRMC-RC**, Fig 18): every sender
 //!   submits directly to every receiver; receivers individually collect
 //!   `fs + 1` matching submissions. With `dedup: true` the redundant
-//!   copies are *digest-only*: a deterministically rotated primary
-//!   carrier ships the one signed content copy while the other senders
-//!   confirm the range with a MAC-authenticated [`ChannelMsg::RangeVouch`]
-//!   — content crosses the wire and gets hashed at most once per range on
-//!   the happy path, and a receiver whose carrier stalls refetches the
-//!   content from any voucher.
+//!   copies of a range are *digest-only*: a deterministically rotated
+//!   primary carrier ships the one signed content copy while the other
+//!   senders confirm the range with a MAC-authenticated
+//!   [`ChannelMsg::Vouch`] — content crosses the wire and gets hashed at
+//!   most once per range on the happy path, and a receiver whose carrier
+//!   stalls refetches the content from any voucher.
 //! * [`ChannelMode::SenderCast`] (**IRMC-SC**, Figs 19–20): senders
 //!   exchange signature shares inside their region; one *collector* per
-//!   receiver assembles a `Certificate` and ships a single WAN message.
-//!   With `overlap: true` (§A.9) the collector ships range content as
-//!   soon as it is submitted and follows up with a compact shares-only
-//!   certificate.
+//!   receiver assembles a [`ChannelMsg::Certificate`] and ships a single
+//!   WAN message. With `overlap: true` (§A.9) the collector ships range
+//!   content as soon as it is submitted and follows up with a compact
+//!   shares-only certificate.
 //!
-//! Both variants support **multi-slot range certification**
-//! ([`SenderEndpoint::send_batch`]): a contiguous slot run is certified by
-//! **one** RSA signature over the Merkle root of the per-slot digests
-//! ([`spider_crypto::merkle`]), amortizing the dominant per-slot CPU cost
-//! of a loaded commit channel. A range of length 1 degenerates to the
-//! legacy per-slot wire messages, so mixed configurations interoperate.
+//! Both certify a contiguous slot run ([`SenderEndpoint::send_batch`])
+//! with **one** RSA signature over the Merkle root of the per-slot
+//! digests ([`spider_crypto::merkle`]), amortizing the dominant per-slot
+//! CPU cost of a loaded commit channel. A slot is a run of one: the same
+//! frames, handlers and endpoint state carry it, priced and weighed as
+//! the paper's per-slot protocol (see [`ChannelMsg`]'s module docs).
 //!
 //! Endpoints are sans-IO state machines: methods append [`Action`]s
 //! (messages to peers, CPU charges, readiness events, timer requests) to a
@@ -59,7 +60,7 @@
 //!     SenderEndpoint,
 //! };
 //! use spider_crypto::{Digest, Digestible, Keyring};
-//! use spider_types::{Position, SimTime, WireSize};
+//! use spider_types::{Position, WireSize};
 //!
 //! #[derive(Debug, Clone, PartialEq)]
 //! struct Op(u64);
@@ -85,7 +86,7 @@
 //!     s.send_batch(0, Position(1), vec![Op(42), Op(43)], &mut actions);
 //!     for a in actions {
 //!         if let Action::ToReceiver { to: 0, msg } = a {
-//!             let _ = receiver.on_sender_message(SimTime::ZERO, i, msg, &mut follow_up);
+//!             let _ = receiver.on_sender_message(i, msg, &mut follow_up);
 //!         }
 //!     }
 //! }
@@ -124,6 +125,11 @@ pub(crate) mod tests_support {
         }
     }
 
+    /// The slots `first..first + n`, each naming its position.
+    pub fn blobs(first: u64, n: u64) -> Vec<Blob> {
+        (first..first + n).map(|i| Blob::new(format!("m{i}").as_bytes())).collect()
+    }
+
     impl WireSize for Blob {
         fn wire_size(&self) -> usize {
             spider_types::wire::HEADER_BYTES + self.0.len()
@@ -139,8 +145,10 @@ pub(crate) mod tests_support {
 
 pub use config::{ChannelMode, IrmcConfig, Variant};
 pub use error::IrmcError;
-pub use messages::{range_digest, slot_digest, ChannelMsg, ReceiverMsg};
-pub use receiver::{DedupOutcome, Delivery, ReceiveResult, ReceiverEndpoint};
+pub use messages::{range_digest, ChannelMsg, ReceiverMsg};
+pub use receiver::{
+    DedupOutcome, Delivery, ReceiveResult, ReceiverEndpoint, COLLECTOR_TIMEOUT, REFETCH_DELAY,
+};
 pub use sender::{SendStatus, SenderEndpoint, RC_RECAST_TICKS};
 pub use window::Window;
 

@@ -1,157 +1,122 @@
-//! Channel-internal wire messages (Figs 18–20, plus the multi-slot range
-//! certification extension).
+//! Channel-internal wire messages (Figs 18–20): one frame family in
+//! which a slot is a range of one.
 //!
-//! # Range certification wire format
+//! Every frame names a contiguous slot run `[first, first + count)` of a
+//! subchannel. What is signed (or vouched for) is one statement,
+//! [`range_digest`]`(sc, first, count, root)`, where `root` is the Merkle
+//! root ([`spider_crypto::merkle_root`]) over the per-slot content
+//! digests — so one RSA signature certifies the whole run — and, for a
+//! run of one, the content digest itself.
 //!
-//! The per-slot messages (`Send`, `SigShare`, `Certificate`) cost one RSA
-//! signature per slot on the sender and one verification per slot (per
-//! share for IRMC-SC) on the receiver — the saturating cost of a loaded
-//! commit channel. The range messages amortize that: the per-slot content
-//! digests become the leaves of a Merkle tree
-//! ([`spider_crypto::merkle_root`]) and **one** signature covers
-//! [`range_digest`] over the contiguous slot range `[first, first +
-//! count)`.
+//! * [`ChannelMsg::Cast`] — IRMC-RC: a sender's signed copy of a run.
+//! * [`ChannelMsg::Share`] — IRMC-SC: a signature share over a run's
+//!   statement, exchanged inside the sender group (content stays out of
+//!   the LAN exchange).
+//! * [`ChannelMsg::Vouch`] — IRMC-RC dedup: a digest-only,
+//!   MAC-authenticated confirmation of a run; the rotated primary carrier
+//!   ships the one `Cast` while everyone else vouches, so redundancy costs
+//!   a digest instead of a payload.
+//! * [`ChannelMsg::Content`] — raw content without proof. IRMC-SC: the
+//!   collector ships it **before** shares arrive (§A.9 overlap); receivers
+//!   buffer it and deliver nothing until a certificate covers it. IRMC-RC
+//!   dedup: the answer to a receiver's [`ReceiverMsg::FetchRange`].
+//! * [`ChannelMsg::Certificate`] — IRMC-SC: `fs + 1` shares over a run's
+//!   statement. A range certificate is shares-only (its content travelled
+//!   as `Content`); a one-slot certificate carries its content inline.
 //!
-//! * [`ChannelMsg::SendRange`] — IRMC-RC: one signed copy of the whole
-//!   range (the N-slot analogue of `Send`).
-//! * [`ChannelMsg::RangeShare`] — IRMC-SC: a signature share over the
-//!   range root exchanged inside the sender group (analogue of
-//!   `SigShare`; the content stays out of the LAN exchange).
-//! * [`ChannelMsg::RangeVouch`] — IRMC-RC dedup: a digest-only,
-//!   MAC-authenticated confirmation of a range; the rotated primary
-//!   carrier ships the one `SendRange` while everyone else vouches, so
-//!   redundancy costs a digest instead of a payload.
-//! * [`ChannelMsg::RangeContent`] — IRMC-SC: the collector ships the raw
-//!   range content to its receivers **before** shares arrive (§A.9
-//!   overlap). Carries no proof; receivers buffer it and deliver nothing
-//!   until a certificate covers it. IRMC-RC dedup reuses it as the
-//!   answer to a receiver's [`ReceiverMsg::FetchRange`].
-//! * [`ChannelMsg::RangeCertificate`] — IRMC-SC: the compact shares-only
-//!   certificate (root + `fs + 1` signatures); the content is *not*
-//!   re-shipped.
-//!
-//! A range of length 1 is never emitted: senders degrade to the legacy
-//! per-slot messages so old and new endpoints interoperate byte-for-byte.
-//! Range payloads are shared via [`Arc`] so multi-receiver fan-out and
-//! SC re-shipping clone a pointer, not the content.
+//! A run of one is the paper's per-slot frame, and
+//! [`WireSize::wire_size`] is the only code that knows what that weighs:
+//! a 16-byte slot header instead of the 20-byte range header (no count),
+//! no 4-byte per-slot length prefix, and a certificate whose root is
+//! elided because the content it covers is in the same message. Payloads
+//! are shared via [`Arc`], so multi-receiver fan-out, retention and
+//! re-shipping clone a pointer, not the content.
 
 use crate::{Content, Subchannel};
-use spider_crypto::{Digest, Signature};
+use spider_crypto::{merkle_root, CostModel, Digest, Signature};
 use spider_types::wire::{DIGEST_BYTES, HEADER_BYTES, MAC_BYTES, SIG_BYTES};
-use spider_types::{Position, WireSize};
+use spider_types::{Position, SimTime, WireSize};
 use std::sync::Arc;
 
 /// Messages originating at sender endpoints.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChannelMsg<M> {
-    /// IRMC-RC: a sender's signed copy of the content for `(sc, p)`.
-    Send {
+    /// IRMC-RC: a sender's signed copy of the contiguous slot run
+    /// `[first, first + msgs.len())`.
+    Cast {
         /// Subchannel.
         sc: Subchannel,
-        /// Position.
-        p: Position,
-        /// The content.
-        msg: M,
-        /// The sender's signature over (sc, p, digest(msg)).
-        sig: Signature,
-    },
-    /// IRMC-SC: signature share exchanged within the sender group.
-    SigShare {
-        /// Subchannel.
-        sc: Subchannel,
-        /// Position.
-        p: Position,
-        /// Digest of the content being vouched for.
-        digest: Digest,
-        /// The share (a signature over (sc, p, digest)).
-        sig: Signature,
-    },
-    /// IRMC-SC: a collector's certificate carrying the content plus
-    /// `fs + 1` signature shares.
-    Certificate {
-        /// Subchannel.
-        sc: Subchannel,
-        /// Position.
-        p: Position,
-        /// The content (shared: fan-out clones the pointer only).
-        msg: Arc<M>,
-        /// `fs + 1` shares from distinct senders over (sc, p, digest(msg)).
-        shares: Vec<Signature>,
-    },
-    /// IRMC-RC: a sender's signed copy of a contiguous slot range
-    /// `[first, first + msgs.len())`; the signature covers
-    /// [`range_digest`] of the Merkle root over the per-slot digests.
-    SendRange {
-        /// Subchannel.
-        sc: Subchannel,
-        /// First position of the range.
+        /// First position of the run.
         first: Position,
         /// Content of each slot, in position order.
         msgs: Arc<Vec<M>>,
         /// Signature over `range_digest(sc, first, len, root)`.
         sig: Signature,
     },
-    /// IRMC-SC: signature share over a slot range's Merkle root,
-    /// exchanged within the sender group.
-    RangeShare {
+    /// IRMC-SC: signature share over a run's statement, exchanged within
+    /// the sender group.
+    Share {
         /// Subchannel.
         sc: Subchannel,
-        /// First position of the range.
+        /// First position of the run.
         first: Position,
         /// Number of slots covered.
         count: u32,
-        /// Merkle root over the per-slot content digests.
+        /// Root over the per-slot content digests.
         root: Digest,
         /// Signature over `range_digest(sc, first, count, root)`.
         sig: Signature,
     },
-    /// Digest-only range confirmation (IRMC-RC dedup): the statement that
-    /// this sender submitted a range hashing to `root`, without shipping
-    /// the content. The deterministically-rotated carrier ships the one
-    /// [`Self::SendRange`]; every other sender ships this instead, so
-    /// content crosses the wire and gets hashed at most once per range on
-    /// the happy path. Authenticated by the transport MAC: a vouch is
+    /// Digest-only confirmation of a run (IRMC-RC dedup): the statement
+    /// that this sender submitted content hashing to `root`, without
+    /// shipping it. The deterministically-rotated carrier ships the one
+    /// [`Self::Cast`]; every other sender ships this instead, so content
+    /// crosses the wire and gets hashed at most once per range on the
+    /// happy path. Authenticated by the transport MAC: a vouch is
     /// consumed only by the receiving endpoint and never forwarded as
     /// proof to a third party, so no signature is needed (IRMC-RC's
     /// trust model, Fig 18).
-    RangeVouch {
+    Vouch {
         /// Subchannel.
         sc: Subchannel,
-        /// First position of the range.
+        /// First position of the run.
         first: Position,
         /// Number of slots covered.
         count: u32,
-        /// Merkle root over the per-slot content digests.
+        /// Root over the per-slot content digests.
         root: Digest,
     },
-    /// Raw range content. IRMC-SC: shipped by the collector ahead of
+    /// Raw content of a run. IRMC-SC: shipped by the collector ahead of
     /// certification (§A.9 overlap). IRMC-RC dedup: a voucher's answer to
     /// [`ReceiverMsg::FetchRange`] when the primary carrier stalls.
     /// Authenticated by the transport MAC only; never deliverable without
-    /// a matching [`Self::RangeCertificate`] (SC) or vouch quorum whose
-    /// root the content hashes to (RC dedup).
-    RangeContent {
+    /// a matching [`Self::Certificate`] (SC) or vouch quorum whose root
+    /// the content hashes to (RC dedup).
+    Content {
         /// Subchannel.
         sc: Subchannel,
-        /// First position of the range.
+        /// First position of the run.
         first: Position,
         /// Content of each slot, in position order.
         msgs: Arc<Vec<M>>,
     },
-    /// IRMC-SC: shares-only certificate for a slot range; pairs with the
-    /// content from an earlier [`Self::RangeContent`].
-    RangeCertificate {
+    /// IRMC-SC: a collector's certificate for a run — `fs + 1` shares
+    /// from distinct senders over `range_digest(sc, first, count, root)`.
+    Certificate {
         /// Subchannel.
         sc: Subchannel,
-        /// First position of the range.
+        /// First position of the run.
         first: Position,
         /// Number of slots covered.
         count: u32,
-        /// Merkle root over the per-slot content digests.
+        /// Root over the per-slot content digests.
         root: Digest,
-        /// `fs + 1` shares from distinct senders over
-        /// `range_digest(sc, first, count, root)`.
+        /// The shares.
         shares: Vec<Signature>,
+        /// The certified content, when it travels in the same message (a
+        /// one-slot certificate); `None` pairs the certificate with the
+        /// content of an earlier [`Self::Content`].
+        content: Option<Arc<Vec<M>>>,
     },
     /// IRMC-SC: periodic progress announcement — per subchannel, the
     /// highest position for which the sender holds gap-free certificates.
@@ -170,22 +135,24 @@ pub enum ChannelMsg<M> {
 
 impl<M: Content> WireSize for ChannelMsg<M> {
     fn wire_size(&self) -> usize {
+        // The one place a one-slot frame's bytes are told apart (see the
+        // module docs): slot header 16, range header 20.
         match self {
-            ChannelMsg::Send { msg, .. } => HEADER_BYTES + 16 + msg.wire_size() + SIG_BYTES,
-            ChannelMsg::SigShare { .. } => HEADER_BYTES + 16 + DIGEST_BYTES + SIG_BYTES,
-            ChannelMsg::Certificate { msg, shares, .. } => {
-                HEADER_BYTES + 16 + msg.wire_size() + shares.len() * SIG_BYTES + MAC_BYTES
-            }
-            ChannelMsg::SendRange { msgs, .. } => {
-                HEADER_BYTES + 20 + payload_size(msgs) + SIG_BYTES
-            }
-            ChannelMsg::RangeShare { .. } => HEADER_BYTES + 20 + DIGEST_BYTES + SIG_BYTES,
-            ChannelMsg::RangeVouch { .. } => HEADER_BYTES + 20 + DIGEST_BYTES + MAC_BYTES,
-            ChannelMsg::RangeContent { msgs, .. } => {
-                HEADER_BYTES + 20 + payload_size(msgs) + MAC_BYTES
-            }
-            ChannelMsg::RangeCertificate { shares, .. } => {
-                HEADER_BYTES + 20 + DIGEST_BYTES + shares.len() * SIG_BYTES + MAC_BYTES
+            ChannelMsg::Cast { msgs, .. } => match &msgs[..] {
+                [m] => HEADER_BYTES + 16 + m.wire_size() + SIG_BYTES,
+                _ => HEADER_BYTES + 20 + payload_size(msgs) + SIG_BYTES,
+            },
+            ChannelMsg::Share { count: 1, .. } => HEADER_BYTES + 16 + DIGEST_BYTES + SIG_BYTES,
+            ChannelMsg::Share { .. } => HEADER_BYTES + 20 + DIGEST_BYTES + SIG_BYTES,
+            ChannelMsg::Vouch { .. } => HEADER_BYTES + 20 + DIGEST_BYTES + MAC_BYTES,
+            ChannelMsg::Content { msgs, .. } => HEADER_BYTES + 20 + payload_size(msgs) + MAC_BYTES,
+            ChannelMsg::Certificate { shares, content, .. } => {
+                let certified = match content.as_deref().map(|msgs| &msgs[..]) {
+                    Some([m]) => 16 + m.wire_size(),
+                    Some(msgs) => 20 + DIGEST_BYTES + payload_size(msgs),
+                    None => 20 + DIGEST_BYTES,
+                };
+                HEADER_BYTES + certified + shares.len() * SIG_BYTES + MAC_BYTES
             }
             ChannelMsg::Progress { positions } => HEADER_BYTES + positions.len() * 16 + MAC_BYTES,
             ChannelMsg::Move { .. } => HEADER_BYTES + 16 + MAC_BYTES,
@@ -194,31 +161,30 @@ impl<M: Content> WireSize for ChannelMsg<M> {
 
     fn trace_kind(&self) -> &'static str {
         match self {
-            ChannelMsg::Send { .. } | ChannelMsg::SendRange { .. } => "cast",
-            ChannelMsg::SigShare { .. } | ChannelMsg::RangeShare { .. } => "share",
-            ChannelMsg::Certificate { .. } | ChannelMsg::RangeCertificate { .. } => "cert",
-            ChannelMsg::RangeVouch { .. } => "vouch",
-            ChannelMsg::RangeContent { .. } => "content",
+            ChannelMsg::Cast { .. } => "cast",
+            ChannelMsg::Share { .. } => "share",
+            ChannelMsg::Certificate { .. } => "cert",
+            ChannelMsg::Vouch { .. } => "vouch",
+            ChannelMsg::Content { .. } => "content",
             ChannelMsg::Progress { .. } | ChannelMsg::Move { .. } => "ctrl",
         }
     }
 
     fn trace_reqs(&self, visit: &mut dyn FnMut(u64)) {
-        // Content-bearing variants carry their payloads' requests; the
+        // Content-bearing frames carry their payloads' requests; the
         // digest-only ones (shares, vouches, shares-only certificates,
         // progress, moves) carry none and thus record no causal edges.
         match self {
-            ChannelMsg::Send { msg, .. } => msg.trace_reqs(visit),
-            ChannelMsg::Certificate { msg, .. } => msg.trace_reqs(visit),
-            ChannelMsg::SendRange { msgs, .. } | ChannelMsg::RangeContent { msgs, .. } => {
+            ChannelMsg::Cast { msgs, .. }
+            | ChannelMsg::Content { msgs, .. }
+            | ChannelMsg::Certificate { content: Some(msgs), .. } => {
                 for m in msgs.iter() {
                     m.trace_reqs(visit);
                 }
             }
-            ChannelMsg::SigShare { .. }
-            | ChannelMsg::RangeShare { .. }
-            | ChannelMsg::RangeVouch { .. }
-            | ChannelMsg::RangeCertificate { .. }
+            ChannelMsg::Share { .. }
+            | ChannelMsg::Vouch { .. }
+            | ChannelMsg::Certificate { content: None, .. }
             | ChannelMsg::Progress { .. }
             | ChannelMsg::Move { .. } => {}
         }
@@ -251,7 +217,7 @@ pub enum ReceiverMsg {
     },
     /// IRMC-RC dedup: ask a voucher to ship the content of a range whose
     /// vouch quorum formed but whose primary carrier has not delivered.
-    /// The voucher answers with [`ChannelMsg::RangeContent`].
+    /// The voucher answers with [`ChannelMsg::Content`].
     FetchRange {
         /// Subchannel.
         sc: Subchannel,
@@ -293,18 +259,96 @@ pub(crate) fn carrier_for(sc: Subchannel, first: Position, n_senders: usize) -> 
     (x % n_senders.max(1) as u64) as usize
 }
 
-/// Digest bound to a channel slot: signatures cover the subchannel and
-/// position as well as the content, so a share for one slot cannot be
-/// replayed for another.
-pub fn slot_digest(sc: Subchannel, p: Position, content: &Digest) -> Digest {
-    Digest::builder().str("irmc-slot").u64(sc).u64(p.0).digest(content).finish()
-}
-
-/// Digest bound to a contiguous slot range: signatures cover the
-/// subchannel, start position, and length as well as the Merkle root, so
-/// a range signature cannot be replayed for a shifted or truncated range.
+/// The statement senders sign (and vouch for): the subchannel, start
+/// position and length are bound together with the root, so a signature
+/// cannot be replayed for a shifted or truncated run, and a one-slot
+/// root (a content digest) can never pass for a Merkle root.
 pub fn range_digest(sc: Subchannel, first: Position, count: u32, root: &Digest) -> Digest {
     Digest::builder().str("irmc-range").u64(sc).u64(first.0).u32(count).digest(root).finish()
+}
+
+/// The per-slot content digests of a run, held inline for a run of one
+/// so that a one-slot frame allocates nothing for a tree it does not
+/// build.
+pub(crate) enum Leaves {
+    One([Digest; 1]),
+    Many(Vec<Digest>),
+}
+
+impl Leaves {
+    pub(crate) fn of<M: Content>(msgs: &[M]) -> Self {
+        match msgs {
+            [m] => Leaves::One([m.digest()]),
+            _ => Leaves::Many(msgs.iter().map(|m| m.digest()).collect()),
+        }
+    }
+
+    /// The root a statement over the run binds: the Merkle root of the
+    /// leaves, or the one leaf itself.
+    pub(crate) fn root(&self) -> Digest {
+        match self {
+            Leaves::One([leaf]) => *leaf,
+            Leaves::Many(leaves) => merkle_root(leaves),
+        }
+    }
+}
+
+impl std::ops::Deref for Leaves {
+    type Target = [Digest];
+    fn deref(&self) -> &[Digest] {
+        match self {
+            Leaves::One(leaf) => leaf,
+            Leaves::Many(leaves) => leaves,
+        }
+    }
+}
+
+/// What hashing a run costs, and the one distinction range
+/// certification leaves in the protocol — both endpoints price and route
+/// by this and nothing else looks at a run's length.
+///
+/// A run of one is the paper's per-slot frame (Figs 18–20): hashing and
+/// the RSA operation are **one** charge (`slot_sign` / `slot_verify`) of
+/// `hmac(size)` + RSA with no tree, every sender casts it and the
+/// receiver credits it per slot (no carrier election, no vouch, no
+/// [`spider_crypto::RootCache`]), and its IRMC-SC certificate carries the
+/// content inline (one `bundle_mac` / `cert_verify` of `hmac(size)`). A
+/// range is hashed up front (`range_hash`: payload MAC + Merkle tree) and
+/// signed separately (`range_sign`), which is what lets its content ship
+/// early (§A.9) or a vouch stand in for the signature (dedup) in between.
+pub(crate) struct RunCost {
+    /// Payload bytes (what a transport MAC over the content covers).
+    pub(crate) bytes: usize,
+    /// Payload MAC, plus the Merkle tree of a range.
+    pub(crate) hash: SimTime,
+    /// More than one slot.
+    pub(crate) ranged: bool,
+}
+
+impl RunCost {
+    pub(crate) fn of<M: Content>(cost: &CostModel, msgs: &[M]) -> Self {
+        let bytes = msgs.iter().map(|m| m.wire_size()).sum();
+        let ranged = msgs.len() > 1;
+        let tree = if ranged { cost.merkle(msgs.len()) } else { SimTime::ZERO };
+        RunCost { bytes, hash: cost.hmac(bytes) + tree, ranged }
+    }
+
+    /// The charge that completes a sender's certification, given the
+    /// price of one RSA signature: the signature alone for a range (whose
+    /// hashing was charged up front), hashing included for one slot.
+    pub(crate) fn sign(&self, rsa: SimTime) -> (SimTime, &'static str) {
+        if self.ranged {
+            (rsa, "range_sign")
+        } else {
+            (self.hash + rsa, "slot_sign")
+        }
+    }
+
+    /// The one charge of a receiver that verifies a signed copy in full,
+    /// given the price of one RSA verification.
+    pub(crate) fn verify(&self, rsa: SimTime) -> (SimTime, &'static str) {
+        (self.hash + rsa, if self.ranged { "range_verify" } else { "slot_verify" })
+    }
 }
 
 #[cfg(test)]
@@ -325,24 +369,61 @@ mod tests {
         }
     }
 
+    fn sig() -> Signature {
+        spider_crypto::Keyring::new(1).sign(spider_crypto::KeyId(0), &Digest::of_bytes(b"x"))
+    }
+
+    fn payload(n: usize, size: usize) -> Arc<Vec<Blob>> {
+        Arc::new((0..n).map(|_| Blob(vec![0; size])).collect())
+    }
+
+    fn cast(n: usize, size: usize) -> ChannelMsg<Blob> {
+        ChannelMsg::Cast { sc: 0, first: Position(1), msgs: payload(n, size), sig: sig() }
+    }
+
+    fn cert(count: u32, shares: usize, content: Option<Arc<Vec<Blob>>>) -> ChannelMsg<Blob> {
+        let (root, shares) = (Digest::of_bytes(b"x"), vec![sig(); shares]);
+        ChannelMsg::Certificate { sc: 0, first: Position(1), count, root, shares, content }
+    }
+
+    /// Byte counts of every frame at 1, 2 and 32 slots of 100 bytes, as
+    /// the slot frames (`Send` / `SigShare` / `Certificate`) and range
+    /// frames weighed before they became one family.
+    #[test]
+    fn wire_sizes_are_the_slot_and_range_frames_byte_for_byte() {
+        let root = Digest::of_bytes(b"x");
+        let first = Position(1);
+        for (n, cast_b, share_b, content_b, cert_b) in
+            [(1, 292, 224, 204, 452), (2, 404, 228, 308, 388), (32, 3524, 228, 3428, 388)]
+        {
+            let count = n as u32;
+            assert_eq!(cast(n, 100).wire_size(), cast_b, "cast x{n}");
+            let share: ChannelMsg<Blob> =
+                ChannelMsg::Share { sc: 0, first, count, root, sig: sig() };
+            assert_eq!(share.wire_size(), share_b, "share x{n}");
+            let vouch: ChannelMsg<Blob> = ChannelMsg::Vouch { sc: 0, first, count, root };
+            assert_eq!(vouch.wire_size(), 132, "vouch x{n}");
+            let content: ChannelMsg<Blob> =
+                ChannelMsg::Content { sc: 0, first, msgs: payload(n, 100) };
+            assert_eq!(content.wire_size(), content_b, "content x{n}");
+            // One slot: content inline, root elided. A range: shares only.
+            let inline = (n == 1).then(|| payload(1, 100));
+            assert_eq!(cert(count, 2, inline).wire_size(), cert_b, "certificate x{n}");
+        }
+        let progress: ChannelMsg<Blob> = ChannelMsg::Progress { positions: vec![(0, first)] };
+        assert_eq!(progress.wire_size(), 96);
+        assert_eq!(ChannelMsg::<Blob>::Move { sc: 0, p: first }.wire_size(), 96);
+        assert_eq!(ReceiverMsg::Move { sc: 0, p: first }.wire_size(), 96);
+        assert_eq!(ReceiverMsg::Select { sc: 0, collector: 1 }.wire_size(), 92);
+        assert_eq!(ReceiverMsg::FetchRange { sc: 0, first, count: 2 }.wire_size(), 100);
+    }
+
     #[test]
     fn certificate_carries_share_bytes() {
-        let ring = spider_crypto::Keyring::new(1);
-        let d = Digest::of_bytes(b"x");
-        let sig = ring.sign(spider_crypto::KeyId(0), &d);
-        let one: ChannelMsg<Blob> = ChannelMsg::Certificate {
-            sc: 0,
-            p: Position(1),
-            msg: Arc::new(Blob(vec![0; 100])),
-            shares: vec![sig],
-        };
-        let two: ChannelMsg<Blob> = ChannelMsg::Certificate {
-            sc: 0,
-            p: Position(1),
-            msg: Arc::new(Blob(vec![0; 100])),
-            shares: vec![sig, sig],
-        };
-        assert_eq!(two.wire_size() - one.wire_size(), SIG_BYTES);
+        for content in [Some(payload(1, 100)), None] {
+            let (one, two) = (cert(1, 1, content.clone()), cert(1, 2, content));
+            assert_eq!(two.wire_size() - one.wire_size(), SIG_BYTES);
+        }
     }
 
     #[test]
@@ -362,16 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn slot_digest_separates_slots() {
-        let content = Digest::of_bytes(b"m");
-        let a = slot_digest(1, Position(5), &content);
-        let b = slot_digest(1, Position(6), &content);
-        let c = slot_digest(2, Position(5), &content);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-    }
-
-    #[test]
     fn range_digest_binds_position_length_and_root() {
         let root = Digest::of_bytes(b"root");
         let base = range_digest(1, Position(5), 4, &root);
@@ -382,64 +453,41 @@ mod tests {
     }
 
     #[test]
+    fn a_slot_root_is_its_content_digest_and_a_range_root_the_merkle_root() {
+        let msgs = [Blob(vec![1]), Blob(vec![2])];
+        assert_eq!(Leaves::of(&msgs[..1]).root(), msgs[0].digest());
+        let leaves = Leaves::of(&msgs);
+        assert_eq!(leaves.root(), merkle_root(&[msgs[0].digest(), msgs[1].digest()]));
+        assert_eq!(&leaves[..], [msgs[0].digest(), msgs[1].digest()]);
+    }
+
+    #[test]
     fn send_size_tracks_payload() {
-        let ring = spider_crypto::Keyring::new(1);
-        let d = Digest::of_bytes(b"x");
-        let sig = ring.sign(spider_crypto::KeyId(0), &d);
-        let small: ChannelMsg<Blob> =
-            ChannelMsg::Send { sc: 0, p: Position(1), msg: Blob(vec![0; 10]), sig };
-        let big: ChannelMsg<Blob> =
-            ChannelMsg::Send { sc: 0, p: Position(1), msg: Blob(vec![0; 1000]), sig };
-        assert_eq!(big.wire_size() - small.wire_size(), 990);
+        assert_eq!(cast(1, 1000).wire_size() - cast(1, 10).wire_size(), 990);
+        assert_eq!(cast(4, 1000).wire_size() - cast(4, 10).wire_size(), 4 * 990);
     }
 
     #[test]
     fn range_messages_amortize_signature_bytes() {
-        let ring = spider_crypto::Keyring::new(1);
-        let d = Digest::of_bytes(b"x");
-        let sig = ring.sign(spider_crypto::KeyId(0), &d);
         let n = 32usize;
-        let range: ChannelMsg<Blob> = ChannelMsg::SendRange {
-            sc: 0,
-            first: Position(1),
-            msgs: Arc::new((0..n).map(|_| Blob(vec![0; 100])).collect()),
-            sig,
-        };
-        let single: ChannelMsg<Blob> =
-            ChannelMsg::Send { sc: 0, p: Position(1), msg: Blob(vec![0; 100]), sig };
+        let single = cast(1, 100);
         assert!(
-            range.wire_size() < n * single.wire_size(),
+            cast(n, 100).wire_size() < n * single.wire_size(),
             "one signature over the range beats n signed singles"
         );
         // The shares-only certificate is content-free and tiny.
-        let cert: ChannelMsg<Blob> = ChannelMsg::RangeCertificate {
-            sc: 0,
-            first: Position(1),
-            count: n as u32,
-            root: d,
-            shares: vec![sig, sig],
-        };
-        assert!(cert.wire_size() < single.wire_size() + 2 * SIG_BYTES);
+        assert!(cert(n as u32, 2, None).wire_size() < single.wire_size() + 2 * SIG_BYTES);
     }
 
     #[test]
     fn vouch_is_digest_sized_not_payload_sized() {
-        let ring = spider_crypto::Keyring::new(1);
-        let d = Digest::of_bytes(b"x");
-        let sig = ring.sign(spider_crypto::KeyId(0), &d);
-        let n = 32usize;
-        let range: ChannelMsg<Blob> = ChannelMsg::SendRange {
-            sc: 0,
-            first: Position(1),
-            msgs: Arc::new((0..n).map(|_| Blob(vec![0; 100])).collect()),
-            sig,
-        };
+        let n = 32u32;
         let vouch: ChannelMsg<Blob> =
-            ChannelMsg::RangeVouch { sc: 0, first: Position(1), count: n as u32, root: d };
+            ChannelMsg::Vouch { sc: 0, first: Position(1), count: n, root: Digest::of_bytes(b"x") };
         // The dedup premise on the wire: n_s - 1 vouches must be far
         // smaller than the redundant content copies they replace.
-        assert!(vouch.wire_size() * 10 < range.wire_size());
-        let fetch = ReceiverMsg::FetchRange { sc: 0, first: Position(1), count: n as u32 };
+        assert!(vouch.wire_size() * 10 < cast(n as usize, 100).wire_size());
+        let fetch = ReceiverMsg::FetchRange { sc: 0, first: Position(1), count: n };
         assert!(fetch.wire_size() < vouch.wire_size());
     }
 }

@@ -1,24 +1,36 @@
 //! Receiver-side IRMC endpoint (Fig 18 receiver half; Fig 20 for
-//! IRMC-SC), with multi-slot range verification.
+//! IRMC-SC).
 //!
-//! Range messages amortize the per-slot RSA verification: a
-//! [`ChannelMsg::SendRange`] (RC) or [`ChannelMsg::RangeCertificate`]
-//! (SC) is checked with **one** signature verification per signer for the
-//! whole contiguous slot range — the receiver recomputes the Merkle root
-//! over the per-slot content digests and accepts or rejects the range as
-//! a unit (a single tampered slot invalidates the root, so nothing from
-//! the range delivers). For IRMC-SC the raw content may arrive ahead of
-//! its certificate (§A.9 overlap, [`ChannelMsg::RangeContent`]); it is
+//! A [`ChannelMsg::Cast`] (RC) or [`ChannelMsg::Certificate`] (SC) is
+//! checked with **one** signature verification per signer for the whole
+//! contiguous slot run it covers — the receiver recomputes the root over
+//! the per-slot content digests and accepts or rejects the run as a unit
+//! (a single tampered slot invalidates the root, so nothing from the run
+//! delivers). For IRMC-SC the raw content of a range may arrive ahead of
+//! its certificate (§A.9 overlap, [`ChannelMsg::Content`]); it is
 //! buffered and **never** delivered until a valid certificate covers it.
 
 use crate::config::{IrmcConfig, Variant};
-use crate::messages::{range_digest, slot_digest, ChannelMsg, ReceiverMsg};
+use crate::messages::{range_digest, ChannelMsg, Leaves, ReceiverMsg, RunCost};
 use crate::window::Window;
 use crate::{Action, Content, IrmcError, Subchannel};
-use spider_crypto::{merkle_root, Digest, Keyring, RootCache, Signature};
+use spider_crypto::{Digest, Keyring, RootCache, Signature};
 use spider_types::{Position, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+
+/// IRMC-SC: how long a receiver waits for a lagging collector before
+/// switching to another sender (Fig 20 L30-35). Suspicion-scale: expiry
+/// accuses the collector of a fault.
+pub const COLLECTOR_TIMEOUT: SimTime = SimTime::from_millis(500);
+
+/// IRMC-RC dedup: how long a receiver waits for a vouched range's
+/// content before (re)fetching copies from the vouchers. Unlike
+/// [`COLLECTOR_TIMEOUT`], expiry is not a fault accusation — senders
+/// routinely cut ranges at diverged boundaries under replica-local
+/// back-pressure, and the refetch is how the receiver converges them —
+/// so this is RTT-scale, not suspicion-scale.
+pub const REFETCH_DELAY: SimTime = SimTime::from_millis(125);
 
 /// How the content of a delivered slot reached this receiver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,7 +108,7 @@ struct ReceiverSub<M> {
     /// RC: per position, per sender: (content digest, message).
     rc_slots: BTreeMap<u64, BTreeMap<usize, (Digest, M)>>,
     /// RC dedup: per range first position, per sender: the vouched
-    /// statement (count, Merkle root). A verified `SendRange` registers
+    /// statement (count, Merkle root). A verified range `Cast` registers
     /// as its sender's statement too, so the carrier counts toward the
     /// quorum. First statement per sender wins (no equivocation).
     vouches: BTreeMap<u64, BTreeMap<usize, (u32, Digest)>>,
@@ -135,9 +147,9 @@ struct ReceiverSub<M> {
 }
 
 impl<M> ReceiverSub<M> {
-    fn new(cfg: &IrmcConfig, me: usize) -> Self {
+    fn new(capacity: u64, n_senders: usize, me: usize) -> Self {
         ReceiverSub {
-            awin: Window::new(cfg.capacity),
+            awin: Window::new(capacity),
             rc_slots: BTreeMap::new(),
             vouches: BTreeMap::new(),
             fetch_cursor: BTreeMap::new(),
@@ -145,12 +157,12 @@ impl<M> ReceiverSub<M> {
             announced: BTreeSet::new(),
             pending_content: BTreeMap::new(),
             pending_certs: BTreeMap::new(),
-            sender_moves: vec![Position(0); cfg.n_senders],
+            sender_moves: vec![Position(0); n_senders],
             scratch: Vec::new(),
-            progress: vec![Position(0); cfg.n_senders],
+            progress: vec![Position(0); n_senders],
             merged_progress: Position(0),
             missing_cursor: 1,
-            collector: me % cfg.n_senders,
+            collector: me % n_senders,
             timer_armed: false,
         }
     }
@@ -214,9 +226,8 @@ impl<M: Content> ReceiverEndpoint<M> {
     }
 
     fn sub(&mut self, sc: Subchannel) -> &mut ReceiverSub<M> {
-        let cfg = self.cfg.clone();
-        let me = self.me;
-        self.subs.entry(sc).or_insert_with(|| ReceiverSub::new(&cfg, me))
+        let (capacity, n_senders, me) = (self.cfg.capacity, self.cfg.n_senders, self.me);
+        self.subs.entry(sc).or_insert_with(|| ReceiverSub::new(capacity, n_senders, me))
     }
 
     /// Polls for the message at `(sc, p)` (Fig 14 `receive`, non-blocking).
@@ -259,38 +270,28 @@ impl<M: Content> ReceiverEndpoint<M> {
     /// the frame and may count or log the reason.
     pub fn on_sender_message(
         &mut self,
-        now: SimTime,
         from: usize,
         msg: ChannelMsg<M>,
         out: &mut Vec<Action<M>>,
     ) -> Result<(), IrmcError> {
-        let _ = now;
         if from >= self.cfg.n_senders {
             return Err(IrmcError::UnknownEndpoint { index: from });
         }
         match msg {
-            ChannelMsg::Send { sc, p, msg, sig } => self.on_send(from, sc, p, msg, sig, out),
-            ChannelMsg::SendRange { sc, first, msgs, sig } => {
-                self.on_send_range(from, sc, first, msgs, sig, out)
+            ChannelMsg::Cast { sc, first, msgs, sig } => {
+                self.on_cast(from, sc, first, msgs, sig, out)
             }
-            ChannelMsg::Certificate { sc, p, msg, shares } => {
-                self.on_certificate(from, sc, p, msg, shares, out)
+            ChannelMsg::Vouch { sc, first, count, root } => {
+                self.on_vouch(from, sc, first, count, root, out)
             }
-            ChannelMsg::RangeVouch { sc, first, count, root } => {
-                self.on_range_vouch(from, sc, first, count, root, out)
-            }
-            ChannelMsg::RangeContent { sc, first, msgs } => {
-                self.on_range_content(from, sc, first, msgs, out)
-            }
-            ChannelMsg::RangeCertificate { sc, first, count, root, shares } => {
-                self.on_range_certificate(sc, first, count, root, shares, out)
+            ChannelMsg::Content { sc, first, msgs } => self.on_content(from, sc, first, msgs, out),
+            ChannelMsg::Certificate { sc, first, count, root, shares, content } => {
+                self.on_certificate(from, sc, first, count, root, shares, content, out)
             }
             ChannelMsg::Progress { positions } => self.on_progress(from, positions, out),
             ChannelMsg::Move { sc, p } => self.on_sender_move(from, sc, p, out),
-            ChannelMsg::SigShare { .. } | ChannelMsg::RangeShare { .. } => {
-                // Sender-group-internal; a receiver should never see one.
-                Err(IrmcError::UnexpectedFrame)
-            }
+            // Sender-group-internal; a receiver should never see one.
+            ChannelMsg::Share { .. } => Err(IrmcError::UnexpectedFrame),
         }
     }
 
@@ -298,39 +299,12 @@ impl<M: Content> ReceiverEndpoint<M> {
     // IRMC-RC
     // ------------------------------------------------------------------
 
-    fn on_send(
-        &mut self,
-        from: usize,
-        sc: Subchannel,
-        p: Position,
-        msg: M,
-        sig: Signature,
-        out: &mut Vec<Action<M>>,
-    ) -> Result<(), IrmcError> {
-        if self.cfg.variant() != Variant::ReceiverCollect {
-            return Err(IrmcError::WrongVariant);
-        }
-        let Some(&key) = self.cfg.sender_keys.get(from) else {
-            return Err(IrmcError::UnknownEndpoint { index: from });
-        };
-        // Verify the sender's signature over the slot.
-        out.push(Action::Charge(
-            self.cfg.cost.hmac(msg.wire_size()) + self.cfg.cost.rsa_verify(),
-            "slot_verify",
-        ));
-        let digest = msg.digest();
-        let slot = slot_digest(sc, p, &digest);
-        if !self.keyring.verify(key, &slot, &sig) {
-            return Err(IrmcError::BadSignature { sc, p });
-        }
-        self.credit_rc_slot(from, sc, p, digest, msg, out)
-    }
-
-    /// One signature verification covers the whole range; each member slot
-    /// is then credited to the sender exactly like a legacy `Send`, so
-    /// ranged and single-slot senders converge on the same per-slot
-    /// quorums (mixed configurations interoperate).
-    fn on_send_range(
+    /// A sender's signed copy of a run. One signature verification covers
+    /// all of it; each member slot is then credited to the sender, so
+    /// senders that cut their runs differently still converge on the same
+    /// per-slot quorums. A range on a dedup channel takes the digest-only
+    /// fan-in instead (see [`RunCost`] for why one slot never does).
+    fn on_cast(
         &mut self,
         from: usize,
         sc: Subchannel,
@@ -342,38 +316,31 @@ impl<M: Content> ReceiverEndpoint<M> {
         if self.cfg.variant() != Variant::ReceiverCollect {
             return Err(IrmcError::WrongVariant);
         }
-        let count = msgs.len();
-        if count < 2 || count as u64 > self.cfg.capacity {
-            // Senders never emit these; bogus.
-            return Err(IrmcError::MalformedRange { sc, first, count: count as u64 });
+        self.cfg.check_count(sc, first, msgs.len() as u64)?;
+        let cost = RunCost::of(&self.cfg.cost, &msgs);
+        if cost.ranged && self.cfg.dedup() {
+            return self.on_dedup_cast(from, sc, first, msgs, sig, out);
         }
         let Some(&key) = self.cfg.sender_keys.get(from) else {
             return Err(IrmcError::UnknownEndpoint { index: from });
         };
-        if self.cfg.dedup() {
-            return self.on_dedup_send_range(from, sc, first, msgs, sig, out);
-        }
-        let bytes: usize = msgs.iter().map(|m| m.wire_size()).sum();
         // Hash all payloads, rebuild the tree, verify ONE signature.
-        out.push(Action::Charge(
-            self.cfg.cost.hmac(bytes) + self.cfg.cost.merkle(count) + self.cfg.cost.rsa_verify(),
-            "range_verify",
-        ));
-        let leaves: Vec<Digest> = msgs.iter().map(|m| m.digest()).collect();
-        let root = merkle_root(&leaves);
-        let rd = range_digest(sc, first, count as u32, &root);
+        let (price, label) = cost.verify(self.cfg.cost.rsa_verify());
+        out.push(Action::Charge(price, label));
+        let leaves = Leaves::of(&msgs);
+        let rd = range_digest(sc, first, msgs.len() as u32, &leaves.root());
         if !self.keyring.verify(key, &rd, &sig) {
             // Any tampered member slot lands here: reject whole.
             return Err(IrmcError::BadSignature { sc, p: first });
         }
         let sub = self.sub(sc);
-        if first.0 >= sub.awin.end().0 + sub.awin.capacity() {
+        if sub.awin.is_far_above(first) {
             // Absurdly far above the window (memory guard).
             return Err(IrmcError::OutOfWindow { sc, p: first });
         }
-        for (i, (leaf, m)) in leaves.into_iter().zip(msgs.iter()).enumerate() {
+        for (i, (leaf, m)) in leaves.iter().zip(msgs.iter()).enumerate() {
             let p = Position(first.0 + i as u64);
-            self.credit_rc_slot(from, sc, p, leaf, m.clone(), out)?;
+            self.credit_rc_slot(from, sc, p, *leaf, m.clone(), out)?;
         }
         Ok(())
     }
@@ -387,7 +354,7 @@ impl<M: Content> ReceiverEndpoint<M> {
     /// skipped when this exact range digest already verified (a
     /// retransmission — [`RootCache`]). The verified statement counts as
     /// its sender's vouch, so the carrier participates in the quorum.
-    fn on_dedup_send_range(
+    fn on_dedup_cast(
         &mut self,
         from: usize,
         sc: Subchannel,
@@ -400,7 +367,7 @@ impl<M: Content> ReceiverEndpoint<M> {
             return Err(IrmcError::UnknownEndpoint { index: from });
         };
         let count = msgs.len();
-        let bytes: usize = msgs.iter().map(|m| m.wire_size()).sum();
+        let cost = RunCost::of(&self.cfg.cost, &msgs);
         {
             let sub = self.sub(sc);
             if Self::range_delivered(sub, first.0, count as u64) {
@@ -410,21 +377,18 @@ impl<M: Content> ReceiverEndpoint<M> {
                 // window starts in case its view went stale during a
                 // partition (it only learns through `Move`s).
                 let start = sub.awin.start();
-                out.push(Action::Charge(self.cfg.cost.hmac(bytes), "payload_hash"));
+                out.push(Action::Charge(self.cfg.cost.hmac(cost.bytes), "payload_hash"));
                 self.reannounce_window(sc, start, from, out);
                 return Ok(());
             }
-            if first.0 >= sub.awin.end().0 + sub.awin.capacity() {
+            if sub.awin.is_far_above(first) {
                 return Err(IrmcError::OutOfWindow { sc, p: first });
             }
         }
         // Hash the payloads and rebuild the tree (once per range).
-        out.push(Action::Charge(
-            self.cfg.cost.hmac(bytes) + self.cfg.cost.merkle(count),
-            "range_hash",
-        ));
-        let leaves: Vec<Digest> = msgs.iter().map(|m| m.digest()).collect();
-        let root = merkle_root(&leaves);
+        out.push(Action::Charge(cost.hash, "range_hash"));
+        let leaves = Leaves::of(&msgs);
+        let root = leaves.root();
         let rd = range_digest(sc, first, count as u32, &root);
         if self.root_cache.contains(&rd) {
             // Same signed statement as before: root comparison suffices.
@@ -446,7 +410,7 @@ impl<M: Content> ReceiverEndpoint<M> {
             // statement might never quorate. The verified signature also
             // attests every member slot individually: credit them so
             // overlapping foreign statements can converge on per-slot
-            // quorums (the legacy `Send` path).
+            // quorums (as on a channel without dedup).
             for (i, (leaf, m)) in leaves.iter().zip(msgs.iter()).enumerate() {
                 let _ = self.credit_rc_slot(
                     from,
@@ -462,8 +426,8 @@ impl<M: Content> ReceiverEndpoint<M> {
     }
 
     /// A digest-only range confirmation from a non-carrier sender
-    /// (MAC-authenticated; see [`ChannelMsg::RangeVouch`]).
-    fn on_range_vouch(
+    /// (MAC-authenticated; see [`ChannelMsg::Vouch`]).
+    fn on_vouch(
         &mut self,
         from: usize,
         sc: Subchannel,
@@ -472,12 +436,10 @@ impl<M: Content> ReceiverEndpoint<M> {
         root: Digest,
         out: &mut Vec<Action<M>>,
     ) -> Result<(), IrmcError> {
-        if self.cfg.variant() != Variant::ReceiverCollect || !self.cfg.dedup() {
+        if !self.cfg.dedup() {
             return Err(IrmcError::WrongVariant);
         }
-        if count < 2 || count as u64 > self.cfg.capacity {
-            return Err(IrmcError::MalformedRange { sc, first, count: count as u64 });
-        }
+        self.cfg.check_count(sc, first, count as u64)?;
         out.push(Action::Charge(self.cfg.cost.vouch_verify(), "vouch_verify"));
         let sub = self.sub(sc);
         if first.0 + count as u64 <= sub.awin.start().0 {
@@ -488,7 +450,7 @@ impl<M: Content> ReceiverEndpoint<M> {
             self.reannounce_window(sc, start, from, out);
             return Ok(());
         }
-        if first.0 >= sub.awin.end().0 + sub.awin.capacity() {
+        if sub.awin.is_far_above(first) {
             return Err(IrmcError::OutOfWindow { sc, p: first });
         }
         sub.vouches.entry(first.0).or_default().entry(from).or_insert((count, root));
@@ -560,7 +522,6 @@ impl<M: Content> ReceiverEndpoint<M> {
     /// A quorum without content arms the carrier-supervision timer.
     fn try_deliver_dedup(&mut self, sc: Subchannel, first: u64, out: &mut Vec<Action<M>>) {
         let fs = self.cfg.fs;
-        let timeout = self.cfg.refetch_delay;
         let Some(sub) = self.subs.get_mut(&sc) else {
             return;
         };
@@ -577,7 +538,7 @@ impl<M: Content> ReceiverEndpoint<M> {
             // copies converge on per-slot quorums (`credit_rc_slot`).
             if !sub.timer_armed {
                 sub.timer_armed = true;
-                out.push(Action::SetTimer { token: sc, delay: timeout });
+                out.push(Action::SetTimer { token: sc, delay: REFETCH_DELAY });
             }
             return;
         };
@@ -597,7 +558,7 @@ impl<M: Content> ReceiverEndpoint<M> {
                 // fs + 1 senders confirmed the range but nobody's content
                 // arrived yet: supervise the carrier, refetch on expiry.
                 sub.timer_armed = true;
-                out.push(Action::SetTimer { token: sc, delay: timeout });
+                out.push(Action::SetTimer { token: sc, delay: REFETCH_DELAY });
             }
             None => {}
         }
@@ -624,7 +585,7 @@ impl<M: Content> ReceiverEndpoint<M> {
             self.reannounce_window(sc, start, from, out);
             return Ok(());
         }
-        if p.0 >= sub.awin.end().0 + sub.awin.capacity() {
+        if sub.awin.is_far_above(p) {
             // Absurdly far above the window (memory guard; correct
             // senders are window-limited anyway).
             return Err(IrmcError::OutOfWindow { sc, p });
@@ -652,39 +613,71 @@ impl<M: Content> ReceiverEndpoint<M> {
     // IRMC-SC
     // ------------------------------------------------------------------
 
+    /// A collector's certificate for a run: one verification per share
+    /// (at most `fs + 1`) certifies all of it. It either carries its
+    /// content (a one-slot certificate) or pairs with the content of a
+    /// [`ChannelMsg::Content`], whichever arrives first.
+    #[allow(clippy::too_many_arguments)]
     fn on_certificate(
         &mut self,
         from: usize,
         sc: Subchannel,
-        p: Position,
-        msg: Arc<M>,
+        first: Position,
+        count: u32,
+        root: Digest,
         shares: Vec<Signature>,
+        content: Option<Arc<Vec<M>>>,
         out: &mut Vec<Action<M>>,
     ) -> Result<(), IrmcError> {
         if self.cfg.variant() != Variant::SenderCollect {
             return Err(IrmcError::WrongVariant);
         }
-        // Verify transport MAC + every contained share.
-        out.push(Action::Charge(
-            self.cfg.cost.hmac(msg.wire_size()) + self.cfg.cost.rsa_verify() * shares.len() as u64,
-            "cert_verify",
-        ));
-        let digest = msg.digest();
-        let slot = slot_digest(sc, p, &digest);
-        if !self.valid_share_quorum(&shares, &slot) {
-            return Err(IrmcError::BadSignature { sc, p });
+        self.cfg.check_count(sc, first, count as u64)?;
+        // Verify transport MAC + every contained share; inline content is
+        // hashed here, and its root is what the shares must cover.
+        let (mac, root) = match &content {
+            Some(msgs) if msgs.len() != count as usize => {
+                return Err(IrmcError::MalformedRange { sc, first, count: msgs.len() as u64 });
+            }
+            Some(msgs) => (RunCost::of(&self.cfg.cost, msgs).hash, Leaves::of(msgs).root()),
+            None => (self.cfg.cost.hmac(32), root),
+        };
+        let verify = self.cfg.cost.rsa_verify() * shares.len() as u64;
+        out.push(Action::Charge(mac + verify, "cert_verify"));
+        if !self.valid_share_quorum(&shares, &range_digest(sc, first, count, &root)) {
+            return Err(IrmcError::BadSignature { sc, p: first });
         }
+        let n_senders = self.cfg.n_senders;
         let sub = self.sub(sc);
-        if sub.awin.is_below(p) {
-            return Ok(()); // Late duplicate; normal under retransmission.
+        if first.0 + count as u64 <= sub.awin.start().0 {
+            return Ok(()); // Entirely below the window: late duplicate.
         }
-        if p.0 >= sub.awin.end().0 + sub.awin.capacity() {
-            return Err(IrmcError::OutOfWindow { sc, p });
+        if sub.awin.is_far_above(first) {
+            return Err(IrmcError::OutOfWindow { sc, p: first });
         }
-        let m = (*msg).clone();
-        let entry = (m, from, DedupOutcome::Replicated);
-        if sub.ready.insert(p.0, entry).is_none() && sub.announced.insert(p.0) {
-            out.push(Action::Ready { sc, p });
+        // Certified: deliver the content — inline, or the matching
+        // buffered copy — or remember the certificate until the content
+        // arrives (reordered links).
+        let content = content.map(|msgs| (from, msgs)).or_else(|| {
+            let cands = sub.pending_content.get(&first.0)?;
+            let hit = cands.iter().find(|c| c.root == root && c.msgs.len() == count as usize)?;
+            let hit = (hit.from, hit.msgs.clone());
+            sub.pending_content.remove(&first.0);
+            Some(hit)
+        });
+        match content {
+            Some((shipper, msgs)) => {
+                self.deliver_range(sc, first.0, &msgs, shipper, DedupOutcome::Replicated, out);
+            }
+            None => {
+                // Keep every distinct certified statement (diverged
+                // boundaries may certify several lengths for one start),
+                // bounded by the sender-group size.
+                let certs = sub.pending_certs.entry(first.0).or_default();
+                if !certs.contains(&(count, root)) && certs.len() < n_senders {
+                    certs.push((count, root));
+                }
+            }
         }
         Ok(())
     }
@@ -705,12 +698,12 @@ impl<M: Content> ReceiverEndpoint<M> {
         valid > self.cfg.fs
     }
 
-    /// Raw range content without proof. IRMC-SC: early-shipped content
-    /// (§A.9 overlap) — hash it, remember it, but deliver **nothing**
-    /// until a valid certificate covers its root. IRMC-RC dedup: a
-    /// voucher's (re)shipped copy — hash it once and deliver iff it
-    /// matches the vouch quorum's root.
-    fn on_range_content(
+    /// Raw content without proof. IRMC-SC: early-shipped content (§A.9
+    /// overlap) — hash it, remember it, but deliver **nothing** until a
+    /// valid certificate covers its root. IRMC-RC dedup: a voucher's
+    /// (re)shipped copy — hash it once and deliver iff it matches the
+    /// vouch quorum's root.
+    fn on_content(
         &mut self,
         from: usize,
         sc: Subchannel,
@@ -718,34 +711,29 @@ impl<M: Content> ReceiverEndpoint<M> {
         msgs: Arc<Vec<M>>,
         out: &mut Vec<Action<M>>,
     ) -> Result<(), IrmcError> {
-        let dedup = self.cfg.variant() == Variant::ReceiverCollect && self.cfg.dedup();
+        let dedup = self.cfg.dedup();
         if self.cfg.variant() != Variant::SenderCollect && !dedup {
             return Err(IrmcError::WrongVariant);
         }
         let count = msgs.len();
-        if count < 2 || count as u64 > self.cfg.capacity {
-            return Err(IrmcError::MalformedRange { sc, first, count: count as u64 });
-        }
-        let bytes: usize = msgs.iter().map(|m| m.wire_size()).sum();
+        self.cfg.check_count(sc, first, count as u64)?;
+        let cost = RunCost::of(&self.cfg.cost, &msgs);
         if dedup {
             let sub = self.sub(sc);
             if Self::range_delivered(sub, first.0, count as u64) {
                 // Late duplicate or already-delivered range: drop after
                 // the transport MAC, members are NOT re-hashed.
-                out.push(Action::Charge(self.cfg.cost.hmac(bytes), "payload_hash"));
+                out.push(Action::Charge(self.cfg.cost.hmac(cost.bytes), "payload_hash"));
                 return Ok(());
             }
-            if first.0 >= sub.awin.end().0 + sub.awin.capacity() {
+            if sub.awin.is_far_above(first) {
                 return Err(IrmcError::OutOfWindow { sc, p: first });
             }
         }
         // Transport MAC + payload hashing + tree rebuild; no signature.
-        out.push(Action::Charge(
-            self.cfg.cost.hmac(bytes) + self.cfg.cost.merkle(count),
-            "range_hash",
-        ));
-        let leaves: Vec<Digest> = msgs.iter().map(|m| m.digest()).collect();
-        let root = merkle_root(&leaves);
+        out.push(Action::Charge(cost.hash, "range_hash"));
+        let leaves = Leaves::of(&msgs);
+        let root = leaves.root();
         if dedup {
             let fs = self.cfg.fs;
             let sub = self.sub(sc);
@@ -767,8 +755,8 @@ impl<M: Content> ReceiverEndpoint<M> {
             Self::buffer_content(sub, from, first.0, msgs.clone(), root, DedupOutcome::Refetched);
             if own == Some((count as u32, root)) {
                 // The copy matches `from`'s own vouched statement: it is a
-                // per-slot attestation by `from`, exactly like a legacy
-                // `Send` — credit each slot so overlapping statements
+                // per-slot attestation by `from`, exactly like its signed
+                // cast — credit each slot so overlapping statements
                 // converge on per-slot quorums despite diverged cuts.
                 for (i, (leaf, m)) in leaves.iter().zip(msgs.iter()).enumerate() {
                     let _ = self.credit_rc_slot(
@@ -787,7 +775,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         if first.0 + count as u64 <= sub.awin.start().0 {
             return Ok(()); // Entirely below the window: late duplicate.
         }
-        if first.0 >= sub.awin.end().0 + sub.awin.capacity() {
+        if sub.awin.is_far_above(first) {
             return Err(IrmcError::OutOfWindow { sc, p: first });
         }
         // A certificate that arrived first unlocks the content now.
@@ -805,65 +793,6 @@ impl<M: Content> ReceiverEndpoint<M> {
         // bogus roots can only ever replace its own slot, never evict
         // honest content.
         Self::buffer_content(sub, from, first.0, msgs, root, DedupOutcome::Replicated);
-        Ok(())
-    }
-
-    /// Shares-only range certificate: one verification per share (at most
-    /// `fs + 1`) certifies the **whole** range.
-    fn on_range_certificate(
-        &mut self,
-        sc: Subchannel,
-        first: Position,
-        count: u32,
-        root: Digest,
-        shares: Vec<Signature>,
-        out: &mut Vec<Action<M>>,
-    ) -> Result<(), IrmcError> {
-        if self.cfg.variant() != Variant::SenderCollect {
-            return Err(IrmcError::WrongVariant);
-        }
-        if count < 2 || count as u64 > self.cfg.capacity {
-            return Err(IrmcError::MalformedRange { sc, first, count: count as u64 });
-        }
-        out.push(Action::Charge(
-            self.cfg.cost.hmac(32) + self.cfg.cost.rsa_verify() * shares.len() as u64,
-            "cert_verify",
-        ));
-        let rd = range_digest(sc, first, count, &root);
-        if !self.valid_share_quorum(&shares, &rd) {
-            return Err(IrmcError::BadSignature { sc, p: first });
-        }
-        let n_senders = self.cfg.n_senders;
-        let sub = self.sub(sc);
-        if first.0 + count as u64 <= sub.awin.start().0 {
-            return Ok(()); // Entirely below the window: late duplicate.
-        }
-        if first.0 >= sub.awin.end().0 + sub.awin.capacity() {
-            return Err(IrmcError::OutOfWindow { sc, p: first });
-        }
-        // Certified: deliver the matching buffered content, or remember
-        // the certificate until the content arrives (reordered links).
-        let matched = sub.pending_content.get(&first.0).and_then(|cands| {
-            cands
-                .iter()
-                .find(|c| c.root == root && c.msgs.len() == count as usize)
-                .map(|c| (c.from, c.msgs.clone()))
-        });
-        match matched {
-            Some((shipper, msgs)) => {
-                sub.pending_content.remove(&first.0);
-                self.deliver_range(sc, first.0, &msgs, shipper, DedupOutcome::Replicated, out);
-            }
-            None => {
-                // Keep every distinct certified statement (diverged
-                // boundaries may certify several lengths for one start),
-                // bounded by the sender-group size.
-                let certs = sub.pending_certs.entry(first.0).or_default();
-                if !certs.contains(&(count, root)) && certs.len() < n_senders {
-                    certs.push((count, root));
-                }
-            }
-        }
         Ok(())
     }
 
@@ -905,7 +834,6 @@ impl<M: Content> ReceiverEndpoint<M> {
         out.push(Action::Charge(self.cfg.cost.hmac(positions.len() * 16), "progress_mac"));
         for (sc, p) in positions {
             let fs = self.cfg.fs;
-            let timeout = self.cfg.collector_timeout;
             let sub = self.sub(sc);
             match sub.progress.get_mut(from) {
                 Some(prev) if p > *prev => *prev = p,
@@ -921,7 +849,7 @@ impl<M: Content> ReceiverEndpoint<M> {
             let missing = Self::first_missing(sub);
             if missing.is_some() && !sub.timer_armed {
                 sub.timer_armed = true;
-                out.push(Action::SetTimer { token: sc, delay: timeout });
+                out.push(Action::SetTimer { token: sc, delay: COLLECTOR_TIMEOUT });
             }
         }
         Ok(())
@@ -976,12 +904,7 @@ impl<M: Content> ReceiverEndpoint<M> {
     /// `Err(CarrierTimeout)` reports that a vouch-quorate range's content
     /// never arrived and a refetch was issued — informational (the
     /// protocol recovers on its own), carrying the first stalled range.
-    pub fn on_timer(
-        &mut self,
-        token: u64,
-        _now: SimTime,
-        out: &mut Vec<Action<M>>,
-    ) -> Result<(), IrmcError> {
+    pub fn on_timer(&mut self, token: u64, out: &mut Vec<Action<M>>) -> Result<(), IrmcError> {
         match self.cfg.variant() {
             Variant::SenderCollect => {
                 self.on_sc_timer(token, out);
@@ -996,7 +919,6 @@ impl<M: Content> ReceiverEndpoint<M> {
     fn on_sc_timer(&mut self, token: u64, out: &mut Vec<Action<M>>) {
         let sc = token;
         let n_senders = self.cfg.n_senders;
-        let timeout = self.cfg.collector_timeout;
         let Some(sub) = self.subs.get_mut(&sc) else {
             return;
         };
@@ -1016,7 +938,7 @@ impl<M: Content> ReceiverEndpoint<M> {
                 msg: ReceiverMsg::Select { sc, collector: new_collector },
             });
         }
-        out.push(Action::SetTimer { token: sc, delay: timeout });
+        out.push(Action::SetTimer { token: sc, delay: COLLECTOR_TIMEOUT });
     }
 
     /// RC dedup carrier supervision: for every vouch-quorate range whose
@@ -1025,7 +947,6 @@ impl<M: Content> ReceiverEndpoint<M> {
     fn on_dedup_timer(&mut self, token: u64, out: &mut Vec<Action<M>>) -> Result<(), IrmcError> {
         let sc = token;
         let fs = self.cfg.fs;
-        let timeout = self.cfg.refetch_delay;
         let Some(sub) = self.subs.get_mut(&sc) else {
             return Ok(());
         };
@@ -1089,7 +1010,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         if let Some(sub) = self.subs.get_mut(&sc) {
             sub.timer_armed = true;
         }
-        out.push(Action::SetTimer { token: sc, delay: timeout });
+        out.push(Action::SetTimer { token: sc, delay: REFETCH_DELAY });
         Err(IrmcError::CarrierTimeout { sc, first: Position(stalled_first) })
     }
 
@@ -1102,120 +1023,122 @@ impl<M: Content> ReceiverEndpoint<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::carrier_for;
     use crate::sender::SenderEndpoint;
-    use crate::tests_support::Blob;
-    use spider_crypto::CostModel;
-    use spider_crypto::Digestible as _;
+    use crate::tests_support::{blobs, Blob};
+    use crate::ChannelMode;
+    use spider_crypto::{CostModel, KeyId};
+    use spider_types::WireSize;
 
-    fn cfg(variant: Variant) -> IrmcConfig {
-        IrmcConfig::new(variant, 3, 1, 3, 1, 8).with_cost(CostModel::zero())
+    type Out = Vec<Action<Blob>>;
+
+    const RC: ChannelMode = ChannelMode::ReliableCast { dedup: false };
+    const DEDUP: ChannelMode = ChannelMode::ReliableCast { dedup: true };
+    const SC: ChannelMode = ChannelMode::SenderCast { overlap: true };
+
+    fn cfg(mode: ChannelMode) -> IrmcConfig {
+        IrmcConfig::new(mode, 3, 1, 3, 1, 8).with_cost(CostModel::zero())
     }
 
-    fn rc_receiver() -> ReceiverEndpoint<Blob> {
-        ReceiverEndpoint::new(cfg(Variant::ReceiverCollect), 0, Keyring::new(5))
+    fn receiver(c: &IrmcConfig) -> ReceiverEndpoint<Blob> {
+        ReceiverEndpoint::new(c.clone(), 0, Keyring::new(5))
     }
 
-    /// Produces the signed `Send` a correct sender would emit.
-    fn send_from(idx: usize, sc: Subchannel, p: Position, m: &Blob) -> ChannelMsg<Blob> {
-        let mut s: SenderEndpoint<Blob> =
-            SenderEndpoint::new(cfg(Variant::ReceiverCollect), idx, Keyring::new(5));
+    /// Everything a correct sender `idx` of channel `c` ships to receiver
+    /// 0 when it submits `msgs` at `first`.
+    fn frames(
+        c: &IrmcConfig,
+        idx: usize,
+        sc: Subchannel,
+        first: u64,
+        msgs: &[Blob],
+    ) -> Vec<ChannelMsg<Blob>> {
+        let mut s: SenderEndpoint<Blob> = SenderEndpoint::new(c.clone(), idx, Keyring::new(5));
         let mut out = Vec::new();
-        s.send_batch(sc, p, vec![m.clone()], &mut out);
+        s.send_batch(sc, Position(first), msgs.to_vec(), &mut out);
+        to_receiver_0(out)
+    }
+
+    fn to_receiver_0(out: Out) -> Vec<ChannelMsg<Blob>> {
         out.into_iter()
-            .find_map(|a| match a {
+            .filter_map(|a| match a {
                 Action::ToReceiver { to: 0, msg } => Some(msg),
                 _ => None,
             })
-            .expect("send emitted")
+            .collect()
     }
 
-    /// Produces the signed `SendRange` a correct sender would emit.
-    fn range_from(
-        idx: usize,
-        sc: Subchannel,
-        first: Position,
-        msgs: Vec<Blob>,
-    ) -> ChannelMsg<Blob> {
-        let mut s: SenderEndpoint<Blob> =
-            SenderEndpoint::new(cfg(Variant::ReceiverCollect), idx, Keyring::new(5));
+    /// Delivers `frames` from sender `from`; returns what `r` emits.
+    fn feed(r: &mut ReceiverEndpoint<Blob>, from: usize, frames: Vec<ChannelMsg<Blob>>) -> Out {
         let mut out = Vec::new();
-        s.send_batch(sc, first, msgs, &mut out);
-        out.into_iter()
-            .find_map(|a| match a {
-                Action::ToReceiver { to: 0, msg: m @ ChannelMsg::SendRange { .. } } => Some(m),
-                _ => None,
-            })
-            .expect("range emitted")
+        for m in frames {
+            let _ = r.on_sender_message(from, m, &mut out);
+        }
+        out
     }
 
-    fn blobs(first: u64, n: u64) -> Vec<Blob> {
-        (first..first + n).map(|i| Blob::new(format!("m{i}").as_bytes())).collect()
+    /// What `r` holds for `first..first + n`.
+    fn got(
+        r: &mut ReceiverEndpoint<Blob>,
+        sc: Subchannel,
+        first: u64,
+        n: u64,
+    ) -> Vec<Option<Blob>> {
+        (first..first + n).map(|p| r.try_receive(sc, Position(p)).into_payload()).collect()
+    }
+
+    fn all(msgs: &[Blob]) -> Vec<Option<Blob>> {
+        msgs.iter().cloned().map(Some).collect()
+    }
+
+    fn charge_sum(out: &Out) -> SimTime {
+        out.iter().fold(SimTime::ZERO, |acc, a| match a {
+            Action::Charge(t, _) => acc + *t,
+            _ => acc,
+        })
     }
 
     #[test]
     fn rc_delivers_after_fs_plus_one_matching_sends() {
-        let mut r = rc_receiver();
-        let m = Blob::new(b"value");
-        let mut out = Vec::new();
-        let _ = r.on_sender_message(SimTime::ZERO, 0, send_from(0, 3, Position(1), &m), &mut out);
-        assert_eq!(
-            r.try_receive(3, Position(1)),
-            ReceiveResult::Pending,
-            "one sender is not enough"
-        );
-        let _ = r.on_sender_message(SimTime::ZERO, 1, send_from(1, 3, Position(1), &m), &mut out);
+        let (c, m) = (cfg(RC), blobs(1, 1));
+        let mut r = receiver(&c);
+        feed(&mut r, 0, frames(&c, 0, 3, 1, &m));
+        assert_eq!(got(&mut r, 3, 1, 1), [None], "one sender is not enough");
+        let out = feed(&mut r, 1, frames(&c, 1, 3, 1, &m));
         assert!(out.iter().any(|a| matches!(a, Action::Ready { sc: 3, p } if *p == Position(1))));
-        assert_eq!(r.try_receive(3, Position(1)).into_payload(), Some(m));
+        assert_eq!(got(&mut r, 3, 1, 1), all(&m));
     }
 
     #[test]
     fn rc_conflicting_contents_never_deliver() {
-        let mut r = rc_receiver();
-        let mut out = Vec::new();
-        let _ = r.on_sender_message(
-            SimTime::ZERO,
-            0,
-            send_from(0, 0, Position(1), &Blob::new(b"a")),
-            &mut out,
-        );
-        let _ = r.on_sender_message(
-            SimTime::ZERO,
-            1,
-            send_from(1, 0, Position(1), &Blob::new(b"b")),
-            &mut out,
-        );
-        let _ = r.on_sender_message(
-            SimTime::ZERO,
-            2,
-            send_from(2, 0, Position(1), &Blob::new(b"c")),
-            &mut out,
-        );
+        let c = cfg(RC);
+        let mut r = receiver(&c);
+        for (from, content) in [b"a", b"b", b"c"].into_iter().enumerate() {
+            let out = feed(&mut r, from, frames(&c, from, 0, 1, &[Blob::new(content)]));
+            assert!(!out.iter().any(|a| matches!(a, Action::Ready { .. })));
+        }
         assert_eq!(r.try_receive(0, Position(1)), ReceiveResult::Pending);
-        assert!(!out.iter().any(|a| matches!(a, Action::Ready { .. })));
     }
 
     #[test]
     fn rc_duplicate_sender_does_not_count_twice() {
-        let mut r = rc_receiver();
-        let m = Blob::new(b"v");
-        let mut out = Vec::new();
-        let msg = send_from(0, 0, Position(1), &m);
-        let _ = r.on_sender_message(SimTime::ZERO, 0, msg.clone(), &mut out);
-        let _ = r.on_sender_message(SimTime::ZERO, 0, msg, &mut out);
-        assert_eq!(r.try_receive(0, Position(1)), ReceiveResult::Pending);
+        let c = cfg(RC);
+        let mut r = receiver(&c);
+        for n in [1, 3] {
+            let copy = frames(&c, 0, 0, 1, &blobs(1, n));
+            feed(&mut r, 0, [copy.clone(), copy].concat());
+            assert_eq!(r.try_receive(0, Position(1)), ReceiveResult::Pending);
+        }
     }
 
     #[test]
     fn rc_forged_signature_is_discarded() {
-        let mut r = rc_receiver();
-        let m = Blob::new(b"v");
+        let (c, m) = (cfg(RC), blobs(1, 1));
+        let mut r = receiver(&c);
         // Sender 2's message relabeled as coming from sender 0: signature
         // check must fail (claims sender 0's key but is signed by 2).
-        let msg = send_from(2, 0, Position(1), &m);
-        let mut out = Vec::new();
-        let _ = r.on_sender_message(SimTime::ZERO, 0, msg, &mut out);
-        let msg1 = send_from(1, 0, Position(1), &m);
-        let _ = r.on_sender_message(SimTime::ZERO, 1, msg1, &mut out);
+        feed(&mut r, 0, frames(&c, 2, 0, 1, &m));
+        feed(&mut r, 1, frames(&c, 1, 0, 1, &m));
         assert_eq!(
             r.try_receive(0, Position(1)),
             ReceiveResult::Pending,
@@ -1225,7 +1148,7 @@ mod tests {
 
     #[test]
     fn below_window_reports_too_old() {
-        let mut r = rc_receiver();
+        let mut r = receiver(&cfg(RC));
         let mut out = Vec::new();
         r.move_window(0, Position(5), &mut out);
         assert_eq!(r.try_receive(0, Position(2)), ReceiveResult::TooOld(Position(5)));
@@ -1239,21 +1162,10 @@ mod tests {
 
     #[test]
     fn sender_moves_shift_window_at_fs_plus_one() {
-        let mut r = rc_receiver();
-        let mut out = Vec::new();
-        let _ = r.on_sender_message(
-            SimTime::ZERO,
-            0,
-            ChannelMsg::Move { sc: 0, p: Position(9) },
-            &mut out,
-        );
+        let mut r = receiver(&cfg(RC));
+        feed(&mut r, 0, vec![ChannelMsg::Move { sc: 0, p: Position(9) }]);
         assert_eq!(r.window(0).start(), Position(1), "one sender cannot move the window");
-        let _ = r.on_sender_message(
-            SimTime::ZERO,
-            1,
-            ChannelMsg::Move { sc: 0, p: Position(7) },
-            &mut out,
-        );
+        let out = feed(&mut r, 1, vec![ChannelMsg::Move { sc: 0, p: Position(7) }]);
         // fs+1 = 2-highest of [9, 7, 0] = 7.
         assert_eq!(r.window(0).start(), Position(7));
         assert!(out
@@ -1264,63 +1176,78 @@ mod tests {
     #[test]
     fn sc_certificate_with_too_few_valid_shares_rejected() {
         let ring = Keyring::new(5);
-        let mut r: ReceiverEndpoint<Blob> =
-            ReceiverEndpoint::new(cfg(Variant::SenderCollect), 0, ring.clone());
-        let m = Blob::new(b"v");
-        let d = m.digest();
-        let slot = slot_digest(0, Position(1), &d);
-        let good = ring.sign(spider_crypto::KeyId(1000), &slot);
-        // Second share is over different content — invalid for this slot.
-        let other = slot_digest(0, Position(2), &d);
-        let bad = ring.sign(spider_crypto::KeyId(1001), &other);
-        let mut out = Vec::new();
-        let _ = r.on_sender_message(
-            SimTime::ZERO,
-            0,
-            ChannelMsg::Certificate {
-                sc: 0,
-                p: Position(1),
-                msg: Arc::new(m.clone()),
-                shares: vec![good, bad],
-            },
-            &mut out,
-        );
-        assert_eq!(r.try_receive(0, Position(1)), ReceiveResult::Pending);
-        // Duplicate shares from one sender are no better.
-        let _ = r.on_sender_message(
-            SimTime::ZERO,
-            0,
-            ChannelMsg::Certificate {
-                sc: 0,
-                p: Position(1),
-                msg: Arc::new(m.clone()),
-                shares: vec![good, good],
-            },
-            &mut out,
-        );
-        assert_eq!(r.try_receive(0, Position(1)), ReceiveResult::Pending);
+        let mut r = receiver(&cfg(SC));
+        for n in [1, 3] {
+            let msgs = blobs(1, n);
+            let root = Leaves::of(&msgs).root();
+            let good = ring.sign(KeyId(1000), &range_digest(0, Position(1), n as u32, &root));
+            // The second share is over another position — invalid here;
+            // and two shares from one sender are no better.
+            let bad = ring.sign(KeyId(1001), &range_digest(0, Position(2), n as u32, &root));
+            for shares in [vec![good, bad], vec![good, good]] {
+                let res = r.on_sender_message(
+                    0,
+                    ChannelMsg::Certificate {
+                        sc: 0,
+                        first: Position(1),
+                        count: n as u32,
+                        root,
+                        shares,
+                        content: Some(Arc::new(msgs.clone())),
+                    },
+                    &mut Vec::new(),
+                );
+                assert_eq!(res, Err(IrmcError::BadSignature { sc: 0, p: Position(1) }));
+                assert_eq!(r.try_receive(0, Position(1)), ReceiveResult::Pending);
+            }
+        }
+    }
+
+    #[test]
+    fn zero_slot_frames_are_malformed_whatever_their_kind() {
+        let root = Digest::of_bytes(b"x");
+        let first = Position(1);
+        let none: Arc<Vec<Blob>> = Arc::new(Vec::new());
+        let sig = Keyring::new(5).sign(KeyId(1000), &root);
+        for (mode, frame) in [
+            (RC, ChannelMsg::Cast { sc: 0, first, msgs: none.clone(), sig }),
+            (DEDUP, ChannelMsg::Vouch { sc: 0, first, count: 0, root }),
+            (DEDUP, ChannelMsg::Content { sc: 0, first, msgs: none.clone() }),
+            (SC, ChannelMsg::Content { sc: 0, first, msgs: none }),
+            (
+                SC,
+                ChannelMsg::Certificate {
+                    sc: 0,
+                    first,
+                    count: 0,
+                    root,
+                    shares: vec![],
+                    content: None,
+                },
+            ),
+        ] {
+            let res = receiver(&cfg(mode)).on_sender_message(0, frame, &mut Vec::new());
+            assert_eq!(res, Err(IrmcError::MalformedRange { sc: 0, first, count: 0 }));
+        }
     }
 
     #[test]
     fn sc_progress_without_certificates_arms_timer_and_switches_collector() {
-        let ring = Keyring::new(5);
-        let mut r: ReceiverEndpoint<Blob> =
-            ReceiverEndpoint::new(cfg(Variant::SenderCollect), 0, ring);
+        let mut r = receiver(&cfg(SC));
         assert_eq!(r.collector(0), 0);
-        let mut out = Vec::new();
         // fs + 1 = 2 senders claim position 4 is certified.
+        let mut out = Vec::new();
         for s in [1, 2] {
-            let _ = r.on_sender_message(
-                SimTime::ZERO,
+            out.extend(feed(
+                &mut r,
                 s,
-                ChannelMsg::Progress { positions: vec![(0, Position(4))] },
-                &mut out,
-            );
+                vec![ChannelMsg::Progress { positions: vec![(0, Position(4))] }],
+            ));
         }
-        assert!(out.iter().any(|a| matches!(a, Action::SetTimer { token: 0, .. })));
+        assert!(out.contains(&Action::SetTimer { token: 0, delay: COLLECTOR_TIMEOUT }));
         // Timer fires; nothing arrived from collector 0 -> switch to 1.
         out.clear();
-        let _ = r.on_timer(0, SimTime::from_millis(500), &mut out);
+        let _ = r.on_timer(0, &mut out);
         assert_eq!(r.collector(0), 1);
         let selects = out
             .iter()
@@ -1337,478 +1264,245 @@ mod tests {
 
     #[test]
     fn rc_range_delivers_after_fs_plus_one_matching_ranges() {
-        let mut r = rc_receiver();
-        let msgs = blobs(1, 4);
-        let mut out = Vec::new();
-        let _ = r.on_sender_message(
-            SimTime::ZERO,
-            0,
-            range_from(0, 0, Position(1), msgs.clone()),
-            &mut out,
-        );
-        for p in 1..=4u64 {
-            assert_eq!(r.try_receive(0, Position(p)), ReceiveResult::Pending, "one sender only");
-        }
-        let _ = r.on_sender_message(
-            SimTime::ZERO,
-            1,
-            range_from(1, 0, Position(1), msgs.clone()),
-            &mut out,
-        );
-        for (i, m) in msgs.iter().enumerate() {
-            assert_eq!(
-                r.try_receive(0, Position(1 + i as u64)).into_payload(),
-                Some(m.clone()),
-                "slot {i}"
-            );
-        }
+        let (c, msgs) = (cfg(RC), blobs(1, 4));
+        let mut r = receiver(&c);
+        feed(&mut r, 0, frames(&c, 0, 0, 1, &msgs));
+        assert_eq!(got(&mut r, 0, 1, 4), [None, None, None, None], "one sender only");
+        feed(&mut r, 1, frames(&c, 1, 0, 1, &msgs));
+        assert_eq!(got(&mut r, 0, 1, 4), all(&msgs));
     }
 
     #[test]
     fn rc_range_and_single_sends_share_slot_quorums() {
-        // One sender ships a range, another ships a matching single slot:
-        // the per-slot quorum must combine them (mixed configurations).
-        let mut r = rc_receiver();
-        let msgs = blobs(1, 3);
-        let mut out = Vec::new();
-        let _ = r.on_sender_message(
-            SimTime::ZERO,
-            0,
-            range_from(0, 0, Position(1), msgs.clone()),
-            &mut out,
-        );
-        let _ =
-            r.on_sender_message(SimTime::ZERO, 1, send_from(1, 0, Position(2), &msgs[1]), &mut out);
-        assert_eq!(r.try_receive(0, Position(2)).into_payload(), Some(msgs[1].clone()));
-        assert_eq!(r.try_receive(0, Position(1)), ReceiveResult::Pending);
+        // One sender ships a range, another a matching single slot: the
+        // per-slot quorum must combine them (senders may cut differently).
+        let (c, msgs) = (cfg(RC), blobs(1, 3));
+        let mut r = receiver(&c);
+        feed(&mut r, 0, frames(&c, 0, 0, 1, &msgs));
+        feed(&mut r, 1, frames(&c, 1, 0, 2, &msgs[1..2]));
+        assert_eq!(got(&mut r, 0, 1, 3), [None, Some(msgs[1].clone()), None]);
     }
 
     #[test]
     fn rc_tampered_range_member_rejects_the_whole_range() {
-        let mut r = rc_receiver();
-        let msgs = blobs(1, 4);
-        let mut out = Vec::new();
+        let (c, msgs) = (cfg(RC), blobs(1, 4));
+        let mut r = receiver(&c);
         // Honest range from sender 0.
-        let _ = r.on_sender_message(
-            SimTime::ZERO,
-            0,
-            range_from(0, 0, Position(1), msgs.clone()),
-            &mut out,
-        );
+        feed(&mut r, 0, frames(&c, 0, 0, 1, &msgs));
         // Sender 1's range with slot 2 tampered after signing.
-        let ChannelMsg::SendRange { sc, first, msgs: signed, sig } =
-            range_from(1, 0, Position(1), msgs.clone())
+        let [ChannelMsg::Cast { sc, first, msgs: signed, sig }] = &frames(&c, 1, 0, 1, &msgs)[..]
         else {
-            panic!("range expected")
+            panic!("one cast expected")
         };
-        let mut tampered: Vec<Blob> = (*signed).clone();
+        let mut tampered: Vec<Blob> = (**signed).clone();
         tampered[2] = Blob::new(b"evil");
-        let _ = r.on_sender_message(
-            SimTime::ZERO,
-            1,
-            ChannelMsg::SendRange { sc, first, msgs: Arc::new(tampered), sig },
-            &mut out,
+        let cast = ChannelMsg::Cast { sc: *sc, first: *first, msgs: Arc::new(tampered), sig: *sig };
+        let res = r.on_sender_message(1, cast, &mut Vec::new());
+        assert_eq!(res, Err(IrmcError::BadSignature { sc: 0, p: Position(1) }));
+        assert_eq!(
+            got(&mut r, 0, 1, 4),
+            [None, None, None, None],
+            "tampering one member must reject every slot of the range"
         );
-        for p in 1..=4u64 {
-            assert_eq!(
-                r.try_receive(0, Position(p)),
-                ReceiveResult::Pending,
-                "tampering one member must reject every slot of the range (slot {p})"
-            );
-        }
     }
 
-    fn sc_pair() -> (SenderEndpoint<Blob>, SenderEndpoint<Blob>, ReceiverEndpoint<Blob>) {
-        let ring = Keyring::new(5);
-        let c = cfg(Variant::SenderCollect);
-        (
-            SenderEndpoint::new(c.clone(), 0, ring.clone()),
-            SenderEndpoint::new(c.clone(), 1, ring.clone()),
-            ReceiverEndpoint::new(c, 0, ring),
-        )
+    /// Senders 0 and 1 of an overlapped SC channel have both submitted
+    /// `msgs` at position 1: what sender 0 shipped to receiver 0 right
+    /// away, and what it shipped once sender 1's share arrived.
+    fn sc_shipments(msgs: &[Blob]) -> (Vec<ChannelMsg<Blob>>, Vec<ChannelMsg<Blob>>) {
+        let c = cfg(SC);
+        let mut s0: SenderEndpoint<Blob> = SenderEndpoint::new(c.clone(), 0, Keyring::new(5));
+        let mut s1: SenderEndpoint<Blob> = SenderEndpoint::new(c, 1, Keyring::new(5));
+        let (mut out0, mut out1, mut certs) = (Vec::new(), Vec::new(), Vec::new());
+        s0.send_batch(0, Position(1), msgs.to_vec(), &mut out0);
+        s1.send_batch(0, Position(1), msgs.to_vec(), &mut out1);
+        for a in out1 {
+            if let Action::ToPeerSender { to: 0, msg } = a {
+                let _ = s0.on_peer_message(1, msg, &mut certs);
+            }
+        }
+        (to_receiver_0(out0), to_receiver_0(certs))
     }
 
     #[test]
     fn sc_overlap_content_never_delivers_before_certificate() {
-        let (mut s0, mut s1, mut r) = sc_pair();
         let msgs = blobs(1, 4);
-        let mut out0 = Vec::new();
-        let mut out1 = Vec::new();
-        s0.send_batch(0, Position(1), msgs.clone(), &mut out0);
-        s1.send_batch(0, Position(1), msgs.clone(), &mut out1);
-        // Deliver ONLY the early content (overlap) to the receiver.
-        let content = out0
-            .iter()
-            .find_map(|a| match a {
-                Action::ToReceiver { to: 0, msg: m @ ChannelMsg::RangeContent { .. } } => {
-                    Some(m.clone())
-                }
-                _ => None,
-            })
-            .expect("overlap ships content early");
-        let mut rout = Vec::new();
-        let _ = r.on_sender_message(SimTime::ZERO, 0, content, &mut rout);
-        for p in 1..=4u64 {
-            assert_eq!(
-                r.try_receive(0, Position(p)),
-                ReceiveResult::Pending,
-                "uncertified content must never deliver (slot {p})"
-            );
-        }
-        assert!(!rout.iter().any(|a| matches!(a, Action::Ready { .. })));
-        // Now complete the certificate on s0 and ship it: delivery unlocks.
-        let share = out1
-            .iter()
-            .find_map(|a| match a {
-                Action::ToPeerSender { to: 0, msg } => Some(msg.clone()),
-                _ => None,
-            })
-            .expect("share for s0");
-        let mut certs = Vec::new();
-        let _ = s0.on_peer_message(1, share, &mut certs);
-        let cert = certs
-            .iter()
-            .find_map(|a| match a {
-                Action::ToReceiver { to: 0, msg: m @ ChannelMsg::RangeCertificate { .. } } => {
-                    Some(m.clone())
-                }
-                _ => None,
-            })
-            .expect("certificate shipped");
-        let _ = r.on_sender_message(SimTime::ZERO, 0, cert, &mut rout);
-        for (i, m) in msgs.iter().enumerate() {
-            assert_eq!(r.try_receive(0, Position(1 + i as u64)).into_payload(), Some(m.clone()));
-        }
+        let (content, cert) = sc_shipments(&msgs);
+        assert!(matches!(content[..], [ChannelMsg::Content { .. }]), "overlap ships content early");
+        let mut r = receiver(&cfg(SC));
+        // ONLY the early content: nothing may deliver.
+        let out = feed(&mut r, 0, content);
+        assert!(!out.iter().any(|a| matches!(a, Action::Ready { .. })));
+        assert_eq!(got(&mut r, 0, 1, 4), [None, None, None, None], "uncertified content");
+        // The shares-only certificate unlocks it.
+        assert!(matches!(cert[..], [ChannelMsg::Certificate { content: None, .. }]));
+        feed(&mut r, 0, cert);
+        assert_eq!(got(&mut r, 0, 1, 4), all(&msgs));
     }
 
     #[test]
     fn sc_certificate_before_content_waits_and_then_delivers() {
-        let (mut s0, mut s1, mut r) = sc_pair();
         let msgs = blobs(1, 3);
-        let mut out0 = Vec::new();
-        let mut out1 = Vec::new();
-        s0.send_batch(0, Position(1), msgs.clone(), &mut out0);
-        s1.send_batch(0, Position(1), msgs.clone(), &mut out1);
-        let share = out1
-            .iter()
-            .find_map(|a| match a {
-                Action::ToPeerSender { to: 0, msg } => Some(msg.clone()),
-                _ => None,
-            })
-            .unwrap();
-        let mut certs = Vec::new();
-        let _ = s0.on_peer_message(1, share, &mut certs);
-        let cert = certs
-            .iter()
-            .find_map(|a| match a {
-                Action::ToReceiver { to: 0, msg: m @ ChannelMsg::RangeCertificate { .. } } => {
-                    Some(m.clone())
-                }
-                _ => None,
-            })
-            .unwrap();
+        let (content, cert) = sc_shipments(&msgs);
+        let mut r = receiver(&cfg(SC));
         // Reordered link: the certificate overtakes the content.
-        let mut rout = Vec::new();
-        let _ = r.on_sender_message(SimTime::ZERO, 0, cert, &mut rout);
+        feed(&mut r, 0, cert);
         assert_eq!(r.try_receive(0, Position(1)), ReceiveResult::Pending);
-        let content = out0
-            .iter()
-            .find_map(|a| match a {
-                Action::ToReceiver { to: 0, msg: m @ ChannelMsg::RangeContent { .. } } => {
-                    Some(m.clone())
-                }
-                _ => None,
-            })
-            .unwrap();
-        let _ = r.on_sender_message(SimTime::ZERO, 0, content, &mut rout);
-        for (i, m) in msgs.iter().enumerate() {
-            assert_eq!(r.try_receive(0, Position(1 + i as u64)).into_payload(), Some(m.clone()));
-        }
+        feed(&mut r, 0, content);
+        assert_eq!(got(&mut r, 0, 1, 3), all(&msgs));
+    }
+
+    #[test]
+    fn sc_one_slot_certificate_delivers_its_inline_content() {
+        let msgs = blobs(1, 1);
+        let (early, cert) = sc_shipments(&msgs);
+        assert!(early.is_empty(), "one slot is never shipped ahead of its certificate");
+        assert!(matches!(cert[..], [ChannelMsg::Certificate { content: Some(_), .. }]));
+        let mut r = receiver(&cfg(SC).with_cost(CostModel::default()));
+        let out = feed(&mut r, 0, cert);
+        let cost = CostModel::default();
+        assert_eq!(charge_sum(&out), cost.hmac(msgs[0].wire_size()) + cost.rsa_verify() * 2);
+        assert_eq!(got(&mut r, 0, 1, 1), all(&msgs));
     }
 
     #[test]
     fn sc_bogus_content_flood_cannot_evict_honest_pending_content() {
-        // A faulty sender ships many bogus RangeContent candidates for the
+        // A faulty sender ships many bogus content candidates for the
         // same range before the honest collector's content arrives; the
         // honest content must still unlock when its certificate lands.
-        let (mut s0, mut s1, mut r) = sc_pair();
         let msgs = blobs(1, 4);
-        let mut out0 = Vec::new();
-        let mut out1 = Vec::new();
-        s0.send_batch(0, Position(1), msgs.clone(), &mut out0);
-        s1.send_batch(0, Position(1), msgs.clone(), &mut out1);
-        let mut rout = Vec::new();
-        // Faulty sender 2 floods distinct bogus contents for first=1.
+        let (content, cert) = sc_shipments(&msgs);
+        let mut r = receiver(&cfg(SC));
         for k in 0..8u64 {
-            let _ = r.on_sender_message(
-                SimTime::ZERO,
-                2,
-                ChannelMsg::RangeContent {
-                    sc: 0,
-                    first: Position(1),
-                    msgs: Arc::new(blobs(100 + 10 * k, 4)),
-                },
-                &mut rout,
-            );
+            let bogus = Arc::new(blobs(100 + 10 * k, 4));
+            feed(&mut r, 2, vec![ChannelMsg::Content { sc: 0, first: Position(1), msgs: bogus }]);
         }
-        // Honest content arrives afterwards…
-        let content = out0
-            .iter()
-            .find_map(|a| match a {
-                Action::ToReceiver { to: 0, msg: m @ ChannelMsg::RangeContent { .. } } => {
-                    Some(m.clone())
-                }
-                _ => None,
-            })
-            .expect("overlap ships content");
-        let _ = r.on_sender_message(SimTime::ZERO, 0, content, &mut rout);
-        // …and the certificate unlocks it despite the flood.
-        let share = out1
-            .iter()
-            .find_map(|a| match a {
-                Action::ToPeerSender { to: 0, msg } => Some(msg.clone()),
-                _ => None,
-            })
-            .unwrap();
-        let mut certs = Vec::new();
-        let _ = s0.on_peer_message(1, share, &mut certs);
-        let cert = certs
-            .iter()
-            .find_map(|a| match a {
-                Action::ToReceiver { to: 0, msg: m @ ChannelMsg::RangeCertificate { .. } } => {
-                    Some(m.clone())
-                }
-                _ => None,
-            })
-            .unwrap();
-        let _ = r.on_sender_message(SimTime::ZERO, 0, cert, &mut rout);
-        for (i, m) in msgs.iter().enumerate() {
-            assert_eq!(r.try_receive(0, Position(1 + i as u64)).into_payload(), Some(m.clone()));
-        }
+        feed(&mut r, 0, content);
+        feed(&mut r, 0, cert);
+        assert_eq!(got(&mut r, 0, 1, 4), all(&msgs));
     }
 
     #[test]
     fn sc_range_certificate_with_wrong_content_rejected() {
-        let (mut s0, mut s1, mut r) = sc_pair();
-        let msgs = blobs(1, 3);
-        let mut out0 = Vec::new();
-        let mut out1 = Vec::new();
-        s0.send_batch(0, Position(1), msgs.clone(), &mut out0);
-        s1.send_batch(0, Position(1), msgs, &mut out1);
+        let (_, cert) = sc_shipments(&blobs(1, 3));
+        let mut r = receiver(&cfg(SC));
         // A faulty collector ships different content than was certified.
-        let mut rout = Vec::new();
-        let _ = r.on_sender_message(
-            SimTime::ZERO,
-            0,
-            ChannelMsg::RangeContent { sc: 0, first: Position(1), msgs: Arc::new(blobs(7, 3)) },
-            &mut rout,
+        let other = Arc::new(blobs(7, 3));
+        feed(&mut r, 0, vec![ChannelMsg::Content { sc: 0, first: Position(1), msgs: other }]);
+        feed(&mut r, 0, cert);
+        assert_eq!(
+            got(&mut r, 0, 1, 3),
+            [None, None, None],
+            "mismatching content must not deliver under the certificate"
         );
-        let share = out1
-            .iter()
-            .find_map(|a| match a {
-                Action::ToPeerSender { to: 0, msg } => Some(msg.clone()),
-                _ => None,
-            })
-            .unwrap();
-        let mut certs = Vec::new();
-        let _ = s0.on_peer_message(1, share, &mut certs);
-        let cert = certs
-            .iter()
-            .find_map(|a| match a {
-                Action::ToReceiver { to: 0, msg: m @ ChannelMsg::RangeCertificate { .. } } => {
-                    Some(m.clone())
-                }
-                _ => None,
-            })
-            .unwrap();
-        let _ = r.on_sender_message(SimTime::ZERO, 0, cert, &mut rout);
-        for p in 1..=3u64 {
-            assert_eq!(
-                r.try_receive(0, Position(p)),
-                ReceiveResult::Pending,
-                "mismatching content must not deliver under the certificate"
-            );
-        }
     }
 
     // ------------------------------------------------------------------
     // RC digest-only fan-in (dedup)
     // ------------------------------------------------------------------
 
-    use crate::messages::carrier_for;
-    use crate::ChannelMode;
-    use spider_types::WireSize;
-
-    fn dedup_cfg() -> IrmcConfig {
-        IrmcConfig::new(ChannelMode::ReliableCast { dedup: true }, 3, 1, 3, 1, 8)
-            .with_cost(CostModel::zero())
+    /// The rotated carrier of the range starting at 1, and the vouchers.
+    fn roles() -> (usize, Vec<usize>) {
+        let carrier = carrier_for(0, Position(1), 3);
+        (carrier, (0..3).filter(|&s| s != carrier).collect())
     }
 
-    /// Everything sender `idx` ships to receiver 0 for this batch.
-    fn dedup_msgs_from(
-        c: &IrmcConfig,
-        idx: usize,
-        sc: Subchannel,
-        first: Position,
-        msgs: Vec<Blob>,
-    ) -> Vec<ChannelMsg<Blob>> {
-        let mut s: SenderEndpoint<Blob> = SenderEndpoint::new(c.clone(), idx, Keyring::new(5));
+    /// A dedup receiver that got the vouchers' statements for `msgs` but
+    /// not the carrier's content; also what it emitted.
+    fn vouched(c: &IrmcConfig, msgs: &[Blob]) -> (ReceiverEndpoint<Blob>, Out) {
+        let mut r = receiver(c);
         let mut out = Vec::new();
-        s.send_batch(sc, first, msgs, &mut out);
-        out.into_iter()
-            .filter_map(|a| match a {
-                Action::ToReceiver { to: 0, msg } => Some(msg),
-                _ => None,
-            })
-            .collect()
+        for v in roles().1 {
+            out.extend(feed(&mut r, v, frames(c, v, 0, 1, msgs)));
+        }
+        (r, out)
     }
 
-    fn charge_sum(out: &[Action<Blob>]) -> SimTime {
-        out.iter()
-            .filter_map(|a| match a {
-                Action::Charge(t, _) => Some(*t),
-                _ => None,
-            })
-            .fold(SimTime::ZERO, |acc, t| acc + t)
+    fn content(msgs: &[Blob]) -> Vec<ChannelMsg<Blob>> {
+        vec![ChannelMsg::Content { sc: 0, first: Position(1), msgs: Arc::new(msgs.to_vec()) }]
     }
 
     #[test]
     fn dedup_carrier_content_plus_one_vouch_delivers_primary() {
-        let c = dedup_cfg();
-        let carrier = carrier_for(0, Position(1), c.n_senders);
-        let voucher = (carrier + 1) % c.n_senders;
-        let mut r: ReceiverEndpoint<Blob> = ReceiverEndpoint::new(c.clone(), 0, Keyring::new(5));
-        let msgs = blobs(1, 4);
-        let mut out = Vec::new();
-        for m in dedup_msgs_from(&c, carrier, 0, Position(1), msgs.clone()) {
-            let _ = r.on_sender_message(SimTime::ZERO, carrier, m, &mut out);
-        }
+        let (c, msgs) = (cfg(DEDUP), blobs(1, 4));
+        let (carrier, vouchers) = roles();
+        let mut r = receiver(&c);
+        feed(&mut r, carrier, frames(&c, carrier, 0, 1, &msgs));
         assert_eq!(
             r.try_receive(0, Position(1)),
             ReceiveResult::Pending,
             "the carrier alone is one statement — not a quorum"
         );
-        for m in dedup_msgs_from(&c, voucher, 0, Position(1), msgs.clone()) {
-            let _ = r.on_sender_message(SimTime::ZERO, voucher, m, &mut out);
-        }
-        for (i, m) in msgs.iter().enumerate() {
-            let got = r.try_receive(0, Position(1 + i as u64));
-            let ReceiveResult::Ready(d) = got else { panic!("slot {i} should deliver") };
-            assert_eq!(d.payload, *m, "byte-identical delivery, slot {i}");
-            assert_eq!(d.carrier, carrier, "provenance names the carrier");
-            assert_eq!(d.dedup, DedupOutcome::Primary);
-        }
+        let out = feed(&mut r, vouchers[0], frames(&c, vouchers[0], 0, 1, &msgs));
         assert!(out.iter().any(|a| matches!(a, Action::Ready { sc: 0, p } if *p == Position(1))));
+        for (i, m) in msgs.iter().enumerate() {
+            let position = Position(1 + i as u64);
+            let want =
+                Delivery { payload: m.clone(), position, carrier, dedup: DedupOutcome::Primary };
+            assert_eq!(r.try_receive(0, position), ReceiveResult::Ready(want));
+        }
     }
 
     #[test]
     fn dedup_vouch_order_does_not_matter() {
         // Vouches land before the carrier's content: delivery happens the
         // moment the content arrives, not before.
-        let c = dedup_cfg();
-        let carrier = carrier_for(0, Position(1), c.n_senders);
-        let mut r: ReceiverEndpoint<Blob> = ReceiverEndpoint::new(c.clone(), 0, Keyring::new(5));
-        let msgs = blobs(1, 3);
-        let mut out = Vec::new();
-        for s in 0..c.n_senders {
-            if s == carrier {
-                continue;
-            }
-            for m in dedup_msgs_from(&c, s, 0, Position(1), msgs.clone()) {
-                let _ = r.on_sender_message(SimTime::ZERO, s, m, &mut out);
-            }
-        }
-        assert_eq!(
-            r.try_receive(0, Position(1)),
-            ReceiveResult::Pending,
-            "vouches alone carry no content"
-        );
-        for m in dedup_msgs_from(&c, carrier, 0, Position(1), msgs.clone()) {
-            let _ = r.on_sender_message(SimTime::ZERO, carrier, m, &mut out);
-        }
-        assert_eq!(r.try_receive(0, Position(1)).into_payload(), Some(msgs[0].clone()));
+        let (c, msgs) = (cfg(DEDUP), blobs(1, 3));
+        let (mut r, _) = vouched(&c, &msgs);
+        assert_eq!(got(&mut r, 0, 1, 3), [None, None, None], "vouches alone carry no content");
+        feed(&mut r, roles().0, frames(&c, roles().0, 0, 1, &msgs));
+        assert_eq!(got(&mut r, 0, 1, 3), all(&msgs));
     }
 
     #[test]
     fn dedup_quorum_without_content_arms_timer_and_refetches() {
-        let c = dedup_cfg();
-        let carrier = carrier_for(0, Position(1), c.n_senders);
-        let vouchers: Vec<usize> = (0..c.n_senders).filter(|&s| s != carrier).collect();
-        let mut r: ReceiverEndpoint<Blob> = ReceiverEndpoint::new(c.clone(), 0, Keyring::new(5));
-        let msgs = blobs(1, 4);
-        let mut out = Vec::new();
-        for &v in &vouchers {
-            for m in dedup_msgs_from(&c, v, 0, Position(1), msgs.clone()) {
-                let _ = r.on_sender_message(SimTime::ZERO, v, m, &mut out);
-            }
-        }
+        let (c, msgs) = (cfg(DEDUP), blobs(1, 4));
+        let (mut r, out) = vouched(&c, &msgs);
         // fs + 1 = 2 vouches form a quorum with no content: supervise.
-        assert!(
-            out.iter().any(|a| matches!(a, Action::SetTimer { token: 0, .. })),
-            "quorum without content must arm the carrier-supervision timer"
-        );
-        out.clear();
-        let res = r.on_timer(0, SimTime::from_millis(500), &mut out);
+        let armed = Action::SetTimer { token: 0, delay: REFETCH_DELAY };
+        assert!(out.contains(&armed), "quorum without content must arm the supervision timer");
+        let mut out = Vec::new();
         assert_eq!(
-            res,
+            r.on_timer(0, &mut out),
             Err(IrmcError::CarrierTimeout { sc: 0, first: Position(1) }),
             "the stalled range is reported"
         );
-        let fetch = out
+        let fetches: Vec<usize> = out
             .iter()
-            .find_map(|a| match a {
-                Action::ToSender { to, msg: ReceiverMsg::FetchRange { sc: 0, first, count } } => {
-                    Some((*to, *first, *count))
+            .filter_map(|a| match a {
+                Action::ToSender { to, msg } => {
+                    assert_eq!(
+                        *msg,
+                        ReceiverMsg::FetchRange { sc: 0, first: Position(1), count: 4 }
+                    );
+                    Some(*to)
                 }
                 _ => None,
             })
-            .expect("a refetch goes out");
-        assert_eq!(fetch.1, Position(1));
-        assert_eq!(fetch.2, 4);
-        assert!(vouchers.contains(&fetch.0), "refetch targets a voucher");
-        assert!(
-            out.iter().any(|a| matches!(a, Action::SetTimer { token: 0, .. })),
-            "the timer re-arms until the content lands"
-        );
+            .collect();
+        assert!(matches!(fetches[..], [v] if roles().1.contains(&v)), "one voucher is asked");
+        assert!(out.contains(&armed), "the timer re-arms until the content lands");
         // The voucher answers with raw content: delivered as Refetched.
-        let mut out2 = Vec::new();
-        let _ = r.on_sender_message(
-            SimTime::ZERO,
-            fetch.0,
-            ChannelMsg::RangeContent { sc: 0, first: Position(1), msgs: Arc::new(msgs.clone()) },
-            &mut out2,
-        );
+        feed(&mut r, fetches[0], content(&msgs));
         for (i, m) in msgs.iter().enumerate() {
-            let ReceiveResult::Ready(d) = r.try_receive(0, Position(1 + i as u64)) else {
-                panic!("slot {i} should deliver after the refetch")
-            };
-            assert_eq!(d.payload, *m);
-            assert_eq!(d.carrier, fetch.0);
-            assert_eq!(d.dedup, DedupOutcome::Refetched);
+            let position = Position(1 + i as u64);
+            let (carrier, dedup) = (fetches[0], DedupOutcome::Refetched);
+            let want = Delivery { payload: m.clone(), position, carrier, dedup };
+            assert_eq!(r.try_receive(0, position), ReceiveResult::Ready(want));
         }
         // The next timer expiry finds nothing stalled and stays quiet.
-        let mut out3 = Vec::new();
-        assert_eq!(r.on_timer(0, SimTime::from_millis(1000), &mut out3), Ok(()));
-        assert!(!out3.iter().any(|a| matches!(a, Action::SetTimer { .. })));
+        let mut out = Vec::new();
+        assert_eq!(r.on_timer(0, &mut out), Ok(()));
+        assert!(!out.iter().any(|a| matches!(a, Action::SetTimer { .. })));
     }
 
     #[test]
     fn dedup_successive_refetches_rotate_vouchers() {
-        let c = dedup_cfg();
-        let carrier = carrier_for(0, Position(1), c.n_senders);
-        let vouchers: Vec<usize> = (0..c.n_senders).filter(|&s| s != carrier).collect();
-        let mut r: ReceiverEndpoint<Blob> = ReceiverEndpoint::new(c.clone(), 0, Keyring::new(5));
-        let msgs = blobs(1, 4);
-        let mut out = Vec::new();
-        for &v in &vouchers {
-            for m in dedup_msgs_from(&c, v, 0, Position(1), msgs.clone()) {
-                let _ = r.on_sender_message(SimTime::ZERO, v, m, &mut out);
-            }
-        }
+        let (mut r, _) = vouched(&cfg(DEDUP), &blobs(1, 4));
         let mut targets = Vec::new();
-        for round in 0..2u64 {
-            out.clear();
-            let _ = r.on_timer(0, SimTime::from_millis(500 * (round + 1)), &mut out);
+        for _ in 0..2 {
+            let mut out = Vec::new();
+            let _ = r.on_timer(0, &mut out);
             targets.extend(out.iter().filter_map(|a| match a {
                 Action::ToSender { to, msg: ReceiverMsg::FetchRange { .. } } => Some(*to),
                 _ => None,
@@ -1820,53 +1514,28 @@ mod tests {
 
     #[test]
     fn dedup_tampered_content_is_rejected_as_vouch_mismatch() {
-        let c = dedup_cfg();
-        let carrier = carrier_for(0, Position(1), c.n_senders);
-        let vouchers: Vec<usize> = (0..c.n_senders).filter(|&s| s != carrier).collect();
-        let mut r: ReceiverEndpoint<Blob> = ReceiverEndpoint::new(c.clone(), 0, Keyring::new(5));
         let msgs = blobs(1, 4);
-        let mut out = Vec::new();
-        for &v in &vouchers {
-            for m in dedup_msgs_from(&c, v, 0, Position(1), msgs.clone()) {
-                let _ = r.on_sender_message(SimTime::ZERO, v, m, &mut out);
-            }
-        }
+        let (mut r, _) = vouched(&cfg(DEDUP), &msgs);
         // A Byzantine sender ships content contradicting the quorum root.
-        let res = r.on_sender_message(
-            SimTime::ZERO,
-            carrier,
-            ChannelMsg::RangeContent { sc: 0, first: Position(1), msgs: Arc::new(blobs(50, 4)) },
-            &mut out,
-        );
+        let bogus = content(&blobs(50, 4)).remove(0);
+        let res = r.on_sender_message(roles().0, bogus, &mut Vec::new());
         assert_eq!(res, Err(IrmcError::VouchMismatch { sc: 0, first: Position(1) }));
         assert_eq!(r.try_receive(0, Position(1)), ReceiveResult::Pending);
         // The honest copy still delivers afterwards.
-        let _ = r.on_sender_message(
-            SimTime::ZERO,
-            vouchers[0],
-            ChannelMsg::RangeContent { sc: 0, first: Position(1), msgs: Arc::new(msgs.clone()) },
-            &mut out,
-        );
-        assert_eq!(r.try_receive(0, Position(1)).into_payload(), Some(msgs[0].clone()));
+        feed(&mut r, roles().1[0], content(&msgs));
+        assert_eq!(got(&mut r, 0, 1, 4), all(&msgs));
     }
 
     #[test]
     fn dedup_retransmitted_send_range_skips_the_second_signature_check() {
         // RootCache: the same signed range arriving twice (retransmission)
         // pays hashing twice but RSA verification only once.
-        let c = dedup_cfg().with_cost(CostModel::default());
-        let carrier = carrier_for(0, Position(1), c.n_senders);
-        let mut r: ReceiverEndpoint<Blob> = ReceiverEndpoint::new(c.clone(), 0, Keyring::new(5));
-        let frames = dedup_msgs_from(&c, carrier, 0, Position(1), blobs(1, 4));
-        let mut out1 = Vec::new();
-        for m in frames.clone() {
-            let _ = r.on_sender_message(SimTime::ZERO, carrier, m, &mut out1);
-        }
-        let mut out2 = Vec::new();
-        for m in frames {
-            let _ = r.on_sender_message(SimTime::ZERO, carrier, m, &mut out2);
-        }
-        let (c1, c2) = (charge_sum(&out1), charge_sum(&out2));
+        let c = cfg(DEDUP).with_cost(CostModel::default());
+        let carrier = roles().0;
+        let mut r = receiver(&c);
+        let cast = frames(&c, carrier, 0, 1, &blobs(1, 4));
+        let c1 = charge_sum(&feed(&mut r, carrier, cast.clone()));
+        let c2 = charge_sum(&feed(&mut r, carrier, cast));
         assert_eq!(
             c1 + c.cost.vouch_verify(),
             c2 + c.cost.rsa_verify(),
@@ -1876,70 +1545,62 @@ mod tests {
 
     #[test]
     fn dedup_late_copy_of_a_delivered_range_is_not_rehashed() {
-        let c = dedup_cfg().with_cost(CostModel::default());
-        let carrier = carrier_for(0, Position(1), c.n_senders);
-        let voucher = (carrier + 1) % c.n_senders;
-        let mut r: ReceiverEndpoint<Blob> = ReceiverEndpoint::new(c.clone(), 0, Keyring::new(5));
-        let msgs = blobs(1, 4);
-        let mut out = Vec::new();
-        for (s, frames) in [(carrier, dedup_msgs_from(&c, carrier, 0, Position(1), msgs.clone()))]
-            .into_iter()
-            .chain([(voucher, dedup_msgs_from(&c, voucher, 0, Position(1), msgs.clone()))])
-        {
-            for m in frames {
-                let _ = r.on_sender_message(SimTime::ZERO, s, m, &mut out);
-            }
-        }
-        assert!(r.try_receive(0, Position(1)).into_payload().is_some(), "delivered");
+        let c = cfg(DEDUP).with_cost(CostModel::default());
+        let (carrier, msgs) = (roles().0, blobs(1, 4));
+        let (mut r, _) = vouched(&c, &msgs);
+        feed(&mut r, carrier, frames(&c, carrier, 0, 1, &msgs));
+        assert_eq!(got(&mut r, 0, 1, 4), all(&msgs), "delivered");
         // A late duplicate of the carrier's frame: transport MAC plus the
         // MAC of the window re-announcement that reminds the stale sender
         // — no Merkle rebuild, no signature.
         let bytes: usize = msgs.iter().map(|m| m.wire_size()).sum();
-        let mut late = Vec::new();
-        for m in dedup_msgs_from(&c, carrier, 0, Position(1), msgs.clone()) {
-            let _ = r.on_sender_message(SimTime::ZERO, carrier, m, &mut late);
-        }
+        let late = feed(&mut r, carrier, frames(&c, carrier, 0, 1, &msgs));
         assert_eq!(
             charge_sum(&late),
             c.cost.hmac(bytes) + c.cost.hmac(32),
             "the hash wall is gone for late copies"
         );
+        let reminder = ReceiverMsg::Move { sc: 0, p: Position(1) };
         assert!(
-            late.iter().any(|a| matches!(
-                a,
-                Action::ToSender { to, msg: ReceiverMsg::Move { sc: 0, p: Position(1) } } if *to == carrier
-            )),
+            late.contains(&Action::ToSender { to: carrier, msg: reminder }),
             "the stale carrier is reminded where the window starts"
         );
     }
 
     #[test]
     fn dedup_vouch_in_legacy_mode_is_wrong_variant() {
-        let mut r = rc_receiver();
-        let mut out = Vec::new();
-        let res = r.on_sender_message(
-            SimTime::ZERO,
-            1,
-            ChannelMsg::RangeVouch {
-                sc: 0,
-                first: Position(1),
-                count: 4,
-                root: Digest::of_bytes(b"x"),
-            },
-            &mut out,
-        );
+        let vouch =
+            ChannelMsg::Vouch { sc: 0, first: Position(1), count: 4, root: Digest::of_bytes(b"x") };
+        let res = receiver(&cfg(RC)).on_sender_message(1, vouch, &mut Vec::new());
         assert_eq!(res, Err(IrmcError::WrongVariant));
     }
 
     #[test]
     fn legacy_delivery_reports_replicated_provenance() {
-        let mut r = rc_receiver();
-        let m = Blob::new(b"value");
-        let mut out = Vec::new();
-        let _ = r.on_sender_message(SimTime::ZERO, 0, send_from(0, 0, Position(1), &m), &mut out);
-        let _ = r.on_sender_message(SimTime::ZERO, 1, send_from(1, 0, Position(1), &m), &mut out);
-        let ReceiveResult::Ready(d) = r.try_receive(0, Position(1)) else { panic!("delivered") };
-        assert_eq!(d.dedup, DedupOutcome::Replicated);
-        assert_eq!(d.position, Position(1));
+        // Without dedup, and for one slot with it: every sender casts, the
+        // receiver verifies every copy and credits it per slot.
+        for (mode, n) in [(RC, 1), (RC, 3), (DEDUP, 1)] {
+            let c = cfg(mode).with_cost(CostModel::default());
+            let msgs = blobs(1, n);
+            let mut r = receiver(&c);
+            let mut out = feed(&mut r, 0, frames(&c, 0, 0, 1, &msgs));
+            out.extend(feed(&mut r, 1, frames(&c, 1, 0, 1, &msgs)));
+            let (label, tree) = if n == 1 {
+                ("slot_verify", SimTime::ZERO)
+            } else {
+                ("range_verify", c.cost.merkle(3))
+            };
+            let bytes: usize = msgs.iter().map(|m| m.wire_size()).sum();
+            let copy = Action::Charge(c.cost.hmac(bytes) + tree + c.cost.rsa_verify(), label);
+            assert_eq!(
+                out.iter().filter(|a| **a == copy).count(),
+                2,
+                "{mode} x{n}: both copies pay in full"
+            );
+            let ReceiveResult::Ready(d) = r.try_receive(0, Position(1)) else {
+                panic!("delivered")
+            };
+            assert_eq!((d.dedup, d.position), (DedupOutcome::Replicated, Position(1)));
+        }
     }
 }

@@ -55,6 +55,13 @@ impl Window {
         p > self.end()
     }
 
+    /// Whether `p` lies a whole window length or more above the window: a
+    /// correct peer is window-limited, so nothing legitimate starts there
+    /// (the endpoints' memory guard).
+    pub(crate) fn is_far_above(&self, p: Position) -> bool {
+        p.0 >= self.end().0 + self.capacity
+    }
+
     /// Moves the start forward to `p`; returns `true` if the window moved.
     /// Calls with `p <= start` are ignored (windows never regress).
     pub fn advance_to(&mut self, p: Position) -> bool {

@@ -10,7 +10,7 @@ use spider_crypto::{Digest, Digestible, Keyring};
 use spider_irmc::{
     Action, ChannelMode, ChannelMsg, IrmcConfig, ReceiverEndpoint, ReceiverMsg, SenderEndpoint,
 };
-use spider_types::{Position, SimTime, WireSize};
+use spider_types::{Position, WireSize};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -41,6 +41,12 @@ pub fn blobs(first: u64, n: u64) -> Vec<Blob> {
     (first..first + n).map(Blob::of).collect()
 }
 
+/// Every slot of `1..=n` delivered: what [`Net::delivered`] returns once
+/// nothing is missing.
+pub fn complete(n: u64) -> Vec<Option<Blob>> {
+    blobs(1, n).into_iter().map(Some).collect()
+}
+
 /// FNV-1a, for the golden transcripts.
 pub fn fnv64(s: &str) -> u64 {
     s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
@@ -51,7 +57,7 @@ pub fn fnv64(s: &str) -> u64 {
 pub fn cfg(mode: impl Into<ChannelMode>, capacity: u64, max_range: usize) -> IrmcConfig {
     IrmcConfig::new(mode, 4, 1, 3, 1, capacity)
         .with_cost(spider_crypto::CostModel::zero())
-        .with_range(max_range, SimTime::ZERO)
+        .with_range(max_range)
 }
 
 /// What the network does to frames in flight.
@@ -75,20 +81,17 @@ pub enum Fault {
 impl Fault {
     /// The frame as the receiver will see it, or `None` if it is lost.
     fn apply(self, from: usize, to: usize, msg: ChannelMsg<Blob>) -> Option<ChannelMsg<Blob>> {
-        let signed_content = matches!(msg, ChannelMsg::SendRange { .. });
-        let cert =
-            matches!(msg, ChannelMsg::Certificate { .. } | ChannelMsg::RangeCertificate { .. });
+        let signed_content = matches!(msg, ChannelMsg::Cast { .. });
+        let cert = matches!(msg, ChannelMsg::Certificate { .. });
         match (self, msg) {
             (Fault::Blackout, _) => None,
             (Fault::FromSender(f), _) if f == from => None,
             (Fault::DropCerts(f, t), _) if (f, t) == (from, to) && cert => None,
             (Fault::DropContent(f), _) if f == from && signed_content => None,
-            (Fault::TamperContent(f), ChannelMsg::SendRange { sc, first, msgs, sig })
-                if f == from =>
-            {
+            (Fault::TamperContent(f), ChannelMsg::Cast { sc, first, msgs, sig }) if f == from => {
                 let mut bad = (*msgs).clone();
                 bad[0] = Blob::of(u64::MAX);
-                Some(ChannelMsg::SendRange { sc, first, msgs: Arc::new(bad), sig })
+                Some(ChannelMsg::Cast { sc, first, msgs: Arc::new(bad), sig })
             }
             (_, msg) => Some(msg),
         }
@@ -254,8 +257,7 @@ impl Net {
             let mut out = Vec::new();
             match item {
                 Wire::ToReceiver { from, to, msg } => {
-                    let res =
-                        self.receivers[to].on_sender_message(SimTime::ZERO, from, msg, &mut out);
+                    let res = self.receivers[to].on_sender_message(from, msg, &mut out);
                     if let Err(e) = res {
                         self.note(format_args!("r{to} rejects s{from}: {e:?}"));
                     }
@@ -285,11 +287,21 @@ impl Net {
     pub fn fire_timers(&mut self) {
         for (r, token) in std::mem::take(&mut self.timers) {
             let mut out = Vec::new();
-            let res = self.receivers[r].on_timer(token, SimTime::ZERO, &mut out);
+            let res = self.receivers[r].on_timer(token, &mut out);
             self.note(format_args!("r{r} timer {token} fired: {res:?}"));
             self.absorb_receiver(r, out);
         }
         self.pump();
+    }
+
+    /// Up to three supervision rounds — enough for any single-fault
+    /// refetch.
+    pub fn settle(&mut self) {
+        for _ in 0..3 {
+            if !self.timers.is_empty() {
+                self.fire_timers();
+            }
+        }
     }
 
     /// Runs `rounds` of the actors' periodic sender tick, pumping after
@@ -298,7 +310,7 @@ impl Net {
         for _ in 0..rounds {
             for i in 0..self.senders.len() {
                 let mut out = Vec::new();
-                self.senders[i].tick(SimTime::ZERO, &mut out);
+                self.senders[i].tick(&mut out);
                 self.absorb_sender(i, out);
             }
             self.pump();

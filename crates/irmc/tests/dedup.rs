@@ -5,200 +5,36 @@
 //! deterministically (double-run equivalence, covering the refetch
 //! fallback).
 
+mod common;
+
+use common::{blobs, cfg, complete, Blob, Fault, Net};
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use spider_crypto::{Digest, Digestible, Keyring};
-use spider_irmc::{
-    Action, ChannelMode, ChannelMsg, IrmcConfig, ReceiverEndpoint, SenderEndpoint, Variant,
-};
-use spider_types::{Position, SimTime, WireSize};
-use std::collections::VecDeque;
-use std::sync::Arc;
-
-#[derive(Debug, Clone, PartialEq)]
-struct Blob(Vec<u8>);
-
-impl Blob {
-    fn of(tag: u64) -> Self {
-        Blob(tag.to_be_bytes().to_vec())
-    }
-}
-
-impl WireSize for Blob {
-    fn wire_size(&self) -> usize {
-        64 + self.0.len()
-    }
-}
-
-impl Digestible for Blob {
-    fn digest(&self) -> Digest {
-        Digest::of_bytes(&self.0)
-    }
-}
-
-/// What a misbehaving sender does to the content frames it ships.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Fault {
-    None,
-    /// The sender's `SendRange` frames are lost (crashed carrier).
-    DropContent(usize),
-    /// The sender tampers its `SendRange` payloads after signing
-    /// (Byzantine carrier); signatures no longer cover the content.
-    TamperContent(usize),
-}
-
-struct Net {
-    senders: Vec<SenderEndpoint<Blob>>,
-    receivers: Vec<ReceiverEndpoint<Blob>>,
-    wire: VecDeque<(bool, usize, usize, WireMsg)>,
-    rng: SmallRng,
-    shuffle: bool,
-    fault: Fault,
-    /// Armed supervision timers: (receiver, token).
-    timers: Vec<(usize, u64)>,
-    /// Ready announcements per receiver, in arrival order.
-    ready_log: Vec<Vec<(u64, Position)>>,
-}
-
-enum WireMsg {
-    Chan(ChannelMsg<Blob>),
-    Recv(spider_irmc::ReceiverMsg),
-}
+use spider_irmc::{ChannelMode, IrmcConfig, Variant};
+use spider_types::Position;
 
 /// One scenario outcome: per-receiver delivered slot sequences plus the
 /// per-receiver ready announcements, in arrival order.
 type RunOutcome = (Vec<Vec<Option<Blob>>>, Vec<Vec<(u64, Position)>>);
 
-impl Net {
-    fn new(cfg: IrmcConfig, seed: u64, shuffle: bool, fault: Fault) -> Self {
-        let ring = Keyring::new(7);
-        Net {
-            senders: (0..cfg.n_senders)
-                .map(|i| SenderEndpoint::new(cfg.clone(), i, ring.clone()))
-                .collect(),
-            receivers: (0..cfg.n_receivers)
-                .map(|i| ReceiverEndpoint::new(cfg.clone(), i, ring.clone()))
-                .collect(),
-            wire: VecDeque::new(),
-            rng: SmallRng::seed_from_u64(seed),
-            shuffle,
-            fault,
-            timers: Vec::new(),
-            ready_log: vec![Vec::new(); cfg.n_receivers],
-        }
-    }
-
-    fn absorb_sender(&mut self, from: usize, actions: Vec<Action<Blob>>) {
-        for a in actions {
-            // Dedup RC has no sender-group-internal traffic; anything
-            // other than receiver-bound frames (charges, readiness) is
-            // dropped here.
-            if let Action::ToReceiver { to, msg } = a {
-                let msg = match (&self.fault, msg) {
-                    (Fault::DropContent(f), ChannelMsg::SendRange { .. }) if *f == from => continue,
-                    (Fault::TamperContent(f), ChannelMsg::SendRange { sc, first, msgs, sig })
-                        if *f == from =>
-                    {
-                        let mut bad = (*msgs).clone();
-                        bad[0] = Blob::of(u64::MAX);
-                        ChannelMsg::SendRange { sc, first, msgs: Arc::new(bad), sig }
-                    }
-                    (_, msg) => msg,
-                };
-                self.wire.push_back((true, from, to, WireMsg::Chan(msg)));
-            }
-        }
-    }
-
-    fn absorb_receiver(&mut self, from: usize, actions: Vec<Action<Blob>>) {
-        for a in actions {
-            match a {
-                Action::ToSender { to, msg } => {
-                    self.wire.push_back((false, from, to, WireMsg::Recv(msg)))
-                }
-                Action::Ready { sc, p } => self.ready_log[from].push((sc, p)),
-                Action::SetTimer { token, .. } => self.timers.push((from, token)),
-                _ => {}
-            }
-        }
-    }
-
-    fn send_batch_all(&mut self, sc: u64, first: Position, msgs: &[Blob]) {
-        for i in 0..self.senders.len() {
-            let mut out = Vec::new();
-            self.senders[i].send_batch(sc, first, msgs.to_vec(), &mut out);
-            self.absorb_sender(i, out);
-        }
-    }
-
-    fn pump(&mut self) {
-        let mut n = 0u32;
-        while !self.wire.is_empty() {
-            let idx = if self.shuffle { self.rng.gen_range(0..self.wire.len()) } else { 0 };
-            let (to_receiver, from, to, msg) = self.wire.remove(idx).expect("index in range");
-            n += 1;
-            match (to_receiver, msg) {
-                (true, WireMsg::Chan(m)) => {
-                    let mut out = Vec::new();
-                    let _ = self.receivers[to].on_sender_message(SimTime::ZERO, from, m, &mut out);
-                    self.absorb_receiver(to, out);
-                }
-                (false, WireMsg::Recv(m)) => {
-                    let mut out = Vec::new();
-                    let _ = self.senders[to].on_receiver_message(from, m, &mut out);
-                    self.absorb_sender(to, out);
-                }
-                _ => unreachable!("wire direction matches payload kind"),
-            }
-            assert!(n < 1_000_000, "message storm");
-        }
-    }
-
-    /// Fires every armed supervision timer once, then pumps the refetch
-    /// traffic it generated.
-    fn fire_timers(&mut self) {
-        let due = std::mem::take(&mut self.timers);
-        for (r, token) in due {
-            let mut out = Vec::new();
-            let _ = self.receivers[r].on_timer(token, SimTime::from_millis(500), &mut out);
-            self.absorb_receiver(r, out);
-        }
-        self.pump();
-    }
-
-    /// The delivered slot sequence of one receiver over `1..=n`.
-    fn delivered(&mut self, r: usize, sc: u64, n: u64) -> Vec<Option<Blob>> {
-        (1..=n).map(|p| self.receivers[r].try_receive(sc, Position(p)).into_payload()).collect()
-    }
-}
-
 fn legacy_cfg(chunk: usize) -> IrmcConfig {
-    IrmcConfig::new(Variant::ReceiverCollect, 4, 1, 3, 1, 64)
-        .with_cost(spider_crypto::CostModel::zero())
-        .with_range(chunk, SimTime::ZERO)
+    cfg(Variant::ReceiverCollect, 64, chunk)
 }
 
 fn dedup_cfg(chunk: usize) -> IrmcConfig {
-    legacy_cfg(chunk).with_mode(ChannelMode::ReliableCast { dedup: true })
+    cfg(ChannelMode::ReliableCast { dedup: true }, 64, chunk)
 }
 
 /// Runs one scenario to completion (including up to three supervision
 /// rounds, enough for any single-fault refetch) and returns each
 /// receiver's delivered slot sequence plus its ready log.
 fn run(cfg: IrmcConfig, seed: u64, fault: Fault, n_msgs: u64) -> RunOutcome {
-    let mut net = Net::new(cfg, seed, true, fault);
-    let msgs: Vec<Blob> = (1..=n_msgs).map(Blob::of).collect();
-    net.send_batch_all(0, Position(1), &msgs);
+    let mut net = Net::new(cfg, seed, true);
+    net.fault = fault;
+    net.send_all(0, Position(1), &blobs(1, n_msgs));
     net.pump();
-    for _ in 0..3 {
-        if net.timers.is_empty() {
-            break;
-        }
-        net.fire_timers();
-    }
+    net.settle();
     let delivered = (0..3).map(|r| net.delivered(r, 0, n_msgs)).collect();
-    (delivered, net.ready_log)
+    (delivered, net.ready)
 }
 
 proptest! {
@@ -210,21 +46,13 @@ proptest! {
     #[test]
     fn dedup_matches_legacy_under_reordering(
         seed in 0u64..10_000,
-        n_msgs in 2u64..40,
-        chunk in 2usize..9,
+        n_msgs in 1u64..40,
+        chunk in 1usize..9,
     ) {
         let (legacy, _) = run(legacy_cfg(chunk), seed, Fault::None, n_msgs);
         let (dedup, _) = run(dedup_cfg(chunk), seed, Fault::None, n_msgs);
         prop_assert_eq!(&dedup, &legacy);
-        for (r, slots) in dedup.iter().enumerate() {
-            for (i, slot) in slots.iter().enumerate() {
-                prop_assert_eq!(
-                    slot.clone(),
-                    Some(Blob::of(i as u64 + 1)),
-                    "receiver {} slot {} must deliver", r, i + 1
-                );
-            }
-        }
+        prop_assert_eq!(dedup, vec![complete(n_msgs); 3], "every slot delivers on every receiver");
     }
 
     /// A crashed sender (its content frames are lost — including every
@@ -233,23 +61,15 @@ proptest! {
     #[test]
     fn dedup_matches_legacy_under_carrier_drop(
         seed in 0u64..10_000,
-        n_msgs in 2u64..40,
-        chunk in 2usize..9,
+        n_msgs in 1u64..40,
+        chunk in 1usize..9,
         faulty in 0usize..4,
     ) {
         let fault = Fault::DropContent(faulty);
         let (legacy, _) = run(legacy_cfg(chunk), seed, fault, n_msgs);
         let (dedup, _) = run(dedup_cfg(chunk), seed, fault, n_msgs);
         prop_assert_eq!(&dedup, &legacy);
-        for slots in &dedup {
-            for (i, slot) in slots.iter().enumerate() {
-                prop_assert_eq!(
-                    slot.clone(),
-                    Some(Blob::of(i as u64 + 1)),
-                    "slot {} must survive a crashed carrier", i + 1
-                );
-            }
-        }
+        prop_assert_eq!(dedup, vec![complete(n_msgs); 3], "every slot survives a crashed carrier");
     }
 
     /// A Byzantine carrier shipping tampered content cannot corrupt or
@@ -258,23 +78,15 @@ proptest! {
     #[test]
     fn dedup_matches_legacy_under_byzantine_carrier(
         seed in 0u64..10_000,
-        n_msgs in 2u64..40,
-        chunk in 2usize..9,
+        n_msgs in 1u64..40,
+        chunk in 1usize..9,
         faulty in 0usize..4,
     ) {
         let fault = Fault::TamperContent(faulty);
         let (legacy, _) = run(legacy_cfg(chunk), seed, fault, n_msgs);
         let (dedup, _) = run(dedup_cfg(chunk), seed, fault, n_msgs);
         prop_assert_eq!(&dedup, &legacy);
-        for slots in &dedup {
-            for (i, slot) in slots.iter().enumerate() {
-                prop_assert_eq!(
-                    slot.clone(),
-                    Some(Blob::of(i as u64 + 1)),
-                    "slot {} must not be corrupted by a tampered carrier", i + 1
-                );
-            }
-        }
+        prop_assert_eq!(dedup, vec![complete(n_msgs); 3], "no slot corrupted or stalled");
     }
 
     /// Determinism: the same seed produces the identical delivery AND the
@@ -283,8 +95,8 @@ proptest! {
     #[test]
     fn dedup_double_run_is_deterministic(
         seed in 0u64..10_000,
-        n_msgs in 2u64..24,
-        chunk in 2usize..9,
+        n_msgs in 1u64..24,
+        chunk in 1usize..9,
     ) {
         let fault = Fault::DropContent(0);
         let (d1, log1) = run(dedup_cfg(chunk), seed, fault, n_msgs);
