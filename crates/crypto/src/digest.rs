@@ -199,6 +199,7 @@ impl DigestBuilder {
 
     /// Appends a length-prefixed byte field.
     #[must_use]
+    #[inline]
     pub fn bytes(mut self, data: &[u8]) -> Self {
         self.hasher.update(&(data.len() as u64).to_be_bytes());
         self.hasher.update(data);
@@ -207,6 +208,7 @@ impl DigestBuilder {
 
     /// Appends a u64 field.
     #[must_use]
+    #[inline]
     pub fn u64(mut self, v: u64) -> Self {
         let mut field = [8u8; 9];
         field[1..].copy_from_slice(&v.to_be_bytes());
@@ -216,6 +218,7 @@ impl DigestBuilder {
 
     /// Appends a u32 field.
     #[must_use]
+    #[inline]
     pub fn u32(mut self, v: u32) -> Self {
         let mut field = [4u8; 5];
         field[1..].copy_from_slice(&v.to_be_bytes());
@@ -225,17 +228,20 @@ impl DigestBuilder {
 
     /// Appends another digest as a field.
     #[must_use]
+    #[inline]
     pub fn digest(self, d: &Digest) -> Self {
         self.bytes(&d.0)
     }
 
     /// Appends a UTF-8 string field.
     #[must_use]
+    #[inline]
     pub fn str(self, s: &str) -> Self {
         self.bytes(s.as_bytes())
     }
 
     /// Finishes and returns the digest.
+    #[inline]
     pub fn finish(self) -> Digest {
         Digest(self.hasher.finalize())
     }

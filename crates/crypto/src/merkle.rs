@@ -12,9 +12,16 @@
 //! * Leaves and internal nodes are domain-separated (`"mleaf"` /
 //!   `"mnode"`), so an internal node can never be reinterpreted as a leaf
 //!   (second-preimage hardening).
+//! * A leaf wrap hashes `Digest::builder().str("mleaf").digest(leaf)` and
+//!   an inner combine `….str("mnode").digest(left).digest(right)`: 53 and
+//!   93 bytes, so with padding exactly **one** and **two** SHA-256 blocks.
+//!   Both are laid out as those blocks directly (the tag and length
+//!   prefixes are constants) and compressed from the initial state; the
+//!   builder form is the test oracle.
 //! * Odd nodes are promoted unchanged to the next level (no duplication),
 //!   so a tree over `n` leaves hashes exactly `n` leaf wraps plus `n - 1`
-//!   inner combines.
+//!   inner combines — `n + 2 (n - 1)` compressions — folding each level
+//!   into the front of the one buffer that held the level below.
 //! * The root over a single leaf is the wrapped leaf, and the root over
 //!   zero leaves is [`Digest::ZERO`] (ranges are never empty on the wire).
 //!
@@ -33,16 +40,66 @@
 //! ```
 
 use crate::digest::Digest;
+use crate::sha256::Sha256;
 use std::collections::BTreeMap;
+
+/// The padded SHA-256 input of `Digest::builder().str(tag)` followed by
+/// `digests` digest fields, with the digests themselves left zero:
+/// `[5u64][tag]` then `[32u64][digest]` per field (all lengths
+/// big-endian), `0x80`, zeros, and the bit length in the last 8 bytes.
+const fn template<const N: usize>(tag: &[u8; 5], digests: usize) -> [u8; N] {
+    let mut block = [0u8; N];
+    block[7] = 5;
+    let mut i = 0;
+    while i < 5 {
+        block[8 + i] = tag[i];
+        i += 1;
+    }
+    let mut field = 0;
+    while field < digests {
+        block[13 + 40 * field + 7] = 32;
+        field += 1;
+    }
+    let len = 13 + 40 * digests;
+    block[len] = 0x80;
+    let bits = (len as u64 * 8).to_be_bytes();
+    let mut i = 0;
+    while i < 8 {
+        block[N - 8 + i] = bits[i];
+        i += 1;
+    }
+    block
+}
+
+const LEAF_BLOCK: [u8; 64] = template(b"mleaf", 1);
+const NODE_BLOCKS: [u8; 128] = template(b"mnode", 2);
 
 /// Wraps a leaf digest (domain-separated from inner nodes).
 fn leaf_hash(leaf: &Digest) -> Digest {
-    Digest::builder().str("mleaf").digest(leaf).finish()
+    let mut block = LEAF_BLOCK;
+    block[21..53].copy_from_slice(&leaf.0);
+    Digest(Sha256::digest_padded(&block))
 }
 
 /// Combines two child digests into their parent.
 fn node_hash(left: &Digest, right: &Digest) -> Digest {
-    Digest::builder().str("mnode").digest(left).digest(right).finish()
+    let mut blocks = NODE_BLOCKS;
+    blocks[21..53].copy_from_slice(&left.0);
+    blocks[61..93].copy_from_slice(&right.0);
+    Digest(Sha256::digest_padded(&blocks))
+}
+
+/// Folds one tree level into the next, in place: pairs combine into the
+/// front of `level`, an odd last node is promoted unchanged.
+fn fold_level(level: &mut Vec<Digest>) {
+    let n = level.len();
+    for i in 0..n / 2 {
+        level[i] = node_hash(&level[2 * i], &level[2 * i + 1]);
+    }
+    if n % 2 == 1 {
+        level[n / 2] = level[n - 1];
+    }
+    level.truncate(n.div_ceil(2));
 }
 
 /// Computes the Merkle root over `leaves` (per-slot content digests).
@@ -54,15 +111,7 @@ pub fn merkle_root(leaves: &[Digest]) -> Digest {
     }
     let mut level: Vec<Digest> = leaves.iter().map(leaf_hash).collect();
     while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        for pair in level.chunks(2) {
-            match pair {
-                [l, r] => next.push(node_hash(l, r)),
-                [odd] => next.push(*odd), // promoted unchanged
-                _ => unreachable!("chunks(2)"),
-            }
-        }
-        level = next;
+        fold_level(&mut level);
     }
     level[0]
 }
@@ -188,15 +237,7 @@ pub fn merkle_proof(leaves: &[Digest], index: usize) -> MerkleProof {
         if sibling < level.len() {
             path.push((level[sibling], sibling < idx));
         }
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        for pair in level.chunks(2) {
-            match pair {
-                [l, r] => next.push(node_hash(l, r)),
-                [odd] => next.push(*odd),
-                _ => unreachable!("chunks(2)"),
-            }
-        }
-        level = next;
+        fold_level(&mut level);
         idx /= 2;
     }
     MerkleProof { path }
@@ -208,6 +249,47 @@ mod tests {
 
     fn leaves(n: u64) -> Vec<Digest> {
         (0..n).map(|i| Digest::builder().u64(i).finish()).collect()
+    }
+
+    /// The builder form of the two node hashes and the level-by-level
+    /// tree over them: what the fixed-layout code must reproduce.
+    fn leaf_oracle(leaf: &Digest) -> Digest {
+        Digest::builder().str("mleaf").digest(leaf).finish()
+    }
+
+    fn node_oracle(left: &Digest, right: &Digest) -> Digest {
+        Digest::builder().str("mnode").digest(left).digest(right).finish()
+    }
+
+    fn root_oracle(leaves: &[Digest]) -> Digest {
+        let mut level: Vec<Digest> = leaves.iter().map(leaf_oracle).collect();
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .map(|pair| match pair {
+                    [l, r] => node_oracle(l, r),
+                    odd => odd[0], // promoted unchanged
+                })
+                .collect();
+        }
+        level[0]
+    }
+
+    #[test]
+    fn fixed_layout_hashes_equal_the_builder_form_for_every_size() {
+        for n in 1..=65u64 {
+            let l = leaves(n);
+            assert_eq!(leaf_hash(&l[0]), leaf_oracle(&l[0]), "leaf wrap, n={n}");
+            assert_eq!(
+                node_hash(&l[0], &l[n as usize - 1]),
+                node_oracle(&l[0], &l[n as usize - 1])
+            );
+            let root = merkle_root(&l);
+            assert_eq!(root, root_oracle(&l), "root over {n} leaves (odd promotions included)");
+            for i in [0, n as usize / 2, n as usize - 1] {
+                assert!(merkle_proof(&l, i).verify(&root, &l[i]), "n={n} i={i}");
+            }
+        }
     }
 
     #[test]

@@ -18,9 +18,11 @@
 //! `unsafe` block.
 //!
 //! The streaming layer hands whole runs of blocks to the kernel straight
-//! from the caller's slice and writes the padding in place. Validated
-//! against the NIST/FIPS example vectors, on both kernels, in the tests
-//! below.
+//! from the caller's slice and writes the padding in place; a caller that
+//! already holds its input as padded blocks (the Merkle node hashes) skips
+//! the streaming layer through the crate-private `Sha256::digest_padded`.
+//! Validated against the NIST/FIPS example vectors, on both kernels, in
+//! the tests below.
 //!
 //! # Examples
 //!
@@ -96,6 +98,17 @@ impl Sha256 {
         h.finalize_with(compress_blocks_portable)
     }
 
+    /// The digest of a message the caller has already laid out as its
+    /// padded blocks — content, `0x80`, zeros, 64-bit big-endian bit length
+    /// (FIPS 180-4 §5.1.1): compressed from the initial state with no
+    /// buffering or length bookkeeping. For fixed-layout inputs only; the
+    /// caller owns the padding, so a wrong layout is a wrong digest.
+    pub(crate) fn digest_padded(blocks: &[u8]) -> [u8; 32] {
+        let mut state = H0;
+        compress_blocks(&mut state, blocks);
+        to_bytes(&state)
+    }
+
     /// The block kernel every hasher runs on this CPU: `"sha-ni"` or
     /// `"portable"`.
     pub fn kernel() -> &'static str {
@@ -107,11 +120,13 @@ impl Sha256 {
     }
 
     /// Feeds `data` into the hash.
+    #[inline]
     pub fn update(&mut self, data: &[u8]) {
         self.update_with(compress_blocks, data);
     }
 
     /// Finishes the hash and returns the digest.
+    #[inline]
     pub fn finalize(self) -> [u8; 32] {
         self.finalize_with(compress_blocks)
     }
@@ -156,13 +171,17 @@ impl Sha256 {
         }
         self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
         compress(&mut self.state, &self.buffer);
-
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        to_bytes(&self.state)
     }
+}
+
+/// A chaining value as the 32 digest bytes (big-endian words).
+fn to_bytes(state: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    out
 }
 
 /// Runs the compression function over `blocks` (a whole number of 64-byte
@@ -255,16 +274,30 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
 ///
 /// `sha256rnds2` runs two rounds on a state split across two registers as
 /// `ABEF` / `CDGH` (high lane first); `sha256msg1` / `sha256msg2` extend
-/// the message schedule four words at a time. Registers are assembled and
-/// taken apart lane by lane (`_mm_set_epi32` / `_mm_extract_epi32`), which
-/// the compiler turns back into vector loads and shuffles, so the kernel
-/// touches no raw pointer.
+/// the message schedule four words at a time. Each 16 message bytes are
+/// loaded as one register — two `i64::from_le_bytes` halves and one
+/// `pshufb` that swaps every word to big-endian — and the round constants
+/// sit in memory four to a row, so a round group is one load and one add.
+/// Everything goes through value-level intrinsics (`_mm_set_*` /
+/// `_mm_extract_*`), so the kernel touches no raw pointer.
 #[cfg(target_arch = "x86_64")]
 mod ni {
     use super::K;
     use std::arch::x86_64::{
-        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32, _mm_set_epi64x,
         _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+        _mm_shuffle_epi8,
+    };
+
+    /// [`K`] in rows of four: the constants of one [`rounds`] call.
+    const K4: [[u32; 4]; 16] = {
+        let mut rows = [[0u32; 4]; 16];
+        let mut i = 0;
+        while i < 64 {
+            rows[i / 4][i % 4] = K[i];
+            i += 1;
+        }
+        rows
     };
 
     /// Four consecutive `u32`s as one register, `words[0]` in the low lane.
@@ -288,6 +321,18 @@ mod ni {
         .map(|w| w as u32)
     }
 
+    /// Four big-endian message words from 16 block bytes, the first word
+    /// in the low lane: the bytes as they lie in memory, then each lane
+    /// byte-swapped.
+    #[inline]
+    #[target_feature(enable = "sse2,ssse3")]
+    fn message_words(bytes: &[u8; 16]) -> __m128i {
+        let (halves, _) = bytes.as_chunks::<8>();
+        let (lo, hi) = (i64::from_le_bytes(halves[0]), i64::from_le_bytes(halves[1]));
+        let swap_each_word = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        _mm_shuffle_epi8(_mm_set_epi64x(hi, lo), swap_each_word)
+    }
+
     /// The next four schedule words `W[t..t + 4]` from the previous
     /// sixteen, oldest four first:
     /// `W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16]`.
@@ -304,8 +349,8 @@ mod ni {
     /// `CDGH` is spent, and the old `ABEF` is the new `CDGH` as it stands.
     #[inline]
     #[target_feature(enable = "sha,sse2")]
-    fn rounds(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, k: &[u32]) {
-        let wk = _mm_add_epi32(w, lanes([k[0], k[1], k[2], k[3]]));
+    fn rounds(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, k: [u32; 4]) {
+        let wk = _mm_add_epi32(w, lanes(k));
         *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
         *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32::<0x0E>(wk));
     }
@@ -319,24 +364,24 @@ mod ni {
 
         for block in blocks.chunks_exact(64) {
             let (abef_in, cdgh_in) = (abef, cdgh);
-            let be =
-                |i: usize| u32::from_be_bytes([block[i], block[i + 1], block[i + 2], block[i + 3]]);
-            let [mut w0, mut w1, mut w2, mut w3] = std::array::from_fn(|i| {
-                lanes([be(16 * i), be(16 * i + 4), be(16 * i + 8), be(16 * i + 12)])
-            });
-            rounds(&mut abef, &mut cdgh, w0, &K[0..4]);
-            rounds(&mut abef, &mut cdgh, w1, &K[4..8]);
-            rounds(&mut abef, &mut cdgh, w2, &K[8..12]);
-            rounds(&mut abef, &mut cdgh, w3, &K[12..16]);
-            for k in K[16..].chunks_exact(16) {
+            let (quarters, _) = block.as_chunks::<16>();
+            let mut w0 = message_words(&quarters[0]);
+            let mut w1 = message_words(&quarters[1]);
+            let mut w2 = message_words(&quarters[2]);
+            let mut w3 = message_words(&quarters[3]);
+            rounds(&mut abef, &mut cdgh, w0, K4[0]);
+            rounds(&mut abef, &mut cdgh, w1, K4[1]);
+            rounds(&mut abef, &mut cdgh, w2, K4[2]);
+            rounds(&mut abef, &mut cdgh, w3, K4[3]);
+            for k in K4[4..].chunks_exact(4) {
                 w0 = schedule(w0, w1, w2, w3);
-                rounds(&mut abef, &mut cdgh, w0, &k[0..4]);
+                rounds(&mut abef, &mut cdgh, w0, k[0]);
                 w1 = schedule(w1, w2, w3, w0);
-                rounds(&mut abef, &mut cdgh, w1, &k[4..8]);
+                rounds(&mut abef, &mut cdgh, w1, k[1]);
                 w2 = schedule(w2, w3, w0, w1);
-                rounds(&mut abef, &mut cdgh, w2, &k[8..12]);
+                rounds(&mut abef, &mut cdgh, w2, k[2]);
                 w3 = schedule(w3, w0, w1, w2);
-                rounds(&mut abef, &mut cdgh, w3, &k[12..16]);
+                rounds(&mut abef, &mut cdgh, w3, k[3]);
             }
             abef = _mm_add_epi32(abef, abef_in);
             cdgh = _mm_add_epi32(cdgh, cdgh_in);

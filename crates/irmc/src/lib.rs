@@ -46,8 +46,9 @@
 //! Endpoints are sans-IO state machines: methods append [`Action`]s
 //! (messages to peers, CPU charges, readiness events, timer requests) to a
 //! caller-provided buffer, and the host performs them. Delivered messages
-//! come wrapped in a [`Delivery`] carrying provenance: which sender's copy
-//! was delivered and whether dedup was involved ([`DedupOutcome`]).
+//! come wrapped in a [`Delivery`] carrying provenance: which sender the
+//! delivery is attributed to ([`Delivery::carrier`]) and whether dedup was
+//! involved ([`DedupOutcome`]).
 //!
 //! # Examples
 //!
@@ -145,7 +146,7 @@ pub(crate) mod tests_support {
 
 pub use config::{ChannelMode, IrmcConfig, Variant};
 pub use error::IrmcError;
-pub use messages::{range_digest, ChannelMsg, ReceiverMsg};
+pub use messages::{range_digest, ChannelMsg, ReceiverMsg, Run};
 pub use receiver::{
     DedupOutcome, Delivery, ReceiveResult, ReceiverEndpoint, COLLECTOR_TIMEOUT, REFETCH_DELAY,
 };

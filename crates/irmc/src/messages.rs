@@ -28,15 +28,106 @@
 //! [`WireSize::wire_size`] is the only code that knows what that weighs:
 //! a 16-byte slot header instead of the 20-byte range header (no count),
 //! no 4-byte per-slot length prefix, and a certificate whose root is
-//! elided because the content it covers is in the same message. Payloads
-//! are shared via [`Arc`], so multi-receiver fan-out, retention and
-//! re-shipping clone a pointer, not the content.
+//! elided because the content it covers is in the same message.
+//!
+//! The content of a run travels as a [`Run`]: one shared, immutable value
+//! that remembers its per-slot digests and its root once they have been
+//! computed. Fan-out to several receivers, retention and re-shipping
+//! clone a pointer, not the content, and every in-process holder of the
+//! same run — a sender and each endpoint it was cast to — hashes it at
+//! most once between them.
 
 use crate::{Content, Subchannel};
 use spider_crypto::{merkle_root, CostModel, Digest, Signature};
 use spider_types::wire::{DIGEST_BYTES, HEADER_BYTES, MAC_BYTES, SIG_BYTES};
 use spider_types::{Position, SimTime, WireSize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// The content of a contiguous slot run, in position order: an immutable
+/// value behind one reference count that remembers what hashing it gave.
+///
+/// This is [`spider_crypto::Hashed`]'s rule applied to a run. The root a
+/// statement over the run binds (the Merkle root, or the content digest
+/// of a run of one) and, where an endpoint works slot by slot, the
+/// per-slot content digests are computed from the content on first use
+/// and kept; a clone is the same value with the same memo. An endpoint
+/// handed a run still derives the root it checks a signature, vouch or
+/// certificate against from that content — what it skips is repeating,
+/// on the identical object, a computation whose result cannot differ.
+///
+/// The memo can never vouch for other content: the slots are reachable
+/// only through `Deref` to `[M]` (no `DerefMut`, no public field), the
+/// only constructor takes content and starts from an empty memo, so a
+/// changed run is a new object that is hashed again. Equality and `Debug`
+/// look at the content alone.
+pub struct Run<M>(Arc<RunInner<M>>);
+
+struct RunInner<M> {
+    msgs: Vec<M>,
+    /// Payload bytes: the sum of the slots' wire sizes.
+    bytes: usize,
+    leaves: OnceLock<Leaves>,
+    root: OnceLock<Digest>,
+}
+
+impl<M: Content> Run<M> {
+    /// Wraps the content of a run; nothing is hashed until a digest is
+    /// asked for.
+    pub fn new(msgs: Vec<M>) -> Self {
+        let bytes = msgs.iter().map(|m| m.wire_size()).sum();
+        Run(Arc::new(RunInner { msgs, bytes, leaves: OnceLock::new(), root: OnceLock::new() }))
+    }
+
+    /// The per-slot content digests, in position order, kept with the run
+    /// from the first call on: 32 bytes a slot for as long as the run
+    /// lives, so only who credits slots one by one (or ships the run to
+    /// endpoints that will) asks for them — and asks before [`Self::root`],
+    /// which then comes from the same pass over the content.
+    pub(crate) fn leaves(&self) -> &[Digest] {
+        self.0.leaves.get_or_init(|| Leaves::of(&self.0.msgs))
+    }
+
+    /// The root a statement over the run binds: the Merkle root of the
+    /// leaves, or the one leaf itself. Kept from the first call on; the
+    /// leaves it is computed from are the kept ones if there are any and
+    /// dropped again otherwise.
+    pub(crate) fn root(&self) -> Digest {
+        *self.0.root.get_or_init(|| match self.0.leaves.get() {
+            Some(leaves) => leaves.root(),
+            None => Leaves::of(&self.0.msgs).root(),
+        })
+    }
+
+    /// Payload bytes (what a transport MAC over the content covers).
+    pub(crate) fn bytes(&self) -> usize {
+        self.0.bytes
+    }
+}
+
+impl<M> Clone for Run<M> {
+    fn clone(&self) -> Self {
+        Run(Arc::clone(&self.0))
+    }
+}
+
+impl<M> std::ops::Deref for Run<M> {
+    type Target = [M];
+    fn deref(&self) -> &[M] {
+        &self.0.msgs
+    }
+}
+
+impl<M: PartialEq> PartialEq for Run<M> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.msgs == other.0.msgs
+    }
+}
+
+impl<M: std::fmt::Debug> std::fmt::Debug for Run<M> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.msgs.fmt(f)
+    }
+}
 
 /// Messages originating at sender endpoints.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,7 +140,7 @@ pub enum ChannelMsg<M> {
         /// First position of the run.
         first: Position,
         /// Content of each slot, in position order.
-        msgs: Arc<Vec<M>>,
+        msgs: Run<M>,
         /// Signature over `range_digest(sc, first, len, root)`.
         sig: Signature,
     },
@@ -98,7 +189,7 @@ pub enum ChannelMsg<M> {
         /// First position of the run.
         first: Position,
         /// Content of each slot, in position order.
-        msgs: Arc<Vec<M>>,
+        msgs: Run<M>,
     },
     /// IRMC-SC: a collector's certificate for a run — `fs + 1` shares
     /// from distinct senders over `range_digest(sc, first, count, root)`.
@@ -116,7 +207,7 @@ pub enum ChannelMsg<M> {
         /// The certified content, when it travels in the same message (a
         /// one-slot certificate); `None` pairs the certificate with the
         /// content of an earlier [`Self::Content`].
-        content: Option<Arc<Vec<M>>>,
+        content: Option<Run<M>>,
     },
     /// IRMC-SC: periodic progress announcement — per subchannel, the
     /// highest position for which the sender holds gap-free certificates.
@@ -138,17 +229,17 @@ impl<M: Content> WireSize for ChannelMsg<M> {
         // The one place a one-slot frame's bytes are told apart (see the
         // module docs): slot header 16, range header 20.
         match self {
-            ChannelMsg::Cast { msgs, .. } => match &msgs[..] {
-                [m] => HEADER_BYTES + 16 + m.wire_size() + SIG_BYTES,
-                _ => HEADER_BYTES + 20 + payload_size(msgs) + SIG_BYTES,
-            },
+            ChannelMsg::Cast { msgs, .. } if msgs.len() == 1 => {
+                HEADER_BYTES + 16 + msgs.bytes() + SIG_BYTES
+            }
+            ChannelMsg::Cast { msgs, .. } => HEADER_BYTES + 20 + payload_size(msgs) + SIG_BYTES,
             ChannelMsg::Share { count: 1, .. } => HEADER_BYTES + 16 + DIGEST_BYTES + SIG_BYTES,
             ChannelMsg::Share { .. } => HEADER_BYTES + 20 + DIGEST_BYTES + SIG_BYTES,
             ChannelMsg::Vouch { .. } => HEADER_BYTES + 20 + DIGEST_BYTES + MAC_BYTES,
             ChannelMsg::Content { msgs, .. } => HEADER_BYTES + 20 + payload_size(msgs) + MAC_BYTES,
             ChannelMsg::Certificate { shares, content, .. } => {
-                let certified = match content.as_deref().map(|msgs| &msgs[..]) {
-                    Some([m]) => 16 + m.wire_size(),
+                let certified = match content {
+                    Some(msgs) if msgs.len() == 1 => 16 + msgs.bytes(),
                     Some(msgs) => 20 + DIGEST_BYTES + payload_size(msgs),
                     None => 20 + DIGEST_BYTES,
                 };
@@ -193,8 +284,8 @@ impl<M: Content> WireSize for ChannelMsg<M> {
 
 /// Total payload bytes of a range (per-slot content plus a small length
 /// frame per slot).
-fn payload_size<M: Content>(msgs: &[M]) -> usize {
-    msgs.iter().map(|m| 4 + m.wire_size()).sum()
+fn payload_size<M: Content>(msgs: &Run<M>) -> usize {
+    4 * msgs.len() + msgs.bytes()
 }
 
 /// Messages originating at receiver endpoints.
@@ -270,25 +361,27 @@ pub fn range_digest(sc: Subchannel, first: Position, count: u32, root: &Digest) 
 /// The per-slot content digests of a run, held inline for a run of one
 /// so that a one-slot frame allocates nothing for a tree it does not
 /// build.
-pub(crate) enum Leaves {
+enum Leaves {
     One([Digest; 1]),
     Many(Vec<Digest>),
 }
 
 impl Leaves {
-    pub(crate) fn of<M: Content>(msgs: &[M]) -> Self {
+    fn of<M: Content>(msgs: &[M]) -> Self {
         match msgs {
             [m] => Leaves::One([m.digest()]),
             _ => Leaves::Many(msgs.iter().map(|m| m.digest()).collect()),
         }
     }
 
-    /// The root a statement over the run binds: the Merkle root of the
-    /// leaves, or the one leaf itself.
-    pub(crate) fn root(&self) -> Digest {
+    fn root(&self) -> Digest {
         match self {
             Leaves::One([leaf]) => *leaf,
-            Leaves::Many(leaves) => merkle_root(leaves),
+            Leaves::Many(leaves) => {
+                #[cfg(test)]
+                tests::TREES_BUILT.with(|n| n.set(n.get() + 1));
+                merkle_root(leaves)
+            }
         }
     }
 }
@@ -326,8 +419,8 @@ pub(crate) struct RunCost {
 }
 
 impl RunCost {
-    pub(crate) fn of<M: Content>(cost: &CostModel, msgs: &[M]) -> Self {
-        let bytes = msgs.iter().map(|m| m.wire_size()).sum();
+    pub(crate) fn of<M: Content>(cost: &CostModel, msgs: &Run<M>) -> Self {
+        let bytes = msgs.bytes();
         let ranged = msgs.len() > 1;
         let tree = if ranged { cost.merkle(msgs.len()) } else { SimTime::ZERO };
         RunCost { bytes, hash: cost.hmac(bytes) + tree, ranged }
@@ -352,9 +445,15 @@ impl RunCost {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use spider_crypto::Digestible;
+
+    thread_local! {
+        /// Merkle trees built over runs on this thread (each test runs on
+        /// its own), for the tests that pin "hashed once" by count.
+        pub(crate) static TREES_BUILT: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
 
     #[derive(Debug, Clone, PartialEq)]
     struct Blob(Vec<u8>);
@@ -373,15 +472,15 @@ mod tests {
         spider_crypto::Keyring::new(1).sign(spider_crypto::KeyId(0), &Digest::of_bytes(b"x"))
     }
 
-    fn payload(n: usize, size: usize) -> Arc<Vec<Blob>> {
-        Arc::new((0..n).map(|_| Blob(vec![0; size])).collect())
+    fn payload(n: usize, size: usize) -> Run<Blob> {
+        Run::new((0..n).map(|_| Blob(vec![0; size])).collect())
     }
 
     fn cast(n: usize, size: usize) -> ChannelMsg<Blob> {
         ChannelMsg::Cast { sc: 0, first: Position(1), msgs: payload(n, size), sig: sig() }
     }
 
-    fn cert(count: u32, shares: usize, content: Option<Arc<Vec<Blob>>>) -> ChannelMsg<Blob> {
+    fn cert(count: u32, shares: usize, content: Option<Run<Blob>>) -> ChannelMsg<Blob> {
         let (root, shares) = (Digest::of_bytes(b"x"), vec![sig(); shares]);
         ChannelMsg::Certificate { sc: 0, first: Position(1), count, root, shares, content }
     }
@@ -455,10 +554,21 @@ mod tests {
     #[test]
     fn a_slot_root_is_its_content_digest_and_a_range_root_the_merkle_root() {
         let msgs = [Blob(vec![1]), Blob(vec![2])];
-        assert_eq!(Leaves::of(&msgs[..1]).root(), msgs[0].digest());
-        let leaves = Leaves::of(&msgs);
-        assert_eq!(leaves.root(), merkle_root(&[msgs[0].digest(), msgs[1].digest()]));
-        assert_eq!(&leaves[..], [msgs[0].digest(), msgs[1].digest()]);
+        let one = Run::new(msgs[..1].to_vec());
+        assert_eq!((one.leaves(), one.root()), (&[msgs[0].digest()][..], msgs[0].digest()));
+        let two = Run::new(msgs.to_vec());
+        assert_eq!(two.leaves(), [msgs[0].digest(), msgs[1].digest()]);
+        assert_eq!(two.root(), merkle_root(&[msgs[0].digest(), msgs[1].digest()]));
+        assert_eq!(TREES_BUILT.get(), 1, "a run of one builds no tree");
+    }
+
+    #[test]
+    fn a_run_is_its_content_to_equality_debug_and_wire_size() {
+        let (a, b) = (payload(3, 100), payload(3, 100));
+        let _ = a.root();
+        assert_eq!(a, b, "hashed or not");
+        assert_eq!(format!("{a:?}"), format!("{:?}", &b[..]));
+        assert_eq!((a.bytes(), a.len()), (300, 3));
     }
 
     #[test]

@@ -11,13 +11,12 @@
 //! buffered and **never** delivered until a valid certificate covers it.
 
 use crate::config::{IrmcConfig, Variant};
-use crate::messages::{range_digest, ChannelMsg, Leaves, ReceiverMsg, RunCost};
+use crate::messages::{range_digest, ChannelMsg, ReceiverMsg, Run, RunCost};
 use crate::window::Window;
 use crate::{Action, Content, IrmcError, Subchannel};
 use spider_crypto::{Digest, Keyring, RootCache, Signature};
 use spider_types::{Position, SimTime};
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// IRMC-SC: how long a receiver waits for a lagging collector before
 /// switching to another sender (Fig 20 L30-35). Suspicion-scale: expiry
@@ -48,15 +47,20 @@ pub enum DedupOutcome {
     Refetched,
 }
 
-/// A delivered message plus its provenance: which sender's copy was
-/// delivered and whether the dedup machinery was involved.
+/// A delivered message plus its provenance: which sender the delivery
+/// is attributed to and whether the dedup machinery was involved.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Delivery<M> {
     /// The delivered message.
     pub payload: M,
     /// The slot it was delivered for.
     pub position: Position,
-    /// Index of the sender whose content copy was delivered.
+    /// Index of the sender the delivery is attributed to: the shipper of
+    /// the delivered copy for a run delivered as a unit (the dedup
+    /// carrier or refetched voucher, the IRMC-SC collector), and for a
+    /// slot delivered by a per-slot quorum of signed copies the sender
+    /// whose copy *completed* the quorum — the payload handed out is then
+    /// the matching copy of the lowest-indexed sender, identical content.
     pub carrier: usize,
     /// How the content reached this endpoint.
     pub dedup: DedupOutcome,
@@ -95,18 +99,87 @@ struct PendingContent<M> {
     /// Sender that shipped it (at most one buffered candidate per sender,
     /// so a faulty collector cannot evict honest content).
     from: usize,
-    msgs: Arc<Vec<M>>,
-    root: Digest,
+    run: Run<M>,
     /// Provenance to attach on delivery ([`DedupOutcome::Replicated`]
     /// for SC, `Primary`/`Refetched` for RC dedup).
     outcome: DedupOutcome,
 }
 
+/// What a receiver holds for one position.
+#[derive(Debug)]
+struct Slot<M> {
+    /// RC: the verified copies credited so far, one per sender, ordered
+    /// by sender index: (sender, content digest, message).
+    copies: Vec<(usize, Digest, M)>,
+    /// Deliverable content, with the index of the sender the delivery is
+    /// attributed to and the dedup provenance. `Action::Ready` went out
+    /// when this was first set.
+    ready: Option<(M, usize, DedupOutcome)>,
+}
+
+impl<M> Default for Slot<M> {
+    fn default() -> Self {
+        Slot { copies: Vec::new(), ready: None }
+    }
+}
+
+/// The per-slot records of the positions `[base, base + len)`, `base`
+/// being the window start: a ring indexed by `p - base` that grows at the
+/// back as positions are first touched and is drained at the front when
+/// the window moves. Every position an endpoint touches has passed the
+/// window's far-above guard (or belongs to a run whose first slot has),
+/// so the ring never holds more than two windows plus one run.
+#[derive(Debug)]
+struct Slots<M> {
+    base: u64,
+    ring: VecDeque<Slot<M>>,
+}
+
+impl<M> Slots<M> {
+    fn new() -> Self {
+        Slots { base: 1, ring: VecDeque::new() }
+    }
+
+    fn get(&self, p: u64) -> Option<&Slot<M>> {
+        self.ring.get(usize::try_from(p.checked_sub(self.base)?).ok()?)
+    }
+
+    /// The deliverable content at `p`, if any.
+    fn ready(&self, p: u64) -> Option<&(M, usize, DedupOutcome)> {
+        self.get(p)?.ready.as_ref()
+    }
+
+    /// The record of `p`, growing the ring up to it; `None` below the
+    /// window, where nothing is held.
+    fn entry(&mut self, p: u64) -> Option<&mut Slot<M>> {
+        let i = usize::try_from(p.checked_sub(self.base)?).ok()?;
+        if i >= self.ring.len() {
+            self.ring.resize_with(i.checked_add(1)?, Slot::default);
+        }
+        self.ring.get_mut(i)
+    }
+
+    /// How many positions of `[lo, hi)` are deliverable (`lo >= base`).
+    fn ready_in(&self, lo: u64, hi: u64) -> usize {
+        let skip = (lo - self.base) as usize;
+        self.ring.iter().skip(skip).take((hi - lo) as usize).filter(|s| s.ready.is_some()).count()
+    }
+
+    /// Forgets everything below `start`, the new window start.
+    fn gc_below(&mut self, start: u64) {
+        let gone =
+            usize::try_from(start - self.base).map_or(usize::MAX, |n| n.min(self.ring.len()));
+        self.ring.drain(..gone);
+        self.base = start;
+    }
+}
+
 #[derive(Debug)]
 struct ReceiverSub<M> {
     awin: Window,
-    /// RC: per position, per sender: (content digest, message).
-    rc_slots: BTreeMap<u64, BTreeMap<usize, (Digest, M)>>,
+    /// Per-position state: RC copies awaiting a quorum, and what is
+    /// deliverable.
+    slots: Slots<M>,
     /// RC dedup: per range first position, per sender: the vouched
     /// statement (count, Merkle root). A verified range `Cast` registers
     /// as its sender's statement too, so the carrier counts toward the
@@ -115,11 +188,6 @@ struct ReceiverSub<M> {
     /// RC dedup: round-robin cursor over the vouchers of a stalled range,
     /// so successive refetches try different senders.
     fetch_cursor: BTreeMap<u64, usize>,
-    /// Deliverable content per position, with the index of the sender
-    /// whose copy was delivered and the dedup provenance.
-    ready: BTreeMap<u64, (M, usize, DedupOutcome)>,
-    /// Positions for which `Action::Ready` was already emitted.
-    announced: BTreeSet<u64>,
     /// SC: uncertified early-shipped range content, by first position;
     /// at most one candidate per sender (a faulty collector must not be
     /// able to evict the honest content).
@@ -150,11 +218,9 @@ impl<M> ReceiverSub<M> {
     fn new(capacity: u64, n_senders: usize, me: usize) -> Self {
         ReceiverSub {
             awin: Window::new(capacity),
-            rc_slots: BTreeMap::new(),
+            slots: Slots::new(),
             vouches: BTreeMap::new(),
             fetch_cursor: BTreeMap::new(),
-            ready: BTreeMap::new(),
-            announced: BTreeSet::new(),
             pending_content: BTreeMap::new(),
             pending_certs: BTreeMap::new(),
             sender_moves: vec![Position(0); n_senders],
@@ -169,13 +235,11 @@ impl<M> ReceiverSub<M> {
 
     fn gc_below(&mut self, start: Position) {
         let s = start.0;
-        self.rc_slots.retain(|&p, _| p >= s);
+        self.slots.gc_below(s);
         self.vouches.retain(|&p, stmts| stmts.values().any(|&(c, _)| p + c as u64 > s));
         self.fetch_cursor.retain(|&p, _| p >= s);
-        self.ready.retain(|&p, _| p >= s);
-        self.announced.retain(|&p| p >= s);
         self.pending_content.retain(|&p, cands| {
-            cands.retain(|pc| p + pc.msgs.len() as u64 > s);
+            cands.retain(|pc| p + pc.run.len() as u64 > s);
             !cands.is_empty()
         });
         self.pending_certs.retain(|&p, certs| {
@@ -236,7 +300,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         if sub.awin.is_below(p) {
             return ReceiveResult::TooOld(sub.awin.start());
         }
-        match sub.ready.get(&p.0) {
+        match sub.slots.ready(p.0) {
             Some((m, carrier, outcome)) => ReceiveResult::Ready(Delivery {
                 payload: m.clone(),
                 position: p,
@@ -309,7 +373,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         from: usize,
         sc: Subchannel,
         first: Position,
-        msgs: Arc<Vec<M>>,
+        msgs: Run<M>,
         sig: Signature,
         out: &mut Vec<Action<M>>,
     ) -> Result<(), IrmcError> {
@@ -327,8 +391,8 @@ impl<M: Content> ReceiverEndpoint<M> {
         // Hash all payloads, rebuild the tree, verify ONE signature.
         let (price, label) = cost.verify(self.cfg.cost.rsa_verify());
         out.push(Action::Charge(price, label));
-        let leaves = Leaves::of(&msgs);
-        let rd = range_digest(sc, first, msgs.len() as u32, &leaves.root());
+        let leaves = msgs.leaves();
+        let rd = range_digest(sc, first, msgs.len() as u32, &msgs.root());
         if !self.keyring.verify(key, &rd, &sig) {
             // Any tampered member slot lands here: reject whole.
             return Err(IrmcError::BadSignature { sc, p: first });
@@ -359,7 +423,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         from: usize,
         sc: Subchannel,
         first: Position,
-        msgs: Arc<Vec<M>>,
+        msgs: Run<M>,
         sig: Signature,
         out: &mut Vec<Action<M>>,
     ) -> Result<(), IrmcError> {
@@ -387,8 +451,8 @@ impl<M: Content> ReceiverEndpoint<M> {
         }
         // Hash the payloads and rebuild the tree (once per range).
         out.push(Action::Charge(cost.hash, "range_hash"));
-        let leaves = Leaves::of(&msgs);
-        let root = leaves.root();
+        let leaves = msgs.leaves();
+        let root = msgs.root();
         let rd = range_digest(sc, first, count as u32, &root);
         if self.root_cache.contains(&rd) {
             // Same signed statement as before: root comparison suffices.
@@ -402,7 +466,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         }
         let sub = self.sub(sc);
         sub.vouches.entry(first.0).or_default().entry(from).or_insert((count as u32, root));
-        Self::buffer_content(sub, from, first.0, msgs.clone(), root, DedupOutcome::Primary);
+        Self::buffer_content(sub, from, first.0, msgs.clone(), DedupOutcome::Primary);
         self.try_deliver_dedup(sc, first.0, out);
         if !Self::range_delivered(self.sub(sc), first.0, count as u64) {
             // Not (yet) deliverable as a range — the other senders may
@@ -482,7 +546,7 @@ impl<M: Content> ReceiverEndpoint<M> {
     fn range_delivered(sub: &ReceiverSub<M>, first: u64, count: u64) -> bool {
         let lo = first.max(sub.awin.start().0);
         let hi = first + count;
-        hi <= lo || sub.ready.range(lo..hi).count() == (hi - lo) as usize
+        hi <= lo || sub.slots.ready_in(lo, hi) == (hi - lo) as usize
     }
 
     /// The statement `(count, root)` vouched for range `first` by more
@@ -502,18 +566,16 @@ impl<M: Content> ReceiverEndpoint<M> {
         sub: &mut ReceiverSub<M>,
         from: usize,
         first: u64,
-        msgs: Arc<Vec<M>>,
-        root: Digest,
+        run: Run<M>,
         outcome: DedupOutcome,
     ) {
         let candidates = sub.pending_content.entry(first).or_default();
         match candidates.iter_mut().find(|c| c.from == from) {
             Some(mine) => {
-                mine.msgs = msgs;
-                mine.root = root;
+                mine.run = run;
                 mine.outcome = outcome;
             }
-            None => candidates.push(PendingContent { from, msgs, root, outcome }),
+            None => candidates.push(PendingContent { from, run, outcome }),
         }
     }
 
@@ -545,8 +607,8 @@ impl<M: Content> ReceiverEndpoint<M> {
         let matched = sub.pending_content.get(&first).and_then(|cands| {
             cands
                 .iter()
-                .find(|c| c.root == root && c.msgs.len() == count as usize)
-                .map(|c| (c.from, c.msgs.clone(), c.outcome))
+                .find(|c| c.run.root() == root && c.run.len() == count as usize)
+                .map(|c| (c.from, c.run.clone(), c.outcome))
         });
         match matched {
             Some((carrier, msgs, outcome)) => {
@@ -590,20 +652,23 @@ impl<M: Content> ReceiverEndpoint<M> {
             // senders are window-limited anyway).
             return Err(IrmcError::OutOfWindow { sc, p });
         }
-        let slot_map = sub.rc_slots.entry(p.0).or_default();
-        slot_map.entry(from).or_insert((digest, msg));
-        // Quorum: fs + 1 senders with identical content. The just-booked
-        // entry guarantees at least one value carries `digest`, so the
-        // `find` below cannot miss — but delivery is driven off it rather
-        // than an assertion, keeping the path total.
-        let quorate = slot_map.values().filter(|(d, _)| *d == digest).count() > fs;
-        if quorate && !sub.ready.contains_key(&p.0) {
-            let found = slot_map.values().find(|(d, _)| *d == digest).map(|(_, m)| m.clone());
+        let Some(slot) = sub.slots.entry(p.0) else {
+            return Ok(()); // Below the window: answered above.
+        };
+        // One copy per sender, the first it sent, in sender order.
+        if let Err(at) = slot.copies.binary_search_by_key(&from, |(s, ..)| *s) {
+            slot.copies.insert(at, (from, digest, msg));
+        }
+        // Quorum: fs + 1 senders with identical content. A quorum means
+        // at least one copy carries `digest`, so the `find` below cannot
+        // miss — but delivery is driven off it rather than an assertion,
+        // keeping the path total.
+        let quorate = slot.copies.iter().filter(|(_, d, _)| *d == digest).count() > fs;
+        if quorate && slot.ready.is_none() {
+            let found = slot.copies.iter().find(|(_, d, _)| *d == digest).map(|(.., m)| m.clone());
             if let Some(m) = found {
-                sub.ready.insert(p.0, (m, from, DedupOutcome::Replicated));
-                if sub.announced.insert(p.0) {
-                    out.push(Action::Ready { sc, p });
-                }
+                slot.ready = Some((m, from, DedupOutcome::Replicated));
+                out.push(Action::Ready { sc, p });
             }
         }
         Ok(())
@@ -626,7 +691,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         count: u32,
         root: Digest,
         shares: Vec<Signature>,
-        content: Option<Arc<Vec<M>>>,
+        content: Option<Run<M>>,
         out: &mut Vec<Action<M>>,
     ) -> Result<(), IrmcError> {
         if self.cfg.variant() != Variant::SenderCollect {
@@ -639,7 +704,7 @@ impl<M: Content> ReceiverEndpoint<M> {
             Some(msgs) if msgs.len() != count as usize => {
                 return Err(IrmcError::MalformedRange { sc, first, count: msgs.len() as u64 });
             }
-            Some(msgs) => (RunCost::of(&self.cfg.cost, msgs).hash, Leaves::of(msgs).root()),
+            Some(msgs) => (RunCost::of(&self.cfg.cost, msgs).hash, msgs.root()),
             None => (self.cfg.cost.hmac(32), root),
         };
         let verify = self.cfg.cost.rsa_verify() * shares.len() as u64;
@@ -660,8 +725,9 @@ impl<M: Content> ReceiverEndpoint<M> {
         // arrives (reordered links).
         let content = content.map(|msgs| (from, msgs)).or_else(|| {
             let cands = sub.pending_content.get(&first.0)?;
-            let hit = cands.iter().find(|c| c.root == root && c.msgs.len() == count as usize)?;
-            let hit = (hit.from, hit.msgs.clone());
+            let hit =
+                cands.iter().find(|c| c.run.root() == root && c.run.len() == count as usize)?;
+            let hit = (hit.from, hit.run.clone());
             sub.pending_content.remove(&first.0);
             Some(hit)
         });
@@ -708,7 +774,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         from: usize,
         sc: Subchannel,
         first: Position,
-        msgs: Arc<Vec<M>>,
+        msgs: Run<M>,
         out: &mut Vec<Action<M>>,
     ) -> Result<(), IrmcError> {
         let dedup = self.cfg.dedup();
@@ -732,8 +798,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         }
         // Transport MAC + payload hashing + tree rebuild; no signature.
         out.push(Action::Charge(cost.hash, "range_hash"));
-        let leaves = Leaves::of(&msgs);
-        let root = leaves.root();
+        let root = msgs.root();
         if dedup {
             let fs = self.cfg.fs;
             let sub = self.sub(sc);
@@ -752,13 +817,15 @@ impl<M: Content> ReceiverEndpoint<M> {
             // senders cut their ranges at diverged boundaries and no
             // statement will ever quorate.
             let own = sub.vouches.get(&first.0).and_then(|stmts| stmts.get(&from)).copied();
-            Self::buffer_content(sub, from, first.0, msgs.clone(), root, DedupOutcome::Refetched);
+            Self::buffer_content(sub, from, first.0, msgs.clone(), DedupOutcome::Refetched);
             if own == Some((count as u32, root)) {
                 // The copy matches `from`'s own vouched statement: it is a
                 // per-slot attestation by `from`, exactly like its signed
                 // cast — credit each slot so overlapping statements
-                // converge on per-slot quorums despite diverged cuts.
-                for (i, (leaf, m)) in leaves.iter().zip(msgs.iter()).enumerate() {
+                // converge on per-slot quorums despite diverged cuts. (Only
+                // this rare branch needs the per-slot digests of a copy
+                // that was hashed for its root alone.)
+                for (i, (leaf, m)) in msgs.leaves().iter().zip(msgs.iter()).enumerate() {
                     let _ = self.credit_rc_slot(
                         from,
                         sc,
@@ -792,7 +859,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         // Buffer one candidate per *sender*: a faulty collector flooding
         // bogus roots can only ever replace its own slot, never evict
         // honest content.
-        Self::buffer_content(sub, from, first.0, msgs, root, DedupOutcome::Replicated);
+        Self::buffer_content(sub, from, first.0, msgs, DedupOutcome::Replicated);
         Ok(())
     }
 
@@ -809,14 +876,13 @@ impl<M: Content> ReceiverEndpoint<M> {
         out: &mut Vec<Action<M>>,
     ) {
         let sub = self.sub(sc);
-        let start = sub.awin.start().0;
         for (i, m) in msgs.iter().enumerate() {
             let p = first + i as u64;
-            if p < start {
-                continue;
-            }
-            let entry = (m.clone(), carrier, outcome);
-            if sub.ready.insert(p, entry).is_none() && sub.announced.insert(p) {
+            let Some(slot) = sub.slots.entry(p) else {
+                continue; // The window moved past this slot.
+            };
+            // A later delivery overwrites; only the first announces.
+            if slot.ready.replace((m.clone(), carrier, outcome)).is_none() {
                 out.push(Action::Ready { sc, p: Position(p) });
             }
         }
@@ -890,7 +956,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         let lo = sub.missing_cursor.max(sub.awin.start().0);
         let hi = sub.merged_progress.0;
         let mut p = lo;
-        while p <= hi && sub.ready.contains_key(&p) {
+        while p <= hi && sub.slots.ready(p).is_some() {
             p += 1;
         }
         sub.missing_cursor = p;
@@ -1179,7 +1245,7 @@ mod tests {
         let mut r = receiver(&cfg(SC));
         for n in [1, 3] {
             let msgs = blobs(1, n);
-            let root = Leaves::of(&msgs).root();
+            let root = Run::new(msgs.clone()).root();
             let good = ring.sign(KeyId(1000), &range_digest(0, Position(1), n as u32, &root));
             // The second share is over another position — invalid here;
             // and two shares from one sender are no better.
@@ -1193,7 +1259,7 @@ mod tests {
                         count: n as u32,
                         root,
                         shares,
-                        content: Some(Arc::new(msgs.clone())),
+                        content: Some(Run::new(msgs.clone())),
                     },
                     &mut Vec::new(),
                 );
@@ -1207,7 +1273,7 @@ mod tests {
     fn zero_slot_frames_are_malformed_whatever_their_kind() {
         let root = Digest::of_bytes(b"x");
         let first = Position(1);
-        let none: Arc<Vec<Blob>> = Arc::new(Vec::new());
+        let none: Run<Blob> = Run::new(Vec::new());
         let sig = Keyring::new(5).sign(KeyId(1000), &root);
         for (mode, frame) in [
             (RC, ChannelMsg::Cast { sc: 0, first, msgs: none.clone(), sig }),
@@ -1294,9 +1360,9 @@ mod tests {
         else {
             panic!("one cast expected")
         };
-        let mut tampered: Vec<Blob> = (**signed).clone();
+        let mut tampered: Vec<Blob> = signed.to_vec();
         tampered[2] = Blob::new(b"evil");
-        let cast = ChannelMsg::Cast { sc: *sc, first: *first, msgs: Arc::new(tampered), sig: *sig };
+        let cast = ChannelMsg::Cast { sc: *sc, first: *first, msgs: Run::new(tampered), sig: *sig };
         let res = r.on_sender_message(1, cast, &mut Vec::new());
         assert_eq!(res, Err(IrmcError::BadSignature { sc: 0, p: Position(1) }));
         assert_eq!(
@@ -1374,7 +1440,7 @@ mod tests {
         let (content, cert) = sc_shipments(&msgs);
         let mut r = receiver(&cfg(SC));
         for k in 0..8u64 {
-            let bogus = Arc::new(blobs(100 + 10 * k, 4));
+            let bogus = Run::new(blobs(100 + 10 * k, 4));
             feed(&mut r, 2, vec![ChannelMsg::Content { sc: 0, first: Position(1), msgs: bogus }]);
         }
         feed(&mut r, 0, content);
@@ -1387,7 +1453,7 @@ mod tests {
         let (_, cert) = sc_shipments(&blobs(1, 3));
         let mut r = receiver(&cfg(SC));
         // A faulty collector ships different content than was certified.
-        let other = Arc::new(blobs(7, 3));
+        let other = Run::new(blobs(7, 3));
         feed(&mut r, 0, vec![ChannelMsg::Content { sc: 0, first: Position(1), msgs: other }]);
         feed(&mut r, 0, cert);
         assert_eq!(
@@ -1419,7 +1485,7 @@ mod tests {
     }
 
     fn content(msgs: &[Blob]) -> Vec<ChannelMsg<Blob>> {
-        vec![ChannelMsg::Content { sc: 0, first: Position(1), msgs: Arc::new(msgs.to_vec()) }]
+        vec![ChannelMsg::Content { sc: 0, first: Position(1), msgs: Run::new(msgs.to_vec()) }]
     }
 
     #[test]
@@ -1601,6 +1667,204 @@ mod tests {
                 panic!("delivered")
             };
             assert_eq!((d.dedup, d.position), (DedupOutcome::Replicated, Position(1)));
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // A run is hashed once
+    // ------------------------------------------------------------------
+
+    /// Content that counts how often it is hashed; all copies of a slot
+    /// share the slot's counter.
+    #[derive(Debug, Clone)]
+    struct Counted {
+        pos: u64,
+        hashed: std::rc::Rc<std::cell::Cell<u32>>,
+    }
+
+    impl PartialEq for Counted {
+        fn eq(&self, other: &Self) -> bool {
+            self.pos == other.pos
+        }
+    }
+
+    impl WireSize for Counted {
+        fn wire_size(&self) -> usize {
+            100
+        }
+    }
+
+    impl spider_crypto::Digestible for Counted {
+        fn digest(&self) -> Digest {
+            self.hashed.set(self.hashed.get() + 1);
+            Digest::builder().u64(self.pos).finish()
+        }
+    }
+
+    /// One 32-slot range from four senders to three receivers costs four
+    /// passes over the content and four trees — one per sender, whose
+    /// receivers read what it computed off the run it cast them — where
+    /// re-deriving per endpoint took 7 (dedup) or 16 (legacy RC). What
+    /// is shared is the object: the same content in a new one is hashed
+    /// again, and a tampered copy is hashed and rejected.
+    #[test]
+    fn a_range_is_hashed_once_per_sender_and_a_new_object_again() {
+        use crate::messages::tests::TREES_BUILT;
+        for mode in [DEDUP, RC] {
+            let c = IrmcConfig::new(mode, 4, 1, 3, 1, 64).with_cost(CostModel::zero());
+            let slots: Vec<Counted> =
+                (1..=32).map(|pos| Counted { pos, hashed: Default::default() }).collect();
+            let hashes = |expect: u32, what: &str| {
+                for m in &slots {
+                    assert_eq!(m.hashed.get(), expect, "{mode}: slot {} {what}", m.pos);
+                }
+            };
+            let trees_before = TREES_BUILT.get();
+            let mut receivers: Vec<ReceiverEndpoint<Counted>> =
+                (0..3).map(|r| ReceiverEndpoint::new(c.clone(), r, Keyring::new(5))).collect();
+            let mut signed_copy = None;
+            for s in 0..4 {
+                let mut sender = SenderEndpoint::new(c.clone(), s, Keyring::new(5));
+                let mut out = Vec::new();
+                sender.send_batch(0, Position(1), slots.clone(), &mut out);
+                for a in out {
+                    let Action::ToReceiver { to, msg } = a else { continue };
+                    if matches!(msg, ChannelMsg::Cast { .. }) {
+                        signed_copy = Some((s, msg.clone()));
+                    }
+                    assert_eq!(receivers[to].on_sender_message(s, msg, &mut Vec::new()), Ok(()));
+                }
+            }
+            for r in &mut receivers {
+                let delivered = (1..=32).map(|p| r.try_receive(0, Position(p)).into_payload());
+                assert!(delivered.eq(slots.iter().cloned().map(Some)), "{mode}: all delivered");
+            }
+            hashes(4, "is hashed once per sender");
+            assert_eq!(TREES_BUILT.get() - trees_before, 4, "{mode}: one tree per sender");
+
+            let Some((from, ChannelMsg::Cast { sc, first, msgs, sig })) = signed_copy else {
+                panic!("{mode}: somebody casts")
+            };
+            // Equal content in a new object: no constructor takes a memo.
+            let rebuilt = Run::new(msgs.to_vec());
+            assert_eq!(rebuilt, msgs);
+            assert_eq!(rebuilt.root(), msgs.root());
+            hashes(5, "is hashed again in a new object");
+            // A tampered copy (its slot keeps counting on the same counter).
+            let mut bad = msgs.to_vec();
+            bad[7].pos = 999;
+            let cast = ChannelMsg::Cast { sc, first, msgs: Run::new(bad), sig };
+            let mut fresh = ReceiverEndpoint::new(c.clone(), 0, Keyring::new(5));
+            let res = fresh.on_sender_message(from, cast, &mut Vec::new());
+            assert_eq!(res, Err(IrmcError::BadSignature { sc: 0, p: Position(1) }));
+            hashes(6, "is hashed when tampered with");
+            assert_eq!(TREES_BUILT.get() - trees_before, 6, "{mode}: and two more trees");
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // The slot ring
+    // ------------------------------------------------------------------
+
+    /// A peer can make a receiver hold a record for every position the
+    /// far-above guard admits, plus the tail of a run that starts at the
+    /// last of them — and nothing beyond.
+    #[test]
+    fn the_far_above_guard_bounds_the_slot_ring() {
+        let (capacity, max_range) = (8, 4);
+        for (mode, grown) in [(RC, 15), (DEDUP, 18)] {
+            let c = cfg(mode).with_range(max_range);
+            assert_eq!(c.capacity, capacity);
+            // Senders whose own window reaches further than the receiver's.
+            let ahead = IrmcConfig::new(mode, 3, 1, 3, 1, 64)
+                .with_cost(CostModel::zero())
+                .with_range(max_range);
+            let mut r = receiver(&c);
+            // Window [1, 8]: 15 is the highest position the guard admits.
+            let msgs = blobs(15, max_range as u64);
+            for s in 0..3 {
+                feed(&mut r, s, frames(&ahead, s, 0, 15, &msgs));
+            }
+            // Legacy RC credits slot by slot and stops at 16; a dedup
+            // quorum delivers the run it started as a unit, 15..=18.
+            let want =
+                if mode == RC { vec![Some(msgs[0].clone()), None, None, None] } else { all(&msgs) };
+            assert_eq!(got(&mut r, 0, 15, 4), want, "{mode}");
+            let held = r.subs[&0].slots.ring.len();
+            assert_eq!(held, grown, "{mode}");
+            assert!(held <= 2 * capacity as usize + max_range);
+            // One position further is refused, whoever asks and however.
+            for s in 0..3 {
+                for n in [1, max_range as u64] {
+                    for frame in frames(&ahead, s, 0, 16, &blobs(16, n)) {
+                        let res = r.on_sender_message(s, frame, &mut Vec::new());
+                        assert_eq!(res, Err(IrmcError::OutOfWindow { sc: 0, p: Position(16) }));
+                    }
+                }
+            }
+            assert_eq!(r.subs[&0].slots.ring.len(), held, "{mode}: and leaves no record");
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The ring is the ordered map it replaced: after any sequence of
+        /// writes, window moves and reads (some below the window, some
+        /// past the ring's end), both hold the same records.
+        #[test]
+        fn the_slot_ring_is_a_map_by_position(
+            ops in prop::collection::vec((0u8..5, 0u64..48, 0u64..48), 0..200),
+        ) {
+            let mut ring: Slots<u64> = Slots::new();
+            let mut model: BTreeMap<u64, (Vec<u64>, Option<u64>)> = BTreeMap::new();
+            let mut base = 1u64;
+            for (i, (op, a, b)) in ops.into_iter().enumerate() {
+                let (p, tag) = (base + a, i as u64);
+                match op {
+                    0 => {
+                        ring.entry(p).unwrap().ready = Some((tag, 0, DedupOutcome::Replicated));
+                        model.entry(p).or_default().1 = Some(tag);
+                    }
+                    1 => {
+                        ring.entry(p).unwrap().copies.push((0, Digest::ZERO, tag));
+                        model.entry(p).or_default().0.push(tag);
+                    }
+                    2 => {
+                        // Reads reach 8 below the window as well.
+                        let p = p.saturating_sub(8);
+                        let held = ring.get(p).map(|s| {
+                            let copies: Vec<u64> = s.copies.iter().map(|c| c.2).collect();
+                            (copies, s.ready.map(|r| r.0))
+                        });
+                        let untouched = (Vec::new(), None);
+                        // The ring also holds an empty record for every
+                        // position below one that was written.
+                        prop_assert_eq!(
+                            held.as_ref().unwrap_or(&untouched),
+                            model.get(&p).unwrap_or(&untouched)
+                        );
+                        prop_assert_eq!(ring.ready(p).map(|r| r.0), model.get(&p).and_then(|m| m.1));
+                    }
+                    3 => {
+                        let (lo, hi) = (p.min(base + b), p.max(base + b));
+                        let ready = model.range(lo..hi).filter(|(_, m)| m.1.is_some()).count();
+                        prop_assert_eq!(ring.ready_in(lo, hi), ready);
+                    }
+                    _ => {
+                        base += a % 24;
+                        ring.gc_below(base);
+                        model.retain(|&p, _| p >= base);
+                    }
+                }
+                let highest = model.keys().next_back().map_or(0, |p| p + 1 - base);
+                prop_assert!(ring.ring.len() as u64 >= highest, "every written position is held");
+                prop_assert!(ring.ring.len() <= 48, "and nothing beyond the furthest write");
+            }
         }
     }
 }

@@ -23,13 +23,12 @@
 //! the stalled slots one by one, which matches regardless of boundaries.
 
 use crate::config::{IrmcConfig, Variant};
-use crate::messages::{carrier_for, range_digest, ChannelMsg, Leaves, ReceiverMsg, RunCost};
+use crate::messages::{carrier_for, range_digest, ChannelMsg, ReceiverMsg, Run, RunCost};
 use crate::window::Window;
 use crate::{Action, Content, IrmcError, Subchannel};
 use spider_crypto::{Digest, Keyring, Signature};
 use spider_types::{Position, SimTime};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Result of a [`SenderEndpoint::send_batch`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,17 +59,16 @@ pub const RC_RECAST_TICKS: u8 = 25;
 /// stalls and re-casts it when the window itself stalls (a healed
 /// partition may have eaten the original casts).
 #[derive(Debug)]
-struct Run<M> {
-    msgs: Arc<Vec<M>>,
-    root: Digest,
+struct Submitted<M> {
+    run: Run<M>,
     /// SC: receivers the raw content already went to (§A.9 overlap, or
     /// with an earlier certificate); sized on first use.
     shipped: Vec<bool>,
 }
 
-impl<M> Run<M> {
+impl<M> Submitted<M> {
     fn len(&self) -> u64 {
-        self.msgs.len() as u64
+        self.run.len() as u64
     }
 
     /// Marks the content as shipped to receiver `r`; returns whether it
@@ -86,8 +84,7 @@ impl<M> Run<M> {
 /// SC: an assembled certificate.
 #[derive(Debug)]
 struct Certified<M> {
-    msgs: Arc<Vec<M>>,
-    root: Digest,
+    run: Run<M>,
     shares: Vec<Signature>,
 }
 
@@ -106,7 +103,7 @@ struct SenderSub<M> {
     /// carrier rotation keys on the chunk's first position).
     blocked: BTreeMap<u64, Vec<M>>,
     /// What this endpoint submitted, by first position.
-    runs: BTreeMap<u64, Run<M>>,
+    runs: BTreeMap<u64, Submitted<M>>,
     /// SC: the statement each sender shared for a run `(first, count)` —
     /// its root and signature. First statement per sender wins (Fig 19
     /// L17), so a faulty peer cannot grow this beyond the window.
@@ -153,7 +150,7 @@ impl<M: Content> SenderSub<M> {
         self.blocked.retain(|&p, chunk| p + chunk.len() as u64 > s);
         self.runs.retain(|&p, run| p + run.len() > s);
         self.shares.retain(|&(p, count), _| p + count as u64 > s);
-        self.certs.retain(|&p, cert| p + cert.msgs.len() as u64 > s);
+        self.certs.retain(|&p, cert| p + cert.run.len() as u64 > s);
     }
 
     /// Whether any slot of `[first, first + count)` is covered by a
@@ -161,7 +158,7 @@ impl<M: Content> SenderSub<M> {
     /// before the run's end decides).
     fn certified(&self, first: u64, count: u64) -> bool {
         let last = self.certs.range(..first + count).next_back();
-        last.is_some_and(|(start, cert)| start + cert.msgs.len() as u64 > first)
+        last.is_some_and(|(start, cert)| start + cert.run.len() as u64 > first)
     }
 
     /// Advances the cached gap-free certified watermark.
@@ -183,18 +180,18 @@ impl<M: Content> SenderSub<M> {
     /// The content this endpoint submitted for slot `p`, if it still
     /// holds it.
     fn slot(&self, p: u64) -> Option<&M> {
-        let (first, run) = self.runs.range(..=p).next_back()?;
-        run.msgs.get((p - first) as usize)
+        let (first, held) = self.runs.range(..=p).next_back()?;
+        held.run.get((p - first) as usize)
     }
 
-    /// This endpoint's own content and root for the statement
-    /// `(first, count)`: a run exactly as submitted, or — what the
-    /// stalled-certification fallback shares — one slot out of a longer
-    /// run (a copy; the fallback is rare).
-    fn statement(&self, first: u64, count: u32) -> Option<(Arc<Vec<M>>, Digest)> {
+    /// This endpoint's own content for the statement `(first, count)`: a
+    /// run exactly as submitted, or — what the stalled-certification
+    /// fallback shares — one slot out of a longer run (a copy, and so a
+    /// run of its own; the fallback is rare).
+    fn statement(&self, first: u64, count: u32) -> Option<Run<M>> {
         match self.runs.get(&first) {
-            Some(run) if run.len() == count as u64 => Some((run.msgs.clone(), run.root)),
-            _ if count == 1 => self.slot(first).map(|m| (Arc::new(vec![m.clone()]), m.digest())),
+            Some(held) if held.len() == count as u64 => Some(held.run.clone()),
+            _ if count == 1 => self.slot(first).map(|m| Run::new(vec![m.clone()])),
             _ => None,
         }
     }
@@ -375,21 +372,20 @@ impl<M: Content> SenderEndpoint<M> {
                     return Err(IrmcError::WrongVariant);
                 }
                 self.cfg.check_count(sc, first, count as u64)?;
-                let Some(run) = self.sub(sc).runs.get(&first.0) else {
+                let Some(held) = self.sub(sc).runs.get(&first.0) else {
                     // Already GC'd (the window moved past it) or cut at a
                     // different boundary: the receiver will ask another
                     // voucher, so staying quiet is safe.
                     return Ok(());
                 };
-                if run.len() != count as u64 {
+                if held.len() != count as u64 {
                     return Err(IrmcError::MalformedRange { sc, first, count: count as u64 });
                 }
-                let msgs = run.msgs.clone();
+                let msgs = held.run.clone();
                 // MAC the re-shipped content for the requesting receiver;
                 // it carries no signature — the receiver verifies it by
                 // root comparison against the vouch quorum.
-                let bytes = RunCost::of(&self.cfg.cost, &msgs).bytes;
-                out.push(Action::Charge(self.cfg.cost.hmac(bytes), "refetch_serve"));
+                out.push(Action::Charge(self.cfg.cost.hmac(msgs.bytes()), "refetch_serve"));
                 out.push(Action::ToReceiver {
                     to: from,
                     msg: ChannelMsg::Content { sc, first, msgs },
@@ -400,8 +396,8 @@ impl<M: Content> SenderEndpoint<M> {
     }
 
     /// Re-ships everything certified so far to a receiver that just
-    /// selected this endpoint as collector (Fig 19 L39). Payloads are
-    /// shared (`Arc`), so this clones pointers, not content.
+    /// selected this endpoint as collector (Fig 19 L39). Runs are shared,
+    /// so this clones pointers, not content.
     fn reship_bundles(&mut self, sc: Subchannel, to: usize, out: &mut Vec<Action<M>>) {
         let Some(sub) = self.subs.get(&sc) else {
             return;
@@ -411,7 +407,7 @@ impl<M: Content> SenderEndpoint<M> {
         let mut certs: Vec<(bool, u64)> = sub
             .certs
             .iter()
-            .map(|(&first, cert)| (RunCost::of(&self.cfg.cost, &cert.msgs).ranged, first))
+            .map(|(&first, cert)| (RunCost::of(&self.cfg.cost, &cert.run).ranged, first))
             .collect();
         certs.sort_unstable();
         for (_, first) in certs {
@@ -440,20 +436,20 @@ impl<M: Content> SenderEndpoint<M> {
         let Some(cert) = sub.certs.get(&first) else {
             return;
         };
-        let run = RunCost::of(cost, &cert.msgs);
-        let (mut mac, mut content) = (run.bytes, Some(cert.msgs.clone()));
-        if run.ranged {
+        let price = RunCost::of(cost, &cert.run);
+        let (mut mac, mut content) = (price.bytes, Some(cert.run.clone()));
+        if price.ranged {
             let held = sub.runs.get_mut(&first).is_some_and(|r| r.mark_shipped(to, n_receivers));
             if resend || !held {
-                out.push(Action::Charge(cost.hmac(run.bytes), label));
-                let msgs = cert.msgs.clone();
+                out.push(Action::Charge(cost.hmac(price.bytes), label));
+                let msgs = cert.run.clone();
                 let msg = ChannelMsg::Content { sc, first: Position(first), msgs };
                 out.push(Action::ToReceiver { to, msg });
             }
             (mac, content) = (32, None);
         }
         out.push(Action::Charge(cost.hmac(mac), label));
-        let (count, root, shares) = (cert.msgs.len() as u32, cert.root, cert.shares.clone());
+        let (count, root, shares) = (cert.run.len() as u32, cert.run.root(), cert.shares.clone());
         let msg =
             ChannelMsg::Certificate { sc, first: Position(first), count, root, shares, content };
         out.push(Action::ToReceiver { to, msg });
@@ -524,11 +520,10 @@ impl<M: Content> SenderEndpoint<M> {
         }
         let n_receivers = self.cfg.n_receivers;
         let count = msgs.len() as u32;
-        let root = Leaves::of(&msgs).root();
-        let msgs = Arc::new(msgs);
-        let mut run = Run { msgs: msgs.clone(), root, shipped: Vec::new() };
+        let msgs = Run::new(msgs);
+        let mut held = Submitted { run: msgs.clone(), shipped: Vec::new() };
         if self.cfg.variant() == Variant::ReceiverCollect {
-            self.sub(sc).runs.insert(first, run);
+            self.sub(sc).runs.insert(first, held);
             self.cast(sc, first, 0..n_receivers, None, out);
             return;
         }
@@ -543,7 +538,7 @@ impl<M: Content> SenderEndpoint<M> {
                 // local RSA signing and the share exchange. The compact
                 // shares-only certificate follows from `bundle`.
                 for r in self.my_receivers(sc) {
-                    run.mark_shipped(r, n_receivers);
+                    held.mark_shipped(r, n_receivers);
                     out.push(Action::Charge(self.cfg.cost.hmac(cost.bytes), "range_ship"));
                     let msg =
                         ChannelMsg::Content { sc, first: Position(first), msgs: msgs.clone() };
@@ -551,8 +546,8 @@ impl<M: Content> SenderEndpoint<M> {
                 }
             }
         }
-        self.sub(sc).runs.insert(first, run);
-        self.share(sc, first, count, root, cost.sign(self.cfg.cost.rsa_sign()), out);
+        self.sub(sc).runs.insert(first, held);
+        self.share(sc, first, count, msgs.root(), cost.sign(self.cfg.cost.rsa_sign()), out);
     }
 
     /// RC: ships the retained run at `first` to the receivers `to` — as
@@ -567,12 +562,13 @@ impl<M: Content> SenderEndpoint<M> {
         recast: Option<&'static str>,
         out: &mut Vec<Action<M>>,
     ) {
-        let (Some(key), Some(run)) =
+        let (Some(key), Some(held)) =
             (self.key_of_sender(self.me), self.subs.get(&sc).and_then(|sub| sub.runs.get(&first)))
         else {
             return; // `new` validated `me`, and callers name a run they hold.
         };
-        let cost = RunCost::of(&self.cfg.cost, &run.msgs);
+        let run = &held.run;
+        let cost = RunCost::of(&self.cfg.cost, run);
         let (count, first) = (run.len() as u32, Position(first));
         if cost.ranged {
             // Hash all payloads and build the tree.
@@ -587,18 +583,21 @@ impl<M: Content> SenderEndpoint<M> {
                 // whose carrier stays dark can fetch it from any voucher.
                 out.push(Action::Charge(self.cfg.cost.hmac(52), recast.unwrap_or("vouch_mac")));
                 for r in to {
-                    let msg = ChannelMsg::Vouch { sc, first, count, root: run.root };
+                    let msg = ChannelMsg::Vouch { sc, first, count, root: run.root() };
                     out.push(Action::ToReceiver { to: r, msg });
                 }
                 return;
             }
         }
-        // One RSA signature for the whole run.
+        // One RSA signature for the whole run. A receiver credits a signed
+        // copy slot by slot, so its per-slot digests are kept with it; a
+        // run that is only vouched for keeps its root alone.
+        run.leaves();
         let (price, label) = cost.sign(self.cfg.cost.rsa_sign());
         out.push(Action::Charge(price, recast.unwrap_or(label)));
-        let sig = self.keyring.sign(key, &range_digest(sc, first, count, &run.root));
+        let sig = self.keyring.sign(key, &range_digest(sc, first, count, &run.root()));
         for r in to {
-            let msg = ChannelMsg::Cast { sc, first, msgs: run.msgs.clone(), sig };
+            let msg = ChannelMsg::Cast { sc, first, msgs: run.clone(), sig };
             out.push(Action::ToReceiver { to: r, msg });
         }
     }
@@ -696,9 +695,10 @@ impl<M: Content> SenderEndpoint<M> {
             return;
         }
         // Only bundle over content we submitted ourselves.
-        let Some((msgs, root)) = sub.statement(first, count) else {
+        let Some(run) = sub.statement(first, count) else {
             return;
         };
+        let root = run.root();
         let Some(stated) = sub.shares.get(&(first, count)) else {
             return;
         };
@@ -708,7 +708,7 @@ impl<M: Content> SenderEndpoint<M> {
         if shares.len() <= fs {
             return;
         }
-        sub.certs.insert(first, Certified { msgs, root, shares });
+        sub.certs.insert(first, Certified { run, shares });
         sub.advance_hwm();
         for r in self.my_receivers(sc) {
             self.ship_certificate(sc, first, r, false, "bundle_mac", out);
@@ -835,7 +835,9 @@ impl<M: Content> SenderEndpoint<M> {
         let mut runs: Vec<(bool, u64, u64)> = sub
             .runs
             .iter()
-            .map(|(&first, run)| (RunCost::of(&self.cfg.cost, &run.msgs).ranged, first, run.len()))
+            .map(|(&first, held)| {
+                (RunCost::of(&self.cfg.cost, &held.run).ranged, first, held.len())
+            })
             .map(|(ranged, first, len)| (!ranged, first, first + len - 1))
             .collect();
         runs.sort_unstable();
@@ -1242,7 +1244,7 @@ mod tests {
     fn dedup_vouch_carries_the_carrier_root() {
         let msgs = blobs(1, 4);
         let out = send(&mut sender(DEDUP, roles().1), 1, msgs.clone());
-        let want = Leaves::of(&msgs).root();
+        let want = Run::new(msgs.clone()).root();
         assert!(matches!(
             to_receiver(&out, 0)[..],
             [ChannelMsg::Vouch { root, count: 4, .. }] if *root == want

@@ -7,9 +7,8 @@ mod common;
 
 use common::{blobs, cfg, complete, Blob, Fault, Net, Wire};
 use proptest::prelude::*;
-use spider_irmc::{ChannelMsg, ReceiveResult, SendStatus, Variant};
+use spider_irmc::{ChannelMsg, ReceiveResult, Run, SendStatus, Variant};
 use spider_types::Position;
-use std::sync::Arc;
 
 const RC: Variant = Variant::ReceiverCollect;
 const SC: Variant = Variant::SenderCollect;
@@ -206,9 +205,9 @@ proptest! {
         // signatures still cover the original content).
         for item in net.wire.iter_mut() {
             if let Wire::ToReceiver { msg: ChannelMsg::Cast { msgs, .. }, .. } = item {
-                let mut tampered = (**msgs).clone();
+                let mut tampered = msgs.to_vec();
                 tampered[(tamper % n_msgs) as usize] = Blob::of(666);
-                *msgs = Arc::new(tampered);
+                *msgs = Run::new(tampered);
             }
         }
         net.pump();

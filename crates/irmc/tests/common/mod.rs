@@ -8,12 +8,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spider_crypto::{Digest, Digestible, Keyring};
 use spider_irmc::{
-    Action, ChannelMode, ChannelMsg, IrmcConfig, ReceiverEndpoint, ReceiverMsg, SenderEndpoint,
+    Action, ChannelMode, ChannelMsg, IrmcConfig, ReceiverEndpoint, ReceiverMsg, Run, SenderEndpoint,
 };
 use spider_types::{Position, WireSize};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 #[derive(Debug, Clone, PartialEq)]
 pub struct Blob(pub Vec<u8>);
@@ -89,9 +88,9 @@ impl Fault {
             (Fault::DropCerts(f, t), _) if (f, t) == (from, to) && cert => None,
             (Fault::DropContent(f), _) if f == from && signed_content => None,
             (Fault::TamperContent(f), ChannelMsg::Cast { sc, first, msgs, sig }) if f == from => {
-                let mut bad = (*msgs).clone();
+                let mut bad = msgs.to_vec();
                 bad[0] = Blob::of(u64::MAX);
-                Some(ChannelMsg::Cast { sc, first, msgs: Arc::new(bad), sig })
+                Some(ChannelMsg::Cast { sc, first, msgs: Run::new(bad), sig })
             }
             (_, msg) => Some(msg),
         }

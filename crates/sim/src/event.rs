@@ -29,12 +29,6 @@ pub(crate) enum EventKind<M> {
     },
 }
 
-pub(crate) struct Event<M> {
-    pub at: SimTime,
-    pub node: NodeId,
-    pub kind: EventKind<M>,
-}
-
 /// Heap entry. The derived order compares `(at, seq)` first and `seq` is
 /// unique, so `node` and `slot` never decide.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -62,8 +56,7 @@ impl<M> EventQueue<M> {
     }
 
     /// Queues `kind` for `node` at `at`, behind everything already queued
-    /// for that instant. A busy node's event is re-queued through here as
-    /// well: it keeps its payload and takes a fresh sequence number.
+    /// for that instant.
     pub fn push(&mut self, at: SimTime, node: NodeId, kind: EventKind<M>) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -80,15 +73,37 @@ impl<M> EventQueue<M> {
         self.heap.push(Reverse(Key { at, seq, node, slot }));
     }
 
-    pub fn pop(&mut self) -> Option<Event<M>> {
-        let Reverse(Key { at, node, slot, .. }) = self.heap.pop()?;
+    /// Takes the earliest event out of the queue; [`Self::peek`] tells
+    /// when and where it was due.
+    pub fn pop(&mut self) -> Option<EventKind<M>> {
+        let Reverse(Key { slot, .. }) = self.heap.pop()?;
         let kind = self.slots[slot as usize].take().expect("a queued key owns its slot");
         self.free.push(slot);
-        Some(Event { at, node, kind })
+        Some(kind)
+    }
+
+    /// Re-queues the earliest event for `at`, behind everything already
+    /// queued for that instant — how a busy node's event waits for the
+    /// node to free up. The event gets the key `pop` followed by `push`
+    /// would give it (a fresh sequence number), but the heap's top entry
+    /// is re-keyed where it sits: one sift-down, and the payload never
+    /// leaves its slot.
+    pub fn defer_top(&mut self, at: SimTime) {
+        let Some(mut top) = self.heap.peek_mut() else {
+            return;
+        };
+        top.0.at = at;
+        top.0.seq = self.next_seq;
+        self.next_seq += 1;
+    }
+
+    /// When the earliest event is due, and at which node.
+    pub fn peek(&self) -> Option<(SimTime, NodeId)> {
+        self.heap.peek().map(|Reverse(key)| (key.at, key.node))
     }
 
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(key)| key.at)
+        self.peek().map(|(at, _)| at)
     }
 
     pub fn len(&self) -> usize {
@@ -120,7 +135,7 @@ mod tests {
         q.push(SimTime::from_millis(1), n, EventKind::Deliver { from: n, msg: 2 });
         q.push(SimTime::from_millis(5), n, EventKind::Deliver { from: n, msg: 3 });
 
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| msg_of(e.kind)).collect();
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(msg_of).collect();
         assert_eq!(order, vec![2, 1, 3], "time order, then insertion order");
     }
 
@@ -133,7 +148,7 @@ mod tests {
                 let at = SimTime::from_millis(u64::from(round * 10 + (3 - i)));
                 q.push(at, n, EventKind::Deliver { from: n, msg: round * 4 + i });
             }
-            let popped: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| msg_of(e.kind)).collect();
+            let popped: Vec<u32> = std::iter::from_fn(|| q.pop()).map(msg_of).collect();
             let expected: Vec<u32> = (0..4).rev().map(|i| round * 4 + i).collect();
             assert_eq!(popped, expected, "a reused slot hands back its own payload");
         }
@@ -146,7 +161,7 @@ mod tests {
     fn a_requeued_event_goes_behind_its_instant_and_keeps_arrival_order() {
         // Three messages reach a busy node at t=1 in the order 1, 2, 3 and
         // one more is already queued for t=5, when the node frees up. The
-        // world re-queues each popped event at t=5 with its payload.
+        // world defers each event it finds on top to t=5, payload in place.
         let mut q: EventQueue<u32> = EventQueue::new();
         let n = NodeId(3);
         let (arrive, free_at) = (SimTime::from_millis(1), SimTime::from_millis(5));
@@ -155,12 +170,54 @@ mod tests {
             q.push(arrive, n, EventKind::Deliver { from: n, msg });
         }
         for _ in 0..3 {
-            let e = q.pop().expect("queued");
-            assert_eq!((e.at, e.node), (arrive, n));
-            q.push(free_at, e.node, e.kind);
+            assert_eq!(q.peek(), Some((arrive, n)));
+            q.defer_top(free_at);
         }
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| msg_of(e.kind)).collect();
+        assert_eq!((q.len(), q.slots.len(), q.free.len()), (4, 4, 0), "nothing left its slot");
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(msg_of).collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
+    }
+
+    /// Two queues fed the same random pushes, pops and deferrals — one
+    /// deferring in place, the other popping and pushing back — hand out
+    /// the same events in the same order.
+    #[test]
+    fn deferring_the_top_is_popping_and_pushing_it_back() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = SmallRng::seed_from_u64(19);
+        let (mut deferred, mut repushed) = (EventQueue::<u32>::new(), EventQueue::<u32>::new());
+        let mut next_msg = 0;
+        for _ in 0..20_000 {
+            match rng.gen_range(0..4u32) {
+                0 | 1 => {
+                    // Few distinct instants, so ties are the common case.
+                    let at = SimTime::from_millis(rng.gen_range(0..16));
+                    let node = NodeId(rng.gen_range(0..4));
+                    for q in [&mut deferred, &mut repushed] {
+                        q.push(at, node, EventKind::Deliver { from: node, msg: next_msg });
+                    }
+                    next_msg += 1;
+                }
+                2 => {
+                    let Some((at, node)) = deferred.peek() else { continue };
+                    let later = at + SimTime::from_millis(rng.gen_range(0..4));
+                    deferred.defer_top(later);
+                    let kind = repushed.pop().expect("same length");
+                    repushed.push(later, node, kind);
+                }
+                _ => {
+                    let popped = [&mut deferred, &mut repushed].map(|q| q.pop().map(msg_of));
+                    assert_eq!(popped[0], popped[1]);
+                }
+            }
+            assert_eq!(deferred.peek(), repushed.peek());
+        }
+        let drain = |q: &mut EventQueue<u32>| -> Vec<u32> {
+            std::iter::from_fn(|| q.pop()).map(msg_of).collect()
+        };
+        assert_eq!(drain(&mut deferred), drain(&mut repushed));
     }
 
     #[test]

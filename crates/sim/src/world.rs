@@ -7,7 +7,7 @@ use spider_types::{NodeId, RegionId, SimTime, WireSize, ZoneId};
 use std::collections::{BTreeSet, VecDeque};
 
 use crate::actor::{Actor, ActorObj, Context, OutAction, Timer, TimerId};
-use crate::event::{Event, EventKind, EventQueue};
+use crate::event::{EventKind, EventQueue};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::metrics::{LinkClass, SimStats};
 use crate::net::{LinkQuality, NetworkControl, Topology};
@@ -314,30 +314,32 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
 
     /// Processes a single event. Returns `false` if the queue was empty.
     pub fn step(&mut self) -> bool {
-        // Scripted faults due before the next event take effect first, so
-        // the event's send decisions see the post-fault network.
-        if let Some(next) = self.queue.peek_time() {
-            self.apply_due_faults(next.max(self.now));
-        }
-        let Some(event) = self.queue.pop() else {
+        let Some((at, node)) = self.queue.peek() else {
             return false;
         };
-        self.now = self.now.max(event.at);
+        // Scripted faults due before the next event take effect first, so
+        // the event's send decisions see the post-fault network.
+        self.apply_due_faults(at.max(self.now));
+        self.now = self.now.max(at);
         self.stats.total_events += 1;
-        let Event { node, kind, at } = event;
 
         // Dead nodes consume nothing.
         if self.net_control.is_crashed(node) {
+            self.queue.pop();
             return true;
         }
 
-        // Busy-server model: if the node's CPU is still busy, requeue the
-        // event for when it frees up, preserving arrival order via seq.
+        // Busy-server model: if the node's CPU is still busy, the event
+        // waits in the queue for when it frees up, arrival order preserved
+        // via seq. Most events of a loaded run meet a busy node first.
         let busy_until = self.nodes[node.0 as usize].busy_until;
         if busy_until > at {
-            self.queue.push(busy_until, node, kind);
+            self.queue.defer_top(busy_until);
             return true;
         }
+        let Some(kind) = self.queue.pop() else {
+            return false;
+        };
 
         match kind {
             EventKind::Deliver { from, msg } => {
