@@ -9,11 +9,16 @@
 //! meant to move the model updates them in the same commit as the
 //! regenerated `BENCH_*` artifacts.
 
-use spider::SpiderConfig;
+use spider::execution::ExecutionReplica;
+use spider::{Application, SpiderConfig, WorkloadSpec};
+use spider_app::{kv_op_factory, KvStore};
+use spider_baselines::BftDeployment;
+use spider_harness::ec2_topology;
 use spider_harness::experiments::{commit_channel, disaster, fig11, fig9bcd};
-use spider_harness::scenarios::{run_scenario, ScenarioCfg, SystemKind};
+use spider_harness::scenarios::{run_scenario, run_scenario_obs, ScenarioCfg, SystemKind};
 use spider_irmc::{ChannelMode, Variant};
-use spider_tests::digest;
+use spider_sim::Simulation;
+use spider_tests::{digest, standard_deployment};
 use spider_types::SimTime;
 
 fn small() -> ScenarioCfg {
@@ -98,4 +103,71 @@ fn wan_partition_row() {
 fn fig11_f2_rows() {
     let scenario = ScenarioCfg { clients_per_region: 1, ..small() };
     pin("fig11", format!("{:?}", fig11::run(&fig11::Config { scenario })), 0x8c83_54da_28c9_f42f);
+}
+
+/// BFT-WV (`BftDeployment::build_weighted`) is the one PBFT host no other
+/// digest here covers; only the fig 10 CSV does.
+#[test]
+fn bft_weighted_voting_run() {
+    let mut sim = Simulation::new(ec2_topology(), 17);
+    let regions = ["virginia", "oregon", "ireland", "tokyo", "saopaulo"];
+    let mut dep = BftDeployment::build_weighted(
+        &mut sim,
+        SpiderConfig::default(),
+        &regions,
+        1,
+        &[0, 1],
+        KvStore::new,
+    );
+    for region in regions {
+        let workload = WorkloadSpec::writes_per_sec(4.0, 200).with_max_ops(8);
+        dep.spawn_clients(&mut sim, region, 1, workload.with_op_factory(kv_op_factory(100)));
+    }
+    sim.run_until_quiescent(SimTime::from_secs(60));
+    let rendered = format!("{:?}\n{:?}", dep.collect_samples(&sim), sim.stats());
+    pin("BFT-WV", rendered, 0x6d88_fcab_9a8e_92e9);
+}
+
+/// A group added at runtime: the agreement replicas replay `hist` into
+/// its commit channel, its replicas fan a `FetchRequest` out to the
+/// other groups and install a foreign snapshot (§3.5, §3.6).
+#[test]
+fn runtime_add_group_run() {
+    let cfg =
+        SpiderConfig { ke: 8, ka: 8, ag_win: 16, commit_capacity: 16, ..SpiderConfig::default() };
+    let (mut sim, mut dep) = standard_deployment(22, cfg);
+    let workload = WorkloadSpec::writes_per_sec(10.0, 200).with_max_ops(40);
+    dep.spawn_clients(&mut sim, 1, 2, workload.with_op_factory(kv_op_factory(100)));
+    let new_group = dep.add_execution_group(&mut sim, "saopaulo", SimTime::from_secs(3));
+    sim.run_until_quiescent(SimTime::from_secs(120));
+
+    let mut rendered = format!("{:?}\n{:?}\n", dep.collect_samples(&sim), sim.stats());
+    for (group, _, nodes) in &dep.groups {
+        for node in nodes {
+            let seq = if *group == new_group {
+                sim.actor::<ExecutionReplica<Box<dyn Application>>>(*node).sequence()
+            } else {
+                sim.actor::<ExecutionReplica<KvStore>>(*node).sequence()
+            };
+            rendered.push_str(&format!("{group:?} {node:?} {seq:?}\n"));
+        }
+    }
+    for node in &dep.agreement {
+        let seq = sim.actor::<spider::agreement::AgreementReplica>(*node).sequence();
+        rendered.push_str(&format!("agreement {node:?} {seq:?}\n"));
+    }
+    pin("runtime AddGroup", rendered, 0xe6d9_d3e6_2e75_d880);
+}
+
+/// The recorder's whole report of a traced Spider run — spans, edges,
+/// `cpu_by_op`, health marks. `determinism.rs` only compares such a run
+/// with itself.
+#[test]
+fn traced_spider_obs_report() {
+    let (_, obs) = run_scenario_obs(SystemKind::Spider { leader_zone: 0 }, &small());
+    let rendered = spider_obs::export::digest_render(&obs);
+    assert!(rendered.contains("span ") && rendered.contains("edge ") && rendered.contains("cpu "));
+    let got = digest(&rendered);
+    // The render runs to megabytes: report the digest, not the text.
+    assert_eq!(got, 0x9502_198b_d0da_95e4, "traced Spider ObsReport moved: digest {got:#018x}");
 }
