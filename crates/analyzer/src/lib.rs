@@ -66,7 +66,8 @@ const HOT_PATHS: &[&str] = &[
 /// still must not use hash collections — the event loop's iteration order
 /// feeds straight into the trace). Crates that run inside the simulator
 /// (`irmc`, `consensus`, `core`) additionally get charge-coverage; `app`,
-/// the replicated state machine they host, gets the determinism lints.
+/// the replicated state machine they host, and `baselines`, the systems
+/// Spider is compared with, get the determinism lints.
 const CRATE_CFG: &[(&str, bool, bool, bool, bool)] = &[
     // (crate, time_sources, charge_coverage, trace_hygiene, edge_pairing)
     ("types", true, false, false, false),
@@ -84,6 +85,11 @@ const CRATE_CFG: &[(&str, bool, bool, bool, bool)] = &[
     // collection or ambient randomness here would split correct
     // replicas. It runs no protocol code, so nothing to charge or trace.
     ("app", true, false, false, false),
+    // The BFT and Steward baselines run inside the simulator too, and
+    // their latencies sit next to Spider's in every comparison figure:
+    // the determinism lints. They model CPU by direct charges and are
+    // not traced, so no charge, span or edge pairing to check.
+    ("baselines", true, false, false, false),
 ];
 
 /// Files outside the protocol crates that feed CI-gated numbers: the

@@ -5,14 +5,15 @@ use crate::messages::{BaseMsg, Request};
 use bytes::Bytes;
 use spider::app::Application;
 use spider::directory::Directory;
+use spider::host;
+use spider::keys::AGREEMENT_GROUP;
 use spider::messages::Reply;
 use spider::SpiderConfig;
-use spider_consensus::{Input, Output, Pbft, PbftConfig, TimerToken};
-use spider_sim::{Actor, Context, Simulation, Timer, TimerId};
-use spider_types::{ClientId, NodeId, OpKind, SeqNr, SimTime};
-use std::collections::HashMap;
+use spider_consensus::{Input, Output, Pbft, PbftConfig};
+use spider_sim::{Actor, Context, Simulation, Timer};
+use spider_types::{ClientId, NodeId, OpKind, SeqNr};
+use std::collections::BTreeMap;
 
-const TAG_PBFT_BASE: u64 = 100;
 /// Unilateral consensus garbage collection interval (the baselines skip
 /// the full checkpoint protocol; its CPU cost is negligible next to the
 /// WAN round trips being measured).
@@ -24,9 +25,8 @@ pub struct BftReplica<A: Application> {
     cfg: SpiderConfig,
     pbft: Pbft<Request>,
     app: A,
-    executed: HashMap<ClientId, (u64, Bytes)>,
+    executed: BTreeMap<ClientId, (u64, Bytes)>,
     delivered: u64,
-    timers: HashMap<u64, TimerId>,
     /// Number of executed requests (diagnostics).
     pub execute_count: u64,
 }
@@ -40,15 +40,13 @@ impl<A: Application> BftReplica<A> {
         directory: Directory,
         app: A,
     ) -> Self {
-        let _ = me;
         BftReplica {
             directory,
             cfg,
             pbft: Pbft::new(pbft_cfg, me),
             app,
-            executed: HashMap::new(),
+            executed: BTreeMap::new(),
             delivered: 0,
-            timers: HashMap::new(),
             execute_count: 0,
         }
     }
@@ -63,32 +61,23 @@ impl<A: Application> BftReplica<A> {
         self.pbft.view()
     }
 
-    fn apply_outputs(&mut self, ctx: &mut Context<'_, BaseMsg>, outputs: Vec<Output<Request>>) {
+    /// Runs one input through the global consensus and executes what it
+    /// delivers.
+    fn pbft_step(&mut self, ctx: &mut Context<'_, BaseMsg>, input: Input<Request>) {
         let replicas = self.directory.agreement();
-        for o in outputs {
-            match o {
-                Output::Send { to, msg } => {
-                    if let Some(node) = replicas.get(to) {
-                        ctx.send(*node, BaseMsg::Pbft(msg));
-                    }
+        let mut outputs = Vec::new();
+        self.pbft.handle(ctx.now(), input, &mut outputs);
+        for output in outputs {
+            if let Some(Output::Deliver { batch, .. }) =
+                host::pbft_io(ctx, &replicas, BaseMsg::Pbft, output)
+            {
+                for req in batch {
+                    self.execute(ctx, req);
                 }
-                Output::Deliver { batch, .. } => {
-                    for req in batch {
-                        self.execute(ctx, req);
-                    }
-                    self.delivered += 1;
-                    if self.delivered.is_multiple_of(GC_INTERVAL) && self.delivered > GC_INTERVAL {
-                        self.pbft.gc(SeqNr(self.delivered - GC_INTERVAL));
-                    }
+                self.delivered += 1;
+                if self.delivered.is_multiple_of(GC_INTERVAL) && self.delivered > GC_INTERVAL {
+                    self.pbft.gc(SeqNr(self.delivered - GC_INTERVAL));
                 }
-                Output::SetTimer { token, delay } => self.arm(ctx, TAG_PBFT_BASE + token.0, delay),
-                Output::CancelTimer { token } => {
-                    if let Some(id) = self.timers.remove(&(TAG_PBFT_BASE + token.0)) {
-                        ctx.cancel_timer(id);
-                    }
-                }
-                Output::Charge(c) => ctx.charge_op("consensus", "handle", c),
-                _ => {}
             }
         }
     }
@@ -109,14 +98,6 @@ impl<A: Application> BftReplica<A> {
                 BaseMsg::Reply(Reply { tc: req.tc, result, weak: false, resubmit: false }),
             );
         }
-    }
-
-    fn arm(&mut self, ctx: &mut Context<'_, BaseMsg>, tag: u64, delay: SimTime) {
-        if let Some(old) = self.timers.remove(&tag) {
-            ctx.cancel_timer(old);
-        }
-        let id = ctx.set_timer(delay, tag);
-        self.timers.insert(tag, id);
     }
 }
 
@@ -167,32 +148,20 @@ impl<A: Application> Actor<BaseMsg> for BftReplica<A> {
                     }
                 }
                 ctx.charge(self.cfg.cost.rsa_verify());
-                let mut out = Vec::new();
-                self.pbft.handle(ctx.now(), Input::Order(req), &mut out);
-                self.apply_outputs(ctx, out);
+                self.pbft_step(ctx, Input::Order(req));
             }
             BaseMsg::Pbft(m) => {
-                let Some(idx) = self.directory.agreement().iter().position(|n| *n == from) else {
-                    return;
-                };
-                let mut out = Vec::new();
-                self.pbft.handle(ctx.now(), Input::Message { from: idx, msg: m }, &mut out);
-                self.apply_outputs(ctx, out);
+                if let Some(idx) = self.directory.replica_index(AGREEMENT_GROUP, from) {
+                    self.pbft_step(ctx, Input::Message { from: idx, msg: m });
+                }
             }
             BaseMsg::Reply(_) | BaseMsg::Steward(_) => {}
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, BaseMsg>, timer: Timer) {
-        self.timers.remove(&timer.tag);
-        if timer.tag >= TAG_PBFT_BASE {
-            let mut out = Vec::new();
-            self.pbft.handle(
-                ctx.now(),
-                Input::Timer(TimerToken(timer.tag - TAG_PBFT_BASE)),
-                &mut out,
-            );
-            self.apply_outputs(ctx, out);
+        if let Some(input) = host::pbft_timer(timer.tag) {
+            self.pbft_step(ctx, input);
         }
     }
 }
@@ -225,9 +194,8 @@ impl BftDeployment {
         regions: &[&str],
         app_factory: impl Fn() -> A,
     ) -> Self {
-        assert_eq!(regions.len(), 3 * cfg.fa + 1, "one replica per region");
-        let pbft_cfg = cfg.tune_pbft(PbftConfig::new(cfg.fa));
-        Self::build_with_pbft(sim, cfg, pbft_cfg, regions, app_factory)
+        let placements: Vec<_> = regions.iter().map(|r| (*r, 0)).collect();
+        Self::build_in_zones(sim, cfg, &placements, app_factory)
     }
 
     /// Builds BFT-WV: `3f + 1 + delta` replicas, WHEAT weights on the
@@ -242,50 +210,39 @@ impl BftDeployment {
     ) -> Self {
         assert_eq!(regions.len(), 3 * cfg.fa + 1 + delta);
         let pbft_cfg = cfg.tune_pbft(PbftConfig::weighted(cfg.fa, delta, vmax_holders));
-        Self::build_with_pbft(sim, cfg, pbft_cfg, regions, app_factory)
+        let placements: Vec<_> = regions.iter().map(|r| (*r, 0)).collect();
+        Self::build_with_pbft(sim, cfg, pbft_cfg, &placements, app_factory)
     }
 
     /// Builds a PBFT group with explicit per-replica `(region, zone)`
     /// placement — used for the Spider-0E comparison point (Fig 9a) where
     /// all replicas live in different zones of one region.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `placements.len() == 3f + 1`.
     pub fn build_in_zones<A: Application>(
         sim: &mut Simulation<BaseMsg>,
         cfg: SpiderConfig,
         placements: &[(&str, u8)],
         app_factory: impl Fn() -> A,
     ) -> Self {
-        assert_eq!(placements.len(), 3 * cfg.fa + 1);
+        assert_eq!(placements.len(), 3 * cfg.fa + 1, "one replica per placement");
         let pbft_cfg = cfg.tune_pbft(PbftConfig::new(cfg.fa));
-        let directory = Directory::new();
-        let mut replicas = Vec::new();
-        for (i, (region, zone)) in placements.iter().enumerate() {
-            let zone = sim.topology().zone(region, *zone);
-            let replica =
-                BftReplica::new(cfg.clone(), pbft_cfg.clone(), i, directory.clone(), app_factory());
-            replicas.push(sim.add_node(zone, replica));
-        }
-        directory.set_agreement(replicas.clone());
-        BftDeployment {
-            directory,
-            replicas,
-            reply_quorum: cfg.fa + 1,
-            cfg,
-            next_client: 0,
-            clients: Vec::new(),
-        }
+        Self::build_with_pbft(sim, cfg, pbft_cfg, placements, app_factory)
     }
 
     fn build_with_pbft<A: Application>(
         sim: &mut Simulation<BaseMsg>,
         cfg: SpiderConfig,
         pbft_cfg: PbftConfig,
-        regions: &[&str],
+        placements: &[(&str, u8)],
         app_factory: impl Fn() -> A,
     ) -> Self {
         let directory = Directory::new();
         let mut replicas = Vec::new();
-        for (i, region) in regions.iter().enumerate() {
-            let zone = sim.topology().zone(region, 0);
+        for (i, (region, zone)) in placements.iter().enumerate() {
+            let zone = sim.topology().zone(region, *zone);
             let replica =
                 BftReplica::new(cfg.clone(), pbft_cfg.clone(), i, directory.clone(), app_factory());
             replicas.push(sim.add_node(zone, replica));
@@ -310,18 +267,15 @@ impl BftDeployment {
         count: usize,
         workload: spider::WorkloadSpec,
     ) -> Vec<NodeId> {
-        let zones = sim.topology().num_zones(sim.topology().region(region));
         let mut nodes = Vec::new();
-        for k in 0..count {
+        for zone in sim.topology().cycle_zones(&[region], 0, count) {
             let id = ClientId(self.next_client);
             self.next_client += 1;
-            let zone = sim.topology().zone(region, (k % zones as usize) as u8);
             let client = crate::client::BaselineClient::new(
                 self.cfg.clone(),
                 id,
                 self.replicas.clone(),
                 self.reply_quorum,
-                self.directory.clone(),
                 Some(workload.clone()),
             )
             // PBFT optimized reads need 2f+1 matching replies; with

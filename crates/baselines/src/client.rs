@@ -4,14 +4,12 @@
 
 use crate::messages::BaseMsg;
 use bytes::Bytes;
-use rand::Rng;
-use spider::directory::Directory;
 use spider::messages::{ClientRequest, Operation, Reply};
 use spider::{Sample, SpiderConfig, WorkloadSpec};
 use spider_crypto::Hashed;
-use spider_sim::{Actor, Context, Timer, TimerId};
+use spider_sim::{Actor, Context, Timer};
 use spider_types::{ClientId, NodeId, OpKind, SimTime, WireSize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 const TAG_ISSUE: u64 = 1;
 const TAG_RETRY: u64 = 2;
@@ -21,7 +19,7 @@ struct InFlight {
     op: Bytes,
     tc: u64,
     issued: SimTime,
-    replies: HashMap<NodeId, Bytes>,
+    replies: BTreeMap<NodeId, Bytes>,
 }
 
 /// A baseline-system client actor.
@@ -35,14 +33,12 @@ pub struct BaselineClient {
     /// Reply quorum for strongly consistent reads (2f+1 for PBFT's
     /// optimized read; equal to `quorum` where strong reads are ordered).
     strong_read_quorum: usize,
-    directory: Directory,
     workload: Option<WorkloadSpec>,
     tc: u64,
     issued_count: u64,
     in_flight: Option<InFlight>,
     /// Completed request samples.
     pub samples: Vec<Sample>,
-    timers: HashMap<u64, TimerId>,
 }
 
 impl BaselineClient {
@@ -53,7 +49,6 @@ impl BaselineClient {
         id: ClientId,
         replicas: Vec<NodeId>,
         quorum: usize,
-        directory: Directory,
         workload: Option<WorkloadSpec>,
     ) -> Self {
         BaselineClient {
@@ -62,13 +57,11 @@ impl BaselineClient {
             replicas,
             quorum,
             strong_read_quorum: quorum,
-            directory,
             workload,
             tc: 0,
             issued_count: 0,
             in_flight: None,
             samples: Vec::new(),
-            timers: HashMap::new(),
         }
     }
 
@@ -84,20 +77,17 @@ impl BaselineClient {
         if w.max_ops != 0 && self.issued_count >= w.max_ops {
             return;
         }
-        let mean = 1.0 / w.rate_per_sec.max(1e-9);
-        let u: f64 = ctx.rng().gen_range(1e-9..1.0f64);
-        let gap = SimTime::from_secs_f64(-u.ln() * mean);
-        self.arm(ctx, TAG_ISSUE, gap);
+        let gap = w.next_gap(ctx.rng());
+        ctx.arm(TAG_ISSUE, gap);
     }
 
     fn issue(&mut self, ctx: &mut Context<'_, BaseMsg>, kind: OpKind, op: Bytes) {
         self.tc += 1;
         self.issued_count += 1;
         self.in_flight =
-            Some(InFlight { kind, op, tc: self.tc, issued: ctx.now(), replies: HashMap::new() });
+            Some(InFlight { kind, op, tc: self.tc, issued: ctx.now(), replies: BTreeMap::new() });
         self.transmit(ctx);
-        let retry = self.cfg.client_retry;
-        self.arm(ctx, TAG_RETRY, retry);
+        ctx.arm(TAG_RETRY, self.cfg.client_retry);
     }
 
     fn transmit(&mut self, ctx: &mut Context<'_, BaseMsg>) {
@@ -125,34 +115,22 @@ impl BaselineClient {
         inf.replies.insert(from, reply.result);
         let needed =
             if inf.kind == OpKind::StrongRead { self.strong_read_quorum } else { self.quorum };
-        let mut counts: HashMap<&Bytes, usize> = HashMap::new();
+        let mut counts: BTreeMap<&Bytes, usize> = BTreeMap::new();
         for r in inf.replies.values() {
             *counts.entry(r).or_default() += 1;
         }
         if counts.values().any(|n| *n >= needed) {
             self.samples.push(Sample { kind: inf.kind, issued: inf.issued, completed: ctx.now() });
             self.in_flight = None;
-            if let Some(id) = self.timers.remove(&TAG_RETRY) {
-                ctx.cancel_timer(id);
-            }
+            ctx.disarm(TAG_RETRY);
         }
-        let _ = &self.directory; // reserved for future re-targeting
-    }
-
-    fn arm(&mut self, ctx: &mut Context<'_, BaseMsg>, tag: u64, delay: SimTime) {
-        if let Some(old) = self.timers.remove(&tag) {
-            ctx.cancel_timer(old);
-        }
-        let id = ctx.set_timer(delay, tag);
-        self.timers.insert(tag, id);
     }
 }
 
 impl Actor<BaseMsg> for BaselineClient {
     fn on_start(&mut self, ctx: &mut Context<'_, BaseMsg>) {
         if let Some(w) = &self.workload {
-            let delay = w.start_delay;
-            self.arm(ctx, TAG_ISSUE, delay);
+            ctx.arm(TAG_ISSUE, w.start_delay);
         }
     }
 
@@ -163,19 +141,11 @@ impl Actor<BaseMsg> for BaselineClient {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, BaseMsg>, timer: Timer) {
-        self.timers.remove(&timer.tag);
         match timer.tag {
             TAG_ISSUE => {
                 if self.in_flight.is_none() {
                     let w = self.workload.as_ref().expect("workload present");
-                    let x: f64 = ctx.rng().gen_range(0.0..1.0);
-                    let kind = if x < w.write_fraction {
-                        OpKind::Write
-                    } else if x < w.write_fraction + w.strong_read_fraction {
-                        OpKind::StrongRead
-                    } else {
-                        OpKind::WeakRead
-                    };
+                    let kind = w.next_kind(ctx.rng());
                     let op = (w.op_factory)(self.issued_count, kind, w.payload_bytes);
                     self.issue(ctx, kind, op);
                 }
@@ -183,8 +153,7 @@ impl Actor<BaseMsg> for BaselineClient {
             }
             TAG_RETRY if self.in_flight.is_some() => {
                 self.transmit(ctx);
-                let retry = self.cfg.client_retry;
-                self.arm(ctx, TAG_RETRY, retry);
+                ctx.arm(TAG_RETRY, self.cfg.client_retry);
             }
             _ => {}
         }

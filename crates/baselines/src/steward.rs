@@ -22,16 +22,17 @@ use crate::messages::{accept_digest, proposal_digest, BaseMsg, Request, StewardM
 use bytes::Bytes;
 use spider::app::Application;
 use spider::directory::Directory;
+use spider::host;
 use spider::messages::Reply;
 use spider::SpiderConfig;
-use spider_consensus::{Input, Output, Pbft, PbftConfig, TimerToken};
+use spider_consensus::{Input, Output, Pbft, PbftConfig};
 use spider_crypto::threshold::ThresholdGroupId;
 use spider_crypto::{Digest, Digestible, SigShare, ThresholdKeyring};
-use spider_sim::{Actor, Context, Simulation, Timer, TimerId};
-use spider_types::{ClientId, GroupId, NodeId, OpKind, SeqNr, SimTime, WireSize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use spider_sim::{Actor, Context, Simulation, Timer};
+use spider_types::{ClientId, GroupId, NodeId, OpKind, SeqNr, WireSize};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
-const TAG_PBFT_BASE: u64 = 100;
 const GC_INTERVAL: u64 = 64;
 
 /// A replica of one Steward site.
@@ -53,32 +54,31 @@ pub struct StewardReplica<A: Application> {
     /// Leader site: global seq already assigned per request digest —
     /// a request re-delivered by the local agreement (e.g. after view
     /// changes) must not consume a second sequence number.
-    assigned: HashMap<Digest, u64>,
+    assigned: BTreeMap<Digest, u64>,
     /// Proposals known: seq -> (request, proposal digest).
     proposals: BTreeMap<u64, (Request, Digest)>,
     /// Follower site: proposals awaiting local agreement, by request
     /// digest.
-    pending_local: HashMap<Digest, Vec<SeqNr>>,
+    pending_local: BTreeMap<Digest, Vec<SeqNr>>,
     /// Follower site: digests the local agreement already delivered.
     /// Needed because the site-local PBFT (driven by peers) may deliver a
     /// proposal's request *before* this replica receives the `Proposal`
     /// message itself — the accept share must then be produced
     /// immediately instead of waiting for a re-delivery that never comes.
-    locally_delivered: HashSet<Digest>,
-    locally_delivered_order: std::collections::VecDeque<Digest>,
+    locally_delivered: BTreeSet<Digest>,
+    locally_delivered_order: VecDeque<Digest>,
     /// Representative (replica 0): collected threshold shares per
     /// (seq, accept?) slot.
-    shares: HashMap<(u64, bool), Vec<SigShare>>,
+    shares: BTreeMap<(u64, bool), Vec<SigShare>>,
     /// Sites that accepted each sequence number (leader site implicit).
-    accepts: BTreeMap<u64, HashSet<u16>>,
+    accepts: BTreeMap<u64, BTreeSet<u16>>,
     /// Next sequence number to execute.
     exec_next: u64,
     /// Reply cache.
-    executed: HashMap<ClientId, (u64, Bytes)>,
+    executed: BTreeMap<ClientId, (u64, Bytes)>,
     /// Requests already handed to local agreement (dedup).
-    forwarded: HashMap<ClientId, u64>,
+    forwarded: BTreeMap<ClientId, u64>,
     delivered_local: u64,
-    timers: HashMap<u64, TimerId>,
     /// Number of executed requests (diagnostics).
     pub execute_count: u64,
 }
@@ -106,18 +106,17 @@ impl<A: Application> StewardReplica<A> {
             pbft: Pbft::new(pbft_cfg, me),
             app,
             next_seq: 0,
-            assigned: HashMap::new(),
+            assigned: BTreeMap::new(),
             proposals: BTreeMap::new(),
-            pending_local: HashMap::new(),
-            locally_delivered: HashSet::new(),
-            locally_delivered_order: std::collections::VecDeque::new(),
-            shares: HashMap::new(),
+            pending_local: BTreeMap::new(),
+            locally_delivered: BTreeSet::new(),
+            locally_delivered_order: VecDeque::new(),
+            shares: BTreeMap::new(),
             accepts: BTreeMap::new(),
             exec_next: 1,
-            executed: HashMap::new(),
-            forwarded: HashMap::new(),
+            executed: BTreeMap::new(),
+            forwarded: BTreeMap::new(),
             delivered_local: 0,
-            timers: HashMap::new(),
             execute_count: 0,
             cfg,
         }
@@ -140,11 +139,11 @@ impl<A: Application> StewardReplica<A> {
         )
     }
 
-    fn site_nodes(&self, site: u16) -> Vec<NodeId> {
+    fn site_nodes(&self, site: u16) -> Arc<[NodeId]> {
         self.directory.group_replicas(GroupId(site))
     }
 
-    fn my_site_nodes(&self) -> Vec<NodeId> {
+    fn my_site_nodes(&self) -> Arc<[NodeId]> {
         self.site_nodes(self.site)
     }
 
@@ -160,34 +159,25 @@ impl<A: Application> StewardReplica<A> {
     // Local agreement plumbing
     // ------------------------------------------------------------------
 
-    fn apply_outputs(&mut self, ctx: &mut Context<'_, BaseMsg>, outputs: Vec<Output<Request>>) {
+    /// Runs one input through the site-local agreement and handles what
+    /// it delivers.
+    fn pbft_step(&mut self, ctx: &mut Context<'_, BaseMsg>, input: Input<Request>) {
         let site_nodes = self.my_site_nodes();
-        for o in outputs {
-            match o {
-                Output::Send { to, msg } => {
-                    if let Some(node) = site_nodes.get(to) {
-                        ctx.send(*node, BaseMsg::Pbft(msg));
-                    }
+        let mut outputs = Vec::new();
+        self.pbft.handle(ctx.now(), input, &mut outputs);
+        for output in outputs {
+            if let Some(Output::Deliver { batch, .. }) =
+                host::pbft_io(ctx, &site_nodes, BaseMsg::Pbft, output)
+            {
+                for req in batch {
+                    self.on_local_delivery(ctx, req);
                 }
-                Output::Deliver { batch, .. } => {
-                    for req in batch {
-                        self.on_local_delivery(ctx, req);
-                    }
-                    self.delivered_local += 1;
-                    if self.delivered_local.is_multiple_of(GC_INTERVAL)
-                        && self.delivered_local > GC_INTERVAL
-                    {
-                        self.pbft.gc(SeqNr(self.delivered_local - GC_INTERVAL));
-                    }
+                self.delivered_local += 1;
+                if self.delivered_local.is_multiple_of(GC_INTERVAL)
+                    && self.delivered_local > GC_INTERVAL
+                {
+                    self.pbft.gc(SeqNr(self.delivered_local - GC_INTERVAL));
                 }
-                Output::SetTimer { token, delay } => self.arm(ctx, TAG_PBFT_BASE + token.0, delay),
-                Output::CancelTimer { token } => {
-                    if let Some(id) = self.timers.remove(&(TAG_PBFT_BASE + token.0)) {
-                        ctx.cancel_timer(id);
-                    }
-                }
-                Output::Charge(c) => ctx.charge_op("consensus", "handle", c),
-                _ => {}
             }
         }
     }
@@ -300,7 +290,7 @@ impl<A: Application> StewardReplica<A> {
             let msg = BaseMsg::Steward(StewardMsg::Accept { seq, digest, site: self.site, tsig });
             // Announce the site's acceptance to every replica everywhere.
             for site in 0..self.num_sites as u16 {
-                for node in self.site_nodes(site) {
+                for &node in self.site_nodes(site).iter() {
                     if node != ctx.node_id() {
                         ctx.send(node, msg.clone());
                     }
@@ -316,7 +306,7 @@ impl<A: Application> StewardReplica<A> {
                 if site == self.site {
                     continue;
                 }
-                for node in self.site_nodes(site) {
+                for &node in self.site_nodes(site).iter() {
                     ctx.send(node, msg.clone());
                 }
             }
@@ -376,17 +366,7 @@ impl<A: Application> StewardReplica<A> {
             return;
         }
         self.forwarded.insert(req.client, req.tc);
-        let mut out = Vec::new();
-        self.pbft.handle(ctx.now(), Input::Order(req), &mut out);
-        self.apply_outputs(ctx, out);
-    }
-
-    fn arm(&mut self, ctx: &mut Context<'_, BaseMsg>, tag: u64, delay: SimTime) {
-        if let Some(old) = self.timers.remove(&tag) {
-            ctx.cancel_timer(old);
-        }
-        let id = ctx.set_timer(delay, tag);
-        self.timers.insert(tag, id);
+        self.pbft_step(ctx, Input::Order(req));
     }
 }
 
@@ -500,27 +480,17 @@ impl<A: Application> Actor<BaseMsg> for StewardReplica<A> {
                 self.on_accept(ctx, seq, site);
             }
             BaseMsg::Pbft(m) => {
-                let Some(idx) = self.my_site_nodes().iter().position(|n| *n == from) else {
-                    return;
-                };
-                let mut out = Vec::new();
-                self.pbft.handle(ctx.now(), Input::Message { from: idx, msg: m }, &mut out);
-                self.apply_outputs(ctx, out);
+                if let Some(idx) = self.directory.replica_index(GroupId(self.site), from) {
+                    self.pbft_step(ctx, Input::Message { from: idx, msg: m });
+                }
             }
             BaseMsg::Reply(_) => {}
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, BaseMsg>, timer: Timer) {
-        self.timers.remove(&timer.tag);
-        if timer.tag >= TAG_PBFT_BASE {
-            let mut out = Vec::new();
-            self.pbft.handle(
-                ctx.now(),
-                Input::Timer(TimerToken(timer.tag - TAG_PBFT_BASE)),
-                &mut out,
-            );
-            self.apply_outputs(ctx, out);
+        if let Some(input) = host::pbft_timer(timer.tag) {
+            self.pbft_step(ctx, input);
         }
     }
 }
@@ -567,15 +537,9 @@ impl StewardDeployment {
         let mut sites = Vec::new();
         for (si, span) in spans.iter().enumerate() {
             let home_region = sim.topology().region(span[0]);
+            let zones = sim.topology().cycle_zones(span, 0, 3 * cfg.fa + 1);
             let mut nodes = Vec::new();
-            let mut cursor: std::collections::HashMap<&str, usize> =
-                std::collections::HashMap::new();
-            for j in 0..(3 * cfg.fa + 1) {
-                let region = span[j % span.len()];
-                let zones = sim.topology().num_zones(sim.topology().region(region));
-                let c = cursor.entry(region).or_insert(0);
-                let zone = sim.topology().zone(region, (*c % zones as usize) as u8);
-                *c += 1;
+            for (j, zone) in zones.into_iter().enumerate() {
                 let replica = StewardReplica::new(
                     cfg.clone(),
                     si as u16,
@@ -609,18 +573,15 @@ impl StewardDeployment {
         count: usize,
         workload: spider::WorkloadSpec,
     ) -> Vec<NodeId> {
-        let zones = sim.topology().num_zones(sim.topology().region(region));
         let mut nodes = Vec::new();
-        for k in 0..count {
+        for zone in sim.topology().cycle_zones(&[region], 0, count) {
             let id = ClientId(self.next_client);
             self.next_client += 1;
-            let zone = sim.topology().zone(region, (k % zones as usize) as u8);
             let client = crate::client::BaselineClient::new(
                 self.cfg.clone(),
                 id,
                 self.sites[site as usize].clone(),
                 self.cfg.fa + 1,
-                self.directory.clone(),
                 Some(workload.clone()),
             );
             let node = sim.add_node(zone, client);

@@ -10,33 +10,31 @@
 use crate::checkpoint::{CheckpointComponent, CpAction, Snapshot};
 use crate::config::SpiderConfig;
 use crate::directory::Directory;
-use crate::keys;
+use crate::host;
+use crate::keys::AGREEMENT_GROUP;
 use crate::messages::{
-    AdminCommand, ChannelLeg, CheckpointMsg, Execute, ExecutePayload, OrderItem, OrderedRequest,
-    SpiderMsg, StateBlob,
+    AdminCommand, Execute, ExecutePayload, OrderItem, OrderedRequest, SpiderMsg,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use spider_consensus::{Input, Output, Pbft, PbftConfig, TimerToken};
+use spider_consensus::{Input, Output, Pbft, PbftConfig};
 use spider_crypto::{Hashed, Keyring};
-use spider_irmc::{Action, ReceiveResult, ReceiverEndpoint, SenderEndpoint, Variant, OP_RECAST};
+use spider_irmc::{
+    Action, ReceiveResult, ReceiverEndpoint, SenderEndpoint, Variant, OP_RECAST, TICK_INTERVAL,
+};
 use spider_sim::{
-    req_id, Actor, Context, Timer, TimerId, PHASE_BATCH, PHASE_COMMIT, PHASE_PROPOSE, PHASE_RECAST,
+    req_id, Actor, Context, Timer, PHASE_BATCH, PHASE_COMMIT, PHASE_PROPOSE, PHASE_RECAST,
     PHASE_SHIP,
 };
 use spider_types::{ClientId, GroupId, NodeId, OpKind, Position, SeqNr, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Timer tags (consensus tokens are offset to avoid collisions).
-const TAG_PBFT_BASE: u64 = 100;
+/// Timer tags (the consensus tokens' tags are `host::pbft_io`'s).
 const TAG_SC_TICK: u64 = 1;
 const TAG_FETCH_RETRY: u64 = 3;
 const TAG_CP_GOSSIP: u64 = 4;
 
 /// Interval of the checkpoint-gossip heartbeat (§A.4.3).
 const CP_GOSSIP_INTERVAL: SimTime = SimTime::from_millis(1_000);
-/// Cadence of the commit-channel sender tick: the SC progress heartbeat
-/// and the unit `spider_irmc::RC_RECAST_TICKS` counts in.
-const COMMIT_TICK_INTERVAL: SimTime = SimTime::from_millis(20);
 
 /// Decoded agreement snapshot: `(sn, t, hist)` as written by
 /// `encode_snapshot`.
@@ -88,7 +86,6 @@ pub struct AgreementReplica {
     /// Delivered consensus instances and the highest agreement sequence
     /// number each produced (for black-box gc).
     instance_map: VecDeque<(u64, u64)>,
-    timers: BTreeMap<u64, TimerId>,
     fetching: bool,
     fault: AgreementFault,
     /// Ordered request count (metrics).
@@ -118,10 +115,9 @@ impl AgreementReplica {
             t_next: BTreeMap::new(),
             hist: VecDeque::new(),
             channels: BTreeMap::new(),
-            cp: CheckpointComponent::new(keys::AGREEMENT_GROUP, me, cfg.fa, keyring, cfg.cost),
+            cp: CheckpointComponent::new(AGREEMENT_GROUP, me, cfg.fa, keyring, cfg.cost),
             backlog: VecDeque::new(),
             instance_map: VecDeque::new(),
-            timers: BTreeMap::new(),
             fetching: false,
             fault: AgreementFault::None,
             ordered: 0,
@@ -204,13 +200,7 @@ impl AgreementReplica {
                     ctx.span_instant(req_id(client.0, next), PHASE_PROPOSE);
                     delivered = true;
                     self.t_next.insert(client, next + 1);
-                    let mut out = Vec::new();
-                    self.pbft.handle(
-                        ctx.now(),
-                        Input::Order(OrderItem::Request(delivery.payload)),
-                        &mut out,
-                    );
-                    self.apply_pbft_outputs(ctx, out);
+                    self.pbft_step(ctx, Input::Order(OrderItem::Request(delivery.payload)));
                 }
                 ReceiveResult::TooOld(p) => {
                     // The client has moved on (Fig 17 L16-18).
@@ -230,22 +220,15 @@ impl AgreementReplica {
     // Consensus plumbing
     // ------------------------------------------------------------------
 
-    fn apply_pbft_outputs(
-        &mut self,
-        ctx: &mut Context<'_, SpiderMsg>,
-        outputs: Vec<Output<OrderItem>>,
-    ) {
+    /// Runs one input through the consensus black box and reacts to what
+    /// it delivers.
+    fn pbft_step(&mut self, ctx: &mut Context<'_, SpiderMsg>, input: Input<OrderItem>) {
         let agreement = self.directory.agreement();
-        for o in outputs {
-            match o {
-                Output::Send { to, msg } => {
-                    if let Some(node) = agreement.get(to) {
-                        let msg = SpiderMsg::Agreement(msg);
-                        ctx.edge_for(*node, &msg);
-                        ctx.send(*node, msg);
-                    }
-                }
-                Output::Deliver { seq, batch } => {
+        let mut outputs = Vec::new();
+        self.pbft.handle(ctx.now(), input, &mut outputs);
+        for output in outputs {
+            match host::pbft_io(ctx, &agreement, SpiderMsg::Agreement, output) {
+                Some(Output::Deliver { seq, batch }) => {
                     let n = batch.len();
                     for (i, item) in batch.into_iter().enumerate() {
                         if let OrderItem::Request(req) = &item {
@@ -260,23 +243,11 @@ impl AgreementReplica {
                         self.instance_map.push_back((seq.0, self.sn));
                     }
                 }
-                Output::SetTimer { token, delay } => {
-                    self.arm_timer(ctx, TAG_PBFT_BASE + token.0, delay);
-                }
-                Output::CancelTimer { token } => {
-                    if let Some(id) = self.timers.remove(&(TAG_PBFT_BASE + token.0)) {
-                        ctx.cancel_timer(id);
-                    }
-                }
-                Output::Charge(c) => ctx.charge_op("consensus", "handle", c),
-                Output::ViewChanged { view, .. } => {
-                    ctx.health_view(view.0);
-                }
-                Output::Skipped { .. } => {
-                    // We missed decided instances: catch up via the
-                    // agreement checkpoint (§3.4).
-                    self.start_fetch(ctx);
-                }
+                Some(Output::ViewChanged { view, .. }) => ctx.health_view(view.0),
+                // We missed decided instances: catch up via the agreement
+                // checkpoint (§3.4).
+                Some(Output::Skipped { .. }) => self.start_fetch(ctx),
+                _ => {}
             }
         }
         self.process_backlog(ctx);
@@ -413,8 +384,8 @@ impl AgreementReplica {
                 .collect();
             let mut actions = Vec::new();
             if let Some(ch) = self.channels.get_mut(&group) {
-                // analyzer: allow(charge-coverage, "the IRMC endpoint emits Action::Charge; apply_commit_actions applies it")
-                // analyzer: allow(edge-pairing, "apply_commit_actions records the edges at the actual transmit sites")
+                // analyzer: allow(charge-coverage, "the IRMC endpoint emits Action::Charge; host::channel_io applies it")
+                // analyzer: allow(edge-pairing, "host::channel_io records the edges at the actual transmit sites")
                 ch.commit_send.send_batch(0, Position(first), execs, &mut actions);
             }
             self.apply_commit_actions(ctx, group, actions);
@@ -460,8 +431,8 @@ impl AgreementReplica {
             let first = *first;
             let mut actions = Vec::new();
             if let Some(ch) = self.channels.get_mut(&group) {
-                // analyzer: allow(charge-coverage, "the IRMC endpoint emits Action::Charge; apply_commit_actions applies it")
-                // analyzer: allow(edge-pairing, "apply_commit_actions records the edges at the actual transmit sites")
+                // analyzer: allow(charge-coverage, "the IRMC endpoint emits Action::Charge; host::channel_io applies it")
+                // analyzer: allow(edge-pairing, "host::channel_io records the edges at the actual transmit sites")
                 ch.commit_send.send_batch(0, Position(first), execs, &mut actions);
             }
             self.apply_commit_actions(ctx, group, actions);
@@ -562,7 +533,7 @@ impl AgreementReplica {
         let mut actions = Vec::new();
         self.cp.fetch(SeqNr(self.sn + 1), &mut actions);
         self.apply_cp_actions(ctx, actions);
-        self.arm_timer(ctx, TAG_FETCH_RETRY, SimTime::from_millis(500));
+        ctx.arm(TAG_FETCH_RETRY, SimTime::from_millis(500));
     }
 
     fn on_stable_checkpoint(
@@ -644,32 +615,18 @@ impl AgreementReplica {
         actions: Vec<Action<Hashed<OrderedRequest>>>,
     ) {
         let exec_nodes = self.directory.group_replicas(group);
+        let wrap = |leg| SpiderMsg::RequestChannel { group, leg };
         let mut to_poll: Vec<ClientId> = Vec::new();
         for a in actions {
-            match a {
-                Action::ToSender { to, msg } => {
-                    if let Some(node) = exec_nodes.get(to) {
-                        let msg =
-                            SpiderMsg::RequestChannel { group, leg: ChannelLeg::ToSender(msg) };
-                        // Window moves/acks carry no request payload, so
-                        // this records no edges; kept for uniform pairing.
-                        ctx.edge_for(*node, &msg);
-                        ctx.send(*node, msg);
-                    }
+            // A `SetTimer` (one collector timer per client subchannel) is
+            // dropped: SC request channels rely on client retries instead.
+            if let Some(Action::Ready { sc, .. } | Action::WindowMoved { sc, .. }) =
+                host::channel_io(ctx, "req-channel", &exec_nodes, &[], wrap, a)
+            {
+                let c = ClientId(sc as u32);
+                if !to_poll.contains(&c) {
+                    to_poll.push(c);
                 }
-                Action::Ready { sc, .. } | Action::WindowMoved { sc, .. } => {
-                    let c = ClientId(sc as u32);
-                    if !to_poll.contains(&c) {
-                        to_poll.push(c);
-                    }
-                }
-                Action::Charge(c, op) => ctx.charge_op("req-channel", op, c),
-                Action::SetTimer { .. } => {
-                    // Request channels use one collector timer per client
-                    // subchannel; with RC as default this is unused. SC
-                    // request channels rely on retries instead.
-                }
-                _ => {}
             }
         }
         for c in to_poll {
@@ -683,39 +640,21 @@ impl AgreementReplica {
         group: GroupId,
         actions: Vec<Action<Hashed<Execute>>>,
     ) {
-        let exec_nodes = self.directory.group_replicas(group);
-        let agreement = self.directory.agreement();
+        let (agreement, exec_nodes) =
+            (self.directory.agreement(), self.directory.group_replicas(group));
+        let wrap = |leg| SpiderMsg::CommitChannel { group, leg };
         let mut window_moved = false;
         for a in actions {
-            match a {
-                Action::ToReceiver { to, msg } => {
-                    if let Some(node) = exec_nodes.get(to) {
-                        let msg =
-                            SpiderMsg::CommitChannel { group, leg: ChannelLeg::ToReceiver(msg) };
-                        ctx.edge_for(*node, &msg);
-                        ctx.send(*node, msg);
-                    }
-                }
-                Action::ToPeerSender { to, msg } => {
-                    if let Some(node) = agreement.get(to) {
-                        let msg = SpiderMsg::CommitChannel { group, leg: ChannelLeg::Peer(msg) };
-                        ctx.edge_for(*node, &msg);
-                        ctx.send(*node, msg);
-                    }
-                }
-                Action::WindowMoved { .. } | Action::Unblocked { .. } => {
-                    window_moved = true;
-                    ctx.health_mark("commit-channel", group.0 as u32);
-                }
-                Action::Charge(c, op) => {
-                    if op == OP_RECAST {
-                        // Liveness milestone: the disaster smoke gate
-                        // checks a recast appears after a partition heal.
-                        ctx.span_instant(0, PHASE_RECAST);
-                    }
-                    ctx.charge_op("commit-channel", op, c);
-                }
-                _ => {}
+            if matches!(a, Action::Charge(_, OP_RECAST)) {
+                // Liveness milestone: the disaster smoke gate checks a
+                // recast appears after a partition heal.
+                ctx.span_instant(0, PHASE_RECAST);
+            }
+            if let Some(Action::WindowMoved { .. } | Action::Unblocked { .. }) =
+                host::channel_io(ctx, "commit-channel", &agreement, &exec_nodes, wrap, a)
+            {
+                window_moved = true;
+                ctx.health_mark("commit-channel", group.0 as u32);
             }
         }
         if ctx.obs_enabled() {
@@ -734,81 +673,28 @@ impl AgreementReplica {
         // tick lazily while any channel holds undelivered content, so a
         // partition that swallowed the one-shot casts cannot wedge the
         // system, yet idle runs still quiesce.
-        if self.cfg.commit_mode.variant() != Variant::SenderCollect
-            && self.channels.values().any(|ch| ch.commit_send.has_unacked())
-        {
-            self.ensure_timer(ctx, TAG_SC_TICK, COMMIT_TICK_INTERVAL);
+        if !self.standing_tick() && self.has_unacked() {
+            ctx.arm_if_idle(TAG_SC_TICK, TICK_INTERVAL);
         }
+    }
+
+    /// IRMC-SC commit channels keep a standing heartbeat, armed at start
+    /// and re-armed by its own handler — asked of the configuration, not
+    /// of the endpoints, because a replica may start without any group.
+    fn standing_tick(&self) -> bool {
+        self.cfg.commit_mode.variant() == Variant::SenderCollect
+    }
+
+    /// Whether any commit channel holds content its receivers have not
+    /// acknowledged (what an IRMC-RC sender ticks for).
+    fn has_unacked(&self) -> bool {
+        self.channels.values().any(|ch| ch.commit_send.has_unacked())
     }
 
     fn apply_cp_actions(&mut self, ctx: &mut Context<'_, SpiderMsg>, actions: Vec<CpAction>) {
-        let agreement = self.directory.agreement();
-        let mut stable = Vec::new();
-        for a in actions {
-            match a {
-                CpAction::ToGroup(msg) => {
-                    for (i, node) in agreement.iter().enumerate() {
-                        if i != self.me {
-                            // analyzer: allow(edge-pairing, "checkpoint gossip and state transfer carry no per-request payload; request latency never blocks on them")
-                            ctx.send(
-                                *node,
-                                SpiderMsg::Checkpoint {
-                                    group: keys::AGREEMENT_GROUP,
-                                    msg: msg.clone(),
-                                    state: None,
-                                },
-                            );
-                        }
-                    }
-                }
-                CpAction::ToPeer { idx, msg, state, .. } => {
-                    if let Some(node) = agreement.get(idx) {
-                        let blob = state.map(|snapshot| StateBlob {
-                            seq: match msg {
-                                CheckpointMsg::FetchResponse { seq, .. } => seq,
-                                _ => SeqNr(0),
-                            },
-                            snapshot,
-                        });
-                        ctx.send(
-                            *node,
-                            SpiderMsg::Checkpoint {
-                                group: keys::AGREEMENT_GROUP,
-                                msg,
-                                state: blob,
-                            },
-                        );
-                    }
-                }
-                CpAction::Stable { seq, state } => stable.push((seq, state)),
-                CpAction::Charge(c, op) => ctx.charge_op("checkpoint", op, c),
-            }
-        }
-        for (seq, state) in stable {
+        for (seq, state) in host::checkpoint_io(ctx, &self.directory, &self.cp, actions) {
             self.on_stable_checkpoint(ctx, seq, state);
         }
-    }
-
-    fn arm_timer(&mut self, ctx: &mut Context<'_, SpiderMsg>, tag: u64, delay: SimTime) {
-        if let Some(old) = self.timers.remove(&tag) {
-            ctx.cancel_timer(old);
-        }
-        let id = ctx.set_timer(delay, tag);
-        self.timers.insert(tag, id);
-    }
-
-    /// Arms `tag` only if it is not already pending (unlike [`Self::arm_timer`],
-    /// which reschedules).
-    fn ensure_timer(&mut self, ctx: &mut Context<'_, SpiderMsg>, tag: u64, delay: SimTime) {
-        self.timers.entry(tag).or_insert_with(|| ctx.set_timer(delay, tag));
-    }
-
-    fn agreement_index(&self, node: NodeId) -> Option<usize> {
-        self.directory.agreement().iter().position(|n| *n == node)
-    }
-
-    fn exec_index(&self, group: GroupId, node: NodeId) -> Option<usize> {
-        self.directory.group_replicas(group).iter().position(|n| *n == node)
     }
 }
 
@@ -898,97 +784,43 @@ fn decode_order_item(buf: &mut &[u8]) -> Option<OrderItem> {
 
 impl Actor<SpiderMsg> for AgreementReplica {
     fn on_start(&mut self, ctx: &mut Context<'_, SpiderMsg>) {
-        // The tick drives SC progress announcements.
-        if self.cfg.commit_mode.variant() == Variant::SenderCollect {
-            self.arm_timer(ctx, TAG_SC_TICK, COMMIT_TICK_INTERVAL);
+        if self.standing_tick() {
+            ctx.arm(TAG_SC_TICK, TICK_INTERVAL);
         }
-        self.arm_timer(ctx, TAG_CP_GOSSIP, CP_GOSSIP_INTERVAL);
+        ctx.arm(TAG_CP_GOSSIP, CP_GOSSIP_INTERVAL);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, SpiderMsg>, from: NodeId, msg: SpiderMsg) {
         ctx.charge(self.cfg.cost.msg_overhead());
         match msg {
             SpiderMsg::Agreement(m) => {
-                let Some(idx) = self.agreement_index(from) else {
-                    return;
-                };
-                let mut out = Vec::new();
-                self.pbft.handle(ctx.now(), Input::Message { from: idx, msg: m }, &mut out);
-                self.apply_pbft_outputs(ctx, out);
+                if let Some(idx) = self.directory.replica_index(AGREEMENT_GROUP, from) {
+                    self.pbft_step(ctx, Input::Message { from: idx, msg: m });
+                }
             }
-            SpiderMsg::RequestChannel { group, leg } => match leg {
-                ChannelLeg::ToReceiver(m) => {
-                    let Some(idx) = self.exec_index(group, from) else {
-                        return;
-                    };
-                    let mut actions = Vec::new();
-                    if let Some(ch) = self.channels.get_mut(&group) {
-                        let _ = ch.req_recv.on_sender_message(idx, m, &mut actions);
-                    }
-                    self.apply_request_channel_actions(ctx, group, actions);
-                }
-                ChannelLeg::ToSender(_) | ChannelLeg::Peer(_) => {}
-            },
-            SpiderMsg::CommitChannel { group, leg } => match leg {
-                ChannelLeg::ToSender(m) => {
-                    let Some(idx) = self.exec_index(group, from) else {
-                        return;
-                    };
-                    let mut actions = Vec::new();
-                    if let Some(ch) = self.channels.get_mut(&group) {
-                        let _ = ch.commit_send.on_receiver_message(idx, m, &mut actions);
-                    }
-                    self.apply_commit_actions(ctx, group, actions);
-                }
-                ChannelLeg::Peer(m) => {
-                    let Some(idx) = self.agreement_index(from) else {
-                        return;
-                    };
-                    let mut actions = Vec::new();
-                    if let Some(ch) = self.channels.get_mut(&group) {
-                        let _ = ch.commit_send.on_peer_message(idx, m, &mut actions);
-                    }
-                    self.apply_commit_actions(ctx, group, actions);
-                }
-                ChannelLeg::ToReceiver(_) => {}
-            },
+            SpiderMsg::RequestChannel { group, leg } => {
+                let Some(ch) = self.channels.get_mut(&group) else { return };
+                let execs = self.directory.group_replicas(group);
+                let actions = host::receiver_frame(&mut ch.req_recv, &execs, from, leg);
+                self.apply_request_channel_actions(ctx, group, actions);
+            }
+            SpiderMsg::CommitChannel { group, leg } => {
+                let Some(ch) = self.channels.get_mut(&group) else { return };
+                let (agreement, execs) =
+                    (self.directory.agreement(), self.directory.group_replicas(group));
+                let actions =
+                    host::sender_frame(&mut ch.commit_send, &agreement, &execs, from, leg);
+                self.apply_commit_actions(ctx, group, actions);
+            }
             SpiderMsg::Admin(cmd) => {
                 // Reconfiguration commands are signed by the privileged
                 // admin client and ordered like requests (§3.6).
                 ctx.charge(self.cfg.cost.rsa_verify());
-                let mut out = Vec::new();
-                self.pbft.handle(ctx.now(), Input::Order(OrderItem::Admin(cmd)), &mut out);
-                self.apply_pbft_outputs(ctx, out);
+                self.pbft_step(ctx, Input::Order(OrderItem::Admin(cmd)));
             }
             SpiderMsg::Checkpoint { group, msg, state } => {
-                if group != keys::AGREEMENT_GROUP {
-                    return;
-                }
-                let Some(idx) = self.agreement_index(from) else {
-                    return;
-                };
-                let mut actions = Vec::new();
-                match msg {
-                    CheckpointMsg::Announce { seq, state_hash, sig } => {
-                        self.cp.on_announce(idx, seq, state_hash, sig, &mut actions);
-                    }
-                    CheckpointMsg::FetchRequest { seq } => {
-                        self.cp.on_fetch_request(keys::AGREEMENT_GROUP, idx, seq, &mut actions);
-                    }
-                    CheckpointMsg::FetchResponse { seq, state_hash, cert, .. } => {
-                        let Some(blob) = state else { return };
-                        let provider_keys = keys::agreement_keys(self.cfg.agreement_size());
-                        self.cp.on_fetch_response(
-                            keys::AGREEMENT_GROUP,
-                            &provider_keys,
-                            seq,
-                            state_hash,
-                            cert,
-                            blob.snapshot,
-                            &mut actions,
-                        );
-                    }
-                }
+                let actions =
+                    host::checkpoint_frame(&mut self.cp, &self.directory, from, group, msg, state);
                 self.apply_cp_actions(ctx, actions);
             }
             SpiderMsg::Request(_) | SpiderMsg::Reply(_) => {}
@@ -996,7 +828,6 @@ impl Actor<SpiderMsg> for AgreementReplica {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, SpiderMsg>, timer: Timer) {
-        self.timers.remove(&timer.tag);
         match timer.tag {
             TAG_SC_TICK => {
                 let groups: Vec<GroupId> = self.channels.keys().copied().collect();
@@ -1007,13 +838,8 @@ impl Actor<SpiderMsg> for AgreementReplica {
                     }
                     self.apply_commit_actions(ctx, g, actions);
                 }
-                // SC channels keep a standing heartbeat; RC keeps ticking
-                // only while content is undelivered (recast liveness), so
-                // idle runs quiesce.
-                if self.cfg.commit_mode.variant() == Variant::SenderCollect
-                    || self.channels.values().any(|ch| ch.commit_send.has_unacked())
-                {
-                    self.arm_timer(ctx, TAG_SC_TICK, COMMIT_TICK_INTERVAL);
+                if self.standing_tick() || self.has_unacked() {
+                    ctx.arm(TAG_SC_TICK, TICK_INTERVAL);
                 }
             }
             TAG_FETCH_RETRY if self.fetching => {
@@ -1024,18 +850,13 @@ impl Actor<SpiderMsg> for AgreementReplica {
                 let mut actions = Vec::new();
                 self.cp.gossip(&mut actions);
                 self.apply_cp_actions(ctx, actions);
-                self.arm_timer(ctx, TAG_CP_GOSSIP, CP_GOSSIP_INTERVAL);
+                ctx.arm(TAG_CP_GOSSIP, CP_GOSSIP_INTERVAL);
             }
-            tag if tag >= TAG_PBFT_BASE => {
-                let mut out = Vec::new();
-                self.pbft.handle(
-                    ctx.now(),
-                    Input::Timer(TimerToken(tag - TAG_PBFT_BASE)),
-                    &mut out,
-                );
-                self.apply_pbft_outputs(ctx, out);
+            tag => {
+                if let Some(input) = host::pbft_timer(tag) {
+                    self.pbft_step(ctx, input);
+                }
             }
-            _ => {}
         }
     }
 }

@@ -208,6 +208,12 @@ impl CheckpointComponent {
         }
     }
 
+    /// The group this component checkpoints, and which of its members
+    /// (of how many) runs it.
+    pub fn seat(&self) -> (GroupId, usize, usize) {
+        (self.group, self.me, self.member_keys.len())
+    }
+
     /// Latest stable checkpoint sequence number, if any.
     pub fn stable_seq(&self) -> Option<SeqNr> {
         self.stable.as_ref().map(|s| s.0)

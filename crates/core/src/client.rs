@@ -13,7 +13,7 @@ use crate::messages::{ClientRequest, Operation, Reply, SpiderMsg};
 use bytes::Bytes;
 use rand::Rng;
 use spider_crypto::Hashed;
-use spider_sim::{req_id, Actor, Context, Timer, TimerId, PHASE_REQUEST};
+use spider_sim::{req_id, Actor, Context, Timer, PHASE_REQUEST};
 use spider_types::{ClientId, GroupId, NodeId, OpKind, SimTime, WireSize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -121,6 +121,26 @@ impl WorkloadSpec {
         self.start_delay = d;
         self
     }
+
+    /// Draws the gap to the next request: exponential interarrivals
+    /// around the configured rate.
+    pub fn next_gap(&self, rng: &mut impl Rng) -> SimTime {
+        let mean = 1.0 / self.rate_per_sec.max(1e-9);
+        let u: f64 = rng.gen_range(1e-9..1.0f64);
+        SimTime::from_secs_f64(-u.ln() * mean)
+    }
+
+    /// Draws the kind of the next request from the configured mix.
+    pub fn next_kind(&self, rng: &mut impl Rng) -> OpKind {
+        let x: f64 = rng.gen_range(0.0..1.0);
+        if x < self.write_fraction {
+            OpKind::Write
+        } else if x < self.write_fraction + self.strong_read_fraction {
+            OpKind::StrongRead
+        } else {
+            OpKind::WeakRead
+        }
+    }
 }
 
 /// One completed request, as recorded by a client.
@@ -186,7 +206,6 @@ pub struct SpiderClient {
     in_flight: Option<InFlight>,
     /// Completed request samples (read by the harness after the run).
     pub samples: Vec<Sample>,
-    timers: BTreeMap<u64, TimerId>,
 }
 
 impl SpiderClient {
@@ -210,7 +229,6 @@ impl SpiderClient {
             issued_count: 0,
             in_flight: None,
             samples: Vec::new(),
-            timers: BTreeMap::new(),
         }
     }
 
@@ -235,23 +253,8 @@ impl SpiderClient {
         if w.max_ops != 0 && self.issued_count >= w.max_ops {
             return;
         }
-        // Exponential interarrival around the configured rate.
-        let mean = 1.0 / w.rate_per_sec.max(1e-9);
-        let u: f64 = ctx.rng().gen_range(1e-9..1.0f64);
-        let gap = SimTime::from_secs_f64(-u.ln() * mean);
-        self.arm_timer(ctx, TAG_ISSUE, gap);
-    }
-
-    fn pick_kind(&mut self, ctx: &mut Context<'_, SpiderMsg>) -> OpKind {
-        let w = self.workload.as_ref().expect("workload present");
-        let x: f64 = ctx.rng().gen_range(0.0..1.0);
-        if x < w.write_fraction {
-            OpKind::Write
-        } else if x < w.write_fraction + w.strong_read_fraction {
-            OpKind::StrongRead
-        } else {
-            OpKind::WeakRead
-        }
+        let gap = w.next_gap(ctx.rng());
+        ctx.arm(TAG_ISSUE, gap);
     }
 
     fn issue(&mut self, ctx: &mut Context<'_, SpiderMsg>, kind: OpKind, op: Bytes) {
@@ -280,7 +283,7 @@ impl SpiderClient {
             ctx.span_enter(req_id(self.id.0, tc), PHASE_REQUEST);
         }
         self.transmit(ctx);
-        self.arm_timer(ctx, TAG_RETRY, self.cfg.client_retry);
+        ctx.arm(TAG_RETRY, self.cfg.client_retry);
     }
 
     /// Broadcasts the in-flight request to the execution group (Fig 15
@@ -300,7 +303,7 @@ impl SpiderClient {
         );
         match self.fault {
             ClientFault::None => {
-                for node in replicas {
+                for &node in replicas.iter() {
                     let msg = SpiderMsg::Request(request.clone());
                     ctx.edge_for(node, &msg);
                     ctx.send(node, msg);
@@ -308,7 +311,7 @@ impl SpiderClient {
             }
             ClientFault::ConflictingRequests => {
                 // A different operation per replica under one counter.
-                for (i, node) in replicas.into_iter().enumerate() {
+                for (i, &node) in replicas.iter().enumerate() {
                     let mut bad = request.clone().into_inner();
                     let mut op = inf.op.to_vec();
                     op.push(b'0' + (i as u8 % 10));
@@ -350,7 +353,7 @@ impl SpiderClient {
             ctx.metric_hist("client_latency_ns", sample.latency().as_nanos());
             self.samples.push(sample);
             self.in_flight = None;
-            self.disarm_timer(ctx, TAG_RETRY);
+            ctx.disarm(TAG_RETRY);
             return;
         }
 
@@ -387,7 +390,7 @@ impl SpiderClient {
     /// unavailable, a client can temporarily switch to a different group.
     /// After `group_failover_retries` fruitless retransmissions the client
     /// re-targets the next active group from the registry.
-    fn maybe_fail_over(&mut self, ctx: &mut Context<'_, SpiderMsg>) {
+    fn maybe_fail_over(&mut self) {
         let Some(inf) = &mut self.in_flight else { return };
         inf.retries += 1;
         if inf.retries < self.cfg.group_failover_retries {
@@ -410,29 +413,13 @@ impl SpiderClient {
             inf.retries = 0;
             inf.replies.clear();
         }
-        let _ = ctx;
-    }
-
-    fn arm_timer(&mut self, ctx: &mut Context<'_, SpiderMsg>, tag: u64, delay: SimTime) {
-        if let Some(old) = self.timers.remove(&tag) {
-            ctx.cancel_timer(old);
-        }
-        let id = ctx.set_timer(delay, tag);
-        self.timers.insert(tag, id);
-    }
-
-    fn disarm_timer(&mut self, ctx: &mut Context<'_, SpiderMsg>, tag: u64) {
-        if let Some(old) = self.timers.remove(&tag) {
-            ctx.cancel_timer(old);
-        }
     }
 }
 
 impl Actor<SpiderMsg> for SpiderClient {
     fn on_start(&mut self, ctx: &mut Context<'_, SpiderMsg>) {
         if let Some(w) = &self.workload {
-            let delay = w.start_delay;
-            self.arm_timer(ctx, TAG_ISSUE, delay);
+            ctx.arm(TAG_ISSUE, w.start_delay);
         }
     }
 
@@ -443,21 +430,20 @@ impl Actor<SpiderMsg> for SpiderClient {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, SpiderMsg>, timer: Timer) {
-        self.timers.remove(&timer.tag);
         match timer.tag {
             TAG_ISSUE => {
                 if self.in_flight.is_none() {
-                    let kind = self.pick_kind(ctx);
                     let w = self.workload.as_ref().expect("workload present");
+                    let kind = w.next_kind(ctx.rng());
                     let op = (w.op_factory)(self.issued_count, kind, w.payload_bytes);
                     self.issue(ctx, kind, op);
                 }
                 self.schedule_next_issue(ctx);
             }
             TAG_RETRY if self.in_flight.is_some() => {
-                self.maybe_fail_over(ctx);
+                self.maybe_fail_over();
                 self.transmit(ctx);
-                self.arm_timer(ctx, TAG_RETRY, self.cfg.client_retry);
+                ctx.arm(TAG_RETRY, self.cfg.client_retry);
             }
             _ => {}
         }

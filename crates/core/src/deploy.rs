@@ -119,26 +119,13 @@ impl<A: Application> DeploymentBuilder<A> {
             (0..self.exec_groups.len()).map(|i| GroupId(i as u16)).collect();
 
         // Agreement replicas, one per availability zone, leader first.
+        let (span, leader_zone) = match self.agreement_span {
+            Some(span) => (span, 0),
+            None => (vec![self.agreement_region], self.leader_zone),
+        };
+        let zones = sim.topology().cycle_zones(&span, leader_zone, self.cfg.agreement_size());
         let mut agreement = Vec::new();
-        let mut zone_cursor: std::collections::BTreeMap<String, usize> =
-            std::collections::BTreeMap::new();
-        for i in 0..self.cfg.agreement_size() {
-            let zone = match &self.agreement_span {
-                Some(span) => {
-                    let region = span[i % span.len()].clone();
-                    let zones = sim.topology().num_zones(sim.topology().region(&region));
-                    let cursor = zone_cursor.entry(region.clone()).or_insert(0);
-                    let z = (*cursor % zones as usize) as u8;
-                    *cursor += 1;
-                    sim.topology().zone(&region, z)
-                }
-                None => {
-                    let region = self.agreement_region.clone();
-                    let zones = sim.topology().num_zones(sim.topology().region(&region));
-                    let z = ((self.leader_zone as usize + i) % zones as usize) as u8;
-                    sim.topology().zone(&region, z)
-                }
-            };
+        for (i, zone) in zones.into_iter().enumerate() {
             let replica =
                 AgreementReplica::new(self.cfg.clone(), i, directory.clone(), &initial_groups);
             agreement.push(sim.add_node(zone, replica));
@@ -151,15 +138,9 @@ impl<A: Application> DeploymentBuilder<A> {
             let group = GroupId(gi as u16);
             let home = &span[0];
             let region_id = sim.topology().region(home);
+            let zones = sim.topology().cycle_zones(span, 0, self.cfg.execution_size());
             let mut nodes = Vec::new();
-            let mut cursor: std::collections::BTreeMap<String, usize> =
-                std::collections::BTreeMap::new();
-            for j in 0..self.cfg.execution_size() {
-                let region = span[j % span.len()].clone();
-                let zones = sim.topology().num_zones(sim.topology().region(&region));
-                let c = cursor.entry(region.clone()).or_insert(0);
-                let zone = sim.topology().zone(&region, (*c % zones as usize) as u8);
-                *c += 1;
+            for (j, zone) in zones.into_iter().enumerate() {
                 let replica = ExecutionReplica::new(
                     self.cfg.clone(),
                     group,
@@ -212,7 +193,7 @@ impl Actor<SpiderMsg> for AdminClient {
     fn on_message(&mut self, _ctx: &mut Context<'_, SpiderMsg>, _from: NodeId, _msg: SpiderMsg) {}
 
     fn on_timer(&mut self, ctx: &mut Context<'_, SpiderMsg>, _timer: Timer) {
-        for node in self.directory.agreement() {
+        for &node in self.directory.agreement().iter() {
             // analyzer: allow(charge-coverage, "admin orchestration client, outside the measured protocol")
             // analyzer: allow(edge-pairing, "admin reconfiguration commands carry no client request payload")
             ctx.send(node, SpiderMsg::Admin(self.command.clone()));
@@ -260,12 +241,11 @@ impl Deployment {
         fault: ClientFault,
     ) -> Vec<NodeId> {
         let (group, region, _) = self.groups[group_idx].clone();
-        let zones = sim.topology().num_zones(sim.topology().region(&region));
+        let zones = sim.topology().cycle_zones(&[region], 0, count);
         let mut nodes = Vec::new();
-        for k in 0..count {
+        for zone in zones {
             let id = ClientId(self.next_client);
             self.next_client += 1;
-            let zone = sim.topology().zone(&region, (k % zones as usize) as u8);
             let mut client = SpiderClient::new(
                 self.cfg.clone(),
                 id,
@@ -293,10 +273,9 @@ impl Deployment {
     ) -> GroupId {
         let group = GroupId(self.groups.len() as u16);
         let region_id = sim.topology().region(region);
-        let zones = sim.topology().num_zones(region_id);
+        let zones = sim.topology().cycle_zones(&[region], 0, self.cfg.execution_size());
         let mut nodes = Vec::new();
-        for j in 0..self.cfg.execution_size() {
-            let zone = sim.topology().zone(region, (j % zones as usize) as u8);
+        for (j, zone) in zones.into_iter().enumerate() {
             let replica = ExecutionReplicaDyn::new(
                 self.cfg.clone(),
                 group,

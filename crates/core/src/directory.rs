@@ -11,6 +11,7 @@
 //! fully faithful; only the lookup RPC is collapsed into shared memory —
 //! a substitution documented in DESIGN.md.
 
+use crate::keys::AGREEMENT_GROUP;
 use parking_lot::RwLock;
 use spider_types::{GroupId, NodeId, RegionId};
 use std::collections::BTreeMap;
@@ -27,10 +28,19 @@ pub struct GroupInfo {
     pub active: bool,
 }
 
+/// A registered execution group; the membership is shared, not copied,
+/// with everyone who asks for it.
+#[derive(Debug)]
+struct Group {
+    replicas: Arc<[NodeId]>,
+    region: RegionId,
+    active: bool,
+}
+
 #[derive(Debug, Default)]
 struct Inner {
-    agreement: Vec<NodeId>,
-    groups: BTreeMap<GroupId, GroupInfo>,
+    agreement: Arc<[NodeId]>,
+    groups: BTreeMap<GroupId, Group>,
     clients: BTreeMap<spider_types::ClientId, NodeId>,
     client_groups: BTreeMap<spider_types::ClientId, GroupId>,
 }
@@ -49,18 +59,22 @@ impl Directory {
 
     /// Registers the agreement group's replicas.
     pub fn set_agreement(&self, replicas: Vec<NodeId>) {
-        self.inner.write().agreement = replicas;
+        self.inner.write().agreement = replicas.into();
     }
 
-    /// The agreement group's replicas.
-    pub fn agreement(&self) -> Vec<NodeId> {
+    /// The agreement group's replicas, in replica-index order.
+    pub fn agreement(&self) -> Arc<[NodeId]> {
         self.inner.read().agreement.clone()
     }
 
     /// Registers an execution group (initially inactive until the
     /// `AddGroup` command is ordered, unless `active` is set).
     pub fn register_group(&self, group: GroupId, info: GroupInfo) {
-        self.inner.write().groups.insert(group, info);
+        let GroupInfo { replicas, region, active } = info;
+        self.inner
+            .write()
+            .groups
+            .insert(group, Group { replicas: replicas.into(), region, active });
     }
 
     /// Marks a group active (called by agreement replicas when `AddGroup`
@@ -78,13 +92,21 @@ impl Directory {
         }
     }
 
-    /// Replicas of a group (whether active or not).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the group was never registered.
-    pub fn group_replicas(&self, group: GroupId) -> Vec<NodeId> {
-        self.inner.read().groups[&group].replicas.clone()
+    /// Replicas of a group (whether active or not), in replica-index
+    /// order: the agreement group under [`AGREEMENT_GROUP`], and nobody
+    /// for a group never registered — group ids arrive in frames, so the
+    /// lookup is total.
+    pub fn group_replicas(&self, group: GroupId) -> Arc<[NodeId]> {
+        let inner = self.inner.read();
+        if group == AGREEMENT_GROUP {
+            return inner.agreement.clone();
+        }
+        inner.groups.get(&group).map_or_else(|| Arc::from([]), |g| g.replicas.clone())
+    }
+
+    /// Which replica of `group` the node `node` is, if it is one.
+    pub fn replica_index(&self, group: GroupId, node: NodeId) -> Option<usize> {
+        self.group_replicas(group).iter().position(|n| *n == node)
     }
 
     /// Whether a group is currently active.
@@ -157,7 +179,24 @@ mod tests {
         let d = Directory::new();
         let d2 = d.clone();
         d.set_agreement(vec![NodeId(9)]);
-        assert_eq!(d2.agreement(), vec![NodeId(9)]);
+        assert_eq!(*d2.agreement(), [NodeId(9)]);
+    }
+
+    #[test]
+    fn membership_lookups_are_total() {
+        let d = Directory::new();
+        d.set_agreement(vec![NodeId(0), NodeId(1)]);
+        d.register_group(
+            GroupId(2),
+            GroupInfo { replicas: vec![NodeId(5), NodeId(6)], region: RegionId(0), active: false },
+        );
+        assert_eq!(*d.group_replicas(GroupId(2)), [NodeId(5), NodeId(6)]);
+        assert_eq!(d.replica_index(GroupId(2), NodeId(6)), Some(1));
+        assert_eq!(d.replica_index(GroupId(2), NodeId(0)), None);
+        // The agreement group is one more group; an unknown one is empty.
+        assert_eq!(d.replica_index(AGREEMENT_GROUP, NodeId(1)), Some(1));
+        assert!(d.group_replicas(GroupId(999)).is_empty());
+        assert_eq!(d.replica_index(GroupId(999), NodeId(5)), None);
     }
 
     #[test]

@@ -10,15 +10,14 @@ use crate::app::Application;
 use crate::checkpoint::{CheckpointComponent, CpAction, Part, Snapshot};
 use crate::config::SpiderConfig;
 use crate::directory::Directory;
-use crate::keys;
-use crate::messages::{
-    ChannelLeg, CheckpointMsg, ClientRequest, Execute, ExecutePayload, OrderedRequest, Reply,
-    SpiderMsg, StateBlob,
-};
+use crate::host;
+use crate::messages::{ClientRequest, Execute, ExecutePayload, OrderedRequest, Reply, SpiderMsg};
 use bytes::{BufMut, Bytes, BytesMut};
 use spider_crypto::{Hashed, Keyring};
-use spider_irmc::{Action, ReceiveResult, ReceiverEndpoint, SendStatus, SenderEndpoint, Variant};
-use spider_sim::{req_id, Actor, Context, Timer, TimerId, PHASE_DELIVER, PHASE_EXEC};
+use spider_irmc::{
+    Action, ReceiveResult, ReceiverEndpoint, SendStatus, SenderEndpoint, Variant, TICK_INTERVAL,
+};
+use spider_sim::{req_id, Actor, Context, Timer, PHASE_DELIVER, PHASE_EXEC};
 use spider_types::{ClientId, GroupId, NodeId, OpKind, Position, SeqNr, SimTime, WireSize};
 use std::collections::BTreeMap;
 
@@ -66,7 +65,6 @@ impl CachedReply {
 pub struct ExecutionReplica<A: Application> {
     cfg: SpiderConfig,
     group: GroupId,
-    me: usize,
     directory: Directory,
     fault: ExecFault,
 
@@ -81,7 +79,6 @@ pub struct ExecutionReplica<A: Application> {
 
     /// Outstanding checkpoint fetch (sequence we must reach).
     fetching: Option<SeqNr>,
-    timers: BTreeMap<u64, TimerId>,
     /// Executed request count (metrics).
     pub executed: u64,
 }
@@ -94,7 +91,6 @@ impl<A: Application> ExecutionReplica<A> {
         let (req_cfg, commit_cfg) = (cfg.request_channel(group), cfg.commit_channel(group));
         ExecutionReplica {
             group,
-            me,
             directory,
             fault: ExecFault::None,
             sn: 0,
@@ -105,7 +101,6 @@ impl<A: Application> ExecutionReplica<A> {
             commit_recv: ReceiverEndpoint::new(commit_cfg, me, keyring.clone()),
             cp: CheckpointComponent::new(group, me, cfg.fe, keyring, cfg.cost),
             fetching: None,
-            timers: BTreeMap::new(),
             executed: 0,
             cfg,
         }
@@ -206,7 +201,7 @@ impl<A: Application> ExecutionReplica<A> {
         let pos = Position(req.tc);
         let mut actions = Vec::new();
         self.req_sender.move_window(sc, pos, &mut actions);
-        // analyzer: allow(edge-pairing, "apply_request_channel_actions records the edges at the actual transmit sites")
+        // analyzer: allow(edge-pairing, "host::channel_io records the edges at the actual transmit sites")
         let status = self.req_sender.send_batch(
             sc,
             pos,
@@ -401,7 +396,7 @@ impl<A: Application> ExecutionReplica<A> {
         self.cp.fetch(need, &mut actions);
         self.apply_cp_actions(ctx, actions);
         // Retry while we stay behind.
-        self.arm_timer(ctx, TAG_FETCH_RETRY, SimTime::from_millis(500));
+        ctx.arm(TAG_FETCH_RETRY, SimTime::from_millis(500));
     }
 
     fn on_stable_checkpoint(
@@ -448,35 +443,14 @@ impl<A: Application> ExecutionReplica<A> {
         ctx: &mut Context<'_, SpiderMsg>,
         actions: Vec<Action<Hashed<OrderedRequest>>>,
     ) {
-        let agreement = self.directory.agreement();
-        let peers = self.directory.group_replicas(self.group);
+        let (peers, agreement) =
+            (self.directory.group_replicas(self.group), self.directory.agreement());
+        let wrap = |leg| SpiderMsg::RequestChannel { group: self.group, leg };
         for a in actions {
-            match a {
-                Action::ToReceiver { to, msg } => {
-                    if let Some(node) = agreement.get(to) {
-                        let msg = SpiderMsg::RequestChannel {
-                            group: self.group,
-                            leg: ChannelLeg::ToReceiver(msg),
-                        };
-                        ctx.edge_for(*node, &msg);
-                        ctx.send(*node, msg);
-                    }
-                }
-                Action::ToPeerSender { to, msg } => {
-                    if let Some(node) = peers.get(to) {
-                        let msg = SpiderMsg::RequestChannel {
-                            group: self.group,
-                            leg: ChannelLeg::Peer(msg),
-                        };
-                        ctx.edge_for(*node, &msg);
-                        ctx.send(*node, msg);
-                    }
-                }
-                Action::Charge(c, op) => ctx.charge_op("req-channel", op, c),
-                Action::WindowMoved { .. } | Action::Unblocked { .. } => {
-                    ctx.health_mark("req-channel", self.group.0 as u32);
-                }
-                _ => {}
+            if let Some(Action::WindowMoved { .. } | Action::Unblocked { .. }) =
+                host::channel_io(ctx, "req-channel", &peers, &agreement, wrap, a)
+            {
+                ctx.health_mark("req-channel", self.group.0 as u32);
             }
         }
         if ctx.obs_enabled() {
@@ -486,8 +460,9 @@ impl<A: Application> ExecutionReplica<A> {
         // armed only while submitted requests await receiver-window
         // acknowledgement, so a partition that swallowed the one-shot
         // casts cannot wedge the channel, yet idle runs still quiesce.
+        // (A standing IRMC-SC heartbeat is re-armed by its own handler.)
         if self.cfg.request_variant != Variant::SenderCollect && self.req_sender.has_unacked() {
-            self.ensure_timer(ctx, TAG_SC_TICK, SimTime::from_millis(20));
+            ctx.arm_if_idle(TAG_SC_TICK, TICK_INTERVAL);
         }
     }
 
@@ -497,27 +472,15 @@ impl<A: Application> ExecutionReplica<A> {
         actions: Vec<Action<Hashed<Execute>>>,
     ) {
         let agreement = self.directory.agreement();
+        let wrap = |leg| SpiderMsg::CommitChannel { group: self.group, leg };
         let mut poll = false;
         for a in actions {
-            match a {
-                Action::ToSender { to, msg } => {
-                    if let Some(node) = agreement.get(to) {
-                        let msg = SpiderMsg::CommitChannel {
-                            group: self.group,
-                            leg: ChannelLeg::ToSender(msg),
-                        };
-                        // Window moves/acks carry no request payload, so
-                        // this records no edges; kept for uniform pairing.
-                        ctx.edge_for(*node, &msg);
-                        ctx.send(*node, msg);
-                    }
-                }
-                Action::Ready { .. } | Action::WindowMoved { .. } => poll = true,
-                Action::SetTimer { token, delay } => {
+            match host::channel_io(ctx, "commit-channel", &agreement, &[], wrap, a) {
+                Some(Action::Ready { .. } | Action::WindowMoved { .. }) => poll = true,
+                Some(Action::SetTimer { token, delay }) => {
                     debug_assert_eq!(token, 0, "single commit subchannel");
-                    self.arm_timer(ctx, TAG_COMMIT_COLLECTOR, delay);
+                    ctx.arm(TAG_COMMIT_COLLECTOR, delay);
                 }
-                Action::Charge(c, op) => ctx.charge_op("commit-channel", op, c),
                 _ => {}
             }
         }
@@ -527,166 +490,60 @@ impl<A: Application> ExecutionReplica<A> {
     }
 
     fn apply_cp_actions(&mut self, ctx: &mut Context<'_, SpiderMsg>, actions: Vec<CpAction>) {
-        let mut stable = Vec::new();
-        for a in actions {
-            match a {
-                CpAction::ToGroup(msg) => {
-                    let peers = self.directory.group_replicas(self.group);
-                    let is_fetch = matches!(msg, CheckpointMsg::FetchRequest { .. });
-                    for (i, node) in peers.iter().enumerate() {
-                        if i != self.me {
-                            // analyzer: allow(edge-pairing, "checkpoint gossip and state transfer carry no per-request payload; request latency never blocks on them")
-                            ctx.send(
-                                *node,
-                                SpiderMsg::Checkpoint {
-                                    group: self.group,
-                                    msg: msg.clone(),
-                                    state: None,
-                                },
-                            );
-                        }
-                    }
-                    // Fetches also go to other execution groups (§3.5):
-                    // a freshly added or skipped group needs foreign state.
-                    if is_fetch {
-                        for g in self.directory.active_groups() {
-                            if g == self.group {
-                                continue;
-                            }
-                            for node in self.directory.group_replicas(g) {
-                                ctx.send(
-                                    node,
-                                    SpiderMsg::Checkpoint {
-                                        group: self.group,
-                                        msg: msg.clone(),
-                                        state: None,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-                CpAction::ToPeer { group, idx, msg, state } => {
-                    let nodes = if group == self.group {
-                        self.directory.group_replicas(self.group)
-                    } else {
-                        self.directory.group_replicas(group)
-                    };
-                    if let Some(node) = nodes.get(idx) {
-                        let blob = state.map(|snapshot| StateBlob {
-                            seq: match msg {
-                                CheckpointMsg::FetchResponse { seq, .. } => seq,
-                                _ => SeqNr(0),
-                            },
-                            snapshot,
-                        });
-                        ctx.send(
-                            *node,
-                            SpiderMsg::Checkpoint { group: self.group, msg, state: blob },
-                        );
-                    }
-                }
-                CpAction::Stable { seq, state } => stable.push((seq, state)),
-                CpAction::Charge(c, op) => ctx.charge_op("checkpoint", op, c),
-            }
-        }
-        for (seq, state) in stable {
+        for (seq, state) in host::checkpoint_io(ctx, &self.directory, &self.cp, actions) {
             self.on_stable_checkpoint(ctx, seq, state);
-        }
-    }
-
-    fn arm_timer(&mut self, ctx: &mut Context<'_, SpiderMsg>, tag: u64, delay: SimTime) {
-        if let Some(old) = self.timers.remove(&tag) {
-            ctx.cancel_timer(old);
-        }
-        let id = ctx.set_timer(delay, tag);
-        self.timers.insert(tag, id);
-    }
-
-    /// Arms `tag` only if it is not already pending (unlike [`Self::arm_timer`],
-    /// which reschedules).
-    fn ensure_timer(&mut self, ctx: &mut Context<'_, SpiderMsg>, tag: u64, delay: SimTime) {
-        self.timers.entry(tag).or_insert_with(|| ctx.set_timer(delay, tag));
-    }
-
-    fn replica_index_in(&self, group: GroupId, node: NodeId) -> Option<usize> {
-        if group == keys::AGREEMENT_GROUP {
-            self.directory.agreement().iter().position(|n| *n == node)
-        } else {
-            self.directory.group_replicas(group).iter().position(|n| *n == node)
         }
     }
 }
 
 impl<A: Application> Actor<SpiderMsg> for ExecutionReplica<A> {
     fn on_start(&mut self, ctx: &mut Context<'_, SpiderMsg>) {
-        if self.cfg.request_variant == Variant::SenderCollect {
-            self.arm_timer(ctx, TAG_SC_TICK, SimTime::from_millis(20));
+        if self.req_sender.wants_tick() {
+            ctx.arm(TAG_SC_TICK, TICK_INTERVAL);
         }
-        self.arm_timer(ctx, TAG_CP_GOSSIP, CP_GOSSIP_INTERVAL);
+        ctx.arm(TAG_CP_GOSSIP, CP_GOSSIP_INTERVAL);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, SpiderMsg>, from: NodeId, msg: SpiderMsg) {
         ctx.charge(self.cfg.cost.msg_overhead());
         match msg {
             SpiderMsg::Request(req) => self.on_client_request(ctx, req),
+            // Shares from our own group (IRMC-SC) and window moves or
+            // collector selections from the agreement replicas.
             SpiderMsg::RequestChannel { group, leg } if group == self.group => {
-                match leg {
-                    // IRMC-SC shares from our own sender group.
-                    ChannelLeg::Peer(m) => {
-                        let Some(idx) = self.replica_index_in(self.group, from) else {
-                            return;
-                        };
-                        let mut actions = Vec::new();
-                        let _ = self.req_sender.on_peer_message(idx, m, &mut actions);
-                        self.apply_request_channel_actions(ctx, actions);
-                    }
-                    // Window moves / collector selections from the
-                    // agreement replicas (the channel's receiver side).
-                    ChannelLeg::ToSender(m) => {
-                        let Some(idx) = self.replica_index_in(keys::AGREEMENT_GROUP, from) else {
-                            return;
-                        };
-                        let mut actions = Vec::new();
-                        let _ = self.req_sender.on_receiver_message(idx, m, &mut actions);
-                        self.apply_request_channel_actions(ctx, actions);
-                    }
-                    // We are the sender side; receiver frames are not ours.
-                    ChannelLeg::ToReceiver(_) => {}
-                }
+                let (peers, agreement) =
+                    (self.directory.group_replicas(group), self.directory.agreement());
+                let actions =
+                    host::sender_frame(&mut self.req_sender, &peers, &agreement, from, leg);
+                self.apply_request_channel_actions(ctx, actions);
             }
-            SpiderMsg::RequestChannel { .. } => {}
             SpiderMsg::CommitChannel { group, leg } if group == self.group => {
-                let Some(idx) = self.replica_index_in(keys::AGREEMENT_GROUP, from) else {
-                    return;
-                };
-                if let ChannelLeg::ToReceiver(m) = leg {
-                    let mut actions = Vec::new();
-                    let _ = self.commit_recv.on_sender_message(idx, m, &mut actions);
-                    self.apply_commit_channel_actions(ctx, actions);
-                }
+                let agreement = self.directory.agreement();
+                let actions = host::receiver_frame(&mut self.commit_recv, &agreement, from, leg);
+                self.apply_commit_channel_actions(ctx, actions);
             }
-            SpiderMsg::CommitChannel { .. } => {}
             SpiderMsg::Checkpoint { group, msg, state } => {
-                self.on_checkpoint_msg(ctx, from, group, msg, state)
+                let actions =
+                    host::checkpoint_frame(&mut self.cp, &self.directory, from, group, msg, state);
+                self.apply_cp_actions(ctx, actions);
             }
-            SpiderMsg::Reply(_) | SpiderMsg::Agreement(_) | SpiderMsg::Admin(_) => {}
+            // Another group's channels.
+            SpiderMsg::RequestChannel { .. }
+            | SpiderMsg::CommitChannel { .. }
+            | SpiderMsg::Reply(_)
+            | SpiderMsg::Agreement(_)
+            | SpiderMsg::Admin(_) => {}
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, SpiderMsg>, timer: Timer) {
-        self.timers.remove(&timer.tag);
         match timer.tag {
             TAG_SC_TICK => {
                 let mut actions = Vec::new();
                 self.req_sender.tick(&mut actions);
                 self.apply_request_channel_actions(ctx, actions);
-                // SC keeps a standing heartbeat; RC re-arms only while
-                // content is undelivered (recast liveness + quiescence).
-                if self.cfg.request_variant == Variant::SenderCollect
-                    || self.req_sender.has_unacked()
-                {
-                    self.arm_timer(ctx, TAG_SC_TICK, SimTime::from_millis(20));
+                if self.req_sender.wants_tick() {
+                    ctx.arm(TAG_SC_TICK, TICK_INTERVAL);
                 }
             }
             TAG_COMMIT_COLLECTOR => {
@@ -707,56 +564,10 @@ impl<A: Application> Actor<SpiderMsg> for ExecutionReplica<A> {
                 let mut actions = Vec::new();
                 self.cp.gossip(&mut actions);
                 self.apply_cp_actions(ctx, actions);
-                self.arm_timer(ctx, TAG_CP_GOSSIP, CP_GOSSIP_INTERVAL);
+                ctx.arm(TAG_CP_GOSSIP, CP_GOSSIP_INTERVAL);
             }
             _ => {}
         }
-    }
-}
-
-impl<A: Application> ExecutionReplica<A> {
-    fn on_checkpoint_msg(
-        &mut self,
-        ctx: &mut Context<'_, SpiderMsg>,
-        from: NodeId,
-        sender_group: GroupId,
-        msg: CheckpointMsg,
-        state: Option<StateBlob>,
-    ) {
-        let mut actions = Vec::new();
-        match msg {
-            CheckpointMsg::Announce { seq, state_hash, sig } => {
-                if sender_group != self.group {
-                    return; // Announcements are group-internal.
-                }
-                let Some(idx) = self.replica_index_in(self.group, from) else {
-                    return;
-                };
-                self.cp.on_announce(idx, seq, state_hash, sig, &mut actions);
-            }
-            CheckpointMsg::FetchRequest { seq } => {
-                // May come from our own group or a foreign execution
-                // group (§3.5). Answer with our stable state either way.
-                let Some(idx) = self.replica_index_in(sender_group, from) else {
-                    return;
-                };
-                self.cp.on_fetch_request(sender_group, idx, seq, &mut actions);
-            }
-            CheckpointMsg::FetchResponse { seq, state_hash, cert, .. } => {
-                let Some(blob) = state else { return };
-                let provider_keys = keys::group_keys(sender_group, self.cfg.execution_size());
-                self.cp.on_fetch_response(
-                    sender_group,
-                    &provider_keys,
-                    seq,
-                    state_hash,
-                    cert,
-                    blob.snapshot,
-                    &mut actions,
-                );
-            }
-        }
-        self.apply_cp_actions(ctx, actions);
     }
 }
 

@@ -62,6 +62,7 @@ pub mod config;
 pub mod deploy;
 pub mod directory;
 pub mod execution;
+pub mod host;
 pub mod keys;
 pub mod messages;
 

@@ -86,7 +86,7 @@ fn removed_group_redirects_clients() {
         ) {
         }
         fn on_timer(&mut self, ctx: &mut spider_sim::Context<'_, SpiderMsg>, _: spider_sim::Timer) {
-            for n in self.0.agreement() {
+            for &n in self.0.agreement().iter() {
                 ctx.send(n, SpiderMsg::Admin(AdminCommand::RemoveGroup { group: self.1 }));
             }
         }

@@ -10,10 +10,11 @@
 
 use crate::stats::percentile;
 use crate::topology::ec2_topology;
+use spider::host::{channel_io, receiver_frame, sender_frame};
+use spider::messages::ChannelLeg;
 use spider_crypto::{CostModel, Digest, Digestible, Keyring};
 use spider_irmc::{
-    Action, ChannelMode, ChannelMsg, IrmcConfig, ReceiveResult, ReceiverEndpoint, ReceiverMsg,
-    SenderEndpoint, Variant,
+    Action, ChannelMode, IrmcConfig, ReceiveResult, ReceiverEndpoint, SenderEndpoint, TICK_INTERVAL,
 };
 use spider_sim::{Actor, Context, NodeId, ObsConfig, ObsReport, Simulation, Timer, PHASE_REQUEST};
 use spider_types::{Position, SimTime, WireSize};
@@ -131,35 +132,7 @@ impl Digestible for Blob {
 }
 
 /// Transport frames of the benchmark channel.
-#[derive(Debug, Clone)]
-enum M {
-    ToReceiver(ChannelMsg<Blob>),
-    ToSender(ReceiverMsg),
-    Peer(ChannelMsg<Blob>),
-}
-
-impl WireSize for M {
-    fn wire_size(&self) -> usize {
-        match self {
-            M::ToReceiver(m) | M::Peer(m) => m.wire_size(),
-            M::ToSender(m) => m.wire_size(),
-        }
-    }
-
-    fn trace_kind(&self) -> &'static str {
-        match self {
-            M::ToReceiver(m) | M::Peer(m) => m.trace_kind(),
-            M::ToSender(m) => m.trace_kind(),
-        }
-    }
-
-    fn trace_reqs(&self, visit: &mut dyn FnMut(u64)) {
-        match self {
-            M::ToReceiver(m) | M::Peer(m) => m.trace_reqs(visit),
-            M::ToSender(_) => {}
-        }
-    }
-}
+type M = ChannelLeg<Blob>;
 
 const TAG_START: u64 = 0;
 const TAG_TICK: u64 = 1;
@@ -174,7 +147,6 @@ struct SenderHost {
     next_pos: u64,
     receivers: Vec<NodeId>,
     peers: Vec<NodeId>,
-    sc_tick: bool,
     /// Paced feed: stop submitting after this time (drain tail cleanly).
     stop_at: SimTime,
     /// Paced feed: actual submission time per range (first position, at).
@@ -243,25 +215,13 @@ impl SenderHost {
     fn apply(&mut self, ctx: &mut Context<'_, M>, actions: Vec<Action<Blob>>) {
         let mut moved = false;
         for a in actions {
-            match a {
-                Action::ToReceiver { to, msg } => {
-                    let to = self.receivers[to];
-                    ctx.edge_for(to, &msg);
-                    ctx.send(to, M::ToReceiver(msg));
+            if let Some(Action::WindowMoved { .. } | Action::Unblocked { .. }) =
+                channel_io(ctx, "sender", &self.peers, &self.receivers, |leg| leg, a)
+            {
+                moved = true;
+                if ctx.obs_enabled() {
+                    ctx.health_mark("bench-commit", 0);
                 }
-                Action::ToPeerSender { to, msg } => {
-                    let to = self.peers[to];
-                    ctx.edge_for(to, &msg);
-                    ctx.send(to, M::Peer(msg));
-                }
-                Action::Charge(c, op) => ctx.charge_op("sender", op, c),
-                Action::WindowMoved { .. } | Action::Unblocked { .. } => {
-                    moved = true;
-                    if ctx.obs_enabled() {
-                        ctx.health_mark("bench-commit", 0);
-                    }
-                }
-                _ => {}
             }
         }
         if ctx.obs_enabled() {
@@ -277,28 +237,13 @@ impl Actor<M> for SenderHost {
     fn on_start(&mut self, ctx: &mut Context<'_, M>) {
         // Delay the start until every node exists.
         ctx.set_timer(SimTime::from_millis(1), TAG_START);
-        if self.sc_tick {
-            ctx.set_timer(SimTime::from_millis(20), TAG_TICK);
+        if self.ep.wants_tick() {
+            ctx.arm_if_idle(TAG_TICK, TICK_INTERVAL);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, M>, from: NodeId, msg: M) {
-        let mut actions = Vec::new();
-        match msg {
-            M::ToSender(m) => {
-                let Some(idx) = self.receivers.iter().position(|n| *n == from) else {
-                    return;
-                };
-                let _ = self.ep.on_receiver_message(idx, m, &mut actions);
-            }
-            M::Peer(m) => {
-                let Some(idx) = self.peers.iter().position(|n| *n == from) else {
-                    return;
-                };
-                let _ = self.ep.on_peer_message(idx, m, &mut actions);
-            }
-            M::ToReceiver(_) => return,
-        }
+        let actions = sender_frame(&mut self.ep, &self.peers, &self.receivers, from, msg);
         self.apply(ctx, actions);
     }
 
@@ -313,7 +258,9 @@ impl Actor<M> for SenderHost {
                 let mut actions = Vec::new();
                 self.ep.tick(&mut actions);
                 self.apply(ctx, actions);
-                ctx.set_timer(SimTime::from_millis(20), TAG_TICK);
+                if self.ep.wants_tick() {
+                    ctx.arm_if_idle(TAG_TICK, TICK_INTERVAL);
+                }
             }
             _ => {}
         }
@@ -366,17 +313,10 @@ impl ReceiverHost {
 
     fn apply(&mut self, ctx: &mut Context<'_, M>, actions: Vec<Action<Blob>>) {
         for a in actions {
-            match a {
-                Action::ToSender { to, msg } => {
-                    let to = self.senders[to];
-                    ctx.edge_for(to, &msg);
-                    ctx.send(to, M::ToSender(msg));
-                }
-                Action::Charge(c, op) => ctx.charge_op("receiver", op, c),
-                Action::SetTimer { token, delay } => {
-                    ctx.set_timer(delay, TAG_COLLECTOR + token);
-                }
-                _ => {}
+            if let Some(Action::SetTimer { token, delay }) =
+                channel_io(ctx, "receiver", &self.senders, &[], |leg| leg, a)
+            {
+                ctx.set_timer(delay, TAG_COLLECTOR + token);
             }
         }
     }
@@ -384,12 +324,7 @@ impl ReceiverHost {
 
 impl Actor<M> for ReceiverHost {
     fn on_message(&mut self, ctx: &mut Context<'_, M>, from: NodeId, msg: M) {
-        let M::ToReceiver(m) = msg else { return };
-        let Some(idx) = self.senders.iter().position(|n| *n == from) else {
-            return;
-        };
-        let mut actions = Vec::new();
-        let _ = self.ep.on_sender_message(idx, m, &mut actions);
+        let actions = receiver_frame(&mut self.ep, &self.senders, from, msg);
         self.apply(ctx, actions);
         self.drain(ctx);
     }
@@ -435,7 +370,6 @@ impl Rig {
                 next_pos: 1,
                 receivers: receiver_nodes.clone(),
                 peers: sender_nodes.clone(),
-                sc_tick: self.mode.variant() == Variant::SenderCollect,
                 stop_at: self.duration.saturating_sub(pace.unwrap_or_default()),
                 submits: Vec::new(),
             };

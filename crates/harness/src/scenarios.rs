@@ -246,11 +246,11 @@ pub(crate) fn run_spider(
         // The client's *group* may be remote, but its *node* sits in its
         // home region.
         let (group, _, _) = dep.groups[if i < group_spans.len() { i } else { 0 }];
-        let zones = sim.topology().num_zones(sim.topology().region(region));
-        (0..cfg.clients_per_region)
-            .map(|k| {
+        let zones = sim.topology().cycle_zones(&[region], 0, cfg.clients_per_region);
+        zones
+            .into_iter()
+            .map(|zone| {
                 let id = ClientId(10_000 + dep.clients.len() as u32);
-                let zone = sim.topology().zone(region, (k % zones as usize) as u8);
                 let client = SpiderClient::new(
                     dep.cfg.clone(),
                     id,

@@ -164,6 +164,11 @@ impl<T: Digestible + Clone + PartialEq + std::fmt::Debug + WireSize + 'static> C
 /// (the client id); commit channels use subchannel 0.
 pub type Subchannel = u64;
 
+/// Cadence at which hosts call [`SenderEndpoint::tick`] while
+/// [`SenderEndpoint::wants_tick`]: the IRMC-SC progress heartbeat and the
+/// unit [`RC_RECAST_TICKS`] counts in.
+pub const TICK_INTERVAL: SimTime = SimTime::from_millis(20);
+
 /// Charge label of the RC recast path: a sender re-shipping unacked
 /// ranges (e.g. after a partition heal swallowed the one-shot casts).
 /// Hosts can match [`Action::Charge`]'s label against this to surface

@@ -47,10 +47,10 @@ pub enum SendStatus {
     Blocked,
 }
 
-/// RC: consecutive window-stalled ticks (at the actors' 20 ms tick
-/// cadence) before retained content is re-cast — 500 ms, comfortably
-/// above a WAN round trip, so the recast never fires while the original
-/// casts are still in flight.
+/// RC: consecutive window-stalled ticks (one every
+/// [`TICK_INTERVAL`](crate::TICK_INTERVAL)) before retained content is
+/// re-cast — 500 ms, comfortably above a WAN round trip, so the recast
+/// never fires while the original casts are still in flight.
 pub const RC_RECAST_TICKS: u8 = 25;
 
 /// A run this endpoint submitted, retained until the window moves past
@@ -859,6 +859,14 @@ impl<M: Content> SenderEndpoint<M> {
     /// while this is true, so idle simulations still quiesce.
     pub fn has_unacked(&self) -> bool {
         self.subs.values().any(|sub| sub.unacked())
+    }
+
+    /// Whether the host should keep this endpoint's [`SenderEndpoint::tick`]
+    /// timer pending (one tick every [`TICK_INTERVAL`](crate::TICK_INTERVAL)):
+    /// IRMC-SC keeps a standing heartbeat for its progress announcements,
+    /// IRMC-RC ticks only while something is unacknowledged.
+    pub fn wants_tick(&self) -> bool {
+        self.cfg.variant() == Variant::SenderCollect || self.has_unacked()
     }
 
     /// Number of slots the receiver side owes progress on: transmitted

@@ -3,6 +3,7 @@
 use rand::rngs::SmallRng;
 use spider_obs::Recorder;
 use spider_types::{NodeId, SimTime};
+use std::collections::BTreeMap;
 
 /// Identifier of a pending timer, used for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -87,6 +88,9 @@ pub struct Context<'a, M> {
     pub(crate) out: &'a mut Vec<OutAction<M>>,
     pub(crate) charged: &'a mut SimTime,
     pub(crate) next_timer_id: &'a mut u64,
+    /// This node's pending tag-keyed timers ([`Context::arm`]); the
+    /// simulation frees a tag when its timer fires.
+    pub(crate) armed: &'a mut BTreeMap<u64, TimerId>,
     pub(crate) obs: &'a mut Recorder,
 }
 
@@ -233,8 +237,100 @@ impl<'a, M> Context<'a, M> {
         self.out.push(OutAction::CancelTimer(id));
     }
 
+    /// Arms the node's timer `tag` to fire `delay` after this handler
+    /// (with that `tag`), replacing the one pending under the tag, if
+    /// any. A node has at most one pending timer per tag armed this way;
+    /// the tag is free again once it fires.
+    pub fn arm(&mut self, tag: u64, delay: SimTime) {
+        self.disarm(tag);
+        self.arm_if_idle(tag, delay);
+    }
+
+    /// Like [`Context::arm`], but leaves a timer already pending under
+    /// `tag` as it is.
+    pub fn arm_if_idle(&mut self, tag: u64, delay: SimTime) {
+        if !self.armed.contains_key(&tag) {
+            let id = self.set_timer(delay, tag);
+            self.armed.insert(tag, id);
+        }
+    }
+
+    /// Cancels the timer pending under `tag`, if any.
+    pub fn disarm(&mut self, tag: u64) {
+        if let Some(id) = self.armed.remove(&tag) {
+            self.cancel_timer(id);
+        }
+    }
+
     /// Deterministic random number generator (shared by the whole sim).
     pub fn rng(&mut self) -> &mut SmallRng {
         self.rng
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::SeedableRng;
+
+    /// Runs `f` on a context over `armed` and renders what it emitted.
+    fn transcript(
+        armed: &mut BTreeMap<u64, TimerId>,
+        next_timer_id: &mut u64,
+        f: impl FnOnce(&mut Context<'_, ()>),
+    ) -> Vec<String> {
+        let (mut rng, mut out) = (SmallRng::seed_from_u64(0), Vec::new());
+        let (mut charged, mut obs) = (SimTime::ZERO, Recorder::disabled());
+        f(&mut Context {
+            node: NodeId(0),
+            now: SimTime::ZERO,
+            rng: &mut rng,
+            out: &mut out,
+            charged: &mut charged,
+            next_timer_id,
+            armed,
+            obs: &mut obs,
+        });
+        out.iter()
+            .map(|a| match a {
+                OutAction::Send { .. } => "send".to_owned(),
+                OutAction::SetTimer { id, delay, tag } => {
+                    format!("set #{} tag {tag} {delay}", id.0)
+                }
+                OutAction::CancelTimer(id) => format!("cancel #{}", id.0),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn arm_replaces_and_arm_if_idle_keeps_a_pending_timer() {
+        let (mut armed, mut next) = (BTreeMap::new(), 0);
+        let ms = SimTime::from_millis;
+        let first = transcript(&mut armed, &mut next, |ctx| {
+            ctx.arm(7, ms(5));
+            ctx.arm_if_idle(7, ms(9));
+            ctx.arm_if_idle(8, ms(9));
+        });
+        assert_eq!(first, ["set #0 tag 7 5.000ms", "set #1 tag 8 9.000ms"]);
+        // Pending across handlers: the next one replaces #0, keeps #1.
+        let second = transcript(&mut armed, &mut next, |ctx| {
+            ctx.arm(7, ms(6));
+            ctx.arm_if_idle(8, ms(1));
+        });
+        assert_eq!(second, ["cancel #0", "set #2 tag 7 6.000ms"]);
+        assert_eq!(armed, BTreeMap::from([(7, TimerId(2)), (8, TimerId(1))]));
+    }
+
+    #[test]
+    fn disarm_cancels_a_pending_timer_and_is_silent_on_an_idle_tag() {
+        let (mut armed, mut next) = (BTreeMap::new(), 0);
+        let got = transcript(&mut armed, &mut next, |ctx| {
+            ctx.disarm(3);
+            ctx.arm(3, SimTime::from_millis(1));
+            ctx.disarm(3);
+            ctx.disarm(3);
+        });
+        assert_eq!(got, ["set #0 tag 3 1.000ms", "cancel #0"]);
+        assert!(armed.is_empty());
     }
 }

@@ -65,6 +65,26 @@ impl Topology {
         ZoneId::new(r, zone)
     }
 
+    /// Zones for a row of `n` nodes that takes its regions from `span` in
+    /// turn, cycled: the `c`-th node of the row to land in a region gets
+    /// that region's zone `(first_zone + c) % zones` — its own fault
+    /// domain while the region has zones left, wrapping around after.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `span` is empty or names an unknown region.
+    pub fn cycle_zones<S: AsRef<str>>(&self, span: &[S], first_zone: u8, n: usize) -> Vec<ZoneId> {
+        let mut placed = vec![first_zone as usize; self.num_regions()];
+        (0..n)
+            .map(|j| {
+                let r = self.region(span[j % span.len()].as_ref());
+                let c = &mut placed[r.0 as usize];
+                *c += 1;
+                ZoneId::new(r, ((*c - 1) % self.num_zones(r) as usize) as u8)
+            })
+            .collect()
+    }
+
     /// Name of a region.
     pub fn region_name(&self, r: RegionId) -> &str {
         &self.region_names[r.0 as usize]
@@ -495,6 +515,22 @@ mod tests {
         assert_eq!(t.base_latency(va0, or0), SimTime::from_millis(30));
         assert_eq!(t.base_latency(va0, va1), SimTime::from_micros(500));
         assert_eq!(t.base_latency(va0, va0), SimTime::from_micros(150));
+    }
+
+    #[test]
+    fn cycle_zones_spreads_a_row_over_its_span() {
+        let t = topo();
+        let zones = |span: &[&str], first, n| t.cycle_zones(span, first, n);
+        // One region: one zone each, wrapping around, from `first_zone`.
+        assert_eq!(
+            zones(&["va"], 2, 4),
+            [t.zone("va", 2), t.zone("va", 0), t.zone("va", 1), t.zone("va", 2)]
+        );
+        // Regions in turn; a region named twice still counts its nodes once.
+        assert_eq!(
+            zones(&["va", "va", "or"], 0, 5),
+            [t.zone("va", 0), t.zone("va", 1), t.zone("or", 0), t.zone("va", 2), t.zone("va", 0)]
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use spider_obs::{ObsConfig, Recorder};
 use spider_types::{NodeId, RegionId, SimTime, WireSize, ZoneId};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::actor::{Actor, ActorObj, Context, OutAction, Timer, TimerId};
 use crate::event::{EventKind, EventQueue};
@@ -19,6 +19,8 @@ struct NodeSlot<M> {
     busy_until: SimTime,
     /// The node's NIC egress is occupied until this instant.
     egress_free_at: SimTime,
+    /// Pending tag-keyed timers ([`Context::arm`]), freed as they fire.
+    armed: BTreeMap<u64, TimerId>,
 }
 
 /// A deterministic discrete-event simulation over message type `M`.
@@ -100,6 +102,7 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
             zone,
             busy_until: self.now,
             egress_free_at: self.now,
+            armed: BTreeMap::new(),
         });
         self.run_handler(id, |actor, ctx| actor.on_start(ctx));
         id
@@ -352,6 +355,10 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
                 if self.cancelled_timers.remove(&timer.id) {
                     return true;
                 }
+                let armed = &mut self.nodes[node.0 as usize].armed;
+                if armed.get(&timer.tag) == Some(&timer.id) {
+                    armed.remove(&timer.tag);
+                }
                 self.run_handler(node, |actor, ctx| actor.on_timer(ctx, timer));
             }
         }
@@ -409,6 +416,7 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
                 out: &mut out,
                 charged: &mut charged,
                 next_timer_id: &mut self.next_timer_id,
+                armed: &mut slot.armed,
                 obs: &mut self.obs,
             };
             f(slot.actor.as_mut(), &mut ctx);
@@ -764,5 +772,31 @@ mod tests {
         let (t1, t2) = (rec.arrivals[0].0, rec.arrivals[1].0);
         assert!(t1 >= SimTime::from_millis(510), "0.5s ser + 10ms prop");
         assert!(t2 - t1 >= SimTime::from_millis(499), "NIC is serialized");
+    }
+
+    #[test]
+    fn a_fired_timer_frees_its_tag_and_a_cancelled_one_never_fires() {
+        /// Arms tag 7 once; on each fire, `arm_if_idle`s it again twice.
+        #[derive(Default)]
+        struct Rearm {
+            log: Vec<String>,
+        }
+        impl Actor<Msg> for Rearm {
+            fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+                ctx.arm(7, SimTime::from_millis(5));
+                ctx.arm(7, SimTime::from_millis(1)); // replaces #0
+            }
+            fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, _: Msg) {}
+            fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, timer: Timer) {
+                let before = ctx.out.len();
+                ctx.arm_if_idle(7, SimTime::from_millis(1)); // free: sets
+                ctx.arm_if_idle(7, SimTime::from_millis(1)); // pending: keeps
+                self.log.push(format!("#{} set {}", timer.id.0, ctx.out.len() - before));
+            }
+        }
+        let mut sim = Simulation::new(two_region_topo(), 1);
+        let n = sim.add_node(sim.topology().zone("a", 0), Rearm::default());
+        sim.run_until(SimTime::from_micros(3_500));
+        assert_eq!(sim.actor::<Rearm>(n).log, ["#1 set 1", "#2 set 1", "#3 set 1"]);
     }
 }

@@ -48,7 +48,7 @@ fn add_then_remove_group_mid_workload() {
         ) {
         }
         fn on_timer(&mut self, ctx: &mut spider_sim::Context<'_, SpiderMsg>, _: spider_sim::Timer) {
-            for node in self.directory.agreement() {
+            for &node in self.directory.agreement().iter() {
                 ctx.send(node, SpiderMsg::Admin(AdminCommand::RemoveGroup { group: self.group }));
             }
         }
