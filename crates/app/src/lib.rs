@@ -25,6 +25,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(not(test), warn(clippy::match_wildcard_for_single_variants))]
 #![warn(missing_docs)]
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -339,7 +341,9 @@ pub fn kv_op_factory(keys: u32) -> spider::client::OpFactory {
             spider_types::OpKind::Write => {
                 KvOp::sized_put(key.as_bytes(), payload.max(key.len() + 8), b'x').encode()
             }
-            _ => KvOp::get(key.as_bytes()).encode(),
+            spider_types::OpKind::StrongRead | spider_types::OpKind::WeakRead => {
+                KvOp::get(key.as_bytes()).encode()
+            }
         }
     })
 }

@@ -536,7 +536,6 @@ impl StewardDeployment {
         let num_sites = spans.len();
         let mut sites = Vec::new();
         for (si, span) in spans.iter().enumerate() {
-            let home_region = sim.topology().region(span[0]);
             let zones = sim.topology().cycle_zones(span, 0, 3 * cfg.fa + 1);
             let mut nodes = Vec::new();
             for (j, zone) in zones.into_iter().enumerate() {
@@ -553,11 +552,7 @@ impl StewardDeployment {
             }
             directory.register_group(
                 GroupId(si as u16),
-                spider::directory::GroupInfo {
-                    replicas: nodes.clone(),
-                    region: home_region,
-                    active: true,
-                },
+                spider::directory::GroupInfo { replicas: nodes.clone(), active: true },
             );
             sites.push(nodes);
         }

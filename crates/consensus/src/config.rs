@@ -139,14 +139,6 @@ impl PbftConfig {
         self.cost = cost;
         self
     }
-
-    /// Sets the watermark window (builder-style).
-    #[must_use]
-    pub fn with_window(mut self, window: u64) -> Self {
-        assert!(window >= 1);
-        self.window = window;
-        self
-    }
 }
 
 #[cfg(test)]

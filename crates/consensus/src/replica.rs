@@ -1,5 +1,8 @@
 //! The PBFT replica state machine (sans-IO).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::batcher::Batcher;
 use crate::config::PbftConfig;
 use crate::messages::{Msg, NewViewMsg, PreparedCert, ViewChangeMsg};
@@ -889,7 +892,6 @@ impl<P: Payload> Pbft<P> {
     fn broadcast(&self, out: &mut Vec<Output<P>>, msg: Msg<P>) {
         for to in 0..self.cfg.n() {
             if to != self.me {
-                // analyzer: allow(charge-coverage, "fan-out helper; every caller charges for the op that produced msg")
                 out.push(Output::Send { to, msg: msg.clone() });
             }
         }

@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use spider_consensus::{Input, Msg, Output, Pbft, PbftConfig, TestPayload};
 use spider_crypto::CostModel;
 use spider_types::{SeqNr, SimTime};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 type Delivered = Vec<(SeqNr, Vec<TestPayload>)>;
 
@@ -22,7 +22,7 @@ struct Cluster {
     replicas: Vec<Option<Pbft<TestPayload>>>,
     /// (from, to, msg, earliest delivery time)
     pool: Vec<(usize, usize, Msg<TestPayload>, SimTime)>,
-    timers: Vec<HashMap<u64, SimTime>>,
+    timers: Vec<BTreeMap<u64, SimTime>>,
     delivered: Vec<Delivered>,
     now: SimTime,
     rng: SmallRng,
@@ -34,7 +34,7 @@ impl Cluster {
         Cluster {
             replicas: (0..n).map(|i| Some(Pbft::new(cfg.clone(), i))).collect(),
             pool: Vec::new(),
-            timers: vec![HashMap::new(); n],
+            timers: vec![BTreeMap::new(); n],
             delivered: vec![Vec::new(); n],
             now: SimTime::ZERO,
             rng: SmallRng::seed_from_u64(seed),
@@ -198,7 +198,7 @@ fn hundred_requests_totally_ordered() {
     let total: usize = c.delivered[0].iter().map(|(_, b)| b.len()).sum();
     assert_eq!(total, 100, "all payloads delivered");
     // Exactly once.
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for (_, b) in &c.delivered[0] {
         for p in b {
             assert!(seen.insert(p.0), "payload {} delivered twice", p.0);

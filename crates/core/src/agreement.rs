@@ -7,6 +7,9 @@
 //! (skipping up to `z` trailing groups, §3.5), checkpoints `(t, hist)`
 //! periodically, and applies ordered reconfiguration commands (§3.6).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::checkpoint::{CheckpointComponent, CpAction, Snapshot};
 use crate::config::SpiderConfig;
 use crate::directory::Directory;
@@ -361,39 +364,37 @@ impl AgreementReplica {
         let Some(first) = run.first().map(|r| r.0) else {
             return;
         };
-        ctx.span_enter(0, PHASE_BATCH);
-        ctx.metric_hist("commit_run_len", run.len() as u64);
-        for (s, req, item) in &run {
-            self.sn = *s;
-            self.ordered += 1;
-            ctx.metric_inc("ordered", 1);
-            let c = req.request.client;
-            let tc = req.request.tc;
-            self.t.insert(c, tc);
-            let entry = self.t_next.entry(c).or_insert(1);
-            *entry = (*entry).max(tc + 1);
-            self.hist.push_back((*s, item.clone()));
-        }
-        while self.hist.len() as u64 > self.cfg.commit_capacity {
-            self.hist.pop_front();
-        }
-        for group in self.directory.active_groups() {
-            let execs: Vec<Hashed<Execute>> = run
-                .iter()
-                .map(|(s, req, _)| self.maybe_corrupt(execute_for_group(*s, req, group)))
-                .collect();
-            let mut actions = Vec::new();
-            if let Some(ch) = self.channels.get_mut(&group) {
-                // analyzer: allow(charge-coverage, "the IRMC endpoint emits Action::Charge; host::channel_io applies it")
-                // analyzer: allow(edge-pairing, "host::channel_io records the edges at the actual transmit sites")
-                ch.commit_send.send_batch(0, Position(first), execs, &mut actions);
+        ctx.span(0, PHASE_BATCH, |ctx| {
+            ctx.metric_hist("commit_run_len", run.len() as u64);
+            for (s, req, item) in &run {
+                self.sn = *s;
+                self.ordered += 1;
+                ctx.metric_inc("ordered", 1);
+                let c = req.request.client;
+                let tc = req.request.tc;
+                self.t.insert(c, tc);
+                let entry = self.t_next.entry(c).or_insert(1);
+                *entry = (*entry).max(tc + 1);
+                self.hist.push_back((*s, item.clone()));
             }
-            self.apply_commit_actions(ctx, group, actions);
-        }
-        for (_, req, _) in &run {
-            ctx.span_instant(req_id(req.request.client.0, req.request.tc), PHASE_SHIP);
-        }
-        ctx.span_exit(0, PHASE_BATCH);
+            while self.hist.len() as u64 > self.cfg.commit_capacity {
+                self.hist.pop_front();
+            }
+            for group in self.directory.active_groups() {
+                let execs: Vec<Hashed<Execute>> = run
+                    .iter()
+                    .map(|(s, req, _)| self.maybe_corrupt(execute_for_group(*s, req, group)))
+                    .collect();
+                let mut actions = Vec::new();
+                if let Some(ch) = self.channels.get_mut(&group) {
+                    ch.commit_send.send_batch(0, Position(first), execs, &mut actions);
+                }
+                self.apply_commit_actions(ctx, group, actions);
+            }
+            for (_, req, _) in &run {
+                ctx.span_instant(req_id(req.request.client.0, req.request.tc), PHASE_SHIP);
+            }
+        });
         if self.sn.is_multiple_of(self.cfg.ka) {
             let snapshot = self.encode_snapshot();
             let mut actions = Vec::new();
@@ -431,8 +432,6 @@ impl AgreementReplica {
             let first = *first;
             let mut actions = Vec::new();
             if let Some(ch) = self.channels.get_mut(&group) {
-                // analyzer: allow(charge-coverage, "the IRMC endpoint emits Action::Charge; host::channel_io applies it")
-                // analyzer: allow(edge-pairing, "host::channel_io records the edges at the actual transmit sites")
                 ch.commit_send.send_batch(0, Position(first), execs, &mut actions);
             }
             self.apply_commit_actions(ctx, group, actions);

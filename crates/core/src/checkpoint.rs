@@ -34,6 +34,9 @@
 //! charges is unchanged — the paper's replicas hash the whole state, so
 //! every charge and wire size is still computed from [`Snapshot::len`].
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::messages::CheckpointMsg;
 use bytes::Bytes;
 use spider_crypto::{CostModel, Digest, Keyring, Signature};
@@ -192,12 +195,15 @@ impl CheckpointComponent {
     /// member faults.
     pub fn new(group: GroupId, me: usize, f: usize, keyring: Keyring, cost: CostModel) -> Self {
         let n = if group == crate::keys::AGREEMENT_GROUP { 3 * f + 1 } else { 2 * f + 1 };
+        let member_keys = crate::keys::group_keys(group, n);
+        #[expect(clippy::indexing_slicing, reason = "a replica is built with its own seat")]
+        let my_key = member_keys[me];
         CheckpointComponent {
             group,
             me,
             f,
-            my_key: crate::keys::group_keys(group, n)[me],
-            member_keys: crate::keys::group_keys(group, n),
+            my_key,
+            member_keys,
             keyring,
             cost,
             snapshots: BTreeMap::new(),
@@ -262,12 +268,12 @@ impl CheckpointComponent {
         sig: Signature,
         out: &mut Vec<CpAction>,
     ) {
-        if from >= self.member_keys.len() || from == self.me {
+        let Some(&key) = self.member_keys.get(from).filter(|_| from != self.me) else {
             return;
-        }
+        };
         out.push(CpAction::Charge(self.cost.rsa_verify(), "cp_verify"));
         let digest = cp_digest(self.group, seq, &state_hash);
-        if !self.keyring.verify(self.member_keys[from], &digest, &sig) {
+        if !self.keyring.verify(key, &digest, &sig) {
             return;
         }
         // Old announcement: help the laggard with our own latest vote

@@ -13,7 +13,7 @@ use crate::messages::{ClientRequest, Operation, Reply, SpiderMsg};
 use bytes::Bytes;
 use rand::Rng;
 use spider_crypto::Hashed;
-use spider_sim::{req_id, Actor, Context, Timer, PHASE_REQUEST};
+use spider_sim::{req_id, Actor, Context, Timer};
 use spider_types::{ClientId, GroupId, NodeId, OpKind, SimTime, WireSize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -61,7 +61,7 @@ fn counter_factory() -> OpFactory {
         // Pad to the requested payload size so wire costs are realistic.
         let base: &[u8] = match kind {
             OpKind::Write => b"add:1",
-            _ => b"get",
+            OpKind::StrongRead | OpKind::WeakRead => b"get",
         };
         let mut v = base.to_vec();
         v.resize(v.len().max(payload), b' ');
@@ -237,12 +237,6 @@ impl SpiderClient {
         self.fault = fault;
     }
 
-    /// Switches the client to a different execution group (used when its
-    /// local group becomes unavailable, §3.1).
-    pub fn set_group(&mut self, group: GroupId) {
-        self.group = group;
-    }
-
     /// The client's id.
     pub fn id(&self) -> ClientId {
         self.id
@@ -280,7 +274,7 @@ impl SpiderClient {
         // quorum in `on_reply`. Weak reads never enter the request
         // channel, so only ordered requests are traced end-to-end.
         if kind != OpKind::WeakRead {
-            ctx.span_enter(req_id(self.id.0, tc), PHASE_REQUEST);
+            ctx.open_request(req_id(self.id.0, tc));
         }
         self.transmit(ctx);
         ctx.arm(TAG_RETRY, self.cfg.client_retry);
@@ -304,9 +298,7 @@ impl SpiderClient {
         match self.fault {
             ClientFault::None => {
                 for &node in replicas.iter() {
-                    let msg = SpiderMsg::Request(request.clone());
-                    ctx.edge_for(node, &msg);
-                    ctx.send(node, msg);
+                    ctx.send(node, SpiderMsg::Request(request.clone()));
                 }
             }
             ClientFault::ConflictingRequests => {
@@ -316,9 +308,7 @@ impl SpiderClient {
                     let mut op = inf.op.to_vec();
                     op.push(b'0' + (i as u8 % 10));
                     bad.operation.op = Bytes::from(op);
-                    let msg = SpiderMsg::Request(bad.into());
-                    ctx.edge_for(node, &msg);
-                    ctx.send(node, msg);
+                    ctx.send(node, SpiderMsg::Request(bad.into()));
                 }
             }
         }
@@ -348,7 +338,7 @@ impl SpiderClient {
         if counts.values().any(|n| *n >= quorum) {
             let sample = Sample { kind: inf.kind, issued: inf.issued, completed: ctx.now() };
             if inf.kind != OpKind::WeakRead {
-                ctx.span_exit(req_id(self.id.0, inf.tc), PHASE_REQUEST);
+                ctx.close_request(req_id(self.id.0, inf.tc));
             }
             ctx.metric_hist("client_latency_ns", sample.latency().as_nanos());
             self.samples.push(sample);

@@ -177,13 +177,6 @@ impl SpiderConfig {
         self
     }
 
-    /// Enables end-to-end request tracing (builder-style).
-    #[must_use]
-    pub fn with_tracing(mut self) -> Self {
-        self.tracing = true;
-        self
-    }
-
     /// Sets the maximum slots per commit-channel range certificate
     /// (builder-style).
     ///

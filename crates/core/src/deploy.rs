@@ -9,7 +9,7 @@ use crate::directory::{Directory, GroupInfo};
 use crate::execution::ExecutionReplica;
 use crate::messages::{AdminCommand, SpiderMsg};
 use spider_sim::{Actor, Context, Simulation, Timer};
-use spider_types::{ClientId, GroupId, NodeId, RegionId, SimTime};
+use spider_types::{ClientId, GroupId, NodeId, SimTime};
 use std::sync::Arc;
 
 /// Builds a full Spider deployment inside a [`Simulation`].
@@ -137,7 +137,6 @@ impl<A: Application> DeploymentBuilder<A> {
         for (gi, span) in self.exec_groups.iter().enumerate() {
             let group = GroupId(gi as u16);
             let home = &span[0];
-            let region_id = sim.topology().region(home);
             let zones = sim.topology().cycle_zones(span, 0, self.cfg.execution_size());
             let mut nodes = Vec::new();
             for (j, zone) in zones.into_iter().enumerate() {
@@ -150,10 +149,7 @@ impl<A: Application> DeploymentBuilder<A> {
                 );
                 nodes.push(sim.add_node(zone, replica));
             }
-            directory.register_group(
-                group,
-                GroupInfo { replicas: nodes.clone(), region: region_id, active: true },
-            );
+            directory.register_group(group, GroupInfo { replicas: nodes.clone(), active: true });
             groups.push((group, home.clone(), nodes));
         }
 
@@ -194,8 +190,6 @@ impl Actor<SpiderMsg> for AdminClient {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, SpiderMsg>, _timer: Timer) {
         for &node in self.directory.agreement().iter() {
-            // analyzer: allow(charge-coverage, "admin orchestration client, outside the measured protocol")
-            // analyzer: allow(edge-pairing, "admin reconfiguration commands carry no client request payload")
             ctx.send(node, SpiderMsg::Admin(self.command.clone()));
         }
     }
@@ -272,7 +266,6 @@ impl Deployment {
         activate_at: SimTime,
     ) -> GroupId {
         let group = GroupId(self.groups.len() as u16);
-        let region_id = sim.topology().region(region);
         let zones = sim.topology().cycle_zones(&[region], 0, self.cfg.execution_size());
         let mut nodes = Vec::new();
         for (j, zone) in zones.into_iter().enumerate() {
@@ -285,10 +278,7 @@ impl Deployment {
             );
             nodes.push(sim.add_node(zone, replica));
         }
-        self.directory.register_group(
-            group,
-            GroupInfo { replicas: nodes.clone(), region: region_id, active: false },
-        );
+        self.directory.register_group(group, GroupInfo { replicas: nodes.clone(), active: false });
         self.groups.push((group, region.to_owned(), nodes));
 
         // Admin client lives next to the agreement group; placement is
@@ -345,9 +335,4 @@ impl Application for Box<dyn Application> {
     fn restore(&mut self, snapshot: &[u8]) {
         (**self).restore(snapshot)
     }
-}
-
-/// Convenience: the region of a group by index.
-pub fn region_of(deployment: &Deployment, group_idx: usize) -> RegionId {
-    deployment.directory.group_region(deployment.groups[group_idx].0)
 }

@@ -13,7 +13,7 @@
 
 use crate::keys::AGREEMENT_GROUP;
 use parking_lot::RwLock;
-use spider_types::{GroupId, NodeId, RegionId};
+use spider_types::{GroupId, NodeId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -22,8 +22,6 @@ use std::sync::Arc;
 pub struct GroupInfo {
     /// The group's replicas (node ids), in replica-index order.
     pub replicas: Vec<NodeId>,
-    /// Region the group is deployed in.
-    pub region: RegionId,
     /// Whether the group is currently active (registered via `AddGroup`).
     pub active: bool,
 }
@@ -33,7 +31,6 @@ pub struct GroupInfo {
 #[derive(Debug)]
 struct Group {
     replicas: Arc<[NodeId]>,
-    region: RegionId,
     active: bool,
 }
 
@@ -70,11 +67,8 @@ impl Directory {
     /// Registers an execution group (initially inactive until the
     /// `AddGroup` command is ordered, unless `active` is set).
     pub fn register_group(&self, group: GroupId, info: GroupInfo) {
-        let GroupInfo { replicas, region, active } = info;
-        self.inner
-            .write()
-            .groups
-            .insert(group, Group { replicas: replicas.into(), region, active });
+        let GroupInfo { replicas, active } = info;
+        self.inner.write().groups.insert(group, Group { replicas: replicas.into(), active });
     }
 
     /// Marks a group active (called by agreement replicas when `AddGroup`
@@ -124,11 +118,6 @@ impl Directory {
         self.inner.read().groups.keys().copied().collect()
     }
 
-    /// Region of a group.
-    pub fn group_region(&self, group: GroupId) -> RegionId {
-        self.inner.read().groups[&group].region
-    }
-
     /// Registers a client's transport address.
     pub fn register_client(&self, client: spider_types::ClientId, node: NodeId) {
         self.inner.write().clients.insert(client, node);
@@ -159,11 +148,7 @@ mod tests {
         let d = Directory::new();
         d.register_group(
             GroupId(3),
-            GroupInfo {
-                replicas: vec![NodeId(1), NodeId(2), NodeId(3)],
-                region: RegionId(1),
-                active: false,
-            },
+            GroupInfo { replicas: vec![NodeId(1), NodeId(2), NodeId(3)], active: false },
         );
         assert!(!d.is_active(GroupId(3)));
         assert!(d.active_groups().is_empty());
@@ -188,7 +173,7 @@ mod tests {
         d.set_agreement(vec![NodeId(0), NodeId(1)]);
         d.register_group(
             GroupId(2),
-            GroupInfo { replicas: vec![NodeId(5), NodeId(6)], region: RegionId(0), active: false },
+            GroupInfo { replicas: vec![NodeId(5), NodeId(6)], active: false },
         );
         assert_eq!(*d.group_replicas(GroupId(2)), [NodeId(5), NodeId(6)]);
         assert_eq!(d.replica_index(GroupId(2), NodeId(6)), Some(1));
@@ -203,10 +188,7 @@ mod tests {
     fn groups_listed_in_id_order() {
         let d = Directory::new();
         for id in [5u16, 1, 3] {
-            d.register_group(
-                GroupId(id),
-                GroupInfo { replicas: vec![], region: RegionId(0), active: true },
-            );
+            d.register_group(GroupId(id), GroupInfo { replicas: vec![], active: true });
         }
         assert_eq!(d.all_groups(), vec![GroupId(1), GroupId(3), GroupId(5)]);
     }

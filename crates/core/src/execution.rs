@@ -6,6 +6,9 @@
 //! group, answers weakly consistent reads directly, and participates in
 //! execution checkpointing (with cross-group state transfer for catch-up).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::app::Application;
 use crate::checkpoint::{CheckpointComponent, CpAction, Part, Snapshot};
 use crate::config::SpiderConfig;
@@ -127,21 +130,6 @@ impl<A: Application> ExecutionReplica<A> {
         &self.app
     }
 
-    /// Current commit-channel flow-control window (diagnostics).
-    pub fn commit_window(&self) -> spider_irmc::Window {
-        self.commit_recv.window(0)
-    }
-
-    /// Outstanding checkpoint-fetch target, if any (diagnostics).
-    pub fn fetch_target(&self) -> Option<SeqNr> {
-        self.fetching
-    }
-
-    /// Latest stable checkpoint sequence known locally (diagnostics).
-    pub fn stable_checkpoint(&self) -> Option<SeqNr> {
-        self.cp.stable_seq()
-    }
-
     // ------------------------------------------------------------------
     // Client requests (Fig 16 L8-22)
     // ------------------------------------------------------------------
@@ -201,7 +189,6 @@ impl<A: Application> ExecutionReplica<A> {
         let pos = Position(req.tc);
         let mut actions = Vec::new();
         self.req_sender.move_window(sc, pos, &mut actions);
-        // analyzer: allow(edge-pairing, "host::channel_io records the edges at the actual transmit sites")
         let status = self.req_sender.send_batch(
             sc,
             pos,
@@ -217,7 +204,6 @@ impl<A: Application> ExecutionReplica<A> {
             // The Reply wire format has no client id, so the edge is
             // recorded explicitly from the addressee we resolved here.
             ctx.edge(node, "reply", req_id(c.0, reply.tc));
-            // analyzer: allow(charge-coverage, "callers charge the reply MAC (hmac of result) right before invoking")
             ctx.send(node, SpiderMsg::Reply(reply));
         }
     }
@@ -263,10 +249,10 @@ impl<A: Application> ExecutionReplica<A> {
                 // At-most-once (Fig 16 L34 / E-Validity II).
                 let fresh = self.replies.get(&c).is_none_or(|r| r.tc() < tc);
                 if fresh {
-                    ctx.span_enter(rid, PHASE_EXEC);
-                    ctx.charge_op("execution", "app_execute", self.cfg.cost.app_execute());
-                    let result = self.app.execute(&ordered.request.operation.op);
-                    ctx.span_exit(rid, PHASE_EXEC);
+                    let result = ctx.span(rid, PHASE_EXEC, |ctx| {
+                        ctx.charge_op("execution", "app_execute", self.cfg.cost.app_execute());
+                        self.app.execute(&ordered.request.operation.op)
+                    });
                     self.executed += 1;
                     ctx.metric_inc("executed", 1);
                     let result = if self.fault == ExecFault::WrongReply {
@@ -581,11 +567,7 @@ mod tests {
         let dir = Directory::new();
         dir.register_group(
             GroupId(0),
-            GroupInfo {
-                replicas: vec![NodeId(0), NodeId(1), NodeId(2)],
-                region: spider_types::RegionId(0),
-                active: true,
-            },
+            GroupInfo { replicas: vec![NodeId(0), NodeId(1), NodeId(2)], active: true },
         );
         ExecutionReplica::new(SpiderConfig::default(), GroupId(0), 0, dir, CounterApp::default())
     }

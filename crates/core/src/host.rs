@@ -11,6 +11,9 @@
 //! Timers are the simulator's tag-keyed [`Context::arm`]; no host keeps a
 //! timer table.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::checkpoint::{CheckpointComponent, CpAction, Snapshot};
 use crate::directory::Directory;
 use crate::keys::{self, AGREEMENT_GROUP};
@@ -43,15 +46,15 @@ pub fn pbft_io<M: WireSize, P>(
     match output {
         Output::Send { to, msg } => {
             if let Some(&node) = peers.get(to) {
-                let msg = wrap(msg);
-                ctx.edge_for(node, &msg);
-                ctx.send(node, msg);
+                ctx.send(node, wrap(msg));
             }
         }
         Output::SetTimer { token, delay } => ctx.arm(TAG_PBFT_BASE + token.0, delay),
         Output::CancelTimer { token } => ctx.disarm(TAG_PBFT_BASE + token.0),
         Output::Charge(cost) => ctx.charge_op("consensus", "handle", cost),
-        other => return Some(other),
+        other @ (Output::Deliver { .. } | Output::ViewChanged { .. } | Output::Skipped { .. }) => {
+            return Some(other)
+        }
     }
     None
 }
@@ -77,12 +80,13 @@ pub fn channel_io<M: WireSize, C: Content>(
             ctx.charge_op(component, op, cost);
             return None;
         }
-        other => return Some(other),
+        other @ (Action::Ready { .. }
+        | Action::WindowMoved { .. }
+        | Action::Unblocked { .. }
+        | Action::SetTimer { .. }) => return Some(other),
     };
     if let Some(&node) = to {
-        let msg = wrap(leg);
-        ctx.edge_for(node, &msg);
-        ctx.send(node, msg);
+        ctx.send(node, wrap(leg));
     }
     None
 }
@@ -138,7 +142,6 @@ pub fn checkpoint_io(
 ) -> Vec<(SeqNr, Option<Snapshot>)> {
     let (group, me, _) = cp.seat();
     let frame = |ctx: &mut Context<'_, SpiderMsg>, node: NodeId, msg, state| {
-        // analyzer: allow(edge-pairing, "checkpoint gossip and state transfer carry no per-request payload; request latency never blocks on them")
         ctx.send(node, SpiderMsg::Checkpoint { group, msg, state });
     };
     let mut stable = Vec::new();
@@ -232,7 +235,7 @@ mod tests {
     use spider_crypto::{CostModel, Digest, Digestible, Keyring};
     use spider_irmc::{ChannelMsg, ReceiverMsg};
     use spider_sim::{Actor, ObsConfig, Simulation, Timer, Topology};
-    use spider_types::{Position, RegionId, SimTime, ViewNr};
+    use spider_types::{Position, SimTime, ViewNr};
     use std::cell::RefCell;
     use std::fmt::Debug;
     use std::rc::Rc;
@@ -413,8 +416,7 @@ mod tests {
         directory.set_agreement(nodes(0..2));
         for (g, first, active) in [(0, 2, true), (1, 5, true), (2, 8, false)] {
             let replicas = nodes(first..first + 3);
-            directory
-                .register_group(GroupId(g), GroupInfo { replicas, region: RegionId(0), active });
+            directory.register_group(GroupId(g), GroupInfo { replicas, active });
         }
         directory
     }

@@ -61,7 +61,7 @@ mod tests {
         all.extend(exec_keys(GroupId(0), 3));
         all.extend(exec_keys(GroupId(1), 3));
         all.extend(agreement_keys(4));
-        let unique: std::collections::HashSet<_> = all.iter().collect();
+        let unique: std::collections::BTreeSet<_> = all.iter().collect();
         assert_eq!(unique.len(), all.len(), "no collisions");
     }
 

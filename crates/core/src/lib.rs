@@ -52,6 +52,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(not(test), warn(clippy::match_wildcard_for_single_variants))]
 #![warn(missing_docs)]
 
 pub mod agreement;

@@ -69,11 +69,7 @@ fn weak_read_without_quorum_escalates_to_strong_read() {
     }
     directory.register_group(
         GroupId(0),
-        spider::directory::GroupInfo {
-            replicas: nodes.clone(),
-            region: sim.topology().region("virginia"),
-            active: true,
-        },
+        spider::directory::GroupInfo { replicas: nodes.clone(), active: true },
     );
 
     let cfg = SpiderConfig { weak_read_retries: 2, ..SpiderConfig::default() };
@@ -119,11 +115,7 @@ fn weak_read_with_quorum_completes_without_escalation() {
     }
     directory.register_group(
         GroupId(0),
-        spider::directory::GroupInfo {
-            replicas: nodes.clone(),
-            region: sim.topology().region("virginia"),
-            active: true,
-        },
+        spider::directory::GroupInfo { replicas: nodes.clone(), active: true },
     );
     let workload = WorkloadSpec {
         rate_per_sec: 5.0,

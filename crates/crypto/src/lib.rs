@@ -38,9 +38,12 @@
 //! ```
 
 // `deny`, not `forbid` like every other crate: `sha256::compress_blocks`
-// carries the workspace's one `#[allow(unsafe_code)]`, for the call into
+// carries the workspace's one `#[expect(unsafe_code)]`, for the call into
 // its `#[target_feature]` SHA-NI kernel.
 #![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(not(test), warn(clippy::match_wildcard_for_single_variants))]
 #![warn(missing_docs)]
 
 pub mod cost;

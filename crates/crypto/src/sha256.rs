@@ -191,13 +191,15 @@ fn to_bytes(state: &[u32; 8]) -> [u8; 32] {
 /// kernel from what the CPU reports: the SHA-NI kernel where `sha`,
 /// `sse2`, `ssse3` and `sse4.1` are all present, the portable one
 /// ([`compress_blocks_portable`]) otherwise and on every other target.
-#[allow(unsafe_code)]
+#[cfg_attr(
+    target_arch = "x86_64",
+    expect(unsafe_code, reason = "the #[target_feature] SHA-NI kernel, under its feature check")
+)]
 fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
     #[cfg(target_arch = "x86_64")]
     if ni_available() {
         // SAFETY: `ni::compress` requires only the CPU features `sha`, `sse2`,
         // `ssse3` and `sse4.1`, and `ni_available()` has just detected all four.
-        // analyzer: allow(unsafe, "the #[target_feature] SHA-NI kernel, under its feature check")
         unsafe { ni::compress(state, blocks) };
         return;
     }

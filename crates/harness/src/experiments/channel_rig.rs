@@ -16,7 +16,7 @@ use spider_crypto::{CostModel, Digest, Digestible, Keyring};
 use spider_irmc::{
     Action, ChannelMode, IrmcConfig, ReceiveResult, ReceiverEndpoint, SenderEndpoint, TICK_INTERVAL,
 };
-use spider_sim::{Actor, Context, NodeId, ObsConfig, ObsReport, Simulation, Timer, PHASE_REQUEST};
+use spider_sim::{Actor, Context, NodeId, ObsConfig, ObsReport, Simulation, Timer};
 use spider_types::{Position, SimTime, WireSize};
 
 const N_SENDERS: usize = 4;
@@ -164,7 +164,7 @@ impl SenderHost {
         let msgs: Vec<Blob> = (first..end).map(|pos| Blob { pos, size: self.msg_size }).collect();
         if ctx.obs_enabled() {
             for b in msgs.iter().filter(|b| sampled(b.pos)) {
-                ctx.span_enter(b.pos, PHASE_REQUEST);
+                ctx.open_request(b.pos);
             }
         }
         self.ep.send_batch(0, Position(first), msgs, actions);
@@ -290,7 +290,7 @@ impl ReceiverHost {
                         self.deliveries.push((self.next, ctx.now()));
                     }
                     if ctx.obs_enabled() && sampled(self.next) {
-                        ctx.span_exit(self.next, PHASE_REQUEST);
+                        ctx.close_request(self.next);
                     }
                     self.next += 1;
                     if self.delivered.is_multiple_of(self.move_every) {

@@ -140,7 +140,7 @@ mod tests {
     fn rtt_table_is_symmetric_and_complete() {
         // 9 regions -> 36 unordered pairs.
         assert_eq!(RTT_MS.len(), 36);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for (a, b, _) in RTT_MS {
             assert!(seen.insert((a.min(b), a.max(b))), "duplicate {a}-{b}");
         }

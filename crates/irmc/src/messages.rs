@@ -37,6 +37,9 @@
 //! same run — a sender and each endpoint it was cast to — hashes it at
 //! most once between them.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::{Content, Subchannel};
 use spider_crypto::{merkle_root, CostModel, Digest, Signature};
 use spider_types::wire::{DIGEST_BYTES, HEADER_BYTES, MAC_BYTES, SIG_BYTES};

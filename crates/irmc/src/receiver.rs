@@ -10,6 +10,9 @@
 //! its certificate (§A.9 overlap, [`ChannelMsg::Content`]); it is
 //! buffered and **never** delivered until a valid certificate covers it.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::config::{IrmcConfig, Variant};
 use crate::messages::{range_digest, ChannelMsg, ReceiverMsg, Run, RunCost};
 use crate::window::Window;

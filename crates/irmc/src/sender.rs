@@ -22,6 +22,9 @@
 //! [`SenderEndpoint::tick`] notices certification stalling and re-shares
 //! the stalled slots one by one, which matches regardless of boundaries.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::config::{IrmcConfig, Variant};
 use crate::messages::{carrier_for, range_digest, ChannelMsg, ReceiverMsg, Run, RunCost};
 use crate::window::Window;

@@ -1,5 +1,8 @@
 //! Flow-control windows.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use serde::{Deserialize, Serialize};
 use spider_types::Position;
 

@@ -225,19 +225,17 @@ pub fn assemble(report: &ObsReport) -> Vec<RequestPath> {
     let mut out = Vec::new();
     for (req, steps) in steps_per_request(report) {
         let chain = blocking_chain(&steps);
-        let enter = chain.iter().find_map(|s| match s {
-            Step::Span { at, phase, kind: SpanKind::Enter, .. } if *phase == PHASE_REQUEST => {
-                Some(*at)
-            }
-            _ => None,
-        });
-        let exit = chain.iter().find_map(|s| match s {
-            Step::Span { at, phase, kind: SpanKind::Exit, .. } if *phase == PHASE_REQUEST => {
-                Some(*at)
-            }
-            _ => None,
-        });
-        let (Some(enter), Some(exit)) = (enter, exit) else { continue };
+        let mark = |want: SpanKind| {
+            chain.iter().find_map(|s| match *s {
+                Step::Span { at, phase, kind, .. } if phase == PHASE_REQUEST && kind == want => {
+                    Some(at)
+                }
+                Step::Span { .. } | Step::Edge { .. } => None,
+            })
+        };
+        let (Some(enter), Some(exit)) = (mark(SpanKind::Enter), mark(SpanKind::Exit)) else {
+            continue;
+        };
         if exit < enter {
             continue;
         }

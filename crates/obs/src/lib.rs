@@ -43,6 +43,8 @@
 //! of those for determinism double-run tests.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(not(test), warn(clippy::match_wildcard_for_single_variants))]
 #![warn(missing_docs)]
 
 pub mod causal;

@@ -115,15 +115,6 @@ impl Histogram {
         self.sum += other.sum;
         self.max = self.max.max(other.max);
     }
-
-    /// Visits non-empty buckets as `(upper_bound, count)` in value order.
-    pub fn for_each_bucket(&self, mut f: impl FnMut(u64, u64)) {
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                f(upper_of(i), c);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ pub enum SpanKind {
     /// The request left this phase.
     Exit,
     /// A point-in-time milestone.
-    Instant, // analyzer: allow(determinism, "Perfetto's name for a zero-duration event, not std::time")
+    Instant,
 }
 
 impl SpanKind {

@@ -1,8 +1,8 @@
 //! Actors and the handler-side API ([`Context`]).
 
 use rand::rngs::SmallRng;
-use spider_obs::Recorder;
-use spider_types::{NodeId, SimTime};
+use spider_obs::{Recorder, PHASE_REQUEST};
+use spider_types::{NodeId, SimTime, WireSize};
 use std::collections::BTreeMap;
 
 /// Identifier of a pending timer, used for cancellation.
@@ -107,19 +107,21 @@ impl<'a, M> Context<'a, M> {
 
     /// Sends `msg` to `to`. The message departs when the handler's charged
     /// work completes; delivery adds serialization and propagation delay.
-    pub fn send(&mut self, to: NodeId, msg: M) {
-        self.out.push(OutAction::Send { to, msg, at: *self.charged });
-    }
-
-    /// Sends a clone of `msg` to every node in `to`.
-    pub fn broadcast<I>(&mut self, to: I, msg: &M)
+    ///
+    /// With observability on, the departure is also a causal edge for each
+    /// request id the message carries ([`WireSize::trace_reqs`]), labeled
+    /// with its [`WireSize::trace_kind`]. Messages carrying no request
+    /// payload record nothing.
+    pub fn send(&mut self, to: NodeId, msg: M)
     where
-        M: Clone,
-        I: IntoIterator<Item = NodeId>,
+        M: WireSize,
     {
-        for n in to {
-            self.send(n, msg.clone());
+        if self.obs.is_enabled() {
+            let (at, node, kind) = (self.vnow(), self.node, msg.trace_kind());
+            let obs = &mut *self.obs;
+            msg.trace_reqs(&mut |req| obs.edge(at, node, to, kind, req));
         }
+        self.out.push(OutAction::Send { to, msg, at: *self.charged });
     }
 
     /// Charges `cost` of CPU time to this handler. The node stays busy (and
@@ -144,17 +146,31 @@ impl<'a, M> Context<'a, M> {
         self.now + *self.charged
     }
 
-    /// Records a trace span enter for `(req, phase)` (no-op when
-    /// observability is disabled).
-    pub fn span_enter(&mut self, req: u64, phase: &'static str) {
+    /// Runs `f` inside the trace span `(req, phase)`: the span opens at the
+    /// handler's current virtual instant and closes once `f` has returned,
+    /// after the CPU work `f` charged (no-op when observability is
+    /// disabled).
+    pub fn span<R>(&mut self, req: u64, phase: &'static str, f: impl FnOnce(&mut Self) -> R) -> R {
         let at = self.vnow();
         self.obs.span_enter(at, self.node, req, phase);
-    }
-
-    /// Records a trace span exit for `(req, phase)`.
-    pub fn span_exit(&mut self, req: u64, phase: &'static str) {
+        let result = f(self);
         let at = self.vnow();
         self.obs.span_exit(at, self.node, req, phase);
+        result
+    }
+
+    /// Opens the [`PHASE_REQUEST`] span of `req`, the one span that
+    /// outlives a handler: the handler that sees the request complete
+    /// closes it with [`Context::close_request`].
+    pub fn open_request(&mut self, req: u64) {
+        let at = self.vnow();
+        self.obs.span_enter(at, self.node, req, PHASE_REQUEST);
+    }
+
+    /// Closes the span [`Context::open_request`] opened.
+    pub fn close_request(&mut self, req: u64) {
+        let at = self.vnow();
+        self.obs.span_exit(at, self.node, req, PHASE_REQUEST);
     }
 
     /// Records an instant trace milestone for `(req, phase)`.
@@ -165,27 +181,12 @@ impl<'a, M> Context<'a, M> {
 
     /// Records a causal edge: a message of `kind` carrying request `req`
     /// departs this node for `to` at the handler's current virtual
-    /// instant (no-op when observability is disabled). Call it next to
-    /// the `send` whose departure it mirrors; for messages that know
-    /// their own kind and payload, prefer [`Context::edge_for`].
+    /// instant (no-op when observability is disabled). [`Context::send`]
+    /// records the edges a message names itself; this is for a message
+    /// whose request id is known only to its sender.
     pub fn edge(&mut self, to: NodeId, kind: &'static str, req: u64) {
         let at = self.vnow();
         self.obs.edge(at, self.node, to, kind, req);
-    }
-
-    /// Records causal edges for a message about to be sent to `to`: one
-    /// edge per request id the message carries (via
-    /// [`spider_types::wire::WireSize::trace_reqs`]), labeled with the
-    /// message's [`spider_types::wire::WireSize::trace_kind`]. Messages
-    /// carrying no request payload record nothing.
-    pub fn edge_for<T: spider_types::wire::WireSize>(&mut self, to: NodeId, msg: &T) {
-        if !self.obs.is_enabled() {
-            return;
-        }
-        let at = self.vnow();
-        let kind = msg.trace_kind();
-        let (node, obs) = (self.node, &mut *self.obs);
-        msg.trace_reqs(&mut |req| obs.edge(at, node, to, kind, req));
     }
 
     /// Feeds a channel window-movement mark to the health watchdog.
@@ -272,6 +273,30 @@ impl<'a, M> Context<'a, M> {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use spider_obs::{ObsConfig, SpanKind, PHASE_EXEC};
+
+    /// Runs `f` as a handler of node 1 that starts at 1 ms, over the
+    /// node's `armed` timers; returns what it emitted.
+    fn handle<M>(
+        obs: &mut Recorder,
+        armed: &mut BTreeMap<u64, TimerId>,
+        next_timer_id: &mut u64,
+        f: impl FnOnce(&mut Context<'_, M>),
+    ) -> Vec<OutAction<M>> {
+        let (mut rng, mut out, mut charged) =
+            (SmallRng::seed_from_u64(0), Vec::new(), SimTime::ZERO);
+        f(&mut Context {
+            node: NodeId(1),
+            now: SimTime::from_millis(1),
+            rng: &mut rng,
+            out: &mut out,
+            charged: &mut charged,
+            next_timer_id,
+            armed,
+            obs,
+        });
+        out
+    }
 
     /// Runs `f` on a context over `armed` and renders what it emitted.
     fn transcript(
@@ -279,19 +304,8 @@ mod tests {
         next_timer_id: &mut u64,
         f: impl FnOnce(&mut Context<'_, ()>),
     ) -> Vec<String> {
-        let (mut rng, mut out) = (SmallRng::seed_from_u64(0), Vec::new());
-        let (mut charged, mut obs) = (SimTime::ZERO, Recorder::disabled());
-        f(&mut Context {
-            node: NodeId(0),
-            now: SimTime::ZERO,
-            rng: &mut rng,
-            out: &mut out,
-            charged: &mut charged,
-            next_timer_id,
-            armed,
-            obs: &mut obs,
-        });
-        out.iter()
+        handle(&mut Recorder::disabled(), armed, next_timer_id, f)
+            .iter()
             .map(|a| match a {
                 OutAction::Send { .. } => "send".to_owned(),
                 OutAction::SetTimer { id, delay, tag } => {
@@ -300,6 +314,80 @@ mod tests {
                 OutAction::CancelTimer(id) => format!("cancel #{}", id.0),
             })
             .collect()
+    }
+
+    /// A message carrying the request ids it lists.
+    struct Batch(Vec<u64>);
+    impl WireSize for Batch {
+        fn wire_size(&self) -> usize {
+            8
+        }
+        fn trace_kind(&self) -> &'static str {
+            "batch"
+        }
+        fn trace_reqs(&self, visit: &mut dyn FnMut(u64)) {
+            self.0.iter().for_each(|&req| visit(req));
+        }
+    }
+
+    /// Node 1 sends `batches` to nodes 2, 3, …, charging 5 µs before
+    /// each; returns the recorded edges and the number of sends.
+    fn send_all(mut obs: Recorder, batches: Vec<Batch>) -> (Vec<String>, usize) {
+        let out = handle(&mut obs, &mut BTreeMap::new(), &mut 0, |ctx| {
+            for (to, batch) in (2..).zip(batches) {
+                ctx.charge(SimTime::from_micros(5));
+                ctx.send(NodeId(to), batch);
+            }
+        });
+        let edges = obs.report().edges;
+        let edges = edges
+            .iter()
+            .map(|e| format!("{} n{}->n{} {} {}", e.at, e.src.0, e.dst.0, e.kind, e.req));
+        (edges.collect(), out.len())
+    }
+
+    #[test]
+    fn send_records_one_edge_per_request_id_at_the_handlers_virtual_instant() {
+        let on = Recorder::enabled(ObsConfig::default());
+        let (edges, sent) = send_all(on, vec![Batch(vec![7, 9]), Batch(vec![4])]);
+        assert_eq!(
+            edges,
+            ["1.005ms n1->n2 batch 7", "1.005ms n1->n2 batch 9", "1.010ms n1->n3 batch 4"]
+        );
+        assert_eq!(sent, 2);
+    }
+
+    #[test]
+    fn send_records_no_edge_for_a_payload_free_message_or_with_obs_off() {
+        let on = Recorder::enabled(ObsConfig::default());
+        assert_eq!(send_all(on, vec![Batch(vec![])]), (vec![], 1));
+        assert_eq!(send_all(Recorder::disabled(), vec![Batch(vec![7, 9])]), (vec![], 1));
+    }
+
+    #[test]
+    fn span_encloses_the_cpu_its_closure_charged_even_on_an_early_return() {
+        let mut obs = Recorder::enabled(ObsConfig::default());
+        let us = SimTime::from_micros;
+        handle::<()>(&mut obs, &mut BTreeMap::new(), &mut 0, |ctx| {
+            ctx.charge(us(2));
+            let left_early = ctx.span(5, PHASE_EXEC, |ctx| {
+                ctx.charge(us(10));
+                if ctx.node_id() == NodeId(1) {
+                    return true;
+                }
+                ctx.charge(us(100));
+                false
+            });
+            assert!(left_early);
+            ctx.charge(us(1));
+        });
+        let spans: Vec<_> =
+            obs.report().spans.iter().map(|e| (e.at, e.req, e.phase, e.kind)).collect();
+        let at = |t| SimTime::from_millis(1) + us(t);
+        assert_eq!(
+            spans,
+            [(at(2), 5, PHASE_EXEC, SpanKind::Enter), (at(12), 5, PHASE_EXEC, SpanKind::Exit)]
+        );
     }
 
     #[test]

@@ -105,15 +105,6 @@ impl<M> EventQueue<M> {
     pub fn peek_time(&self) -> Option<SimTime> {
         self.peek().map(|(at, _)| at)
     }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +145,7 @@ mod tests {
         }
         assert_eq!(q.slots.len(), 4, "never more slots than events queued at once");
         assert_eq!(q.free.len(), 4);
-        assert!(q.is_empty());
+        assert!(q.heap.is_empty());
     }
 
     #[test]
@@ -173,7 +164,7 @@ mod tests {
             assert_eq!(q.peek(), Some((arrive, n)));
             q.defer_top(free_at);
         }
-        assert_eq!((q.len(), q.slots.len(), q.free.len()), (4, 4, 0), "nothing left its slot");
+        assert_eq!((q.heap.len(), q.slots.len(), q.free.len()), (4, 4, 0), "nothing left its slot");
         let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(msg_of).collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
     }
@@ -227,7 +218,7 @@ mod tests {
         q.push(SimTime::from_millis(9), NodeId(0), EventKind::Deliver { from: NodeId(0), msg: () });
         q.push(SimTime::from_millis(2), NodeId(0), EventKind::Deliver { from: NodeId(0), msg: () });
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
-        assert_eq!(q.len(), 2);
-        assert!(!q.is_empty());
+        assert_eq!(q.heap.len(), 2);
+        assert!(!q.heap.is_empty());
     }
 }

@@ -85,11 +85,6 @@ impl Topology {
             .collect()
     }
 
-    /// Name of a region.
-    pub fn region_name(&self, r: RegionId) -> &str {
-        &self.region_names[r.0 as usize]
-    }
-
     /// Number of regions.
     pub fn num_regions(&self) -> usize {
         self.region_names.len()
@@ -352,11 +347,6 @@ impl NetworkControl {
     /// from `add_node`; region-level faults only affect registered nodes.
     pub fn set_node_region(&mut self, node: NodeId, region: RegionId) {
         self.node_region.insert(node, region);
-    }
-
-    /// Region of a registered node.
-    pub fn region_of(&self, node: NodeId) -> Option<RegionId> {
-        self.node_region.get(&node).copied()
     }
 
     /// Cuts every node in `region` off the network, both directions

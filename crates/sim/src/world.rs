@@ -3,7 +3,7 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use spider_obs::{ObsConfig, Recorder};
-use spider_types::{NodeId, RegionId, SimTime, WireSize, ZoneId};
+use spider_types::{NodeId, SimTime, WireSize, ZoneId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::actor::{Actor, ActorObj, Context, OutAction, Timer, TimerId};
@@ -84,12 +84,6 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
         &self.obs
     }
 
-    /// Mutable access to the observability recorder, e.g. for the
-    /// harness to record run-level counters.
-    pub fn obs_mut(&mut self) -> &mut Recorder {
-        &mut self.obs
-    }
-
     /// Adds a node in `zone` running `actor`; returns its id. The actor's
     /// [`Actor::on_start`] runs immediately (at the current time).
     pub fn add_node<A: Actor<M>>(&mut self, zone: ZoneId, actor: A) -> NodeId {
@@ -136,14 +130,6 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
     /// Immutable access to fault injection state.
     pub fn net_control(&self) -> &NetworkControl {
         &self.net_control
-    }
-
-    /// All node ids placed in `region`, in id order.
-    pub fn nodes_in_region(&self, region: RegionId) -> Vec<NodeId> {
-        (0..self.nodes.len() as u32)
-            .map(NodeId)
-            .filter(|n| self.nodes[n.0 as usize].zone.region() == region)
-            .collect()
     }
 
     /// Installs a scripted [`FaultPlan`]: its events apply to
@@ -308,11 +294,6 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
         self.now = self.now.max(deadline);
         self.apply_due_faults(self.now);
         n
-    }
-
-    /// Number of queued events.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 
     /// Processes a single event. Returns `false` if the queue was empty.

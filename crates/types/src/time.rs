@@ -72,11 +72,6 @@ impl SimTime {
         self.0 / 1_000
     }
 
-    /// Whole milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Milliseconds as a float, for reporting latencies.
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6

@@ -10,6 +10,10 @@
 //! real crate.
 
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "a benchmark harness times host code with the OS clock"
+)]
 
 use std::time::{Duration, Instant};
 

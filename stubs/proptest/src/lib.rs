@@ -10,6 +10,10 @@
 //! counterexample it found.
 
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "mirrors proptest's `hash_set` strategy, which yields a `HashSet`"
+)]
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

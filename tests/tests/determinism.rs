@@ -1,8 +1,8 @@
 //! Dynamic determinism regression: the same seed must produce the exact
 //! same execution, twice.
 //!
-//! The static `spider-analyzer` pass forbids the usual *sources* of
-//! nondeterminism (hash-ordered containers, ambient time/randomness), but
+//! The workspace's `clippy.toml` forbids the usual *sources* of
+//! nondeterminism (hash-ordered containers, the OS clock, threads), but
 //! it cannot prove their *absence* — a stray iteration-order dependency or
 //! an unseeded tiebreak would slip through. This test catches what the
 //! lint can't: it runs a mid-size scenario twice with an identical seed
