@@ -17,7 +17,7 @@ use spider_harness::ec2_topology;
 use spider_harness::experiments::{commit_channel, disaster, fig11, fig9bcd};
 use spider_harness::scenarios::{run_scenario, run_scenario_obs, ScenarioCfg, SystemKind};
 use spider_irmc::{ChannelMode, Variant};
-use spider_sim::Simulation;
+use spider_sim::{FaultPlan, Simulation};
 use spider_tests::{digest, standard_deployment};
 use spider_types::SimTime;
 
@@ -99,6 +99,32 @@ fn wan_partition_row() {
     pin("wan-partition", format!("{:?}", disaster::run_wan_partition(&cfg)), 0xc66a_290f_2847_d028);
 }
 
+/// The scaled-down clock of `disaster.rs`: fault at 6 s, heal at 14 s.
+fn disaster_cfg() -> disaster::Config {
+    disaster::Config {
+        clients_per_region: 2,
+        rate_per_client: 3.0,
+        fault_at: SimTime::from_secs(6),
+        heal_at: SimTime::from_secs(14),
+        duration: SimTime::from_secs(24),
+        seed: 42,
+        ..disaster::Config::default()
+    }
+}
+
+/// The fault paths no other digest covers: PBFT's `ViewChanged` and
+/// `Skipped` with the agreement checkpoint fetch they start (the storm),
+/// and an execution group's `TooOld` → fetch → snapshot restore (the
+/// outage).
+#[test]
+fn disaster_fault_path_rows() {
+    let cfg = disaster_cfg();
+    let storm = disaster::run_view_change_storm(&cfg);
+    pin("view-change storm", format!("{storm:?}"), 0x89ae_e31b_340f_e0c5);
+    let outage = disaster::run_correlated_outage(&cfg);
+    pin("correlated outage", format!("{outage:?}"), 0xff35_72ca_581b_48f6);
+}
+
 #[test]
 fn fig11_f2_rows() {
     let scenario = ScenarioCfg { clients_per_region: 1, ..small() };
@@ -170,4 +196,40 @@ fn traced_spider_obs_report() {
     let got = digest(&rendered);
     // The render runs to megabytes: report the digest, not the text.
     assert_eq!(got, 0x9502_198b_d0da_95e4, "traced Spider ObsReport moved: digest {got:#018x}");
+}
+
+/// The storm again, at the level of every sample, the simulator's
+/// counters and where each agreement replica ended: the rows above
+/// summarise, and moving a `Skipped` reaction past PBFT's closing charge
+/// left them equal while it moved this.
+#[test]
+fn view_change_storm_trace() {
+    let cfg = SpiderConfig {
+        ke: 8,
+        ka: 8,
+        ag_win: 16,
+        commit_capacity: 16,
+        view_change_timeout: SimTime::from_millis(400),
+        ..SpiderConfig::default()
+    };
+    let (mut sim, mut dep) = standard_deployment(42, cfg);
+    let workload = WorkloadSpec::writes_per_sec(3.0, 64).with_max_ops(60);
+    for group in 0..4 {
+        dep.spawn_clients(&mut sim, group, 2, workload.clone().with_op_factory(kv_op_factory(500)));
+    }
+    let mut plan = FaultPlan::new();
+    for act in 0..4u64 {
+        let from = SimTime::from_millis(6_000 + 1_500 * act);
+        let leader = dep.agreement[act as usize % dep.agreement.len()];
+        plan = plan.isolate_replica(leader, from, from + SimTime::from_millis(900));
+    }
+    sim.install_fault_plan(plan);
+    sim.run_until_quiescent(SimTime::from_secs(90));
+
+    let mut rendered = format!("{:?}\n{:?}\n", dep.collect_samples(&sim), sim.stats());
+    for node in &dep.agreement {
+        let replica = sim.actor::<spider::agreement::AgreementReplica>(*node);
+        rendered.push_str(&format!("{node:?} {:?} {:?}\n", replica.view(), replica.sequence()));
+    }
+    pin("view-change storm trace", rendered, 0x793b_3db2_a7e5_3683);
 }
