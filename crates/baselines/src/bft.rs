@@ -61,42 +61,41 @@ impl<A: Application> BftReplica<A> {
         self.pbft.view()
     }
 
-    /// Runs one input through the global consensus and executes what it
-    /// delivers.
+    /// Runs one input through the global consensus, executing what it
+    /// delivers as it delivers it.
     fn pbft_step(&mut self, ctx: &mut Context<'_, BaseMsg>, input: Input<Request>) {
         let replicas = self.directory.agreement();
-        let mut outputs = Vec::new();
-        self.pbft.handle(ctx.now(), input, &mut outputs);
-        for output in outputs {
-            if let Some(Output::Deliver { batch, .. }) =
+        let mut gc = None;
+        self.pbft.handle(ctx.now(), input, &mut |output| {
+            let Some(Output::Deliver { batch, .. }) =
                 host::pbft_io(ctx, &replicas, BaseMsg::Pbft, output)
-            {
-                for req in batch {
-                    self.execute(ctx, req);
+            else {
+                return;
+            };
+            for req in batch {
+                let fresh = self.executed.get(&req.client).is_none_or(|(tc, _)| *tc < req.tc);
+                if !fresh {
+                    continue;
                 }
-                self.delivered += 1;
-                if self.delivered.is_multiple_of(GC_INTERVAL) && self.delivered > GC_INTERVAL {
-                    self.pbft.gc(SeqNr(self.delivered - GC_INTERVAL));
+                ctx.charge(self.cfg.cost.app_execute());
+                let result = self.app.execute(&req.operation.op);
+                self.execute_count += 1;
+                self.executed.insert(req.client, (req.tc, result.clone()));
+                if let Some(node) = self.directory.client_node(req.client) {
+                    ctx.charge(self.cfg.cost.hmac(result.len()));
+                    let reply = Reply { tc: req.tc, result, weak: false, resubmit: false };
+                    ctx.send(node, BaseMsg::Reply(reply));
                 }
             }
-        }
-    }
-
-    fn execute(&mut self, ctx: &mut Context<'_, BaseMsg>, req: Request) {
-        let fresh = self.executed.get(&req.client).is_none_or(|(tc, _)| *tc < req.tc);
-        if !fresh {
-            return;
-        }
-        ctx.charge(self.cfg.cost.app_execute());
-        let result = self.app.execute(&req.operation.op);
-        self.execute_count += 1;
-        self.executed.insert(req.client, (req.tc, result.clone()));
-        if let Some(node) = self.directory.client_node(req.client) {
-            ctx.charge(self.cfg.cost.hmac(result.len()));
-            ctx.send(
-                node,
-                BaseMsg::Reply(Reply { tc: req.tc, result, weak: false, resubmit: false }),
-            );
+            self.delivered += 1;
+            if self.delivered.is_multiple_of(GC_INTERVAL) && self.delivered > GC_INTERVAL {
+                gc = Some(SeqNr(self.delivered - GC_INTERVAL));
+            }
+        });
+        // `gc` only raises a horizon, so the last one requested covers
+        // every earlier one.
+        if let Some(before) = gc {
+            self.pbft.gc(before);
         }
     }
 }

@@ -37,6 +37,15 @@ const GC_INTERVAL: u64 = 64;
 
 /// A replica of one Steward site.
 pub struct StewardReplica<A: Application> {
+    /// Site-local agreement (orders requests at the leader site, proposals
+    /// at follower sites). It is kept apart from the rest of the replica,
+    /// which handles what it delivers while it runs.
+    pbft: Pbft<Request>,
+    steward: Steward<A>,
+}
+
+/// Everything of a Steward replica but its site-local agreement.
+struct Steward<A: Application> {
     cfg: SpiderConfig,
     site: u16,
     me: usize,
@@ -44,9 +53,6 @@ pub struct StewardReplica<A: Application> {
     num_sites: usize,
     directory: Directory,
     tkr: ThresholdKeyring,
-    /// Site-local agreement (orders requests at the leader site, proposals
-    /// at follower sites).
-    pbft: Pbft<Request>,
     app: A,
 
     /// Leader site: next global sequence number to assign.
@@ -79,8 +85,6 @@ pub struct StewardReplica<A: Application> {
     /// Requests already handed to local agreement (dedup).
     forwarded: BTreeMap<ClientId, u64>,
     delivered_local: u64,
-    /// Number of executed requests (diagnostics).
-    pub execute_count: u64,
 }
 
 impl<A: Application> StewardReplica<A> {
@@ -96,14 +100,13 @@ impl<A: Application> StewardReplica<A> {
         app: A,
     ) -> Self {
         let pbft_cfg = cfg.tune_pbft(PbftConfig::new(cfg.fa));
-        StewardReplica {
+        let steward = Steward {
             site,
             me,
             leader_site,
             num_sites,
             directory,
             tkr: ThresholdKeyring::new(cfg.key_seed, cfg.fa + 1),
-            pbft: Pbft::new(pbft_cfg, me),
             app,
             next_seq: 0,
             assigned: BTreeMap::new(),
@@ -117,28 +120,25 @@ impl<A: Application> StewardReplica<A> {
             executed: BTreeMap::new(),
             forwarded: BTreeMap::new(),
             delivered_local: 0,
-            execute_count: 0,
             cfg,
-        }
+        };
+        StewardReplica { pbft: Pbft::new(pbft_cfg, me), steward }
     }
 
     /// Digest of the application state (tests).
     pub fn app_digest(&self) -> spider_crypto::Digest {
-        self.app.state_digest()
+        self.steward.app.state_digest()
     }
 
     /// Diagnostics: (site PBFT view, locally delivered instances, next
     /// global seq assigned, next seq to execute, pending proposals).
     pub fn diagnostics(&self) -> (u64, u64, u64, u64, usize) {
-        (
-            self.pbft.view().0,
-            self.delivered_local,
-            self.next_seq,
-            self.exec_next,
-            self.proposals.len(),
-        )
+        let s = &self.steward;
+        (self.pbft.view().0, s.delivered_local, s.next_seq, s.exec_next, s.proposals.len())
     }
+}
 
+impl<A: Application> Steward<A> {
     fn site_nodes(&self, site: u16) -> Arc<[NodeId]> {
         self.directory.group_replicas(GroupId(site))
     }
@@ -159,13 +159,17 @@ impl<A: Application> StewardReplica<A> {
     // Local agreement plumbing
     // ------------------------------------------------------------------
 
-    /// Runs one input through the site-local agreement and handles what
-    /// it delivers.
-    fn pbft_step(&mut self, ctx: &mut Context<'_, BaseMsg>, input: Input<Request>) {
+    /// Runs one input through the site-local agreement `pbft`, handling
+    /// what it delivers as it delivers it.
+    fn pbft_step(
+        &mut self,
+        ctx: &mut Context<'_, BaseMsg>,
+        pbft: &mut Pbft<Request>,
+        input: Input<Request>,
+    ) {
         let site_nodes = self.my_site_nodes();
-        let mut outputs = Vec::new();
-        self.pbft.handle(ctx.now(), input, &mut outputs);
-        for output in outputs {
+        let mut gc = None;
+        pbft.handle(ctx.now(), input, &mut |output| {
             if let Some(Output::Deliver { batch, .. }) =
                 host::pbft_io(ctx, &site_nodes, BaseMsg::Pbft, output)
             {
@@ -176,9 +180,14 @@ impl<A: Application> StewardReplica<A> {
                 if self.delivered_local.is_multiple_of(GC_INTERVAL)
                     && self.delivered_local > GC_INTERVAL
                 {
-                    self.pbft.gc(SeqNr(self.delivered_local - GC_INTERVAL));
+                    gc = Some(SeqNr(self.delivered_local - GC_INTERVAL));
                 }
             }
+        });
+        // `gc` only raises a horizon, so the last one requested covers
+        // every earlier one.
+        if let Some(before) = gc {
+            pbft.gc(before);
         }
     }
 
@@ -334,7 +343,6 @@ impl<A: Application> StewardReplica<A> {
             if fresh {
                 ctx.charge(self.cfg.cost.app_execute());
                 let result = self.app.execute(&req.operation.op);
-                self.execute_count += 1;
                 self.executed.insert(req.client, (req.tc, result.clone()));
                 // Only the client's local site replies (Fig 1b).
                 if self.directory.client_group(req.client) == Some(GroupId(self.site)) {
@@ -360,26 +368,32 @@ impl<A: Application> StewardReplica<A> {
         }
     }
 
-    fn order_locally(&mut self, ctx: &mut Context<'_, BaseMsg>, req: Request) {
+    fn order_locally(
+        &mut self,
+        ctx: &mut Context<'_, BaseMsg>,
+        pbft: &mut Pbft<Request>,
+        req: Request,
+    ) {
         let last = self.forwarded.get(&req.client).copied().unwrap_or(0);
         if req.tc <= last {
             return;
         }
         self.forwarded.insert(req.client, req.tc);
-        self.pbft_step(ctx, Input::Order(req));
+        self.pbft_step(ctx, pbft, Input::Order(req));
     }
 }
 
 impl<A: Application> Actor<BaseMsg> for StewardReplica<A> {
     fn on_message(&mut self, ctx: &mut Context<'_, BaseMsg>, from: NodeId, msg: BaseMsg) {
-        ctx.charge(self.cfg.cost.msg_overhead());
+        let StewardReplica { pbft, steward } = self;
+        ctx.charge(steward.cfg.cost.msg_overhead());
         match msg {
             BaseMsg::Request(req) => {
-                ctx.charge(self.cfg.cost.hmac(req.wire_size()));
+                ctx.charge(steward.cfg.cost.hmac(req.wire_size()));
                 if req.operation.kind == OpKind::WeakRead {
-                    ctx.charge(self.cfg.cost.app_execute());
-                    let result = self.app.execute_read(&req.operation.op);
-                    if let Some(node) = self.directory.client_node(req.client) {
+                    ctx.charge(steward.cfg.cost.app_execute());
+                    let result = steward.app.execute_read(&req.operation.op);
+                    if let Some(node) = steward.directory.client_node(req.client) {
                         ctx.send(
                             node,
                             BaseMsg::Reply(Reply {
@@ -392,10 +406,10 @@ impl<A: Application> Actor<BaseMsg> for StewardReplica<A> {
                     }
                     return;
                 }
-                if let Some((tc, result)) = self.executed.get(&req.client) {
+                if let Some((tc, result)) = steward.executed.get(&req.client) {
                     if *tc >= req.tc {
                         if *tc == req.tc {
-                            if let Some(node) = self.directory.client_node(req.client) {
+                            if let Some(node) = steward.directory.client_node(req.client) {
                                 ctx.send(
                                     node,
                                     BaseMsg::Reply(Reply {
@@ -410,78 +424,78 @@ impl<A: Application> Actor<BaseMsg> for StewardReplica<A> {
                         return;
                     }
                 }
-                ctx.charge(self.cfg.cost.rsa_verify());
-                if self.is_leader_site() {
-                    self.order_locally(ctx, req);
+                ctx.charge(steward.cfg.cost.rsa_verify());
+                if steward.is_leader_site() {
+                    steward.order_locally(ctx, pbft, req);
                 } else {
                     // Forward to the counterpart replica at the leader
                     // site (Fig 1b: requests flow through the hierarchy).
-                    let leader_nodes = self.site_nodes(self.leader_site);
-                    if let Some(node) = leader_nodes.get(self.me) {
+                    let leader_nodes = steward.site_nodes(steward.leader_site);
+                    if let Some(node) = leader_nodes.get(steward.me) {
                         ctx.send(*node, BaseMsg::Steward(StewardMsg::Forward(req)));
                     }
                 }
             }
             BaseMsg::Steward(StewardMsg::Forward(req)) => {
-                if self.is_leader_site() {
-                    ctx.charge(self.cfg.cost.hmac(req.wire_size()));
-                    self.order_locally(ctx, req);
+                if steward.is_leader_site() {
+                    ctx.charge(steward.cfg.cost.hmac(req.wire_size()));
+                    steward.order_locally(ctx, pbft, req);
                 }
             }
             BaseMsg::Steward(StewardMsg::Proposal { seq, request, tsig }) => {
-                ctx.charge(self.cfg.cost.threshold_verify());
+                ctx.charge(steward.cfg.cost.threshold_verify());
                 let pd = proposal_digest(seq, &request);
-                if !self.tkr.verify(&pd, &tsig) {
+                if !steward.tkr.verify(&pd, &tsig) {
                     return;
                 }
-                if self.proposals.contains_key(&seq.0) {
+                if steward.proposals.contains_key(&seq.0) {
                     return;
                 }
-                self.proposals.insert(seq.0, (request.clone(), pd));
+                steward.proposals.insert(seq.0, (request.clone(), pd));
                 // Leader's voice counts as an accept.
-                self.accepts.entry(seq.0).or_default().insert(self.leader_site);
-                if !self.is_leader_site() {
+                steward.accepts.entry(seq.0).or_default().insert(steward.leader_site);
+                if !steward.is_leader_site() {
                     let rd = request.digest();
-                    if self.locally_delivered.contains(&rd) {
+                    if steward.locally_delivered.contains(&rd) {
                         // The site already agreed on this request (the
                         // local PBFT outran this Proposal's delivery):
                         // produce the accept share right away.
-                        self.emit_accept_share(ctx, seq);
+                        steward.emit_accept_share(ctx, seq);
                     } else {
-                        self.pending_local.entry(rd).or_default().push(seq);
-                        self.order_locally(ctx, request);
+                        steward.pending_local.entry(rd).or_default().push(seq);
+                        steward.order_locally(ctx, pbft, request);
                     }
                 }
-                self.try_execute(ctx);
+                steward.try_execute(ctx);
             }
             BaseMsg::Steward(StewardMsg::Share { seq, digest, share, accept }) => {
-                if self.me != 0 {
+                if steward.me != 0 {
                     return; // Only the representative collects.
                 }
-                ctx.charge(self.cfg.cost.rsa_verify());
-                self.collect_share(ctx, seq, digest, share, accept);
+                ctx.charge(steward.cfg.cost.rsa_verify());
+                steward.collect_share(ctx, seq, digest, share, accept);
             }
             BaseMsg::Steward(StewardMsg::Accept { seq, digest, site, tsig }) => {
-                ctx.charge(self.cfg.cost.threshold_verify());
+                ctx.charge(steward.cfg.cost.threshold_verify());
                 // Validate against the proposal we know for that seq.
-                let Some((_, pd)) = self.proposals.get(&seq.0) else {
+                let Some((_, pd)) = steward.proposals.get(&seq.0) else {
                     // Accept before proposal: remember optimistically once
                     // the proposal arrives (simplification: verify against
                     // the digest carried in the message).
-                    if self.tkr.verify(&digest, &tsig) {
-                        self.accepts.entry(seq.0).or_default().insert(site);
+                    if steward.tkr.verify(&digest, &tsig) {
+                        steward.accepts.entry(seq.0).or_default().insert(site);
                     }
                     return;
                 };
                 let expected = accept_digest(seq, pd);
-                if digest != expected || !self.tkr.verify(&digest, &tsig) {
+                if digest != expected || !steward.tkr.verify(&digest, &tsig) {
                     return;
                 }
-                self.on_accept(ctx, seq, site);
+                steward.on_accept(ctx, seq, site);
             }
             BaseMsg::Pbft(m) => {
-                if let Some(idx) = self.directory.replica_index(GroupId(self.site), from) {
-                    self.pbft_step(ctx, Input::Message { from: idx, msg: m });
+                if let Some(idx) = steward.directory.replica_index(GroupId(steward.site), from) {
+                    steward.pbft_step(ctx, pbft, Input::Message { from: idx, msg: m });
                 }
             }
             BaseMsg::Reply(_) => {}
@@ -490,7 +504,7 @@ impl<A: Application> Actor<BaseMsg> for StewardReplica<A> {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, BaseMsg>, timer: Timer) {
         if let Some(input) = host::pbft_timer(timer.tag) {
-            self.pbft_step(ctx, input);
+            self.steward.pbft_step(ctx, &mut self.pbft, input);
         }
     }
 }

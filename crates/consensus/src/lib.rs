@@ -19,9 +19,10 @@
 //!   baseline (WHEAT-style weights) with the exact same code path.
 //!
 //! The implementation is *sans-IO*: a [`Pbft`] consumes `(now, input)` and
-//! appends [`Output`]s (sends, deliveries, timer ops, CPU charges) to a
-//! caller-provided buffer. Hosts decide how outputs reach the network —
-//! in this workspace, via `spider-sim` actors.
+//! emits [`Output`]s (sends, deliveries, timer ops, CPU charges) into a
+//! caller-provided [`Sink`](spider_types::Sink) — a `Vec` that collects
+//! them, or a closure that acts on each one. Hosts decide how outputs
+//! reach the network — in this workspace, via `spider-sim` actors.
 //!
 //! # Authentication
 //!

@@ -8,7 +8,7 @@ use crate::config::PbftConfig;
 use crate::messages::{Msg, NewViewMsg, PreparedCert, ViewChangeMsg};
 use crate::{batch_digest, Payload};
 use spider_crypto::Digest;
-use spider_types::{SeqNr, SimTime, ViewNr};
+use spider_types::{SeqNr, SimTime, Sink, ViewNr};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -239,8 +239,8 @@ impl<P: Payload> Pbft<P> {
         self.next_seq = self.next_seq.max(keep_from);
     }
 
-    /// Feeds one input; effects are appended to `out`.
-    pub fn handle(&mut self, now: SimTime, input: Input<P>, out: &mut Vec<Output<P>>) {
+    /// Feeds one input; effects are emitted into `out`, in order.
+    pub fn handle(&mut self, now: SimTime, input: Input<P>, out: &mut dyn Sink<Output<P>>) {
         let mut charge = self.cfg.cost.msg_overhead();
         match input {
             Input::Order(p) => self.on_order(now, p, out, &mut charge),
@@ -254,11 +254,17 @@ impl<P: Payload> Pbft<P> {
             Input::Timer(token) => self.on_timer(now, token, out, &mut charge),
         }
         if charge > SimTime::ZERO {
-            out.push(Output::Charge(charge));
+            out.emit(Output::Charge(charge));
         }
     }
 
-    fn on_order(&mut self, now: SimTime, p: P, out: &mut Vec<Output<P>>, charge: &mut SimTime) {
+    fn on_order(
+        &mut self,
+        now: SimTime,
+        p: P,
+        out: &mut dyn Sink<Output<P>>,
+        charge: &mut SimTime,
+    ) {
         let d = p.digest();
         *charge += self.cfg.cost.hmac(p.wire_size());
         if self.recently_delivered.contains(&d) || self.pool.contains_key(&d) {
@@ -285,7 +291,7 @@ impl<P: Payload> Pbft<P> {
 
     /// Proposes as many batches as the batching policy releases and the
     /// pipelining window admits, then (re-)arms the batch linger timer.
-    fn try_propose(&mut self, now: SimTime, out: &mut Vec<Output<P>>, charge: &mut SimTime) {
+    fn try_propose(&mut self, now: SimTime, out: &mut dyn Sink<Output<P>>, charge: &mut SimTime) {
         if self.is_leader() {
             while self.has_pipeline_slot() && self.batcher.ready(now) {
                 let mut batch = self.batcher.take();
@@ -324,7 +330,7 @@ impl<P: Payload> Pbft<P> {
     /// flush deadline. Armed only while proposing is actually possible;
     /// when the pipeline is full, delivery of an instance re-triggers
     /// proposing (and re-arming) instead.
-    fn update_batch_timer(&mut self, now: SimTime, out: &mut Vec<Output<P>>) {
+    fn update_batch_timer(&mut self, now: SimTime, out: &mut dyn Sink<Output<P>>) {
         let want = if self.is_leader()
             && self.has_pipeline_slot()
             && !self.batcher.is_empty()
@@ -341,9 +347,9 @@ impl<P: Payload> Pbft<P> {
         self.batch_timer_deadline = want;
         match want {
             Some(d) => {
-                out.push(Output::SetTimer { token: TOKEN_BATCH, delay: d.saturating_sub(now) })
+                out.emit(Output::SetTimer { token: TOKEN_BATCH, delay: d.saturating_sub(now) })
             }
-            None => out.push(Output::CancelTimer { token: TOKEN_BATCH }),
+            None => out.emit(Output::CancelTimer { token: TOKEN_BATCH }),
         }
     }
 
@@ -352,7 +358,7 @@ impl<P: Payload> Pbft<P> {
         now: SimTime,
         from: usize,
         msg: Msg<P>,
-        out: &mut Vec<Output<P>>,
+        out: &mut dyn Sink<Output<P>>,
         charge: &mut SimTime,
     ) {
         // MAC verification cost for every received protocol message.
@@ -380,7 +386,7 @@ impl<P: Payload> Pbft<P> {
         view: ViewNr,
         seq: SeqNr,
         batch: Arc<Vec<P>>,
-        out: &mut Vec<Output<P>>,
+        out: &mut dyn Sink<Output<P>>,
         charge: &mut SimTime,
     ) {
         if self.should_stash(view) {
@@ -428,7 +434,7 @@ impl<P: Payload> Pbft<P> {
         seq: SeqNr,
         digest: Digest,
         is_commit: bool,
-        out: &mut Vec<Output<P>>,
+        out: &mut dyn Sink<Output<P>>,
         charge: &mut SimTime,
     ) {
         if self.should_stash(view) {
@@ -461,7 +467,7 @@ impl<P: Payload> Pbft<P> {
         &mut self,
         now: SimTime,
         seq: u64,
-        out: &mut Vec<Output<P>>,
+        out: &mut dyn Sink<Output<P>>,
         charge: &mut SimTime,
     ) {
         let quorum = self.cfg.quorum_weight;
@@ -510,7 +516,7 @@ impl<P: Payload> Pbft<P> {
         self.try_deliver(now, out, charge);
     }
 
-    fn try_deliver(&mut self, now: SimTime, out: &mut Vec<Output<P>>, charge: &mut SimTime) {
+    fn try_deliver(&mut self, now: SimTime, out: &mut dyn Sink<Output<P>>, charge: &mut SimTime) {
         let mut delivered_any = false;
         while let Some(inst) = self.instances.get(&self.next_deliver) {
             if !inst.committed {
@@ -534,13 +540,13 @@ impl<P: Payload> Pbft<P> {
             if let Some(d) = inst.digest {
                 self.watching.remove(&d);
             }
-            out.push(Output::Deliver { seq: SeqNr(self.next_deliver), batch });
+            out.emit(Output::Deliver { seq: SeqNr(self.next_deliver), batch });
             self.next_deliver += 1;
             delivered_any = true;
         }
         if self.watching.is_empty() && self.progress_timer_armed {
             self.progress_timer_armed = false;
-            out.push(Output::CancelTimer { token: TOKEN_PROGRESS });
+            out.emit(Output::CancelTimer { token: TOKEN_PROGRESS });
         }
         // Delivery frees pipeline slots: keep the pipeline saturated
         // instead of waiting for the next Order input.
@@ -553,10 +559,10 @@ impl<P: Payload> Pbft<P> {
     // View changes
     // ------------------------------------------------------------------
 
-    fn arm_progress_timer(&mut self, out: &mut Vec<Output<P>>) {
+    fn arm_progress_timer(&mut self, out: &mut dyn Sink<Output<P>>) {
         if !self.progress_timer_armed && !self.watching.is_empty() {
             self.progress_timer_armed = true;
-            out.push(Output::SetTimer {
+            out.emit(Output::SetTimer {
                 token: TOKEN_PROGRESS,
                 delay: self.cfg.view_change_timeout / 2,
             });
@@ -567,7 +573,7 @@ impl<P: Payload> Pbft<P> {
         &mut self,
         now: SimTime,
         token: TimerToken,
-        out: &mut Vec<Output<P>>,
+        out: &mut dyn Sink<Output<P>>,
         charge: &mut SimTime,
     ) {
         match token {
@@ -586,7 +592,7 @@ impl<P: Payload> Pbft<P> {
                     self.start_view_change(now, target, out, charge);
                 } else if !self.watching.is_empty() {
                     self.progress_timer_armed = true;
-                    out.push(Output::SetTimer { token: TOKEN_PROGRESS, delay: timeout / 2 });
+                    out.emit(Output::SetTimer { token: TOKEN_PROGRESS, delay: timeout / 2 });
                 }
             }
             TOKEN_VIEW_CHANGE if self.in_view_change => {
@@ -624,7 +630,7 @@ impl<P: Payload> Pbft<P> {
         &mut self,
         now: SimTime,
         target: ViewNr,
-        out: &mut Vec<Output<P>>,
+        out: &mut dyn Sink<Output<P>>,
         charge: &mut SimTime,
     ) {
         if target <= self.view {
@@ -644,7 +650,7 @@ impl<P: Payload> Pbft<P> {
         self.vc_msgs.entry(target.0).or_default().insert(self.me, vc.clone());
         self.broadcast(out, Msg::ViewChange(vc.clone()));
         let backoff = self.cfg.view_change_timeout * (1u64 << self.vc_attempts.min(10));
-        out.push(Output::SetTimer { token: TOKEN_VIEW_CHANGE, delay: backoff });
+        out.emit(Output::SetTimer { token: TOKEN_VIEW_CHANGE, delay: backoff });
         // The new leader processes its own view-change vote.
         self.maybe_announce_new_view(now, target, out, charge);
     }
@@ -662,7 +668,7 @@ impl<P: Payload> Pbft<P> {
         now: SimTime,
         from: usize,
         vc: ViewChangeMsg<P>,
-        out: &mut Vec<Output<P>>,
+        out: &mut dyn Sink<Output<P>>,
         charge: &mut SimTime,
     ) {
         if vc.sender != from || vc.new_view <= self.view {
@@ -689,7 +695,7 @@ impl<P: Payload> Pbft<P> {
         &mut self,
         now: SimTime,
         target: ViewNr,
-        out: &mut Vec<Output<P>>,
+        out: &mut dyn Sink<Output<P>>,
         charge: &mut SimTime,
     ) {
         if self.cfg.leader_of(target.0) != self.me {
@@ -717,7 +723,7 @@ impl<P: Payload> Pbft<P> {
         now: SimTime,
         from: usize,
         nv: NewViewMsg<P>,
-        out: &mut Vec<Output<P>>,
+        out: &mut dyn Sink<Output<P>>,
         charge: &mut SimTime,
     ) {
         if nv.view <= self.view || from != self.cfg.leader_of(nv.view.0) {
@@ -747,7 +753,7 @@ impl<P: Payload> Pbft<P> {
         now: SimTime,
         view: ViewNr,
         vcs: &[ViewChangeMsg<P>],
-        out: &mut Vec<Output<P>>,
+        out: &mut dyn Sink<Output<P>>,
         charge: &mut SimTime,
     ) {
         // Horizon: everything at or below the highest gc-horizon in the
@@ -793,7 +799,7 @@ impl<P: Payload> Pbft<P> {
             self.batcher.clear();
             self.pending_digests.clear();
             self.watching.clear();
-            out.push(Output::Skipped { to: SeqNr(start) });
+            out.emit(Output::Skipped { to: SeqNr(start) });
         }
         self.h = self.h.max(start);
 
@@ -801,8 +807,8 @@ impl<P: Payload> Pbft<P> {
         self.in_view_change = false;
         self.vc_attempts = 0;
         self.vc_msgs.retain(|&v, _| v > view.0);
-        out.push(Output::CancelTimer { token: TOKEN_VIEW_CHANGE });
-        out.push(Output::ViewChanged { view, leader: self.cfg.leader_of(view.0) });
+        out.emit(Output::CancelTimer { token: TOKEN_VIEW_CHANGE });
+        out.emit(Output::ViewChanged { view, leader: self.cfg.leader_of(view.0) });
 
         // Re-propose carried-over instances (and no-ops for gaps) in the
         // new view, as if fresh pre-prepares had arrived.
@@ -889,10 +895,10 @@ impl<P: Payload> Pbft<P> {
         self.stashed.push_back((from, msg));
     }
 
-    fn broadcast(&self, out: &mut Vec<Output<P>>, msg: Msg<P>) {
+    fn broadcast(&self, out: &mut dyn Sink<Output<P>>, msg: Msg<P>) {
         for to in 0..self.cfg.n() {
             if to != self.me {
-                out.push(Output::Send { to, msg: msg.clone() });
+                out.emit(Output::Send { to, msg: msg.clone() });
             }
         }
     }

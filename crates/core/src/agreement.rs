@@ -28,7 +28,7 @@ use spider_sim::{
     req_id, Actor, Context, Timer, PHASE_BATCH, PHASE_COMMIT, PHASE_PROPOSE, PHASE_RECAST,
     PHASE_SHIP,
 };
-use spider_types::{ClientId, GroupId, NodeId, OpKind, Position, SeqNr, SimTime};
+use spider_types::{ClientId, GroupId, NodeId, OpKind, Position, SeqNr, SimTime, Sink};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Timer tags (the consensus tokens' tags are `host::pbft_io`'s).
@@ -90,6 +90,9 @@ pub struct AgreementReplica {
     /// number each produced (for black-box gc).
     instance_map: VecDeque<(u64, u64)>,
     fetching: bool,
+    /// Clients whose request subchannel a call made ready or moved, to be
+    /// polled once it returns (one buffer, reused).
+    polls: Vec<ClientId>,
     fault: AgreementFault,
     /// Ordered request count (metrics).
     pub ordered: u64,
@@ -122,6 +125,7 @@ impl AgreementReplica {
             backlog: VecDeque::new(),
             instance_map: VecDeque::new(),
             fetching: false,
+            polls: Vec::new(),
             fault: AgreementFault::None,
             ordered: 0,
             cfg,
@@ -223,13 +227,11 @@ impl AgreementReplica {
     // Consensus plumbing
     // ------------------------------------------------------------------
 
-    /// Runs one input through the consensus black box and reacts to what
-    /// it delivers.
+    /// Runs one input through the consensus black box, reacting to what
+    /// it delivers as it delivers it, then assigns what the backlog holds.
     fn pbft_step(&mut self, ctx: &mut Context<'_, SpiderMsg>, input: Input<OrderItem>) {
         let agreement = self.directory.agreement();
-        let mut outputs = Vec::new();
-        self.pbft.handle(ctx.now(), input, &mut outputs);
-        for output in outputs {
+        self.pbft.handle(ctx.now(), input, &mut |output| {
             match host::pbft_io(ctx, &agreement, SpiderMsg::Agreement, output) {
                 Some(Output::Deliver { seq, batch }) => {
                     let n = batch.len();
@@ -249,10 +251,12 @@ impl AgreementReplica {
                 Some(Output::ViewChanged { view, .. }) => ctx.health_view(view.0),
                 // We missed decided instances: catch up via the agreement
                 // checkpoint (§3.4).
-                Some(Output::Skipped { .. }) => self.start_fetch(ctx),
+                Some(Output::Skipped { .. }) => {
+                    start_fetch(ctx, &self.directory, &mut self.cp, &mut self.fetching, self.sn)
+                }
                 _ => {}
             }
-        }
+        });
         self.process_backlog(ctx);
     }
 
@@ -380,26 +384,22 @@ impl AgreementReplica {
             while self.hist.len() as u64 > self.cfg.commit_capacity {
                 self.hist.pop_front();
             }
-            for group in self.directory.active_groups() {
+            for &group in self.directory.active_groups().iter() {
                 let execs: Vec<Hashed<Execute>> = run
                     .iter()
                     .map(|(s, req, _)| self.maybe_corrupt(execute_for_group(*s, req, group)))
                     .collect();
-                let mut actions = Vec::new();
-                if let Some(ch) = self.channels.get_mut(&group) {
-                    ch.commit_send.send_batch(0, Position(first), execs, &mut actions);
-                }
-                self.apply_commit_actions(ctx, group, actions);
+                self.commit_channel(ctx, group, |ep, out| {
+                    ep.send_batch(0, Position(first), execs, out);
+                });
             }
             for (_, req, _) in &run {
                 ctx.span_instant(req_id(req.request.client.0, req.request.tc), PHASE_SHIP);
             }
         });
         if self.sn.is_multiple_of(self.cfg.ka) {
-            let snapshot = self.encode_snapshot();
-            let mut actions = Vec::new();
-            self.cp.generate(SeqNr(self.sn), snapshot, &mut actions);
-            self.apply_cp_actions(ctx, actions);
+            let (seq, snapshot) = (SeqNr(self.sn), self.encode_snapshot());
+            self.checkpoint(ctx, |cp, _, out| cp.generate(seq, snapshot, out));
         }
     }
 
@@ -429,12 +429,10 @@ impl AgreementReplica {
                 execs.push(self.maybe_corrupt(execute_for_group(*s, req, group)));
                 j += 1;
             }
-            let first = *first;
-            let mut actions = Vec::new();
-            if let Some(ch) = self.channels.get_mut(&group) {
-                ch.commit_send.send_batch(0, Position(first), execs, &mut actions);
-            }
-            self.apply_commit_actions(ctx, group, actions);
+            let first = Position(*first);
+            self.commit_channel(ctx, group, |ep, out| {
+                ep.send_batch(0, first, execs, out);
+            });
             i = j;
         }
     }
@@ -452,11 +450,7 @@ impl AgreementReplica {
                 // Executes; everything older arrives via an execution
                 // checkpoint fetched from another group (§3.6).
                 let start = self.hist.front().map(|(s, _)| *s).unwrap_or(self.sn + 1);
-                let mut actions = Vec::new();
-                if let Some(ch) = self.channels.get_mut(&group) {
-                    ch.commit_send.move_window(0, Position(start), &mut actions);
-                }
-                self.apply_commit_actions(ctx, group, actions);
+                self.commit_channel(ctx, group, |ep, out| ep.move_window(0, Position(start), out));
                 // Every replica replays the identical `hist` at this point
                 // of the total order, so the replay ranges align too.
                 let items: Vec<(u64, OrderItem)> = self.hist.iter().cloned().collect();
@@ -524,17 +518,6 @@ impl AgreementReplica {
         Some((sn, t, hist))
     }
 
-    fn start_fetch(&mut self, ctx: &mut Context<'_, SpiderMsg>) {
-        if self.fetching {
-            return;
-        }
-        self.fetching = true;
-        let mut actions = Vec::new();
-        self.cp.fetch(SeqNr(self.sn + 1), &mut actions);
-        self.apply_cp_actions(ctx, actions);
-        ctx.arm(TAG_FETCH_RETRY, SimTime::from_millis(500));
-    }
-
     fn on_stable_checkpoint(
         &mut self,
         ctx: &mut Context<'_, SpiderMsg>,
@@ -546,11 +529,7 @@ impl AgreementReplica {
         let window_start = seq.0.saturating_sub(hist_len).saturating_add(1);
         let groups: Vec<GroupId> = self.channels.keys().copied().collect();
         for g in groups {
-            let mut actions = Vec::new();
-            if let Some(ch) = self.channels.get_mut(&g) {
-                ch.commit_send.move_window(0, Position(window_start), &mut actions);
-            }
-            self.apply_commit_actions(ctx, g, actions);
+            self.commit_channel(ctx, g, |ep, out| ep.move_window(0, Position(window_start), out));
         }
         // Consensus gc: forget instances whose requests are all covered.
         let mut gc_before = None;
@@ -570,7 +549,7 @@ impl AgreementReplica {
             if state.is_none() {
                 // A stable checkpoint exists ahead of us but we lack the
                 // snapshot: fetch it (Fig 17 L47 path).
-                self.start_fetch(ctx);
+                start_fetch(ctx, &self.directory, &mut self.cp, &mut self.fetching, self.sn);
             }
             if let Some(snapshot) = state {
                 ctx.charge(self.cfg.cost.hmac(snapshot.len()));
@@ -591,7 +570,7 @@ impl AgreementReplica {
                     // ranges the healthy replicas originally sent; the
                     // IRMC's per-slot fallback covers that (and receivers
                     // usually hold these certificates already).
-                    for group in self.directory.active_groups() {
+                    for &group in self.directory.active_groups().iter() {
                         self.replay_execs(ctx, group, &items);
                     }
                     self.fetching = false;
@@ -604,57 +583,36 @@ impl AgreementReplica {
     }
 
     // ------------------------------------------------------------------
-    // Action plumbing
+    // Hosting the machines
     // ------------------------------------------------------------------
 
-    fn apply_request_channel_actions(
+    /// Runs `call` on `group`'s commit-channel sender, carrying out what it
+    /// emits as it emits it; once it returns, a moved window lets the
+    /// backlog advance.
+    fn commit_channel(
         &mut self,
         ctx: &mut Context<'_, SpiderMsg>,
         group: GroupId,
-        actions: Vec<Action<Hashed<OrderedRequest>>>,
-    ) {
-        let exec_nodes = self.directory.group_replicas(group);
-        let wrap = |leg| SpiderMsg::RequestChannel { group, leg };
-        let mut to_poll: Vec<ClientId> = Vec::new();
-        for a in actions {
-            // A `SetTimer` (one collector timer per client subchannel) is
-            // dropped: SC request channels rely on client retries instead.
-            if let Some(Action::Ready { sc, .. } | Action::WindowMoved { sc, .. }) =
-                host::channel_io(ctx, "req-channel", &exec_nodes, &[], wrap, a)
-            {
-                let c = ClientId(sc as u32);
-                if !to_poll.contains(&c) {
-                    to_poll.push(c);
-                }
-            }
-        }
-        for c in to_poll {
-            self.poll_client(ctx, group, c);
-        }
-    }
-
-    fn apply_commit_actions(
-        &mut self,
-        ctx: &mut Context<'_, SpiderMsg>,
-        group: GroupId,
-        actions: Vec<Action<Hashed<Execute>>>,
+        call: impl FnOnce(&mut SenderEndpoint<Hashed<Execute>>, &mut dyn Sink<Action<Hashed<Execute>>>),
     ) {
         let (agreement, exec_nodes) =
             (self.directory.agreement(), self.directory.group_replicas(group));
         let wrap = |leg| SpiderMsg::CommitChannel { group, leg };
         let mut window_moved = false;
-        for a in actions {
-            if matches!(a, Action::Charge(_, OP_RECAST)) {
-                // Liveness milestone: the disaster smoke gate checks a
-                // recast appears after a partition heal.
-                ctx.span_instant(0, PHASE_RECAST);
-            }
-            if let Some(Action::WindowMoved { .. } | Action::Unblocked { .. }) =
-                host::channel_io(ctx, "commit-channel", &agreement, &exec_nodes, wrap, a)
-            {
-                window_moved = true;
-                ctx.health_mark("commit-channel", group.0 as u32);
-            }
+        if let Some(ch) = self.channels.get_mut(&group) {
+            call(&mut ch.commit_send, &mut |a| {
+                if matches!(a, Action::Charge(_, OP_RECAST)) {
+                    // Liveness milestone: the disaster smoke gate checks a
+                    // recast appears after a partition heal.
+                    ctx.span_instant(0, PHASE_RECAST);
+                }
+                if let Some(Action::WindowMoved { .. } | Action::Unblocked { .. }) =
+                    host::channel_io(ctx, "commit-channel", &agreement, &exec_nodes, wrap, a)
+                {
+                    window_moved = true;
+                    ctx.health_mark("commit-channel", group.0 as u32);
+                }
+            });
         }
         if ctx.obs_enabled() {
             if let Some(ch) = self.channels.get(&group) {
@@ -690,11 +648,35 @@ impl AgreementReplica {
         self.channels.values().any(|ch| ch.commit_send.has_unacked())
     }
 
-    fn apply_cp_actions(&mut self, ctx: &mut Context<'_, SpiderMsg>, actions: Vec<CpAction>) {
-        for (seq, state) in host::checkpoint_io(ctx, &self.directory, &self.cp, actions) {
+    /// Runs `call` on the checkpoint component; a checkpoint it makes
+    /// stable is applied once its frames are out.
+    fn checkpoint(
+        &mut self,
+        ctx: &mut Context<'_, SpiderMsg>,
+        call: impl FnOnce(&mut CheckpointComponent, &Directory, &mut dyn Sink<CpAction>),
+    ) {
+        if let Some((seq, state)) = host::checkpoint_io(ctx, &self.directory, &mut self.cp, call) {
             self.on_stable_checkpoint(ctx, seq, state);
         }
     }
+}
+
+/// Asks the agreement group for a stable checkpoint past `sn` (Fig 17
+/// L47), unless a fetch is already out. It takes the fields it uses, not
+/// the replica: PBFT's `Skipped` starts it while consensus is running.
+fn start_fetch(
+    ctx: &mut Context<'_, SpiderMsg>,
+    directory: &Directory,
+    cp: &mut CheckpointComponent,
+    fetching: &mut bool,
+    sn: u64,
+) {
+    if std::mem::replace(fetching, true) {
+        return;
+    }
+    // A fetch request makes nothing stable.
+    let _ = host::checkpoint_io(ctx, directory, cp, |cp, _, out| cp.fetch(SeqNr(sn + 1), out));
+    ctx.arm(TAG_FETCH_RETRY, SimTime::from_millis(500));
 }
 
 /// Builds the per-group `Execute`: full request for writes and for the
@@ -800,16 +782,32 @@ impl Actor<SpiderMsg> for AgreementReplica {
             SpiderMsg::RequestChannel { group, leg } => {
                 let Some(ch) = self.channels.get_mut(&group) else { return };
                 let execs = self.directory.group_replicas(group);
-                let actions = host::receiver_frame(&mut ch.req_recv, &execs, from, leg);
-                self.apply_request_channel_actions(ctx, group, actions);
+                let wrap = |leg| SpiderMsg::RequestChannel { group, leg };
+                host::receiver_frame(&mut ch.req_recv, &execs, from, leg, &mut |a| {
+                    // A `SetTimer` (one collector timer per client subchannel)
+                    // is dropped: SC request channels rely on client retries.
+                    if let Some(Action::Ready { sc, .. } | Action::WindowMoved { sc, .. }) =
+                        host::channel_io(ctx, "req-channel", &execs, &[], wrap, a)
+                    {
+                        let c = ClientId(sc as u32);
+                        if !self.polls.contains(&c) {
+                            self.polls.push(c);
+                        }
+                    }
+                });
+                // Polling reads the endpoint, so it waits for the frame.
+                let mut polls = std::mem::take(&mut self.polls);
+                for c in polls.drain(..) {
+                    self.poll_client(ctx, group, c);
+                }
+                self.polls = polls;
             }
-            SpiderMsg::CommitChannel { group, leg } => {
-                let Some(ch) = self.channels.get_mut(&group) else { return };
+            SpiderMsg::CommitChannel { group, leg } if self.channels.contains_key(&group) => {
                 let (agreement, execs) =
                     (self.directory.agreement(), self.directory.group_replicas(group));
-                let actions =
-                    host::sender_frame(&mut ch.commit_send, &agreement, &execs, from, leg);
-                self.apply_commit_actions(ctx, group, actions);
+                self.commit_channel(ctx, group, |ep, out| {
+                    host::sender_frame(ep, &agreement, &execs, from, leg, out)
+                });
             }
             SpiderMsg::Admin(cmd) => {
                 // Reconfiguration commands are signed by the privileged
@@ -817,12 +815,10 @@ impl Actor<SpiderMsg> for AgreementReplica {
                 ctx.charge(self.cfg.cost.rsa_verify());
                 self.pbft_step(ctx, Input::Order(OrderItem::Admin(cmd)));
             }
-            SpiderMsg::Checkpoint { group, msg, state } => {
-                let actions =
-                    host::checkpoint_frame(&mut self.cp, &self.directory, from, group, msg, state);
-                self.apply_cp_actions(ctx, actions);
-            }
-            SpiderMsg::Request(_) | SpiderMsg::Reply(_) => {}
+            SpiderMsg::Checkpoint { group, msg, state } => self.checkpoint(ctx, |cp, dir, out| {
+                host::checkpoint_frame(cp, dir, from, group, msg, state, out)
+            }),
+            SpiderMsg::CommitChannel { .. } | SpiderMsg::Request(_) | SpiderMsg::Reply(_) => {}
         }
     }
 
@@ -831,11 +827,7 @@ impl Actor<SpiderMsg> for AgreementReplica {
             TAG_SC_TICK => {
                 let groups: Vec<GroupId> = self.channels.keys().copied().collect();
                 for g in groups {
-                    let mut actions = Vec::new();
-                    if let Some(ch) = self.channels.get_mut(&g) {
-                        ch.commit_send.tick(&mut actions);
-                    }
-                    self.apply_commit_actions(ctx, g, actions);
+                    self.commit_channel(ctx, g, |ep, out| ep.tick(out));
                 }
                 if self.standing_tick() || self.has_unacked() {
                     ctx.arm(TAG_SC_TICK, TICK_INTERVAL);
@@ -843,12 +835,10 @@ impl Actor<SpiderMsg> for AgreementReplica {
             }
             TAG_FETCH_RETRY if self.fetching => {
                 self.fetching = false;
-                self.start_fetch(ctx);
+                start_fetch(ctx, &self.directory, &mut self.cp, &mut self.fetching, self.sn);
             }
             TAG_CP_GOSSIP => {
-                let mut actions = Vec::new();
-                self.cp.gossip(&mut actions);
-                self.apply_cp_actions(ctx, actions);
+                self.checkpoint(ctx, |cp, _, out| cp.gossip(out));
                 ctx.arm(TAG_CP_GOSSIP, CP_GOSSIP_INTERVAL);
             }
             tag => {

@@ -40,7 +40,7 @@
 use crate::messages::CheckpointMsg;
 use bytes::Bytes;
 use spider_crypto::{CostModel, Digest, Keyring, Signature};
-use spider_types::{GroupId, SeqNr, SimTime};
+use spider_types::{GroupId, SeqNr, SimTime, Sink};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -152,7 +152,8 @@ pub enum CpAction {
     },
     /// A checkpoint became stable (Fig 13 `stable_cp`): the host must
     /// apply it if it is ahead of the local state. `state` is present when
-    /// the component holds the snapshot (own or fetched).
+    /// the component holds the snapshot (own or fetched). A call emits at
+    /// most one.
     Stable {
         /// Snapshot sequence number.
         seq: SeqNr,
@@ -226,29 +227,29 @@ impl CheckpointComponent {
     }
 
     /// Fig 13 `gen_cp`: snapshot taken at `seq`; announce its hash.
-    pub fn generate(&mut self, seq: SeqNr, state: Snapshot, out: &mut Vec<CpAction>) {
+    pub fn generate(&mut self, seq: SeqNr, state: Snapshot, out: &mut dyn Sink<CpAction>) {
         let hash = state.hash();
-        out.push(CpAction::Charge(self.cost.hmac(state.len()) + self.cost.rsa_sign(), "cp_sign"));
+        out.emit(CpAction::Charge(self.cost.hmac(state.len()) + self.cost.rsa_sign(), "cp_sign"));
         self.snapshots.insert(seq.0, (hash, state));
         let sig = self.keyring.sign(self.my_key, &cp_digest(self.group, seq, &hash));
         let msg = CheckpointMsg::Announce { seq, state_hash: hash, sig };
         self.votes.entry(seq.0).or_default().insert(self.me, (hash, sig));
-        out.push(CpAction::ToGroup(msg));
+        out.emit(CpAction::ToGroup(msg));
         self.check_stable(seq, out);
     }
 
     /// Fig 13 `fetch_cp`: ask peers for a stable checkpoint at or after
     /// `seq`. The host decides which peers receive the emitted request.
-    pub fn fetch(&mut self, seq: SeqNr, out: &mut Vec<CpAction>) {
-        out.push(CpAction::Charge(self.cost.hmac(32), "cp_mac"));
-        out.push(CpAction::ToGroup(CheckpointMsg::FetchRequest { seq }));
+    pub fn fetch(&mut self, seq: SeqNr, out: &mut dyn Sink<CpAction>) {
+        out.emit(CpAction::Charge(self.cost.hmac(32), "cp_mac"));
+        out.emit(CpAction::ToGroup(CheckpointMsg::FetchRequest { seq }));
     }
 
     /// Periodic gossip (§A.4.3: correct replicas continuously inform each
     /// other about their latest stable checkpoint): re-broadcasts this
     /// replica's announce vote for the latest stable sequence number so
     /// that a partition-healed laggard learns it fell behind.
-    pub fn gossip(&mut self, out: &mut Vec<CpAction>) {
+    pub fn gossip(&mut self, out: &mut dyn Sink<CpAction>) {
         let Some((seq, _, _)) = &self.stable else {
             return;
         };
@@ -256,7 +257,7 @@ impl CheckpointComponent {
         else {
             return;
         };
-        out.push(CpAction::ToGroup(CheckpointMsg::Announce { seq: *seq, state_hash: hash, sig }));
+        out.emit(CpAction::ToGroup(CheckpointMsg::Announce { seq: *seq, state_hash: hash, sig }));
     }
 
     /// Handles an `Announce` from member `from` of the own group.
@@ -266,12 +267,12 @@ impl CheckpointComponent {
         seq: SeqNr,
         state_hash: Digest,
         sig: Signature,
-        out: &mut Vec<CpAction>,
+        out: &mut dyn Sink<CpAction>,
     ) {
         let Some(&key) = self.member_keys.get(from).filter(|_| from != self.me) else {
             return;
         };
-        out.push(CpAction::Charge(self.cost.rsa_verify(), "cp_verify"));
+        out.emit(CpAction::Charge(self.cost.rsa_verify(), "cp_verify"));
         let digest = cp_digest(self.group, seq, &state_hash);
         if !self.keyring.verify(key, &digest, &sig) {
             return;
@@ -287,7 +288,7 @@ impl CheckpointComponent {
                     .map(|(k, v)| (*k, *v))
                 {
                     debug_assert_eq!(h, *hash);
-                    out.push(CpAction::ToPeer {
+                    out.emit(CpAction::ToPeer {
                         group: self.group,
                         idx: from,
                         msg: CheckpointMsg::Announce { seq: *stable_seq, state_hash: h, sig: s },
@@ -300,7 +301,7 @@ impl CheckpointComponent {
         self.check_stable(seq, out);
     }
 
-    fn check_stable(&mut self, seq: SeqNr, out: &mut Vec<CpAction>) {
+    fn check_stable(&mut self, seq: SeqNr, out: &mut dyn Sink<CpAction>) {
         let Some(votes) = self.votes.get(&seq.0) else {
             return;
         };
@@ -319,7 +320,7 @@ impl CheckpointComponent {
         self.deliver_stable(out);
     }
 
-    fn deliver_stable(&mut self, out: &mut Vec<CpAction>) {
+    fn deliver_stable(&mut self, out: &mut dyn Sink<CpAction>) {
         let Some((seq, hash, _)) = self.stable.clone() else {
             return;
         };
@@ -336,12 +337,12 @@ impl CheckpointComponent {
                 // Keep only the snapshot backing the stable checkpoint.
                 self.snapshots.retain(|&s, _| s >= seq.0);
                 self.votes.retain(|&s, _| s >= seq.0);
-                out.push(CpAction::Stable { seq, state: Some(state) });
+                out.emit(CpAction::Stable { seq, state: Some(state) });
             }
             None => {
                 if seq.0 > self.notified {
                     self.notified = seq.0;
-                    out.push(CpAction::Stable { seq, state: None });
+                    out.emit(CpAction::Stable { seq, state: None });
                 }
             }
         }
@@ -354,7 +355,7 @@ impl CheckpointComponent {
         from_group: GroupId,
         from_idx: usize,
         seq: SeqNr,
-        out: &mut Vec<CpAction>,
+        out: &mut dyn Sink<CpAction>,
     ) {
         let Some((stable_seq, hash, cert)) = self.stable.clone() else {
             return;
@@ -365,8 +366,8 @@ impl CheckpointComponent {
         let Some((_, state)) = self.snapshots.get(&stable_seq.0).filter(|(h, _)| *h == hash) else {
             return; // Stable but we never held the bytes ourselves.
         };
-        out.push(CpAction::Charge(self.cost.hmac(state.len()), "cp_hash"));
-        out.push(CpAction::ToPeer {
+        out.emit(CpAction::Charge(self.cost.hmac(state.len()), "cp_hash"));
+        out.emit(CpAction::ToPeer {
             group: from_group,
             idx: from_idx,
             msg: CheckpointMsg::FetchResponse {
@@ -390,9 +391,9 @@ impl CheckpointComponent {
         state_hash: Digest,
         cert: Vec<Signature>,
         state: Snapshot,
-        out: &mut Vec<CpAction>,
+        out: &mut dyn Sink<CpAction>,
     ) {
-        out.push(CpAction::Charge(
+        out.emit(CpAction::Charge(
             self.cost.hmac(state.len()) + self.cost.rsa_verify() * cert.len() as u64,
             "cp_verify",
         ));
@@ -429,7 +430,7 @@ impl CheckpointComponent {
         self.delivered = seq.0;
         self.snapshots.retain(|&s, _| s >= seq.0);
         self.votes.retain(|&s, _| s >= seq.0);
-        out.push(CpAction::Stable { seq, state: Some(state) });
+        out.emit(CpAction::Stable { seq, state: Some(state) });
     }
 }
 

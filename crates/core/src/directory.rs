@@ -38,8 +38,17 @@ struct Group {
 struct Inner {
     agreement: Arc<[NodeId]>,
     groups: BTreeMap<GroupId, Group>,
+    /// The ids of the active `groups`, in id order; rebuilt whenever a
+    /// group is registered, activated or deactivated.
+    active: Arc<[GroupId]>,
     clients: BTreeMap<spider_types::ClientId, NodeId>,
     client_groups: BTreeMap<spider_types::ClientId, GroupId>,
+}
+
+impl Inner {
+    fn list_active(&mut self) {
+        self.active = self.groups.iter().filter(|(_, g)| g.active).map(|(id, _)| *id).collect();
+    }
 }
 
 /// Shared, cheaply cloneable handle to the system directory.
@@ -68,21 +77,27 @@ impl Directory {
     /// `AddGroup` command is ordered, unless `active` is set).
     pub fn register_group(&self, group: GroupId, info: GroupInfo) {
         let GroupInfo { replicas, active } = info;
-        self.inner.write().groups.insert(group, Group { replicas: replicas.into(), active });
+        let mut inner = self.inner.write();
+        inner.groups.insert(group, Group { replicas: replicas.into(), active });
+        inner.list_active();
     }
 
     /// Marks a group active (called by agreement replicas when `AddGroup`
     /// commits).
     pub fn activate_group(&self, group: GroupId) {
-        if let Some(g) = self.inner.write().groups.get_mut(&group) {
-            g.active = true;
-        }
+        self.set_active(group, true);
     }
 
     /// Marks a group inactive (`RemoveGroup` committed).
     pub fn deactivate_group(&self, group: GroupId) {
-        if let Some(g) = self.inner.write().groups.get_mut(&group) {
-            g.active = false;
+        self.set_active(group, false);
+    }
+
+    fn set_active(&self, group: GroupId, active: bool) {
+        let mut inner = self.inner.write();
+        if let Some(g) = inner.groups.get_mut(&group) {
+            g.active = active;
+            inner.list_active();
         }
     }
 
@@ -108,14 +123,9 @@ impl Directory {
         self.inner.read().groups.get(&group).is_some_and(|g| g.active)
     }
 
-    /// All currently active groups, in id order.
-    pub fn active_groups(&self) -> Vec<GroupId> {
-        self.inner.read().groups.iter().filter(|(_, g)| g.active).map(|(id, _)| *id).collect()
-    }
-
-    /// All registered groups (active or not), in id order.
-    pub fn all_groups(&self) -> Vec<GroupId> {
-        self.inner.read().groups.keys().copied().collect()
+    /// All currently active groups, in id order; shared, not copied.
+    pub fn active_groups(&self) -> Arc<[GroupId]> {
+        self.inner.read().active.clone()
     }
 
     /// Registers a client's transport address.
@@ -154,7 +164,7 @@ mod tests {
         assert!(d.active_groups().is_empty());
         d.activate_group(GroupId(3));
         assert!(d.is_active(GroupId(3)));
-        assert_eq!(d.active_groups(), vec![GroupId(3)]);
+        assert_eq!(*d.active_groups(), [GroupId(3)]);
         d.deactivate_group(GroupId(3));
         assert!(!d.is_active(GroupId(3)));
     }
@@ -187,9 +197,12 @@ mod tests {
     #[test]
     fn groups_listed_in_id_order() {
         let d = Directory::new();
-        for id in [5u16, 1, 3] {
-            d.register_group(GroupId(id), GroupInfo { replicas: vec![], active: true });
+        for id in [5u16, 1, 3, 4] {
+            d.register_group(GroupId(id), GroupInfo { replicas: vec![], active: id != 4 });
         }
-        assert_eq!(d.all_groups(), vec![GroupId(1), GroupId(3), GroupId(5)]);
+        assert_eq!(*d.active_groups(), [GroupId(1), GroupId(3), GroupId(5)]);
+        d.activate_group(GroupId(4));
+        d.deactivate_group(GroupId(1));
+        assert_eq!(*d.active_groups(), [GroupId(3), GroupId(4), GroupId(5)]);
     }
 }

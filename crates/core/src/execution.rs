@@ -21,7 +21,7 @@ use spider_irmc::{
     Action, ReceiveResult, ReceiverEndpoint, SendStatus, SenderEndpoint, Variant, TICK_INTERVAL,
 };
 use spider_sim::{req_id, Actor, Context, Timer, PHASE_DELIVER, PHASE_EXEC};
-use spider_types::{ClientId, GroupId, NodeId, OpKind, Position, SeqNr, SimTime, WireSize};
+use spider_types::{ClientId, GroupId, NodeId, OpKind, Position, SeqNr, SimTime, Sink, WireSize};
 use std::collections::BTreeMap;
 
 /// Timer tags used by execution replicas.
@@ -185,18 +185,13 @@ impl<A: Application> ExecutionReplica<A> {
             return;
         }
         self.forwarded.insert(c, req.tc);
-        let sc = c.0 as u64;
-        let pos = Position(req.tc);
-        let mut actions = Vec::new();
-        self.req_sender.move_window(sc, pos, &mut actions);
-        let status = self.req_sender.send_batch(
-            sc,
-            pos,
-            vec![OrderedRequest { request: req, origin: self.group }.into()],
-            &mut actions,
-        );
-        debug_assert!(status != SendStatus::TooOld(Position(0)));
-        self.apply_request_channel_actions(ctx, actions);
+        let (sc, pos, origin) = (c.0 as u64, Position(req.tc), self.group);
+        self.request_channel(ctx, |ep, out| {
+            ep.move_window(sc, pos, out);
+            let ordered = OrderedRequest { request: req, origin }.into();
+            let status = ep.send_batch(sc, pos, vec![ordered], out);
+            debug_assert!(status != SendStatus::TooOld(Position(0)));
+        });
     }
 
     fn reply_to(&self, ctx: &mut Context<'_, SpiderMsg>, c: ClientId, reply: Reply) {
@@ -277,10 +272,8 @@ impl<A: Application> ExecutionReplica<A> {
             }
         }
         if self.sn.is_multiple_of(self.cfg.ke) {
-            let snapshot = self.encode_snapshot();
-            let mut actions = Vec::new();
-            self.cp.generate(SeqNr(self.sn), snapshot, &mut actions);
-            self.apply_cp_actions(ctx, actions);
+            let (seq, snapshot) = (SeqNr(self.sn), self.encode_snapshot());
+            self.checkpoint(ctx, |cp, _, out| cp.generate(seq, snapshot, out));
         }
     }
 
@@ -378,9 +371,7 @@ impl<A: Application> ExecutionReplica<A> {
             return;
         }
         self.fetching = Some(need);
-        let mut actions = Vec::new();
-        self.cp.fetch(need, &mut actions);
-        self.apply_cp_actions(ctx, actions);
+        self.checkpoint(ctx, |cp, _, out| cp.fetch(need, out));
         // Retry while we stay behind.
         ctx.arm(TAG_FETCH_RETRY, SimTime::from_millis(500));
     }
@@ -393,9 +384,7 @@ impl<A: Application> ExecutionReplica<A> {
     ) {
         // Allow garbage collection of the commit channel (Fig 16 L44)
         // regardless of whether we are ahead or behind.
-        let mut actions = Vec::new();
-        self.commit_recv.move_window(0, Position(seq.0 + 1), &mut actions);
-        self.apply_commit_channel_actions(ctx, actions);
+        self.commit_channel(ctx, |ep, out| ep.move_window(0, Position(seq.0 + 1), out));
         if seq.0 > self.sn {
             match state {
                 Some(snapshot) => {
@@ -421,24 +410,29 @@ impl<A: Application> ExecutionReplica<A> {
     }
 
     // ------------------------------------------------------------------
-    // Action plumbing
+    // Hosting the machines
     // ------------------------------------------------------------------
 
-    fn apply_request_channel_actions(
+    /// Runs `call` on the request-channel sender, carrying out what it
+    /// emits as it emits it.
+    fn request_channel(
         &mut self,
         ctx: &mut Context<'_, SpiderMsg>,
-        actions: Vec<Action<Hashed<OrderedRequest>>>,
+        call: impl FnOnce(
+            &mut SenderEndpoint<Hashed<OrderedRequest>>,
+            &mut dyn Sink<Action<Hashed<OrderedRequest>>>,
+        ),
     ) {
         let (peers, agreement) =
             (self.directory.group_replicas(self.group), self.directory.agreement());
         let wrap = |leg| SpiderMsg::RequestChannel { group: self.group, leg };
-        for a in actions {
+        call(&mut self.req_sender, &mut |a| {
             if let Some(Action::WindowMoved { .. } | Action::Unblocked { .. }) =
                 host::channel_io(ctx, "req-channel", &peers, &agreement, wrap, a)
             {
                 ctx.health_mark("req-channel", self.group.0 as u32);
             }
-        }
+        });
         if ctx.obs_enabled() {
             ctx.health_pending("req-channel", self.group.0 as u32, self.req_sender.unacked_slots());
         }
@@ -452,16 +446,22 @@ impl<A: Application> ExecutionReplica<A> {
         }
     }
 
-    fn apply_commit_channel_actions(
+    /// Runs `call` on the commit-channel receiver, carrying out what it
+    /// emits as it emits it; once it returns, what it made ready is applied.
+    fn commit_channel(
         &mut self,
         ctx: &mut Context<'_, SpiderMsg>,
-        actions: Vec<Action<Hashed<Execute>>>,
+        call: impl FnOnce(
+            &mut ReceiverEndpoint<Hashed<Execute>>,
+            &mut dyn Sink<Action<Hashed<Execute>>>,
+        ),
     ) {
         let agreement = self.directory.agreement();
         let wrap = |leg| SpiderMsg::CommitChannel { group: self.group, leg };
         let mut poll = false;
-        for a in actions {
-            match host::channel_io(ctx, "commit-channel", &agreement, &[], wrap, a) {
+        call(&mut self.commit_recv, &mut |a| {
+            let back = host::channel_io(ctx, "commit-channel", &agreement, &[], wrap, a);
+            match back {
                 Some(Action::Ready { .. } | Action::WindowMoved { .. }) => poll = true,
                 Some(Action::SetTimer { token, delay }) => {
                     debug_assert_eq!(token, 0, "single commit subchannel");
@@ -469,14 +469,20 @@ impl<A: Application> ExecutionReplica<A> {
                 }
                 _ => {}
             }
-        }
+        });
         if poll {
             self.drain_commits(ctx);
         }
     }
 
-    fn apply_cp_actions(&mut self, ctx: &mut Context<'_, SpiderMsg>, actions: Vec<CpAction>) {
-        for (seq, state) in host::checkpoint_io(ctx, &self.directory, &self.cp, actions) {
+    /// Runs `call` on the checkpoint component; a checkpoint it makes
+    /// stable is applied once its frames are out.
+    fn checkpoint(
+        &mut self,
+        ctx: &mut Context<'_, SpiderMsg>,
+        call: impl FnOnce(&mut CheckpointComponent, &Directory, &mut dyn Sink<CpAction>),
+    ) {
+        if let Some((seq, state)) = host::checkpoint_io(ctx, &self.directory, &mut self.cp, call) {
             self.on_stable_checkpoint(ctx, seq, state);
         }
     }
@@ -499,20 +505,19 @@ impl<A: Application> Actor<SpiderMsg> for ExecutionReplica<A> {
             SpiderMsg::RequestChannel { group, leg } if group == self.group => {
                 let (peers, agreement) =
                     (self.directory.group_replicas(group), self.directory.agreement());
-                let actions =
-                    host::sender_frame(&mut self.req_sender, &peers, &agreement, from, leg);
-                self.apply_request_channel_actions(ctx, actions);
+                self.request_channel(ctx, |ep, out| {
+                    host::sender_frame(ep, &peers, &agreement, from, leg, out)
+                });
             }
             SpiderMsg::CommitChannel { group, leg } if group == self.group => {
                 let agreement = self.directory.agreement();
-                let actions = host::receiver_frame(&mut self.commit_recv, &agreement, from, leg);
-                self.apply_commit_channel_actions(ctx, actions);
+                self.commit_channel(ctx, |ep, out| {
+                    host::receiver_frame(ep, &agreement, from, leg, out)
+                });
             }
-            SpiderMsg::Checkpoint { group, msg, state } => {
-                let actions =
-                    host::checkpoint_frame(&mut self.cp, &self.directory, from, group, msg, state);
-                self.apply_cp_actions(ctx, actions);
-            }
+            SpiderMsg::Checkpoint { group, msg, state } => self.checkpoint(ctx, |cp, dir, out| {
+                host::checkpoint_frame(cp, dir, from, group, msg, state, out)
+            }),
             // Another group's channels.
             SpiderMsg::RequestChannel { .. }
             | SpiderMsg::CommitChannel { .. }
@@ -525,20 +530,18 @@ impl<A: Application> Actor<SpiderMsg> for ExecutionReplica<A> {
     fn on_timer(&mut self, ctx: &mut Context<'_, SpiderMsg>, timer: Timer) {
         match timer.tag {
             TAG_SC_TICK => {
-                let mut actions = Vec::new();
-                self.req_sender.tick(&mut actions);
-                self.apply_request_channel_actions(ctx, actions);
+                self.request_channel(ctx, |ep, out| ep.tick(out));
                 if self.req_sender.wants_tick() {
                     ctx.arm(TAG_SC_TICK, TICK_INTERVAL);
                 }
             }
             TAG_COMMIT_COLLECTOR => {
-                let mut actions = Vec::new();
-                // A `CarrierTimeout` is informational: `actions` already
-                // carries the refetch traffic that works around the slow
-                // or faulty carrier.
-                let _ = self.commit_recv.on_timer(0, &mut actions);
-                self.apply_commit_channel_actions(ctx, actions);
+                // A `CarrierTimeout` is informational: the refetch traffic
+                // that works around the slow or faulty carrier is already
+                // out.
+                self.commit_channel(ctx, |ep, out| {
+                    let _ = ep.on_timer(0, out);
+                });
             }
             TAG_FETCH_RETRY => {
                 if let Some(need) = self.fetching {
@@ -547,9 +550,7 @@ impl<A: Application> Actor<SpiderMsg> for ExecutionReplica<A> {
                 }
             }
             TAG_CP_GOSSIP => {
-                let mut actions = Vec::new();
-                self.cp.gossip(&mut actions);
-                self.apply_cp_actions(ctx, actions);
+                self.checkpoint(ctx, |cp, _, out| cp.gossip(out));
                 ctx.arm(TAG_CP_GOSSIP, CP_GOSSIP_INTERVAL);
             }
             _ => {}

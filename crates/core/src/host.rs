@@ -1,15 +1,17 @@
 //! Hosting a sans-IO machine on a simulated node.
 //!
-//! PBFT, the IRMC endpoints and the checkpoint component append entries to
-//! a list: frames for a replica *index*, CPU charges, timer requests, and
-//! the events their host reacts to. How the I/O entries become simulator
-//! calls is decided here once, for every actor of the workspace: one
-//! function per machine, total over its I/O entries, that hands every
-//! other entry back. A host walks the list in emission order, so its
-//! reactions interleave with the sends and charges as the machine
-//! sequenced them (a message departs at the CPU time charged before it).
-//! Timers are the simulator's tag-keyed [`Context::arm`]; no host keeps a
-//! timer table.
+//! PBFT, the IRMC endpoints and the checkpoint component emit entries into
+//! a [`Sink`]: frames for a replica *index*, CPU charges, timer requests,
+//! and the events their host reacts to. How the I/O entries become
+//! simulator calls is decided here once, for every actor of the workspace:
+//! one function per machine, total over its I/O entries, that hands every
+//! other entry back. A host's sink is a closure that runs that function on
+//! each entry as the machine emits it and reacts to what comes back on the
+//! spot, so sends, charges and reactions keep the machine's order (a
+//! message departs at the CPU time charged before it) and no list of
+//! entries is built. A reaction that needs the machine itself — to call it
+//! again, say — waits until the call returns. Timers are the simulator's
+//! tag-keyed [`Context::arm`]; no host keeps a timer table.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
@@ -21,7 +23,7 @@ use crate::messages::{ChannelLeg, CheckpointMsg, SpiderMsg, StateBlob};
 use spider_consensus::{Input, Msg, Output, TimerToken};
 use spider_irmc::{Action, Content, ReceiverEndpoint, SenderEndpoint};
 use spider_sim::Context;
-use spider_types::{GroupId, NodeId, SeqNr, WireSize};
+use spider_types::{GroupId, NodeId, SeqNr, Sink, WireSize};
 
 /// Consensus timer tokens are armed under `TAG_PBFT_BASE + token`; hosts
 /// keep their own tags below it.
@@ -92,24 +94,23 @@ pub fn channel_io<M: WireSize, C: Content>(
 }
 
 /// Feeds the sender-side endpoint `ep` a frame of its channel that `from`
-/// sent, and returns the actions for [`channel_io`]: a peer frame counts
-/// from a member of `senders`, a receiver's from a member of `receivers`.
+/// sent; the endpoint emits into `out`. A peer frame counts from a member
+/// of `senders`, a receiver's from a member of `receivers`.
 pub fn sender_frame<C: Content>(
     ep: &mut SenderEndpoint<C>,
     senders: &[NodeId],
     receivers: &[NodeId],
     from: NodeId,
     leg: ChannelLeg<C>,
-) -> Vec<Action<C>> {
+    out: &mut dyn Sink<Action<C>>,
+) {
     let index = |group: &[NodeId]| group.iter().position(|n| *n == from);
-    let mut out = Vec::new();
     // What an endpoint rejects it has charged for; there is nothing to add.
     let _ = match leg {
-        ChannelLeg::Peer(m) => index(senders).map(|i| ep.on_peer_message(i, m, &mut out)),
-        ChannelLeg::ToSender(m) => index(receivers).map(|i| ep.on_receiver_message(i, m, &mut out)),
+        ChannelLeg::Peer(m) => index(senders).map(|i| ep.on_peer_message(i, m, out)),
+        ChannelLeg::ToSender(m) => index(receivers).map(|i| ep.on_receiver_message(i, m, out)),
         ChannelLeg::ToReceiver(_) => None,
     };
-    out
 }
 
 /// Like [`sender_frame`] for the receiver-side endpoint, which takes
@@ -119,72 +120,68 @@ pub fn receiver_frame<C: Content>(
     senders: &[NodeId],
     from: NodeId,
     leg: ChannelLeg<C>,
-) -> Vec<Action<C>> {
-    let mut out = Vec::new();
+    out: &mut dyn Sink<Action<C>>,
+) {
     if let (ChannelLeg::ToReceiver(m), Some(i)) = (leg, senders.iter().position(|n| *n == from)) {
-        let _ = ep.on_sender_message(i, m, &mut out);
+        let _ = ep.on_sender_message(i, m, out);
     }
-    out
 }
 
-/// Carries out the actions of the checkpoint component `cp`, the
-/// agreement group being one more group of the directory: `ToGroup` goes
-/// to the other members of the component's group — an execution group's
-/// fetch request also to every replica of the other active groups (§3.5:
-/// a freshly added or skipped group needs foreign state) — `ToPeer` to
-/// the member it names, CPU to `checkpoint`. The `Stable` notifications
-/// come back, for the host to act on once the frames are out.
+/// Runs `call` on the checkpoint component `cp` — the agreement group
+/// being one more group of the directory — and carries out what it emits
+/// as it emits it: `ToGroup` goes to the other members of the component's
+/// group — an execution group's fetch request also to every replica of
+/// the other active groups (§3.5: a freshly added or skipped group needs
+/// foreign state) — `ToPeer` to the member it names, CPU to `checkpoint`.
+/// The checkpoint the call made stable (a call makes at most one) comes
+/// back, for the host to act on once the frames are out.
 pub fn checkpoint_io(
     ctx: &mut Context<'_, SpiderMsg>,
     directory: &Directory,
-    cp: &CheckpointComponent,
-    actions: Vec<CpAction>,
-) -> Vec<(SeqNr, Option<Snapshot>)> {
+    cp: &mut CheckpointComponent,
+    call: impl FnOnce(&mut CheckpointComponent, &Directory, &mut dyn Sink<CpAction>),
+) -> Option<(SeqNr, Option<Snapshot>)> {
     let (group, me, _) = cp.seat();
     let frame = |ctx: &mut Context<'_, SpiderMsg>, node: NodeId, msg, state| {
         ctx.send(node, SpiderMsg::Checkpoint { group, msg, state });
     };
-    let mut stable = Vec::new();
-    for action in actions {
-        match action {
-            CpAction::ToGroup(msg) => {
-                for (i, &node) in directory.group_replicas(group).iter().enumerate() {
-                    if i != me {
+    let mut stable = None;
+    call(cp, directory, &mut |action| match action {
+        CpAction::ToGroup(msg) => {
+            for (i, &node) in directory.group_replicas(group).iter().enumerate() {
+                if i != me {
+                    frame(ctx, node, msg.clone(), None);
+                }
+            }
+            if group != AGREEMENT_GROUP && matches!(msg, CheckpointMsg::FetchRequest { .. }) {
+                for &other in directory.active_groups().iter().filter(|g| **g != group) {
+                    for &node in directory.group_replicas(other).iter() {
                         frame(ctx, node, msg.clone(), None);
                     }
                 }
-                if group != AGREEMENT_GROUP && matches!(msg, CheckpointMsg::FetchRequest { .. }) {
-                    for other in directory.active_groups().into_iter().filter(|g| *g != group) {
-                        for &node in directory.group_replicas(other).iter() {
-                            frame(ctx, node, msg.clone(), None);
-                        }
-                    }
-                }
             }
-            CpAction::ToPeer { group: target, idx, msg, state } => {
-                if let Some(&node) = directory.group_replicas(target).get(idx) {
-                    let seq = match msg {
-                        CheckpointMsg::FetchResponse { seq, .. } => seq,
-                        CheckpointMsg::Announce { .. } | CheckpointMsg::FetchRequest { .. } => {
-                            SeqNr(0)
-                        }
-                    };
-                    frame(ctx, node, msg, state.map(|snapshot| StateBlob { seq, snapshot }));
-                }
-            }
-            CpAction::Stable { seq, state } => stable.push((seq, state)),
-            CpAction::Charge(cost, op) => ctx.charge_op("checkpoint", op, cost),
         }
-    }
+        CpAction::ToPeer { group: target, idx, msg, state } => {
+            if let Some(&node) = directory.group_replicas(target).get(idx) {
+                let seq = match msg {
+                    CheckpointMsg::FetchResponse { seq, .. } => seq,
+                    CheckpointMsg::Announce { .. } | CheckpointMsg::FetchRequest { .. } => SeqNr(0),
+                };
+                frame(ctx, node, msg, state.map(|snapshot| StateBlob { seq, snapshot }));
+            }
+        }
+        CpAction::Stable { seq, state } => stable = Some((seq, state)),
+        CpAction::Charge(cost, op) => ctx.charge_op("checkpoint", op, cost),
+    });
     stable
 }
 
 /// Feeds `cp` a checkpoint frame that `from` sent as a member of
-/// `sender_group`, and returns the actions for [`checkpoint_io`]. It must
-/// be such a member; agreement and execution checkpoints never mix;
-/// announcements count from the own group only, while fetches cross
-/// execution groups (§3.5, all of one size) and a response is checked
-/// against the keys of the group that provided it.
+/// `sender_group`; the component emits into `out`. It must be such a
+/// member; agreement and execution checkpoints never mix; announcements
+/// count from the own group only, while fetches cross execution groups
+/// (§3.5, all of one size) and a response is checked against the keys of
+/// the group that provided it.
 pub fn checkpoint_frame(
     cp: &mut CheckpointComponent,
     directory: &Directory,
@@ -192,23 +189,21 @@ pub fn checkpoint_frame(
     sender_group: GroupId,
     msg: CheckpointMsg,
     state: Option<StateBlob>,
-) -> Vec<CpAction> {
+    out: &mut dyn Sink<CpAction>,
+) {
     let (group, _, size) = cp.seat();
-    let mut out = Vec::new();
     if (sender_group == AGREEMENT_GROUP) != (group == AGREEMENT_GROUP) {
-        return out;
+        return;
     }
     let Some(idx) = directory.replica_index(sender_group, from) else {
-        return out;
+        return;
     };
     match msg {
         CheckpointMsg::Announce { seq, state_hash, sig } if sender_group == group => {
-            cp.on_announce(idx, seq, state_hash, sig, &mut out);
+            cp.on_announce(idx, seq, state_hash, sig, out);
         }
         CheckpointMsg::Announce { .. } => {}
-        CheckpointMsg::FetchRequest { seq } => {
-            cp.on_fetch_request(sender_group, idx, seq, &mut out)
-        }
+        CheckpointMsg::FetchRequest { seq } => cp.on_fetch_request(sender_group, idx, seq, out),
         CheckpointMsg::FetchResponse { seq, state_hash, cert, .. } => {
             if let Some(blob) = state {
                 let provider_keys = keys::group_keys(sender_group, size);
@@ -219,12 +214,11 @@ pub fn checkpoint_frame(
                     state_hash,
                     cert,
                     blob.snapshot,
-                    &mut out,
+                    out,
                 );
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -244,8 +238,8 @@ mod tests {
     type Transcript = Rc<RefCell<Vec<String>>>;
 
     /// A node that logs every frame reaching it.
-    struct Sink(Transcript);
-    impl<M: Debug> Actor<M> for Sink {
+    struct Logger(Transcript);
+    impl<M: Debug> Actor<M> for Logger {
         fn on_message(&mut self, ctx: &mut Context<'_, M>, from: NodeId, msg: M) {
             self.0.borrow_mut().push(format!("n{} -> n{}: {msg:?}", from.0, ctx.node_id().0));
         }
@@ -280,7 +274,7 @@ mod tests {
         let zone = sim.topology().zone("r", 0);
         let log = Transcript::default();
         for _ in 0..sinks {
-            sim.add_node(zone, Sink(log.clone()));
+            sim.add_node(zone, Logger(log.clone()));
         }
         let probe = sim.add_node(zone, Probe(Some(Box::new(script)), log.clone()));
         sim.run_until_quiescent(SimTime::from_secs(1));
@@ -296,6 +290,13 @@ mod tests {
 
     fn nodes(ids: impl IntoIterator<Item = u32>) -> Vec<NodeId> {
         ids.into_iter().map(NodeId).collect()
+    }
+
+    /// A machine that emits the scripted entries.
+    fn emit_all<T>(entries: Vec<T>, out: &mut dyn Sink<T>) {
+        for entry in entries {
+            out.emit(entry);
+        }
     }
 
     #[test]
@@ -316,11 +317,12 @@ mod tests {
             Output::Skipped { to: SeqNr(4) },
         ];
         let (log, cpu) = run(2, move |ctx: &mut Context<'_, M>, log| {
-            for output in outputs {
-                if let Some(back) = pbft_io(ctx, &nodes(0..2), |m| m, output) {
+            let peers = nodes(0..2);
+            emit_all(outputs, &mut |output| {
+                if let Some(back) = pbft_io(ctx, &peers, |m| m, output) {
                     log.borrow_mut().push(format!("back {back:?}"));
                 }
-            }
+            });
         });
         let fired = 100 + 4;
         assert_eq!(
@@ -390,14 +392,14 @@ mod tests {
         ];
         // Senders are nodes 0 and 1, receivers nodes 2 and 3.
         let (log, cpu) = run(4, move |ctx: &mut Context<'_, M>, log| {
-            for action in actions {
-                let (senders, receivers) = (nodes(0..2), nodes(2..4));
+            let (senders, receivers) = (nodes(0..2), nodes(2..4));
+            emit_all(actions, &mut |action| {
                 if let Some(back) =
                     channel_io(ctx, "bench", &senders, &receivers, |leg| leg, action)
                 {
                     log.borrow_mut().push(format!("back {back:?}"));
                 }
-            }
+            });
         });
         let mut expected: Vec<String> = rest.iter().map(|a| format!("back {a:?}")).collect();
         expected.extend([
@@ -407,6 +409,44 @@ mod tests {
         ]);
         assert_eq!(log, expected);
         assert_eq!(cpu, ["bench;range_sign 2us", "bench;window_mac 3us"]);
+    }
+
+    /// A host reacts to a handed-back entry at the point the machine
+    /// emitted it: a frame the reaction sends departs after the CPU charged
+    /// before the entry and before the CPU charged after it, so it reaches
+    /// the receiver between the frames emitted on either side of it. Had
+    /// the host reacted once the call returned, it would arrive last.
+    #[test]
+    fn a_reaction_takes_the_place_of_its_entry_between_two_charges() {
+        type M = ChannelLeg<Slot>;
+        let vouch = |first| ChannelMsg::Vouch::<Slot> {
+            sc: 0,
+            first: Position(first),
+            count: 1,
+            root: Digest::ZERO,
+        };
+        let ms = SimTime::from_millis;
+        let actions = vec![
+            Action::Charge(ms(1), "first"),
+            Action::ToReceiver { to: 0, msg: vouch(1) },
+            Action::WindowMoved { sc: 0, start: Position(2) },
+            Action::Charge(ms(2), "second"),
+            Action::ToReceiver { to: 0, msg: vouch(3) },
+        ];
+        // The receiver is node 0, the probe node 1.
+        let (log, cpu) = run(1, move |ctx: &mut Context<'_, M>, _| {
+            let receivers = nodes(0..1);
+            emit_all(actions, &mut |action| {
+                if let Some(Action::WindowMoved { .. }) =
+                    channel_io(ctx, "bench", &[], &receivers, |leg| leg, action)
+                {
+                    ctx.send(NodeId(0), M::ToReceiver(vouch(2)));
+                }
+            });
+        });
+        let arrived = |first| format!("n1 -> n0: {:?}", M::ToReceiver(vouch(first)));
+        assert_eq!(log, [arrived(1), arrived(2), arrived(3)]);
+        assert_eq!(cpu, ["bench;first 1.000ms", "bench;second 2.000ms"]);
     }
 
     /// Agreement on nodes 0–1, execution groups 0 (nodes 2–4), 1 (nodes
@@ -444,12 +484,15 @@ mod tests {
                     CpAction::ToPeer { group: target, idx: 1, msg: fetch(), state: None },
                     CpAction::ToPeer { group: GroupId(999), idx: 0, msg: fetch(), state: None },
                 ];
-                let stable = checkpoint_io(ctx, &directory(), &component(group, 1), actions);
+                let mut cp = component(group, 1);
+                let stable = checkpoint_io(ctx, &directory(), &mut cp, |_, _, out| {
+                    emit_all(actions, out);
+                });
                 log.borrow_mut().push(format!("back {stable:?}"));
             }
         };
         let (log, cpu) = run(11, script(GroupId(0), GroupId(1)));
-        assert_eq!(log[0], "back [(SeqNr(8), None)]");
+        assert_eq!(log[0], "back Some((SeqNr(8), None))");
         // The group's other members, then every replica of the other
         // active group (§3.5), then the named peer: replica 1 of group 1.
         let to: Vec<&str> = log[1..].iter().map(|l| &l[..l.find(':').expect("a frame")]).collect();
@@ -487,7 +530,9 @@ mod tests {
             })
             .collect();
         let mut frame = |from: u32, group, msg, state| {
-            checkpoint_frame(&mut cp, &directory, NodeId(from), group, msg, state)
+            let mut out = Vec::new();
+            checkpoint_frame(&mut cp, &directory, NodeId(from), group, msg, state, &mut out);
+            out
         };
 
         assert!(

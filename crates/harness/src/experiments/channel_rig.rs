@@ -17,7 +17,8 @@ use spider_irmc::{
     Action, ChannelMode, IrmcConfig, ReceiveResult, ReceiverEndpoint, SenderEndpoint, TICK_INTERVAL,
 };
 use spider_sim::{Actor, Context, NodeId, ObsConfig, ObsReport, Simulation, Timer};
-use spider_types::{Position, SimTime, WireSize};
+use spider_types::{Position, SimTime, Sink, WireSize};
+use std::sync::Arc;
 
 const N_SENDERS: usize = 4;
 const N_RECEIVERS: usize = 3;
@@ -145,8 +146,8 @@ struct SenderHost {
     feed: Feed,
     msg_size: usize,
     next_pos: u64,
-    receivers: Vec<NodeId>,
-    peers: Vec<NodeId>,
+    receivers: Arc<[NodeId]>,
+    peers: Arc<[NodeId]>,
     /// Paced feed: stop submitting after this time (drain tail cleanly).
     stop_at: SimTime,
     /// Paced feed: actual submission time per range (first position, at).
@@ -158,7 +159,7 @@ impl SenderHost {
     /// span per sampled slot; all senders submit every position, so the
     /// recorder keeps the earliest enter as the request's start (later
     /// enters fold into the same open span).
-    fn submit(&mut self, ctx: &mut Context<'_, M>, first: u64, actions: &mut Vec<Action<Blob>>) {
+    fn submit(&mut self, ctx: &mut Context<'_, M>, first: u64) {
         let end = first + self.feed.range() as u64;
         self.next_pos = end;
         let msgs: Vec<Blob> = (first..end).map(|pos| Blob { pos, size: self.msg_size }).collect();
@@ -167,20 +168,18 @@ impl SenderHost {
                 ctx.open_request(b.pos);
             }
         }
-        self.ep.send_batch(0, Position(first), msgs, actions);
+        self.channel(ctx, |ep, out| {
+            ep.send_batch(0, Position(first), msgs, out);
+        });
     }
 
     /// Submits the next range if all of it fits the window; otherwise
     /// the feed resumes on `WindowMoved`.
-    fn submit_if_fits(
-        &mut self,
-        ctx: &mut Context<'_, M>,
-        actions: &mut Vec<Action<Blob>>,
-    ) -> bool {
+    fn submit_if_fits(&mut self, ctx: &mut Context<'_, M>) -> bool {
         let w = self.ep.window(0);
         let fits = !w.is_above(Position(self.next_pos + self.feed.range() as u64 - 1));
         if fits {
-            self.submit(ctx, self.next_pos.max(w.start().0), actions);
+            self.submit(ctx, self.next_pos.max(w.start().0));
         }
         fits
     }
@@ -188,15 +187,10 @@ impl SenderHost {
     /// Runs the flood feeds (on start, on the pump timer, and whenever
     /// the window moved); the paced feed is driven by its own timer.
     fn flood(&mut self, ctx: &mut Context<'_, M>) {
-        let mut actions = Vec::new();
         match self.feed {
-            Feed::FillWindow => {
-                while self.submit_if_fits(ctx, &mut actions) {}
-                self.apply(ctx, actions);
-            }
+            Feed::FillWindow => while self.submit_if_fits(ctx) {},
             Feed::Pump(_) => {
-                if self.submit_if_fits(ctx, &mut actions) {
-                    self.apply(ctx, actions);
+                if self.submit_if_fits(ctx) {
                     ctx.set_timer(SimTime::from_nanos(1), TAG_NEXT);
                 }
             }
@@ -205,16 +199,20 @@ impl SenderHost {
     }
 
     fn submit_paced(&mut self, ctx: &mut Context<'_, M>, interval: SimTime) {
-        let mut actions = Vec::new();
         self.submits.push((self.next_pos, ctx.now()));
-        self.submit(ctx, self.next_pos, &mut actions);
-        self.apply(ctx, actions);
+        self.submit(ctx, self.next_pos);
         ctx.set_timer(interval, TAG_SUBMIT);
     }
 
-    fn apply(&mut self, ctx: &mut Context<'_, M>, actions: Vec<Action<Blob>>) {
+    /// Runs `call` on the endpoint, carrying out what it emits as it emits
+    /// it; once it returns, a moved window is refilled.
+    fn channel(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        call: impl FnOnce(&mut SenderEndpoint<Blob>, &mut dyn Sink<Action<Blob>>),
+    ) {
         let mut moved = false;
-        for a in actions {
+        call(&mut self.ep, &mut |a| {
             if let Some(Action::WindowMoved { .. } | Action::Unblocked { .. }) =
                 channel_io(ctx, "sender", &self.peers, &self.receivers, |leg| leg, a)
             {
@@ -223,7 +221,7 @@ impl SenderHost {
                     ctx.health_mark("bench-commit", 0);
                 }
             }
-        }
+        });
         if ctx.obs_enabled() {
             ctx.health_pending("bench-commit", 0, self.ep.unacked_slots());
         }
@@ -243,8 +241,8 @@ impl Actor<M> for SenderHost {
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, M>, from: NodeId, msg: M) {
-        let actions = sender_frame(&mut self.ep, &self.peers, &self.receivers, from, msg);
-        self.apply(ctx, actions);
+        let (peers, receivers) = (self.peers.clone(), self.receivers.clone());
+        self.channel(ctx, |ep, out| sender_frame(ep, &peers, &receivers, from, msg, out));
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, M>, timer: Timer) {
@@ -255,9 +253,7 @@ impl Actor<M> for SenderHost {
             }
             (TAG_START | TAG_NEXT, _) => self.flood(ctx),
             (TAG_TICK, _) => {
-                let mut actions = Vec::new();
-                self.ep.tick(&mut actions);
-                self.apply(ctx, actions);
+                self.channel(ctx, |ep, out| ep.tick(out));
                 if self.ep.wants_tick() {
                     ctx.arm_if_idle(TAG_TICK, TICK_INTERVAL);
                 }
@@ -274,13 +270,14 @@ struct ReceiverHost {
     /// Paced feed: (position, delivery time) per delivered slot.
     deliveries: Vec<(u64, SimTime)>,
     record: bool,
-    senders: Vec<NodeId>,
+    senders: Arc<[NodeId]>,
     move_every: u64,
+    /// Positions a drain moves the window to (one buffer, reused).
+    moves: Vec<u64>,
 }
 
 impl ReceiverHost {
     fn drain(&mut self, ctx: &mut Context<'_, M>) {
-        let mut actions = Vec::new();
         let before = self.delivered;
         loop {
             match self.ep.try_receive(0, Position(self.next)) {
@@ -294,7 +291,7 @@ impl ReceiverHost {
                     }
                     self.next += 1;
                     if self.delivered.is_multiple_of(self.move_every) {
-                        self.ep.move_window(0, Position(self.next), &mut actions);
+                        self.moves.push(self.next);
                     }
                 }
                 ReceiveResult::TooOld(start) => {
@@ -308,34 +305,48 @@ impl ReceiverHost {
         if self.delivered > before && ctx.obs_enabled() {
             ctx.health_mark("bench-commit", 0);
         }
-        self.apply(ctx, actions);
+        // The window moves after the deliveries are recorded: moving it
+        // only drops slots below `next`, and its frames leave behind them.
+        let mut moves = std::mem::take(&mut self.moves);
+        self.channel(ctx, |ep, out| {
+            for p in moves.drain(..) {
+                ep.move_window(0, Position(p), out);
+            }
+        });
+        self.moves = moves;
     }
 
-    fn apply(&mut self, ctx: &mut Context<'_, M>, actions: Vec<Action<Blob>>) {
-        for a in actions {
+    /// Runs `call` on the endpoint, carrying out what it emits as it emits
+    /// it.
+    fn channel(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        call: impl FnOnce(&mut ReceiverEndpoint<Blob>, &mut dyn Sink<Action<Blob>>),
+    ) {
+        call(&mut self.ep, &mut |a| {
             if let Some(Action::SetTimer { token, delay }) =
                 channel_io(ctx, "receiver", &self.senders, &[], |leg| leg, a)
             {
                 ctx.set_timer(delay, TAG_COLLECTOR + token);
             }
-        }
+        });
     }
 }
 
 impl Actor<M> for ReceiverHost {
     fn on_message(&mut self, ctx: &mut Context<'_, M>, from: NodeId, msg: M) {
-        let actions = receiver_frame(&mut self.ep, &self.senders, from, msg);
-        self.apply(ctx, actions);
+        let senders = self.senders.clone();
+        self.channel(ctx, |ep, out| receiver_frame(ep, &senders, from, msg, out));
         self.drain(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, M>, timer: Timer) {
         if timer.tag >= TAG_COLLECTOR {
-            let mut actions = Vec::new();
             // A `CarrierTimeout` is informational: the refetch frames it
-            // triggered are already in `actions`.
-            let _ = self.ep.on_timer(timer.tag - TAG_COLLECTOR, &mut actions);
-            self.apply(ctx, actions);
+            // triggered are already out.
+            self.channel(ctx, |ep, out| {
+                let _ = ep.on_timer(timer.tag - TAG_COLLECTOR, out);
+            });
         }
     }
 }
@@ -358,8 +369,8 @@ impl Rig {
         };
 
         // Node ids are handed out in spawn order: senders first.
-        let sender_nodes: Vec<NodeId> = (0..N_SENDERS as u32).map(NodeId).collect();
-        let receiver_nodes: Vec<NodeId> =
+        let sender_nodes: Arc<[NodeId]> = (0..N_SENDERS as u32).map(NodeId).collect();
+        let receiver_nodes: Arc<[NodeId]> =
             (N_SENDERS as u32..(N_SENDERS + N_RECEIVERS) as u32).map(NodeId).collect();
         for (i, &expected_id) in sender_nodes.iter().enumerate() {
             let zone = sim.topology().zone("virginia", i as u8);
@@ -386,6 +397,7 @@ impl Rig {
                 record: pace.is_some(),
                 senders: sender_nodes.clone(),
                 move_every: self.move_every,
+                moves: Vec::new(),
             };
             let id = sim.add_node(zone, host);
             debug_assert_eq!(id, expected_id);

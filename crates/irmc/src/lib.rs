@@ -43,9 +43,10 @@
 //! frames, handlers and endpoint state carry it, priced and weighed as
 //! the paper's per-slot protocol (see [`ChannelMsg`]'s module docs).
 //!
-//! Endpoints are sans-IO state machines: methods append [`Action`]s
-//! (messages to peers, CPU charges, readiness events, timer requests) to a
-//! caller-provided buffer, and the host performs them. Delivered messages
+//! Endpoints are sans-IO state machines: methods emit [`Action`]s
+//! (messages to peers, CPU charges, readiness events, timer requests) into
+//! a caller-provided [`Sink`](spider_types::Sink), and the host performs
+//! them — from a `Vec` afterwards, or from a closure as they are emitted. Delivered messages
 //! come wrapped in a [`Delivery`] carrying provenance: which sender the
 //! delivery is attributed to ([`Delivery::carrier`]) and whether dedup was
 //! involved ([`DedupOutcome`]).
@@ -80,16 +81,15 @@
 //!
 //! // Every sender submits the same two-slot batch for subchannel 0.
 //! // Under dedup, one rotated carrier ships the signed content; the
-//! // other three send digest-only vouches.
+//! // other three send digest-only vouches. A closure sink hands each
+//! // frame for receiver 0 over as the sender emits it.
 //! let mut follow_up = Vec::new();
 //! for (i, s) in senders.iter_mut().enumerate() {
-//!     let mut actions = Vec::new();
-//!     s.send_batch(0, Position(1), vec![Op(42), Op(43)], &mut actions);
-//!     for a in actions {
+//!     s.send_batch(0, Position(1), vec![Op(42), Op(43)], &mut |a| {
 //!         if let Action::ToReceiver { to: 0, msg } = a {
 //!             let _ = receiver.on_sender_message(i, msg, &mut follow_up);
 //!         }
-//!     }
+//!     });
 //! }
 //! // fs + 1 = 2 matching statements (content + vouch) deliver the batch.
 //! let ReceiveResult::Ready(d) = receiver.try_receive(0, Position(1)) else {

@@ -18,7 +18,7 @@ use crate::messages::{range_digest, ChannelMsg, ReceiverMsg, Run, RunCost};
 use crate::window::Window;
 use crate::{Action, Content, IrmcError, Subchannel};
 use spider_crypto::{Digest, Keyring, RootCache, Signature};
-use spider_types::{Position, SimTime};
+use spider_types::{Position, SimTime, Sink};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// IRMC-SC: how long a receiver waits for a lagging collector before
@@ -316,17 +316,17 @@ impl<M: Content> ReceiverEndpoint<M> {
 
     /// Moves the subchannel window forward on behalf of the local replica
     /// (Fig 14 `move_window`, receiver side). Notifies all senders.
-    pub fn move_window(&mut self, sc: Subchannel, p: Position, out: &mut Vec<Action<M>>) {
+    pub fn move_window(&mut self, sc: Subchannel, p: Position, out: &mut dyn Sink<Action<M>>) {
         let sub = self.sub(sc);
         if !sub.awin.advance_to(p) {
             return;
         }
         sub.gc_below(p);
-        out.push(Action::Charge(self.cfg.cost.hmac(32), "window_mac"));
+        out.emit(Action::Charge(self.cfg.cost.hmac(32), "window_mac"));
         for s in 0..self.cfg.n_senders {
-            out.push(Action::ToSender { to: s, msg: ReceiverMsg::Move { sc, p } });
+            out.emit(Action::ToSender { to: s, msg: ReceiverMsg::Move { sc, p } });
         }
-        out.push(Action::WindowMoved { sc, start: p });
+        out.emit(Action::WindowMoved { sc, start: p });
     }
 
     /// Handles a message from sender endpoint `from`.
@@ -339,7 +339,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         &mut self,
         from: usize,
         msg: ChannelMsg<M>,
-        out: &mut Vec<Action<M>>,
+        out: &mut dyn Sink<Action<M>>,
     ) -> Result<(), IrmcError> {
         if from >= self.cfg.n_senders {
             return Err(IrmcError::UnknownEndpoint { index: from });
@@ -378,7 +378,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         first: Position,
         msgs: Run<M>,
         sig: Signature,
-        out: &mut Vec<Action<M>>,
+        out: &mut dyn Sink<Action<M>>,
     ) -> Result<(), IrmcError> {
         if self.cfg.variant() != Variant::ReceiverCollect {
             return Err(IrmcError::WrongVariant);
@@ -393,7 +393,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         };
         // Hash all payloads, rebuild the tree, verify ONE signature.
         let (price, label) = cost.verify(self.cfg.cost.rsa_verify());
-        out.push(Action::Charge(price, label));
+        out.emit(Action::Charge(price, label));
         let leaves = msgs.leaves();
         let rd = range_digest(sc, first, msgs.len() as u32, &msgs.root());
         if !self.keyring.verify(key, &rd, &sig) {
@@ -428,7 +428,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         first: Position,
         msgs: Run<M>,
         sig: Signature,
-        out: &mut Vec<Action<M>>,
+        out: &mut dyn Sink<Action<M>>,
     ) -> Result<(), IrmcError> {
         let Some(&key) = self.cfg.sender_keys.get(from) else {
             return Err(IrmcError::UnknownEndpoint { index: from });
@@ -444,7 +444,7 @@ impl<M: Content> ReceiverEndpoint<M> {
                 // window starts in case its view went stale during a
                 // partition (it only learns through `Move`s).
                 let start = sub.awin.start();
-                out.push(Action::Charge(self.cfg.cost.hmac(cost.bytes), "payload_hash"));
+                out.emit(Action::Charge(self.cfg.cost.hmac(cost.bytes), "payload_hash"));
                 self.reannounce_window(sc, start, from, out);
                 return Ok(());
             }
@@ -453,15 +453,15 @@ impl<M: Content> ReceiverEndpoint<M> {
             }
         }
         // Hash the payloads and rebuild the tree (once per range).
-        out.push(Action::Charge(cost.hash, "range_hash"));
+        out.emit(Action::Charge(cost.hash, "range_hash"));
         let leaves = msgs.leaves();
         let root = msgs.root();
         let rd = range_digest(sc, first, count as u32, &root);
         if self.root_cache.contains(&rd) {
             // Same signed statement as before: root comparison suffices.
-            out.push(Action::Charge(self.cfg.cost.vouch_verify(), "vouch_verify"));
+            out.emit(Action::Charge(self.cfg.cost.vouch_verify(), "vouch_verify"));
         } else {
-            out.push(Action::Charge(self.cfg.cost.rsa_verify(), "range_verify"));
+            out.emit(Action::Charge(self.cfg.cost.rsa_verify(), "range_verify"));
             if !self.keyring.verify(key, &rd, &sig) {
                 return Err(IrmcError::BadSignature { sc, p: first });
             }
@@ -501,13 +501,13 @@ impl<M: Content> ReceiverEndpoint<M> {
         first: Position,
         count: u32,
         root: Digest,
-        out: &mut Vec<Action<M>>,
+        out: &mut dyn Sink<Action<M>>,
     ) -> Result<(), IrmcError> {
         if !self.cfg.dedup() {
             return Err(IrmcError::WrongVariant);
         }
         self.cfg.check_count(sc, first, count as u64)?;
-        out.push(Action::Charge(self.cfg.cost.vouch_verify(), "vouch_verify"));
+        out.emit(Action::Charge(self.cfg.cost.vouch_verify(), "vouch_verify"));
         let sub = self.sub(sc);
         if first.0 + count as u64 <= sub.awin.start().0 {
             // Entirely below the window: late duplicate. Remind the
@@ -535,10 +535,10 @@ impl<M: Content> ReceiverEndpoint<M> {
         sc: Subchannel,
         start: Position,
         to: usize,
-        out: &mut Vec<Action<M>>,
+        out: &mut dyn Sink<Action<M>>,
     ) {
-        out.push(Action::Charge(self.cfg.cost.hmac(32), "window_mac"));
-        out.push(Action::ToSender { to, msg: ReceiverMsg::Move { sc, p: start } });
+        out.emit(Action::Charge(self.cfg.cost.hmac(32), "window_mac"));
+        out.emit(Action::ToSender { to, msg: ReceiverMsg::Move { sc, p: start } });
     }
 
     /// Every in-window slot of `[first, first + count)` already
@@ -585,7 +585,7 @@ impl<M: Content> ReceiverEndpoint<M> {
     /// Delivers range `first` once a vouch quorum AND a content copy
     /// hashing to the quorate root are both present (first arrival wins).
     /// A quorum without content arms the carrier-supervision timer.
-    fn try_deliver_dedup(&mut self, sc: Subchannel, first: u64, out: &mut Vec<Action<M>>) {
+    fn try_deliver_dedup(&mut self, sc: Subchannel, first: u64, out: &mut dyn Sink<Action<M>>) {
         let fs = self.cfg.fs;
         let Some(sub) = self.subs.get_mut(&sc) else {
             return;
@@ -603,7 +603,7 @@ impl<M: Content> ReceiverEndpoint<M> {
             // copies converge on per-slot quorums (`credit_rc_slot`).
             if !sub.timer_armed {
                 sub.timer_armed = true;
-                out.push(Action::SetTimer { token: sc, delay: REFETCH_DELAY });
+                out.emit(Action::SetTimer { token: sc, delay: REFETCH_DELAY });
             }
             return;
         };
@@ -623,7 +623,7 @@ impl<M: Content> ReceiverEndpoint<M> {
                 // fs + 1 senders confirmed the range but nobody's content
                 // arrived yet: supervise the carrier, refetch on expiry.
                 sub.timer_armed = true;
-                out.push(Action::SetTimer { token: sc, delay: REFETCH_DELAY });
+                out.emit(Action::SetTimer { token: sc, delay: REFETCH_DELAY });
             }
             None => {}
         }
@@ -638,7 +638,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         p: Position,
         digest: Digest,
         msg: M,
-        out: &mut Vec<Action<M>>,
+        out: &mut dyn Sink<Action<M>>,
     ) -> Result<(), IrmcError> {
         let fs = self.cfg.fs;
         let sub = self.sub(sc);
@@ -671,7 +671,7 @@ impl<M: Content> ReceiverEndpoint<M> {
             let found = slot.copies.iter().find(|(_, d, _)| *d == digest).map(|(.., m)| m.clone());
             if let Some(m) = found {
                 slot.ready = Some((m, from, DedupOutcome::Replicated));
-                out.push(Action::Ready { sc, p });
+                out.emit(Action::Ready { sc, p });
             }
         }
         Ok(())
@@ -695,7 +695,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         root: Digest,
         shares: Vec<Signature>,
         content: Option<Run<M>>,
-        out: &mut Vec<Action<M>>,
+        out: &mut dyn Sink<Action<M>>,
     ) -> Result<(), IrmcError> {
         if self.cfg.variant() != Variant::SenderCollect {
             return Err(IrmcError::WrongVariant);
@@ -711,7 +711,7 @@ impl<M: Content> ReceiverEndpoint<M> {
             None => (self.cfg.cost.hmac(32), root),
         };
         let verify = self.cfg.cost.rsa_verify() * shares.len() as u64;
-        out.push(Action::Charge(mac + verify, "cert_verify"));
+        out.emit(Action::Charge(mac + verify, "cert_verify"));
         if !self.valid_share_quorum(&shares, &range_digest(sc, first, count, &root)) {
             return Err(IrmcError::BadSignature { sc, p: first });
         }
@@ -778,7 +778,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         sc: Subchannel,
         first: Position,
         msgs: Run<M>,
-        out: &mut Vec<Action<M>>,
+        out: &mut dyn Sink<Action<M>>,
     ) -> Result<(), IrmcError> {
         let dedup = self.cfg.dedup();
         if self.cfg.variant() != Variant::SenderCollect && !dedup {
@@ -792,7 +792,7 @@ impl<M: Content> ReceiverEndpoint<M> {
             if Self::range_delivered(sub, first.0, count as u64) {
                 // Late duplicate or already-delivered range: drop after
                 // the transport MAC, members are NOT re-hashed.
-                out.push(Action::Charge(self.cfg.cost.hmac(cost.bytes), "payload_hash"));
+                out.emit(Action::Charge(self.cfg.cost.hmac(cost.bytes), "payload_hash"));
                 return Ok(());
             }
             if sub.awin.is_far_above(first) {
@@ -800,7 +800,7 @@ impl<M: Content> ReceiverEndpoint<M> {
             }
         }
         // Transport MAC + payload hashing + tree rebuild; no signature.
-        out.push(Action::Charge(cost.hash, "range_hash"));
+        out.emit(Action::Charge(cost.hash, "range_hash"));
         let root = msgs.root();
         if dedup {
             let fs = self.cfg.fs;
@@ -876,7 +876,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         msgs: &[M],
         carrier: usize,
         outcome: DedupOutcome,
-        out: &mut Vec<Action<M>>,
+        out: &mut dyn Sink<Action<M>>,
     ) {
         let sub = self.sub(sc);
         for (i, m) in msgs.iter().enumerate() {
@@ -886,7 +886,7 @@ impl<M: Content> ReceiverEndpoint<M> {
             };
             // A later delivery overwrites; only the first announces.
             if slot.ready.replace((m.clone(), carrier, outcome)).is_none() {
-                out.push(Action::Ready { sc, p: Position(p) });
+                out.emit(Action::Ready { sc, p: Position(p) });
             }
         }
     }
@@ -895,12 +895,12 @@ impl<M: Content> ReceiverEndpoint<M> {
         &mut self,
         from: usize,
         positions: Vec<(Subchannel, Position)>,
-        out: &mut Vec<Action<M>>,
+        out: &mut dyn Sink<Action<M>>,
     ) -> Result<(), IrmcError> {
         if self.cfg.variant() != Variant::SenderCollect {
             return Err(IrmcError::WrongVariant);
         }
-        out.push(Action::Charge(self.cfg.cost.hmac(positions.len() * 16), "progress_mac"));
+        out.emit(Action::Charge(self.cfg.cost.hmac(positions.len() * 16), "progress_mac"));
         for (sc, p) in positions {
             let fs = self.cfg.fs;
             let sub = self.sub(sc);
@@ -918,7 +918,7 @@ impl<M: Content> ReceiverEndpoint<M> {
             let missing = Self::first_missing(sub);
             if missing.is_some() && !sub.timer_armed {
                 sub.timer_armed = true;
-                out.push(Action::SetTimer { token: sc, delay: COLLECTOR_TIMEOUT });
+                out.emit(Action::SetTimer { token: sc, delay: COLLECTOR_TIMEOUT });
             }
         }
         Ok(())
@@ -929,9 +929,9 @@ impl<M: Content> ReceiverEndpoint<M> {
         from: usize,
         sc: Subchannel,
         p: Position,
-        out: &mut Vec<Action<M>>,
+        out: &mut dyn Sink<Action<M>>,
     ) -> Result<(), IrmcError> {
-        out.push(Action::Charge(self.cfg.cost.hmac(32), "window_mac"));
+        out.emit(Action::Charge(self.cfg.cost.hmac(32), "window_mac"));
         let fs = self.cfg.fs;
         let sub = self.sub(sc);
         match sub.sender_moves.get_mut(from) {
@@ -973,7 +973,7 @@ impl<M: Content> ReceiverEndpoint<M> {
     /// `Err(CarrierTimeout)` reports that a vouch-quorate range's content
     /// never arrived and a refetch was issued — informational (the
     /// protocol recovers on its own), carrying the first stalled range.
-    pub fn on_timer(&mut self, token: u64, out: &mut Vec<Action<M>>) -> Result<(), IrmcError> {
+    pub fn on_timer(&mut self, token: u64, out: &mut dyn Sink<Action<M>>) -> Result<(), IrmcError> {
         match self.cfg.variant() {
             Variant::SenderCollect => {
                 self.on_sc_timer(token, out);
@@ -985,7 +985,7 @@ impl<M: Content> ReceiverEndpoint<M> {
     }
 
     /// IRMC-SC collector supervision (Fig 20 L30-35).
-    fn on_sc_timer(&mut self, token: u64, out: &mut Vec<Action<M>>) {
+    fn on_sc_timer(&mut self, token: u64, out: &mut dyn Sink<Action<M>>) {
         let sc = token;
         let n_senders = self.cfg.n_senders;
         let Some(sub) = self.subs.get_mut(&sc) else {
@@ -1000,20 +1000,24 @@ impl<M: Content> ReceiverEndpoint<M> {
         sub.collector = (sub.collector + 1) % n_senders;
         let new_collector = sub.collector;
         sub.timer_armed = true;
-        out.push(Action::Charge(self.cfg.cost.hmac(32), "select_mac"));
+        out.emit(Action::Charge(self.cfg.cost.hmac(32), "select_mac"));
         for s in 0..n_senders {
-            out.push(Action::ToSender {
+            out.emit(Action::ToSender {
                 to: s,
                 msg: ReceiverMsg::Select { sc, collector: new_collector },
             });
         }
-        out.push(Action::SetTimer { token: sc, delay: COLLECTOR_TIMEOUT });
+        out.emit(Action::SetTimer { token: sc, delay: COLLECTOR_TIMEOUT });
     }
 
     /// RC dedup carrier supervision: for every vouch-quorate range whose
     /// content still has not arrived, ask the next voucher (round-robin)
     /// to ship it, then re-arm.
-    fn on_dedup_timer(&mut self, token: u64, out: &mut Vec<Action<M>>) -> Result<(), IrmcError> {
+    fn on_dedup_timer(
+        &mut self,
+        token: u64,
+        out: &mut dyn Sink<Action<M>>,
+    ) -> Result<(), IrmcError> {
         let sc = token;
         let fs = self.cfg.fs;
         let Some(sub) = self.subs.get_mut(&sc) else {
@@ -1069,9 +1073,9 @@ impl<M: Content> ReceiverEndpoint<M> {
         let Some(&(stalled_first, _, _)) = fetched.first() else {
             return Ok(()); // All quiet: let the timer lapse.
         };
-        out.push(Action::Charge(self.cfg.cost.hmac(32) * fetched.len() as u64, "refetch"));
+        out.emit(Action::Charge(self.cfg.cost.hmac(32) * fetched.len() as u64, "refetch"));
         for &(first, count, target) in &fetched {
-            out.push(Action::ToSender {
+            out.emit(Action::ToSender {
                 to: target,
                 msg: ReceiverMsg::FetchRange { sc, first: Position(first), count },
             });
@@ -1079,7 +1083,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         if let Some(sub) = self.subs.get_mut(&sc) {
             sub.timer_armed = true;
         }
-        out.push(Action::SetTimer { token: sc, delay: REFETCH_DELAY });
+        out.emit(Action::SetTimer { token: sc, delay: REFETCH_DELAY });
         Err(IrmcError::CarrierTimeout { sc, first: Position(stalled_first) })
     }
 

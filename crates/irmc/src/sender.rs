@@ -30,7 +30,7 @@ use crate::messages::{carrier_for, range_digest, ChannelMsg, ReceiverMsg, Run, R
 use crate::window::Window;
 use crate::{Action, Content, IrmcError, Subchannel};
 use spider_crypto::{Digest, Keyring, Signature};
-use spider_types::{Position, SimTime};
+use spider_types::{Position, SimTime, Sink};
 use std::collections::BTreeMap;
 
 /// Result of a [`SenderEndpoint::send_batch`] call.
@@ -289,7 +289,7 @@ impl<M: Content> SenderEndpoint<M> {
         sc: Subchannel,
         first: Position,
         msgs: Vec<M>,
-        out: &mut Vec<Action<M>>,
+        out: &mut dyn Sink<Action<M>>,
     ) -> SendStatus {
         if msgs.is_empty() {
             return SendStatus::Sent;
@@ -330,15 +330,15 @@ impl<M: Content> SenderEndpoint<M> {
     /// Requests a forward shift of the subchannel window (Fig 14
     /// `move_window`, sender side): broadcast a `Move` to all receivers.
     /// The local window only moves once `fr + 1` receivers confirm.
-    pub fn move_window(&mut self, sc: Subchannel, p: Position, out: &mut Vec<Action<M>>) {
+    pub fn move_window(&mut self, sc: Subchannel, p: Position, out: &mut dyn Sink<Action<M>>) {
         let sub = self.sub(sc);
         if p <= sub.my_move {
             return;
         }
         sub.my_move = p;
-        out.push(Action::Charge(self.cfg.cost.hmac(32), "window_mac"));
+        out.emit(Action::Charge(self.cfg.cost.hmac(32), "window_mac"));
         for r in 0..self.cfg.n_receivers {
-            out.push(Action::ToReceiver { to: r, msg: ChannelMsg::Move { sc, p } });
+            out.emit(Action::ToReceiver { to: r, msg: ChannelMsg::Move { sc, p } });
         }
     }
 
@@ -351,13 +351,13 @@ impl<M: Content> SenderEndpoint<M> {
         &mut self,
         from: usize,
         msg: ReceiverMsg,
-        out: &mut Vec<Action<M>>,
+        out: &mut dyn Sink<Action<M>>,
     ) -> Result<(), IrmcError> {
         if from >= self.cfg.n_receivers {
             return Err(IrmcError::UnknownEndpoint { index: from });
         }
         // MAC check on every receiver message.
-        out.push(Action::Charge(self.cfg.cost.hmac(32), "msg_mac"));
+        out.emit(Action::Charge(self.cfg.cost.hmac(32), "msg_mac"));
         match msg {
             ReceiverMsg::Move { sc, p } => self.on_receiver_move(from, sc, p, out),
             ReceiverMsg::Select { sc, collector } => {
@@ -388,8 +388,8 @@ impl<M: Content> SenderEndpoint<M> {
                 // MAC the re-shipped content for the requesting receiver;
                 // it carries no signature — the receiver verifies it by
                 // root comparison against the vouch quorum.
-                out.push(Action::Charge(self.cfg.cost.hmac(msgs.bytes()), "refetch_serve"));
-                out.push(Action::ToReceiver {
+                out.emit(Action::Charge(self.cfg.cost.hmac(msgs.bytes()), "refetch_serve"));
+                out.emit(Action::ToReceiver {
                     to: from,
                     msg: ChannelMsg::Content { sc, first, msgs },
                 });
@@ -401,7 +401,7 @@ impl<M: Content> SenderEndpoint<M> {
     /// Re-ships everything certified so far to a receiver that just
     /// selected this endpoint as collector (Fig 19 L39). Runs are shared,
     /// so this clones pointers, not content.
-    fn reship_bundles(&mut self, sc: Subchannel, to: usize, out: &mut Vec<Action<M>>) {
+    fn reship_bundles(&mut self, sc: Subchannel, to: usize, out: &mut dyn Sink<Action<M>>) {
         let Some(sub) = self.subs.get(&sc) else {
             return;
         };
@@ -430,7 +430,7 @@ impl<M: Content> SenderEndpoint<M> {
         to: usize,
         resend: bool,
         label: &'static str,
-        out: &mut Vec<Action<M>>,
+        out: &mut dyn Sink<Action<M>>,
     ) {
         let (cost, n_receivers) = (&self.cfg.cost, self.cfg.n_receivers);
         let Some(sub) = self.subs.get_mut(&sc) else {
@@ -444,18 +444,18 @@ impl<M: Content> SenderEndpoint<M> {
         if price.ranged {
             let held = sub.runs.get_mut(&first).is_some_and(|r| r.mark_shipped(to, n_receivers));
             if resend || !held {
-                out.push(Action::Charge(cost.hmac(price.bytes), label));
+                out.emit(Action::Charge(cost.hmac(price.bytes), label));
                 let msgs = cert.run.clone();
                 let msg = ChannelMsg::Content { sc, first: Position(first), msgs };
-                out.push(Action::ToReceiver { to, msg });
+                out.emit(Action::ToReceiver { to, msg });
             }
             (mac, content) = (32, None);
         }
-        out.push(Action::Charge(cost.hmac(mac), label));
+        out.emit(Action::Charge(cost.hmac(mac), label));
         let (count, root, shares) = (cert.run.len() as u32, cert.run.root(), cert.shares.clone());
         let msg =
             ChannelMsg::Certificate { sc, first: Position(first), count, root, shares, content };
-        out.push(Action::ToReceiver { to, msg });
+        out.emit(Action::ToReceiver { to, msg });
     }
 
     fn on_receiver_move(
@@ -463,7 +463,7 @@ impl<M: Content> SenderEndpoint<M> {
         from: usize,
         sc: Subchannel,
         p: Position,
-        out: &mut Vec<Action<M>>,
+        out: &mut dyn Sink<Action<M>>,
     ) -> Result<(), IrmcError> {
         let fr = self.cfg.fr;
         let sub = self.sub(sc);
@@ -482,14 +482,14 @@ impl<M: Content> SenderEndpoint<M> {
         if sub.awin.advance_to(new_start) {
             sub.gc_below(new_start);
             sub.advance_hwm();
-            out.push(Action::WindowMoved { sc, start: new_start });
+            out.emit(Action::WindowMoved { sc, start: new_start });
             self.flush_blocked(sc, out);
         }
         Ok(())
     }
 
     /// Transmits queued sends that fit into the (moved) window.
-    fn flush_blocked(&mut self, sc: Subchannel, out: &mut Vec<Action<M>>) {
+    fn flush_blocked(&mut self, sc: Subchannel, out: &mut dyn Sink<Action<M>>) {
         loop {
             let sub = self.sub(sc);
             let Some((&p, chunk)) = sub.blocked.iter().next() else {
@@ -508,7 +508,7 @@ impl<M: Content> SenderEndpoint<M> {
                 continue; // overtaken by the window; drop silently
             }
             let (f, chunk) = trim_below(p, msgs, start);
-            out.push(Action::Unblocked { sc, p: Position(f) });
+            out.emit(Action::Unblocked { sc, p: Position(f) });
             self.submit(sc, f, chunk, out);
         }
     }
@@ -517,7 +517,7 @@ impl<M: Content> SenderEndpoint<M> {
     /// **one** statement over the run, and ships a single message per
     /// destination (see [`RunCost`] for what a run of one slot does not
     /// take part in).
-    fn submit(&mut self, sc: Subchannel, first: u64, msgs: Vec<M>, out: &mut Vec<Action<M>>) {
+    fn submit(&mut self, sc: Subchannel, first: u64, msgs: Vec<M>, out: &mut dyn Sink<Action<M>>) {
         if msgs.is_empty() {
             return;
         }
@@ -533,7 +533,7 @@ impl<M: Content> SenderEndpoint<M> {
         let cost = RunCost::of(&self.cfg.cost, &msgs);
         if cost.ranged {
             // Hash all payloads and build the tree.
-            out.push(Action::Charge(cost.hash, "range_hash"));
+            out.emit(Action::Charge(cost.hash, "range_hash"));
             if self.cfg.sc_overlap() {
                 // §A.9: ship the raw content to the receivers this endpoint
                 // collects for *before* spending the signature — content
@@ -542,10 +542,10 @@ impl<M: Content> SenderEndpoint<M> {
                 // shares-only certificate follows from `bundle`.
                 for r in self.my_receivers(sc) {
                     held.mark_shipped(r, n_receivers);
-                    out.push(Action::Charge(self.cfg.cost.hmac(cost.bytes), "range_ship"));
+                    out.emit(Action::Charge(self.cfg.cost.hmac(cost.bytes), "range_ship"));
                     let msg =
                         ChannelMsg::Content { sc, first: Position(first), msgs: msgs.clone() };
-                    out.push(Action::ToReceiver { to: r, msg });
+                    out.emit(Action::ToReceiver { to: r, msg });
                 }
             }
         }
@@ -563,7 +563,7 @@ impl<M: Content> SenderEndpoint<M> {
         first: u64,
         to: impl Iterator<Item = usize>,
         recast: Option<&'static str>,
-        out: &mut Vec<Action<M>>,
+        out: &mut dyn Sink<Action<M>>,
     ) {
         let (Some(key), Some(held)) =
             (self.key_of_sender(self.me), self.subs.get(&sc).and_then(|sub| sub.runs.get(&first)))
@@ -575,7 +575,7 @@ impl<M: Content> SenderEndpoint<M> {
         let (count, first) = (run.len() as u32, Position(first));
         if cost.ranged {
             // Hash all payloads and build the tree.
-            out.push(Action::Charge(cost.hash, recast.unwrap_or("range_hash")));
+            out.emit(Action::Charge(cost.hash, recast.unwrap_or("range_hash")));
             if self.cfg.dedup() && carrier_for(sc, first, self.cfg.n_senders) != self.me {
                 // Digest-only fan-in: only the rotated primary carrier
                 // signs and ships the content; everyone else confirms the
@@ -584,10 +584,10 @@ impl<M: Content> SenderEndpoint<M> {
                 // only, never forwarded as proof (IRMC-RC trust model,
                 // Fig 18). Everyone retains the content, so a receiver
                 // whose carrier stays dark can fetch it from any voucher.
-                out.push(Action::Charge(self.cfg.cost.hmac(52), recast.unwrap_or("vouch_mac")));
+                out.emit(Action::Charge(self.cfg.cost.hmac(52), recast.unwrap_or("vouch_mac")));
                 for r in to {
                     let msg = ChannelMsg::Vouch { sc, first, count, root: run.root() };
-                    out.push(Action::ToReceiver { to: r, msg });
+                    out.emit(Action::ToReceiver { to: r, msg });
                 }
                 return;
             }
@@ -597,11 +597,11 @@ impl<M: Content> SenderEndpoint<M> {
         // run that is only vouched for keeps its root alone.
         run.leaves();
         let (price, label) = cost.sign(self.cfg.cost.rsa_sign());
-        out.push(Action::Charge(price, recast.unwrap_or(label)));
+        out.emit(Action::Charge(price, recast.unwrap_or(label)));
         let sig = self.keyring.sign(key, &range_digest(sc, first, count, &run.root()));
         for r in to {
             let msg = ChannelMsg::Cast { sc, first, msgs: run.clone(), sig };
-            out.push(Action::ToReceiver { to: r, msg });
+            out.emit(Action::ToReceiver { to: r, msg });
         }
     }
 
@@ -615,18 +615,18 @@ impl<M: Content> SenderEndpoint<M> {
         count: u32,
         root: Digest,
         price: (SimTime, &'static str),
-        out: &mut Vec<Action<M>>,
+        out: &mut dyn Sink<Action<M>>,
     ) {
         let me = self.me;
         let Some(key) = self.key_of_sender(me) else {
             return; // `new` validated `me`; unreachable without a bad cfg.
         };
-        out.push(Action::Charge(price.0, price.1));
+        out.emit(Action::Charge(price.0, price.1));
         let sig = self.keyring.sign(key, &range_digest(sc, Position(first), count, &root));
         self.sub(sc).shares.entry((first, count)).or_default().insert(me, (root, sig));
         for s in (0..self.cfg.n_senders).filter(|&s| s != me) {
             let msg = ChannelMsg::Share { sc, first: Position(first), count, root, sig };
-            out.push(Action::ToPeerSender { to: s, msg });
+            out.emit(Action::ToPeerSender { to: s, msg });
         }
         self.bundle(sc, first, count, out);
     }
@@ -640,7 +640,7 @@ impl<M: Content> SenderEndpoint<M> {
         &mut self,
         from: usize,
         msg: ChannelMsg<M>,
-        out: &mut Vec<Action<M>>,
+        out: &mut dyn Sink<Action<M>>,
     ) -> Result<(), IrmcError> {
         if from >= self.cfg.n_senders {
             return Err(IrmcError::UnknownEndpoint { index: from });
@@ -658,7 +658,7 @@ impl<M: Content> SenderEndpoint<M> {
                     return Err(IrmcError::UnknownEndpoint { index: from });
                 };
                 // One verification vouches for the whole run.
-                out.push(Action::Charge(self.cfg.cost.rsa_verify(), "share_verify"));
+                out.emit(Action::Charge(self.cfg.cost.rsa_verify(), "share_verify"));
                 if !self.keyring.verify(key, &range_digest(sc, first, count, &root), &sig) {
                     return Err(IrmcError::BadSignature { sc, p: first });
                 }
@@ -691,7 +691,7 @@ impl<M: Content> SenderEndpoint<M> {
     /// endpoint's own statement for the run are present (Fig 19 L22-24).
     /// Content that was already shipped (§A.9 overlap) is not re-shipped —
     /// only the compact shares-only certificate goes out.
-    fn bundle(&mut self, sc: Subchannel, first: u64, count: u32, out: &mut Vec<Action<M>>) {
+    fn bundle(&mut self, sc: Subchannel, first: u64, count: u32, out: &mut dyn Sink<Action<M>>) {
         let fs = self.cfg.fs;
         let sub = self.sub(sc);
         if sub.certified(first, count as u64) {
@@ -723,7 +723,7 @@ impl<M: Content> SenderEndpoint<M> {
     /// checkpoint-restore replay) and emits `Progress` announcements from
     /// the cached gap-free certified watermark (Fig 19 L26-30). IRMC-RC:
     /// re-casts retained content when the window stalls.
-    pub fn tick(&mut self, out: &mut Vec<Action<M>>) {
+    pub fn tick(&mut self, out: &mut dyn Sink<Action<M>>) {
         if self.cfg.variant() != Variant::SenderCollect {
             self.rc_recast_tick(out);
             return;
@@ -740,9 +740,9 @@ impl<M: Content> SenderEndpoint<M> {
             return; // Nothing new to announce; stay quiet.
         }
         self.last_progress = positions.clone();
-        out.push(Action::Charge(self.cfg.cost.hmac(positions.len() * 16), "progress_mac"));
+        out.emit(Action::Charge(self.cfg.cost.hmac(positions.len() * 16), "progress_mac"));
         for r in 0..self.cfg.n_receivers {
-            out.push(Action::ToReceiver {
+            out.emit(Action::ToReceiver {
                 to: r,
                 msg: ChannelMsg::Progress { positions: positions.clone() },
             });
@@ -754,7 +754,7 @@ impl<M: Content> SenderEndpoint<M> {
     /// content sits uncertified, re-share the stalled slots as statements
     /// of one slot each — those match across senders regardless of how
     /// each cut its runs.
-    fn fallback_stalled(&mut self, out: &mut Vec<Action<M>>) {
+    fn fallback_stalled(&mut self, out: &mut dyn Sink<Action<M>>) {
         let cap = self.range_cap() as u64;
         let mut work: Vec<(Subchannel, u64, u64)> = Vec::new();
         for (&sc, sub) in &mut self.subs {
@@ -799,7 +799,7 @@ impl<M: Content> SenderEndpoint<M> {
     /// went out exactly once at submit time; a partition that swallowed
     /// them would otherwise wedge the channel forever, because receivers
     /// that never saw a vouch cannot even ask to fetch.
-    fn rc_recast_tick(&mut self, out: &mut Vec<Action<M>>) {
+    fn rc_recast_tick(&mut self, out: &mut dyn Sink<Action<M>>) {
         let mut due: Vec<Subchannel> = Vec::new();
         for (&sc, sub) in &mut self.subs {
             let start = sub.awin.start().0;
@@ -829,7 +829,7 @@ impl<M: Content> SenderEndpoint<M> {
     /// Receivers treat duplicates idempotently, and a receiver that
     /// already moved past a slot re-announces its window start on the
     /// below-window duplicate, so recasting converges rather than loops.
-    fn recast_sub(&self, sc: Subchannel, out: &mut Vec<Action<M>>) {
+    fn recast_sub(&self, sc: Subchannel, out: &mut dyn Sink<Action<M>>) {
         let Some(sub) = self.subs.get(&sc) else {
             return;
         };

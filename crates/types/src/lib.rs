@@ -30,6 +30,53 @@ pub use ids::{ClientId, GroupId, NodeId, Position, RegionId, ReplicaIdx, SeqNr, 
 pub use time::SimTime;
 pub use wire::WireSize;
 
+/// Where a sans-IO machine puts what it emits.
+///
+/// The PBFT replica, the IRMC endpoints and the checkpoint component take
+/// `out: &mut dyn Sink<Entry>` and call [`Sink::emit`] once per entry —
+/// frames, CPU charges, timer requests and the events their host reacts
+/// to — in the order the protocol sequences them. Two implementations
+/// cover every caller:
+///
+/// - a `Vec<T>` collects the entries, for tests and for callers that look
+///   at the whole list afterwards;
+/// - a closure `FnMut(T)` acts on each entry as it is emitted, which is
+///   how a simulated node hosts a machine without an intermediate list.
+///
+/// ```
+/// use spider_types::Sink;
+///
+/// fn count_to(n: u32, out: &mut dyn Sink<u32>) {
+///     for i in 1..=n {
+///         out.emit(i);
+///     }
+/// }
+///
+/// let mut list = Vec::new();
+/// count_to(3, &mut list);
+/// assert_eq!(list, [1, 2, 3]);
+///
+/// let mut sum = 0;
+/// count_to(3, &mut |i| sum += i);
+/// assert_eq!(sum, 6);
+/// ```
+pub trait Sink<T> {
+    /// Takes one entry.
+    fn emit(&mut self, entry: T);
+}
+
+impl<T> Sink<T> for Vec<T> {
+    fn emit(&mut self, entry: T) {
+        self.push(entry);
+    }
+}
+
+impl<T, F: FnMut(T)> Sink<T> for F {
+    fn emit(&mut self, entry: T) {
+        self(entry);
+    }
+}
+
 /// The kind of consistency a read request asks for.
 ///
 /// Spider distinguishes weakly consistent reads (answered locally by the
