@@ -6,12 +6,15 @@
 //! in the group title), `sha256_portable/*` the scalar reference, so the
 //! kernel ratio is two rows of one run; likewise `hmac/64` (key schedule
 //! on every call) next to `hmac_cached/64` (a prepared [`HmacKey`]).
+//! `merkle_root/*` builds a tree over 2, 32 and 128 slot digests (`n − 1`
+//! compressions), and `domain_digest/52` hashes a range statement's
+//! fields under a tag block compressed at compile time (one compression).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use spider_crypto::hmac::{hmac_sha256, HmacKey};
-use spider_crypto::sha256::Sha256;
+use spider_crypto::sha256::{Domain, Sha256};
 use spider_crypto::threshold::ThresholdGroupId;
-use spider_crypto::{Digest, Keyring, ThresholdKeyring};
+use spider_crypto::{merkle_root, Digest, Keyring, ThresholdKeyring};
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group(format!("crypto[{}]", Sha256::kernel()));
@@ -32,6 +35,19 @@ fn bench(c: &mut Criterion) {
             g.bench_function("hmac_cached/64", |b| b.iter(|| key.mac(std::hint::black_box(&data))));
         }
     }
+    for n in [2u64, 32, 128] {
+        g.throughput(Throughput::Elements(n));
+        let leaves: Vec<Digest> = (0..n).map(|i| Digest::builder().u64(i).finish()).collect();
+        g.bench_function(format!("merkle_root/{n}"), |b| {
+            b.iter(|| merkle_root(std::hint::black_box(&leaves)))
+        });
+    }
+    const STATEMENT: Domain = Domain::new("micro_crypto statement");
+    let fields = [0x5au8; 52];
+    g.throughput(Throughput::Bytes(52));
+    g.bench_function("domain_digest/52", |b| {
+        b.iter(|| STATEMENT.digest(std::hint::black_box(&fields)))
+    });
     g.finish();
 
     let ring = Keyring::new(1);

@@ -302,26 +302,29 @@ impl CheckpointComponent {
     }
 
     fn check_stable(&mut self, seq: SeqNr, out: &mut dyn Sink<CpAction>) {
-        let Some(votes) = self.votes.get(&seq.0) else {
-            return;
-        };
-        // Count votes per hash; stability needs f+1 on one hash.
-        let mut by_hash: BTreeMap<Digest, Vec<Signature>> = BTreeMap::new();
-        for (hash, sig) in votes.values() {
-            by_hash.entry(*hash).or_default().push(*sig);
-        }
-        let Some((hash, cert)) = by_hash.into_iter().find(|(_, v)| v.len() > self.f) else {
-            return;
-        };
         if self.stable.as_ref().is_some_and(|(s, _, _)| *s >= seq) {
             return;
         }
+        let Some(votes) = self.votes.get(&seq.0) else {
+            return;
+        };
+        // Stability needs f+1 votes on one hash; should two hashes both
+        // have them, the lower one wins. Counted in place over the at most
+        // 3f+1 votes.
+        let matching = |hash: Digest| votes.values().filter(move |(h, _)| *h == hash);
+        let Some(hash) =
+            votes.values().map(|(h, _)| *h).filter(|h| matching(*h).count() > self.f).min()
+        else {
+            return;
+        };
+        // The certificate lists the signatures in member order.
+        let cert = matching(hash).map(|(_, sig)| *sig).collect();
         self.stable = Some((seq, hash, cert));
         self.deliver_stable(out);
     }
 
     fn deliver_stable(&mut self, out: &mut dyn Sink<CpAction>) {
-        let Some((seq, hash, _)) = self.stable.clone() else {
+        let Some(&(seq, hash, _)) = self.stable.as_ref() else {
             return;
         };
         if seq.0 <= self.delivered {
@@ -357,7 +360,7 @@ impl CheckpointComponent {
         seq: SeqNr,
         out: &mut dyn Sink<CpAction>,
     ) {
-        let Some((stable_seq, hash, cert)) = self.stable.clone() else {
+        let Some(&(stable_seq, hash, ref cert)) = self.stable.as_ref() else {
             return;
         };
         if stable_seq < seq {

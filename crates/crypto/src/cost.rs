@@ -115,10 +115,13 @@ impl CostModel {
     }
 
     /// Cost of building (or recomputing) a Merkle tree over `leaves`
-    /// 32-byte slot digests: `leaves` domain-separated leaf wraps plus
-    /// `leaves - 1` 64-byte inner combines (see [`crate::merkle`]). Tree
-    /// nodes are plain hash compressions, not keyed MACs — billing each
-    /// of the `2·leaves - 1` ops an HMAC key-schedule base would
+    /// 32-byte slot digests, as the paper's replicas would build it:
+    /// `leaves` domain-separated leaf wraps plus `leaves - 1` 64-byte
+    /// inner combines, each a plain hash. This prices the modelled
+    /// construction, not the host's: [`crate::merkle`] runs unwrapped
+    /// leaves and one compression per inner node, and that saving is host
+    /// time only. Tree nodes are plain hashes, not keyed MACs — billing
+    /// each of the `2·leaves - 1` ops an HMAC key-schedule base would
     /// overcharge a 32-leaf tree by ~85 µs and bury the real costs the
     /// commit-channel benchmarks measure (payload hashing and signing).
     pub fn merkle(&self, leaves: usize) -> SimTime {

@@ -6,7 +6,9 @@
 //!
 //! * A from-scratch [`sha256`] implementation (FIPS 180-4, validated against
 //!   the NIST test vectors; a portable kernel and a SHA-NI kernel chosen
-//!   per call from the CPU's reported features) and [`hmac`] (RFC 2104,
+//!   per call from the CPU's reported features; [`sha256::Domain`] hashes
+//!   under a fixed tag block for the price of the message's own blocks)
+//!   and [`hmac`] (RFC 2104,
 //!   validated against the RFC 4231 vectors; [`hmac::HmacKey`] keeps a
 //!   key's schedule for reuse).
 //! * [`Keyring`]-based **simulation-grade signatures**: deterministic,
@@ -57,5 +59,5 @@ pub mod threshold;
 pub use cost::CostModel;
 pub use digest::{Digest, DigestBuilder, Digestible, Hashed};
 pub use keyring::{KeyId, Keyring, Mac, Signature};
-pub use merkle::{merkle_proof, merkle_root, MerkleProof, RootCache};
+pub use merkle::{merkle_root, RootCache};
 pub use threshold::{SigShare, ThresholdKeyring, ThresholdSig};

@@ -3,90 +3,78 @@
 //! The IRMC's multi-slot range certification (appendix §A.9 direction)
 //! signs **one digest for a whole contiguous slot range** instead of one
 //! RSA signature per slot: the per-slot content digests become the leaves
-//! of a Merkle tree and the single signature covers the root. A verifier
-//! holding all range content recomputes the root ([`merkle_root`]); a
-//! verifier holding a single slot checks an audit path ([`MerkleProof`]).
+//! of a Merkle tree and the single signature covers the root, which a
+//! verifier holding the range content recomputes ([`merkle_root`]).
 //!
-//! Construction notes:
+//! Construction:
 //!
-//! * Leaves and internal nodes are domain-separated (`"mleaf"` /
-//!   `"mnode"`), so an internal node can never be reinterpreted as a leaf
-//!   (second-preimage hardening).
-//! * A leaf wrap hashes `Digest::builder().str("mleaf").digest(leaf)` and
-//!   an inner combine `….str("mnode").digest(left).digest(right)`: 53 and
-//!   93 bytes, so with padding exactly **one** and **two** SHA-256 blocks.
-//!   Both are laid out as those blocks directly (the tag and length
-//!   prefixes are constants) and compressed from the initial state; the
-//!   builder form is the test oracle.
+//! * **Leaves are the content digests themselves**, unwrapped.
+//! * **An inner node is one SHA-256 compression** of the 64-byte block
+//!   `left ‖ right`, started from `NODE`'s chaining value: the compression
+//!   of a fixed tag block from the SHA-256 initial value, computed at
+//!   compile time ([`Domain`]). There is no padding and no length block.
 //! * Odd nodes are promoted unchanged to the next level (no duplication),
-//!   so a tree over `n` leaves hashes exactly `n` leaf wraps plus `n - 1`
-//!   inner combines — `n + 2 (n - 1)` compressions — folding each level
-//!   into the front of the one buffer that held the level below.
-//! * The root over a single leaf is the wrapped leaf, and the root over
-//!   zero leaves is [`Digest::ZERO`] (ranges are never empty on the wire).
+//!   so a tree over `n` leaves costs exactly `n − 1` compressions, folding
+//!   each level into the front of the one buffer that held the level
+//!   below.
+//! * The root over one leaf is that leaf, so a slot is a range of one; the
+//!   root over zero leaves is [`Digest::ZERO`] (ranges are never empty on
+//!   the wire).
+//!
+//! Why no leaf wrap is needed. A leaf is a full SHA-256 digest — padded,
+//! from the standard initial value — of the slot's content, recomputed by
+//! every verifier from the content it holds. A node value is the chaining
+//! value after the two blocks `tag ‖ left ‖ right` with no padding block
+//! after them. Computed that way it is a SHA-256 digest only when `left ‖
+//! right` is itself the padding block of the 64-byte message `tag`
+//! (`0x80`, zeros, bit length 512), which a child holds only through a
+//! preimage; any other content hashing to a node value is a preimage too.
+//! So a node value can pass for a leaf only through a SHA-256 preimage.
+//! What is left is the classic ambiguity of unwrapped trees between `n`
+//! leaves and the `n / 2` parents one level up, which give the same root;
+//! the signed range statement binds `count` and thereby the tree's shape,
+//! so the two never make the same statement. This is also why there is no
+//! audit-path API:
+//! a path over unwrapped leaves checked against the root alone would
+//! accept an inner node passed in as a leaf digest. A membership proof has
+//! to bind the leaf's index and the leaf count as well.
+//!
+//! [`crate::CostModel::merkle`] prices the paper's construction (a wrap
+//! per leaf plus a two-block combine per inner node), not this one: what
+//! the host saves here moves no modelled number.
 //!
 //! # Examples
 //!
 //! ```
-//! use spider_crypto::{merkle_proof, merkle_root, Digest};
+//! use spider_crypto::{merkle_root, Digest};
 //!
 //! let leaves: Vec<Digest> = (0..5u64)
 //!     .map(|i| Digest::builder().u64(i).finish())
 //!     .collect();
 //! let root = merkle_root(&leaves);
-//! let proof = merkle_proof(&leaves, 3);
-//! assert!(proof.verify(&root, &leaves[3]));
-//! assert!(!proof.verify(&root, &leaves[2]), "wrong leaf for this path");
+//! assert_eq!(root, merkle_root(&leaves), "a pure function of the leaves");
+//! assert_eq!(merkle_root(&leaves[..1]), leaves[0], "one leaf is its own root");
+//! let mut swapped = leaves.clone();
+//! swapped.swap(1, 2);
+//! assert_ne!(merkle_root(&swapped), root, "order matters");
 //! ```
 
 use crate::digest::Digest;
-use crate::sha256::Sha256;
+use crate::sha256::Domain;
 use std::collections::BTreeMap;
 
-/// The padded SHA-256 input of `Digest::builder().str(tag)` followed by
-/// `digests` digest fields, with the digests themselves left zero:
-/// `[5u64][tag]` then `[32u64][digest]` per field (all lengths
-/// big-endian), `0x80`, zeros, and the bit length in the last 8 bytes.
-const fn template<const N: usize>(tag: &[u8; 5], digests: usize) -> [u8; N] {
-    let mut block = [0u8; N];
-    block[7] = 5;
-    let mut i = 0;
-    while i < 5 {
-        block[8 + i] = tag[i];
-        i += 1;
-    }
-    let mut field = 0;
-    while field < digests {
-        block[13 + 40 * field + 7] = 32;
-        field += 1;
-    }
-    let len = 13 + 40 * digests;
-    block[len] = 0x80;
-    let bits = (len as u64 * 8).to_be_bytes();
-    let mut i = 0;
-    while i < 8 {
-        block[N - 8 + i] = bits[i];
-        i += 1;
-    }
-    block
-}
+/// The tag of the inner-node domain.
+const NODE_TAG: &str = "spider merkle node";
 
-const LEAF_BLOCK: [u8; 64] = template(b"mleaf", 1);
-const NODE_BLOCKS: [u8; 128] = template(b"mnode", 2);
+/// The chaining value every inner node starts from.
+const NODE: Domain = Domain::new(NODE_TAG);
 
-/// Wraps a leaf digest (domain-separated from inner nodes).
-fn leaf_hash(leaf: &Digest) -> Digest {
-    let mut block = LEAF_BLOCK;
-    block[21..53].copy_from_slice(&leaf.0);
-    Digest(Sha256::digest_padded(&block))
-}
-
-/// Combines two child digests into their parent.
+/// Combines two child digests into their parent: one compression.
 fn node_hash(left: &Digest, right: &Digest) -> Digest {
-    let mut blocks = NODE_BLOCKS;
-    blocks[21..53].copy_from_slice(&left.0);
-    blocks[61..93].copy_from_slice(&right.0);
-    Digest(Sha256::digest_padded(&blocks))
+    let mut block = [0u8; 64];
+    block[..32].copy_from_slice(&left.0);
+    block[32..].copy_from_slice(&right.0);
+    Digest(NODE.chain(&block))
 }
 
 /// Folds one tree level into the next, in place: pairs combine into the
@@ -104,46 +92,19 @@ fn fold_level(level: &mut Vec<Digest>) {
 
 /// Computes the Merkle root over `leaves` (per-slot content digests).
 ///
-/// Returns [`Digest::ZERO`] for an empty slice.
+/// Returns the leaf itself for one leaf and [`Digest::ZERO`] for an empty
+/// slice.
 pub fn merkle_root(leaves: &[Digest]) -> Digest {
-    if leaves.is_empty() {
-        return Digest::ZERO;
-    }
-    let mut level: Vec<Digest> = leaves.iter().map(leaf_hash).collect();
-    while level.len() > 1 {
-        fold_level(&mut level);
-    }
-    level[0]
-}
-
-/// An audit path proving one leaf's membership under a [`merkle_root`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MerkleProof {
-    /// Sibling digests from leaf level to root; the flag says whether the
-    /// sibling sits on the left.
-    path: Vec<(Digest, bool)>,
-}
-
-impl MerkleProof {
-    /// Number of siblings on the path (tree depth for this leaf).
-    pub fn len(&self) -> usize {
-        self.path.len()
-    }
-
-    /// Whether the path is empty (single-leaf tree).
-    pub fn is_empty(&self) -> bool {
-        self.path.is_empty()
-    }
-
-    /// Verifies that `leaf` (a raw content digest, unwrapped) sits under
-    /// `root` at the position this proof was generated for.
-    pub fn verify(&self, root: &Digest, leaf: &Digest) -> bool {
-        let mut acc = leaf_hash(leaf);
-        for (sibling, sibling_is_left) in &self.path {
-            acc =
-                if *sibling_is_left { node_hash(sibling, &acc) } else { node_hash(&acc, sibling) };
+    match leaves {
+        [] => Digest::ZERO,
+        [leaf] => *leaf,
+        _ => {
+            let mut level = leaves.to_vec();
+            while level.len() > 1 {
+                fold_level(&mut level);
+            }
+            level[0]
         }
-        acc == *root
     }
 }
 
@@ -222,47 +183,29 @@ impl RootCache {
     }
 }
 
-/// Builds the audit path for `leaves[index]`.
-///
-/// # Panics
-///
-/// Panics if `index` is out of bounds.
-pub fn merkle_proof(leaves: &[Digest], index: usize) -> MerkleProof {
-    assert!(index < leaves.len(), "merkle proof index out of range");
-    let mut level: Vec<Digest> = leaves.iter().map(leaf_hash).collect();
-    let mut idx = index;
-    let mut path = Vec::new();
-    while level.len() > 1 {
-        let sibling = idx ^ 1;
-        if sibling < level.len() {
-            path.push((level[sibling], sibling < idx));
-        }
-        fold_level(&mut level);
-        idx /= 2;
-    }
-    MerkleProof { path }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::tests::{portable_chain, COMPRESSIONS};
 
     fn leaves(n: u64) -> Vec<Digest> {
         (0..n).map(|i| Digest::builder().u64(i).finish()).collect()
     }
 
-    /// The builder form of the two node hashes and the level-by-level
-    /// tree over them: what the fixed-layout code must reproduce.
-    fn leaf_oracle(leaf: &Digest) -> Digest {
-        Digest::builder().str("mleaf").digest(leaf).finish()
-    }
-
+    /// A node as the chaining value of `tag block ‖ left ‖ right` on the
+    /// portable kernel — `NODE`'s constant re-derived from its tag block —
+    /// and the level-by-level tree over it: what `merkle_root` must
+    /// reproduce.
     fn node_oracle(left: &Digest, right: &Digest) -> Digest {
-        Digest::builder().str("mnode").digest(left).digest(right).finish()
+        let mut blocks = NODE_TAG.as_bytes().to_vec();
+        blocks.resize(64, 0);
+        blocks.extend_from_slice(&left.0);
+        blocks.extend_from_slice(&right.0);
+        Digest(portable_chain(&blocks))
     }
 
     fn root_oracle(leaves: &[Digest]) -> Digest {
-        let mut level: Vec<Digest> = leaves.iter().map(leaf_oracle).collect();
+        let mut level = leaves.to_vec();
         while level.len() > 1 {
             level = level
                 .chunks(2)
@@ -276,19 +219,15 @@ mod tests {
     }
 
     #[test]
-    fn fixed_layout_hashes_equal_the_builder_form_for_every_size() {
+    fn every_size_costs_n_minus_1_compressions_and_gives_the_oracle_root() {
         for n in 1..=65u64 {
             let l = leaves(n);
-            assert_eq!(leaf_hash(&l[0]), leaf_oracle(&l[0]), "leaf wrap, n={n}");
-            assert_eq!(
-                node_hash(&l[0], &l[n as usize - 1]),
-                node_oracle(&l[0], &l[n as usize - 1])
-            );
+            let (first, last) = (&l[0], &l[n as usize - 1]);
+            assert_eq!(node_hash(first, last), node_oracle(first, last), "n={n}");
+            let before = COMPRESSIONS.get();
             let root = merkle_root(&l);
+            assert_eq!(COMPRESSIONS.get() - before, n as usize - 1, "compressions over {n} leaves");
             assert_eq!(root, root_oracle(&l), "root over {n} leaves (odd promotions included)");
-            for i in [0, n as usize / 2, n as usize - 1] {
-                assert!(merkle_proof(&l, i).verify(&root, &l[i]), "n={n} i={i}");
-            }
         }
     }
 
@@ -298,10 +237,9 @@ mod tests {
     }
 
     #[test]
-    fn single_leaf_root_is_wrapped_leaf() {
+    fn a_one_leaf_root_is_the_leaf() {
         let l = leaves(1);
-        assert_eq!(merkle_root(&l), leaf_hash(&l[0]));
-        assert_ne!(merkle_root(&l), l[0], "leaf wrap is domain-separated");
+        assert_eq!(merkle_root(&l), l[0]);
     }
 
     #[test]
@@ -324,34 +262,6 @@ mod tests {
         l.swap(0, 1);
         l.push(Digest::of_bytes(b"extra"));
         assert_ne!(merkle_root(&l), root, "length matters");
-    }
-
-    #[test]
-    fn proofs_verify_for_every_leaf_and_size() {
-        for n in 1..=9u64 {
-            let l = leaves(n);
-            let root = merkle_root(&l);
-            for (i, leaf) in l.iter().enumerate() {
-                let proof = merkle_proof(&l, i);
-                assert!(proof.verify(&root, leaf), "n={n} i={i}");
-                let other = Digest::of_bytes(b"not-a-member");
-                assert!(!proof.verify(&root, &other), "n={n} i={i} foreign leaf");
-            }
-        }
-    }
-
-    #[test]
-    fn proof_fails_against_wrong_root() {
-        let l = leaves(6);
-        let proof = merkle_proof(&l, 2);
-        let wrong = merkle_root(&leaves(5));
-        assert!(!proof.verify(&wrong, &l[2]));
-    }
-
-    #[test]
-    #[should_panic(expected = "index out of range")]
-    fn proof_index_out_of_range_panics() {
-        let _ = merkle_proof(&leaves(3), 3);
     }
 
     #[test]
@@ -390,21 +300,29 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Any tampering of any leaf changes the root, and every honest
-        /// audit path verifies while a shifted one does not.
+        /// Changing any leaf, swapping two of them or appending one changes
+        /// the root.
         #[test]
-        fn roots_bind_all_leaves(n in 1usize..24, tamper in 0usize..24, seed in any::<u64>()) {
-            let tamper = tamper % n;
+        fn roots_bind_all_leaves(
+            n in 1usize..24,
+            i in any::<usize>(),
+            j in any::<usize>(),
+            seed in any::<u64>(),
+        ) {
+            let (i, j) = (i % n, j % n);
             let leaves: Vec<Digest> = (0..n as u64)
                 .map(|i| Digest::builder().u64(seed).u64(i).finish())
                 .collect();
             let root = merkle_root(&leaves);
-            let mut bad = leaves.clone();
-            bad[tamper] = Digest::builder().u64(seed).str("tampered").finish();
-            prop_assert_ne!(merkle_root(&bad), root);
-            let proof = merkle_proof(&leaves, tamper);
-            prop_assert!(proof.verify(&root, &leaves[tamper]));
-            prop_assert!(!proof.verify(&root, &bad[tamper]));
+            let mut changed = leaves.clone();
+            changed[i] = Digest::builder().u64(seed).str("tampered").finish();
+            prop_assert_ne!(merkle_root(&changed), root);
+            let mut swapped = leaves.clone();
+            swapped.swap(i, j);
+            prop_assert_eq!(merkle_root(&swapped) == root, i == j);
+            let mut appended = leaves.clone();
+            appended.push(leaves[i]);
+            prop_assert_ne!(merkle_root(&appended), root);
         }
     }
 }

@@ -18,11 +18,11 @@
 //! `unsafe` block.
 //!
 //! The streaming layer hands whole runs of blocks to the kernel straight
-//! from the caller's slice and writes the padding in place; a caller that
-//! already holds its input as padded blocks (the Merkle node hashes) skips
-//! the streaming layer through the crate-private `Sha256::digest_padded`.
-//! Validated against the NIST/FIPS example vectors, on both kernels, in
-//! the tests below.
+//! from the caller's slice and writes the padding in place. A [`Domain`]
+//! starts it from a chaining value computed at compile time instead of
+//! the initial value, so a fixed tag in front of short messages costs no
+//! block at run time. Validated against the NIST/FIPS example vectors, on
+//! both kernels, in the tests below.
 //!
 //! # Examples
 //!
@@ -98,17 +98,6 @@ impl Sha256 {
         h.finalize_with(compress_blocks_portable)
     }
 
-    /// The digest of a message the caller has already laid out as its
-    /// padded blocks — content, `0x80`, zeros, 64-bit big-endian bit length
-    /// (FIPS 180-4 §5.1.1): compressed from the initial state with no
-    /// buffering or length bookkeeping. For fixed-layout inputs only; the
-    /// caller owns the padding, so a wrong layout is a wrong digest.
-    pub(crate) fn digest_padded(blocks: &[u8]) -> [u8; 32] {
-        let mut state = H0;
-        compress_blocks(&mut state, blocks);
-        to_bytes(&state)
-    }
-
     /// The block kernel every hasher runs on this CPU: `"sha-ni"` or
     /// `"portable"`.
     pub fn kernel() -> &'static str {
@@ -175,6 +164,86 @@ impl Sha256 {
     }
 }
 
+/// A tag block compressed once: the chaining value SHA-256 reaches after
+/// one 64-byte block that names a use, computed at compile time.
+///
+/// [`Domain::digest`] is the standard SHA-256 of `tag block ‖ msg`, at the
+/// price of `msg`'s blocks alone: a message of up to 55 bytes is one
+/// compression. The crate-private `chain` is one bare compression of a
+/// 64-byte block from the same chaining value, without padding (a Merkle
+/// inner node, [`crate::merkle`]). Two domains with different tags are
+/// different functions; the tag block is the tag's bytes followed by
+/// zeros.
+///
+/// # Examples
+///
+/// ```
+/// use spider_crypto::sha256::{Domain, Sha256};
+///
+/// const GREETING: Domain = Domain::new("greeting");
+///
+/// let mut tagged = [0u8; 64];
+/// tagged[..8].copy_from_slice(b"greeting");
+/// let mut h = Sha256::new();
+/// h.update(&tagged);
+/// h.update(b"hello");
+/// assert_eq!(GREETING.digest(b"hello"), h.finalize());
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Domain {
+    state: [u32; 8],
+}
+
+impl Domain {
+    /// The domain of `tag`: its tag block compressed from the initial value
+    /// on the portable kernel, so a `const` holds the result.
+    ///
+    /// # Panics
+    ///
+    /// Panics (at compile time, in a `const`) if `tag` is longer than one
+    /// block.
+    pub const fn new(tag: &str) -> Domain {
+        let mut state = H0;
+        compress(&mut state, &tag_block(tag));
+        Domain { state }
+    }
+
+    /// The SHA-256 digest of this domain's tag block followed by `msg`.
+    pub fn digest(&self, msg: &[u8]) -> [u8; 32] {
+        let mut h = self.hasher();
+        h.update(msg);
+        h.finalize()
+    }
+
+    /// A hasher that has taken in the tag block.
+    fn hasher(&self) -> Sha256 {
+        Sha256 { state: self.state, buffer: [0; 64], buffer_len: 0, total_len: 64 }
+    }
+
+    /// One compression of `block` from this domain's chaining value, with
+    /// no padding and no length: not a SHA-256 digest of anything a caller
+    /// could hash through [`Sha256`] or [`Domain::digest`] without a
+    /// preimage (see [`crate::merkle`]).
+    pub(crate) fn chain(&self, block: &[u8; 64]) -> [u8; 32] {
+        let mut state = self.state;
+        compress_blocks(&mut state, block);
+        to_bytes(&state)
+    }
+}
+
+/// `tag`'s bytes followed by zeros, as one block.
+const fn tag_block(tag: &str) -> [u8; 64] {
+    let tag = tag.as_bytes();
+    assert!(tag.len() <= 64, "a domain tag fills at most one block");
+    let mut block = [0u8; 64];
+    let mut i = 0;
+    while i < tag.len() {
+        block[i] = tag[i];
+        i += 1;
+    }
+    block
+}
+
 /// A chaining value as the 32 digest bytes (big-endian words).
 fn to_bytes(state: &[u32; 8]) -> [u8; 32] {
     let mut out = [0u8; 32];
@@ -196,6 +265,8 @@ fn to_bytes(state: &[u32; 8]) -> [u8; 32] {
     expect(unsafe_code, reason = "the #[target_feature] SHA-NI kernel, under its feature check")
 )]
 fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(test)]
+    tests::COMPRESSIONS.with(|n| n.set(n.get() + blocks.len() / 64));
     #[cfg(target_arch = "x86_64")]
     if ni_available() {
         // SAFETY: `ni::compress` requires only the CPU features `sha`, `sse2`,
@@ -231,20 +302,27 @@ fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
     }
 }
 
-fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+/// One block on the portable kernel. A `const fn` (hence the `while`
+/// loops), so that [`Domain::new`] runs it at compile time.
+const fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
-    for (i, chunk) in block.chunks_exact(4).enumerate() {
-        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    let mut i = 0;
+    while i < 16 {
+        let j = 4 * i;
+        w[i] = u32::from_be_bytes([block[j], block[j + 1], block[j + 2], block[j + 3]]);
+        i += 1;
     }
-    for i in 16..64 {
+    while i < 64 {
         let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
         let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
         w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+        i += 1;
     }
 
     let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
-    for i in 0..64 {
+    let mut i = 0;
+    while i < 64 {
         let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
         let ch = (e & f) ^ (!e & g);
         let temp1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
@@ -260,6 +338,7 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
         c = b;
         b = a;
         a = temp1.wrapping_add(temp2);
+        i += 1;
     }
 
     state[0] = state[0].wrapping_add(a);
@@ -396,8 +475,23 @@ mod ni {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    thread_local! {
+        /// Blocks compressed through the dispatcher on this thread (each
+        /// test runs on its own), for the tests that pin a hash's price.
+        pub(crate) static COMPRESSIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The chaining value after `blocks` (whole blocks, no padding) from
+    /// the initial value, on the portable kernel: the oracle for
+    /// [`Domain`]'s constants and for the hashes taken from them.
+    pub(crate) fn portable_chain(blocks: &[u8]) -> [u8; 32] {
+        let mut state = H0;
+        compress_blocks_portable(&mut state, blocks);
+        to_bytes(&state)
+    }
 
     type Kernel = fn(&mut [u32; 8], &[u8]);
 
@@ -468,6 +562,68 @@ mod tests {
     fn distinct_inputs_distinct_digests() {
         assert_ne!(Sha256::digest(b"spider"), Sha256::digest(b"spiper"));
         assert_ne!(Sha256::digest(b""), Sha256::digest(b"\0"));
+    }
+
+    const TAGS: [&str; 3] =
+        ["", "spider", "a tag that fills the whole block, sixty-four bytes of it: done!!"];
+
+    /// The tag block a test writes out for itself: the tag, then zeros.
+    fn block_of(tag: &str) -> Vec<u8> {
+        let mut block = tag.as_bytes().to_vec();
+        block.resize(64, 0);
+        block
+    }
+
+    #[test]
+    fn a_domain_is_its_tag_block_compressed_once_on_the_portable_kernel() {
+        assert_eq!(TAGS[2].len(), 64);
+        for tag in TAGS {
+            assert_eq!(
+                to_bytes(&Domain::new(tag).state),
+                portable_chain(&block_of(tag)),
+                "{tag:?}"
+            );
+        }
+        assert_ne!(Domain::new("a").state, Domain::new("b").state);
+    }
+
+    /// `Domain::digest` is SHA-256 over `tag block ‖ msg` on both kernels,
+    /// for every message length from 0 to 130 bytes, and costs `msg`'s
+    /// blocks alone: one compression up to 55 bytes.
+    #[test]
+    fn domain_digest_is_sha256_of_the_tag_block_then_the_message() {
+        let data: Vec<u8> = (0..=130u8).collect();
+        for tag in TAGS {
+            let domain = Domain::new(tag);
+            for len in 0..data.len() {
+                let msg = &data[..len];
+                let oracle = Sha256::digest_portable(&[&block_of(tag)[..], msg].concat());
+                for kernel in KERNELS {
+                    let mut h = domain.hasher();
+                    h.update_with(kernel, msg);
+                    assert_eq!(h.finalize_with(kernel), oracle, "{tag:?}, {len} bytes");
+                }
+                let before = COMPRESSIONS.get();
+                assert_eq!(domain.digest(msg), oracle);
+                assert_eq!(COMPRESSIONS.get() - before, (len + 9).div_ceil(64), "{len} bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn chain_is_one_bare_compression_after_the_tag_block() {
+        let block: [u8; 64] = std::array::from_fn(|i| (i * 7) as u8);
+        for tag in TAGS {
+            let oracle = portable_chain(&[block_of(tag), block.to_vec()].concat());
+            for kernel in KERNELS {
+                let mut state = Domain::new(tag).state;
+                kernel(&mut state, &block);
+                assert_eq!(to_bytes(&state), oracle, "{tag:?}");
+            }
+            let before = COMPRESSIONS.get();
+            assert_eq!(Domain::new(tag).chain(&block), oracle);
+            assert_eq!(COMPRESSIONS.get() - before, 1);
+        }
     }
 }
 

@@ -41,6 +41,7 @@
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::{Content, Subchannel};
+use spider_crypto::sha256::Domain;
 use spider_crypto::{merkle_root, CostModel, Digest, Signature};
 use spider_types::wire::{DIGEST_BYTES, HEADER_BYTES, MAC_BYTES, SIG_BYTES};
 use spider_types::{Position, SimTime, WireSize};
@@ -353,12 +354,29 @@ pub(crate) fn carrier_for(sc: Subchannel, first: Position, n_senders: usize) -> 
     (x % n_senders.max(1) as u64) as usize
 }
 
+/// The tag of the range-statement domain.
+const RANGE_TAG: &str = "spider irmc range statement";
+
+/// The chaining value every range statement starts from.
+const RANGE: Domain = Domain::new(RANGE_TAG);
+
 /// The statement senders sign (and vouch for): the subchannel, start
 /// position and length are bound together with the root, so a signature
-/// cannot be replayed for a shifted or truncated run, and a one-slot
-/// root (a content digest) can never pass for a Merkle root.
+/// cannot be replayed for a shifted or truncated run, and a root can
+/// never stand for a tree of another shape — a one-slot root (a content
+/// digest) for a Merkle root, or a level of parents for the leaves below
+/// it.
+///
+/// It is the SHA-256 of the tag block, then `sc`, `first` (8 bytes each),
+/// `count` (4, all big-endian) and `root`: 116 bytes, of which the tag
+/// block's chaining value is a constant, so one compression.
 pub fn range_digest(sc: Subchannel, first: Position, count: u32, root: &Digest) -> Digest {
-    Digest::builder().str("irmc-range").u64(sc).u64(first.0).u32(count).digest(root).finish()
+    let mut fields = [0u8; 52];
+    fields[..8].copy_from_slice(&sc.to_be_bytes());
+    fields[8..16].copy_from_slice(&first.0.to_be_bytes());
+    fields[16..20].copy_from_slice(&count.to_be_bytes());
+    fields[20..].copy_from_slice(&root.0);
+    Digest(RANGE.digest(&fields))
 }
 
 /// The per-slot content digests of a run, held inline for a run of one
@@ -378,14 +396,9 @@ impl Leaves {
     }
 
     fn root(&self) -> Digest {
-        match self {
-            Leaves::One([leaf]) => *leaf,
-            Leaves::Many(leaves) => {
-                #[cfg(test)]
-                tests::TREES_BUILT.with(|n| n.set(n.get() + 1));
-                merkle_root(leaves)
-            }
-        }
+        #[cfg(test)]
+        tests::TREES_BUILT.with(|n| n.set(n.get() + 1));
+        merkle_root(self)
     }
 }
 
@@ -450,11 +463,12 @@ impl RunCost {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use spider_crypto::sha256::Sha256;
     use spider_crypto::Digestible;
 
     thread_local! {
-        /// Merkle trees built over runs on this thread (each test runs on
-        /// its own), for the tests that pin "hashed once" by count.
+        /// Roots computed from runs' leaves on this thread (each test runs
+        /// on its own), for the tests that pin "hashed once" by count.
         pub(crate) static TREES_BUILT: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
     }
 
@@ -554,6 +568,38 @@ pub(crate) mod tests {
         assert_ne!(base, range_digest(1, Position(5), 4, &Digest::of_bytes(b"r2")), "other root");
     }
 
+    /// The tag block and the fields, as the statement's oracle lays them
+    /// out for itself.
+    fn statement_input(sc: Subchannel, first: u64, count: u32, root: &Digest) -> Vec<u8> {
+        let mut input = RANGE_TAG.as_bytes().to_vec();
+        input.resize(64, 0);
+        input.extend_from_slice(&sc.to_be_bytes());
+        input.extend_from_slice(&first.to_be_bytes());
+        input.extend_from_slice(&count.to_be_bytes());
+        input.extend_from_slice(&root.0);
+        input
+    }
+
+    /// The statement is the standard SHA-256 of `tag block ‖ fields`
+    /// (116 bytes): streamed through the selected kernel and hashed on
+    /// the portable one, which re-derives the domain's chaining value
+    /// from its tag block.
+    #[test]
+    fn a_range_statement_is_sha256_of_its_tag_block_then_its_fields() {
+        for (sc, first, count) in [(0, 1, 1), (3, 97, 32), (u64::MAX, u64::MAX, u32::MAX)] {
+            let root = Digest::builder().u64(sc).u64(first).finish();
+            let input = statement_input(sc, first, count, &root);
+            assert_eq!(input.len(), 116);
+            let mut streamed = Sha256::new();
+            let (tag, fields) = input.split_at(64);
+            streamed.update(tag);
+            streamed.update(fields);
+            let statement = range_digest(sc, Position(first), count, &root);
+            assert_eq!(statement.0, streamed.finalize(), "sc {sc}, first {first}");
+            assert_eq!(statement.0, Sha256::digest_portable(&input), "portable kernel");
+        }
+    }
+
     #[test]
     fn a_slot_root_is_its_content_digest_and_a_range_root_the_merkle_root() {
         let msgs = [Blob(vec![1]), Blob(vec![2])];
@@ -562,7 +608,7 @@ pub(crate) mod tests {
         let two = Run::new(msgs.to_vec());
         assert_eq!(two.leaves(), [msgs[0].digest(), msgs[1].digest()]);
         assert_eq!(two.root(), merkle_root(&[msgs[0].digest(), msgs[1].digest()]));
-        assert_eq!(TREES_BUILT.get(), 1, "a run of one builds no tree");
+        assert_eq!(TREES_BUILT.get(), 2, "one root per run; a run of one's is its leaf");
     }
 
     #[test]
@@ -602,5 +648,36 @@ pub(crate) mod tests {
         assert!(vouch.wire_size() * 10 < cast(n as usize, 100).wire_size());
         let fetch = ReceiverMsg::FetchRange { sc: 0, first: Position(1), count: n };
         assert!(fetch.wire_size() < vouch.wire_size());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// A tree's leaves and the parents one level up can give the same
+        /// root; the statement tells them apart because it binds the
+        /// count. Merging one sibling pair into its parent, or the whole
+        /// level, never yields the statement of the original run.
+        #[test]
+        fn a_parent_passed_as_leaves_changes_the_statement(
+            n in 2usize..40,
+            pair in any::<usize>(),
+            seed in any::<u64>(),
+        ) {
+            let leaves: Vec<Digest> =
+                (0..n as u64).map(|i| Digest::builder().u64(seed).u64(i).finish()).collect();
+            let statement =
+                |l: &[Digest]| range_digest(3, Position(9), l.len() as u32, &merkle_root(l));
+            let i = 2 * (pair % (n / 2));
+            let mut merged = leaves.clone();
+            merged.splice(i..i + 2, [merkle_root(&leaves[i..i + 2])]);
+            prop_assert_ne!(statement(&merged), statement(&leaves));
+            let parents: Vec<Digest> = leaves.chunks(2).map(merkle_root).collect();
+            prop_assert_eq!(merkle_root(&parents), merkle_root(&leaves), "same root");
+            prop_assert_ne!(statement(&parents), statement(&leaves));
+        }
     }
 }

@@ -274,8 +274,9 @@ pub struct NetworkControl {
     extra_delay: BTreeMap<(NodeId, NodeId), SimTime>,
     /// Probability of dropping a message per ordered pair.
     drop_rate: BTreeMap<(NodeId, NodeId), f64>,
-    /// Region of each node, registered by the simulation at `add_node`.
-    node_region: BTreeMap<NodeId, RegionId>,
+    /// Region of each node, indexed by `NodeId`, registered by the
+    /// simulation at `add_node`: every send looks up both ends.
+    node_region: Vec<Option<RegionId>>,
     /// Regions currently cut off the network entirely.
     offline_regions: std::collections::BTreeSet<RegionId>,
     /// Severed region pairs (stored in both orders).
@@ -346,7 +347,11 @@ impl NetworkControl {
     /// Registers the region a node lives in. The simulation calls this
     /// from `add_node`; region-level faults only affect registered nodes.
     pub fn set_node_region(&mut self, node: NodeId, region: RegionId) {
-        self.node_region.insert(node, region);
+        let i = node.0 as usize;
+        if self.node_region.len() <= i {
+            self.node_region.resize(i + 1, None);
+        }
+        self.node_region[i] = Some(region);
     }
 
     /// Cuts every node in `region` off the network, both directions
@@ -428,7 +433,8 @@ impl NetworkControl {
     }
 
     fn region_pair(&self, from: NodeId, to: NodeId) -> Option<(RegionId, RegionId)> {
-        Some((*self.node_region.get(&from)?, *self.node_region.get(&to)?))
+        let region = |node: NodeId| self.node_region.get(node.0 as usize).copied().flatten();
+        Some((region(from)?, region(to)?))
     }
 
     pub(crate) fn extra_delay(&self, from: NodeId, to: NodeId) -> SimTime {
