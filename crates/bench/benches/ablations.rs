@@ -12,7 +12,7 @@ use spider_harness::ec2_topology;
 use spider_harness::experiments::{batching, commit_channel, fig9bcd};
 use spider_harness::stats::LatencySummary;
 use spider_irmc::Variant;
-use spider_sim::Simulation;
+use spider_sim::{FaultPlan, Simulation};
 use spider_types::SimTime;
 
 /// Runs a two-group Spider deployment with the given config knobs and a
@@ -34,12 +34,11 @@ fn run_with(cfg: SpiderConfig, slow_tokyo_ms: u64, seed: u64) -> (f64, usize) {
     if slow_tokyo_ms > 0 {
         // Delay everything the agreement group sends to Tokyo's replicas:
         // the commit channel drags, exercising the `z` skip rule (§3.5).
-        let tokyo = dep.group_nodes(1).to_vec();
-        for a in dep.agreement.clone() {
-            for t in &tokyo {
-                sim.net_control_mut().set_extra_delay(a, *t, SimTime::from_millis(slow_tokyo_ms));
-            }
-        }
+        let delay = SimTime::from_millis(slow_tokyo_ms);
+        let (start, end) = (sim.now(), SimTime::from_secs(12));
+        let tokyo = dep.group_nodes(1);
+        let slow = FaultPlan::new().degrade_links(&dep.agreement, tokyo, 0.0, delay, start, end);
+        sim.install_fault_plan(slow);
     }
     sim.run_until(SimTime::from_secs(12));
     let samples = dep.collect_samples(&sim);

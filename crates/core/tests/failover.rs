@@ -3,7 +3,7 @@
 use spider::execution::ExecutionReplica;
 use spider::{CounterApp, DeploymentBuilder, SpiderConfig, WorkloadSpec};
 use spider_irmc::Variant;
-use spider_sim::{Simulation, Topology};
+use spider_sim::{FaultPlan, Simulation, Topology};
 use spider_types::SimTime;
 
 type ExecReplica = ExecutionReplica<CounterApp>;
@@ -37,9 +37,12 @@ fn client_fails_over_when_its_group_dies() {
     // Let some writes complete, then kill the whole Oregon group (more
     // than fe = 1 failures: the group is gone, §3.1).
     sim.run_until(SimTime::from_secs(2));
-    for node in dep.group_nodes(0).to_vec() {
-        sim.net_control_mut().crash(node);
-    }
+    let now = sim.now();
+    let crashes = dep
+        .group_nodes(0)
+        .iter()
+        .fold(FaultPlan::new(), |plan, &node| plan.crash_replica(node, now));
+    sim.install_fault_plan(crashes);
     sim.run_until_quiescent(SimTime::from_secs(120));
 
     let samples = dep.collect_samples(&sim);

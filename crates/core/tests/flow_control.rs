@@ -4,7 +4,7 @@
 
 use spider::execution::ExecutionReplica;
 use spider::{CounterApp, DeploymentBuilder, SpiderConfig, WorkloadSpec};
-use spider_sim::{Simulation, Topology};
+use spider_sim::{FaultPlan, Simulation, Topology};
 use spider_types::SimTime;
 
 type ExecReplica = ExecutionReplica<CounterApp>;
@@ -21,8 +21,8 @@ fn straggler_cfg(z: usize) -> SpiderConfig {
     SpiderConfig { z, commit_capacity: 16, ke: 8, ka: 8, ag_win: 16, ..SpiderConfig::default() }
 }
 
-/// Runs 12 s with the Tokyo group's incoming links delayed by 2 s;
-/// returns (completed requests, sim, deployment).
+/// Runs 12 s with the agreement group's links to the Tokyo group delayed
+/// by 2 s throughout; returns (completed requests, sim, deployment).
 fn run(z: usize) -> (usize, Simulation<spider::SpiderMsg>, spider::Deployment) {
     let mut sim = Simulation::new(topology(), 44);
     let mut dep = DeploymentBuilder::new(straggler_cfg(z))
@@ -31,12 +31,11 @@ fn run(z: usize) -> (usize, Simulation<spider::SpiderMsg>, spider::Deployment) {
         .execution_group("tokyo")
         .build(&mut sim);
     dep.spawn_clients(&mut sim, 0, 4, WorkloadSpec::writes_per_sec(8.0, 200).with_max_ops(150));
-    for a in dep.agreement.clone() {
-        for t in dep.group_nodes(1).to_vec() {
-            sim.net_control_mut().set_extra_delay(a, t, SimTime::from_secs(2));
-        }
-    }
-    sim.run_until(SimTime::from_secs(12));
+    let (delay, start, end) = (SimTime::from_secs(2), sim.now(), SimTime::from_secs(12));
+    let tokyo = dep.group_nodes(1);
+    let slow = FaultPlan::new().degrade_links(&dep.agreement, tokyo, 0.0, delay, start, end);
+    sim.install_fault_plan(slow);
+    sim.run_until(end);
     let completed: usize = dep.collect_samples(&sim).iter().map(|(_, _, s)| s.len()).sum();
     (completed, sim, dep)
 }
@@ -55,12 +54,7 @@ fn z_equals_one_decouples_fast_groups_from_stragglers() {
 #[test]
 fn skipped_group_catches_up_once_the_straggler_recovers() {
     let (_, mut sim, dep) = run(1);
-    // Heal the links and let the system settle.
-    for a in dep.agreement.clone() {
-        for t in dep.group_nodes(1).to_vec() {
-            sim.net_control_mut().set_extra_delay(a, t, SimTime::ZERO);
-        }
-    }
+    // The delay ended with the 12 s run; let the system settle.
     sim.run_until_quiescent(SimTime::from_secs(90));
     let reference = sim.actor::<ExecReplica>(dep.group_nodes(0)[0]).app().value();
     assert!(reference > 0);

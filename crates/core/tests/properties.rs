@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use spider::execution::{ExecFault, ExecutionReplica};
 use spider::{CounterApp, DeploymentBuilder, SpiderConfig, WorkloadSpec};
-use spider_sim::{Simulation, Topology};
+use spider_sim::{FaultPlan, Simulation, Topology};
 use spider_types::SimTime;
 
 type ExecReplica = ExecutionReplica<CounterApp>;
@@ -122,13 +122,10 @@ fn message_loss_bursts_recover_via_checkpoints() {
         .build(&mut sim);
     dep.spawn_clients(&mut sim, 0, 1, WorkloadSpec::writes_per_sec(20.0, 200).with_max_ops(50));
     let victim = dep.group_nodes(1)[0];
-    for a in dep.agreement.clone() {
-        sim.net_control_mut().set_drop_rate(a, victim, 0.2);
-    }
-    sim.run_until(SimTime::from_secs(3));
-    for a in dep.agreement.clone() {
-        sim.net_control_mut().set_drop_rate(a, victim, 0.0);
-    }
+    let (start, end) = (sim.now(), SimTime::from_secs(3));
+    let loss =
+        FaultPlan::new().degrade_links(&dep.agreement, &[victim], 0.2, SimTime::ZERO, start, end);
+    sim.install_fault_plan(loss);
     sim.run_until_quiescent(SimTime::from_secs(120));
 
     let samples = dep.collect_samples(&sim);

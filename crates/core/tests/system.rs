@@ -13,7 +13,7 @@ use spider::{
     WorkloadSpec,
 };
 use spider_crypto::CostModel;
-use spider_sim::{Simulation, Topology};
+use spider_sim::{FaultPlan, Simulation, Topology};
 use spider_types::{OpKind, SimTime};
 
 type ExecReplica = ExecutionReplica<CounterApp>;
@@ -182,12 +182,11 @@ fn partitioned_execution_replica_catches_up_via_checkpoint() {
 
     // Cut one Tokyo replica off from the world for a while.
     let victim = dep.group_nodes(1)[2];
-    let everyone: Vec<_> = (0..40).map(spider_types::NodeId).collect();
-    for n in &everyone {
-        if *n != victim {
-            sim.net_control_mut().partition_pair_until(victim, *n, SimTime::from_secs(6));
-        }
-    }
+    sim.install_fault_plan(FaultPlan::new().isolate_replica(
+        victim,
+        sim.now(),
+        SimTime::from_secs(6),
+    ));
     sim.run_until_quiescent(SimTime::from_secs(60));
 
     let healthy = sim.actor::<ExecReplica>(dep.group_nodes(1)[0]);
@@ -213,7 +212,7 @@ fn agreement_leader_crash_is_handled_inside_the_region() {
     // Crash the initial consensus leader (agreement replica 0) at t = 1s.
     sim.run_until(SimTime::from_secs(1));
     let leader = dep.agreement[0];
-    sim.net_control_mut().crash(leader);
+    sim.install_fault_plan(FaultPlan::new().crash_replica(leader, sim.now()));
     sim.run_until_quiescent(SimTime::from_secs(60));
 
     let samples = dep.collect_samples(&sim);

@@ -17,7 +17,7 @@
 //!   channel from a severed one. What can: a *transmission with no
 //!   delivery behind it*. The stall clock arms when a link's summed
 //!   gauge grows and disarms on any progress mark; if it stays armed
-//!   for [`HealthConfig::stall_after`] the link raises
+//!   for [`STALL_AFTER`] the link raises
 //!   [`HealthEvent::IrmcWindowStall`], and the next mark (or a drain
 //!   to zero) raises [`HealthEvent::IrmcWindowRecover`].
 //! * **Backpressure gauges** ([`HealthMonitor::pending`]): outstanding
@@ -25,59 +25,44 @@
 //!   exported per `(node, component, key)`.
 //! * **View changes** ([`HealthMonitor::view`]): each new view raises
 //!   [`HealthEvent::ViewChange`]; several within
-//!   [`HealthConfig::view_storm_window`] raise
+//!   [`VIEW_STORM_WINDOW`] raise
 //!   [`HealthEvent::ViewChangeStorm`].
 //! * **Rolling latency windows** ([`HealthMonitor::latency`]):
 //!   request latencies bucketed into fixed windows of
-//!   [`HealthConfig::window`], each a full [`Histogram`], so tail
+//!   [`WINDOW`], each a full [`Histogram`], so tail
 //!   behaviour over time survives into the report.
 //!
 //! Stall detection is *lazy*: there are no timers of its own (that
 //! would perturb the simulation). Every feed call first scans tracked
 //! channels against the latest observed time; a stall event is stamped
 //! at the instant the deadline expired (first unserved transmission
-//! plus `stall_after`) — not the (later) time the scan happened to
+//! plus [`STALL_AFTER`]) — not the (later) time the scan happened to
 //! run, so event times are a deterministic function of the run.
 
 use crate::metrics::Histogram;
 use spider_types::{NodeId, SimTime};
 use std::collections::BTreeMap;
 
-/// Watchdog thresholds.
-#[derive(Debug, Clone, Copy)]
-pub struct HealthConfig {
-    /// A channel with outstanding work and no window movement for this
-    /// long is declared stalled.
-    pub stall_after: SimTime,
-    /// Width of one rolling latency window.
-    pub window: SimTime,
-    /// Window over which view changes count towards a storm.
-    pub view_storm_window: SimTime,
-    /// View changes within [`Self::view_storm_window`] that raise a
-    /// [`HealthEvent::ViewChangeStorm`].
-    pub view_storm_count: u32,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            stall_after: SimTime::from_secs(1),
-            window: SimTime::from_secs(1),
-            view_storm_window: SimTime::from_secs(10),
-            view_storm_count: 3,
-        }
-    }
-}
+/// A channel with outstanding work and no window movement for this long
+/// is declared stalled.
+pub const STALL_AFTER: SimTime = SimTime::from_secs(1);
+/// Width of one rolling latency window.
+pub const WINDOW: SimTime = SimTime::from_secs(1);
+/// Window over which view changes count towards a storm.
+pub const VIEW_STORM_WINDOW: SimTime = SimTime::from_secs(10);
+/// View changes within [`VIEW_STORM_WINDOW`] that raise a
+/// [`HealthEvent::ViewChangeStorm`].
+pub const VIEW_STORM_COUNT: u32 = 3;
 
 /// A typed event on the sim timeline, emitted by the watchdog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthEvent {
     /// A logical channel (keyed by `(component, key)`) accepted new
     /// work but recorded no progress — no window movement and no
-    /// delivery at any endpoint — for `stall_after`.
+    /// delivery at any endpoint — for [`STALL_AFTER`].
     IrmcWindowStall {
         /// When the stall deadline expired (first unserved
-        /// transmission plus `stall_after`).
+        /// transmission plus [`STALL_AFTER`]).
         at: SimTime,
         /// Endpoint with the deepest outstanding-work gauge at the
         /// stall (ties broken toward the lowest node id).
@@ -107,8 +92,8 @@ pub enum HealthEvent {
         /// The new view number.
         view: u64,
     },
-    /// At least `view_storm_count` view changes within
-    /// `view_storm_window` on one node.
+    /// At least [`VIEW_STORM_COUNT`] view changes within
+    /// [`VIEW_STORM_WINDOW`] on one node.
     ViewChangeStorm {
         /// When the threshold was crossed.
         at: SimTime,
@@ -174,9 +159,8 @@ struct ViewState {
 }
 
 /// The streaming watchdog state. Owned by an enabled [`crate::Recorder`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct HealthMonitor {
-    cfg: HealthConfig,
     chans: BTreeMap<(&'static str, u32, u32), ChanState>,
     links: BTreeMap<(&'static str, u32), LinkState>,
     views: BTreeMap<u32, ViewState>,
@@ -185,16 +169,9 @@ pub struct HealthMonitor {
 }
 
 impl HealthMonitor {
-    /// A fresh monitor with thresholds from `cfg`.
-    pub fn new(cfg: HealthConfig) -> Self {
-        HealthMonitor {
-            cfg,
-            chans: BTreeMap::new(),
-            links: BTreeMap::new(),
-            views: BTreeMap::new(),
-            events: Vec::new(),
-            windows: BTreeMap::new(),
-        }
+    /// A fresh monitor.
+    pub fn new() -> Self {
+        HealthMonitor::default()
     }
 
     /// Flags links whose stall deadline expired before `now`. Called
@@ -206,7 +183,7 @@ impl HealthMonitor {
                 continue;
             }
             let Some(since) = st.owed_since else { continue };
-            let deadline = since + self.cfg.stall_after;
+            let deadline = since + STALL_AFTER;
             if deadline <= now {
                 st.stalled = true;
                 // Blame the endpoint with the deepest backlog
@@ -286,10 +263,10 @@ impl HealthMonitor {
         }
         self.events.push(HealthEvent::ViewChange { at, node, view });
         st.recent.push(at);
-        let cutoff = at.saturating_sub(self.cfg.view_storm_window);
+        let cutoff = at.saturating_sub(VIEW_STORM_WINDOW);
         st.recent.retain(|&t| t >= cutoff);
         let count = st.recent.len() as u32;
-        if count >= self.cfg.view_storm_count {
+        if count >= VIEW_STORM_COUNT {
             if !st.storm_reported {
                 st.storm_reported = true;
                 self.events.push(HealthEvent::ViewChangeStorm { at, node, count });
@@ -302,7 +279,7 @@ impl HealthMonitor {
     /// Feeds one completed-request latency into the rolling windows.
     pub fn latency(&mut self, at: SimTime, latency: SimTime) {
         self.scan(at);
-        let w = self.cfg.window.as_nanos().max(1);
+        let w = WINDOW.as_nanos();
         let idx = at.as_nanos() / w;
         self.windows.entry(idx).or_default().record(latency.as_nanos());
     }
@@ -316,7 +293,7 @@ impl HealthMonitor {
 
     /// Rolling latency windows as `(window_start, histogram)` pairs.
     pub fn windows(&self) -> Vec<(SimTime, Histogram)> {
-        let w = self.cfg.window.as_nanos().max(1);
+        let w = WINDOW.as_nanos();
         self.windows.iter().map(|(&idx, h)| (SimTime::from_nanos(idx * w), h.clone())).collect()
     }
 
@@ -341,7 +318,7 @@ mod tests {
 
     #[test]
     fn healthy_channel_never_stalls() {
-        let mut m = HealthMonitor::new(HealthConfig::default());
+        let mut m = HealthMonitor::new();
         m.pending(ms(0), NodeId(1), "commit", 0, 3);
         for t in (100..5000).step_by(100) {
             m.mark(ms(t), NodeId(1), "commit", 0);
@@ -356,7 +333,7 @@ mod tests {
 
     #[test]
     fn stall_is_stamped_at_the_deadline_and_recovers() {
-        let mut m = HealthMonitor::new(HealthConfig::default());
+        let mut m = HealthMonitor::new();
         m.pending(ms(1000), NodeId(1), "commit", 2, 4);
         // No progress; unrelated activity at 3.7s triggers the lazy scan.
         m.latency(ms(3700), ms(5));
@@ -379,7 +356,7 @@ mod tests {
 
     #[test]
     fn drained_channel_does_not_stall() {
-        let mut m = HealthMonitor::new(HealthConfig::default());
+        let mut m = HealthMonitor::new();
         m.pending(ms(0), NodeId(1), "commit", 0, 2);
         m.mark(ms(100), NodeId(1), "commit", 0);
         m.pending(ms(150), NodeId(1), "commit", 0, 0);
@@ -395,7 +372,7 @@ mod tests {
 
     #[test]
     fn receiver_deliveries_keep_a_checkpoint_paced_link_healthy() {
-        let mut m = HealthMonitor::new(HealthConfig::default());
+        let mut m = HealthMonitor::new();
         // Sender (node 1) transmits every 100 ms and retains the cast
         // content across the whole span — its ack window only moves at
         // checkpoints, several seconds apart. Receiver (node 9)
@@ -432,7 +409,7 @@ mod tests {
 
     #[test]
     fn view_changes_and_storm_threshold() {
-        let mut m = HealthMonitor::new(HealthConfig::default());
+        let mut m = HealthMonitor::new();
         m.view(ms(0), NodeId(7), 0); // initial view: not a change
         m.view(ms(1000), NodeId(7), 1);
         m.view(ms(1000), NodeId(7), 1); // duplicate: ignored
@@ -446,7 +423,7 @@ mod tests {
 
     #[test]
     fn latency_windows_bucket_by_time() {
-        let mut m = HealthMonitor::new(HealthConfig::default());
+        let mut m = HealthMonitor::new();
         m.latency(ms(100), ms(5));
         m.latency(ms(900), ms(7));
         m.latency(ms(1500), ms(50));
@@ -460,7 +437,7 @@ mod tests {
 
     #[test]
     fn gauges_track_high_water() {
-        let mut m = HealthMonitor::new(HealthConfig::default());
+        let mut m = HealthMonitor::new();
         m.pending(ms(0), NodeId(3), "commit", 1, 5);
         m.pending(ms(10), NodeId(3), "commit", 1, 12);
         m.pending(ms(20), NodeId(3), "commit", 1, 2);

@@ -53,7 +53,7 @@ pub mod health;
 mod metrics;
 mod trace;
 
-pub use health::{HealthConfig, HealthEvent, HealthMonitor};
+pub use health::{HealthEvent, HealthMonitor};
 pub use metrics::Histogram;
 pub use trace::{EdgeEvent, Ring, SpanEvent, SpanKind};
 
@@ -100,8 +100,6 @@ pub struct ObsConfig {
     /// Uniform-sample slots of the exemplar reservoir (Algorithm R
     /// over completed requests, seeded from the sim seed).
     pub exemplar_sample: usize,
-    /// Watchdog thresholds.
-    pub health: HealthConfig,
 }
 
 impl Default for ObsConfig {
@@ -111,7 +109,6 @@ impl Default for ObsConfig {
             edge_capacity: 1 << 15,
             exemplar_slowest: 64,
             exemplar_sample: 256,
-            health: HealthConfig::default(),
         }
     }
 }
@@ -182,7 +179,7 @@ impl Recorder {
         Recorder {
             enabled: true,
             cfg,
-            health: Some(HealthMonitor::new(cfg.health)),
+            health: Some(HealthMonitor::new()),
             rng_state: 0x9E37_79B9_7F4A_7C15,
             ..Recorder::default()
         }

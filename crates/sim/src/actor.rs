@@ -5,16 +5,10 @@ use spider_obs::{Recorder, PHASE_REQUEST};
 use spider_types::{NodeId, SimTime, WireSize};
 use std::collections::BTreeMap;
 
-/// Identifier of a pending timer, used for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TimerId(pub(crate) u64);
-
-/// A fired timer: its id plus the user-supplied tag that tells the actor
-/// what the timer was for.
+/// A fired timer: the user-supplied tag that tells the actor what the
+/// timer was for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timer {
-    /// Identifier returned by [`Context::set_timer`].
-    pub id: TimerId,
     /// Free-form tag chosen by the actor when setting the timer.
     pub tag: u64,
 }
@@ -66,11 +60,11 @@ pub(crate) enum OutAction<M> {
         at: SimTime,
     },
     SetTimer {
-        id: TimerId,
         delay: SimTime,
         tag: u64,
+        /// The arm id of a [`Context::arm`]ed timer.
+        armed: Option<u64>,
     },
-    CancelTimer(TimerId),
 }
 
 /// Handler-side view of the simulation.
@@ -87,10 +81,12 @@ pub struct Context<'a, M> {
     pub(crate) rng: &'a mut SmallRng,
     pub(crate) out: &'a mut Vec<OutAction<M>>,
     pub(crate) charged: &'a mut SimTime,
-    pub(crate) next_timer_id: &'a mut u64,
-    /// This node's pending tag-keyed timers ([`Context::arm`]); the
-    /// simulation frees a tag when its timer fires.
-    pub(crate) armed: &'a mut BTreeMap<u64, TimerId>,
+    /// The simulation's next arm id.
+    pub(crate) next_arm_id: &'a mut u64,
+    /// This node's pending tag-keyed timers ([`Context::arm`]) by tag,
+    /// each with its arm id; the simulation frees a tag when its timer
+    /// fires.
+    pub(crate) armed: &'a mut BTreeMap<u64, u64>,
     pub(crate) obs: &'a mut Recorder,
 }
 
@@ -224,18 +220,10 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// Sets a timer that fires `delay` after the end of this handler's
-    /// execution, tagged with `tag`.
-    pub fn set_timer(&mut self, delay: SimTime, tag: u64) -> TimerId {
-        let id = TimerId(*self.next_timer_id);
-        *self.next_timer_id += 1;
-        self.out.push(OutAction::SetTimer { id, delay, tag });
-        id
-    }
-
-    /// Cancels a pending timer. Cancelling an already-fired or unknown timer
-    /// is a no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.out.push(OutAction::CancelTimer(id));
+    /// execution, tagged with `tag`. It cannot be cancelled; a timer that
+    /// may have to be is [`Context::arm`]ed instead.
+    pub fn set_timer(&mut self, delay: SimTime, tag: u64) {
+        self.out.push(OutAction::SetTimer { delay, tag, armed: None });
     }
 
     /// Arms the node's timer `tag` to fire `delay` after this handler
@@ -251,16 +239,17 @@ impl<'a, M> Context<'a, M> {
     /// `tag` as it is.
     pub fn arm_if_idle(&mut self, tag: u64, delay: SimTime) {
         if !self.armed.contains_key(&tag) {
-            let id = self.set_timer(delay, tag);
+            let id = *self.next_arm_id;
+            *self.next_arm_id += 1;
             self.armed.insert(tag, id);
+            self.out.push(OutAction::SetTimer { delay, tag, armed: Some(id) });
         }
     }
 
-    /// Cancels the timer pending under `tag`, if any.
+    /// Cancels the timer pending under `tag`, if any: freed from its tag,
+    /// it never fires.
     pub fn disarm(&mut self, tag: u64) {
-        if let Some(id) = self.armed.remove(&tag) {
-            self.cancel_timer(id);
-        }
+        self.armed.remove(&tag);
     }
 
     /// Deterministic random number generator (shared by the whole sim).
@@ -279,8 +268,8 @@ mod tests {
     /// node's `armed` timers; returns what it emitted.
     fn handle<M>(
         obs: &mut Recorder,
-        armed: &mut BTreeMap<u64, TimerId>,
-        next_timer_id: &mut u64,
+        armed: &mut BTreeMap<u64, u64>,
+        next_arm_id: &mut u64,
         f: impl FnOnce(&mut Context<'_, M>),
     ) -> Vec<OutAction<M>> {
         let (mut rng, mut out, mut charged) =
@@ -291,7 +280,7 @@ mod tests {
             rng: &mut rng,
             out: &mut out,
             charged: &mut charged,
-            next_timer_id,
+            next_arm_id,
             armed,
             obs,
         });
@@ -300,18 +289,18 @@ mod tests {
 
     /// Runs `f` on a context over `armed` and renders what it emitted.
     fn transcript(
-        armed: &mut BTreeMap<u64, TimerId>,
-        next_timer_id: &mut u64,
+        armed: &mut BTreeMap<u64, u64>,
+        next_arm_id: &mut u64,
         f: impl FnOnce(&mut Context<'_, ()>),
     ) -> Vec<String> {
-        handle(&mut Recorder::disabled(), armed, next_timer_id, f)
+        handle(&mut Recorder::disabled(), armed, next_arm_id, f)
             .iter()
             .map(|a| match a {
                 OutAction::Send { .. } => "send".to_owned(),
-                OutAction::SetTimer { id, delay, tag } => {
-                    format!("set #{} tag {tag} {delay}", id.0)
+                OutAction::SetTimer { delay, tag, armed: Some(id) } => {
+                    format!("set #{id} tag {tag} {delay}")
                 }
-                OutAction::CancelTimer(id) => format!("cancel #{}", id.0),
+                OutAction::SetTimer { delay, tag, armed: None } => format!("set tag {tag} {delay}"),
             })
             .collect()
     }
@@ -400,13 +389,15 @@ mod tests {
             ctx.arm_if_idle(8, ms(9));
         });
         assert_eq!(first, ["set #0 tag 7 5.000ms", "set #1 tag 8 9.000ms"]);
-        // Pending across handlers: the next one replaces #0, keeps #1.
+        // Pending across handlers: the next one replaces #0 (freed from
+        // its tag, it never fires), keeps #1.
         let second = transcript(&mut armed, &mut next, |ctx| {
             ctx.arm(7, ms(6));
             ctx.arm_if_idle(8, ms(1));
+            ctx.set_timer(ms(2), 7);
         });
-        assert_eq!(second, ["cancel #0", "set #2 tag 7 6.000ms"]);
-        assert_eq!(armed, BTreeMap::from([(7, TimerId(2)), (8, TimerId(1))]));
+        assert_eq!(second, ["set #2 tag 7 6.000ms", "set tag 7 2.000ms"]);
+        assert_eq!(armed, BTreeMap::from([(7, 2), (8, 1)]));
     }
 
     #[test]
@@ -418,7 +409,7 @@ mod tests {
             ctx.disarm(3);
             ctx.disarm(3);
         });
-        assert_eq!(got, ["set #0 tag 3 1.000ms", "cancel #0"]);
-        assert!(armed.is_empty());
+        assert_eq!(got, ["set #0 tag 3 1.000ms"]);
+        assert!(armed.is_empty(), "#0 is freed from its tag, so it never fires");
     }
 }

@@ -24,8 +24,11 @@ pub(crate) enum EventKind<M> {
     },
     /// A timer set by the node itself fires.
     Fire {
-        /// The timer (id + user tag).
+        /// The timer's user tag.
         timer: Timer,
+        /// For a [`Context::arm`](crate::Context::arm)ed timer, its arm id:
+        /// it fires only while the node's tag still holds that id.
+        armed: Option<u64>,
     },
 }
 

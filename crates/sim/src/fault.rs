@@ -1,111 +1,115 @@
 //! Scripted fault plans: a deterministic timeline of typed fault events.
 //!
 //! A [`FaultPlan`] is a declarative schedule of faults — region outages,
-//! WAN partitions, link degradation, replica crashes — that the
-//! [`Simulation`](crate::Simulation) applies at fixed `SimTime`s. Plans
-//! are written in *placement* terms (region names), not node ids: the
-//! simulation resolves regions against its [`Topology`](crate::Topology)
-//! and its node registry when each event fires, so the same plan works
-//! across deployments of different sizes.
+//! WAN partitions, link degradation, replica isolation and crashes — that
+//! the [`Simulation`](crate::Simulation) applies at fixed `SimTime`s, and
+//! the only way to break the simulated network. Plans are written in
+//! *placement* terms (region names), not region ids: the simulation
+//! resolves regions against its [`Topology`](crate::Topology) when each
+//! event fires, so the same plan works across deployments of different
+//! sizes.
+//!
+//! Every network fault is a *window* of [`LinkRule`]s: each rule names a
+//! directed set of links by its two ends ([`Site`]) and an [`Effect`] on
+//! them. A window's [`FaultEvent::Open`] adds its rules and its
+//! [`FaultEvent::Close`] removes exactly those, so overlapping windows
+//! compose: a node isolated over `[0 s, 10 s)` and again over
+//! `[5 s, 7 s)` rejoins at 10 s.
 //!
 //! Determinism: a plan is pure data. Event application consumes no
 //! randomness, ties at the same instant apply in insertion order, and the
 //! only RNG in the system stays the simulation's single seeded stream —
-//! so a faulted run is exactly as reproducible as an unfaulted one.
+//! so a faulted run is exactly as reproducible as an unfaulted one. A send
+//! that a crash or a cut drops draws nothing from it, and a send over a
+//! degraded link draws once per rule with a nonzero drop rate (until one
+//! drops it).
 //!
 //! Semantics worth knowing:
 //!
-//! * [`FaultEvent::RegionOutage`] cuts every node placed in the region
-//!   off the network (both directions). Node state machines stay alive —
-//!   timers keep firing into the void — so a later
-//!   [`FaultEvent::RegionRestore`] or [`FaultEvent::Heal`] lets them
-//!   recover via the protocol's own catch-up paths. This matches a WAN
-//!   disaster (the region is unreachable), not a power loss; use
-//!   [`FaultEvent::CrashReplica`] for the latter.
+//! * A region outage cuts every node placed in the region off the network
+//!   (both directions). Node state machines stay alive — timers keep
+//!   firing into the void — so the window's close (or a
+//!   [`FaultEvent::Heal`]) lets them recover via the protocol's own
+//!   catch-up paths. This matches a WAN disaster (the region is
+//!   unreachable), not a power loss; use [`FaultEvent::CrashReplica`] for
+//!   the latter.
 //! * [`FaultEvent::CrashReplica`] is a true fail-stop: the node's queued
-//!   and future events (including its timers) are discarded, so a
-//!   revived replica does *not* resume — crash faults model permanent
-//!   loss within the `f` budget.
+//!   and future events (including its timers) are discarded for good —
+//!   crash faults model permanent loss within the `f` budget.
 //! * Messages already in flight when a cut lands still arrive: drops are
 //!   decided at send time, mirroring packets that left the NIC before
 //!   the cable was pulled.
 
 use spider_types::{NodeId, SimTime};
 
-/// One typed fault, applied at a scheduled instant.
+/// One end of a [`LinkRule`]: the nodes it covers.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FaultEvent {
-    /// Cuts every node in `region` off the network, both directions.
-    RegionOutage {
-        /// Region name (resolved against the topology at apply time).
-        region: String,
-    },
-    /// Reconnects a region taken down by [`FaultEvent::RegionOutage`].
-    RegionRestore {
-        /// Region name.
-        region: String,
-    },
-    /// Severs all traffic between two sets of regions (symmetric cut);
-    /// traffic within each side is untouched.
-    WanPartition {
-        /// Region names on one side of the cut.
-        side_a: Vec<String>,
-        /// Region names on the other side.
-        side_b: Vec<String>,
-    },
-    /// Removes the cuts a matching [`FaultEvent::WanPartition`] installed.
-    WanHeal {
-        /// Region names on one side of the healed cut.
-        side_a: Vec<String>,
-        /// Region names on the other side.
-        side_b: Vec<String>,
-    },
-    /// Degrades every link between two regions (symmetric): messages are
-    /// dropped with `drop_rate` and surviving ones delayed by
-    /// `extra_delay`. Zero/zero clears the degradation.
-    LinkDegrade {
-        /// One endpoint region.
-        a: String,
-        /// Other endpoint region.
-        b: String,
+pub(crate) enum Site {
+    /// Every node.
+    Any,
+    /// Every node placed in the named region.
+    Region(String),
+    /// One node.
+    Node(NodeId),
+}
+
+/// What a [`LinkRule`] does to each message sent over its links.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Effect {
+    /// The message is dropped.
+    Cut,
+    /// The message is dropped with probability `drop_rate`; if it gets
+    /// through, it arrives `extra_delay` late.
+    Degrade {
         /// Per-message drop probability in `[0, 1]`.
         drop_rate: f64,
         /// Fixed extra one-way delay for messages that get through.
         extra_delay: SimTime,
+    },
+}
+
+/// The directed links from every node of `from` to every node of `to`,
+/// and what happens on them.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct LinkRule {
+    /// The senders.
+    pub(crate) from: Site,
+    /// The receivers.
+    pub(crate) to: Site,
+    /// What happens to each message.
+    pub(crate) effect: Effect,
+}
+
+/// One typed fault, applied at a scheduled instant.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum FaultEvent {
+    /// Opens fault window `window`: adds its link rules.
+    Open {
+        /// The window: numbered within its plan, and renumbered into the
+        /// simulation's count when the plan is installed.
+        window: u32,
+        /// The rules the window holds while it is open.
+        rules: Vec<LinkRule>,
+    },
+    /// Closes fault window `window`: removes exactly the rules its
+    /// [`FaultEvent::Open`] added.
+    Close {
+        /// The window.
+        window: u32,
     },
     /// Fail-stops one node: its pending and future events are discarded.
     CrashReplica {
         /// The node to crash.
         node: NodeId,
     },
-    /// Un-crashes a node. Note that its timers are gone for good — this
-    /// models a fresh process that must be driven by incoming messages.
-    ReviveReplica {
-        /// The node to revive.
-        node: NodeId,
-    },
-    /// Cuts one node off the network (both directions) while its state
-    /// machine and timers keep running — the recoverable analogue of
-    /// [`FaultEvent::CrashReplica`].
-    IsolateReplica {
-        /// The node to isolate.
-        node: NodeId,
-    },
-    /// Reconnects an isolated node.
-    RejoinReplica {
-        /// The node to reconnect.
-        node: NodeId,
-    },
-    /// Clears every network-level fault (outages, partitions, isolation,
-    /// degradation, timed blocks). Crashed nodes stay crashed — a crash
-    /// is not a network condition.
+    /// Removes every link rule, of open windows too. Crashed nodes stay
+    /// crashed — a crash is not a network condition.
     Heal,
 }
 
-/// A scripted, seed-deterministic timeline of [`FaultEvent`]s.
+/// A scripted, seed-deterministic timeline of typed fault events.
 ///
-/// Built with the fluent helpers below (or raw [`FaultPlan::at`]) and
-/// installed via
+/// Built with the fluent helpers below and installed via
 /// [`Simulation::install_fault_plan`](crate::Simulation::install_fault_plan).
 /// Events apply in time order; ties apply in the order they were added.
 ///
@@ -113,7 +117,7 @@ pub enum FaultEvent {
 ///
 /// ```
 /// use spider_sim::FaultPlan;
-/// use spider_types::SimTime;
+/// use spider_types::{NodeId, SimTime};
 ///
 /// let plan = FaultPlan::new()
 ///     .wan_partition(
@@ -122,12 +126,22 @@ pub enum FaultEvent {
 ///         SimTime::from_secs(10),
 ///         SimTime::from_secs(20),
 ///     )
-///     .region_outage("tokyo", SimTime::from_secs(30), SimTime::from_secs(40));
-/// assert_eq!(plan.len(), 4); // each window is a cut + a heal event
+///     .region_outage("tokyo", SimTime::from_secs(30), SimTime::from_secs(40))
+///     .degrade_links(
+///         &[NodeId(0), NodeId(1)],
+///         &[NodeId(5)],
+///         0.2,
+///         SimTime::from_millis(50),
+///         SimTime::from_secs(45),
+///         SimTime::from_secs(50),
+///     );
+/// assert_eq!(plan.len(), 6); // each window is an open + a close event
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<(SimTime, FaultEvent)>,
+    /// Windows opened so far; the next one gets this number.
+    windows: u32,
 }
 
 impl FaultPlan {
@@ -136,22 +150,31 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Schedules a raw event at `at`.
-    #[must_use]
-    pub fn at(mut self, at: SimTime, event: FaultEvent) -> Self {
+    fn at(mut self, at: SimTime, event: FaultEvent) -> Self {
         self.events.push((at, event));
         self
     }
 
-    /// Takes `region` offline over `[from, until)`.
-    #[must_use]
-    pub fn region_outage(self, region: &str, from: SimTime, until: SimTime) -> Self {
-        assert!(from < until, "outage window is empty");
-        self.at(from, FaultEvent::RegionOutage { region: region.to_owned() })
-            .at(until, FaultEvent::RegionRestore { region: region.to_owned() })
+    /// Holds `rules` over `[from, until)`; `what` names the fault in the
+    /// panic message.
+    fn window(mut self, what: &str, from: SimTime, until: SimTime, rules: Vec<LinkRule>) -> Self {
+        assert!(from < until, "{what} window is empty");
+        let window = self.windows;
+        self.windows += 1;
+        self.at(from, FaultEvent::Open { window, rules }).at(until, FaultEvent::Close { window })
     }
 
-    /// Severs `side_a` from `side_b` over `[from, until)` (symmetric).
+    /// Takes `region` offline over `[from, until)`: every link into or
+    /// out of it is cut.
+    #[must_use]
+    pub fn region_outage(self, region: &str, from: SimTime, until: SimTime) -> Self {
+        let region = Site::Region(region.to_owned());
+        let rules = vec![cut(region.clone(), Site::Any), cut(Site::Any, region)];
+        self.window("outage", from, until, rules)
+    }
+
+    /// Severs `side_a` from `side_b` over `[from, until)` (symmetric);
+    /// traffic within each side is untouched.
     #[must_use]
     pub fn wan_partition(
         self,
@@ -160,15 +183,20 @@ impl FaultPlan {
         from: SimTime,
         until: SimTime,
     ) -> Self {
-        assert!(from < until, "partition window is empty");
         assert!(!side_a.is_empty() && !side_b.is_empty(), "partition side is empty");
-        let a: Vec<String> = side_a.iter().map(|r| (*r).to_owned()).collect();
-        let b: Vec<String> = side_b.iter().map(|r| (*r).to_owned()).collect();
-        self.at(from, FaultEvent::WanPartition { side_a: a.clone(), side_b: b.clone() })
-            .at(until, FaultEvent::WanHeal { side_a: a, side_b: b })
+        let mut rules = Vec::new();
+        for a in side_a {
+            for b in side_b {
+                let (a, b) = (Site::Region((*a).to_owned()), Site::Region((*b).to_owned()));
+                rules.extend([cut(a.clone(), b.clone()), cut(b, a)]);
+            }
+        }
+        self.window("partition", from, until, rules)
     }
 
-    /// Degrades the `a <-> b` links over `[from, until)` (symmetric).
+    /// Degrades every link between regions `a` and `b` over
+    /// `[from, until)`, both directions: messages are dropped with
+    /// `drop_rate` and the ones that get through delayed by `extra_delay`.
     #[must_use]
     pub fn link_degrade(
         self,
@@ -179,36 +207,53 @@ impl FaultPlan {
         from: SimTime,
         until: SimTime,
     ) -> Self {
-        assert!(from < until, "degrade window is empty");
-        assert!((0.0..=1.0).contains(&drop_rate), "drop rate out of range");
-        self.at(
-            from,
-            FaultEvent::LinkDegrade { a: a.to_owned(), b: b.to_owned(), drop_rate, extra_delay },
-        )
-        .at(
-            until,
-            FaultEvent::LinkDegrade {
-                a: a.to_owned(),
-                b: b.to_owned(),
-                drop_rate: 0.0,
-                extra_delay: SimTime::ZERO,
-            },
-        )
+        let effect = degrade(drop_rate, extra_delay);
+        let (a, b) = (Site::Region(a.to_owned()), Site::Region(b.to_owned()));
+        let mut rules = vec![LinkRule { from: a.clone(), to: b.clone(), effect }];
+        if a != b {
+            rules.push(LinkRule { from: b, to: a, effect });
+        }
+        self.window("degrade", from, until, rules)
     }
 
-    /// Fail-stops `node` at `at` (permanent; see [`FaultEvent::CrashReplica`]).
+    /// Degrades the directed links from each of `senders` to each of
+    /// `receivers` over `[from, until)`, like
+    /// [`FaultPlan::link_degrade`] does between two regions.
+    #[must_use]
+    pub fn degrade_links(
+        self,
+        senders: &[NodeId],
+        receivers: &[NodeId],
+        drop_rate: f64,
+        extra_delay: SimTime,
+        from: SimTime,
+        until: SimTime,
+    ) -> Self {
+        let effect = degrade(drop_rate, extra_delay);
+        let rules = senders.iter().flat_map(|&s| {
+            receivers.iter().map(move |&r| LinkRule {
+                from: Site::Node(s),
+                to: Site::Node(r),
+                effect,
+            })
+        });
+        self.window("degrade", from, until, rules.collect())
+    }
+
+    /// Fail-stops `node` at `at`: its pending and future events, timers
+    /// included, are discarded for good.
     #[must_use]
     pub fn crash_replica(self, node: NodeId, at: SimTime) -> Self {
         self.at(at, FaultEvent::CrashReplica { node })
     }
 
-    /// Cuts `node` off the network over `[from, until)`; its timers keep
-    /// running, so it recovers via the protocol's catch-up paths.
+    /// Cuts `node` off the network over `[from, until)`, both directions;
+    /// its timers keep running, so it recovers via the protocol's
+    /// catch-up paths.
     #[must_use]
     pub fn isolate_replica(self, node: NodeId, from: SimTime, until: SimTime) -> Self {
-        assert!(from < until, "isolation window is empty");
-        self.at(from, FaultEvent::IsolateReplica { node })
-            .at(until, FaultEvent::RejoinReplica { node })
+        let rules = vec![cut(Site::Node(node), Site::Any), cut(Site::Any, Site::Node(node))];
+        self.window("isolation", from, until, rules)
     }
 
     /// Clears every network-level fault at `at` (crashes persist).
@@ -228,17 +273,27 @@ impl FaultPlan {
     }
 
     /// The timeline in application order (stable sort by time, so
-    /// same-instant events keep insertion order).
-    pub fn into_events(mut self) -> Vec<(SimTime, FaultEvent)> {
+    /// same-instant events keep insertion order), its windows numbered
+    /// from `first_window` up; the second value is the number after its
+    /// last window.
+    pub(crate) fn into_events(mut self, first_window: u32) -> (Vec<(SimTime, FaultEvent)>, u32) {
         self.events.sort_by_key(|(at, _)| *at);
-        self.events
+        for (_, event) in &mut self.events {
+            if let FaultEvent::Open { window, .. } | FaultEvent::Close { window } = event {
+                *window += first_window;
+            }
+        }
+        (self.events, first_window + self.windows)
     }
+}
 
-    /// Iterates the scheduled events in insertion order (mainly for
-    /// introspection; application order is [`FaultPlan::into_events`]).
-    pub fn events(&self) -> impl Iterator<Item = &(SimTime, FaultEvent)> {
-        self.events.iter()
-    }
+fn cut(from: Site, to: Site) -> LinkRule {
+    LinkRule { from, to, effect: Effect::Cut }
+}
+
+fn degrade(drop_rate: f64, extra_delay: SimTime) -> Effect {
+    assert!((0.0..=1.0).contains(&drop_rate), "drop rate out of range");
+    Effect::Degrade { drop_rate, extra_delay }
 }
 
 #[cfg(test)]
@@ -250,27 +305,71 @@ mod tests {
         let plan = FaultPlan::new()
             .region_outage("b", SimTime::from_secs(5), SimTime::from_secs(9))
             .crash_replica(NodeId(3), SimTime::from_secs(1))
+            .isolate_replica(NodeId(2), SimTime::from_secs(6), SimTime::from_secs(7))
             .heal_at(SimTime::from_secs(20));
-        let events = plan.into_events();
-        assert_eq!(events.len(), 4);
+        // Windows are numbered from where the simulation's count stands.
+        let (events, next_window) = plan.into_events(4);
+        assert_eq!(next_window, 6);
+        assert_eq!(events.len(), 6);
         assert_eq!(
             events[0],
             (SimTime::from_secs(1), FaultEvent::CrashReplica { node: NodeId(3) })
         );
-        assert!(matches!(events[1].1, FaultEvent::RegionOutage { .. }));
-        assert!(matches!(events[2].1, FaultEvent::RegionRestore { .. }));
-        assert_eq!(events[3].1, FaultEvent::Heal);
+        let b = || Site::Region("b".into());
+        let outage = vec![cut(b(), Site::Any), cut(Site::Any, b())];
+        assert_eq!(events[1].1, FaultEvent::Open { window: 4, rules: outage });
+        assert!(matches!(events[2].1, FaultEvent::Open { window: 5, .. }));
+        assert_eq!(events[3].1, FaultEvent::Close { window: 5 });
+        assert_eq!(events[4].1, FaultEvent::Close { window: 4 });
+        assert_eq!(events[5].1, FaultEvent::Heal);
     }
 
     #[test]
     fn same_instant_events_keep_insertion_order() {
         let t = SimTime::from_secs(2);
         let plan = FaultPlan::new()
-            .at(t, FaultEvent::RegionOutage { region: "a".into() })
-            .at(t, FaultEvent::RegionRestore { region: "a".into() });
-        let events = plan.into_events();
-        assert!(matches!(events[0].1, FaultEvent::RegionOutage { .. }));
-        assert!(matches!(events[1].1, FaultEvent::RegionRestore { .. }));
+            .at(t, FaultEvent::Open { window: 0, rules: vec![] })
+            .at(t, FaultEvent::Close { window: 0 });
+        let (events, _) = plan.into_events(0);
+        assert!(matches!(events[0].1, FaultEvent::Open { .. }));
+        assert!(matches!(events[1].1, FaultEvent::Close { .. }));
+    }
+
+    #[test]
+    fn symmetric_builders_add_both_directions_once() {
+        let s = SimTime::from_secs;
+        let rules = |plan: FaultPlan| match plan.into_events(0).0.swap_remove(0).1 {
+            FaultEvent::Open { rules, .. } => rules,
+            other => panic!("expected an open event, got {other:?}"),
+        };
+        let region = |r: &str| Site::Region(r.into());
+        let partition = rules(FaultPlan::new().wan_partition(&["a"], &["b", "c"], s(1), s(2)));
+        assert_eq!(
+            partition,
+            [
+                cut(region("a"), region("b")),
+                cut(region("b"), region("a")),
+                cut(region("a"), region("c")),
+                cut(region("c"), region("a")),
+            ]
+        );
+        let effect = degrade(0.5, s(1));
+        let within = rules(FaultPlan::new().link_degrade("a", "a", 0.5, s(1), s(1), s(2)));
+        assert_eq!(within, [LinkRule { from: region("a"), to: region("a"), effect }]);
+        let nodes = rules(FaultPlan::new().degrade_links(
+            &[NodeId(1), NodeId(2)],
+            &[NodeId(7)],
+            0.5,
+            s(1),
+            s(1),
+            s(2),
+        ));
+        let link = |from, to| LinkRule {
+            from: Site::Node(NodeId(from)),
+            to: Site::Node(NodeId(to)),
+            effect,
+        };
+        assert_eq!(nodes, [link(1, 7), link(2, 7)], "directed: nothing back from 7");
     }
 
     #[test]

@@ -20,10 +20,13 @@
 //! * **Determinism**: one seed, one execution. All randomness flows through
 //!   a single seeded RNG, and ties in the event queue are broken by
 //!   insertion order.
-//! * **Faults**: [`NetworkControl`] injects partitions, crashes, and lossy
-//!   links at runtime; a scripted [`FaultPlan`] applies a deterministic
-//!   timeline of typed fault events (region outages, WAN partitions, link
-//!   degradation, crashes) at scheduled times, written in placement terms.
+//! * **Faults**: a scripted [`FaultPlan`] is the one way to break the
+//!   network. It is a deterministic timeline of typed fault events — region
+//!   outages, WAN partitions, link degradation, isolated and crashed
+//!   replicas — applied at scheduled times and written in placement terms.
+//!   Every network fault is a window of directed link rules (cut, or
+//!   drop with a probability plus a fixed delay) that the window's close
+//!   removes again, so overlapping windows compose.
 //!
 //! # Examples
 //!
@@ -71,10 +74,10 @@ mod metrics;
 mod net;
 mod world;
 
-pub use actor::{Actor, Context, Timer, TimerId};
-pub use fault::{FaultEvent, FaultPlan};
+pub use actor::{Actor, Context, Timer};
+pub use fault::FaultPlan;
 pub use metrics::{LinkClass, NetStats, NodeStats, SimStats};
-pub use net::{LinkQuality, NetworkControl, Topology, TopologyBuilder};
+pub use net::{Topology, TopologyBuilder};
 pub use world::Simulation;
 
 pub use spider_obs::{

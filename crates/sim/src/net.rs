@@ -1,4 +1,5 @@
-//! Topology: regions, availability zones, and the latency model.
+//! Topology: regions, availability zones, and the latency model; and the
+//! network's fault state.
 //!
 //! The paper's deployments place replica groups in availability zones of
 //! EC2 regions. A [`Topology`] captures exactly that structure: named
@@ -11,6 +12,8 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use spider_types::{NodeId, RegionId, SimTime, ZoneId};
 use std::collections::BTreeMap;
+
+use crate::fault::{Effect, FaultEvent, Site};
 
 /// Static description of the simulated world: regions, zones, latencies.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -230,266 +233,137 @@ impl TopologyBuilder {
     }
 }
 
-/// Symmetric link-quality override between two regions: a drop
-/// probability plus fixed extra one-way delay for survivors.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkQuality {
-    /// Per-message drop probability in `[0, 1]`.
-    pub drop_rate: f64,
-    /// Fixed extra one-way delay for messages that get through.
-    pub extra_delay: SimTime,
-}
-
-impl LinkQuality {
-    /// Whether this override changes nothing (and can be cleared).
-    pub fn is_clean(&self) -> bool {
-        self.drop_rate == 0.0 && self.extra_delay == SimTime::ZERO
-    }
-}
-
-/// Runtime network fault injection: partitions, link blocks, extra delay.
-///
-/// Consulted at send time for every message; used by tests and
-/// [`FaultPlan`](crate::FaultPlan)s to exercise checkpoint catch-up, view
-/// changes, and IRMC `TooOld` paths.
-///
-/// Convention: cuts are **symmetric by default** — `partition_*`,
-/// `isolate`, region outages, and region cuts all sever both directions,
-/// matching how `crash` behaves. The directed forms ([`block_until`],
-/// [`set_drop_rate`], [`set_extra_delay`]) remain available for
-/// asymmetric-loss scenarios.
-///
-/// [`block_until`]: NetworkControl::block_until
-/// [`set_drop_rate`]: NetworkControl::set_drop_rate
-/// [`set_extra_delay`]: NetworkControl::set_extra_delay
+/// The simulated network's fault state: which nodes are crashed, and the
+/// link rules of the open [`FaultPlan`](crate::FaultPlan) windows.
+/// Consulted at send time for every message.
 #[derive(Debug, Default)]
-pub struct NetworkControl {
-    /// Pairs (a, b): messages from a to b are dropped while blocked.
-    blocked: BTreeMap<(NodeId, NodeId), SimTime>,
-    /// Nodes whose messages are all dropped (crashed).
-    crashed: std::collections::BTreeSet<NodeId>,
-    /// Nodes cut off the network both ways (state machines keep running).
-    isolated: std::collections::BTreeSet<NodeId>,
-    /// Extra one-way delay per ordered pair.
-    extra_delay: BTreeMap<(NodeId, NodeId), SimTime>,
-    /// Probability of dropping a message per ordered pair.
-    drop_rate: BTreeMap<(NodeId, NodeId), f64>,
-    /// Region of each node, indexed by `NodeId`, registered by the
-    /// simulation at `add_node`: every send looks up both ends.
-    node_region: Vec<Option<RegionId>>,
-    /// Regions currently cut off the network entirely.
-    offline_regions: std::collections::BTreeSet<RegionId>,
-    /// Severed region pairs (stored in both orders).
-    region_cuts: std::collections::BTreeSet<(RegionId, RegionId)>,
-    /// Degraded region pairs (stored in both orders).
-    region_degrade: BTreeMap<(RegionId, RegionId), LinkQuality>,
+pub(crate) struct NetworkControl {
+    /// Region of each node, indexed by `NodeId` (nodes register in id order).
+    node_region: Vec<RegionId>,
+    /// Whether each node is crashed, indexed by `NodeId`; nodes past the
+    /// end are not.
+    crashed: Vec<bool>,
+    /// Active link rules, in the order their windows opened.
+    rules: Vec<Rule>,
+}
+
+/// A [`LinkRule`] as installed: its window, and its ends resolved.
+#[derive(Debug)]
+struct Rule {
+    window: u32,
+    from: End,
+    to: End,
+    effect: Effect,
+}
+
+/// A [`Site`] with its region name resolved.
+#[derive(Debug, Clone, Copy)]
+enum End {
+    Any,
+    Region(RegionId),
+    Node(NodeId),
+}
+
+impl End {
+    /// # Panics
+    ///
+    /// Panics if `site` names a region the topology doesn't know.
+    fn resolve(site: &Site, topology: &Topology) -> End {
+        match site {
+            Site::Any => End::Any,
+            Site::Region(name) => End::Region(topology.region(name)),
+            Site::Node(node) => End::Node(*node),
+        }
+    }
 }
 
 impl NetworkControl {
-    /// Blocks the directed link `from -> to` until simulated time `until`
-    /// — the explicit *directed* form; prefer
-    /// [`NetworkControl::partition_pair_until`] for realistic cuts.
-    pub fn block_until(&mut self, from: NodeId, to: NodeId, until: SimTime) {
-        self.blocked.insert((from, to), until);
+    /// Registers the next node, placed in `region`.
+    pub(crate) fn add_node(&mut self, region: RegionId) {
+        self.node_region.push(region);
     }
 
-    /// Blocks both directions between `a` and `b` until `until`.
-    pub fn partition_pair_until(&mut self, a: NodeId, b: NodeId, until: SimTime) {
-        self.block_until(a, b, until);
-        self.block_until(b, a, until);
+    pub(crate) fn is_crashed(&self, node: NodeId) -> bool {
+        self.crashed.get(node.0 as usize) == Some(&true)
     }
 
-    /// Severs every `a`-side node from every `b`-side node (symmetric)
-    /// until `until` — the group-level convenience for partitioning, say,
-    /// an agreement group from an execution group.
-    pub fn partition_groups_until(&mut self, a: &[NodeId], b: &[NodeId], until: SimTime) {
-        for &x in a {
-            for &y in b {
-                self.partition_pair_until(x, y, until);
+    /// Checks that every region `event` names exists in `topology`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if one does not.
+    pub(crate) fn validate(event: &FaultEvent, topology: &Topology) {
+        if let FaultEvent::Open { rules, .. } = event {
+            for rule in rules {
+                End::resolve(&rule.from, topology);
+                End::resolve(&rule.to, topology);
             }
         }
     }
 
-    /// Marks a node as crashed: it neither sends nor receives from now on.
-    pub fn crash(&mut self, node: NodeId) {
-        self.crashed.insert(node);
-    }
-
-    /// Revives a crashed node (state is whatever it was — rejoin logic is
-    /// the protocol's business).
-    pub fn revive(&mut self, node: NodeId) {
-        self.crashed.remove(&node);
-    }
-
-    /// Whether the node is currently crashed.
-    pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.crashed.contains(&node)
-    }
-
-    /// Cuts `node` off the network in both directions while its state
-    /// machine and timers keep running — unlike
-    /// [`NetworkControl::crash`], a later [`NetworkControl::rejoin`]
-    /// lets it recover via the protocol's own catch-up paths.
-    pub fn isolate(&mut self, node: NodeId) {
-        self.isolated.insert(node);
-    }
-
-    /// Reconnects an isolated node.
-    pub fn rejoin(&mut self, node: NodeId) {
-        self.isolated.remove(&node);
-    }
-
-    /// Whether the node is currently isolated.
-    pub fn is_isolated(&self, node: NodeId) -> bool {
-        self.isolated.contains(&node)
-    }
-
-    /// Registers the region a node lives in. The simulation calls this
-    /// from `add_node`; region-level faults only affect registered nodes.
-    pub fn set_node_region(&mut self, node: NodeId, region: RegionId) {
-        let i = node.0 as usize;
-        if self.node_region.len() <= i {
-            self.node_region.resize(i + 1, None);
-        }
-        self.node_region[i] = Some(region);
-    }
-
-    /// Cuts every node in `region` off the network, both directions
-    /// (the region-outage convenience; see
-    /// [`FaultEvent::RegionOutage`](crate::FaultEvent::RegionOutage) for
-    /// the semantics).
-    pub fn outage_region(&mut self, region: RegionId) {
-        self.offline_regions.insert(region);
-    }
-
-    /// Reconnects a region taken down by
-    /// [`NetworkControl::outage_region`].
-    pub fn restore_region(&mut self, region: RegionId) {
-        self.offline_regions.remove(&region);
-    }
-
-    /// Whether the region is currently offline.
-    pub fn is_region_offline(&self, region: RegionId) -> bool {
-        self.offline_regions.contains(&region)
-    }
-
-    /// Severs all traffic between two regions (symmetric).
-    pub fn partition_regions(&mut self, a: RegionId, b: RegionId) {
-        self.region_cuts.insert((a, b));
-        self.region_cuts.insert((b, a));
-    }
-
-    /// Removes a region-level cut installed by
-    /// [`NetworkControl::partition_regions`].
-    pub fn heal_region_cut(&mut self, a: RegionId, b: RegionId) {
-        self.region_cuts.remove(&(a, b));
-        self.region_cuts.remove(&(b, a));
-    }
-
-    /// Degrades every link between two regions (symmetric). A clean
-    /// [`LinkQuality`] (zero drop, zero delay) clears the degradation.
-    pub fn degrade_regions(&mut self, a: RegionId, b: RegionId, quality: LinkQuality) {
-        assert!((0.0..=1.0).contains(&quality.drop_rate), "drop rate out of range");
-        if quality.is_clean() {
-            self.region_degrade.remove(&(a, b));
-            self.region_degrade.remove(&(b, a));
-        } else {
-            self.region_degrade.insert((a, b), quality);
-            self.region_degrade.insert((b, a), quality);
-        }
-    }
-
-    /// Clears every network-level fault: timed blocks, isolation, region
-    /// outages, region cuts, degradation, and the per-pair drop/delay
-    /// overrides. Crashed nodes stay crashed — a crash is not a network
-    /// condition (and their timers are already gone).
-    pub fn heal(&mut self) {
-        self.blocked.clear();
-        self.isolated.clear();
-        self.offline_regions.clear();
-        self.region_cuts.clear();
-        self.region_degrade.clear();
-        self.extra_delay.clear();
-        self.drop_rate.clear();
-    }
-
-    /// Adds fixed extra one-way delay on the directed link.
-    pub fn set_extra_delay(&mut self, from: NodeId, to: NodeId, delay: SimTime) {
-        if delay == SimTime::ZERO {
-            self.extra_delay.remove(&(from, to));
-        } else {
-            self.extra_delay.insert((from, to), delay);
-        }
-    }
-
-    /// Sets a drop probability on the directed link.
-    pub fn set_drop_rate(&mut self, from: NodeId, to: NodeId, p: f64) {
-        assert!((0.0..=1.0).contains(&p));
-        if p == 0.0 {
-            self.drop_rate.remove(&(from, to));
-        } else {
-            self.drop_rate.insert((from, to), p);
-        }
-    }
-
-    fn region_pair(&self, from: NodeId, to: NodeId) -> Option<(RegionId, RegionId)> {
-        let region = |node: NodeId| self.node_region.get(node.0 as usize).copied().flatten();
-        Some((region(from)?, region(to)?))
-    }
-
-    pub(crate) fn extra_delay(&self, from: NodeId, to: NodeId) -> SimTime {
-        let pair = self.extra_delay.get(&(from, to)).copied().unwrap_or(SimTime::ZERO);
-        let regional = self
-            .region_pair(from, to)
-            .and_then(|key| self.region_degrade.get(&key))
-            .map(|q| q.extra_delay)
-            .unwrap_or(SimTime::ZERO);
-        pair + regional
-    }
-
-    pub(crate) fn should_drop<R: Rng>(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        now: SimTime,
-        rng: &mut R,
-    ) -> bool {
-        if self.crashed.contains(&from) || self.crashed.contains(&to) {
-            return true;
-        }
-        if self.isolated.contains(&from) || self.isolated.contains(&to) {
-            return true;
-        }
-        if let Some((ra, rb)) = self.region_pair(from, to) {
-            if self.offline_regions.contains(&ra) || self.offline_regions.contains(&rb) {
-                return true;
+    /// Applies one fault event, resolving the regions it names.
+    pub(crate) fn apply(&mut self, event: FaultEvent, topology: &Topology) {
+        match event {
+            FaultEvent::Open { window, rules } => {
+                self.rules.extend(rules.iter().map(|rule| Rule {
+                    window,
+                    from: End::resolve(&rule.from, topology),
+                    to: End::resolve(&rule.to, topology),
+                    effect: rule.effect,
+                }));
             }
-            if self.region_cuts.contains(&(ra, rb)) {
-                return true;
-            }
-            if let Some(q) = self.region_degrade.get(&(ra, rb)) {
-                if q.drop_rate > 0.0 && rng.gen_bool(q.drop_rate) {
-                    return true;
+            FaultEvent::Close { window } => self.rules.retain(|rule| rule.window != window),
+            FaultEvent::CrashReplica { node } => {
+                let i = node.0 as usize;
+                if self.crashed.len() <= i {
+                    self.crashed.resize(i + 1, false);
                 }
+                self.crashed[i] = true;
             }
+            FaultEvent::Heal => self.rules.clear(),
         }
-        if let Some(until) = self.blocked.get(&(from, to)) {
-            if now < *until {
-                return true;
-            }
+    }
+
+    /// The effects of the rules covering the link `from -> to`.
+    fn effects(&self, from: NodeId, to: NodeId) -> impl Iterator<Item = Effect> + '_ {
+        let covers = move |end: End, node: NodeId| match end {
+            End::Any => true,
+            End::Region(r) => self.node_region.get(node.0 as usize) == Some(&r),
+            End::Node(n) => n == node,
+        };
+        let rules = self.rules.iter();
+        rules.filter(move |r| covers(r.from, from) && covers(r.to, to)).map(|r| r.effect)
+    }
+
+    /// Extra one-way delay on `from -> to`: the sum over its degrade rules.
+    pub(crate) fn extra_delay(&self, from: NodeId, to: NodeId) -> SimTime {
+        self.effects(from, to).fold(SimTime::ZERO, |sum, effect| match effect {
+            Effect::Cut => sum,
+            Effect::Degrade { extra_delay, .. } => sum + extra_delay,
+        })
+    }
+
+    /// Whether a message sent `from -> to` is lost. Crashes and cuts are
+    /// checked first and draw nothing from `rng`; then each degrade rule
+    /// with a nonzero drop rate draws once, until one drops the message.
+    pub(crate) fn should_drop<R: Rng>(&self, from: NodeId, to: NodeId, rng: &mut R) -> bool {
+        if self.is_crashed(from) || self.is_crashed(to) {
+            return true;
         }
-        if let Some(p) = self.drop_rate.get(&(from, to)) {
-            if rng.gen_bool(*p) {
-                return true;
-            }
+        if self.effects(from, to).any(|effect| effect == Effect::Cut) {
+            return true;
         }
-        false
+        self.effects(from, to).any(|effect| match effect {
+            Effect::Cut => false,
+            Effect::Degrade { drop_rate, .. } => drop_rate > 0.0 && rng.gen_bool(drop_rate),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultPlan;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -563,90 +437,89 @@ mod tests {
         topo().region("nowhere");
     }
 
-    #[test]
-    fn network_control_blocks_and_expires() {
+    /// The network after every event of `plan` due by `t`, over nodes
+    /// 0 and 1 in `va` and 2 and 3 in `or`.
+    fn network_at(plan: &FaultPlan, t: SimTime) -> NetworkControl {
+        let topo = topo();
         let mut nc = NetworkControl::default();
-        let mut rng = SmallRng::seed_from_u64(2);
-        let (a, b) = (NodeId(1), NodeId(2));
-        nc.block_until(a, b, SimTime::from_secs(5));
-        assert!(nc.should_drop(a, b, SimTime::from_secs(1), &mut rng));
-        assert!(!nc.should_drop(b, a, SimTime::from_secs(1), &mut rng));
-        assert!(!nc.should_drop(a, b, SimTime::from_secs(5), &mut rng));
+        for region in ["va", "va", "or", "or"] {
+            nc.add_node(topo.region(region));
+        }
+        for (_, event) in plan.clone().into_events(0).0.into_iter().filter(|(at, _)| *at <= t) {
+            nc.apply(event, &topo);
+        }
+        nc
+    }
+
+    fn drops(nc: &NetworkControl, from: u32, to: u32) -> bool {
+        nc.should_drop(NodeId(from), NodeId(to), &mut SmallRng::seed_from_u64(7))
     }
 
     #[test]
     fn network_control_region_faults_are_symmetric_and_heal() {
-        let mut nc = NetworkControl::default();
-        let mut rng = SmallRng::seed_from_u64(7);
-        let (va, or) = (RegionId(0), RegionId(1));
-        let (a, b) = (NodeId(1), NodeId(2));
-        nc.set_node_region(a, va);
-        nc.set_node_region(b, or);
+        let (s, ms) = (SimTime::from_secs, SimTime::from_millis);
+        let plan = FaultPlan::new()
+            .wan_partition(&["va"], &["or"], s(1), s(2))
+            .region_outage("or", s(3), s(4))
+            .link_degrade("va", "or", 1.0, ms(5), s(5), s(9))
+            .region_outage("va", s(6), s(9))
+            .heal_at(s(7));
+        let nc = network_at(&plan, s(1));
+        assert!(drops(&nc, 0, 2) && drops(&nc, 2, 0));
+        assert!(!drops(&nc, 0, 1) && !drops(&nc, 2, 3), "traffic within a side flows");
+        assert!(!drops(&network_at(&plan, s(2)), 0, 2));
 
-        nc.partition_regions(va, or);
-        assert!(nc.should_drop(a, b, SimTime::ZERO, &mut rng));
-        assert!(nc.should_drop(b, a, SimTime::ZERO, &mut rng));
-        nc.heal_region_cut(or, va); // either argument order heals
-        assert!(!nc.should_drop(a, b, SimTime::ZERO, &mut rng));
+        let nc = network_at(&plan, s(3));
+        assert!(drops(&nc, 0, 2) && drops(&nc, 2, 0) && drops(&nc, 2, 3));
+        assert!(!drops(&nc, 0, 1));
+        assert!(!drops(&network_at(&plan, s(4)), 0, 2));
 
-        nc.outage_region(or);
-        assert!(nc.is_region_offline(or));
-        assert!(nc.should_drop(a, b, SimTime::ZERO, &mut rng));
-        assert!(nc.should_drop(b, a, SimTime::ZERO, &mut rng));
-        nc.restore_region(or);
-        assert!(!nc.should_drop(a, b, SimTime::ZERO, &mut rng));
-
-        nc.degrade_regions(
-            va,
-            or,
-            LinkQuality { drop_rate: 1.0, extra_delay: SimTime::from_millis(5) },
-        );
-        assert!(nc.should_drop(a, b, SimTime::ZERO, &mut rng));
-        assert_eq!(nc.extra_delay(b, a), SimTime::from_millis(5));
-        nc.outage_region(va);
-        nc.heal();
-        assert!(!nc.should_drop(a, b, SimTime::ZERO, &mut rng));
-        assert_eq!(nc.extra_delay(a, b), SimTime::ZERO);
+        let nc = network_at(&plan, s(5));
+        assert!(drops(&nc, 0, 2));
+        assert_eq!(nc.extra_delay(NodeId(2), NodeId(0)), ms(5));
+        assert_eq!(nc.extra_delay(NodeId(0), NodeId(1)), SimTime::ZERO);
+        assert!(drops(&network_at(&plan, s(6)), 0, 1));
+        let nc = network_at(&plan, s(7));
+        assert!(!drops(&nc, 0, 2) && !drops(&nc, 0, 1));
+        assert_eq!(nc.extra_delay(NodeId(0), NodeId(2)), SimTime::ZERO);
     }
 
     #[test]
     fn network_control_isolation_is_recoverable_and_heal_spares_crashes() {
-        let mut nc = NetworkControl::default();
-        let mut rng = SmallRng::seed_from_u64(8);
-        let (a, b, c) = (NodeId(1), NodeId(2), NodeId(3));
-        nc.isolate(a);
-        assert!(nc.is_isolated(a));
-        assert!(nc.should_drop(a, b, SimTime::ZERO, &mut rng));
-        assert!(nc.should_drop(b, a, SimTime::ZERO, &mut rng));
-        assert!(!nc.should_drop(b, c, SimTime::ZERO, &mut rng));
-        nc.crash(c);
-        nc.heal();
-        assert!(!nc.should_drop(a, b, SimTime::ZERO, &mut rng), "heal rejoins isolated nodes");
-        assert!(nc.should_drop(b, c, SimTime::ZERO, &mut rng), "heal never revives crashes");
+        let s = SimTime::from_secs;
+        let plan = FaultPlan::new()
+            .isolate_replica(NodeId(1), s(1), s(5))
+            .crash_replica(NodeId(3), s(1))
+            .heal_at(s(2));
+        let nc = network_at(&plan, s(1));
+        assert!(drops(&nc, 1, 2) && drops(&nc, 2, 1));
+        assert!(!drops(&nc, 2, 0));
+        let nc = network_at(&plan, s(2));
+        assert!(!drops(&nc, 1, 2), "heal rejoins isolated nodes");
+        assert!(drops(&nc, 2, 3), "heal never revives crashes");
     }
 
     #[test]
     fn network_control_group_partition_cuts_cross_pairs_only() {
-        let mut nc = NetworkControl::default();
-        let mut rng = SmallRng::seed_from_u64(9);
-        let (a1, a2, b1) = (NodeId(1), NodeId(2), NodeId(3));
-        nc.partition_groups_until(&[a1, a2], &[b1], SimTime::from_secs(5));
-        assert!(nc.should_drop(a1, b1, SimTime::ZERO, &mut rng));
-        assert!(nc.should_drop(b1, a2, SimTime::ZERO, &mut rng));
-        assert!(!nc.should_drop(a1, a2, SimTime::ZERO, &mut rng), "intra-side traffic flows");
-        assert!(!nc.should_drop(a1, b1, SimTime::from_secs(5), &mut rng), "cut expires");
+        let s = SimTime::from_secs;
+        let plan = FaultPlan::new().wan_partition(&["va"], &["or"], SimTime::ZERO, s(5));
+        let nc = network_at(&plan, SimTime::ZERO);
+        assert!(drops(&nc, 0, 2));
+        assert!(drops(&nc, 2, 1));
+        assert!(!drops(&nc, 0, 1), "intra-side traffic flows");
+        assert!(!drops(&network_at(&plan, s(5)), 0, 2), "cut expires");
     }
 
     #[test]
     fn network_control_crash_drops_both_directions() {
-        let mut nc = NetworkControl::default();
-        let mut rng = SmallRng::seed_from_u64(3);
-        let (a, b) = (NodeId(1), NodeId(2));
-        nc.crash(a);
-        assert!(nc.is_crashed(a));
-        assert!(nc.should_drop(a, b, SimTime::ZERO, &mut rng));
-        assert!(nc.should_drop(b, a, SimTime::ZERO, &mut rng));
-        nc.revive(a);
-        assert!(!nc.should_drop(a, b, SimTime::ZERO, &mut rng));
+        let s = SimTime::from_secs;
+        let plan = FaultPlan::new().crash_replica(NodeId(1), s(1)).crash_replica(NodeId(40), s(1));
+        assert!(!drops(&network_at(&plan, SimTime::ZERO), 1, 2));
+        let nc = network_at(&plan, s(1));
+        assert!(drops(&nc, 1, 2));
+        assert!(drops(&nc, 2, 1));
+        // The crashed table is dense: ids it never saw are up.
+        assert!(nc.is_crashed(NodeId(40)) && !nc.is_crashed(NodeId(39)));
+        assert!(!nc.is_crashed(NodeId(41)) && !nc.is_crashed(NodeId(u32::MAX)));
     }
 }

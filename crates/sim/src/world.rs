@@ -4,13 +4,13 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use spider_obs::{ObsConfig, Recorder};
 use spider_types::{NodeId, SimTime, WireSize, ZoneId};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
-use crate::actor::{Actor, ActorObj, Context, OutAction, Timer, TimerId};
+use crate::actor::{Actor, ActorObj, Context, OutAction, Timer};
 use crate::event::{EventKind, EventQueue};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::metrics::{LinkClass, SimStats};
-use crate::net::{LinkQuality, NetworkControl, Topology};
+use crate::net::{NetworkControl, Topology};
 
 struct NodeSlot<M> {
     actor: Box<dyn ActorObj<M>>,
@@ -19,8 +19,9 @@ struct NodeSlot<M> {
     busy_until: SimTime,
     /// The node's NIC egress is occupied until this instant.
     egress_free_at: SimTime,
-    /// Pending tag-keyed timers ([`Context::arm`]), freed as they fire.
-    armed: BTreeMap<u64, TimerId>,
+    /// Pending tag-keyed timers ([`Context::arm`]) by tag, each with its
+    /// arm id; a tag is freed as its timer fires.
+    armed: BTreeMap<u64, u64>,
 }
 
 /// A deterministic discrete-event simulation over message type `M`.
@@ -38,11 +39,12 @@ pub struct Simulation<M> {
     seed: u64,
     stats: SimStats,
     net_control: NetworkControl,
-    cancelled_timers: BTreeSet<TimerId>,
-    next_timer_id: u64,
+    next_arm_id: u64,
     out_buf: Vec<OutAction<M>>,
     /// Installed fault events in application order (front = next due).
     fault_timeline: VecDeque<(SimTime, FaultEvent)>,
+    /// Fault windows installed so far: the next plan's are numbered on.
+    fault_windows: u32,
     /// Observability recorder; disabled (every record call a no-op)
     /// unless [`Simulation::enable_obs`] is called.
     obs: Recorder,
@@ -60,10 +62,10 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
             seed,
             stats: SimStats::default(),
             net_control: NetworkControl::default(),
-            cancelled_timers: BTreeSet::new(),
-            next_timer_id: 0,
+            next_arm_id: 0,
             out_buf: Vec::new(),
             fault_timeline: VecDeque::new(),
+            fault_windows: 0,
             obs: Recorder::disabled(),
         }
     }
@@ -90,7 +92,7 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
         let id = NodeId(self.nodes.len() as u32);
         self.stats.ensure_node(id);
         self.obs.ensure_node(id);
-        self.net_control.set_node_region(id, zone.region());
+        self.net_control.add_node(zone.region());
         self.nodes.push(NodeSlot {
             actor: Box::new(actor),
             zone,
@@ -122,56 +124,29 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
         &self.stats
     }
 
-    /// Mutable access to runtime fault injection.
-    pub fn net_control_mut(&mut self) -> &mut NetworkControl {
-        &mut self.net_control
-    }
-
-    /// Immutable access to fault injection state.
-    pub fn net_control(&self) -> &NetworkControl {
-        &self.net_control
-    }
-
-    /// Installs a scripted [`FaultPlan`]: its events apply to
-    /// [`NetworkControl`] at their scheduled times as the simulation
-    /// advances. Multiple plans merge; same-instant events keep install
-    /// order. Region names are validated eagerly.
+    /// Installs a scripted [`FaultPlan`]: its events apply at their
+    /// scheduled times as the simulation advances. Multiple plans merge;
+    /// same-instant events keep install order. Region names are validated
+    /// eagerly.
     ///
-    /// Events in the past (at or before [`Simulation::now`]) apply on the
-    /// next step. Messages already in flight across a new cut still
-    /// arrive — drops are decided at send time.
+    /// Events at or before [`Simulation::now`] apply at once. Messages
+    /// already in flight across a new cut still arrive — drops are decided
+    /// at send time.
     ///
     /// # Panics
     ///
     /// Panics if an event names a region the topology doesn't know.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
-        let events = plan.into_events();
+        let (events, next_window) = plan.into_events(self.fault_windows);
+        self.fault_windows = next_window;
         for (_, event) in &events {
-            match event {
-                FaultEvent::RegionOutage { region } | FaultEvent::RegionRestore { region } => {
-                    let _ = self.topology.region(region);
-                }
-                FaultEvent::WanPartition { side_a, side_b }
-                | FaultEvent::WanHeal { side_a, side_b } => {
-                    for r in side_a.iter().chain(side_b) {
-                        let _ = self.topology.region(r);
-                    }
-                }
-                FaultEvent::LinkDegrade { a, b, .. } => {
-                    let _ = self.topology.region(a);
-                    let _ = self.topology.region(b);
-                }
-                FaultEvent::CrashReplica { .. }
-                | FaultEvent::ReviveReplica { .. }
-                | FaultEvent::IsolateReplica { .. }
-                | FaultEvent::RejoinReplica { .. }
-                | FaultEvent::Heal => {}
-            }
+            NetworkControl::validate(event, &self.topology);
         }
         let mut merged: Vec<(SimTime, FaultEvent)> =
             self.fault_timeline.drain(..).chain(events).collect();
         merged.sort_by_key(|(at, _)| *at);
         self.fault_timeline = merged.into();
+        self.apply_due_faults(self.now);
     }
 
     /// Number of fault events still pending application.
@@ -183,45 +158,7 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
     fn apply_due_faults(&mut self, upto: SimTime) {
         while self.fault_timeline.front().is_some_and(|(at, _)| *at <= upto) {
             let (_, event) = self.fault_timeline.pop_front().expect("front checked");
-            self.apply_fault(event);
-        }
-    }
-
-    fn apply_fault(&mut self, event: FaultEvent) {
-        match event {
-            FaultEvent::RegionOutage { region } => {
-                let r = self.topology.region(&region);
-                self.net_control.outage_region(r);
-            }
-            FaultEvent::RegionRestore { region } => {
-                let r = self.topology.region(&region);
-                self.net_control.restore_region(r);
-            }
-            FaultEvent::WanPartition { side_a, side_b } => {
-                for a in &side_a {
-                    for b in &side_b {
-                        let (ra, rb) = (self.topology.region(a), self.topology.region(b));
-                        self.net_control.partition_regions(ra, rb);
-                    }
-                }
-            }
-            FaultEvent::WanHeal { side_a, side_b } => {
-                for a in &side_a {
-                    for b in &side_b {
-                        let (ra, rb) = (self.topology.region(a), self.topology.region(b));
-                        self.net_control.heal_region_cut(ra, rb);
-                    }
-                }
-            }
-            FaultEvent::LinkDegrade { a, b, drop_rate, extra_delay } => {
-                let (ra, rb) = (self.topology.region(&a), self.topology.region(&b));
-                self.net_control.degrade_regions(ra, rb, LinkQuality { drop_rate, extra_delay });
-            }
-            FaultEvent::CrashReplica { node } => self.net_control.crash(node),
-            FaultEvent::ReviveReplica { node } => self.net_control.revive(node),
-            FaultEvent::IsolateReplica { node } => self.net_control.isolate(node),
-            FaultEvent::RejoinReplica { node } => self.net_control.rejoin(node),
-            FaultEvent::Heal => self.net_control.heal(),
+            self.net_control.apply(event, &self.topology);
         }
     }
 
@@ -234,7 +171,7 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
     pub fn post(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: M) {
         assert!(at >= self.now, "cannot post into the past");
         let (arrival, class, bytes) = self.delivery_plan(at, from, to, &msg);
-        if self.net_control.should_drop(from, to, at, &mut self.rng) {
+        if self.net_control.should_drop(from, to, &mut self.rng) {
             self.stats.dropped_messages += 1;
             return;
         }
@@ -266,18 +203,12 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
 
     /// Runs until the queue is empty or simulated time reaches `deadline`.
     /// Returns the number of events processed.
+    ///
+    /// The same as [`Simulation::run_until`]: either way the clock ends
+    /// at `deadline` (or at [`Simulation::now`], if later). The name says
+    /// that the caller expects the run to settle before the deadline.
     pub fn run_until_quiescent(&mut self, deadline: SimTime) -> u64 {
-        let mut n = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-            n += 1;
-        }
-        self.now = self.now.max(deadline.min(self.queue.peek_time().unwrap_or(deadline)));
-        self.apply_due_faults(self.now);
-        n
+        self.run_until(deadline)
     }
 
     /// Runs until simulated time reaches `deadline` (events after the
@@ -332,13 +263,14 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
                 self.stats.record_receive(node, class, bytes);
                 self.run_handler(node, |actor, ctx| actor.on_message(ctx, from, msg));
             }
-            EventKind::Fire { timer } => {
-                if self.cancelled_timers.remove(&timer.id) {
-                    return true;
-                }
-                let armed = &mut self.nodes[node.0 as usize].armed;
-                if armed.get(&timer.tag) == Some(&timer.id) {
-                    armed.remove(&timer.tag);
+            EventKind::Fire { timer, armed } => {
+                if let Some(id) = armed {
+                    // An armed timer fires only while its tag still holds it.
+                    let pending = &mut self.nodes[node.0 as usize].armed;
+                    if pending.get(&timer.tag) != Some(&id) {
+                        return true;
+                    }
+                    pending.remove(&timer.tag);
                 }
                 self.run_handler(node, |actor, ctx| actor.on_timer(ctx, timer));
             }
@@ -396,7 +328,7 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
                 rng: &mut self.rng,
                 out: &mut out,
                 charged: &mut charged,
-                next_timer_id: &mut self.next_timer_id,
+                next_arm_id: &mut self.next_arm_id,
                 armed: &mut slot.armed,
                 obs: &mut self.obs,
             };
@@ -411,7 +343,7 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
             match action {
                 OutAction::Send { to, msg, at } => {
                     let departure = start + at;
-                    if self.net_control.should_drop(node, to, departure, &mut self.rng) {
+                    if self.net_control.should_drop(node, to, &mut self.rng) {
                         self.stats.dropped_messages += 1;
                         continue;
                     }
@@ -419,15 +351,12 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
                     self.stats.record_send(node, class, bytes);
                     self.queue.push(arrival, to, EventKind::Deliver { from: node, msg });
                 }
-                OutAction::SetTimer { id, delay, tag } => {
+                OutAction::SetTimer { delay, tag, armed } => {
                     self.queue.push(
                         end + delay,
                         node,
-                        EventKind::Fire { timer: Timer { id, tag } },
+                        EventKind::Fire { timer: Timer { tag }, armed },
                     );
-                }
-                OutAction::CancelTimer(id) => {
-                    self.cancelled_timers.insert(id);
                 }
             }
         }
@@ -543,7 +472,7 @@ mod tests {
         let mut sim = Simulation::new(topo, 1);
         let a = sim.add_node(sim.topology().zone("a", 0), Recorder::default());
         let b = sim.add_node(sim.topology().zone("b", 0), Recorder::default());
-        sim.net_control_mut().crash(b);
+        sim.install_fault_plan(FaultPlan::new().crash_replica(b, SimTime::ZERO));
         sim.post(SimTime::ZERO, a, b, Msg(1, 10));
         sim.run_until_quiescent(SimTime::from_secs(1));
         assert!(sim.actor::<Recorder>(b).arrivals.is_empty());
@@ -554,14 +483,13 @@ mod tests {
     fn timers_fire_in_order_and_cancel() {
         struct TimerUser {
             fired: Vec<u64>,
-            cancel_me: Option<TimerId>,
         }
         impl Actor<Msg> for TimerUser {
             fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-                ctx.set_timer(SimTime::from_millis(5), 5);
-                ctx.set_timer(SimTime::from_millis(1), 1);
-                let id = ctx.set_timer(SimTime::from_millis(3), 3);
-                ctx.cancel_timer(id);
+                ctx.arm(5, SimTime::from_millis(5));
+                ctx.arm(1, SimTime::from_millis(1));
+                ctx.arm(3, SimTime::from_millis(3));
+                ctx.disarm(3);
             }
             fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, _: Msg) {}
             fn on_timer(&mut self, _: &mut Context<'_, Msg>, timer: Timer) {
@@ -570,11 +498,9 @@ mod tests {
         }
         let topo = two_region_topo();
         let mut sim = Simulation::new(topo, 1);
-        let n =
-            sim.add_node(sim.topology().zone("a", 0), TimerUser { fired: vec![], cancel_me: None });
+        let n = sim.add_node(sim.topology().zone("a", 0), TimerUser { fired: vec![] });
         sim.run_until_quiescent(SimTime::from_secs(1));
         assert_eq!(sim.actor::<TimerUser>(n).fired, vec![1, 5]);
-        let _ = sim.actor::<TimerUser>(n).cancel_me; // silence dead-code
     }
 
     #[test]
@@ -677,15 +603,12 @@ mod tests {
         sim.install_fault_plan(
             FaultPlan::new()
                 .crash_replica(dead, SimTime::from_secs(1))
-                .at(
-                    SimTime::from_secs(1),
-                    FaultEvent::WanPartition { side_a: vec!["a".into()], side_b: vec!["b".into()] },
-                )
+                .wan_partition(&["a"], &["b"], SimTime::from_secs(1), SimTime::from_secs(60))
                 .heal_at(SimTime::from_secs(3)),
         );
         sim.run_until(SimTime::from_secs(5));
-        assert!(!sim.net_control().is_crashed(ticker));
-        assert!(sim.net_control().is_crashed(dead), "heal leaves crashes in place");
+        assert!(!sim.net_control.is_crashed(ticker));
+        assert!(sim.net_control.is_crashed(dead), "heal leaves crashes in place");
         let echoed = &sim.actor::<Ticker>(ticker).echoed;
         assert!(
             echoed.iter().any(|t| *t > SimTime::from_secs(3)),
@@ -768,16 +691,77 @@ mod tests {
                 ctx.arm(7, SimTime::from_millis(1)); // replaces #0
             }
             fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, _: Msg) {}
-            fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, timer: Timer) {
+            fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _: Timer) {
                 let before = ctx.out.len();
                 ctx.arm_if_idle(7, SimTime::from_millis(1)); // free: sets
                 ctx.arm_if_idle(7, SimTime::from_millis(1)); // pending: keeps
-                self.log.push(format!("#{} set {}", timer.id.0, ctx.out.len() - before));
+                self.log.push(format!("{} set {}", ctx.now(), ctx.out.len() - before));
             }
         }
         let mut sim = Simulation::new(two_region_topo(), 1);
         let n = sim.add_node(sim.topology().zone("a", 0), Rearm::default());
-        sim.run_until(SimTime::from_micros(3_500));
-        assert_eq!(sim.actor::<Rearm>(n).log, ["#1 set 1", "#2 set 1", "#3 set 1"]);
+        // The replaced 5 ms timer is still queued when the re-armed chain
+        // fires at 5 ms; it must not fire a second time then.
+        sim.run_until(SimTime::from_micros(5_500));
+        let fired =
+            ["1.000ms", "2.000ms", "3.000ms", "4.000ms", "5.000ms"].map(|t| format!("{t} set 1"));
+        assert_eq!(sim.actor::<Rearm>(n).log, fired);
+    }
+
+    #[test]
+    fn overlapping_isolation_windows_compose() {
+        let s = SimTime::from_secs;
+        let mut sim = Simulation::new(two_region_topo(), 1);
+        let echo = sim.add_node(sim.topology().zone("b", 0), EchoBack);
+        let ticker = sim.add_node(
+            sim.topology().zone("a", 0),
+            Ticker { peer: echo, period: SimTime::from_millis(100), sent: 0, echoed: vec![] },
+        );
+        // The inner window's close must not end the outer one.
+        sim.install_fault_plan(FaultPlan::new().isolate_replica(echo, s(1), s(4)).isolate_replica(
+            echo,
+            s(2),
+            s(3),
+        ));
+        sim.run_until(s(6));
+        let echoed = &sim.actor::<Ticker>(ticker).echoed;
+        let between = |from, until| echoed.iter().filter(|t| **t > from && **t < until).count();
+        let late = SimTime::from_millis(200); // an echo sent before a cut still lands
+        assert_eq!(between(s(1) + late, s(4)), 0, "isolated until the outer window closes");
+        assert!(between(s(4) + late, s(6)) > 10, "traffic resumes after it");
+    }
+
+    #[test]
+    fn fault_rules_draw_only_for_a_nonzero_drop_rate() {
+        use rand::RngCore;
+        let s = SimTime::from_secs;
+        let mut sim = Simulation::new(two_region_topo(), 1); // no jitter: sends draw no latency
+        let a = sim.add_node(sim.topology().zone("a", 0), Recorder::default());
+        let b = sim.add_node(sim.topology().zone("b", 0), Recorder::default());
+        let cut = sim.add_node(sim.topology().zone("a", 1), Recorder::default());
+        sim.install_fault_plan(
+            FaultPlan::new()
+                .isolate_replica(cut, SimTime::ZERO, s(1))
+                .degrade_links(&[a], &[b], 0.0, SimTime::from_millis(5), SimTime::ZERO, s(1))
+                .degrade_links(&[b], &[a], 0.5, SimTime::ZERO, SimTime::ZERO, s(1)),
+        );
+        let next_draw = |rng: &SmallRng| rng.clone().next_u64();
+        let before = sim.rng.clone();
+        sim.post(SimTime::ZERO, a, cut, Msg(1, 8));
+        sim.post(SimTime::ZERO, cut, b, Msg(2, 8));
+        sim.post(SimTime::ZERO, a, b, Msg(3, 8));
+        assert_eq!(next_draw(&sim.rng), next_draw(&before), "cut and zero-rate sends draw nothing");
+        for i in 0..3 {
+            sim.post(SimTime::ZERO, b, a, Msg(4 + i, 8));
+        }
+        let mut expected = before;
+        for _ in 0..3 {
+            expected.next_u64();
+        }
+        assert_eq!(next_draw(&sim.rng), next_draw(&expected), "one draw per degraded send");
+        sim.run_until(s(1));
+        let at_b = &sim.actor::<Recorder>(b).arrivals;
+        assert_eq!(at_b.len(), 1, "only the zero-rate degraded send reaches b");
+        assert!(at_b[0].0 >= SimTime::from_millis(45), "40 ms away, 5 ms late");
     }
 }
