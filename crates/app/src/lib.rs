@@ -11,6 +11,15 @@
 //! [`KvStore`]); a checkpoint costs the host what was written, not what
 //! is stored.
 //!
+//! Entries are not copied in. A key and value written by a put are
+//! [`Bytes::slice`]s of the request buffer the put arrived in, and the
+//! entries of a restored bucket are slices of the verified snapshot part,
+//! which becomes the bucket's cached encoding; reads answer with slices of
+//! the stored value. The price is memory: an entry keeps its whole request
+//! buffer allocated (the few header bytes around key and value), and a
+//! restored bucket's part stays allocated until every entry from it has
+//! been overwritten.
+//!
 //! # Examples
 //!
 //! ```
@@ -32,6 +41,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use spider::{Application, Part};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// A key-value store operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,7 +73,11 @@ impl KvOp {
 
     /// Serializes the operation to the store's wire format.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+        let len = match self {
+            KvOp::Put { key, value } => 1 + 2 + key.len() + 4 + value.len(),
+            KvOp::Get { key } => 1 + 2 + key.len(),
+        };
+        let mut buf = BytesMut::with_capacity(len);
         match self {
             KvOp::Put { key, value } => {
                 buf.put_u8(b'P');
@@ -78,35 +92,18 @@ impl KvOp {
                 buf.put_slice(key);
             }
         }
+        debug_assert_eq!(buf.len(), len, "the buffer was sized exactly");
         buf.freeze()
     }
 
     /// Parses an operation; `None` for malformed input.
-    pub fn decode(mut buf: &[u8]) -> Option<KvOp> {
-        if buf.remaining() < 3 {
-            return None;
-        }
-        let tag = buf.get_u8();
-        let klen = buf.get_u16() as usize;
-        if buf.remaining() < klen {
-            return None;
-        }
-        let key = buf[..klen].to_vec();
-        buf.advance(klen);
-        match tag {
-            b'P' => {
-                if buf.remaining() < 4 {
-                    return None;
-                }
-                let vlen = buf.get_u32() as usize;
-                if buf.remaining() < vlen {
-                    return None;
-                }
-                Some(KvOp::Put { key, value: buf[..vlen].to_vec() })
+    pub fn decode(buf: &[u8]) -> Option<KvOp> {
+        Some(match Fields::of(buf)? {
+            Fields::Put { key, value } => {
+                KvOp::Put { key: buf[key].to_vec(), value: buf[value].to_vec() }
             }
-            b'G' => Some(KvOp::Get { key }),
-            _ => None,
-        }
+            Fields::Get { key } => KvOp::Get { key: buf[key].to_vec() },
+        })
     }
 
     /// Builds a put whose total encoded size is exactly `total_bytes`
@@ -119,6 +116,46 @@ impl KvOp {
         let overhead = 1 + 2 + key.len() + 4;
         assert!(total_bytes >= overhead, "payload too small for key");
         KvOp::Put { key: key.to_vec(), value: vec![fill; total_bytes - overhead] }
+    }
+}
+
+/// Where the fields of an encoded [`KvOp`] lie in its buffer: what the
+/// store slices out of the buffer instead of copying.
+enum Fields {
+    Put { key: Range<usize>, value: Range<usize> },
+    Get { key: Range<usize> },
+}
+
+impl Fields {
+    /// Parses the wire format of [`KvOp::encode`]; `None` for malformed
+    /// input. Bytes after the operation are ignored.
+    fn of(op: &[u8]) -> Option<Fields> {
+        let mut buf = op;
+        if buf.remaining() < 3 {
+            return None;
+        }
+        let tag = buf.get_u8();
+        let klen = buf.get_u16() as usize;
+        if buf.remaining() < klen {
+            return None;
+        }
+        let key = 3..3 + klen;
+        buf.advance(klen);
+        match tag {
+            b'P' => {
+                if buf.remaining() < 4 {
+                    return None;
+                }
+                let vlen = buf.get_u32() as usize;
+                if buf.remaining() < vlen {
+                    return None;
+                }
+                let at = key.end + 4;
+                Some(Fields::Put { key, value: at..at + vlen })
+            }
+            b'G' => Some(Fields::Get { key }),
+            _ => None,
+        }
     }
 }
 
@@ -139,15 +176,16 @@ pub const MALFORMED: &[u8] = b"\0malformed";
 const BUCKETS: usize = 256;
 
 /// The entries whose keys hash to one bucket, with the snapshot part
-/// encoding them while no write has touched the bucket since it was built.
+/// encoding them while no write has touched the bucket since it was built
+/// (or since it was restored from that part).
 #[derive(Debug, Clone, Default)]
 struct Bucket {
-    entries: BTreeMap<Vec<u8>, Vec<u8>>,
+    entries: BTreeMap<Bytes, Bytes>,
     part: Option<Part>,
 }
 
 /// `[key len u16][key][value len u32][value]` per entry, in key order.
-fn encode_into(entries: &BTreeMap<Vec<u8>, Vec<u8>>, buf: &mut BytesMut) {
+fn encode_into(entries: &BTreeMap<Bytes, Bytes>, buf: &mut BytesMut) {
     for (k, v) in entries {
         buf.put_u16(k.len() as u16);
         buf.put_slice(k);
@@ -156,8 +194,44 @@ fn encode_into(entries: &BTreeMap<Vec<u8>, Vec<u8>>, buf: &mut BytesMut) {
     }
 }
 
-fn encoded_len(entries: &BTreeMap<Vec<u8>, Vec<u8>>) -> usize {
+fn encoded_len(entries: &BTreeMap<Bytes, Bytes>) -> usize {
     entries.iter().map(|(k, v)| 2 + k.len() + 4 + v.len()).sum()
+}
+
+/// The entries of bucket `index` as slices of `bytes`, if `bytes` is what
+/// [`encode_into`] makes of them: every key hashes to `index`, the keys
+/// strictly ascend, and nothing follows the last entry. Then re-encoding
+/// them gives `bytes` back, so the part they came from can stand in for
+/// the bucket's encoding.
+fn decode_bucket(bytes: &Bytes, index: usize) -> Option<BTreeMap<Bytes, Bytes>> {
+    let mut entries: BTreeMap<Bytes, Bytes> = BTreeMap::new();
+    let mut buf: &[u8] = bytes;
+    let field = |buf: &mut &[u8], len: usize| {
+        let at = bytes.len() - buf.remaining();
+        buf.advance(len);
+        bytes.slice(at..at + len)
+    };
+    while buf.has_remaining() {
+        if buf.remaining() < 2 {
+            return None;
+        }
+        let klen = buf.get_u16() as usize;
+        if buf.remaining() < klen + 4 {
+            return None;
+        }
+        let key = field(&mut buf, klen);
+        let vlen = buf.get_u32() as usize;
+        if buf.remaining() < vlen {
+            return None;
+        }
+        let value = field(&mut buf, vlen);
+        let ascending = entries.last_key_value().is_none_or(|(last, _)| *last < key);
+        if bucket_of(&key) != index || !ascending {
+            return None;
+        }
+        entries.insert(key, value);
+    }
+    Some(entries)
 }
 
 /// A deterministic, snapshotable key-value store.
@@ -172,6 +246,15 @@ fn encoded_len(entries: &BTreeMap<Vec<u8>, Vec<u8>>) -> usize {
 /// equal contents give equal parts whatever the history. Keys chosen to
 /// collide can make a bucket large and its re-encoding slow; they cannot
 /// make two correct replicas disagree.
+///
+/// Keys and values are slices of the buffers they arrived in (see the
+/// [crate docs](crate)): a put keeps slices of its request, and
+/// [`Application::restore`] keeps slices of the snapshot parts and the
+/// parts themselves as the buckets' encodings, so the first checkpoint
+/// after a restore re-encodes nothing. It accepts only the cut this store
+/// makes — `BUCKETS + 2` parts, every key in its own bucket, keys strictly
+/// ascending, the count matching — and otherwise leaves the store as it
+/// was.
 #[derive(Debug, Clone)]
 pub struct KvStore {
     buckets: Vec<Bucket>,
@@ -213,10 +296,16 @@ impl KvStore {
 
     /// Direct lookup (tests).
     pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
-        self.buckets[bucket_of(key)].entries.get(key).map(|v| v.as_slice())
+        self.buckets[bucket_of(key)].entries.get(key).map(|v| &v[..])
     }
 
-    fn put(&mut self, key: Vec<u8>, value: Vec<u8>) {
+    /// The reply to a get of `key`: a slice of the stored value.
+    fn read(&self, key: &[u8]) -> Bytes {
+        let value = self.buckets[bucket_of(key)].entries.get(key);
+        value.cloned().unwrap_or(Bytes::from_static(NOT_FOUND))
+    }
+
+    fn put(&mut self, key: Bytes, value: Bytes) {
         let bucket = &mut self.buckets[bucket_of(&key)];
         bucket.part = None;
         if bucket.entries.insert(key, value).is_none() {
@@ -233,7 +322,7 @@ impl KvStore {
     /// counter may differ (strongly consistent reads run only at their
     /// target group, §3.3), while the map contents must still match.
     pub fn map_digest(&self) -> spider_crypto::Digest {
-        let mut entries: Vec<(&Vec<u8>, &Vec<u8>)> =
+        let mut entries: Vec<(&Bytes, &Bytes)> =
             self.buckets.iter().flat_map(|b| &b.entries).collect();
         entries.sort_unstable_by_key(|(k, _)| *k);
         let mut b = spider_crypto::Digest::builder().u64(self.len as u64);
@@ -245,30 +334,23 @@ impl KvStore {
 }
 
 impl Application for KvStore {
-    fn execute(&mut self, op: &[u8]) -> Bytes {
+    fn execute(&mut self, op: &Bytes) -> Bytes {
         self.ops_applied += 1;
-        match KvOp::decode(op) {
-            Some(KvOp::Put { key, value }) => {
-                self.put(key, value);
+        match Fields::of(op) {
+            Some(Fields::Put { key, value }) => {
+                self.put(op.slice(key), op.slice(value));
                 Bytes::from_static(OK)
             }
-            Some(KvOp::Get { key }) => match self.get(&key) {
-                Some(v) => Bytes::copy_from_slice(v),
-                None => Bytes::from_static(NOT_FOUND),
-            },
+            Some(Fields::Get { key }) => self.read(&op[key]),
             None => Bytes::from_static(MALFORMED),
         }
     }
 
     fn execute_read(&self, op: &[u8]) -> Bytes {
-        match KvOp::decode(op) {
-            Some(KvOp::Get { key }) => match self.get(&key) {
-                Some(v) => Bytes::copy_from_slice(v),
-                None => Bytes::from_static(NOT_FOUND),
-            },
+        match Fields::of(op) {
+            Some(Fields::Get { key }) => self.read(&op[key]),
             // Writes through the read path are rejected, not applied.
-            Some(KvOp::Put { .. }) => Bytes::from_static(MALFORMED),
-            None => Bytes::from_static(MALFORMED),
+            Some(Fields::Put { .. }) | None => Bytes::from_static(MALFORMED),
         }
     }
 
@@ -298,36 +380,34 @@ impl Application for KvStore {
         parts
     }
 
-    fn restore(&mut self, snapshot: &[u8]) {
-        let mut buf = snapshot;
-        let mut restored = KvStore::new();
-        if buf.remaining() < 4 {
-            return;
+    fn restore(&mut self, parts: &[Part]) -> bool {
+        let [count, buckets @ .., ops] = parts else {
+            return false;
+        };
+        let (Ok(count), Ok(ops)) =
+            (<[u8; 4]>::try_from(&count.bytes[..]), <[u8; 8]>::try_from(&ops.bytes[..]))
+        else {
+            return false;
+        };
+        if buckets.len() != BUCKETS {
+            return false;
         }
-        let n = buf.get_u32() as usize;
-        for _ in 0..n {
-            if buf.remaining() < 2 {
-                return;
-            }
-            let klen = buf.get_u16() as usize;
-            if buf.remaining() < klen + 4 {
-                return;
-            }
-            let key = buf[..klen].to_vec();
-            buf.advance(klen);
-            let vlen = buf.get_u32() as usize;
-            if buf.remaining() < vlen {
-                return;
-            }
-            let value = buf[..vlen].to_vec();
-            buf.advance(vlen);
-            restored.put(key, value);
+        let mut restored = Vec::with_capacity(BUCKETS);
+        let mut len = 0;
+        for (index, part) in buckets.iter().enumerate() {
+            let Some(entries) = decode_bucket(&part.bytes, index) else {
+                return false;
+            };
+            len += entries.len();
+            restored.push(Bucket { entries, part: Some(part.clone()) });
         }
-        self.buckets = restored.buckets;
-        self.len = restored.len;
-        if buf.remaining() >= 8 {
-            self.ops_applied = buf.get_u64();
+        if len != u32::from_be_bytes(count) as usize {
+            return false;
         }
+        self.buckets = restored;
+        self.len = len;
+        self.ops_applied = u64::from_be_bytes(ops);
+        true
     }
 }
 
@@ -372,9 +452,9 @@ mod tests {
     #[test]
     fn malformed_ops_are_rejected_deterministically() {
         let mut s = KvStore::new();
-        assert_eq!(&s.execute(b"")[..], MALFORMED);
-        assert_eq!(&s.execute(b"X123")[..], MALFORMED);
-        assert_eq!(&s.execute(&[b'P', 0xff, 0xff, 1])[..], MALFORMED);
+        for op in [&b""[..], b"X123", &[b'P', 0xff, 0xff, 1]] {
+            assert_eq!(&s.execute(&Bytes::copy_from_slice(op))[..], MALFORMED);
+        }
         assert!(s.is_empty());
     }
 
@@ -390,12 +470,82 @@ mod tests {
         for i in 0..50u32 {
             a.execute(&KvOp::put(format!("k{i}").as_bytes(), vec![i as u8; 10]).encode());
         }
-        let snap = a.snapshot();
         let mut b = KvStore::new();
-        b.restore(&snap);
+        assert!(b.restore(&a.snapshot_parts()));
         assert_eq!(a.state_digest(), b.state_digest());
         assert_eq!(b.get(b"k7"), Some(&[7u8; 10][..]));
         assert_eq!(b.ops_applied, 50);
+    }
+
+    #[test]
+    fn entries_and_replies_are_slices_of_the_request() {
+        let mut s = KvStore::new();
+        let put = KvOp::put(b"k", vec![5; 32]).encode();
+        s.execute(&put);
+        let stored = s.get(b"k").unwrap().as_ptr();
+        assert_eq!(stored, put[put.len() - 32..].as_ptr(), "the value was not copied");
+        let reply = s.execute(&KvOp::get(b"k").encode());
+        assert_eq!(reply.as_ptr(), stored, "nor is the reply to a read");
+        let weak = s.execute_read(&KvOp::get(b"k").encode());
+        assert_eq!(weak.as_ptr(), stored);
+    }
+
+    /// A store with one entry in each of two buckets, and its parts.
+    fn two_buckets() -> (KvStore, Vec<Part>, [usize; 2]) {
+        let mut s = KvStore::new();
+        let keys: Vec<Vec<u8>> = (0u32..).map(|i| format!("k{i}").into_bytes()).take(8).collect();
+        let (a, b) = (&keys[0], keys.iter().find(|k| bucket_of(k) != bucket_of(&keys[0])).unwrap());
+        s.execute(&KvOp::put(a, vec![1]).encode());
+        s.execute(&KvOp::put(b, vec![2]).encode());
+        let parts = s.snapshot_parts();
+        (s, parts, [bucket_of(a), bucket_of(b)])
+    }
+
+    #[test]
+    fn restore_rejects_a_cut_it_would_not_make() {
+        let (_, parts, [a, b]) = two_buckets();
+        let (a, b) = (1 + a, 1 + b);
+        let mut cuts: Vec<(&str, Vec<Part>)> = Vec::new();
+        cuts.push(("one part short", parts[..parts.len() - 1].to_vec()));
+        let mut longer = parts.clone();
+        longer.insert(1, Part::new(Bytes::new()));
+        cuts.push(("one part too many", longer));
+        let mut moved = parts.clone();
+        moved.swap(a, b);
+        cuts.push(("keys in another bucket", moved));
+        let mut count = parts.clone();
+        count[0] = Part::new(Bytes::from(3u32.to_be_bytes().to_vec()));
+        cuts.push(("a count that is not the entries'", count));
+        let mut trailing = parts.clone();
+        trailing[a] = Part::new(Bytes::from([&parts[a].bytes[..], &[0]].concat()));
+        cuts.push(("bytes after the last entry", trailing));
+        // Two keys of one bucket, written in the wrong order.
+        let mut keys = (0u32..).map(|i| format!("x{i}").into_bytes());
+        let first = keys.next().unwrap();
+        let second = keys.find(|k| bucket_of(k) == bucket_of(&first)).unwrap();
+        let (lo, hi) = if first < second { (first, second) } else { (second, first) };
+        let entry =
+            |k: &[u8]| [&(k.len() as u16).to_be_bytes()[..], k, &0u32.to_be_bytes()].concat();
+        let at = 1 + bucket_of(&lo);
+        let count = 2 + 2 - [a, b].iter().filter(|&&i| i == at).count() as u32;
+        let bucket_of_two = |order: [&[u8]; 2]| {
+            let mut cut = parts.clone();
+            cut[at] = Part::new(Bytes::from([entry(order[0]), entry(order[1])].concat()));
+            cut[0] = Part::new(Bytes::from(count.to_be_bytes().to_vec()));
+            cut
+        };
+        assert!(KvStore::new().restore(&bucket_of_two([&lo, &hi])), "in order, the cut is fine");
+        cuts.push(("keys out of order", bucket_of_two([&hi, &lo])));
+        cuts.push(("a repeated key", bucket_of_two([&lo, &lo])));
+        for (what, cut) in cuts {
+            let (mut store, before, _) = two_buckets();
+            store.execute(&KvOp::put(b"mine", vec![9]).encode());
+            let digest = store.state_digest();
+            assert!(!store.restore(&cut), "accepted {what}");
+            assert_eq!(store.state_digest(), digest, "{what} changed the store");
+            assert_eq!(store.get(b"mine"), Some(&[9][..]));
+            assert_ne!(store.snapshot_parts(), before);
+        }
     }
 
     #[test]
@@ -456,14 +606,14 @@ mod tests {
                 a.execute(&KvOp::Put { key: k.clone(), value: v.clone() }.encode());
             }
             let mut b = KvStore::new();
-            b.restore(&a.snapshot());
+            prop_assert!(b.restore(&a.snapshot_parts()));
             prop_assert_eq!(a.state_digest(), b.state_digest());
         }
 
         /// The parts are a function of the contents: whatever the order
         /// of puts and wherever snapshots were taken in between, they
-        /// equal those of a store restored from their concatenation and
-        /// of one filled in key order; a snapshot re-encodes at most one
+        /// equal those of a store restored from them and of one filled in
+        /// key order; a snapshot re-encodes at most one
         /// bucket per put since the previous one.
         #[test]
         fn parts_depend_on_contents_alone(steps in prop::collection::vec(
@@ -514,10 +664,17 @@ mod tests {
             let entries: usize = model.iter().map(|(k, v)| 2 + k.len() + 4 + v.len()).sum();
             prop_assert_eq!(concat.len(), 4 + entries + 8, "no per-part header");
 
+            // A restored store adopts the parts as its buckets' encodings:
+            // its next snapshot re-encodes none of them.
             let mut restored = KvStore::new();
-            restored.restore(&concat);
-            prop_assert_eq!(restored.snapshot_parts(), parts.clone());
+            prop_assert!(restored.restore(&parts));
+            let again = restored.snapshot_parts();
+            prop_assert_eq!(reencoded(&parts[1..=BUCKETS], &again[1..=BUCKETS]), 0);
+            prop_assert_eq!(&again, &parts);
             prop_assert_eq!(restored.len(), model.len());
+            for (k, v) in &model {
+                prop_assert_eq!(restored.get(k), Some(&v[..]));
+            }
 
             // Another history of the same contents; `ops_applied` (the
             // last part) counts the history, the rest must not.

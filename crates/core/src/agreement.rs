@@ -10,7 +10,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-use crate::checkpoint::{CheckpointComponent, CpAction, Snapshot};
+use crate::checkpoint::{CheckpointComponent, CpAction, Part, Snapshot};
 use crate::config::SpiderConfig;
 use crate::directory::Directory;
 use crate::host;
@@ -22,7 +22,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use spider_consensus::{Input, Output, Pbft, PbftConfig};
 use spider_crypto::{Hashed, Keyring};
 use spider_irmc::{
-    Action, ReceiveResult, ReceiverEndpoint, SenderEndpoint, Variant, OP_RECAST, TICK_INTERVAL,
+    Action, ReceiveResult, ReceiverEndpoint, Run, SenderEndpoint, Variant, OP_RECAST, TICK_INTERVAL,
 };
 use spider_sim::{
     req_id, Actor, Context, Timer, PHASE_BATCH, PHASE_COMMIT, PHASE_PROPOSE, PHASE_RECAST,
@@ -384,11 +384,18 @@ impl AgreementReplica {
             while self.hist.len() as u64 > self.cfg.commit_capacity {
                 self.hist.pop_front();
             }
+            // One `Execute` per slot and one run for every group that
+            // executes all of them; §3.3 placeholders make a run of its own.
+            let full: Vec<Hashed<Execute>> = run
+                .iter()
+                .map(|(s, req, _)| {
+                    let payload = ExecutePayload::Full(req.clone());
+                    self.maybe_corrupt(Execute { seq: SeqNr(*s), payload }.into())
+                })
+                .collect();
+            let full = Run::from(full);
             for &group in self.directory.active_groups().iter() {
-                let execs: Vec<Hashed<Execute>> = run
-                    .iter()
-                    .map(|(s, req, _)| self.maybe_corrupt(execute_for_group(*s, req, group)))
-                    .collect();
+                let execs = group_run(&full, &run, group);
                 self.commit_channel(ctx, group, |ep, out| {
                     ep.send_batch(0, Position(first), execs, out);
                 });
@@ -487,8 +494,12 @@ impl AgreementReplica {
         Snapshot::single(buf.freeze())
     }
 
-    fn restore_snapshot(&mut self, bytes: &[u8]) -> Option<DecodedSnapshot> {
-        let mut buf = bytes;
+    /// Decodes the one part [`Self::encode_snapshot`] makes.
+    fn restore_snapshot(&mut self, parts: &[Part]) -> Option<DecodedSnapshot> {
+        let [part] = parts else {
+            return None;
+        };
+        let mut buf: &[u8] = &part.bytes;
         if buf.remaining() < 12 {
             return None;
         }
@@ -553,7 +564,7 @@ impl AgreementReplica {
             }
             if let Some(snapshot) = state {
                 ctx.charge(self.cfg.cost.hmac(snapshot.len()));
-                if let Some((sn, t, hist)) = self.restore_snapshot(&snapshot.concat()) {
+                if let Some((sn, t, hist)) = self.restore_snapshot(snapshot.parts()) {
                     debug_assert_eq!(sn, seq.0);
                     // Fig 17 L47-55: apply and replay the skipped tail.
                     let old_sn = self.sn;
@@ -679,19 +690,53 @@ fn start_fetch(
     ctx.arm(TAG_FETCH_RETRY, SimTime::from_millis(500));
 }
 
+/// Whether `group` executes `req` (§3.3): every group executes a write,
+/// only its target group a strong read; the others get a placeholder.
+fn executes_at(req: &Hashed<OrderedRequest>, group: GroupId) -> bool {
+    match req.request.operation.kind {
+        OpKind::Write => true,
+        OpKind::StrongRead => req.origin == group,
+        OpKind::WeakRead => false,
+    }
+}
+
+/// The §3.3 placeholder for `req` at sequence number `s`.
+fn placeholder(s: u64, req: &Hashed<OrderedRequest>) -> Hashed<Execute> {
+    let (client, tc, target) = (req.request.client, req.request.tc, req.origin);
+    Execute { seq: SeqNr(s), payload: ExecutePayload::Placeholder { client, tc, target } }.into()
+}
+
 /// Builds the per-group `Execute`: full request for writes and for the
 /// read's target group, placeholder elsewhere (§3.3).
 fn execute_for_group(s: u64, req: &Hashed<OrderedRequest>, group: GroupId) -> Hashed<Execute> {
-    let payload = match req.request.operation.kind {
-        OpKind::Write => ExecutePayload::Full(req.clone()),
-        OpKind::StrongRead if req.origin == group => ExecutePayload::Full(req.clone()),
-        OpKind::StrongRead | OpKind::WeakRead => ExecutePayload::Placeholder {
-            client: req.request.client,
-            tc: req.request.tc,
-            target: req.origin,
-        },
-    };
-    Execute { seq: SeqNr(s), payload }.into()
+    if executes_at(req, group) {
+        Execute { seq: SeqNr(s), payload: ExecutePayload::Full(req.clone()) }.into()
+    } else {
+        placeholder(s, req)
+    }
+}
+
+/// `group`'s commit-channel content for an ordered `run`, given `full`, the
+/// run with every request in full: `full` itself — the same object — if
+/// the group executes every slot, as it does every write; otherwise a run
+/// that shares `full`'s `Execute`s where the group executes the request and
+/// holds placeholders where it does not.
+fn group_run(
+    full: &Run<Hashed<Execute>>,
+    run: &[(u64, Hashed<OrderedRequest>, OrderItem)],
+    group: GroupId,
+) -> Run<Hashed<Execute>> {
+    if run.iter().all(|(_, req, _)| executes_at(req, group)) {
+        return full.clone();
+    }
+    let slots = run.iter().zip(full.iter()).map(|((s, req, _), exec)| {
+        if executes_at(req, group) {
+            exec.clone()
+        } else {
+            placeholder(*s, req)
+        }
+    });
+    Run::from(slots.collect::<Vec<_>>())
 }
 
 fn encode_order_item(buf: &mut BytesMut, item: &OrderItem) {
@@ -855,6 +900,7 @@ mod tests {
     use super::*;
     use crate::messages::{ClientRequest, Operation};
     use bytes::Bytes;
+    use spider_irmc::ChannelMsg;
 
     fn request(client: u32, tc: u64, kind: OpKind) -> Hashed<OrderedRequest> {
         Hashed::new(OrderedRequest {
@@ -897,6 +943,107 @@ mod tests {
         assert!(
             spider_types::WireSize::wire_size(&other) < spider_types::WireSize::wire_size(&own)
         );
+    }
+
+    type Shipped = std::rc::Rc<std::cell::RefCell<Vec<(GroupId, Run<Hashed<Execute>>)>>>;
+    type OrderedRun = Vec<(u64, Hashed<OrderedRequest>, OrderItem)>;
+
+    /// An execution replica that keeps the runs cast to it.
+    struct Keep(Shipped);
+    impl Actor<SpiderMsg> for Keep {
+        fn on_message(&mut self, _: &mut Context<'_, SpiderMsg>, _: NodeId, msg: SpiderMsg) {
+            use crate::messages::ChannelLeg::ToReceiver;
+            if let SpiderMsg::CommitChannel {
+                group,
+                leg: ToReceiver(ChannelMsg::Cast { msgs, .. }),
+            } = msg
+            {
+                self.0.borrow_mut().push((group, msgs));
+            }
+        }
+    }
+
+    /// The runs agreement replica 0 of a four-group deployment casts to
+    /// the first replica of every group when it forwards `run`.
+    fn forward(run: OrderedRun) -> Vec<(GroupId, Run<Hashed<Execute>>)> {
+        use spider_sim::{Simulation, Topology};
+        struct Agree(Option<(AgreementReplica, OrderedRun)>);
+        impl Actor<SpiderMsg> for Agree {
+            fn on_start(&mut self, ctx: &mut Context<'_, SpiderMsg>) {
+                if let Some((mut a, run)) = self.0.take() {
+                    a.assign_and_forward_run(ctx, run);
+                }
+            }
+            fn on_message(&mut self, _: &mut Context<'_, SpiderMsg>, _: NodeId, _: SpiderMsg) {}
+        }
+        let topology = Topology::builder().region("r", 1).jitter(0.0).build();
+        let mut sim: Simulation<SpiderMsg> = Simulation::new(topology, 1);
+        let zone = sim.topology().zone("r", 0);
+        let shipped = Shipped::default();
+        let dir = crate::directory::Directory::new();
+        let agreement: Vec<NodeId> =
+            (0..4).map(|_| sim.add_node(zone, Keep(Shipped::default()))).collect();
+        let groups: Vec<GroupId> = (0..4).map(GroupId).collect();
+        for &g in &groups {
+            let replicas = vec![
+                sim.add_node(zone, Keep(shipped.clone())),
+                sim.add_node(zone, Keep(Shipped::default())),
+                sim.add_node(zone, Keep(Shipped::default())),
+            ];
+            dir.register_group(g, crate::directory::GroupInfo { replicas, active: true });
+        }
+        let cfg = SpiderConfig::default()
+            .with_commit_mode(spider_irmc::ChannelMode::ReliableCast { dedup: false });
+        let a = AgreementReplica::new(cfg, 0, dir.clone(), &groups);
+        dir.set_agreement(agreement);
+        sim.add_node(zone, Agree(Some((a, run))));
+        sim.run_until_quiescent(SimTime::from_secs(1));
+        let mut runs = shipped.borrow().clone();
+        runs.sort_by_key(|(g, _)| *g);
+        runs
+    }
+
+    fn ordered(s: u64, req: Hashed<OrderedRequest>) -> (u64, Hashed<OrderedRequest>, OrderItem) {
+        (s, req.clone(), OrderItem::Request(req))
+    }
+
+    #[test]
+    fn a_write_batch_is_one_run_for_every_group() {
+        let run = vec![
+            ordered(1, request(1, 5, OpKind::Write)),
+            ordered(2, request(3, 2, OpKind::Write)),
+        ];
+        let runs = forward(run);
+        assert_eq!(runs.iter().map(|(g, _)| g.0).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        let (_, first) = &runs[0];
+        assert_eq!(first.len(), 2);
+        assert!(first.iter().all(|e| matches!(e.payload, ExecutePayload::Full(_))));
+        for (g, r) in &runs {
+            assert!(std::ptr::eq(&r[..], &first[..]), "group {g:?} got a run of its own");
+        }
+    }
+
+    #[test]
+    fn a_strong_read_makes_placeholders_for_the_other_groups() {
+        // `request` targets group 2.
+        let (write, read) = (request(1, 5, OpKind::Write), request(3, 2, OpKind::StrongRead));
+        let runs = forward(vec![ordered(1, write), ordered(2, read)]);
+        assert_eq!(runs.len(), 4);
+        let (_, target) = &runs[2];
+        for (g, r) in &runs {
+            assert!(matches!(r[0].payload, ExecutePayload::Full(_)));
+            assert!(std::ptr::eq(&*r[0], &*target[0]), "the write's `Execute` is shared");
+            if *g == GroupId(2) {
+                assert!(matches!(r[1].payload, ExecutePayload::Full(_)));
+            } else {
+                let ExecutePayload::Placeholder { client, tc, target } = r[1].payload else {
+                    panic!("group {g:?} executes a read that runs elsewhere");
+                };
+                assert_eq!((client, tc, target), (ClientId(3), 2, GroupId(2)));
+                assert!(!std::ptr::eq(&r[..], &runs[2].1[..]));
+            }
+            assert_eq!(r[1].seq, SeqNr(2));
+        }
     }
 
     #[test]
@@ -971,7 +1118,7 @@ mod tests {
         let snap = a.encode_snapshot();
 
         let mut b = AgreementReplica::new(SpiderConfig::default(), 1, dir, &[]);
-        let (sn, t, hist) = b.restore_snapshot(&snap.concat()).expect("valid snapshot");
+        let (sn, t, hist) = b.restore_snapshot(snap.parts()).expect("valid snapshot");
         assert_eq!(sn, 42);
         assert_eq!(t.get(&ClientId(1)), Some(&7));
         assert_eq!(t.get(&ClientId(9)), Some(&3));
@@ -984,7 +1131,10 @@ mod tests {
     fn agreement_snapshot_rejects_garbage() {
         let dir = crate::directory::Directory::new();
         let mut a = AgreementReplica::new(SpiderConfig::default(), 0, dir, &[]);
-        assert!(a.restore_snapshot(&[1, 2, 3]).is_none());
+        assert!(a.restore_snapshot(&[Part::new(Bytes::from_static(&[1, 2, 3]))]).is_none());
         assert!(a.restore_snapshot(&[]).is_none());
+        let whole = a.encode_snapshot().parts()[0].clone();
+        assert!(a.restore_snapshot(std::slice::from_ref(&whole)).is_some());
+        assert!(a.restore_snapshot(&[whole.clone(), whole]).is_none(), "one part, not two");
     }
 }

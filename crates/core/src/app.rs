@@ -8,6 +8,12 @@
 //! costs the host what changed instead of what exists. The default is one
 //! part holding [`Application::snapshot`], which is right for small
 //! states such as [`CounterApp`]'s.
+//!
+//! Bytes cross the interface without being copied. [`Application::execute`]
+//! is handed the ordered operation's own buffer and may keep slices of it
+//! ([`Bytes::slice`]) as state; [`Application::restore`] is handed the
+//! snapshot's parts as they arrived, verified, and may keep slices of them
+//! or the parts themselves, and it says whether it accepted them.
 
 use crate::checkpoint::Part;
 use bytes::Bytes;
@@ -21,7 +27,12 @@ use spider_crypto::{Digest, Digestible};
 /// re-executing (§3.4).
 pub trait Application: 'static {
     /// Executes an operation that may modify state; returns the reply.
-    fn execute(&mut self, op: &[u8]) -> Bytes;
+    ///
+    /// `op` is the ordered request's buffer, shared with the rest of the
+    /// host: the application may keep slices of it ([`Bytes::slice`])
+    /// instead of copying what it stores, at the price of keeping the
+    /// whole buffer allocated while a slice lives.
+    fn execute(&mut self, op: &Bytes) -> Bytes;
 
     /// Executes a read-only operation against current (possibly stale
     /// relative to the global order) state. Used for weakly consistent
@@ -40,8 +51,15 @@ pub trait Application: 'static {
         vec![Part::new(self.snapshot())]
     }
 
-    /// Replaces the state with a snapshot produced by [`Application::snapshot`].
-    fn restore(&mut self, snapshot: &[u8]);
+    /// Replaces the state with the one whose
+    /// [`Application::snapshot_parts`] were `parts`, and reports whether it
+    /// did. The parts are verified against the checkpoint certificate
+    /// before they get here, but they are another replica's cut: an
+    /// implementation checks that the cut is one it would make (the part
+    /// count, and whatever else its encoding requires) and returns `false`
+    /// — leaving the state as it was — if it is not. It may keep the parts,
+    /// or slices of their bytes, as state.
+    fn restore(&mut self, parts: &[Part]) -> bool;
 
     /// Digest of the current state (defaults to hashing the snapshot).
     fn state_digest(&self) -> Digest {
@@ -55,10 +73,11 @@ pub trait Application: 'static {
 /// # Examples
 ///
 /// ```
+/// use bytes::Bytes;
 /// use spider::{Application, CounterApp};
 ///
 /// let mut app = CounterApp::default();
-/// app.execute(b"add:5");
+/// app.execute(&Bytes::from_static(b"add:5"));
 /// assert_eq!(&app.execute_read(b"get")[..], b"5");
 /// ```
 #[derive(Debug, Default, Clone)]
@@ -74,7 +93,7 @@ impl CounterApp {
 }
 
 impl Application for CounterApp {
-    fn execute(&mut self, op: &[u8]) -> Bytes {
+    fn execute(&mut self, op: &Bytes) -> Bytes {
         // Operations may be padded to a target wire size; trim first.
         let s = std::str::from_utf8(op).unwrap_or("").trim();
         if let Some(n) = s.strip_prefix("add:") {
@@ -100,10 +119,17 @@ impl Application for CounterApp {
         Bytes::from(self.value.to_be_bytes().to_vec())
     }
 
-    fn restore(&mut self, snapshot: &[u8]) {
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(&snapshot[..8]);
-        self.value = i64::from_be_bytes(buf);
+    /// Accepts exactly the one eight-byte part [`Application::snapshot`]
+    /// makes.
+    fn restore(&mut self, parts: &[Part]) -> bool {
+        let [part] = parts else {
+            return false;
+        };
+        let Ok(value) = <[u8; 8]>::try_from(&part.bytes[..]) else {
+            return false;
+        };
+        self.value = i64::from_be_bytes(value);
+        true
     }
 }
 
@@ -117,12 +143,16 @@ impl Digestible for CounterApp {
 mod tests {
     use super::*;
 
+    fn op(s: &'static str) -> Bytes {
+        Bytes::from_static(s.as_bytes())
+    }
+
     #[test]
     fn counter_is_deterministic() {
         let mut a = CounterApp::default();
         let mut b = CounterApp::default();
-        for op in ["add:3", "add:-1", "add:10"] {
-            assert_eq!(a.execute(op.as_bytes()), b.execute(op.as_bytes()));
+        for o in ["add:3", "add:-1", "add:10"] {
+            assert_eq!(a.execute(&op(o)), b.execute(&op(o)));
         }
         assert_eq!(a.state_digest(), b.state_digest());
     }
@@ -130,18 +160,32 @@ mod tests {
     #[test]
     fn snapshot_restore_roundtrip() {
         let mut a = CounterApp::default();
-        a.execute(b"add:41");
-        let snap = a.snapshot();
+        a.execute(&op("add:41"));
+        let parts = a.snapshot_parts();
         let mut b = CounterApp::default();
-        b.restore(&snap);
+        assert!(b.restore(&parts));
         assert_eq!(b.value(), 41);
         assert_eq!(a.state_digest(), b.state_digest());
     }
 
     #[test]
+    fn restore_rejects_a_cut_it_would_not_make() {
+        let mut a = CounterApp::default();
+        a.execute(&op("add:7"));
+        let part = a.snapshot_parts().remove(0);
+        let short = Part::new(part.bytes.slice(..7));
+        for parts in [vec![], vec![part.clone(), part], vec![short]] {
+            let mut b = CounterApp::default();
+            b.execute(&op("add:2"));
+            assert!(!b.restore(&parts), "{parts:?}");
+            assert_eq!(b.value(), 2, "a rejected restore leaves the state alone");
+        }
+    }
+
+    #[test]
     fn reads_do_not_modify() {
         let mut a = CounterApp::default();
-        a.execute(b"add:1");
+        a.execute(&op("add:1"));
         let before = a.state_digest();
         let _ = a.execute_read(b"get");
         assert_eq!(a.state_digest(), before);
@@ -150,7 +194,7 @@ mod tests {
     #[test]
     fn unknown_ops_return_err() {
         let mut a = CounterApp::default();
-        assert_eq!(&a.execute(b"frobnicate")[..], b"err");
+        assert_eq!(&a.execute(&op("frobnicate"))[..], b"err");
         assert_eq!(&a.execute_read(b"frobnicate")[..], b"err");
     }
 }

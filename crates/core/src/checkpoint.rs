@@ -112,25 +112,16 @@ impl Snapshot {
     /// The value a checkpoint signs: a hash over how many parts there are
     /// and what each claims to hash to, in order.
     pub fn hash(&self) -> Digest {
-        let mut digests = Vec::with_capacity(32 * self.parts.len());
-        for part in self.parts.iter() {
-            digests.extend_from_slice(&part.digest.0);
-        }
-        Digest::builder().str("snapshot").u64(self.parts.len() as u64).bytes(&digests).finish()
+        Digest::builder()
+            .str("snapshot")
+            .u64(self.parts.len() as u64)
+            .bytes_concat(self.parts.iter().map(|part| &part.digest.0[..]))
+            .finish()
     }
 
     /// Whether every part hashes to the digest it claims.
     pub fn is_intact(&self) -> bool {
         self.parts.iter().all(Part::is_intact)
-    }
-
-    /// The serialized state in one buffer (state transfer decodes this).
-    pub fn concat(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.len);
-        for part in self.parts.iter() {
-            out.extend_from_slice(&part.bytes);
-        }
-        out
     }
 }
 
@@ -521,7 +512,8 @@ mod tests {
     #[test]
     fn snapshot_is_its_parts_in_order() {
         let s = snap("the", "state");
-        assert_eq!(s.concat(), b"the-state");
+        let bytes: Vec<u8> = s.parts().iter().flat_map(|p| p.bytes.to_vec()).collect();
+        assert_eq!(bytes, b"the-state");
         assert_eq!(s.len(), 9);
         assert!(!s.is_empty());
         assert!(s.is_intact());

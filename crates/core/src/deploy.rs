@@ -320,7 +320,7 @@ impl Deployment {
 type ExecutionReplicaDyn = ExecutionReplica<Box<dyn Application>>;
 
 impl Application for Box<dyn Application> {
-    fn execute(&mut self, op: &[u8]) -> bytes::Bytes {
+    fn execute(&mut self, op: &bytes::Bytes) -> bytes::Bytes {
         (**self).execute(op)
     }
     fn execute_read(&self, op: &[u8]) -> bytes::Bytes {
@@ -332,7 +332,7 @@ impl Application for Box<dyn Application> {
     fn snapshot_parts(&mut self) -> Vec<crate::checkpoint::Part> {
         (**self).snapshot_parts()
     }
-    fn restore(&mut self, snapshot: &[u8]) {
-        (**self).restore(snapshot)
+    fn restore(&mut self, parts: &[crate::checkpoint::Part]) -> bool {
+        (**self).restore(parts)
     }
 }

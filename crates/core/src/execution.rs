@@ -322,9 +322,14 @@ impl<A: Application> ExecutionReplica<A> {
         Snapshot::new(std::iter::once(Part::new(buf.freeze())).chain(app_parts))
     }
 
-    fn restore_snapshot(&mut self, bytes: &[u8]) -> Option<u64> {
+    /// Decodes a snapshot [`Self::encode_snapshot`] made — the header part,
+    /// then the application's — and installs it if the application accepts
+    /// its parts; returns the snapshot's sequence number, which the caller
+    /// adopts. Cached results are slices of the header part.
+    fn restore_snapshot(&mut self, parts: &[Part]) -> Option<u64> {
         use bytes::Buf;
-        let mut buf = bytes;
+        let (header, app_parts) = parts.split_first()?;
+        let mut buf: &[u8] = &header.bytes;
         if buf.remaining() < 12 {
             return None;
         }
@@ -343,7 +348,8 @@ impl<A: Application> ExecutionReplica<A> {
                     if buf.remaining() < len {
                         return None;
                     }
-                    let result = Bytes::copy_from_slice(buf.get(..len)?);
+                    let at = header.bytes.len() - buf.remaining();
+                    let result = header.bytes.slice(at..at + len);
                     buf.advance(len);
                     replies.insert(c, CachedReply::Result { tc, result });
                 }
@@ -354,14 +360,16 @@ impl<A: Application> ExecutionReplica<A> {
                 _ => return None,
             }
         }
-        if buf.remaining() < 4 {
+        if buf.remaining() != 4 {
             return None;
         }
         let app_len = buf.get_u32() as usize;
-        if buf.remaining() < app_len {
+        if app_parts.iter().map(|p| p.bytes.len()).sum::<usize>() != app_len {
             return None;
         }
-        self.app.restore(buf.get(..app_len)?);
+        if !self.app.restore(app_parts) {
+            return None;
+        }
         self.replies = replies;
         Some(sn)
     }
@@ -389,7 +397,7 @@ impl<A: Application> ExecutionReplica<A> {
             match state {
                 Some(snapshot) => {
                     ctx.charge(self.cfg.cost.hmac(snapshot.len()));
-                    if let Some(sn) = self.restore_snapshot(&snapshot.concat()) {
+                    if let Some(sn) = self.restore_snapshot(snapshot.parts()) {
                         debug_assert_eq!(sn, seq.0);
                         self.sn = seq.0;
                         if self.fetching.is_some_and(|f| f <= seq) {
@@ -577,7 +585,7 @@ mod tests {
     fn execution_snapshot_roundtrip_preserves_replies_and_app() {
         let mut a = replica();
         a.sn = 16;
-        a.app.execute(b"add:5");
+        a.app.execute(&Bytes::from_static(b"add:5"));
         a.replies
             .insert(ClientId(1), CachedReply::Result { tc: 4, result: Bytes::from_static(b"5") });
         a.replies.insert(ClientId(2), CachedReply::Placeholder { tc: 9 });
@@ -586,7 +594,7 @@ mod tests {
         assert!(snap.is_intact());
 
         let mut b = replica();
-        let sn = b.restore_snapshot(&snap.concat()).expect("valid snapshot");
+        let sn = b.restore_snapshot(snap.parts()).expect("valid snapshot");
         assert_eq!(sn, 16);
         assert_eq!(b.app.value(), 5);
         match b.replies.get(&ClientId(1)) {
@@ -607,8 +615,28 @@ mod tests {
     #[test]
     fn execution_snapshot_rejects_garbage() {
         let mut a = replica();
-        assert!(a.restore_snapshot(&[0, 1, 2]).is_none());
+        assert!(a.restore_snapshot(&[Part::new(Bytes::from_static(&[0, 1, 2]))]).is_none());
         assert!(a.restore_snapshot(&[]).is_none());
+    }
+
+    #[test]
+    fn a_rejected_app_section_rejects_the_snapshot() {
+        let mut a = replica();
+        a.sn = 16;
+        a.app.execute(&Bytes::from_static(b"add:5"));
+        a.replies.insert(ClientId(1), CachedReply::Placeholder { tc: 3 });
+        let snap = a.encode_snapshot();
+        let (header, app) = snap.parts().split_first().expect("a header part");
+        // The header's app length still matches, but the application makes
+        // one part of eight bytes, not two of four.
+        let halves = [Part::new(app[0].bytes.slice(..4)), Part::new(app[0].bytes.slice(4..))];
+        let mut b = replica();
+        b.app.execute(&Bytes::from_static(b"add:2"));
+        let cut = [header.clone(), halves[0].clone(), halves[1].clone()];
+        assert!(b.restore_snapshot(&cut).is_none());
+        assert_eq!(b.app.value(), 2, "the application kept its state");
+        assert!(b.replies.is_empty(), "and so did the replica");
+        assert!(b.restore_snapshot(snap.parts()).is_some());
     }
 
     #[test]

@@ -206,6 +206,24 @@ impl DigestBuilder {
         self
     }
 
+    /// Appends one length-prefixed byte field given in pieces: the same
+    /// digest as [`Self::bytes`] over their concatenation, without
+    /// building it.
+    #[must_use]
+    pub fn bytes_concat<'a, I>(mut self, pieces: I) -> Self
+    where
+        I: IntoIterator<Item = &'a [u8]>,
+        I::IntoIter: Clone,
+    {
+        let pieces = pieces.into_iter();
+        let len: usize = pieces.clone().map(<[u8]>::len).sum();
+        self.hasher.update(&(len as u64).to_be_bytes());
+        for piece in pieces {
+            self.hasher.update(piece);
+        }
+        self
+    }
+
     /// Appends a u64 field.
     #[must_use]
     #[inline]
@@ -250,6 +268,17 @@ impl DigestBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_field_in_pieces_is_the_field() {
+        let pieces: [&[u8]; 4] = [b"ab", b"", b"cde", &[0u8; 70]];
+        let whole = pieces.concat();
+        let direct = Digest::builder().u64(3).bytes(&whole).str("end").finish();
+        let streamed = Digest::builder().u64(3).bytes_concat(pieces).str("end").finish();
+        assert_eq!(direct, streamed);
+        let empty = Digest::builder().bytes_concat(std::iter::empty()).finish();
+        assert_eq!(empty, Digest::builder().bytes(b"").finish());
+    }
 
     #[test]
     fn field_boundaries_matter() {

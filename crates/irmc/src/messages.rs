@@ -61,9 +61,11 @@ use std::sync::{Arc, OnceLock};
 ///
 /// The memo can never vouch for other content: the slots are reachable
 /// only through `Deref` to `[M]` (no `DerefMut`, no public field), the
-/// only constructor takes content and starts from an empty memo, so a
-/// changed run is a new object that is hashed again. Equality and `Debug`
-/// look at the content alone.
+/// constructors take content and start from an empty memo, so a changed
+/// run is a new object that is hashed again. A host that sends the same
+/// content down several channels builds one run and hands each of them a
+/// clone, and its content is hashed once for all of them. Equality and
+/// `Debug` look at the content alone.
 pub struct Run<M>(Arc<RunInner<M>>);
 
 struct RunInner<M> {
@@ -105,6 +107,21 @@ impl<M: Content> Run<M> {
     /// Payload bytes (what a transport MAC over the content covers).
     pub(crate) fn bytes(&self) -> usize {
         self.0.bytes
+    }
+
+    /// The slots in `range` as a run: this very run (memo included) if
+    /// the range covers it, otherwise a copy of those slots, hashed anew.
+    pub(crate) fn sub_run(&self, range: std::ops::Range<usize>) -> Self {
+        if range == (0..self.len()) {
+            return self.clone();
+        }
+        Run::new(self.0.msgs.get(range).map(<[M]>::to_vec).unwrap_or_default())
+    }
+}
+
+impl<M: Content> From<Vec<M>> for Run<M> {
+    fn from(msgs: Vec<M>) -> Self {
+        Run::new(msgs)
     }
 }
 

@@ -132,15 +132,24 @@ impl<M> Default for Slot<M> {
 /// the window moves. Every position an endpoint touches has passed the
 /// window's far-above guard (or belongs to a run whose first slot has),
 /// so the ring never holds more than two windows plus one run.
+///
+/// Drained records are emptied and kept for the positions that are
+/// touched next, so a record's copy list keeps its allocation from one
+/// position to the next. Positions are touched a run at a time, so one
+/// run's worth of spare records (the range cap, at most one window) serves
+/// the steady state without holding a second window of memory.
 #[derive(Debug)]
 struct Slots<M> {
     base: u64,
     ring: VecDeque<Slot<M>>,
+    /// Emptied records, at most `spare_cap`.
+    spare: Vec<Slot<M>>,
+    spare_cap: usize,
 }
 
 impl<M> Slots<M> {
-    fn new() -> Self {
-        Slots { base: 1, ring: VecDeque::new() }
+    fn new(spare_cap: usize) -> Self {
+        Slots { base: 1, ring: VecDeque::new(), spare: Vec::new(), spare_cap }
     }
 
     fn get(&self, p: u64) -> Option<&Slot<M>> {
@@ -157,7 +166,8 @@ impl<M> Slots<M> {
     fn entry(&mut self, p: u64) -> Option<&mut Slot<M>> {
         let i = usize::try_from(p.checked_sub(self.base)?).ok()?;
         if i >= self.ring.len() {
-            self.ring.resize_with(i.checked_add(1)?, Slot::default);
+            let spare = &mut self.spare;
+            self.ring.resize_with(i.checked_add(1)?, || spare.pop().unwrap_or_default());
         }
         self.ring.get_mut(i)
     }
@@ -172,7 +182,13 @@ impl<M> Slots<M> {
     fn gc_below(&mut self, start: u64) {
         let gone =
             usize::try_from(start - self.base).map_or(usize::MAX, |n| n.min(self.ring.len()));
-        self.ring.drain(..gone);
+        let kept = gone.min(self.spare_cap.saturating_sub(self.spare.len()));
+        for mut slot in self.ring.drain(..kept) {
+            slot.copies.clear();
+            slot.ready = None;
+            self.spare.push(slot);
+        }
+        self.ring.drain(..gone - kept);
         self.base = start;
     }
 }
@@ -218,10 +234,11 @@ struct ReceiverSub<M> {
 }
 
 impl<M> ReceiverSub<M> {
-    fn new(capacity: u64, n_senders: usize, me: usize) -> Self {
+    fn new(capacity: u64, max_range: usize, n_senders: usize, me: usize) -> Self {
+        let spare = max_range.min(usize::try_from(capacity).unwrap_or(usize::MAX));
         ReceiverSub {
             awin: Window::new(capacity),
-            slots: Slots::new(),
+            slots: Slots::new(spare),
             vouches: BTreeMap::new(),
             fetch_cursor: BTreeMap::new(),
             pending_content: BTreeMap::new(),
@@ -294,7 +311,8 @@ impl<M: Content> ReceiverEndpoint<M> {
 
     fn sub(&mut self, sc: Subchannel) -> &mut ReceiverSub<M> {
         let (capacity, n_senders, me) = (self.cfg.capacity, self.cfg.n_senders, self.me);
-        self.subs.entry(sc).or_insert_with(|| ReceiverSub::new(capacity, n_senders, me))
+        let max_range = self.cfg.max_range;
+        self.subs.entry(sc).or_insert_with(|| ReceiverSub::new(capacity, max_range, n_senders, me))
     }
 
     /// Polls for the message at `(sc, p)` (Fig 14 `receive`, non-blocking).
@@ -1822,12 +1840,13 @@ mod proptests {
     proptest! {
         /// The ring is the ordered map it replaced: after any sequence of
         /// writes, window moves and reads (some below the window, some
-        /// past the ring's end), both hold the same records.
+        /// past the ring's end), both hold the same records — a recycled
+        /// record holds nothing of the position it served before.
         #[test]
         fn the_slot_ring_is_a_map_by_position(
             ops in prop::collection::vec((0u8..5, 0u64..48, 0u64..48), 0..200),
         ) {
-            let mut ring: Slots<u64> = Slots::new();
+            let mut ring: Slots<u64> = Slots::new(16);
             let mut model: BTreeMap<u64, (Vec<u64>, Option<u64>)> = BTreeMap::new();
             let mut base = 1u64;
             for (i, (op, a, b)) in ops.into_iter().enumerate() {
@@ -1871,6 +1890,8 @@ mod proptests {
                 let highest = model.keys().next_back().map_or(0, |p| p + 1 - base);
                 prop_assert!(ring.ring.len() as u64 >= highest, "every written position is held");
                 prop_assert!(ring.ring.len() <= 48, "and nothing beyond the furthest write");
+                prop_assert!(ring.spare.len() <= 16, "spare records are bounded");
+                prop_assert!(ring.spare.iter().all(|s| s.copies.is_empty() && s.ready.is_none()));
             }
         }
     }

@@ -104,7 +104,7 @@ struct SenderSub<M> {
     /// Whole chunks queue atomically so their boundaries survive the wait
     /// (SC shares only combine over identical runs, and the RC dedup
     /// carrier rotation keys on the chunk's first position).
-    blocked: BTreeMap<u64, Vec<M>>,
+    blocked: BTreeMap<u64, Run<M>>,
     /// What this endpoint submitted, by first position.
     runs: BTreeMap<u64, Submitted<M>>,
     /// SC: the statement each sender shared for a run `(first, count)` —
@@ -282,47 +282,50 @@ impl<M: Content> SenderEndpoint<M> {
     /// matching and RC dedup carrier rotation). Chunks above the window
     /// queue atomically and flush on [`Action::Unblocked`].
     ///
+    /// A [`Run`] that is one chunk is submitted (or queued) as that very
+    /// run, so a host sending the same content down several channels
+    /// builds and hashes it once; only a run longer than the cap, or one
+    /// reaching below the window, is cut into new runs.
+    ///
     /// Returns `TooOld` if every slot is below the window, `Blocked` if
     /// nothing could be transmitted yet, `Sent` otherwise.
     pub fn send_batch(
         &mut self,
         sc: Subchannel,
         first: Position,
-        msgs: Vec<M>,
+        msgs: impl Into<Run<M>>,
         out: &mut dyn Sink<Action<M>>,
     ) -> SendStatus {
-        if msgs.is_empty() {
+        let run = msgs.into();
+        if run.is_empty() {
             return SendStatus::Sent;
         }
         let cap = self.range_cap();
-        let sub = self.sub(sc);
-        let start = sub.awin.start().0;
-        let mut status = SendStatus::TooOld(sub.awin.start());
-        let mut chunk_first = first.0;
-        let mut remaining = msgs;
-        while !remaining.is_empty() {
-            let n = remaining.len().min(cap);
-            let rest = remaining.split_off(n);
-            let chunk = std::mem::replace(&mut remaining, rest);
+        let start = self.sub(sc).awin.start();
+        let mut status = SendStatus::TooOld(start);
+        let mut offset = 0;
+        while offset < run.len() {
+            let n = (run.len() - offset).min(cap);
+            let chunk_first = first.0 + offset as u64;
             let chunk_end = chunk_first + n as u64 - 1;
-            if chunk_end < start {
+            let chunk = offset..offset + n;
+            offset += n;
+            if chunk_end < start.0 {
                 // Entire chunk below the window: receivers moved on.
-                chunk_first += n as u64;
                 continue;
             }
             let sub = self.sub(sc);
             if sub.awin.is_above(Position(chunk_end)) {
                 // Queue the whole chunk so its boundary survives the wait.
-                sub.blocked.insert(chunk_first, chunk);
+                sub.blocked.insert(chunk_first, run.sub_run(chunk));
                 if status != SendStatus::Sent {
                     status = SendStatus::Blocked;
                 }
             } else {
-                let (f, c) = trim_below(chunk_first, chunk, start);
+                let (f, c) = trim_below(chunk_first, run.sub_run(chunk), start.0);
                 self.submit(sc, f, c, out);
                 status = SendStatus::Sent;
             }
-            chunk_first += n as u64;
         }
         status
     }
@@ -517,13 +520,12 @@ impl<M: Content> SenderEndpoint<M> {
     /// **one** statement over the run, and ships a single message per
     /// destination (see [`RunCost`] for what a run of one slot does not
     /// take part in).
-    fn submit(&mut self, sc: Subchannel, first: u64, msgs: Vec<M>, out: &mut dyn Sink<Action<M>>) {
+    fn submit(&mut self, sc: Subchannel, first: u64, msgs: Run<M>, out: &mut dyn Sink<Action<M>>) {
         if msgs.is_empty() {
             return;
         }
         let n_receivers = self.cfg.n_receivers;
         let count = msgs.len() as u32;
-        let msgs = Run::new(msgs);
         let mut held = Submitted { run: msgs.clone(), shipped: Vec::new() };
         if self.cfg.variant() == Variant::ReceiverCollect {
             self.sub(sc).runs.insert(first, held);
@@ -897,14 +899,11 @@ impl<M: Content> SenderEndpoint<M> {
 }
 
 /// Drops the slots of `msgs` that fall below window start `start`;
-/// returns the trimmed first position and content.
-fn trim_below<M>(first: u64, mut msgs: Vec<M>, start: u64) -> (u64, Vec<M>) {
-    if first >= start {
-        return (first, msgs);
-    }
-    let skip = ((start - first) as usize).min(msgs.len());
-    msgs.drain(..skip);
-    (first + skip as u64, msgs)
+/// returns the trimmed first position and content (`msgs` itself if
+/// nothing is below).
+fn trim_below<M: Content>(first: u64, msgs: Run<M>, start: u64) -> (u64, Run<M>) {
+    let skip = (start.saturating_sub(first) as usize).min(msgs.len());
+    (first + skip as u64, msgs.sub_run(skip..msgs.len()))
 }
 
 #[cfg(test)]
@@ -1333,6 +1332,47 @@ mod tests {
             ),
             "the whole chunk ships with its original boundary"
         );
+    }
+
+    #[test]
+    fn a_run_that_is_one_chunk_ships_as_that_very_run() {
+        /// The runs of the casts bound for receiver 0, in order.
+        fn cast_runs(out: &Out) -> Vec<(u64, Run<Blob>)> {
+            let casts = to_receiver(out, 0).into_iter().filter_map(|m| match m {
+                ChannelMsg::Cast { first, msgs, .. } => Some((first.0, msgs.clone())),
+                _ => None,
+            });
+            casts.collect()
+        }
+        let same = |a: &Run<Blob>, b: &Run<Blob>| std::ptr::eq(&a[..], &b[..]);
+        // In the window, one chunk: the run handed in goes out, to every
+        // endpoint it is handed to.
+        let run = Run::new(blobs(1, 4));
+        for me in 0..3 {
+            let mut s = SenderEndpoint::new(cfg(RC, 16, 4), me, Keyring::new(5));
+            let mut out = Vec::new();
+            assert_eq!(s.send_batch(0, Position(1), run.clone(), &mut out), SendStatus::Sent);
+            let casts = cast_runs(&out);
+            assert!(matches!(&casts[..], [(1, r)] if same(r, &run)), "{casts:?}");
+        }
+        // Above the window it queues as that run, and flushes as it.
+        let mut s = SenderEndpoint::new(cfg(RC, 4, 4), 0, Keyring::new(5));
+        let run = Run::new(blobs(5, 4));
+        assert_eq!(s.send_batch(0, Position(5), run.clone(), &mut Vec::new()), SendStatus::Blocked);
+        let casts = cast_runs(&moves(&mut s, &[0, 1], 5));
+        assert!(matches!(&casts[..], [(5, r)] if same(r, &run)), "{casts:?}");
+        // Longer than the cap, or reaching below the window: new runs of
+        // the same content.
+        let mut s = SenderEndpoint::new(cfg(RC, 16, 4), 0, Keyring::new(5));
+        moves(&mut s, &[0, 1], 3);
+        let run = Run::new(blobs(1, 7));
+        let mut out = Vec::new();
+        assert_eq!(s.send_batch(0, Position(1), run.clone(), &mut out), SendStatus::Sent);
+        let casts = cast_runs(&out);
+        assert_eq!(casts.iter().map(|(f, r)| (*f, r.len())).collect::<Vec<_>>(), [(3, 2), (5, 3)]);
+        assert_eq!(&casts[0].1[..], &run[2..4]);
+        assert_eq!(&casts[1].1[..], &run[4..]);
+        assert!(casts.iter().all(|(_, r)| !same(r, &run)));
     }
 
     #[test]

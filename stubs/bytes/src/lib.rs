@@ -12,15 +12,17 @@
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::Deref;
+use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable, contiguous byte buffer.
 ///
 /// Two representations behind one API: a borrowed `&'static [u8]`
-/// (constants never allocate) and a shared heap buffer that takes over
-/// the `Vec` it was built from without copying it. Equality, ordering
-/// and hashing look at the contents only.
+/// (constants never allocate) and a window onto a shared heap buffer that
+/// takes over the `Vec` it was built from without copying it. A
+/// [`Bytes::slice`] is another window onto the same buffer, which stays
+/// allocated while any window onto it lives. Equality, ordering and
+/// hashing look at the contents only.
 #[derive(Clone)]
 pub struct Bytes {
     data: Repr,
@@ -29,7 +31,12 @@ pub struct Bytes {
 #[derive(Clone)]
 enum Repr {
     Static(&'static [u8]),
-    Shared(Arc<Vec<u8>>),
+    /// `buf[start..end]`, with `start <= end <= buf.len()`.
+    Shared {
+        buf: Arc<Vec<u8>>,
+        start: usize,
+        end: usize,
+    },
 }
 
 impl Bytes {
@@ -63,10 +70,43 @@ impl Bytes {
         Bytes::from(slice.to_vec())
     }
 
+    /// The bytes in `range`, sharing this buffer: O(1), nothing is
+    /// copied. An empty range gives [`Bytes::new`], which holds on to no
+    /// buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range starts after it ends or ends past `self.len()`.
+    pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
+        let len = self.len();
+        let begin = match range.start_bound() {
+            Bound::Included(&n) => n,
+            Bound::Excluded(&n) => n.checked_add(1).expect("out of range"),
+            Bound::Unbounded => 0,
+        };
+        let end = match range.end_bound() {
+            Bound::Included(&n) => n.checked_add(1).expect("out of range"),
+            Bound::Excluded(&n) => n,
+            Bound::Unbounded => len,
+        };
+        assert!(begin <= end, "range start must not be greater than end: {begin:?} <= {end:?}");
+        assert!(end <= len, "range end out of bounds: {end:?} <= {len:?}");
+        if begin == end {
+            return Bytes::new();
+        }
+        let data = match &self.data {
+            Repr::Static(slice) => Repr::Static(&slice[begin..end]),
+            Repr::Shared { buf, start, .. } => {
+                Repr::Shared { buf: Arc::clone(buf), start: start + begin, end: start + end }
+            }
+        };
+        Bytes { data }
+    }
+
     fn as_slice(&self) -> &[u8] {
         match &self.data {
             Repr::Static(slice) => slice,
-            Repr::Shared(vec) => vec,
+            Repr::Shared { buf, start, end } => &buf[*start..*end],
         }
     }
 }
@@ -98,7 +138,8 @@ impl Borrow<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        Bytes { data: Repr::Shared(Arc::new(v)) }
+        let end = v.len();
+        Bytes { data: Repr::Shared { buf: Arc::new(v), start: 0, end } }
     }
 }
 
@@ -366,12 +407,6 @@ mod tests {
 
     #[test]
     fn static_and_shared_representations_are_indistinguishable() {
-        use std::collections::hash_map::DefaultHasher;
-        fn hash_of(b: &Bytes) -> u64 {
-            let mut h = DefaultHasher::new();
-            b.hash(&mut h);
-            h.finish()
-        }
         let mut built = BytesMut::with_capacity(8);
         built.put_slice(b"\0ok");
         let pairs = [
@@ -391,6 +426,77 @@ mod tests {
         let (fixed_a, fixed_b) = (Bytes::from_static(b"a"), Bytes::from_static(b"b"));
         let (heap_a, heap_b) = (Bytes::from(vec![b'a']), Bytes::from(vec![b'b']));
         assert!(fixed_a < heap_b && heap_a < fixed_b, "ordering is by contents");
+    }
+
+    fn hash_of(b: &Bytes) -> u64 {
+        use std::collections::hash_map::DefaultHasher;
+        let mut h = DefaultHasher::new();
+        b.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn slices_share_the_buffer_and_nest() {
+        let whole = Bytes::from(b"0123456789".to_vec());
+        let mid = whole.slice(2..8);
+        assert_eq!(&mid[..], b"234567");
+        assert_eq!(mid.as_ptr(), whole[2..].as_ptr(), "no copy");
+        let inner = mid.slice(1..=3);
+        assert_eq!(&inner[..], b"345");
+        assert_eq!(
+            inner.as_ptr(),
+            whole[3..].as_ptr(),
+            "a slice of a slice is a window onto the first buffer"
+        );
+        assert_eq!(&mid.slice(..2)[..], b"23");
+        assert_eq!(&mid.slice(4..)[..], b"67");
+        assert_eq!(mid.slice(..), mid);
+        drop(whole);
+        assert_eq!(&inner[..], b"345", "a slice keeps the buffer alive");
+    }
+
+    #[test]
+    fn slices_of_static_and_empty_buffers() {
+        let fixed = Bytes::from_static(b"\0not-found");
+        let tail = fixed.slice(1..4);
+        assert_eq!(&tail[..], b"not");
+        assert_eq!(tail.as_ptr(), fixed[1..].as_ptr());
+        for empty in [Bytes::new(), Bytes::from(Vec::new())] {
+            assert!(empty.slice(..).is_empty());
+            assert!(empty.slice(0..0).is_empty());
+        }
+        assert!(fixed.slice(3..3).is_empty());
+        assert_eq!(fixed.slice(3..3), Bytes::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn a_slice_past_the_end_panics() {
+        let _ = Bytes::from(vec![1, 2, 3]).slice(1..4);
+    }
+
+    #[test]
+    #[should_panic(expected = "greater than end")]
+    fn a_reversed_slice_panics() {
+        let b = Bytes::from_static(b"abc");
+        let (from, to) = (2, 1);
+        let _ = b.slice(from..to);
+    }
+
+    #[test]
+    fn slices_compare_and_hash_by_contents() {
+        let a = Bytes::from(b"xxabcxx".to_vec()).slice(2..5);
+        let b = Bytes::from_static(b"abc");
+        let c = Bytes::from(b"__abd".to_vec()).slice(2..);
+        assert_eq!(a, b);
+        assert_eq!(a.cmp(&b), std::cmp::Ordering::Equal);
+        assert_eq!(hash_of(&a), hash_of(&b));
+        assert_eq!(format!("{a:?}"), "b\"abc\"");
+        assert!(a < c && b < c, "ordering is by contents");
+        assert_ne!(hash_of(&a), hash_of(&c));
+        let mut set = std::collections::BTreeSet::new();
+        set.insert(a);
+        assert!(set.contains(&b"abc"[..]), "lookups by borrowed contents find a slice");
     }
 
     #[test]
