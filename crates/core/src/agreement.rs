@@ -1127,6 +1127,23 @@ mod tests {
         assert_eq!(hist, a.hist);
     }
 
+    /// The bytes agreement replicas sign for a fixed state, at the value
+    /// the encoding had when this test was written.
+    #[test]
+    fn agreement_snapshot_bytes_are_pinned() {
+        let dir = crate::directory::Directory::new();
+        let mut a = AgreementReplica::new(SpiderConfig::default(), 0, dir, &[]);
+        a.sn = 42;
+        a.t.insert(ClientId(1), 7);
+        a.t.insert(ClientId(9), 3);
+        a.hist.push_back((40, OrderItem::Admin(AdminCommand::AddGroup { group: GroupId(5) })));
+        a.hist.push_back((41, OrderItem::Request(request(1, 6, OpKind::Write))));
+        a.hist.push_back((42, OrderItem::Request(request(9, 3, OpKind::StrongRead))));
+        let snap = a.encode_snapshot();
+        assert_eq!((snap.parts().len(), snap.len()), (1, 121));
+        assert_eq!(format!("{}", snap.hash()), "65873032df6a1045");
+    }
+
     #[test]
     fn agreement_snapshot_rejects_garbage() {
         let dir = crate::directory::Directory::new();

@@ -612,6 +612,21 @@ mod tests {
         assert_eq!(a.encode_snapshot(), b.encode_snapshot());
     }
 
+    /// The bytes execution replicas sign for a fixed state, at the value
+    /// the encoding had when this test was written.
+    #[test]
+    fn execution_snapshot_bytes_are_pinned() {
+        let mut a = replica();
+        a.sn = 16;
+        a.app.execute(&Bytes::from_static(b"add:5"));
+        a.replies
+            .insert(ClientId(1), CachedReply::Result { tc: 4, result: Bytes::from_static(b"5") });
+        a.replies.insert(ClientId(2), CachedReply::Placeholder { tc: 9 });
+        let snap = a.encode_snapshot();
+        assert_eq!((snap.parts().len(), snap.len()), (2, 55));
+        assert_eq!(format!("{}", snap.hash()), "3be48444b43a191e");
+    }
+
     #[test]
     fn execution_snapshot_rejects_garbage() {
         let mut a = replica();
