@@ -11,14 +11,17 @@
 //! [`KvStore`]); a checkpoint costs the host what was written, not what
 //! is stored.
 //!
-//! Entries are not copied in. A key and value written by a put are
-//! [`Bytes::slice`]s of the request buffer the put arrived in, and the
-//! entries of a restored bucket are slices of the verified snapshot part,
-//! which becomes the bucket's cached encoding; reads answer with slices of
-//! the stored value. The price is memory: an entry keeps its whole request
-//! buffer allocated (the few header bytes around key and value), and a
-//! restored bucket's part stays allocated until every entry from it has
-//! been overwritten.
+//! Entries are not copied, in or out. An entry is its *record*,
+//! `[key len u16][key][value len u32][value]`, which is both how the
+//! snapshot encodes it and what a put is after its tag byte: a put's
+//! record is a [`Bytes::slice`] of the request buffer it arrived in, a
+//! restored entry's is a slice of the verified snapshot piece it arrived
+//! in, a bucket's part is the list of its records, and reads answer with
+//! slices of the stored value. The price is memory: a record pins the
+//! whole buffer it is a slice of — a put's request, with its tag byte and
+//! anything after the value, or a fetched snapshot's piece, which a piece
+//! of several records keeps allocated until every entry from it has been
+//! overwritten.
 //!
 //! # Examples
 //!
@@ -40,7 +43,6 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use spider::{Application, Part};
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// A key-value store operation.
@@ -175,43 +177,18 @@ pub const MALFORMED: &[u8] = b"\0malformed";
 /// (measured in the README's "Checkpoints" section).
 const BUCKETS: usize = 256;
 
-/// The entries whose keys hash to one bucket, with the snapshot part
-/// encoding them while no write has touched the bucket since it was built
-/// (or since it was restored from that part).
-#[derive(Debug, Clone, Default)]
-struct Bucket {
-    entries: BTreeMap<Bytes, Bytes>,
-    part: Option<Part>,
-}
+/// One entry as the snapshot encodes it, `[key len u16][key][value len
+/// u32][value]`, which is what a put is after its tag byte: a put's record
+/// is a slice of its request and a restored entry's a slice of a snapshot
+/// piece ([`Record::parse`]).
+#[derive(Debug, Clone)]
+struct Record(Bytes);
 
-/// `[key len u16][key][value len u32][value]` per entry, in key order.
-fn encode_into(entries: &BTreeMap<Bytes, Bytes>, buf: &mut BytesMut) {
-    for (k, v) in entries {
-        buf.put_u16(k.len() as u16);
-        buf.put_slice(k);
-        buf.put_u32(v.len() as u32);
-        buf.put_slice(v);
-    }
-}
-
-fn encoded_len(entries: &BTreeMap<Bytes, Bytes>) -> usize {
-    entries.iter().map(|(k, v)| 2 + k.len() + 4 + v.len()).sum()
-}
-
-/// The entries of bucket `index` as slices of `bytes`, if `bytes` is what
-/// [`encode_into`] makes of them: every key hashes to `index`, the keys
-/// strictly ascend, and nothing follows the last entry. Then re-encoding
-/// them gives `bytes` back, so the part they came from can stand in for
-/// the bucket's encoding.
-fn decode_bucket(bytes: &Bytes, index: usize) -> Option<BTreeMap<Bytes, Bytes>> {
-    let mut entries: BTreeMap<Bytes, Bytes> = BTreeMap::new();
-    let mut buf: &[u8] = bytes;
-    let field = |buf: &mut &[u8], len: usize| {
-        let at = bytes.len() - buf.remaining();
-        buf.advance(len);
-        bytes.slice(at..at + len)
-    };
-    while buf.has_remaining() {
+impl Record {
+    /// The record at the front of `bytes[at..]` and where it ends; `None`
+    /// if the bytes there are not one whole record.
+    fn parse(bytes: &Bytes, at: usize) -> Option<(Record, usize)> {
+        let mut buf = bytes.get(at..)?;
         if buf.remaining() < 2 {
             return None;
         }
@@ -219,19 +196,75 @@ fn decode_bucket(bytes: &Bytes, index: usize) -> Option<BTreeMap<Bytes, Bytes>> 
         if buf.remaining() < klen + 4 {
             return None;
         }
-        let key = field(&mut buf, klen);
+        buf.advance(klen);
         let vlen = buf.get_u32() as usize;
         if buf.remaining() < vlen {
             return None;
         }
-        let value = field(&mut buf, vlen);
-        let ascending = entries.last_key_value().is_none_or(|(last, _)| *last < key);
-        if bucket_of(&key) != index || !ascending {
-            return None;
-        }
-        entries.insert(key, value);
+        let end = at + 2 + klen + 4 + vlen;
+        Some((Record(bytes.slice(at..end)), end))
     }
-    Some(entries)
+
+    fn key(&self) -> &[u8] {
+        let klen = usize::from(u16::from_be_bytes([self.0[0], self.0[1]]));
+        &self.0[2..2 + klen]
+    }
+
+    fn value(&self) -> &[u8] {
+        &self.0[2 + self.key().len() + 4..]
+    }
+
+    /// The value as a slice of the buffer the record is a slice of.
+    fn value_bytes(&self) -> Bytes {
+        self.0.slice(2 + self.key().len() + 4..)
+    }
+}
+
+/// The records whose keys hash to one bucket, in key order, with the
+/// snapshot part holding them while no write has touched the bucket since
+/// it was built (or since it was restored from that part).
+///
+/// A sorted `Vec`: a bucket holds `len / BUCKETS` records, so a put's
+/// shift is short, and a restored bucket is the list of its records as
+/// they arrive, in one allocation.
+#[derive(Debug, Clone, Default)]
+struct Bucket {
+    records: Vec<Record>,
+    part: Option<Part>,
+}
+
+impl Bucket {
+    /// Where `key`'s record is, or where it would go.
+    fn find(&self, key: &[u8]) -> Result<usize, usize> {
+        self.records.binary_search_by(|record| record.key().cmp(key))
+    }
+
+    fn get(&self, key: &[u8]) -> Option<&Record> {
+        self.find(key).ok().and_then(|at| self.records.get(at))
+    }
+}
+
+/// The records of bucket `index` as slices of `pieces`, if their
+/// concatenation is what [`Application::snapshot_parts`] makes of them:
+/// every piece whole records, every key hashing to `index`, the keys
+/// strictly ascending. Then the pieces can stand in for the bucket's
+/// records.
+fn records_of(pieces: &[Bytes], index: usize) -> Option<Vec<Record>> {
+    // A piece is usually one record.
+    let mut records: Vec<Record> = Vec::with_capacity(pieces.len());
+    for piece in pieces {
+        let mut at = 0;
+        while at < piece.len() {
+            let (record, end) = Record::parse(piece, at)?;
+            let ascending = records.last().is_none_or(|last| last.key() < record.key());
+            if bucket_of(record.key()) != index || !ascending {
+                return None;
+            }
+            records.push(record);
+            at = end;
+        }
+    }
+    Some(records)
 }
 
 /// A deterministic, snapshotable key-value store.
@@ -240,19 +273,24 @@ fn decode_bucket(bytes: &Bytes, index: usize) -> Option<BTreeMap<Bytes, Bytes>> 
 /// hash of the key. The snapshot is `[count][bucket 0 entries]…[bucket
 /// 255 entries][ops_applied]` — the count, each bucket and the counter one
 /// [`Part`] each, no per-part header — and a bucket keeps its part until
-/// a `put` lands in it, so [`Application::snapshot_parts`] encodes and
-/// hashes only the buckets written since the last call. Which bucket a
-/// key is in, and the order inside a bucket, depend on the keys alone:
-/// equal contents give equal parts whatever the history. Keys chosen to
-/// collide can make a bucket large and its re-encoding slow; they cannot
-/// make two correct replicas disagree.
+/// a `put` lands in it, so [`Application::snapshot_parts`] hashes only the
+/// buckets written since the last call. Which bucket a key is in, and the
+/// order inside a bucket, depend on the keys alone: equal contents give
+/// equal parts whatever the history. Keys chosen to collide can make a
+/// bucket large and its puts and re-hashing slow; they cannot make two
+/// correct replicas disagree.
 ///
-/// Keys and values are slices of the buffers they arrived in (see the
-/// [crate docs](crate)): a put keeps slices of its request, and
-/// [`Application::restore`] keeps slices of the snapshot parts and the
-/// parts themselves as the buckets' encodings, so the first checkpoint
-/// after a restore re-encodes nothing. It accepts only the cut this store
-/// makes — `BUCKETS + 2` parts, every key in its own bucket, keys strictly
+/// An entry is its *record*, the bytes the snapshot encodes it as, and a
+/// record is a slice of the buffer it arrived in (see the [crate
+/// docs](crate)): a put's of its request, a restored entry's of the
+/// snapshot piece. A bucket's part is the list of its records in key
+/// order ([`Part::from_pieces`]), so a checkpoint copies no byte.
+/// [`Application::restore`] keeps the pieces it is handed: a piece of
+/// whole records is sliced in place, and only a part whose pieces split a
+/// record is joined into one buffer first; it keeps the parts themselves
+/// as the buckets' parts, so the first checkpoint after a restore hashes
+/// nothing. It accepts only the contents this store would encode —
+/// `BUCKETS + 2` parts, every key in its own bucket, keys strictly
 /// ascending, the count matching — and otherwise leaves the store as it
 /// was.
 #[derive(Debug, Clone)]
@@ -296,20 +334,24 @@ impl KvStore {
 
     /// Direct lookup (tests).
     pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
-        self.buckets[bucket_of(key)].entries.get(key).map(|v| &v[..])
+        self.buckets[bucket_of(key)].get(key).map(Record::value)
     }
 
     /// The reply to a get of `key`: a slice of the stored value.
     fn read(&self, key: &[u8]) -> Bytes {
-        let value = self.buckets[bucket_of(key)].entries.get(key);
-        value.cloned().unwrap_or(Bytes::from_static(NOT_FOUND))
+        let record = self.buckets[bucket_of(key)].get(key);
+        record.map_or(Bytes::from_static(NOT_FOUND), Record::value_bytes)
     }
 
-    fn put(&mut self, key: Bytes, value: Bytes) {
-        let bucket = &mut self.buckets[bucket_of(&key)];
+    fn put(&mut self, record: Record) {
+        let bucket = &mut self.buckets[bucket_of(record.key())];
         bucket.part = None;
-        if bucket.entries.insert(key, value).is_none() {
-            self.len += 1;
+        match bucket.find(record.key()) {
+            Ok(at) => bucket.records[at] = record,
+            Err(at) => {
+                bucket.records.insert(at, record);
+                self.len += 1;
+            }
         }
     }
 
@@ -322,12 +364,11 @@ impl KvStore {
     /// counter may differ (strongly consistent reads run only at their
     /// target group, §3.3), while the map contents must still match.
     pub fn map_digest(&self) -> spider_crypto::Digest {
-        let mut entries: Vec<(&Bytes, &Bytes)> =
-            self.buckets.iter().flat_map(|b| &b.entries).collect();
-        entries.sort_unstable_by_key(|(k, _)| *k);
+        let mut records: Vec<&Record> = self.buckets.iter().flat_map(|b| &b.records).collect();
+        records.sort_unstable_by(|a, b| a.key().cmp(b.key()));
         let mut b = spider_crypto::Digest::builder().u64(self.len as u64);
-        for (k, v) in entries {
-            b = b.bytes(k).bytes(v);
+        for record in records {
+            b = b.bytes(record.key()).bytes(record.value());
         }
         b.finish()
     }
@@ -337,8 +378,10 @@ impl Application for KvStore {
     fn execute(&mut self, op: &Bytes) -> Bytes {
         self.ops_applied += 1;
         match Fields::of(op) {
-            Some(Fields::Put { key, value }) => {
-                self.put(op.slice(key), op.slice(value));
+            Some(Fields::Put { value, .. }) => {
+                // All but the tag byte, up to the value's last byte: bytes
+                // after the value are not part of the record.
+                self.put(Record(op.slice(1..value.end)));
                 Bytes::from_static(OK)
             }
             Some(Fields::Get { key }) => self.read(&op[key]),
@@ -355,12 +398,10 @@ impl Application for KvStore {
     }
 
     fn snapshot(&self) -> Bytes {
-        let entries: usize = self.buckets.iter().map(|b| encoded_len(&b.entries)).sum();
-        let mut buf = BytesMut::with_capacity(4 + entries + 8);
+        let records = || self.buckets.iter().flat_map(|b| &b.records);
+        let mut buf = BytesMut::with_capacity(4 + records().map(|r| r.0.len()).sum::<usize>() + 8);
         buf.put_u32(self.len as u32);
-        for bucket in &self.buckets {
-            encode_into(&bucket.entries, &mut buf);
-        }
+        records().for_each(|record| buf.put_slice(&record.0));
         buf.put_u64(self.ops_applied);
         buf.freeze()
     }
@@ -368,12 +409,9 @@ impl Application for KvStore {
     fn snapshot_parts(&mut self) -> Vec<Part> {
         let mut parts = Vec::with_capacity(BUCKETS + 2);
         parts.push(Part::new(Bytes::from((self.len as u32).to_be_bytes().to_vec())));
-        for Bucket { entries, part } in &mut self.buckets {
-            let part = part.get_or_insert_with(|| {
-                let mut buf = BytesMut::with_capacity(encoded_len(entries));
-                encode_into(entries, &mut buf);
-                Part::new(buf.freeze())
-            });
+        for Bucket { records, part } in &mut self.buckets {
+            let part =
+                part.get_or_insert_with(|| Part::from_pieces(records.iter().map(|r| r.0.clone())));
             parts.push(part.clone());
         }
         parts.push(Part::new(Bytes::from(self.ops_applied.to_be_bytes().to_vec())));
@@ -385,7 +423,7 @@ impl Application for KvStore {
             return false;
         };
         let (Ok(count), Ok(ops)) =
-            (<[u8; 4]>::try_from(&count.bytes[..]), <[u8; 8]>::try_from(&ops.bytes[..]))
+            (<[u8; 4]>::try_from(&count.to_bytes()[..]), <[u8; 8]>::try_from(&ops.to_bytes()[..]))
         else {
             return false;
         };
@@ -395,11 +433,15 @@ impl Application for KvStore {
         let mut restored = Vec::with_capacity(BUCKETS);
         let mut len = 0;
         for (index, part) in buckets.iter().enumerate() {
-            let Some(entries) = decode_bucket(&part.bytes, index) else {
+            // Pieces of whole records are kept as they are; a part cut
+            // inside a record is joined once and sliced instead.
+            let records =
+                records_of(part.pieces(), index).or_else(|| records_of(&[part.to_bytes()], index));
+            let Some(records) = records else {
                 return false;
             };
-            len += entries.len();
-            restored.push(Bucket { entries, part: Some(part.clone()) });
+            len += records.len();
+            restored.push(Bucket { records, part: Some(part.clone()) });
         }
         if len != u32::from_be_bytes(count) as usize {
             return false;
@@ -432,6 +474,7 @@ pub fn kv_op_factory(keys: u32) -> spider::client::OpFactory {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn put_then_get_roundtrip() {
@@ -517,7 +560,7 @@ mod tests {
         count[0] = Part::new(Bytes::from(3u32.to_be_bytes().to_vec()));
         cuts.push(("a count that is not the entries'", count));
         let mut trailing = parts.clone();
-        trailing[a] = Part::new(Bytes::from([&parts[a].bytes[..], &[0]].concat()));
+        trailing[a] = Part::new(Bytes::from([&parts[a].to_bytes()[..], &[0]].concat()));
         cuts.push(("bytes after the last entry", trailing));
         // Two keys of one bucket, written in the wrong order.
         let mut keys = (0u32..).map(|i| format!("x{i}").into_bytes());
@@ -546,6 +589,87 @@ mod tests {
             assert_eq!(store.get(b"mine"), Some(&[9][..]));
             assert_ne!(store.snapshot_parts(), before);
         }
+    }
+
+    /// A store of `n` puts of 20-byte values, and its parts.
+    fn filled(n: u32) -> (KvStore, Vec<Part>) {
+        let mut s = KvStore::new();
+        for i in 0..n {
+            s.execute(&KvOp::put(format!("k{i}").as_bytes(), vec![i as u8; 20]).encode());
+        }
+        let parts = s.snapshot_parts();
+        (s, parts)
+    }
+
+    #[test]
+    fn a_restored_store_keeps_the_pieces_it_was_handed() {
+        let (a, parts) = filled(600);
+        let pieces: BTreeMap<*const u8, usize> = parts[1..=BUCKETS]
+            .iter()
+            .flat_map(Part::pieces)
+            .map(|piece| (piece.as_ptr(), piece.len()))
+            .collect();
+        let mut b = KvStore::new();
+        assert!(b.restore(&parts));
+        let records: Vec<&Record> = b.buckets.iter().flat_map(|b| &b.records).collect();
+        assert_eq!(records.len(), 600);
+        for record in records {
+            let piece = pieces.get(&record.0.as_ptr());
+            assert_eq!(piece, Some(&record.0.len()), "{record:?} is a source piece");
+        }
+        let again = b.snapshot_parts();
+        let reencoded = again.iter().zip(&parts).skip(1).take(BUCKETS);
+        assert_eq!(
+            reencoded.filter(|(n, p)| n.pieces().as_ptr() != p.pieces().as_ptr()).count(),
+            0
+        );
+        assert_eq!(again, parts);
+        assert_eq!((b.map_digest(), b.state_digest()), (a.map_digest(), a.state_digest()));
+    }
+
+    #[test]
+    fn a_part_restores_however_its_pieces_are_cut() {
+        let (a, parts) = filled(600);
+        let at = 1 + (0..BUCKETS).max_by_key(|&i| parts[1 + i].pieces().len()).unwrap();
+        let bytes = parts[at].to_bytes();
+        let first = parts[at].pieces()[0].len();
+        assert!(parts[at].pieces().len() >= 3, "a bucket of several records");
+        let cuts = [
+            ("flattened into one piece", Part::new(bytes.clone())),
+            ("cut inside a key", Part::from_pieces([bytes.slice(..3), bytes.slice(3..)])),
+            (
+                "cut inside a value, and on a boundary",
+                Part::from_pieces([
+                    bytes.slice(..first - 1),
+                    bytes.slice(first - 1..first),
+                    bytes.slice(first..),
+                ]),
+            ),
+            ("one byte a piece", Part::from_pieces((0..bytes.len()).map(|i| bytes.slice(i..=i)))),
+        ];
+        for (what, cut) in cuts {
+            assert_eq!(cut, parts[at], "{what}: the same bytes");
+            let mut parts = parts.clone();
+            parts[at] = cut;
+            let mut b = KvStore::new();
+            assert!(b.restore(&parts), "{what}");
+            assert_eq!(b.map_digest(), a.map_digest(), "{what}");
+            assert_eq!(b.state_digest(), a.state_digest(), "{what}");
+            assert_eq!(b.snapshot_parts(), parts, "{what}");
+        }
+    }
+
+    #[test]
+    fn bytes_after_a_value_are_not_part_of_the_record() {
+        let clean = KvOp::put(b"k", vec![5; 32]).encode();
+        let trailing = Bytes::from([&clean[..], b"trailing"].concat());
+        let (mut a, mut b) = (KvStore::new(), KvStore::new());
+        a.execute(&clean);
+        b.execute(&trailing);
+        assert_eq!(b.get(b"k"), Some(&[5; 32][..]));
+        assert_eq!(b.snapshot_parts(), a.snapshot_parts());
+        assert_eq!(b.state_digest(), a.state_digest());
+        assert_eq!(b.snapshot(), a.snapshot());
     }
 
     #[test]
@@ -622,9 +746,9 @@ mod tests {
              0u8..8),
             1..120,
         )) {
-            /// Parts of `now` that are not the very buffer `prev` holds.
+            /// Parts of `now` that are not the very piece list `prev` holds.
             fn reencoded(prev: &[Part], now: &[Part]) -> usize {
-                prev.iter().zip(now).filter(|(p, n)| p.bytes.as_ptr() != n.bytes.as_ptr()).count()
+                prev.iter().zip(now).filter(|(p, n)| p.pieces().as_ptr() != n.pieces().as_ptr()).count()
             }
             let mut a = KvStore::new();
             let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
@@ -659,7 +783,7 @@ mod tests {
 
             prop_assert_eq!(parts.len(), BUCKETS + 2);
             prop_assert!(parts.iter().all(Part::is_intact));
-            let concat: Vec<u8> = parts.iter().flat_map(|p| p.bytes.to_vec()).collect();
+            let concat: Vec<u8> = parts.iter().flat_map(|p| p.to_bytes().to_vec()).collect();
             prop_assert_eq!(&concat[..], &a.snapshot()[..]);
             let entries: usize = model.iter().map(|(k, v)| 2 + k.len() + 4 + v.len()).sum();
             prop_assert_eq!(concat.len(), 4 + entries + 8, "no per-part header");

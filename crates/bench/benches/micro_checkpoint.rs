@@ -8,6 +8,9 @@
 //! hashes the part digests and signs. `checkpoint_full/{n}_keys` is the
 //! single-buffer scheme it replaced: serialize the whole store and hash
 //! it. The first should barely move with `n`, the second grows with it.
+//! `restore/{n}_keys` is what a lagging replica does with a fetched
+//! checkpoint: an empty store takes over the parts, slicing its entries
+//! out of their pieces in place; it grows with `n` but copies no byte.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use spider::checkpoint::{CheckpointComponent, Part, Snapshot};
@@ -66,6 +69,23 @@ fn bench(c: &mut Criterion) {
     for (label, _, store) in &stores {
         g.bench_function(format!("{label}_keys"), |b| {
             b.iter(|| Digest::of_bytes(&std::hint::black_box(store).borrow().snapshot()))
+        });
+    }
+    g.finish();
+
+    let mut g = c.benchmark_group("restore");
+    g.sample_size(30);
+    for (label, _, store) in &stores {
+        let parts = store.borrow_mut().snapshot_parts();
+        g.bench_function(format!("{label}_keys"), |b| {
+            b.iter_batched(
+                KvStore::new,
+                |mut fresh| {
+                    assert!(fresh.restore(&parts));
+                    fresh
+                },
+                BatchSize::SmallInput,
+            )
         });
     }
     g.finish();

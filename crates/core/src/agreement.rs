@@ -477,7 +477,9 @@ impl AgreementReplica {
     /// Serializes `(sn, t, hist)`. `hist` is bounded by the commit-channel
     /// capacity, so the snapshot stays small and is one part.
     fn encode_snapshot(&self) -> Snapshot {
-        let mut buf = BytesMut::new();
+        let hist_len: usize = self.hist.iter().map(|(_, item)| 8 + order_item_len(item)).sum();
+        let len = 8 + 4 + 12 * self.t.len() + 4 + hist_len;
+        let mut buf = BytesMut::with_capacity(len);
         buf.put_u64(self.sn);
         buf.put_u32(self.t.len() as u32);
         let mut t: Vec<(&ClientId, &u64)> = self.t.iter().collect();
@@ -491,6 +493,7 @@ impl AgreementReplica {
             buf.put_u64(*s);
             encode_order_item(&mut buf, item);
         }
+        debug_assert_eq!(buf.len(), len, "the snapshot was sized exactly");
         Snapshot::single(buf.freeze())
     }
 
@@ -499,7 +502,8 @@ impl AgreementReplica {
         let [part] = parts else {
             return None;
         };
-        let mut buf: &[u8] = &part.bytes;
+        let bytes = part.to_bytes();
+        let mut buf: &[u8] = &bytes;
         if buf.remaining() < 12 {
             return None;
         }
@@ -737,6 +741,14 @@ fn group_run(
         }
     });
     Run::from(slots.collect::<Vec<_>>())
+}
+
+/// Length of what [`encode_order_item`] writes for `item`.
+fn order_item_len(item: &OrderItem) -> usize {
+    match item {
+        OrderItem::Request(req) => 1 + 2 + 4 + 8 + 1 + 4 + req.request.operation.op.len(),
+        OrderItem::Admin(AdminCommand::AddGroup { .. } | AdminCommand::RemoveGroup { .. }) => 1 + 2,
+    }
 }
 
 fn encode_order_item(buf: &mut BytesMut, item: &OrderItem) {
@@ -1152,6 +1164,9 @@ mod tests {
         assert!(a.restore_snapshot(&[]).is_none());
         let whole = a.encode_snapshot().parts()[0].clone();
         assert!(a.restore_snapshot(std::slice::from_ref(&whole)).is_some());
-        assert!(a.restore_snapshot(&[whole.clone(), whole]).is_none(), "one part, not two");
+        assert!(a.restore_snapshot(&[whole.clone(), whole.clone()]).is_none(), "one part, not two");
+        let bytes = whole.to_bytes();
+        let pieces = Part::from_pieces([bytes.slice(..7), bytes.slice(7..)]);
+        assert!(a.restore_snapshot(&[pieces]).is_some(), "however its bytes are cut");
     }
 }

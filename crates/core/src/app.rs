@@ -11,9 +11,11 @@
 //!
 //! Bytes cross the interface without being copied. [`Application::execute`]
 //! is handed the ordered operation's own buffer and may keep slices of it
-//! ([`Bytes::slice`]) as state; [`Application::restore`] is handed the
-//! snapshot's parts as they arrived, verified, and may keep slices of them
-//! or the parts themselves, and it says whether it accepted them.
+//! ([`Bytes::slice`]) as state, and [`Application::snapshot_parts`] may
+//! hand those slices back as the pieces of a part ([`Part::from_pieces`]);
+//! [`Application::restore`] is handed the snapshot's parts as they
+//! arrived, verified, and may keep their pieces, slices of them or the
+//! parts themselves, and it says whether it accepted them.
 
 use crate::checkpoint::Part;
 use bytes::Bytes;
@@ -57,8 +59,10 @@ pub trait Application: 'static {
     /// before they get here, but they are another replica's cut: an
     /// implementation checks that the cut is one it would make (the part
     /// count, and whatever else its encoding requires) and returns `false`
-    /// — leaving the state as it was — if it is not. It may keep the parts,
-    /// or slices of their bytes, as state.
+    /// — leaving the state as it was — if it is not. Where a part's bytes
+    /// are cut into pieces is not part of the encoding: a part is accepted
+    /// or rejected for its bytes alone. It may keep the parts, or slices of
+    /// their pieces, as state.
     fn restore(&mut self, parts: &[Part]) -> bool;
 
     /// Digest of the current state (defaults to hashing the snapshot).
@@ -125,7 +129,7 @@ impl Application for CounterApp {
         let [part] = parts else {
             return false;
         };
-        let Ok(value) = <[u8; 8]>::try_from(&part.bytes[..]) else {
+        let Ok(value) = <[u8; 8]>::try_from(&part.to_bytes()[..]) else {
             return false;
         };
         self.value = i64::from_be_bytes(value);
@@ -173,7 +177,7 @@ mod tests {
         let mut a = CounterApp::default();
         a.execute(&op("add:7"));
         let part = a.snapshot_parts().remove(0);
-        let short = Part::new(part.bytes.slice(..7));
+        let short = Part::new(part.to_bytes().slice(..7));
         for parts in [vec![], vec![part.clone(), part], vec![short]] {
             let mut b = CounterApp::default();
             b.execute(&op("add:2"));

@@ -23,8 +23,16 @@
 //! O(parts), not O(state): a replica that re-encodes only the parts that
 //! changed since its last checkpoint (see `spider_app::KvStore`) shares
 //! every other part, bytes and digest, with the previous snapshot. Two
-//! replicas with equal state must cut it into equal parts; the cut is part
-//! of the state's encoding, like field order.
+//! replicas with equal state must cut it into equal parts; the cut into
+//! parts is part of the state's encoding, like field order.
+//!
+//! A part's bytes are themselves held as a list of *pieces*, buffers the
+//! replica already has — a key-value store hands over the slices of the
+//! requests its entries came from — so building a part copies nothing.
+//! The cut into pieces is *not* part of the encoding: a part's digest is
+//! over the concatenation of its pieces, equality compares bytes, and a
+//! reader that needs them in one buffer asks [`Part::to_bytes`]. A part
+//! is the unit a checkpoint re-hashes and a fetch ships.
 //!
 //! Nothing about the list is trusted on arrival:
 //! [`CheckpointComponent::on_fetch_response`] re-hashes every part against
@@ -44,31 +52,90 @@ use spider_types::{GroupId, SeqNr, SimTime, Sink};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// One immutable piece of a [`Snapshot`]: some bytes of the serialized
-/// state and the digest they are claimed to hash to. [`Part::new`] makes
-/// the claim true; a part that arrived in a message is only a claim until
-/// [`Part::is_intact`] says so.
-#[derive(Debug, Clone, PartialEq)]
+/// One immutable share of a [`Snapshot`]: some bytes of the serialized
+/// state and the digest they are claimed to hash to. [`Part::new`] and
+/// [`Part::from_pieces`] make the claim true; a part that arrived in a
+/// message is only a claim until [`Part::is_intact`] says so.
+///
+/// The bytes are held as a list of *pieces* whose concatenation they are,
+/// so a part can be made of buffers that already exist — the slices an
+/// application keeps as its state — without copying them into one. The
+/// digest is over the concatenation, so where the pieces are cut is not
+/// part of anything signed: equality, like the digest, looks at the bytes
+/// alone. Cloning shares the list.
+#[derive(Debug, Clone)]
 pub struct Part {
-    /// Claimed digest of `bytes`.
+    /// Claimed digest of the bytes.
     pub digest: Digest,
-    /// This part's share of the serialized state.
-    pub bytes: Bytes,
+    pieces: Arc<[Bytes]>,
+    /// Total length of the pieces.
+    len: usize,
 }
 
 impl Part {
-    /// Hashes `bytes` into a part.
+    /// Hashes `bytes` into a part of one piece.
     pub fn new(bytes: Bytes) -> Part {
-        Part { digest: Self::digest_of(&bytes), bytes }
+        Part::from_pieces([bytes])
+    }
+
+    /// Hashes the concatenation of `pieces` into a part that keeps them as
+    /// they are: one allocation, for the list, and no byte copied.
+    pub fn from_pieces<I>(pieces: I) -> Part
+    where
+        I: IntoIterator<Item = Bytes>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        // An iterator that knows its length is collected in one allocation.
+        let pieces: Arc<[Bytes]> = pieces.into_iter().collect();
+        let len = pieces.iter().map(Bytes::len).sum();
+        Part { digest: Self::digest_of(&pieces), pieces, len }
+    }
+
+    /// The pieces, in order: the part's bytes are their concatenation.
+    pub fn pieces(&self) -> &[Bytes] {
+        &self.pieces
+    }
+
+    /// Length of the part's bytes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the part has no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The part's bytes in one buffer, for a reader that needs them
+    /// contiguous: the piece itself if there is one, a copy if there are
+    /// several.
+    pub fn to_bytes(&self) -> Bytes {
+        match &*self.pieces {
+            [] => Bytes::new(),
+            [piece] => piece.clone(),
+            pieces => Bytes::from(pieces.concat()),
+        }
     }
 
     /// Whether the bytes hash to the claimed digest.
     pub fn is_intact(&self) -> bool {
-        Self::digest_of(&self.bytes) == self.digest
+        Self::digest_of(&self.pieces) == self.digest
     }
 
-    fn digest_of(bytes: &[u8]) -> Digest {
-        Digest::builder().str("snapshot-part").bytes(bytes).finish()
+    fn digest_of(pieces: &[Bytes]) -> Digest {
+        Digest::builder().str("snapshot-part").bytes_concat(pieces.iter().map(|p| &p[..])).finish()
+    }
+}
+
+impl PartialEq for Part {
+    /// Equal digests and equal bytes, however either is cut into pieces.
+    fn eq(&self, other: &Part) -> bool {
+        fn bytes(part: &Part) -> impl Iterator<Item = &u8> {
+            part.pieces.iter().flat_map(|piece| piece.iter())
+        }
+        self.digest == other.digest
+            && self.len == other.len
+            && (Arc::ptr_eq(&self.pieces, &other.pieces) || bytes(self).eq(bytes(other)))
     }
 }
 
@@ -85,7 +152,7 @@ impl Snapshot {
     /// A snapshot whose serialized state is the concatenation of `parts`.
     pub fn new(parts: impl IntoIterator<Item = Part>) -> Snapshot {
         let parts: Arc<[Part]> = parts.into_iter().collect();
-        let len = parts.iter().map(|p| p.bytes.len()).sum();
+        let len = parts.iter().map(Part::len).sum();
         Snapshot { parts, len }
     }
 
@@ -512,16 +579,36 @@ mod tests {
     #[test]
     fn snapshot_is_its_parts_in_order() {
         let s = snap("the", "state");
-        let bytes: Vec<u8> = s.parts().iter().flat_map(|p| p.bytes.to_vec()).collect();
+        let bytes: Vec<u8> = s.parts().iter().flat_map(|p| p.to_bytes().to_vec()).collect();
         assert_eq!(bytes, b"the-state");
         assert_eq!(s.len(), 9);
         assert!(!s.is_empty());
         assert!(s.is_intact());
         assert_eq!(s.hash(), snap("the", "state").hash());
-        // The same bytes cut differently are a different snapshot: the
-        // cut is part of the encoding.
+        // The same bytes cut differently into parts are a different
+        // snapshot: the cut into parts is part of the encoding.
         assert_ne!(s.hash(), Snapshot::single(Bytes::from_static(b"the-state")).hash());
         assert_ne!(s.hash(), snap("state", "the").hash());
+    }
+
+    #[test]
+    fn a_part_is_its_bytes_not_its_cut() {
+        let whole = Part::new(Bytes::from_static(b"the-state"));
+        let bytes = Bytes::from_static(b"the-state");
+        let cut = Part::from_pieces([bytes.slice(..3), bytes.slice(3..4), bytes.slice(4..)]);
+        assert_eq!((whole.pieces().len(), cut.pieces().len()), (1, 3));
+        assert_eq!(cut, whole);
+        assert_eq!(cut.digest, whole.digest);
+        assert_eq!((cut.len(), &cut.to_bytes()[..]), (9, &b"the-state"[..]));
+        assert!(cut.is_intact() && whole.is_intact());
+        let with =
+            |part: &Part| Snapshot::new([Part::new(Bytes::from_static(b"head")), part.clone()]);
+        assert_eq!(with(&cut).hash(), with(&whole).hash());
+        assert_eq!(with(&cut), with(&whole));
+        // Other bytes under the same digest are another part.
+        let forged = Part { digest: whole.digest, ..Part::new(Bytes::from_static(b"the-other")) };
+        assert_ne!(forged, whole);
+        assert!(!forged.is_intact());
     }
 
     #[test]
@@ -597,7 +684,7 @@ mod tests {
         // One byte flipped in one part under its old digest: the part no
         // longer hashes to its claim (the list hash alone would not see it).
         let mut flipped = parts.clone();
-        flipped[3].bytes = Bytes::from_static(b"stale");
+        flipped[3] = Part { digest: parts[3].digest, ..Part::new(Bytes::from_static(b"stale")) };
         assert_eq!(Snapshot::new(flipped.clone()).hash(), hash);
         assert!(rebuilt(flipped).is_none());
 

@@ -287,7 +287,7 @@ impl<A: Application> ExecutionReplica<A> {
     /// the previous snapshot's.
     fn encode_snapshot(&mut self) -> Snapshot {
         let app_parts = self.app.snapshot_parts();
-        let app_len: usize = app_parts.iter().map(|p| p.bytes.len()).sum();
+        let app_len: usize = app_parts.iter().map(Part::len).sum();
         let replies_len: usize = self
             .replies
             .values()
@@ -329,7 +329,8 @@ impl<A: Application> ExecutionReplica<A> {
     fn restore_snapshot(&mut self, parts: &[Part]) -> Option<u64> {
         use bytes::Buf;
         let (header, app_parts) = parts.split_first()?;
-        let mut buf: &[u8] = &header.bytes;
+        let header = header.to_bytes();
+        let mut buf: &[u8] = &header;
         if buf.remaining() < 12 {
             return None;
         }
@@ -348,8 +349,8 @@ impl<A: Application> ExecutionReplica<A> {
                     if buf.remaining() < len {
                         return None;
                     }
-                    let at = header.bytes.len() - buf.remaining();
-                    let result = header.bytes.slice(at..at + len);
+                    let at = header.len() - buf.remaining();
+                    let result = header.slice(at..at + len);
                     buf.advance(len);
                     replies.insert(c, CachedReply::Result { tc, result });
                 }
@@ -364,7 +365,7 @@ impl<A: Application> ExecutionReplica<A> {
             return None;
         }
         let app_len = buf.get_u32() as usize;
-        if app_parts.iter().map(|p| p.bytes.len()).sum::<usize>() != app_len {
+        if app_parts.iter().map(Part::len).sum::<usize>() != app_len {
             return None;
         }
         if !self.app.restore(app_parts) {
@@ -628,6 +629,23 @@ mod tests {
     }
 
     #[test]
+    fn a_header_in_pieces_reads_as_one() {
+        let mut a = replica();
+        a.sn = 16;
+        a.replies
+            .insert(ClientId(1), CachedReply::Result { tc: 4, result: Bytes::from_static(b"5") });
+        let snap = a.encode_snapshot();
+        let (header, app) = snap.parts().split_first().expect("a header part");
+        let bytes = header.to_bytes();
+        let cut = Part::from_pieces([bytes.slice(..5), bytes.slice(5..)]);
+        let mut b = replica();
+        let parts: Vec<Part> = std::iter::once(cut).chain(app.iter().cloned()).collect();
+        assert_eq!(b.restore_snapshot(&parts), Some(16));
+        b.sn = 16;
+        assert_eq!(b.encode_snapshot(), snap);
+    }
+
+    #[test]
     fn execution_snapshot_rejects_garbage() {
         let mut a = replica();
         assert!(a.restore_snapshot(&[Part::new(Bytes::from_static(&[0, 1, 2]))]).is_none());
@@ -644,7 +662,8 @@ mod tests {
         let (header, app) = snap.parts().split_first().expect("a header part");
         // The header's app length still matches, but the application makes
         // one part of eight bytes, not two of four.
-        let halves = [Part::new(app[0].bytes.slice(..4)), Part::new(app[0].bytes.slice(4..))];
+        let bytes = app[0].to_bytes();
+        let halves = [Part::new(bytes.slice(..4)), Part::new(bytes.slice(4..))];
         let mut b = replica();
         b.app.execute(&Bytes::from_static(b"add:2"));
         let cut = [header.clone(), halves[0].clone(), halves[1].clone()];

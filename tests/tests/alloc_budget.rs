@@ -1,14 +1,15 @@
 //! The host-plane allocation budget of the write path: heap allocations per
 //! completed write over a steady-state window of the standard four-region
-//! deployment, counted by this test binary's own global allocator.
+//! deployment, and the bytes they ask for, counted by this test binary's
+//! own global allocator.
 //!
 //! Every write crosses the request channel, PBFT and one commit channel per
 //! execution group, and each hop is a sans-IO call. The machines emit into
 //! a sink their host owns, so a handler allocates no list of actions, and
 //! a write's bytes and wrappers are built once and shared down every
-//! channel and into every store; a change that brings lists or copies back
-//! shows up here as a count, exact per build, long before it shows up as
-//! time.
+//! channel, into every store and into every checkpoint; a change that
+//! brings lists back shows up here as a count, and one that brings copies
+//! back as bytes, exact per build, long before either shows up as time.
 
 use spider::{SpiderConfig, WorkloadSpec};
 use spider_app::kv_op_factory;
@@ -18,31 +19,36 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 thread_local! {
-    /// Allocations made by this thread: `cargo test` runs the tests of a
-    /// binary on parallel threads, and only the simulation's thread counts.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Allocations made by this thread, and the bytes they asked for:
+    /// `cargo test` runs the tests of a binary on parallel threads, and
+    /// only the simulation's thread counts.
+    static ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     // A const-initialised `Cell` needs no allocation and no destructor.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCS.try_with(|n| {
+        let (allocs, total) = n.get();
+        n.set((allocs + 1, total + bytes as u64));
+    });
 }
 
-/// `System`, counting what `allocs_per_op` in `benchmark/` counts: every
-/// allocation, zeroed allocation and reallocation.
+/// `System`, counting what `allocs_per_op` and `bench.alloc_bytes_per_op`
+/// in `benchmark/` count: every allocation, zeroed allocation and
+/// reallocation, and the size each asks for (a reallocation's new size).
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's obligations for `alloc` are passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's obligations for `alloc_zeroed` are passed through.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -53,7 +59,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: `ptr` came from `System` with `layout`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -63,16 +69,19 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOC: Counting = Counting;
 
 /// Allocations per completed write between 4 s and 14 s of simulated time,
-/// two clients per region writing 5 times a second. Measured: 102.1 in a
-/// debug build (102.1 in a release build) with one `Execute` run shared by
-/// every commit channel, a key-value store that keeps slices of its
-/// requests and snapshot parts, and recycled receiver slot records; 200.5
-/// (200.1) before those, with machines emitting into their host's sink;
-/// 418.4 (417.9) before that, where every machine call filled a fresh list
-/// of actions. The budget is the first figure plus 10 %.
+/// two clients per region writing 5 times a second, and the bytes they ask
+/// for. Measured: 94.8 allocations and 25 616 B in a debug build (the same
+/// in a release build) with checkpoint parts that are lists of the records
+/// the store already holds; 102.1 and 32 722 B before that, when every
+/// checkpoint copied each dirty bucket into a buffer of its own; 200.5
+/// (200.1) allocations before one `Execute` run was shared by every commit
+/// channel and the store kept slices of its requests; 418.4 (417.9) before
+/// machines emitted into their host's sink. Each budget is the first figure
+/// plus 10 %.
 #[test]
 fn writes_stay_within_their_allocation_budget() {
-    const BUDGET: f64 = 102.1 * 1.1;
+    const BUDGET: f64 = 94.8 * 1.1;
+    const BYTES_BUDGET: f64 = 25_616.0 * 1.1;
     let (mut sim, mut dep) = standard_deployment(42, SpiderConfig::default());
     let workload = WorkloadSpec::writes_per_sec(5.0, 200).with_op_factory(kv_op_factory(200));
     for group in 0..4 {
@@ -82,7 +91,8 @@ fn writes_stay_within_their_allocation_budget() {
     sim.run_until(from);
     let before = ALLOCS.with(Cell::get);
     sim.run_until(to);
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let after = ALLOCS.with(Cell::get);
+    let (allocs, bytes) = (after.0 - before.0, after.1 - before.1);
 
     let samples = dep.collect_samples(&sim);
     let completed = samples
@@ -92,8 +102,15 @@ fn writes_stay_within_their_allocation_budget() {
         .count();
     assert!(completed > 200, "the window holds a steady stream of writes: {completed}");
     let per_op = allocs as f64 / completed as f64;
+    let bytes_per_op = bytes as f64 / completed as f64;
+    eprintln!("{per_op:.1} allocations, {bytes_per_op:.0} B per completed write");
     assert!(
         per_op <= BUDGET,
         "{per_op:.1} allocations per completed write ({allocs} for {completed}), budget {BUDGET:.1}"
+    );
+    assert!(
+        bytes_per_op <= BYTES_BUDGET,
+        "{bytes_per_op:.0} bytes allocated per completed write ({bytes} for {completed}), \
+         budget {BYTES_BUDGET:.0}"
     );
 }
