@@ -41,7 +41,7 @@
 #![cfg_attr(not(test), warn(clippy::match_wildcard_for_single_variants))]
 #![warn(missing_docs)]
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use spider::{Application, Part};
 use std::ops::Range;
 
@@ -74,6 +74,12 @@ impl KvOp {
     }
 
     /// Serializes the operation to the store's wire format.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key is longer than 65 535 bytes or the value longer
+    /// than 4 294 967 295 bytes: the format writes their lengths as a
+    /// `u16` and a `u32`.
     pub fn encode(&self) -> Bytes {
         let len = match self {
             KvOp::Put { key, value } => 1 + 2 + key.len() + 4 + value.len(),
@@ -83,14 +89,17 @@ impl KvOp {
         match self {
             KvOp::Put { key, value } => {
                 buf.put_u8(b'P');
-                buf.put_u16(key.len() as u16);
+                buf.put_u16(key_len(key));
                 buf.put_slice(key);
-                buf.put_u32(value.len() as u32);
+                let vlen = u32::try_from(value.len()).unwrap_or_else(|_| {
+                    panic!("a value is at most {} bytes, not {}", u32::MAX, value.len())
+                });
+                buf.put_u32(vlen);
                 buf.put_slice(value);
             }
             KvOp::Get { key } => {
                 buf.put_u8(b'G');
-                buf.put_u16(key.len() as u16);
+                buf.put_u16(key_len(key));
                 buf.put_slice(key);
             }
         }
@@ -121,6 +130,31 @@ impl KvOp {
     }
 }
 
+/// The length of `key` as the wire format writes it.
+fn key_len(key: &[u8]) -> u16 {
+    u16::try_from(key.len())
+        .unwrap_or_else(|_| panic!("a key is at most {} bytes, not {}", u16::MAX, key.len()))
+}
+
+/// Where the field after the `width`-byte big-endian length at `buf[at..]`
+/// lies; `None` if `buf` ends first.
+fn field(buf: &[u8], at: usize, width: usize) -> Option<Range<usize>> {
+    let len = buf.get(at..at + width)?.iter().fold(0, |len, &b| len << 8 | usize::from(b));
+    let field = at + width..at + width + len;
+    buf.get(field.clone()).map(|_| field)
+}
+
+/// Where the key and the value of the record `[key len u16][key][value
+/// len u32][value]` at `buf[at..]` lie; `None` unless a whole record is
+/// there. Bytes after the value are not part of it. The one parser of the
+/// record layout: a put is a tag byte and a record, and so is every entry
+/// of a snapshot.
+fn record(buf: &[u8], at: usize) -> Option<(Range<usize>, Range<usize>)> {
+    let key = field(buf, at, 2)?;
+    let value = field(buf, key.end, 4)?;
+    Some((key, value))
+}
+
 /// Where the fields of an encoded [`KvOp`] lie in its buffer: what the
 /// store slices out of the buffer instead of copying.
 enum Fields {
@@ -129,33 +163,13 @@ enum Fields {
 }
 
 impl Fields {
-    /// Parses the wire format of [`KvOp::encode`]; `None` for malformed
-    /// input. Bytes after the operation are ignored.
+    /// Parses the wire format of [`KvOp::encode`], a tag byte and then a
+    /// record (put) or a key (get); `None` for malformed input. Bytes
+    /// after the operation are ignored.
     fn of(op: &[u8]) -> Option<Fields> {
-        let mut buf = op;
-        if buf.remaining() < 3 {
-            return None;
-        }
-        let tag = buf.get_u8();
-        let klen = buf.get_u16() as usize;
-        if buf.remaining() < klen {
-            return None;
-        }
-        let key = 3..3 + klen;
-        buf.advance(klen);
-        match tag {
-            b'P' => {
-                if buf.remaining() < 4 {
-                    return None;
-                }
-                let vlen = buf.get_u32() as usize;
-                if buf.remaining() < vlen {
-                    return None;
-                }
-                let at = key.end + 4;
-                Some(Fields::Put { key, value: at..at + vlen })
-            }
-            b'G' => Some(Fields::Get { key }),
+        match op.first()? {
+            b'P' => record(op, 1).map(|(key, value)| Fields::Put { key, value }),
+            b'G' => field(op, 1, 2).map(|key| Fields::Get { key }),
             _ => None,
         }
     }
@@ -188,21 +202,8 @@ impl Record {
     /// The record at the front of `bytes[at..]` and where it ends; `None`
     /// if the bytes there are not one whole record.
     fn parse(bytes: &Bytes, at: usize) -> Option<(Record, usize)> {
-        let mut buf = bytes.get(at..)?;
-        if buf.remaining() < 2 {
-            return None;
-        }
-        let klen = buf.get_u16() as usize;
-        if buf.remaining() < klen + 4 {
-            return None;
-        }
-        buf.advance(klen);
-        let vlen = buf.get_u32() as usize;
-        if buf.remaining() < vlen {
-            return None;
-        }
-        let end = at + 2 + klen + 4 + vlen;
-        Some((Record(bytes.slice(at..end)), end))
+        let (_, value) = record(bytes, at)?;
+        Some((Record(bytes.slice(at..value.end)), value.end))
     }
 
     fn key(&self) -> &[u8] {
@@ -505,6 +506,12 @@ mod tests {
     fn sized_put_hits_exact_payload_size() {
         let op = KvOp::sized_put(b"key-000001", 200, b'x');
         assert_eq!(op.encode().len(), 200);
+    }
+
+    #[test]
+    #[should_panic(expected = "a key is at most 65535 bytes, not 65536")]
+    fn a_key_too_long_for_its_length_field_panics() {
+        let _ = KvOp::get(&vec![b'k'; usize::from(u16::MAX) + 1]).encode();
     }
 
     #[test]

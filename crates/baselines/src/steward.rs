@@ -106,7 +106,7 @@ impl<A: Application> StewardReplica<A> {
             leader_site,
             num_sites,
             directory,
-            tkr: ThresholdKeyring::new(cfg.key_seed, cfg.fa + 1),
+            tkr: ThresholdKeyring::new(spider::keys::KEY_SEED, cfg.fa + 1),
             app,
             next_seq: 0,
             assigned: BTreeMap::new(),

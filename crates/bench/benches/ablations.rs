@@ -81,7 +81,7 @@ fn ablation_batching() {
     // the `bench_summary` binary records the same sweep as JSON for the
     // CI perf gate.
     println!();
-    let rows = batching::run(&batching::Config::default());
+    let rows = batching::run();
     println!("{}", batching::render(&rows));
 }
 

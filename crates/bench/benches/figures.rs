@@ -88,7 +88,6 @@ fn fig10_adaptability(c: &mut Criterion) {
         duration: SimTime::from_secs(20),
         join_at: SimTime::from_secs(12),
         bucket: SimTime::from_secs(4),
-        ..fig10::Config::default()
     };
     let mut g = c.benchmark_group("fig10");
     g.sample_size(10);

@@ -231,16 +231,14 @@ fn main() {
     }
 
     println!("\nbench_summary: batching ablation sweep…");
-    let sweep_cfg = batching::Config::default();
-    let sweep = batching::run(&sweep_cfg);
+    let sweep = batching::run();
     println!("{}", batching::render(&sweep));
     // Did adaptive beat the static policies where each is weak? At low
     // load, fixed-size batching wastes its linger (p50); at high load,
     // the seed's greedy cut (fixed max_batch, no delay cap) under-batches
     // (throughput).
     let cell = |mode: &str, rps: f64| sweep.iter().find(|r| r.mode == mode && r.offered_rps == rps);
-    let low = sweep_cfg.loads.first().map_or(f64::NAN, batching::Load::offered_rps);
-    let high = sweep_cfg.loads.last().map_or(f64::NAN, batching::Load::offered_rps);
+    let [low, .., high] = batching::LOADS.map(|load| load.offered_rps());
     let low_win = matches!(
         (cell("adaptive", low), cell("fixed", low)),
         (Some(a), Some(f)) if a.summary.p50_ms < f.summary.p50_ms

@@ -49,6 +49,5 @@ pub fn quick_fig10() -> fig10::Config {
         duration: SimTime::from_secs(40),
         join_at: SimTime::from_secs(25),
         bucket: SimTime::from_secs(5),
-        ..fig10::Config::default()
     }
 }

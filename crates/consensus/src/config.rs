@@ -4,6 +4,14 @@ use crate::batcher::BatcherConfig;
 use spider_crypto::CostModel;
 use spider_types::SimTime;
 
+/// Watermark window: instances may be proposed in
+/// `(last_gc, last_gc + WINDOW]`.
+pub(crate) const WINDOW: u64 = 256;
+
+/// Default base timeout before a replica suspects the leader
+/// ([`PbftConfig::view_change_timeout`]).
+pub const VIEW_CHANGE_TIMEOUT: SimTime = SimTime::from_millis(500);
+
 /// Configuration of a PBFT group.
 ///
 /// The default quorum rule is classic PBFT: `n = 3f + 1` replicas, every
@@ -15,19 +23,18 @@ use spider_types::SimTime;
 pub struct PbftConfig {
     /// Fault threshold.
     pub f: usize,
-    /// Vote weight per replica (length = group size `n`).
-    pub weights: Vec<u32>,
-    /// Weight a prepare/commit/view-change quorum must reach.
-    pub quorum_weight: u32,
+    /// Vote weight per replica (length = group size `n`); set by the
+    /// constructor.
+    pub(crate) weights: Vec<u32>,
+    /// Weight a prepare/commit/view-change quorum must reach; set by the
+    /// constructor.
+    pub(crate) quorum_weight: u32,
     /// The leader's batching policy: size, byte and linger caps plus
     /// rate-adaptive sizing (see [`crate::Batcher`]).
     pub batching: BatcherConfig,
     /// Maximum number of concurrently active (proposed, undelivered)
     /// instances the leader keeps in flight.
     pub pipeline_depth: usize,
-    /// Watermark window: instances may be proposed in
-    /// `(last_gc, last_gc + window]`.
-    pub window: u64,
     /// Base timeout before a replica suspects the leader and starts a view
     /// change; doubles per consecutive failed view change.
     pub view_change_timeout: SimTime,
@@ -46,8 +53,7 @@ impl PbftConfig {
             quorum_weight: (2 * f + 1) as u32,
             batching: BatcherConfig::default(),
             pipeline_depth: 32,
-            window: 256,
-            view_change_timeout: SimTime::from_millis(500),
+            view_change_timeout: VIEW_CHANGE_TIMEOUT,
             cost: CostModel::default(),
         }
     }

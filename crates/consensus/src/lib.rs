@@ -9,7 +9,7 @@
 //!   request batching and pipelining — the leader's [`Batcher`] closes
 //!   batches on size, byte, or linger-delay caps and can adapt its batch
 //!   size to the measured arrival rate (see the [`batcher`](Batcher)
-//!   docs), while up to `pipeline_depth` instances run concurrently,
+//!   docs), while up to `PbftConfig::pipeline_depth` instances run concurrently,
 //! * view changes with prepared-certificate carryover, so a faulty leader
 //!   is replaced without losing agreed requests,
 //! * external garbage collection: the host's checkpoint component calls
@@ -65,7 +65,7 @@ mod messages;
 mod replica;
 
 pub use batcher::{Batcher, BatcherConfig};
-pub use config::PbftConfig;
+pub use config::{PbftConfig, VIEW_CHANGE_TIMEOUT};
 pub use messages::{Msg, NewViewMsg, PreparedCert, ViewChangeMsg};
 pub use replica::{Input, Output, Pbft, TimerToken};
 

@@ -4,7 +4,7 @@
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::batcher::Batcher;
-use crate::config::PbftConfig;
+use crate::config::{PbftConfig, WINDOW};
 use crate::messages::{Msg, NewViewMsg, PreparedCert, ViewChangeMsg};
 use crate::{batch_digest, Payload};
 use spider_crypto::Digest;
@@ -286,7 +286,7 @@ impl<P: Payload> Pbft<P> {
     /// slot and the watermark window is not exhausted.
     fn has_pipeline_slot(&self) -> bool {
         self.next_seq - self.next_deliver < self.cfg.pipeline_depth as u64
-            && self.next_seq <= self.h + self.cfg.window
+            && self.next_seq <= self.h + WINDOW
     }
 
     /// Proposes as many batches as the batching policy releases and the
@@ -397,7 +397,7 @@ impl<P: Payload> Pbft<P> {
             return;
         }
         let seq = seq.0;
-        if seq <= self.h || seq > self.h + self.cfg.window {
+        if seq <= self.h || seq > self.h + WINDOW {
             return;
         }
         let digest = batch_digest(batch.as_slice());
@@ -450,7 +450,7 @@ impl<P: Payload> Pbft<P> {
             return;
         }
         let seq = seq.0;
-        if seq <= self.h || seq > self.h + self.cfg.window {
+        if seq <= self.h || seq > self.h + WINDOW {
             return;
         }
         let inst = self.instances.entry(seq).or_insert_with(Instance::new);

@@ -10,11 +10,13 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-use crate::checkpoint::{CheckpointComponent, CpAction, Part, Snapshot};
+use crate::checkpoint::{
+    CheckpointComponent, CpAction, Part, Snapshot, FETCH_RETRY, GOSSIP_INTERVAL,
+};
 use crate::config::SpiderConfig;
 use crate::directory::Directory;
 use crate::host;
-use crate::keys::AGREEMENT_GROUP;
+use crate::keys::{AGREEMENT_GROUP, KEY_SEED};
 use crate::messages::{
     AdminCommand, Execute, ExecutePayload, OrderItem, OrderedRequest, SpiderMsg,
 };
@@ -22,22 +24,20 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use spider_consensus::{Input, Output, Pbft, PbftConfig};
 use spider_crypto::{Hashed, Keyring};
 use spider_irmc::{
-    Action, ReceiveResult, ReceiverEndpoint, Run, SenderEndpoint, Variant, OP_RECAST, TICK_INTERVAL,
+    Action, ReceiveResult, ReceiverEndpoint, Run, SenderEndpoint, Variant, MAX_RANGE, OP_RECAST,
+    TICK_INTERVAL,
 };
 use spider_sim::{
     req_id, Actor, Context, Timer, PHASE_BATCH, PHASE_COMMIT, PHASE_PROPOSE, PHASE_RECAST,
     PHASE_SHIP,
 };
-use spider_types::{ClientId, GroupId, NodeId, OpKind, Position, SeqNr, SimTime, Sink};
+use spider_types::{ClientId, GroupId, NodeId, OpKind, Position, SeqNr, Sink};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Timer tags (the consensus tokens' tags are `host::pbft_io`'s).
 const TAG_SC_TICK: u64 = 1;
 const TAG_FETCH_RETRY: u64 = 3;
 const TAG_CP_GOSSIP: u64 = 4;
-
-/// Interval of the checkpoint-gossip heartbeat (§A.4.3).
-const CP_GOSSIP_INTERVAL: SimTime = SimTime::from_millis(1_000);
 
 /// Decoded agreement snapshot: `(sn, t, hist)` as written by
 /// `encode_snapshot`.
@@ -108,7 +108,7 @@ impl AgreementReplica {
         initial_groups: &[GroupId],
     ) -> Self {
         cfg.validate();
-        let keyring = Keyring::new(cfg.key_seed);
+        let keyring = Keyring::new(KEY_SEED);
         let pbft_cfg = cfg.tune_pbft(PbftConfig::new(cfg.fa));
         let mut me_new = AgreementReplica {
             me,
@@ -268,7 +268,9 @@ impl AgreementReplica {
     /// `send_batch` — one range certificate (one RSA signature) per run
     /// instead of one per slot. Runs cut at admin commands, checkpoint
     /// boundaries (`ka`), and — so boundaries re-synchronize across
-    /// replicas — at absolute multiples of `commit_max_range`; those cut
+    /// replicas — at absolute multiples of the commit channel's range cap
+    /// ([`MAX_RANGE`], what [`SpiderConfig::commit_channel`] leaves
+    /// [`spider_irmc::IrmcConfig::max_range`] at); those cut
     /// points derive from the agreed order alone and are identical on
     /// every correct replica, which keeps range boundaries aligned so
     /// IRMC-SC share collection (and the RC dedup vouch quorum) combines
@@ -283,10 +285,9 @@ impl AgreementReplica {
         loop {
             let mut run: Vec<(u64, Hashed<OrderedRequest>, OrderItem)> = Vec::new();
             let mut completed: Vec<(u64, u64)> = Vec::new();
-            let max_run = self.cfg.commit_max_range.max(1);
             let mut stalled = false;
             let mut applied_admin = false;
-            while run.len() < max_run {
+            while run.len() < MAX_RANGE {
                 let Some((instance, item, last)) = self.backlog.front().cloned() else {
                     break;
                 };
@@ -336,7 +337,7 @@ impl AgreementReplica {
                         // Grid cut: never straddle a multiple of the range
                         // cap, so replicas whose runs diverged at local
                         // back-pressure re-align at the next grid line.
-                        let at_grid = s.is_multiple_of(max_run as u64);
+                        let at_grid = s.is_multiple_of(MAX_RANGE as u64);
                         run.push((s, req, item));
                         if at_checkpoint || at_grid {
                             break;
@@ -419,7 +420,6 @@ impl AgreementReplica {
         group: GroupId,
         items: &[(u64, OrderItem)],
     ) {
-        let max_run = self.cfg.commit_max_range.max(1);
         let mut i = 0;
         while i < items.len() {
             let Some((first, OrderItem::Request(req0))) = items.get(i) else {
@@ -428,7 +428,7 @@ impl AgreementReplica {
             };
             let mut execs = vec![self.maybe_corrupt(execute_for_group(*first, req0, group))];
             let mut j = i + 1;
-            while j < items.len() && execs.len() < max_run {
+            while j < items.len() && execs.len() < MAX_RANGE {
                 let Some((s, OrderItem::Request(req))) = items.get(j) else { break };
                 if *s != first + execs.len() as u64 {
                     break;
@@ -497,7 +497,8 @@ impl AgreementReplica {
         Snapshot::single(buf.freeze())
     }
 
-    /// Decodes the one part [`Self::encode_snapshot`] makes.
+    /// Decodes the one part [`Self::encode_snapshot`] makes, and only
+    /// what it writes: `None` for anything else, trailing bytes included.
     fn restore_snapshot(&mut self, parts: &[Part]) -> Option<DecodedSnapshot> {
         let [part] = parts else {
             return None;
@@ -529,6 +530,10 @@ impl AgreementReplica {
             let s = buf.get_u64();
             let item = decode_order_item(&mut buf)?;
             hist.push_back((s, item));
+        }
+        // Nothing follows `hist` in what `encode_snapshot` writes.
+        if buf.has_remaining() {
+            return None;
         }
         Some((sn, t, hist))
     }
@@ -691,7 +696,7 @@ fn start_fetch(
     }
     // A fetch request makes nothing stable.
     let _ = host::checkpoint_io(ctx, directory, cp, |cp, _, out| cp.fetch(SeqNr(sn + 1), out));
-    ctx.arm(TAG_FETCH_RETRY, SimTime::from_millis(500));
+    ctx.arm(TAG_FETCH_RETRY, FETCH_RETRY);
 }
 
 /// Whether `group` executes `req` (§3.3): every group executes a write,
@@ -793,7 +798,8 @@ fn decode_order_item(buf: &mut &[u8]) -> Option<OrderItem> {
             let kind = match buf.get_u8() {
                 0 => OpKind::Write,
                 1 => OpKind::StrongRead,
-                _ => OpKind::WeakRead,
+                2 => OpKind::WeakRead,
+                _ => return None,
             };
             let len = buf.get_u32() as usize;
             if buf.remaining() < len {
@@ -825,7 +831,7 @@ impl Actor<SpiderMsg> for AgreementReplica {
         if self.standing_tick() {
             ctx.arm(TAG_SC_TICK, TICK_INTERVAL);
         }
-        ctx.arm(TAG_CP_GOSSIP, CP_GOSSIP_INTERVAL);
+        ctx.arm(TAG_CP_GOSSIP, GOSSIP_INTERVAL);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, SpiderMsg>, from: NodeId, msg: SpiderMsg) {
@@ -896,7 +902,7 @@ impl Actor<SpiderMsg> for AgreementReplica {
             }
             TAG_CP_GOSSIP => {
                 self.checkpoint(ctx, |cp, _, out| cp.gossip(out));
-                ctx.arm(TAG_CP_GOSSIP, CP_GOSSIP_INTERVAL);
+                ctx.arm(TAG_CP_GOSSIP, GOSSIP_INTERVAL);
             }
             tag => {
                 if let Some(input) = host::pbft_timer(tag) {
@@ -1009,7 +1015,7 @@ mod tests {
         let a = AgreementReplica::new(cfg, 0, dir.clone(), &groups);
         dir.set_agreement(agreement);
         sim.add_node(zone, Agree(Some((a, run))));
-        sim.run_until_quiescent(SimTime::from_secs(1));
+        sim.run_until_quiescent(spider_types::SimTime::from_secs(1));
         let mut runs = shipped.borrow().clone();
         runs.sort_by_key(|(g, _)| *g);
         runs
@@ -1168,5 +1174,21 @@ mod tests {
         let bytes = whole.to_bytes();
         let pieces = Part::from_pieces([bytes.slice(..7), bytes.slice(7..)]);
         assert!(a.restore_snapshot(&[pieces]).is_some(), "however its bytes are cut");
+        let trailing = [&bytes[..], &[0]].concat();
+        assert!(
+            a.restore_snapshot(&[Part::new(Bytes::from(trailing))]).is_none(),
+            "one byte after hist"
+        );
+
+        // A request's op kind is 0, 1 or 2: `sn`, `t` (no clients), the
+        // hist length, one item's sequence number, tag, origin, client and
+        // counter come before it.
+        a.hist.push_back((1, OrderItem::Request(request(1, 1, OpKind::WeakRead))));
+        let mut bytes = a.encode_snapshot().parts()[0].to_bytes().to_vec();
+        let kind = 8 + 4 + 4 + 8 + 1 + 2 + 4 + 8;
+        assert_eq!(bytes[kind], 2, "the weak read's kind byte");
+        assert!(a.restore_snapshot(&[Part::new(Bytes::from(bytes.clone()))]).is_some());
+        bytes[kind] = 3;
+        assert!(a.restore_snapshot(&[Part::new(Bytes::from(bytes))]).is_none(), "kind byte 3");
     }
 }

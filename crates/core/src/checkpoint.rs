@@ -52,6 +52,14 @@ use spider_types::{GroupId, SeqNr, SimTime, Sink};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// Interval of the checkpoint-gossip heartbeat every replica keeps
+/// (§A.4.3).
+pub(crate) const GOSSIP_INTERVAL: SimTime = SimTime::from_millis(1_000);
+
+/// How long a replica waits for a fetched checkpoint before asking again
+/// while it stays behind.
+pub(crate) const FETCH_RETRY: SimTime = SimTime::from_millis(500);
+
 /// One immutable share of a [`Snapshot`]: some bytes of the serialized
 /// state and the digest they are claimed to hash to. [`Part::new`] and
 /// [`Part::from_pieces`] make the claim true; a part that arrived in a

@@ -1,10 +1,13 @@
 //! Deployment-wide configuration.
 
 use crate::keys;
-use spider_consensus::{BatcherConfig, PbftConfig};
+use spider_consensus::{BatcherConfig, PbftConfig, VIEW_CHANGE_TIMEOUT};
 use spider_crypto::CostModel;
 use spider_irmc::{ChannelMode, IrmcConfig, Variant};
 use spider_types::{GroupId, SimTime};
+
+/// Capacity of each client's request subchannel (Fig 16 uses 2).
+const REQUEST_CAPACITY: u64 = 2;
 
 /// Configuration of a Spider deployment.
 ///
@@ -12,6 +15,18 @@ use spider_types::{GroupId, SimTime};
 /// must stay below the capacity of its input IRMC (§3.4 — liveness), and
 /// the agreement window must cover at least one checkpoint interval
 /// (Fig 17, `AG-WIN >= ka`).
+///
+/// Values no deployment varies are constants in the one module that uses
+/// them, not fields:
+///
+/// * the request subchannel capacity is `REQUEST_CAPACITY` in this
+///   module (2, as in Fig 16);
+/// * the commit channel's range cap is [`IrmcConfig::max_range`], whose
+///   default [`spider_irmc::MAX_RANGE`] the agreement group's grid cut
+///   also reads;
+/// * the seed of the shared simulated PKI is [`keys::KEY_SEED`];
+/// * the consensus pipelining depth is [`PbftConfig::pipeline_depth`],
+///   and the watermark window a consensus constant.
 #[derive(Debug, Clone)]
 pub struct SpiderConfig {
     /// Faults tolerated by the agreement group (group size `3·fa + 1`).
@@ -28,8 +43,6 @@ pub struct SpiderConfig {
     /// Number of trailing execution groups the agreement group may skip
     /// when inserting `Execute`s (§3.5, `0 <= z < ne`).
     pub z: usize,
-    /// Capacity of each client's request subchannel (Fig 16 uses 2).
-    pub request_capacity: u64,
     /// Capacity of the commit subchannel (must be `>= ke`).
     pub commit_capacity: u64,
     /// IRMC implementation for request channels.
@@ -47,24 +60,15 @@ pub struct SpiderConfig {
     /// How many times a weakly consistent read is retried before being
     /// escalated to a strongly consistent read (§3.3).
     pub weak_read_retries: u32,
-    /// View-change timeout of the agreement group's consensus protocol.
+    /// View-change timeout of the agreement group's consensus protocol
+    /// (default [`VIEW_CHANGE_TIMEOUT`], PBFT's own).
     pub view_change_timeout: SimTime,
     /// Consensus batching policy (size, byte and linger caps, adaptive
     /// sizing), handed unchanged to the agreement group's PBFT leader and
     /// to every PBFT baseline.
     pub batching: BatcherConfig,
-    /// Consensus pipelining window: proposed-but-undelivered instances
-    /// the leader keeps in flight concurrently.
-    pub pipeline_depth: usize,
-    /// Maximum slots per commit-channel range certificate: a batch of
-    /// consecutively ordered requests is certified with **one** RSA
-    /// signature over the Merkle root of its per-slot digests instead of
-    /// one signature per slot. 1 certifies every slot on its own.
-    pub commit_max_range: usize,
     /// CPU cost model applied by all nodes.
     pub cost: CostModel,
-    /// Seed for the shared simulated PKI.
-    pub key_seed: u64,
     /// End-to-end request tracing: when set, the deployment harness
     /// enables the simulator's observability recorder so replicas record
     /// request-scoped phase spans, per-node metrics, and CPU attribution.
@@ -82,19 +86,15 @@ impl Default for SpiderConfig {
             ke: 32,
             ag_win: 64,
             z: 0,
-            request_capacity: 2,
             commit_capacity: 128,
             request_variant: Variant::ReceiverCollect,
             commit_mode: ChannelMode::ReliableCast { dedup: true },
             client_retry: SimTime::from_millis(2_000),
             group_failover_retries: 3,
             weak_read_retries: 2,
-            view_change_timeout: SimTime::from_millis(500),
+            view_change_timeout: VIEW_CHANGE_TIMEOUT,
             batching: BatcherConfig::default(),
-            pipeline_depth: 32,
-            commit_max_range: 32,
             cost: CostModel::default(),
-            key_seed: 7,
             tracing: false,
         }
     }
@@ -114,14 +114,12 @@ impl SpiderConfig {
             "commit capacity must be >= ke for liveness (§3.4)"
         );
         assert!(self.ag_win >= self.ka, "AG-WIN must be >= ka (Fig 17)");
-        assert!(self.request_capacity >= 1);
         let b = &self.batching;
-        assert!(b.max_batch >= 1 && b.max_bytes >= 1 && self.pipeline_depth >= 1);
+        assert!(b.max_batch >= 1 && b.max_bytes >= 1);
         assert!(
             !b.adaptive || b.delay > SimTime::ZERO,
             "adaptive batching needs a non-zero batching.delay (the linger cap it adapts within)"
         );
-        assert!(self.commit_max_range >= 1, "commit_max_range must be at least 1");
     }
 
     /// Size of the agreement group.
@@ -177,35 +175,15 @@ impl SpiderConfig {
         self
     }
 
-    /// Sets the maximum slots per commit-channel range certificate
-    /// (builder-style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_range` is zero.
-    #[must_use]
-    pub fn with_commit_range(mut self, max_range: usize) -> Self {
-        assert!(max_range >= 1, "commit_max_range must be at least 1");
-        self.commit_max_range = max_range;
-        self
-    }
-
     /// The request channel of execution group `group` (its replicas send,
     /// the agreement group receives). Both ends build their endpoints
     /// from this one value: if they ever differed, the channel would
     /// silently never deliver.
     pub fn request_channel(&self, group: GroupId) -> IrmcConfig {
         let (n_exec, n_agree) = (self.execution_size(), self.agreement_size());
-        IrmcConfig::new(
-            self.request_variant,
-            n_exec,
-            self.fe,
-            n_agree,
-            self.fa,
-            self.request_capacity,
-        )
-        .with_cost(self.cost)
-        .with_keys(keys::exec_keys(group, n_exec), keys::agreement_keys(n_agree))
+        IrmcConfig::new(self.request_variant, n_exec, self.fe, n_agree, self.fa, REQUEST_CAPACITY)
+            .with_cost(self.cost)
+            .with_keys(keys::exec_keys(group, n_exec), keys::agreement_keys(n_agree))
     }
 
     /// The commit channel of execution group `group` (the agreement group
@@ -215,7 +193,6 @@ impl SpiderConfig {
         let (n_exec, n_agree) = (self.execution_size(), self.agreement_size());
         IrmcConfig::new(self.commit_mode, n_agree, self.fa, n_exec, self.fe, self.commit_capacity)
             .with_cost(self.cost)
-            .with_range(self.commit_max_range)
             .with_keys(keys::agreement_keys(n_agree), keys::exec_keys(group, n_exec))
     }
 
@@ -223,11 +200,9 @@ impl SpiderConfig {
     /// PBFT configuration. Used by the agreement group and by all PBFT
     /// baselines so scenario sweeps exercise identical batching policies.
     #[must_use]
-    pub fn tune_pbft(&self, pbft: PbftConfig) -> PbftConfig {
-        PbftConfig { batching: self.batching, ..pbft }
-            .with_cost(self.cost)
-            .with_view_change_timeout(self.view_change_timeout)
-            .with_pipeline_depth(self.pipeline_depth)
+    pub fn tune_pbft(&self, mut pbft: PbftConfig) -> PbftConfig {
+        pbft.batching = self.batching;
+        pbft.with_cost(self.cost).with_view_change_timeout(self.view_change_timeout)
     }
 }
 
@@ -257,7 +232,6 @@ mod tests {
         assert_eq!(p.batching, c.batching);
         assert_eq!((p.batching.max_batch, p.batching.delay), (64, SimTime::from_millis(3)));
         assert!(p.batching.adaptive);
-        assert_eq!(p.pipeline_depth, c.pipeline_depth);
     }
 
     #[test]
@@ -270,10 +244,10 @@ mod tests {
 
     #[test]
     fn commit_range_knobs_roundtrip() {
-        let c = SpiderConfig::default().with_commit_range(64);
-        c.validate();
-        assert_eq!(c.commit_max_range, 64);
-        assert_eq!(c.commit_channel(GroupId(1)).max_range, 64, "both ends of the channel see it");
+        // Both channel ends build their endpoints from `commit_channel`,
+        // and the agreement group's grid cut reads the same constant.
+        let c = SpiderConfig::default();
+        assert_eq!(c.commit_channel(GroupId(1)).max_range, spider_irmc::MAX_RANGE);
         assert_eq!(
             c.commit_mode,
             ChannelMode::ReliableCast { dedup: true },
@@ -292,10 +266,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "commit_max_range")]
+    #[should_panic(expected = "max_range must be at least 1")]
     fn zero_commit_range_rejected() {
-        let c = SpiderConfig { commit_max_range: 0, ..SpiderConfig::default() };
-        c.validate();
+        let _ = SpiderConfig::default().commit_channel(GroupId(0)).with_range(0);
     }
 
     #[test]

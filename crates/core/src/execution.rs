@@ -10,7 +10,9 @@
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::app::Application;
-use crate::checkpoint::{CheckpointComponent, CpAction, Part, Snapshot};
+use crate::checkpoint::{
+    CheckpointComponent, CpAction, Part, Snapshot, FETCH_RETRY, GOSSIP_INTERVAL,
+};
 use crate::config::SpiderConfig;
 use crate::directory::Directory;
 use crate::host;
@@ -21,7 +23,7 @@ use spider_irmc::{
     Action, ReceiveResult, ReceiverEndpoint, SendStatus, SenderEndpoint, Variant, TICK_INTERVAL,
 };
 use spider_sim::{req_id, Actor, Context, Timer, PHASE_DELIVER, PHASE_EXEC};
-use spider_types::{ClientId, GroupId, NodeId, OpKind, Position, SeqNr, SimTime, Sink, WireSize};
+use spider_types::{ClientId, GroupId, NodeId, OpKind, Position, SeqNr, Sink, WireSize};
 use std::collections::BTreeMap;
 
 /// Timer tags used by execution replicas.
@@ -29,9 +31,6 @@ const TAG_SC_TICK: u64 = 1;
 const TAG_COMMIT_COLLECTOR: u64 = 2;
 const TAG_FETCH_RETRY: u64 = 3;
 const TAG_CP_GOSSIP: u64 = 4;
-
-/// Interval of the checkpoint-gossip heartbeat (§A.4.3).
-const CP_GOSSIP_INTERVAL: SimTime = SimTime::from_millis(1_000);
 
 /// Fault behaviours injectable into an execution replica for testing §3.7.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -90,7 +89,7 @@ impl<A: Application> ExecutionReplica<A> {
     /// Creates replica `me` of execution group `group`.
     pub fn new(cfg: SpiderConfig, group: GroupId, me: usize, directory: Directory, app: A) -> Self {
         cfg.validate();
-        let keyring = Keyring::new(cfg.key_seed);
+        let keyring = Keyring::new(crate::keys::KEY_SEED);
         let (req_cfg, commit_cfg) = (cfg.request_channel(group), cfg.commit_channel(group));
         ExecutionReplica {
             group,
@@ -382,7 +381,7 @@ impl<A: Application> ExecutionReplica<A> {
         self.fetching = Some(need);
         self.checkpoint(ctx, |cp, _, out| cp.fetch(need, out));
         // Retry while we stay behind.
-        ctx.arm(TAG_FETCH_RETRY, SimTime::from_millis(500));
+        ctx.arm(TAG_FETCH_RETRY, FETCH_RETRY);
     }
 
     fn on_stable_checkpoint(
@@ -502,7 +501,7 @@ impl<A: Application> Actor<SpiderMsg> for ExecutionReplica<A> {
         if self.req_sender.wants_tick() {
             ctx.arm(TAG_SC_TICK, TICK_INTERVAL);
         }
-        ctx.arm(TAG_CP_GOSSIP, CP_GOSSIP_INTERVAL);
+        ctx.arm(TAG_CP_GOSSIP, GOSSIP_INTERVAL);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, SpiderMsg>, from: NodeId, msg: SpiderMsg) {
@@ -560,7 +559,7 @@ impl<A: Application> Actor<SpiderMsg> for ExecutionReplica<A> {
             }
             TAG_CP_GOSSIP => {
                 self.checkpoint(ctx, |cp, _, out| cp.gossip(out));
-                ctx.arm(TAG_CP_GOSSIP, CP_GOSSIP_INTERVAL);
+                ctx.arm(TAG_CP_GOSSIP, GOSSIP_INTERVAL);
             }
             _ => {}
         }

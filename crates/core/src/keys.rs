@@ -9,6 +9,11 @@
 use spider_crypto::KeyId;
 use spider_types::{ClientId, GroupId};
 
+/// Seed of the simulated PKI every replica and baseline shares: the
+/// agreement and execution replicas and the Steward baseline build their
+/// keyrings from it.
+pub const KEY_SEED: u64 = 7;
+
 /// Group id reserved for the agreement group.
 pub const AGREEMENT_GROUP: GroupId = GroupId(u16::MAX);
 

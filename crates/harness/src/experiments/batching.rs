@@ -76,42 +76,24 @@ impl Load {
     }
 }
 
-/// Scale configuration of the ablation sweep.
-#[derive(Debug, Clone)]
-pub struct Config {
-    /// Load points, low to high.
-    pub loads: Vec<Load>,
-    /// Measurement duration per point.
-    pub duration: SimTime,
-    /// Warm-up cut.
-    pub warmup: SimTime,
-    /// Linger cap used by the fixed and adaptive policies.
-    pub linger: SimTime,
-    /// Batch-size cap of the fixed policy (the paper's default).
-    pub fixed_max_batch: usize,
-    /// Batch-size ceiling the adaptive policy may grow into.
-    pub adaptive_max_batch: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            loads: vec![
-                Load { clients: 4, rate_per_client: 2.0 },
-                Load { clients: 24, rate_per_client: 8.0 },
-                Load { clients: 96, rate_per_client: 20.0 },
-            ],
-            duration: SimTime::from_secs(10),
-            warmup: SimTime::from_secs(2),
-            linger: SimTime::from_millis(5),
-            fixed_max_batch: 8,
-            adaptive_max_batch: 64,
-            seed: 11,
-        }
-    }
-}
+/// Load points of the sweep, low to high.
+pub const LOADS: [Load; 3] = [
+    Load { clients: 4, rate_per_client: 2.0 },
+    Load { clients: 24, rate_per_client: 8.0 },
+    Load { clients: 96, rate_per_client: 20.0 },
+];
+/// Measurement duration per point.
+const DURATION: SimTime = SimTime::from_secs(10);
+/// Warm-up cut.
+const WARMUP: SimTime = SimTime::from_secs(2);
+/// Linger cap used by the fixed and adaptive policies.
+const LINGER: SimTime = SimTime::from_millis(5);
+/// Batch-size cap of the fixed policy (the paper's default).
+const FIXED_MAX_BATCH: usize = 8;
+/// Batch-size ceiling the adaptive policy may grow into.
+const ADAPTIVE_MAX_BATCH: usize = 64;
+/// RNG seed.
+const SEED: u64 = 11;
 
 /// One measured `(mode, load)` cell.
 #[derive(Debug, Clone)]
@@ -128,22 +110,22 @@ pub struct Row {
 }
 
 /// The deployment configuration a mode induces.
-pub fn spider_config(mode: Mode, cfg: &Config) -> SpiderConfig {
+pub fn spider_config(mode: Mode) -> SpiderConfig {
     let mut base = SpiderConfig::default();
-    base.batching.max_batch = cfg.fixed_max_batch;
+    base.batching.max_batch = FIXED_MAX_BATCH;
     match mode {
         Mode::Greedy => base,
         Mode::Fixed => {
-            base.batching.delay = cfg.linger;
+            base.batching.delay = LINGER;
             base
         }
-        Mode::Adaptive => base.with_adaptive_batching(cfg.linger, cfg.adaptive_max_batch),
+        Mode::Adaptive => base.with_adaptive_batching(LINGER, ADAPTIVE_MAX_BATCH),
     }
 }
 
-fn run_point(mode: Mode, load: Load, cfg: &Config) -> Option<Row> {
-    let mut sim = Simulation::new(ec2_topology(), cfg.seed);
-    let mut dep = DeploymentBuilder::new(spider_config(mode, cfg))
+fn run_point(mode: Mode, load: Load) -> Option<Row> {
+    let mut sim = Simulation::new(ec2_topology(), SEED);
+    let mut dep = DeploymentBuilder::new(spider_config(mode))
         .with_app(KvStore::new)
         .agreement_region("virginia")
         .execution_group("virginia")
@@ -154,21 +136,21 @@ fn run_point(mode: Mode, load: Load, cfg: &Config) -> Option<Row> {
         .with_op_factory(kv_op_factory(1000));
     dep.spawn_clients(&mut sim, 0, load.clients / 2, workload.clone());
     dep.spawn_clients(&mut sim, 1, load.clients - load.clients / 2, workload);
-    sim.run_until(cfg.duration);
+    sim.run_until(DURATION);
     let collected = dep.collect_samples(&sim);
     let all: Vec<Sample> = collected
         .iter()
         .flat_map(|(_, _, s)| s.iter().copied())
-        .filter(|s| s.completed >= cfg.warmup)
+        .filter(|s| s.completed >= WARMUP)
         .collect();
     let virginia: Vec<Sample> = collected
         .iter()
         .filter(|(_, g, _)| g.0 == 0)
         .flat_map(|(_, _, s)| s.iter().copied())
-        .filter(|s| s.completed >= cfg.warmup)
+        .filter(|s| s.completed >= WARMUP)
         .collect();
     let summary = LatencySummary::of_samples(&virginia)?;
-    let measured = (cfg.duration - cfg.warmup).as_secs_f64();
+    let measured = (DURATION - WARMUP).as_secs_f64();
     Some(Row {
         mode: mode.to_string(),
         offered_rps: load.offered_rps(),
@@ -177,12 +159,12 @@ fn run_point(mode: Mode, load: Load, cfg: &Config) -> Option<Row> {
     })
 }
 
-/// Runs the full sweep: every mode at every load point.
-pub fn run(cfg: &Config) -> Vec<Row> {
+/// Runs the full sweep: every mode at every load point of [`LOADS`].
+pub fn run() -> Vec<Row> {
     let mut rows = Vec::new();
-    for &load in &cfg.loads {
+    for load in LOADS {
         for mode in Mode::ALL {
-            rows.extend(run_point(mode, load, cfg));
+            rows.extend(run_point(mode, load));
         }
     }
     rows

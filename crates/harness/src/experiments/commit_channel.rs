@@ -42,6 +42,16 @@ pub struct CommitRow {
     pub commit_p99_ms: f64,
 }
 
+/// Subchannel capacity (in-flight positions). Large enough that the CPU
+/// cost model — not flow control — is the binding constraint at
+/// saturation (the window admits ~200k slots/s at this capacity over a
+/// 160 ms RTT; the fastest variant, digest-only dedup RC, saturates near
+/// 137k).
+const CAPACITY: u64 = 32768;
+
+/// Paced mode: interval between range submissions.
+const PACE: SimTime = SimTime::from_millis(50);
+
 /// Scale configuration of the commit-channel benchmark.
 #[derive(Debug, Clone)]
 pub struct Config {
@@ -49,28 +59,13 @@ pub struct Config {
     pub msg_size: usize,
     /// Measurement duration per point.
     pub duration: SimTime,
-    /// Subchannel capacity (in-flight positions).
-    pub capacity: u64,
-    /// Paced mode: interval between range submissions.
-    pub pace: SimTime,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl Default for Config {
     fn default() -> Self {
-        Config {
-            msg_size: 512,
-            duration: SimTime::from_secs(3),
-            // Large enough that the CPU cost model — not flow control —
-            // is the binding constraint at saturation (the window admits
-            // ~200k slots/s at this capacity over a 160 ms RTT; the
-            // fastest variant, digest-only dedup RC, saturates near
-            // 137k).
-            capacity: 32768,
-            pace: SimTime::from_millis(50),
-            seed: 42,
-        }
+        Config { msg_size: 512, duration: SimTime::from_secs(3), seed: 42 }
     }
 }
 
@@ -85,8 +80,8 @@ fn run_rig(
         mode,
         feed,
         msg_size: cfg.msg_size,
-        capacity: cfg.capacity,
-        move_every: (cfg.capacity / 8).max(1),
+        capacity: CAPACITY,
+        move_every: (CAPACITY / 8).max(1),
         traced,
         duration: cfg.duration,
         seed: cfg.seed,
@@ -129,7 +124,7 @@ pub fn run_flood_traced(
 /// carries the per-variant knob (e.g. `SenderCast { overlap }` toggles
 /// the §A.9 content/share-exchange overlap).
 pub fn run_paced(mode: impl Into<ChannelMode>, range: usize, cfg: &Config) -> CommitRow {
-    run_rig(mode.into(), range, Feed::Paced(range, cfg.pace), false, cfg).0
+    run_rig(mode.into(), range, Feed::Paced(range, PACE), false, cfg).0
 }
 
 /// The amortization curve: flood throughput for each range size, for

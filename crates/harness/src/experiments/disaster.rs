@@ -36,6 +36,17 @@ use spider_sim::{FaultPlan, ObsReport, Simulation};
 use spider_types::{OpKind, SimTime};
 use std::sync::Arc;
 
+/// Encoded operation size in bytes.
+const PAYLOAD: usize = 64;
+/// Goodput bucket width for recovery detection.
+const BUCKET: SimTime = SimTime::from_millis(500);
+/// View-change storm: number of leader-isolation acts.
+pub const STORM_ACTS: usize = 3;
+/// View-change storm: spacing between acts.
+const STORM_GAP: SimTime = SimTime::from_millis(1_500);
+/// View-change storm: how long each leader stays isolated.
+const STORM_HOLD: SimTime = SimTime::from_millis(900);
+
 /// Scale configuration shared by all disaster scenarios.
 #[derive(Debug, Clone)]
 pub struct Config {
@@ -43,8 +54,6 @@ pub struct Config {
     pub clients_per_region: usize,
     /// Mean requests/second per client.
     pub rate_per_client: f64,
-    /// Encoded operation size in bytes.
-    pub payload: usize,
     /// Steady-state metrics start here (skips connection ramp-up).
     pub warmup: SimTime,
     /// When the disaster strikes.
@@ -55,14 +64,6 @@ pub struct Config {
     /// `rate_per_client · duration` and the run continues to quiescence
     /// so the backlog fully drains before accounting.
     pub duration: SimTime,
-    /// Goodput bucket width for recovery detection.
-    pub bucket: SimTime,
-    /// View-change storm: number of leader-isolation acts.
-    pub storm_acts: usize,
-    /// View-change storm: spacing between acts.
-    pub storm_gap: SimTime,
-    /// View-change storm: how long each leader stays isolated.
-    pub storm_hold: SimTime,
     /// RNG seed.
     pub seed: u64,
 }
@@ -72,15 +73,10 @@ impl Default for Config {
         Config {
             clients_per_region: 2,
             rate_per_client: 4.0,
-            payload: 64,
             warmup: SimTime::from_secs(2),
             fault_at: SimTime::from_secs(8),
             heal_at: SimTime::from_secs(18),
             duration: SimTime::from_secs(30),
-            bucket: SimTime::from_millis(500),
-            storm_acts: 3,
-            storm_gap: SimTime::from_millis(1_500),
-            storm_hold: SimTime::from_millis(900),
             seed: 42,
         }
     }
@@ -165,7 +161,7 @@ fn build(
             // The factory's client index is the spawn position, which is
             // exactly this client's position in `dep.clients`.
             let ci = dep.clients.len();
-            let workload = WorkloadSpec::writes_per_sec(cfg.rate_per_client, cfg.payload)
+            let workload = WorkloadSpec::writes_per_sec(cfg.rate_per_client, PAYLOAD)
                 .with_max_ops(max_ops)
                 .with_op_factory(unique_key_factory(ci));
             dep.spawn_clients(&mut sim, gi, 1, workload);
@@ -203,7 +199,7 @@ fn finish(
         heal_at,
         pre_fault_rps,
         0.9,
-        cfg.bucket,
+        BUCKET,
         heal_at + SimTime::from_secs(15),
     );
 
@@ -317,9 +313,9 @@ pub fn run_view_change_storm(cfg: &Config) -> DisasterRow {
     let n = run.dep.agreement.len();
     let mut plan = FaultPlan::new();
     let mut last_rejoin = cfg.fault_at;
-    for act in 0..cfg.storm_acts {
-        let from = cfg.fault_at + SimTime::from_nanos(cfg.storm_gap.as_nanos() * act as u64);
-        let until = from + cfg.storm_hold;
+    for act in 0..STORM_ACTS {
+        let from = cfg.fault_at + SimTime::from_nanos(STORM_GAP.as_nanos() * act as u64);
+        let until = from + STORM_HOLD;
         plan = plan.isolate_replica(run.dep.agreement[act % n], from, until);
         last_rejoin = until;
     }

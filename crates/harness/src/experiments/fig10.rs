@@ -16,32 +16,31 @@ use spider_baselines::{BftDeployment, StewardDeployment};
 use spider_sim::Simulation;
 use spider_types::SimTime;
 
+/// Mean requests/second per client.
+const RATE_PER_CLIENT: f64 = 2.0;
+/// RNG seed.
+const SEED: u64 = 42;
+
 /// Scale configuration for Figure 10.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Clients per region.
     pub clients_per_region: usize,
-    /// Mean requests/second per client.
-    pub rate_per_client: f64,
     /// Total run length.
     pub duration: SimTime,
     /// When the São Paulo clients start (paper: t = 80 s).
     pub join_at: SimTime,
     /// Timeline bucket width.
     pub bucket: SimTime,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for Config {
     fn default() -> Self {
         Config {
             clients_per_region: 6,
-            rate_per_client: 2.0,
             duration: SimTime::from_secs(110),
             join_at: SimTime::from_secs(80),
             bucket: SimTime::from_secs(2),
-            seed: 42,
         }
     }
 }
@@ -56,10 +55,10 @@ pub struct Series {
     pub points: Vec<(f64, f64, f64, f64, usize)>,
 }
 
-fn workload(cfg: &Config, weak_reads: bool, start: SimTime) -> WorkloadSpec {
+fn workload(weak_reads: bool, start: SimTime) -> WorkloadSpec {
     let mix =
         if weak_reads { WorkloadSpec::weak_reads_per_sec } else { WorkloadSpec::writes_per_sec };
-    mix(cfg.rate_per_client, 200).with_start_delay(start).with_op_factory(kv_op_factory(1000))
+    mix(RATE_PER_CLIENT, 200).with_start_delay(start).with_op_factory(kv_op_factory(1000))
 }
 
 fn to_series(system: &str, samples: Vec<Sample>, cfg: &Config) -> Series {
@@ -71,7 +70,7 @@ fn to_series(system: &str, samples: Vec<Sample>, cfg: &Config) -> Series {
 }
 
 fn run_bft(cfg: &Config, weak: bool, weighted: bool) -> (String, Vec<Sample>) {
-    let mut sim = Simulation::new(ec2_topology(), cfg.seed);
+    let mut sim = Simulation::new(ec2_topology(), SEED);
     let mut dep = if weighted {
         // Five replicas including São Paulo; Vmax weights in Virginia and
         // Oregon (the paper's best-performing assignment).
@@ -91,24 +90,19 @@ fn run_bft(cfg: &Config, weak: bool, weighted: bool) -> (String, Vec<Sample>) {
             &mut sim,
             region,
             cfg.clients_per_region,
-            workload(cfg, weak, SimTime::from_millis(200)),
+            workload(weak, SimTime::from_millis(200)),
         );
     }
     // The São Paulo clients exist from the start but stay silent until
     // `join_at` (their workload's start delay).
-    dep.spawn_clients(
-        &mut sim,
-        "saopaulo",
-        cfg.clients_per_region,
-        workload(cfg, weak, cfg.join_at),
-    );
+    dep.spawn_clients(&mut sim, "saopaulo", cfg.clients_per_region, workload(weak, cfg.join_at));
     sim.run_until(cfg.duration);
     let samples: Vec<Sample> = dep.collect_samples(&sim).into_iter().flat_map(|(_, s)| s).collect();
     ((if weighted { "BFT-WV" } else { "BFT" }).to_owned(), samples)
 }
 
 fn run_hft(cfg: &Config, weak: bool) -> (String, Vec<Sample>) {
-    let mut sim = Simulation::new(ec2_topology(), cfg.seed);
+    let mut sim = Simulation::new(ec2_topology(), SEED);
     let mut dep =
         StewardDeployment::build(&mut sim, SpiderConfig::default(), &REGIONS4, 0, KvStore::new);
     for (si, region) in REGIONS4.iter().enumerate() {
@@ -117,18 +111,12 @@ fn run_hft(cfg: &Config, weak: bool) -> (String, Vec<Sample>) {
             si as u16,
             region,
             cfg.clients_per_region,
-            workload(cfg, weak, SimTime::from_millis(200)),
+            workload(weak, SimTime::from_millis(200)),
         );
     }
     // New clients contact their nearest existing site: Virginia (site 0)
     // is closest to São Paulo in this matrix.
-    dep.spawn_clients(
-        &mut sim,
-        0,
-        "saopaulo",
-        cfg.clients_per_region,
-        workload(cfg, weak, cfg.join_at),
-    );
+    dep.spawn_clients(&mut sim, 0, "saopaulo", cfg.clients_per_region, workload(weak, cfg.join_at));
     sim.run_until(cfg.duration);
     let samples: Vec<Sample> =
         dep.collect_samples(&sim).into_iter().flat_map(|(_, _, s)| s).collect();
@@ -136,7 +124,7 @@ fn run_hft(cfg: &Config, weak: bool) -> (String, Vec<Sample>) {
 }
 
 fn run_spider(cfg: &Config, weak: bool) -> (String, Vec<Sample>) {
-    let mut sim = Simulation::new(ec2_topology(), cfg.seed);
+    let mut sim = Simulation::new(ec2_topology(), SEED);
     let mut builder = DeploymentBuilder::new(SpiderConfig::default())
         .with_app(KvStore::new)
         .agreement_region("virginia");
@@ -149,7 +137,7 @@ fn run_spider(cfg: &Config, weak: bool) -> (String, Vec<Sample>) {
             &mut sim,
             gi,
             cfg.clients_per_region,
-            workload(cfg, weak, SimTime::from_millis(200)),
+            workload(weak, SimTime::from_millis(200)),
         );
     }
     // A São Paulo execution group is added shortly before the clients
@@ -157,7 +145,7 @@ fn run_spider(cfg: &Config, weak: bool) -> (String, Vec<Sample>) {
     let lead_time = SimTime::from_secs(3);
     dep.add_execution_group(&mut sim, "saopaulo", cfg.join_at.saturating_sub(lead_time));
     let gi = dep.groups.len() - 1;
-    dep.spawn_clients(&mut sim, gi, cfg.clients_per_region, workload(cfg, weak, cfg.join_at));
+    dep.spawn_clients(&mut sim, gi, cfg.clients_per_region, workload(weak, cfg.join_at));
     sim.run_until(cfg.duration);
     let samples: Vec<Sample> =
         dep.collect_samples(&sim).into_iter().flat_map(|(_, _, s)| s).collect();

@@ -59,6 +59,9 @@ impl std::fmt::Display for SystemKind {
     }
 }
 
+/// Request payload bytes of every scenario client (the paper uses 200).
+const PAYLOAD: usize = 200;
+
 /// Scale and workload parameters of a scenario run.
 #[derive(Debug, Clone)]
 pub struct ScenarioCfg {
@@ -66,8 +69,6 @@ pub struct ScenarioCfg {
     pub clients_per_region: usize,
     /// Mean requests/second per client.
     pub rate_per_client: f64,
-    /// Request payload bytes (the paper uses 200).
-    pub payload: usize,
     /// Workload mix (fractions of writes / strong reads; rest weak).
     pub write_fraction: f64,
     /// Fraction of strong reads.
@@ -89,7 +90,6 @@ impl Default for ScenarioCfg {
         ScenarioCfg {
             clients_per_region: 10,
             rate_per_client: 2.0,
-            payload: 200,
             write_fraction: 1.0,
             strong_read_fraction: 0.0,
             duration: SimTime::from_secs(20),
@@ -104,7 +104,7 @@ impl ScenarioCfg {
     fn workload(&self) -> WorkloadSpec {
         WorkloadSpec {
             rate_per_sec: self.rate_per_client,
-            payload_bytes: self.payload,
+            payload_bytes: PAYLOAD,
             write_fraction: self.write_fraction,
             strong_read_fraction: self.strong_read_fraction,
             max_ops: 0,

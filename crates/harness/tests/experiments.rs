@@ -160,7 +160,6 @@ fn fig10_only_spider_keeps_new_site_reads_local() {
         duration: SimTime::from_secs(40),
         join_at: SimTime::from_secs(25),
         bucket: SimTime::from_secs(5),
-        ..fig10::Config::default()
     };
     let result = fig10::run(&cfg);
     let mean_after = |series: &fig10::Series| {

@@ -4,6 +4,11 @@ use crate::{IrmcError, Subchannel};
 use spider_crypto::{CostModel, KeyId};
 use spider_types::Position;
 
+/// Default maximum slots per range certificate
+/// ([`IrmcConfig::max_range`]): the cap every Spider commit channel runs
+/// with, and the grid the agreement group cuts its runs on.
+pub const MAX_RANGE: usize = 32;
+
 /// Which IRMC implementation a channel uses (§4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Variant {
@@ -117,7 +122,8 @@ pub struct IrmcConfig {
     pub cost: CostModel,
     /// Maximum slots per range certificate
     /// ([`crate::SenderEndpoint::send_batch`] chunks longer submissions).
-    /// 1 certifies every slot on its own (the paper's per-slot protocol).
+    /// 1 certifies every slot on its own (the paper's per-slot protocol);
+    /// [`IrmcConfig::new`] sets [`MAX_RANGE`].
     pub max_range: usize,
     /// Signing identity of each sender endpoint. Defaults to
     /// `KeyId(1000 + i)`; deployments with multiple channels override this
@@ -154,7 +160,7 @@ impl IrmcConfig {
             fr,
             capacity,
             cost: CostModel::default(),
-            max_range: 32,
+            max_range: MAX_RANGE,
             sender_keys: (0..n_senders).map(|i| KeyId(1000 + i as u32)).collect(),
             receiver_keys: (0..n_receivers).map(|j| KeyId(2000 + j as u32)).collect(),
         }

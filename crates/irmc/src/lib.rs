@@ -146,7 +146,7 @@ pub(crate) mod tests_support {
     }
 }
 
-pub use config::{ChannelMode, IrmcConfig, Variant};
+pub use config::{ChannelMode, IrmcConfig, Variant, MAX_RANGE};
 pub use error::IrmcError;
 pub use messages::{range_digest, ChannelMsg, ReceiverMsg, Run};
 pub use receiver::{

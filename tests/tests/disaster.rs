@@ -10,6 +10,7 @@
 
 use spider_harness::experiments::disaster::{
     run_correlated_outage, run_placement, run_view_change_storm, run_wan_partition, Config,
+    STORM_ACTS,
 };
 use spider_tests::digest;
 use spider_types::SimTime;
@@ -72,9 +73,9 @@ fn view_change_storm_rotates_leaders_and_drains() {
     let cfg = test_cfg();
     let row = run_view_change_storm(&cfg);
     assert!(
-        row.final_view >= cfg.storm_acts as u64,
+        row.final_view >= STORM_ACTS as u64,
         "expected >= {} view changes, reached view {}",
-        cfg.storm_acts,
+        STORM_ACTS,
         row.final_view
     );
     assert_eq!(row.lost_ops, 0, "{row:?}");
