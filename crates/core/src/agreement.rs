@@ -6,6 +6,8 @@
 //! delivered total order, pushes `Execute`s into every commit channel
 //! (skipping up to `z` trailing groups, §3.5), checkpoints `(t, hist)`
 //! periodically, and applies ordered reconfiguration commands (§3.6).
+//! It is always correct: a traitor is this replica with a
+//! [`crate::byzantine`] adversary rewriting what it sends.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
@@ -42,18 +44,6 @@ const TAG_CP_GOSSIP: u64 = 4;
 /// Decoded agreement snapshot: `(sn, t, hist)` as written by
 /// `encode_snapshot`.
 type DecodedSnapshot = (u64, BTreeMap<ClientId, u64>, VecDeque<(u64, OrderItem)>);
-
-/// Fault behaviours injectable into an agreement replica (§3.7 tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AgreementFault {
-    /// Behaves correctly.
-    #[default]
-    None,
-    /// Sends corrupted `Execute` messages into every commit channel. The
-    /// IRMC's `fa + 1` matching-content rule must prevent delivery of the
-    /// manipulated ordering (§3.7).
-    CorruptExecutes,
-}
 
 /// The pair of IRMC endpoints an agreement replica maintains per
 /// execution group (§3.2: one request channel + one commit channel).
@@ -93,7 +83,6 @@ pub struct AgreementReplica {
     /// Clients whose request subchannel a call made ready or moved, to be
     /// polled once it returns (one buffer, reused).
     polls: Vec<ClientId>,
-    fault: AgreementFault,
     /// Ordered request count (metrics).
     pub ordered: u64,
 }
@@ -126,7 +115,6 @@ impl AgreementReplica {
             instance_map: VecDeque::new(),
             fetching: false,
             polls: Vec::new(),
-            fault: AgreementFault::None,
             ordered: 0,
             cfg,
         };
@@ -146,35 +134,6 @@ impl AgreementReplica {
                 commit_send: SenderEndpoint::new(commit_cfg, self.me, self.keyring.clone()),
             },
         );
-    }
-
-    /// Injects a fault behaviour (tests only; defaults to correct).
-    pub fn set_fault(&mut self, fault: AgreementFault) {
-        self.fault = fault;
-    }
-
-    /// Applies the configured Byzantine mutation to an outgoing Execute.
-    fn maybe_corrupt(&self, exec: Hashed<Execute>) -> Hashed<Execute> {
-        match self.fault {
-            AgreementFault::None => exec,
-            AgreementFault::CorruptExecutes => {
-                // The only way to a `Hashed` value's fields: take it out
-                // (dropping the digest it remembered), change it, and wrap
-                // the result anew — at every level that held a digest.
-                let Execute { seq, payload } = exec.into_inner();
-                let payload = match payload {
-                    ExecutePayload::Full(ordered) => {
-                        let OrderedRequest { request, origin } = ordered.into_inner();
-                        let mut request = request.into_inner();
-                        request.operation.op = Bytes::from_static(b"add:666");
-                        let ordered = OrderedRequest { request: request.into(), origin };
-                        ExecutePayload::Full(ordered.into())
-                    }
-                    placeholder @ ExecutePayload::Placeholder { .. } => placeholder,
-                };
-                Execute { seq, payload }.into()
-            }
-        }
     }
 
     /// Last assigned agreement sequence number.
@@ -199,7 +158,7 @@ impl AgreementReplica {
                 break;
             };
             match ch.req_recv.try_receive(client.0 as u64, Position(next)) {
-                ReceiveResult::Ready(delivery) => {
+                ReceiveResult::Ready(request) => {
                     // The channel guarantees fe+1 execution replicas vouch
                     // for the request; verify the client's own signature
                     // before ordering (A-Validity).
@@ -207,7 +166,7 @@ impl AgreementReplica {
                     ctx.span_instant(req_id(client.0, next), PHASE_PROPOSE);
                     delivered = true;
                     self.t_next.insert(client, next + 1);
-                    self.pbft_step(ctx, Input::Order(OrderItem::Request(delivery.payload)));
+                    self.pbft_step(ctx, Input::Order(OrderItem::Request(request)));
                 }
                 ReceiveResult::TooOld(p) => {
                     // The client has moved on (Fig 17 L16-18).
@@ -390,8 +349,7 @@ impl AgreementReplica {
             let full: Vec<Hashed<Execute>> = run
                 .iter()
                 .map(|(s, req, _)| {
-                    let payload = ExecutePayload::Full(req.clone());
-                    self.maybe_corrupt(Execute { seq: SeqNr(*s), payload }.into())
+                    Execute { seq: SeqNr(*s), payload: ExecutePayload::Full(req.clone()) }.into()
                 })
                 .collect();
             let full = Run::from(full);
@@ -426,14 +384,14 @@ impl AgreementReplica {
                 i += 1;
                 continue;
             };
-            let mut execs = vec![self.maybe_corrupt(execute_for_group(*first, req0, group))];
+            let mut execs = vec![execute_for_group(*first, req0, group)];
             let mut j = i + 1;
             while j < items.len() && execs.len() < MAX_RANGE {
                 let Some((s, OrderItem::Request(req))) = items.get(j) else { break };
                 if *s != first + execs.len() as u64 {
                     break;
                 }
-                execs.push(self.maybe_corrupt(execute_for_group(*s, req, group)));
+                execs.push(execute_for_group(*s, req, group));
                 j += 1;
             }
             let first = Position(*first);
@@ -1066,19 +1024,34 @@ mod tests {
 
     #[test]
     fn corrupted_execute_does_not_keep_the_honest_digest() {
+        use crate::keys::agreement_key;
+        use crate::messages::ChannelLeg::ToReceiver;
         use spider_crypto::Digestible;
-        let dir = crate::directory::Directory::new();
-        let mut a = AgreementReplica::new(SpiderConfig::default(), 0, dir, &[]);
         let honest = execute_for_group(9, &request(1, 5, OpKind::Write), GroupId(0));
         // Remembered at every level: execute, ordered request, request.
         let honest_digest = honest.digest();
-        assert_eq!(a.maybe_corrupt(honest.clone()).digest(), honest_digest);
-
-        a.set_fault(AgreementFault::CorruptExecutes);
-        let bad = a.maybe_corrupt(honest);
+        // A one-slot cast: its statement binds the content digest.
+        let (ring, key) = (Keyring::new(KEY_SEED), agreement_key(2));
+        let statement = |root| spider_irmc::range_digest(0, Position(9), 1, &root);
+        let sig = ring.sign(key, &statement(honest_digest));
+        let cast =
+            ChannelMsg::Cast { sc: 0, first: Position(9), msgs: Run::from(vec![honest]), sig };
+        let frame = SpiderMsg::CommitChannel { group: GroupId(0), leg: ToReceiver(cast) };
+        let mut traitor = crate::byzantine::commit_traitor(2);
+        let Some(SpiderMsg::CommitChannel {
+            leg: ToReceiver(ChannelMsg::Cast { msgs, sig, .. }),
+            ..
+        }) = traitor(NodeId(0), frame)
+        else {
+            panic!("the traitor still casts")
+        };
+        let bad = &msgs[0];
         let ExecutePayload::Full(ordered) = &bad.payload else { panic!("a write stays full") };
         assert_eq!(&ordered.request.operation.op[..], b"add:666");
         assert_ne!(bad.digest(), honest_digest, "no stale digest vouches for the new content");
+        // The forged statement carries the traitor's own valid signature.
+        assert!(ring.verify(key, &statement(bad.digest()), &sig));
+        assert!(!ring.verify(key, &statement(honest_digest), &sig));
         // It is the digest of that content built from nothing.
         let rebuilt = Execute {
             seq: bad.seq,

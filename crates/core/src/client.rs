@@ -5,7 +5,8 @@
 //! matching replies for the current counter value. Weakly consistent
 //! reads may fail to reach a matching quorum under concurrent writes; the
 //! client retries and eventually escalates to a strongly consistent read
-//! (§3.3).
+//! (§3.3). A client is always correct: an equivocating one is this one
+//! with a [`crate::byzantine`] adversary rewriting what it sends.
 
 use crate::config::SpiderConfig;
 use crate::directory::Directory;
@@ -161,18 +162,6 @@ impl Sample {
     }
 }
 
-/// Fault behaviours injectable into a client (§3.7 tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClientFault {
-    /// Behaves correctly.
-    #[default]
-    None,
-    /// Sends a *different* operation to every replica under the same
-    /// counter value: the request channel must block delivery and the
-    /// damage must stay within this client's subchannel.
-    ConflictingRequests,
-}
-
 struct InFlight {
     kind: OpKind,
     op: Bytes,
@@ -192,7 +181,6 @@ pub struct SpiderClient {
     group: GroupId,
     directory: Directory,
     workload: Option<WorkloadSpec>,
-    fault: ClientFault,
 
     /// Counter for ordered operations (writes + strong reads): this is
     /// the request-subchannel position, so it must advance by exactly one
@@ -223,18 +211,12 @@ impl SpiderClient {
             group,
             directory,
             workload,
-            fault: ClientFault::None,
             tc: 0,
             weak_tc: 0,
             issued_count: 0,
             in_flight: None,
             samples: Vec::new(),
         }
-    }
-
-    /// Injects a fault behaviour (tests only).
-    pub fn set_fault(&mut self, fault: ClientFault) {
-        self.fault = fault;
     }
 
     /// The client's id.
@@ -295,22 +277,8 @@ impl SpiderClient {
             self.cfg.cost.rsa_sign()
                 + self.cfg.cost.mac_vector(replicas.len(), request.wire_size()),
         );
-        match self.fault {
-            ClientFault::None => {
-                for &node in replicas.iter() {
-                    ctx.send(node, SpiderMsg::Request(request.clone()));
-                }
-            }
-            ClientFault::ConflictingRequests => {
-                // A different operation per replica under one counter.
-                for (i, &node) in replicas.iter().enumerate() {
-                    let mut bad = request.clone().into_inner();
-                    let mut op = inf.op.to_vec();
-                    op.push(b'0' + (i as u8 % 10));
-                    bad.operation.op = Bytes::from(op);
-                    ctx.send(node, SpiderMsg::Request(bad.into()));
-                }
-            }
+        for &node in replicas.iter() {
+            ctx.send(node, SpiderMsg::Request(request.clone()));
         }
     }
 

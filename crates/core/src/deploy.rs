@@ -3,13 +3,14 @@
 
 use crate::agreement::AgreementReplica;
 use crate::app::{Application, CounterApp};
-use crate::client::{ClientFault, Sample, SpiderClient, WorkloadSpec};
+use crate::client::{Sample, SpiderClient, WorkloadSpec};
 use crate::config::SpiderConfig;
 use crate::directory::{Directory, GroupInfo};
 use crate::execution::ExecutionReplica;
 use crate::messages::{AdminCommand, SpiderMsg};
 use spider_sim::{Actor, Context, Simulation, Timer};
 use spider_types::{ClientId, GroupId, NodeId, SimTime};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Builds a full Spider deployment inside a [`Simulation`].
@@ -161,6 +162,7 @@ impl<A: Application> DeploymentBuilder<A> {
             groups,
             clients: Vec::new(),
             next_client: 0,
+            byzantine: BTreeSet::new(),
             app_factory_boxed: AppFactoryBox(Arc::new(move || {
                 Box::new(factory()) as Box<dyn Application>
             })),
@@ -209,6 +211,8 @@ pub struct Deployment {
     /// All spawned clients: `(client, group, node)`.
     pub clients: Vec<(ClientId, GroupId, NodeId)>,
     next_client: u32,
+    /// Nodes made Byzantine ([`Deployment::make_byzantine`]).
+    byzantine: BTreeSet<NodeId>,
     app_factory_boxed: AppFactoryBox,
 }
 
@@ -222,38 +226,52 @@ impl Deployment {
         count: usize,
         workload: WorkloadSpec,
     ) -> Vec<NodeId> {
-        self.spawn_clients_with_fault(sim, group_idx, count, workload, ClientFault::None)
-    }
-
-    /// Like [`Deployment::spawn_clients`] with an injected fault.
-    pub fn spawn_clients_with_fault(
-        &mut self,
-        sim: &mut Simulation<SpiderMsg>,
-        group_idx: usize,
-        count: usize,
-        workload: WorkloadSpec,
-        fault: ClientFault,
-    ) -> Vec<NodeId> {
         let (group, region, _) = self.groups[group_idx].clone();
         let zones = sim.topology().cycle_zones(&[region], 0, count);
         let mut nodes = Vec::new();
         for zone in zones {
             let id = ClientId(self.next_client);
             self.next_client += 1;
-            let mut client = SpiderClient::new(
+            let client = SpiderClient::new(
                 self.cfg.clone(),
                 id,
                 group,
                 self.directory.clone(),
                 Some(workload.clone()),
             );
-            client.set_fault(fault);
             let node = sim.add_node(zone, client);
             self.directory.register_client(id, node);
             self.clients.push((id, group, node));
             nodes.push(node);
         }
         nodes
+    }
+
+    /// Makes `node` Byzantine: from now on `adversary` rewrites or drops
+    /// everything it sends ([`Simulation::set_adversary`]; the behaviours
+    /// of §3.7 are in [`crate::byzantine`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node's group would then hold more Byzantine members
+    /// than it tolerates: `fa` in the agreement group, `fe` in an
+    /// execution group. Any number of clients may be Byzantine.
+    pub fn make_byzantine(
+        &mut self,
+        sim: &mut Simulation<SpiderMsg>,
+        node: NodeId,
+        adversary: impl FnMut(NodeId, SpiderMsg) -> Option<SpiderMsg> + 'static,
+    ) {
+        self.byzantine.insert(node);
+        let faulty = |group: &[NodeId]| group.iter().filter(|n| self.byzantine.contains(n)).count();
+        assert!(
+            faulty(&self.agreement) <= self.cfg.fa,
+            "more than fa Byzantine agreement replicas"
+        );
+        for (group, _, nodes) in &self.groups {
+            assert!(faulty(nodes) <= self.cfg.fe, "more than fe Byzantine replicas in {group:?}");
+        }
+        sim.set_adversary(node, adversary);
     }
 
     /// Spawns a new execution group in `region` at runtime: replicas start

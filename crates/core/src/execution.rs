@@ -5,6 +5,8 @@
 //! channel to its local [`Application`], replies to clients of its own
 //! group, answers weakly consistent reads directly, and participates in
 //! execution checkpointing (with cross-group state transfer for catch-up).
+//! It is always correct: a lying or silent replica is this one with a
+//! [`crate::byzantine`] adversary rewriting what it sends.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
@@ -20,7 +22,7 @@ use crate::messages::{ClientRequest, Execute, ExecutePayload, OrderedRequest, Re
 use bytes::{BufMut, Bytes, BytesMut};
 use spider_crypto::{Hashed, Keyring};
 use spider_irmc::{
-    Action, ReceiveResult, ReceiverEndpoint, SendStatus, SenderEndpoint, Variant, TICK_INTERVAL,
+    Action, ReceiveResult, ReceiverEndpoint, SenderEndpoint, Variant, TICK_INTERVAL,
 };
 use spider_sim::{req_id, Actor, Context, Timer, PHASE_DELIVER, PHASE_EXEC};
 use spider_types::{ClientId, GroupId, NodeId, OpKind, Position, SeqNr, Sink, WireSize};
@@ -31,19 +33,6 @@ const TAG_SC_TICK: u64 = 1;
 const TAG_COMMIT_COLLECTOR: u64 = 2;
 const TAG_FETCH_RETRY: u64 = 3;
 const TAG_CP_GOSSIP: u64 = 4;
-
-/// Fault behaviours injectable into an execution replica for testing §3.7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecFault {
-    /// Behaves correctly.
-    #[default]
-    None,
-    /// Never forwards client requests to the agreement group (tests that
-    /// `fe + 1` correct forwarders suffice).
-    SilentForward,
-    /// Sends corrupted results to clients (tests `fe + 1` reply matching).
-    WrongReply,
-}
 
 /// Cached reply state per client (Fig 16 `u[c]`).
 #[derive(Debug, Clone)]
@@ -68,7 +57,6 @@ pub struct ExecutionReplica<A: Application> {
     cfg: SpiderConfig,
     group: GroupId,
     directory: Directory,
-    fault: ExecFault,
 
     // --- Fig 16 protocol state ---
     sn: u64,
@@ -94,7 +82,6 @@ impl<A: Application> ExecutionReplica<A> {
         ExecutionReplica {
             group,
             directory,
-            fault: ExecFault::None,
             sn: 0,
             forwarded: BTreeMap::new(),
             replies: BTreeMap::new(),
@@ -106,11 +93,6 @@ impl<A: Application> ExecutionReplica<A> {
             executed: 0,
             cfg,
         }
-    }
-
-    /// Injects a fault behaviour (tests only; defaults to correct).
-    pub fn set_fault(&mut self, fault: ExecFault) {
-        self.fault = fault;
     }
 
     /// Current execution sequence number (last applied).
@@ -141,11 +123,7 @@ impl<A: Application> ExecutionReplica<A> {
         if req.operation.kind == OpKind::WeakRead {
             // §3.3: answered locally, no ordering.
             ctx.charge(self.cfg.cost.app_execute());
-            let result = if self.fault == ExecFault::WrongReply {
-                Bytes::from_static(b"corrupted")
-            } else {
-                self.app.execute_read(&req.operation.op)
-            };
+            let result = self.app.execute_read(&req.operation.op);
             ctx.charge(self.cfg.cost.hmac(result.len()));
             self.reply_to(ctx, c, Reply { tc: req.tc, result, weak: true, resubmit: false });
             return;
@@ -180,16 +158,12 @@ impl<A: Application> ExecutionReplica<A> {
 
         // First sight of this counter: verify the client signature.
         ctx.charge(self.cfg.cost.rsa_verify());
-        if self.fault == ExecFault::SilentForward {
-            return;
-        }
         self.forwarded.insert(c, req.tc);
         let (sc, pos, origin) = (c.0 as u64, Position(req.tc), self.group);
         self.request_channel(ctx, |ep, out| {
             ep.move_window(sc, pos, out);
             let ordered = OrderedRequest { request: req, origin }.into();
-            let status = ep.send_batch(sc, pos, vec![ordered], out);
-            debug_assert!(status != SendStatus::TooOld(Position(0)));
+            ep.send_batch(sc, pos, vec![ordered], out);
         });
     }
 
@@ -210,8 +184,8 @@ impl<A: Application> ExecutionReplica<A> {
         let mut delivered = false;
         loop {
             match self.commit_recv.try_receive(0, Position(self.sn + 1)) {
-                ReceiveResult::Ready(delivery) => {
-                    self.apply_execute(ctx, delivery.payload);
+                ReceiveResult::Ready(exec) => {
+                    self.apply_execute(ctx, exec);
                     delivered = true;
                 }
                 ReceiveResult::TooOld(start) => {
@@ -249,11 +223,6 @@ impl<A: Application> ExecutionReplica<A> {
                     });
                     self.executed += 1;
                     ctx.metric_inc("executed", 1);
-                    let result = if self.fault == ExecFault::WrongReply {
-                        Bytes::from_static(b"corrupted")
-                    } else {
-                        result
-                    };
                     self.replies.insert(c, CachedReply::Result { tc, result: result.clone() });
                     if ordered.origin == self.group {
                         ctx.charge(self.cfg.cost.hmac(result.len()));

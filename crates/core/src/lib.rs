@@ -58,6 +58,7 @@
 
 pub mod agreement;
 pub mod app;
+pub mod byzantine;
 pub mod checkpoint;
 pub mod client;
 pub mod config;
@@ -70,7 +71,7 @@ pub mod messages;
 
 pub use app::{Application, CounterApp};
 pub use checkpoint::{Part, Snapshot};
-pub use client::{ClientFault, Sample, SpiderClient, WorkloadSpec};
+pub use client::{Sample, SpiderClient, WorkloadSpec};
 pub use config::SpiderConfig;
 pub use deploy::{Deployment, DeploymentBuilder};
 pub use directory::Directory;

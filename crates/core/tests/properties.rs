@@ -9,7 +9,8 @@
 //! * **E-Liveness** (A.5): every client request eventually completes.
 
 use proptest::prelude::*;
-use spider::execution::{ExecFault, ExecutionReplica};
+use spider::byzantine;
+use spider::execution::ExecutionReplica;
 use spider::{CounterApp, DeploymentBuilder, SpiderConfig, WorkloadSpec};
 use spider_sim::{FaultPlan, Simulation, Topology};
 use spider_types::SimTime;
@@ -35,13 +36,10 @@ fn small_cfg() -> SpiderConfig {
     }
 }
 
-/// Runs a two-group deployment; returns (completed, counter values of all
-/// replicas).
-fn run_once(
-    seed: u64,
-    writes_per_client: u64,
-    fault: Option<(usize, ExecFault)>,
-) -> (usize, Vec<i64>) {
+/// Runs a two-group deployment; `fault` makes one execution replica
+/// Byzantine, forwarding nothing (`true`) or replying wrongly (`false`).
+/// Returns (completed, counter values of all replicas).
+fn run_once(seed: u64, writes_per_client: u64, fault: Option<(usize, bool)>) -> (usize, Vec<i64>) {
     let mut sim = Simulation::new(topology(), seed);
     let mut dep = DeploymentBuilder::new(small_cfg())
         .agreement_region("virginia")
@@ -60,9 +58,13 @@ fn run_once(
         1,
         WorkloadSpec::writes_per_sec(10.0, 200).with_max_ops(writes_per_client),
     );
-    if let Some((victim_idx, f)) = fault {
+    if let Some((victim_idx, silent)) = fault {
         let node = dep.group_nodes(victim_idx % 2)[victim_idx % 3];
-        sim.actor_mut::<ExecReplica>(node).set_fault(f);
+        if silent {
+            dep.make_byzantine(&mut sim, node, byzantine::silent_forwarder());
+        } else {
+            dep.make_byzantine(&mut sim, node, byzantine::wrong_replies());
+        }
     }
     sim.run_until_quiescent(SimTime::from_secs(120));
 
@@ -100,8 +102,7 @@ proptest! {
         victim in 0usize..6,
         silent in any::<bool>(),
     ) {
-        let fault = if silent { ExecFault::SilentForward } else { ExecFault::WrongReply };
-        let (completed, values) = run_once(seed, 5, Some((victim, fault)));
+        let (completed, values) = run_once(seed, 5, Some((victim, silent)));
         prop_assert_eq!(completed, 15, "E-Liveness under f=1");
         // At least 5 of 6 replicas (all correct ones) hold the exact value.
         let exact = values.iter().filter(|v| **v == 15).count();

@@ -7,10 +7,10 @@
 //! crashes, and runtime reconfiguration (§3.6).
 
 use spider::agreement::AgreementReplica;
-use spider::execution::{ExecFault, ExecutionReplica};
+use spider::byzantine;
+use spider::execution::ExecutionReplica;
 use spider::{
-    Application, ClientFault, CounterApp, DeploymentBuilder, SpiderClient, SpiderConfig,
-    WorkloadSpec,
+    Application, CounterApp, DeploymentBuilder, SpiderClient, SpiderConfig, WorkloadSpec,
 };
 use spider_crypto::CostModel;
 use spider_sim::{FaultPlan, Simulation, Topology};
@@ -131,17 +131,21 @@ fn weak_reads_are_local_and_strong_reads_are_ordered() {
 
 #[test]
 fn one_byzantine_execution_replica_is_tolerated() {
-    for fault in [ExecFault::SilentForward, ExecFault::WrongReply] {
+    for silent in [true, false] {
         let mut sim = Simulation::new(topology(), 14);
         let mut dep = build(&mut sim, small_cfg());
         dep.spawn_clients(&mut sim, 0, 1, WorkloadSpec::writes_per_sec(10.0, 200).with_max_ops(15));
         // Replica 0 of the Virginia group misbehaves.
         let victim = dep.group_nodes(0)[0];
-        sim.actor_mut::<ExecReplica>(victim).set_fault(fault);
+        if silent {
+            dep.make_byzantine(&mut sim, victim, byzantine::silent_forwarder());
+        } else {
+            dep.make_byzantine(&mut sim, victim, byzantine::wrong_replies());
+        }
         sim.run_until_quiescent(SimTime::from_secs(40));
         let samples = dep.collect_samples(&sim);
         let total: usize = samples.iter().map(|(_, _, s)| s.len()).sum();
-        assert_eq!(total, 15, "writes complete despite {fault:?}");
+        assert_eq!(total, 15, "writes complete despite a faulty replica (silent: {silent})");
     }
 }
 
@@ -152,13 +156,9 @@ fn conflicting_client_is_isolated_to_its_subchannel() {
     // A correct client and a conflicting-equivocating client share the
     // Virginia group.
     dep.spawn_clients(&mut sim, 0, 1, WorkloadSpec::writes_per_sec(10.0, 200).with_max_ops(10));
-    let bad = dep.spawn_clients_with_fault(
-        &mut sim,
-        0,
-        1,
-        WorkloadSpec::writes_per_sec(10.0, 200).with_max_ops(5),
-        ClientFault::ConflictingRequests,
-    );
+    let bad =
+        dep.spawn_clients(&mut sim, 0, 1, WorkloadSpec::writes_per_sec(10.0, 200).with_max_ops(5));
+    dep.make_byzantine(&mut sim, bad[0], byzantine::conflicting_requests());
     sim.run_until(SimTime::from_secs(20));
 
     let samples = dep.collect_samples(&sim);
@@ -167,6 +167,18 @@ fn conflicting_client_is_isolated_to_its_subchannel() {
     }
     let bad_samples = &sim.actor::<SpiderClient>(bad[0]).samples;
     assert!(bad_samples.is_empty(), "conflicting requests never pass the request channel");
+}
+
+#[test]
+#[should_panic(expected = "more than fe Byzantine replicas in GroupId(1)")]
+fn a_group_refuses_more_byzantine_replicas_than_it_tolerates() {
+    let mut sim = Simulation::new(topology(), 15);
+    let mut dep = build(&mut sim, small_cfg());
+    // fa = 1 and fe = 1: one Byzantine member per group is tolerated.
+    dep.make_byzantine(&mut sim, dep.agreement[0], byzantine::commit_traitor(0));
+    let (first, second) = (dep.group_nodes(1)[0], dep.group_nodes(1)[2]);
+    dep.make_byzantine(&mut sim, first, byzantine::wrong_replies());
+    dep.make_byzantine(&mut sim, second, byzantine::silent_forwarder());
 }
 
 #[test]
@@ -291,12 +303,11 @@ fn byzantine_agreement_replica_cannot_corrupt_the_commit_channel() {
     // §3.7: a faulty agreement replica sends manipulated Executes; the
     // commit channel's fa+1 matching rule blocks them and execution
     // groups keep delivering the correct total order.
-    use spider::agreement::{AgreementFault, AgreementReplica};
     let mut sim = Simulation::new(topology(), 55);
     let mut dep = build(&mut sim, small_cfg());
     dep.spawn_clients(&mut sim, 0, 1, WorkloadSpec::writes_per_sec(10.0, 200).with_max_ops(20));
     let traitor = dep.agreement[2];
-    sim.actor_mut::<AgreementReplica>(traitor).set_fault(AgreementFault::CorruptExecutes);
+    dep.make_byzantine(&mut sim, traitor, byzantine::commit_traitor(2));
     sim.run_until_quiescent(SimTime::from_secs(60));
 
     let samples = dep.collect_samples(&sim);

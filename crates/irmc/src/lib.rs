@@ -46,10 +46,7 @@
 //! Endpoints are sans-IO state machines: methods emit [`Action`]s
 //! (messages to peers, CPU charges, readiness events, timer requests) into
 //! a caller-provided [`Sink`](spider_types::Sink), and the host performs
-//! them — from a `Vec` afterwards, or from a closure as they are emitted. Delivered messages
-//! come wrapped in a [`Delivery`] carrying provenance: which sender the
-//! delivery is attributed to ([`Delivery::carrier`]) and whether dedup was
-//! involved ([`DedupOutcome`]).
+//! them — from a `Vec` afterwards, or from a closure as they are emitted.
 //!
 //! # Examples
 //!
@@ -58,7 +55,7 @@
 //!
 //! ```
 //! use spider_irmc::{
-//!     Action, ChannelMode, DedupOutcome, IrmcConfig, ReceiveResult, ReceiverEndpoint,
+//!     Action, ChannelMode, IrmcConfig, ReceiveResult, ReceiverEndpoint, ReceiverMsg,
 //!     SenderEndpoint,
 //! };
 //! use spider_crypto::{Digest, Digestible, Keyring};
@@ -91,13 +88,14 @@
 //!         }
 //!     });
 //! }
-//! // fs + 1 = 2 matching statements (content + vouch) deliver the batch.
-//! let ReceiveResult::Ready(d) = receiver.try_receive(0, Position(1)) else {
-//!     panic!("batch should be delivered");
-//! };
-//! assert_eq!(d.payload, Op(42));
-//! assert_eq!(d.dedup, DedupOutcome::Primary);
+//! // fs + 1 = 2 matching statements (content + vouch) deliver the batch,
+//! // with no content fetched from anyone.
+//! assert_eq!(receiver.try_receive(0, Position(1)), ReceiveResult::Ready(Op(42)));
 //! assert_eq!(receiver.try_receive(0, Position(2)).into_payload(), Some(Op(43)));
+//! let fetch = |a: &Action<Op>| {
+//!     matches!(a, Action::ToSender { msg: ReceiverMsg::FetchRange { .. }, .. })
+//! };
+//! assert!(!follow_up.iter().any(fetch));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -149,9 +147,7 @@ pub(crate) mod tests_support {
 pub use config::{ChannelMode, IrmcConfig, Variant, MAX_RANGE};
 pub use error::IrmcError;
 pub use messages::{range_digest, ChannelMsg, ReceiverMsg, Run};
-pub use receiver::{
-    DedupOutcome, Delivery, ReceiveResult, ReceiverEndpoint, COLLECTOR_TIMEOUT, REFETCH_DELAY,
-};
+pub use receiver::{ReceiveResult, ReceiverEndpoint, COLLECTOR_TIMEOUT, REFETCH_DELAY};
 pub use sender::{SendStatus, SenderEndpoint, RC_RECAST_TICKS};
 pub use window::Window;
 

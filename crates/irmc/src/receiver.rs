@@ -34,46 +34,11 @@ pub const COLLECTOR_TIMEOUT: SimTime = SimTime::from_millis(500);
 /// so this is RTT-scale, not suspicion-scale.
 pub const REFETCH_DELAY: SimTime = SimTime::from_millis(125);
 
-/// How the content of a delivered slot reached this receiver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DedupOutcome {
-    /// Legacy fan-in: IRMC-RC quorum of full content copies, or an
-    /// IRMC-SC certified delivery. No deduplication was in play.
-    Replicated,
-    /// RC dedup happy path: the rotated primary carrier's signed content
-    /// copy, confirmed by the vouch quorum (content crossed the wire and
-    /// was hashed exactly once).
-    Primary,
-    /// RC dedup fallback: raw content shipped by a voucher (after a
-    /// [`ReceiverMsg::FetchRange`], or an unsolicited early copy),
-    /// verified by comparison against the vouched Merkle root.
-    Refetched,
-}
-
-/// A delivered message plus its provenance: which sender the delivery
-/// is attributed to and whether the dedup machinery was involved.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Delivery<M> {
-    /// The delivered message.
-    pub payload: M,
-    /// The slot it was delivered for.
-    pub position: Position,
-    /// Index of the sender the delivery is attributed to: the shipper of
-    /// the delivered copy for a run delivered as a unit (the dedup
-    /// carrier or refetched voucher, the IRMC-SC collector), and for a
-    /// slot delivered by a per-slot quorum of signed copies the sender
-    /// whose copy *completed* the quorum — the payload handed out is then
-    /// the matching copy of the lowest-indexed sender, identical content.
-    pub carrier: usize,
-    /// How the content reached this endpoint.
-    pub dedup: DedupOutcome,
-}
-
 /// Result of polling a position (the sans-IO form of Fig 14 `receive`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReceiveResult<M> {
-    /// The message for this position, with delivery provenance.
-    Ready(Delivery<M>),
+    /// The message for this position.
+    Ready(M),
     /// The window has moved past the position: the receiver fell behind
     /// and must recover via checkpoint (§3.4). Carries the new window
     /// start, like the pseudocode's `⟨TooOld, s⟩`.
@@ -84,11 +49,10 @@ pub enum ReceiveResult<M> {
 }
 
 impl<M> ReceiveResult<M> {
-    /// The delivered payload, if any — for callers that don't care about
-    /// provenance.
+    /// The delivered payload, if any.
     pub fn into_payload(self) -> Option<M> {
         match self {
-            ReceiveResult::Ready(d) => Some(d.payload),
+            ReceiveResult::Ready(m) => Some(m),
             ReceiveResult::TooOld(_) | ReceiveResult::Pending => None,
         }
     }
@@ -103,9 +67,6 @@ struct PendingContent<M> {
     /// so a faulty collector cannot evict honest content).
     from: usize,
     run: Run<M>,
-    /// Provenance to attach on delivery ([`DedupOutcome::Replicated`]
-    /// for SC, `Primary`/`Refetched` for RC dedup).
-    outcome: DedupOutcome,
 }
 
 /// What a receiver holds for one position.
@@ -114,10 +75,9 @@ struct Slot<M> {
     /// RC: the verified copies credited so far, one per sender, ordered
     /// by sender index: (sender, content digest, message).
     copies: Vec<(usize, Digest, M)>,
-    /// Deliverable content, with the index of the sender the delivery is
-    /// attributed to and the dedup provenance. `Action::Ready` went out
-    /// when this was first set.
-    ready: Option<(M, usize, DedupOutcome)>,
+    /// Deliverable content. `Action::Ready` went out when this was first
+    /// set.
+    ready: Option<M>,
 }
 
 impl<M> Default for Slot<M> {
@@ -157,7 +117,7 @@ impl<M> Slots<M> {
     }
 
     /// The deliverable content at `p`, if any.
-    fn ready(&self, p: u64) -> Option<&(M, usize, DedupOutcome)> {
+    fn ready(&self, p: u64) -> Option<&M> {
         self.get(p)?.ready.as_ref()
     }
 
@@ -322,12 +282,7 @@ impl<M: Content> ReceiverEndpoint<M> {
             return ReceiveResult::TooOld(sub.awin.start());
         }
         match sub.slots.ready(p.0) {
-            Some((m, carrier, outcome)) => ReceiveResult::Ready(Delivery {
-                payload: m.clone(),
-                position: p,
-                carrier: *carrier,
-                dedup: *outcome,
-            }),
+            Some(m) => ReceiveResult::Ready(m.clone()),
             None => ReceiveResult::Pending,
         }
     }
@@ -371,7 +326,7 @@ impl<M: Content> ReceiverEndpoint<M> {
             }
             ChannelMsg::Content { sc, first, msgs } => self.on_content(from, sc, first, msgs, out),
             ChannelMsg::Certificate { sc, first, count, root, shares, content } => {
-                self.on_certificate(from, sc, first, count, root, shares, content, out)
+                self.on_certificate(sc, first, count, root, shares, content, out)
             }
             ChannelMsg::Progress { positions } => self.on_progress(from, positions, out),
             ChannelMsg::Move { sc, p } => self.on_sender_move(from, sc, p, out),
@@ -487,7 +442,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         }
         let sub = self.sub(sc);
         sub.vouches.entry(first.0).or_default().entry(from).or_insert((count as u32, root));
-        Self::buffer_content(sub, from, first.0, msgs.clone(), DedupOutcome::Primary);
+        Self::buffer_content(sub, from, first.0, msgs.clone());
         self.try_deliver_dedup(sc, first.0, out);
         if !Self::range_delivered(self.sub(sc), first.0, count as u64) {
             // Not (yet) deliverable as a range — the other senders may
@@ -583,20 +538,11 @@ impl<M: Content> ReceiverEndpoint<M> {
 
     /// Buffers one content candidate per sender (a faulty sender can only
     /// ever replace its own slot, never evict honest content).
-    fn buffer_content(
-        sub: &mut ReceiverSub<M>,
-        from: usize,
-        first: u64,
-        run: Run<M>,
-        outcome: DedupOutcome,
-    ) {
+    fn buffer_content(sub: &mut ReceiverSub<M>, from: usize, first: u64, run: Run<M>) {
         let candidates = sub.pending_content.entry(first).or_default();
         match candidates.iter_mut().find(|c| c.from == from) {
-            Some(mine) => {
-                mine.run = run;
-                mine.outcome = outcome;
-            }
-            None => candidates.push(PendingContent { from, run, outcome }),
+            Some(mine) => mine.run = run,
+            None => candidates.push(PendingContent { from, run }),
         }
     }
 
@@ -629,13 +575,13 @@ impl<M: Content> ReceiverEndpoint<M> {
             cands
                 .iter()
                 .find(|c| c.run.root() == root && c.run.len() == count as usize)
-                .map(|c| (c.from, c.run.clone(), c.outcome))
+                .map(|c| c.run.clone())
         });
         match matched {
-            Some((carrier, msgs, outcome)) => {
+            Some(msgs) => {
                 sub.pending_content.remove(&first);
                 sub.fetch_cursor.remove(&first);
-                self.deliver_range(sc, first, &msgs, carrier, outcome, out);
+                self.deliver_range(sc, first, &msgs, out);
             }
             None if !sub.timer_armed => {
                 // fs + 1 senders confirmed the range but nobody's content
@@ -688,7 +634,7 @@ impl<M: Content> ReceiverEndpoint<M> {
         if quorate && slot.ready.is_none() {
             let found = slot.copies.iter().find(|(_, d, _)| *d == digest).map(|(.., m)| m.clone());
             if let Some(m) = found {
-                slot.ready = Some((m, from, DedupOutcome::Replicated));
+                slot.ready = Some(m);
                 out.emit(Action::Ready { sc, p });
             }
         }
@@ -706,7 +652,6 @@ impl<M: Content> ReceiverEndpoint<M> {
     #[allow(clippy::too_many_arguments)]
     fn on_certificate(
         &mut self,
-        from: usize,
         sc: Subchannel,
         first: Position,
         count: u32,
@@ -744,18 +689,16 @@ impl<M: Content> ReceiverEndpoint<M> {
         // Certified: deliver the content — inline, or the matching
         // buffered copy — or remember the certificate until the content
         // arrives (reordered links).
-        let content = content.map(|msgs| (from, msgs)).or_else(|| {
+        let content = content.or_else(|| {
             let cands = sub.pending_content.get(&first.0)?;
             let hit =
                 cands.iter().find(|c| c.run.root() == root && c.run.len() == count as usize)?;
-            let hit = (hit.from, hit.run.clone());
+            let hit = hit.run.clone();
             sub.pending_content.remove(&first.0);
             Some(hit)
         });
         match content {
-            Some((shipper, msgs)) => {
-                self.deliver_range(sc, first.0, &msgs, shipper, DedupOutcome::Replicated, out);
-            }
+            Some(msgs) => self.deliver_range(sc, first.0, &msgs, out),
             None => {
                 // Keep every distinct certified statement (diverged
                 // boundaries may certify several lengths for one start),
@@ -831,14 +774,14 @@ impl<M: Content> ReceiverEndpoint<M> {
                 }
                 sub.pending_content.remove(&first.0);
                 sub.fetch_cursor.remove(&first.0);
-                self.deliver_range(sc, first.0, &msgs, from, DedupOutcome::Refetched, out);
+                self.deliver_range(sc, first.0, &msgs, out);
                 return Ok(());
             }
             // No quorum yet: content raced ahead of the vouches, or the
             // senders cut their ranges at diverged boundaries and no
             // statement will ever quorate.
             let own = sub.vouches.get(&first.0).and_then(|stmts| stmts.get(&from)).copied();
-            Self::buffer_content(sub, from, first.0, msgs.clone(), DedupOutcome::Refetched);
+            Self::buffer_content(sub, from, first.0, msgs.clone());
             if own == Some((count as u32, root)) {
                 // The copy matches `from`'s own vouched statement: it is a
                 // per-slot attestation by `from`, exactly like its signed
@@ -873,27 +816,24 @@ impl<M: Content> ReceiverEndpoint<M> {
                 if certs.is_empty() {
                     sub.pending_certs.remove(&first.0);
                 }
-                self.deliver_range(sc, first.0, &msgs, from, DedupOutcome::Replicated, out);
+                self.deliver_range(sc, first.0, &msgs, out);
                 return Ok(());
             }
         }
         // Buffer one candidate per *sender*: a faulty collector flooding
         // bogus roots can only ever replace its own slot, never evict
         // honest content.
-        Self::buffer_content(sub, from, first.0, msgs, DedupOutcome::Replicated);
+        Self::buffer_content(sub, from, first.0, msgs);
         Ok(())
     }
 
     /// Delivers every slot of a certified (or vouch-quorate) range that
-    /// is still in-window, tagging each with the shipping sender and the
-    /// dedup provenance.
+    /// is still in-window.
     fn deliver_range(
         &mut self,
         sc: Subchannel,
         first: u64,
         msgs: &[M],
-        carrier: usize,
-        outcome: DedupOutcome,
         out: &mut dyn Sink<Action<M>>,
     ) {
         let sub = self.sub(sc);
@@ -903,7 +843,7 @@ impl<M: Content> ReceiverEndpoint<M> {
                 continue; // The window moved past this slot.
             };
             // A later delivery overwrites; only the first announces.
-            if slot.ready.replace((m.clone(), carrier, outcome)).is_none() {
+            if slot.ready.replace(m.clone()).is_none() {
                 out.emit(Action::Ready { sc, p: Position(p) });
             }
         }
@@ -1526,12 +1466,11 @@ mod tests {
         );
         let out = feed(&mut r, vouchers[0], frames(&c, vouchers[0], 0, 1, &msgs));
         assert!(out.iter().any(|a| matches!(a, Action::Ready { sc: 0, p } if *p == Position(1))));
-        for (i, m) in msgs.iter().enumerate() {
-            let position = Position(1 + i as u64);
-            let want =
-                Delivery { payload: m.clone(), position, carrier, dedup: DedupOutcome::Primary };
-            assert_eq!(r.try_receive(0, position), ReceiveResult::Ready(want));
-        }
+        assert_eq!(got(&mut r, 0, 1, 4), all(&msgs));
+        // The carrier's copy delivered: nothing is fetched, nothing awaited.
+        let mut out = Vec::new();
+        assert_eq!(r.on_timer(0, &mut out), Ok(()));
+        assert!(out.is_empty(), "no FetchRange on the primary path: {out:?}");
     }
 
     #[test]
@@ -1573,14 +1512,10 @@ mod tests {
             .collect();
         assert!(matches!(fetches[..], [v] if roles().1.contains(&v)), "one voucher is asked");
         assert!(out.contains(&armed), "the timer re-arms until the content lands");
-        // The voucher answers with raw content: delivered as Refetched.
+        assert_eq!(got(&mut r, 0, 1, 4), [None, None, None, None], "nothing before the fetch");
+        // The voucher answers with raw content: delivered now.
         feed(&mut r, fetches[0], content(&msgs));
-        for (i, m) in msgs.iter().enumerate() {
-            let position = Position(1 + i as u64);
-            let (carrier, dedup) = (fetches[0], DedupOutcome::Refetched);
-            let want = Delivery { payload: m.clone(), position, carrier, dedup };
-            assert_eq!(r.try_receive(0, position), ReceiveResult::Ready(want));
-        }
+        assert_eq!(got(&mut r, 0, 1, 4), all(&msgs));
         // The next timer expiry finds nothing stalled and stays quiet.
         let mut out = Vec::new();
         assert_eq!(r.on_timer(0, &mut out), Ok(()));
@@ -1688,10 +1623,9 @@ mod tests {
                 2,
                 "{mode} x{n}: both copies pay in full"
             );
-            let ReceiveResult::Ready(d) = r.try_receive(0, Position(1)) else {
-                panic!("delivered")
-            };
-            assert_eq!((d.dedup, d.position), (DedupOutcome::Replicated, Position(1)));
+            assert_eq!(got(&mut r, 0, 1, n), all(&msgs), "{mode} x{n}: delivered");
+            let fetches = out.iter().filter(|a| matches!(a, Action::ToSender { .. })).count();
+            assert_eq!(fetches, 0, "{mode} x{n}: from the copies, fetching nothing");
         }
     }
 
@@ -1853,7 +1787,7 @@ mod proptests {
                 let (p, tag) = (base + a, i as u64);
                 match op {
                     0 => {
-                        ring.entry(p).unwrap().ready = Some((tag, 0, DedupOutcome::Replicated));
+                        ring.entry(p).unwrap().ready = Some(tag);
                         model.entry(p).or_default().1 = Some(tag);
                     }
                     1 => {
@@ -1865,7 +1799,7 @@ mod proptests {
                         let p = p.saturating_sub(8);
                         let held = ring.get(p).map(|s| {
                             let copies: Vec<u64> = s.copies.iter().map(|c| c.2).collect();
-                            (copies, s.ready.map(|r| r.0))
+                            (copies, s.ready)
                         });
                         let untouched = (Vec::new(), None);
                         // The ring also holds an empty record for every
@@ -1874,7 +1808,7 @@ mod proptests {
                             held.as_ref().unwrap_or(&untouched),
                             model.get(&p).unwrap_or(&untouched)
                         );
-                        prop_assert_eq!(ring.ready(p).map(|r| r.0), model.get(&p).and_then(|m| m.1));
+                        prop_assert_eq!(ring.ready(p).copied(), model.get(&p).and_then(|m| m.1));
                     }
                     3 => {
                         let (lo, hi) = (p.min(base + b), p.max(base + b));

@@ -4,8 +4,9 @@
 //! introduced this file. Per emitted frame the transcript holds
 //! `(from, to, trace_kind, wire_size)`, per charge `(amount, label)` in
 //! position, plus every `Ready` / `WindowMoved` / `Unblocked` /
-//! `SetTimer` and every rejection — the modelled plane of the channel,
-//! none of the wire enum's variant names. A refactor may change how these
+//! `SetTimer`, every rejection and what each poll returned (the payload,
+//! not how it arrived) — the modelled plane of the channel, none of the
+//! wire enum's variant names. A refactor may change how these
 //! scripts are spelled, never a digest.
 
 mod common;
@@ -69,18 +70,18 @@ fn two_windows(mode: ChannelMode, len: u64) -> Net {
 #[test]
 fn every_mode_and_batch_length_over_two_windows() {
     for ((name, mode), len, expected) in [
-        (RC, 1, 0xa2e5_fdb7_1115_a1f5),
-        (RC, 2, 0xfbc2_e4ef_763d_42bb),
-        (RC, 32, 0x73f1_b24e_030f_bf4b),
-        (DEDUP, 1, 0xa2e5_fdb7_1115_a1f5),
-        (DEDUP, 2, 0xdd51_65aa_8f75_5a3f),
-        (DEDUP, 32, 0x9c9e_3c58_547d_13b3),
-        (SC, 1, 0x3270_726b_c1a0_1c59),
-        (SC, 2, 0x9c88_b3af_3ea6_9d97),
-        (SC, 32, 0x23e0_4229_5543_ace3),
-        (SC_BUNDLE, 1, 0x3270_726b_c1a0_1c59),
-        (SC_BUNDLE, 2, 0x74ab_1d3f_2133_70c9),
-        (SC_BUNDLE, 32, 0x82f7_4145_e9d7_3e81),
+        (RC, 1, 0xbcae_3316_cf38_9c76),
+        (RC, 2, 0x1e87_1fc9_151c_6958),
+        (RC, 32, 0xbc38_287c_0521_1bb8),
+        (DEDUP, 1, 0xbcae_3316_cf38_9c76),
+        (DEDUP, 2, 0xa1ae_b5df_86c0_ea30),
+        (DEDUP, 32, 0x6aba_f712_a4be_646c),
+        (SC, 1, 0x744e_c45a_1e01_68ce),
+        (SC, 2, 0xa307_62ba_056e_afa0),
+        (SC, 32, 0xab6f_37da_4b90_793c),
+        (SC_BUNDLE, 1, 0x744e_c45a_1e01_68ce),
+        (SC_BUNDLE, 2, 0x8280_de48_9134_0a06),
+        (SC_BUNDLE, 32, 0x868a_ae67_2252_fb66),
     ] {
         pin(&format!("{name} x{len}"), two_windows(mode, len), expected);
     }
@@ -97,7 +98,7 @@ fn mixed_runs(net: &mut Net) {
 #[test]
 fn sc_collector_switch_reships_one_slot_and_range_certificates() {
     for ((name, mode), expected) in
-        [(SC, 0x8f34_4585_c7e0_da2a), (SC_BUNDLE, 0x4149_85bd_f998_20fc)]
+        [(SC, 0x9f25_134d_2eed_a00b), (SC_BUNDLE, 0x8c1c_4cf7_b516_6251)]
     {
         let mut net = Net::new(priced(mode, 16), 0, false).record();
         // Receiver 0's default collector assembles certificates but never
@@ -130,7 +131,7 @@ fn diverged_cuts(net: &mut Net) {
 #[test]
 fn sc_diverged_cuts_fall_back_to_per_slot_shares() {
     for ((name, mode), expected) in
-        [(SC, 0xe4a1_e449_9576_fae4), (SC_BUNDLE, 0x68fc_f2b9_482d_d432)]
+        [(SC, 0xf6a8_d45b_88d7_db60), (SC_BUNDLE, 0x7a30_cdd2_42fe_5a16)]
     {
         let mut net = Net::new(priced(mode, 16), 0, false).record();
         diverged_cuts(&mut net);
@@ -145,7 +146,7 @@ fn sc_diverged_cuts_fall_back_to_per_slot_shares() {
 
 #[test]
 fn rc_blackout_recasts_and_stale_senders_are_reminded() {
-    for ((name, mode), expected) in [(RC, 0x0fb3_000b_e322_dcbd), (DEDUP, 0x686a_156a_e04f_2f70)] {
+    for ((name, mode), expected) in [(RC, 0xddaf_bb27_99d3_daf6), (DEDUP, 0xda99_5e29_38e7_ba91)] {
         let mut net = Net::new(priced(mode, 16), 0, false).record();
         // Everything cast during the blackout is lost.
         net.fault = Fault::Blackout;
@@ -193,7 +194,7 @@ fn dedup_silent_carrier_is_refetched_from_a_voucher() {
     net.fire_timers();
     poll(&mut net, 1, 4);
     net.fire_timers();
-    pin("silent carrier", net, 0x3774_d6a2_b15f_7751);
+    pin("silent carrier", net, 0xd04b_70af_c97e_6659);
 }
 
 #[test]
@@ -205,5 +206,5 @@ fn dedup_diverged_cuts_fetch_every_copy_and_credit_per_slot() {
     net.fire_timers();
     poll(&mut net, 1, 4);
     net.fire_timers();
-    pin("dedup diverged cuts", net, 0xe8df_1730_4b1b_00ad);
+    pin("dedup diverged cuts", net, 0x0805_08b6_8e52_67f8);
 }

@@ -67,6 +67,9 @@ pub(crate) enum OutAction<M> {
     },
 }
 
+/// A node's outbox rewrite ([`crate::Simulation::set_adversary`]).
+pub(crate) type Adversary<M> = dyn FnMut(NodeId, M) -> Option<M>;
+
 /// Handler-side view of the simulation.
 ///
 /// A `Context` is passed to every [`Actor`] callback. A message departs
@@ -88,6 +91,8 @@ pub struct Context<'a, M> {
     /// fires.
     pub(crate) armed: &'a mut BTreeMap<u64, u64>,
     pub(crate) obs: &'a mut Recorder,
+    /// This node's adversary, if one is installed.
+    pub(crate) adversary: Option<&'a mut Adversary<M>>,
 }
 
 impl<'a, M> Context<'a, M> {
@@ -108,10 +113,20 @@ impl<'a, M> Context<'a, M> {
     /// request id the message carries ([`WireSize::trace_reqs`]), labeled
     /// with its [`WireSize::trace_kind`]. Messages carrying no request
     /// payload record nothing.
+    ///
+    /// On a node with an adversary, the edge and the network see what it
+    /// made of `msg`, and a message it dropped leaves no trace.
     pub fn send(&mut self, to: NodeId, msg: M)
     where
         M: WireSize,
     {
+        let msg = match &mut self.adversary {
+            None => msg,
+            Some(adversary) => match adversary(to, msg) {
+                Some(msg) => msg,
+                None => return,
+            },
+        };
         if self.obs.is_enabled() {
             let (at, node, kind) = (self.vnow(), self.node, msg.trace_kind());
             let obs = &mut *self.obs;
@@ -283,6 +298,7 @@ mod tests {
             next_arm_id,
             armed,
             obs,
+            adversary: None,
         });
         out
     }

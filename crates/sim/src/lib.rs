@@ -27,6 +27,9 @@
 //!   Every network fault is a window of directed link rules (cut, or
 //!   drop with a probability plus a fixed delay) that the window's close
 //!   removes again, so overlapping windows compose.
+//! * **Byzantine nodes**: [`Simulation::set_adversary`] puts a rewrite on
+//!   one node's outbox, so the protocols under test carry no fault
+//!   behaviour of their own.
 //!
 //! # Examples
 //!

@@ -6,7 +6,7 @@ use spider_obs::{ObsConfig, Recorder};
 use spider_types::{NodeId, SimTime, WireSize, ZoneId};
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::actor::{Actor, ActorObj, Context, OutAction, Timer};
+use crate::actor::{Actor, ActorObj, Adversary, Context, OutAction, Timer};
 use crate::event::{EventKind, EventQueue};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::metrics::{LinkClass, SimStats};
@@ -22,6 +22,9 @@ struct NodeSlot<M> {
     /// Pending tag-keyed timers ([`Context::arm`]) by tag, each with its
     /// arm id; a tag is freed as its timer fires.
     armed: BTreeMap<u64, u64>,
+    /// What rewrites or drops the node's outgoing messages, if anything
+    /// ([`Simulation::set_adversary`]).
+    adversary: Option<Box<Adversary<M>>>,
 }
 
 /// A deterministic discrete-event simulation over message type `M`.
@@ -99,6 +102,7 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
             busy_until: self.now,
             egress_free_at: self.now,
             armed: BTreeMap::new(),
+            adversary: None,
         });
         self.run_handler(id, |actor, ctx| actor.on_start(ctx));
         id
@@ -160,6 +164,18 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
             let (_, event) = self.fault_timeline.pop_front().expect("front checked");
             self.net_control.apply(event, &self.topology);
         }
+    }
+
+    /// Makes `node` Byzantine: from now on every message it sends passes
+    /// through `adversary` with its destination, in [`Context::send`], and
+    /// departs as what that returns (rewritten, per destination if it
+    /// likes), or not at all on `None`. A second call replaces the first.
+    pub fn set_adversary(
+        &mut self,
+        node: NodeId,
+        adversary: impl FnMut(NodeId, M) -> Option<M> + 'static,
+    ) {
+        self.nodes[node.0 as usize].adversary = Some(Box::new(adversary));
     }
 
     /// Injects a message `from -> to` that arrives with normal network
@@ -331,6 +347,7 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
                 next_arm_id: &mut self.next_arm_id,
                 armed: &mut slot.armed,
                 obs: &mut self.obs,
+                adversary: slot.adversary.as_deref_mut(),
             };
             f(slot.actor.as_mut(), &mut ctx);
         }
@@ -376,10 +393,12 @@ mod tests {
         }
     }
 
+    type Arrivals = Vec<(SimTime, u64)>;
+
     /// Records arrival times of everything it receives.
     #[derive(Default)]
     struct Recorder {
-        arrivals: Vec<(SimTime, u64)>,
+        arrivals: Arrivals,
     }
     impl Actor<Msg> for Recorder {
         fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _from: NodeId, msg: Msg) {
@@ -561,6 +580,55 @@ mod tests {
         fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: NodeId, msg: Msg) {
             ctx.send(from, msg);
         }
+    }
+
+    /// Sends `Msg(1..=3)` to each peer when poked.
+    struct Fanout(Vec<NodeId>);
+    impl Actor<Msg> for Fanout {
+        fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _: NodeId, _: Msg) {
+            for k in 1..=3 {
+                for &to in &self.0 {
+                    ctx.send(to, Msg(k, 16));
+                }
+            }
+        }
+    }
+
+    /// A fan-out from `a0` to `a1` and `b0`, with `adversary` installed on
+    /// `a0`: what each peer received, and `a0`'s sent bytes.
+    fn fan_out(adversary: Option<fn(NodeId, Msg) -> Option<Msg>>) -> (Arrivals, Arrivals, u64) {
+        let mut sim = Simulation::new(two_region_topo(), 1);
+        let (za, zb) = (sim.topology().zone("a", 0), sim.topology().zone("b", 0));
+        let a1 = sim.add_node(za, Recorder::default());
+        let b0 = sim.add_node(zb, Recorder::default());
+        let a0 = sim.add_node(za, Fanout(vec![a1, b0]));
+        if let Some(adversary) = adversary {
+            sim.set_adversary(a0, adversary);
+        }
+        sim.post(SimTime::ZERO, a1, a0, Msg(0, 8));
+        sim.run_until_quiescent(SimTime::from_secs(1));
+        let sent = sim.stats().net(a0);
+        let got = |n| sim.actor::<Recorder>(n).arrivals.clone();
+        (got(a1), got(b0), sent.lan_sent + sent.wan_sent)
+    }
+
+    #[test]
+    fn an_adversary_drops_and_rewrites_per_destination_and_none_is_transparent() {
+        let honest = fan_out(None);
+        assert_eq!(honest.0.iter().map(|a| a.1).collect::<Vec<_>>(), [1, 2, 3]);
+        assert_eq!(fan_out(Some(|_, m| Some(m))), honest, "a pass-through changes nothing");
+        // Drops message 2 towards node 0 (`a1`), tells node 1 (`b0`) other
+        // numbers than node 0 and grows one of them on the wire.
+        let (a1, b0, sent) = fan_out(Some(|to, Msg(k, size)| match (to.0, k) {
+            (0, 2) => None,
+            (0, _) => Some(Msg(k, size)),
+            (_, 3) => Some(Msg(30, 1000)),
+            _ => Some(Msg(k + 10, size)),
+        }));
+        assert_eq!(a1.iter().map(|a| a.1).collect::<Vec<_>>(), [1, 3]);
+        assert_eq!(b0.iter().map(|a| a.1).collect::<Vec<_>>(), [11, 12, 30]);
+        assert_eq!(sent, honest.2 - 16 + (1000 - 16), "the network carries what it returned");
+        assert_eq!(a1[0], honest.0[0], "untouched messages keep their timing");
     }
 
     #[test]

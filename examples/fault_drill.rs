@@ -17,7 +17,7 @@
 
 use spider::agreement::AgreementReplica;
 use spider::execution::ExecutionReplica;
-use spider::{ClientFault, DeploymentBuilder, SpiderConfig, WorkloadSpec};
+use spider::{byzantine, DeploymentBuilder, SpiderConfig, WorkloadSpec};
 use spider_app::{kv_op_factory, KvStore};
 use spider_examples::fmt_latencies;
 use spider_harness::ec2_topology;
@@ -47,13 +47,9 @@ fn main() {
         .with_op_factory(kv_op_factory(100));
     dep.spawn_clients(&mut sim, 0, 2, workload.clone());
     dep.spawn_clients(&mut sim, 1, 2, workload.clone());
-    let byzantine = dep.spawn_clients_with_fault(
-        &mut sim,
-        0,
-        1,
-        WorkloadSpec::writes_per_sec(5.0, 200).with_max_ops(20),
-        ClientFault::ConflictingRequests,
-    );
+    let liar_workload = WorkloadSpec::writes_per_sec(5.0, 200).with_max_ops(20);
+    let liar = dep.spawn_clients(&mut sim, 0, 1, liar_workload)[0];
+    dep.make_byzantine(&mut sim, liar, byzantine::conflicting_requests());
 
     let leader = dep.agreement[0];
     let victim = dep.group_nodes(1)[1];
@@ -77,11 +73,12 @@ fn main() {
     let view = sim.actor::<AgreementReplica>(dep.agreement[1]).view();
     println!("  consensus view: {view} (>= v1 means the leader was replaced)");
     for (id, group, samples) in dep.collect_samples(&sim) {
-        if byzantine.contains(&dep.directory.client_node(id).unwrap()) {
+        if dep.directory.client_node(id) == Some(liar) {
             println!(
-                "  byzantine client {id}: {} completed (expected 0 — isolated by the request channel)",
+                "  byzantine client {id}: {} completed (isolated by the request channel)",
                 samples.len()
             );
+            assert!(samples.is_empty(), "an equivocating client completes nothing (§3.7)");
             continue;
         }
         let region = &dep.groups[group.0 as usize].1;
