@@ -25,8 +25,9 @@ pub fn fnv64(s: &str) -> u64 {
 }
 
 /// Renders the full report into a canonical text form for digesting:
-/// every span event, counter, histogram summary, and CPU attribution
-/// entry, one per line, in deterministic order.
+/// every span event, CPU attribution entry, causal edge, exemplar, health
+/// event and gauge, one per line, in deterministic order, then the drop
+/// counts.
 pub fn digest_render(report: &ObsReport) -> String {
     let mut out = String::new();
     for e in &report.spans {
@@ -38,20 +39,6 @@ pub fn digest_render(report: &ObsReport) -> String {
             e.req,
             e.phase,
             e.kind.tag()
-        );
-    }
-    for (&(node, name), &v) in &report.counters {
-        let _ = writeln!(out, "counter n{node} {name} {v}");
-    }
-    for (&(node, name), h) in &report.hists {
-        let _ = writeln!(
-            out,
-            "hist n{node} {name} count={} p50={} p99={} p999={} max={}",
-            h.count(),
-            h.quantile(0.50),
-            h.quantile(0.99),
-            h.quantile(0.999),
-            h.max()
         );
     }
     for (&(node, component, op), &t) in &report.cpu {
@@ -85,7 +72,11 @@ pub fn digest_render(report: &ObsReport) -> String {
     for (&(node, component, key), &(cur, hw)) in &report.gauges {
         let _ = writeln!(out, "gauge n{node} {component}#{key} cur={cur} hw={hw}");
     }
-    let _ = writeln!(out, "dropped spans={} edges={}", report.spans_dropped, report.edges_dropped);
+    let _ = writeln!(
+        out,
+        "dropped spans={} edges={} captures={}",
+        report.spans_dropped, report.edges_dropped, report.captures_dropped
+    );
     out
 }
 
@@ -365,8 +356,6 @@ mod tests {
         r.cpu_add(NodeId(10), "sender", "range_sign", SimTime::from_millis(7));
         r.cpu_add(NodeId(10), "sender", "vouch_mac", SimTime::from_millis(2));
         r.cpu_add(NodeId(12), "receiver", "range_verify", SimTime::from_millis(1));
-        r.counter_add(NodeId(10), "batches", 3);
-        r.hist_record(NodeId(10), "batch_size", 8);
         r.report()
     }
 
@@ -415,7 +404,7 @@ mod tests {
         let b = fnv64(&digest_render(&rep));
         assert_eq!(a, b);
         let mut rep2 = sample_report();
-        rep2.counters.insert((99, "extra"), 1);
+        rep2.cpu.insert((99, "extra", "op"), SimTime::from_nanos(1));
         assert_ne!(a, fnv64(&digest_render(&rep2)));
     }
 
@@ -446,10 +435,12 @@ mod tests {
         let text = digest_render(&rep);
         assert!(text.contains("edge 2000000 n0->n10 r1 request"));
         assert!(text.contains("exemplar r1 start=1000000 lat=8000000 spans=2 edges=1"));
-        assert!(text.contains("dropped spans=0 edges=0"));
+        assert!(text.contains("dropped spans=0 edges=0 captures=0"));
         let mut rep2 = rep.clone();
         rep2.edges_dropped = 3;
         assert_ne!(fnv64(&digest_render(&rep)), fnv64(&digest_render(&rep2)));
+        rep2.captures_dropped = 1;
+        assert!(digest_render(&rep2).contains("dropped spans=0 edges=3 captures=1"));
     }
 
     #[test]

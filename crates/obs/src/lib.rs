@@ -137,7 +137,8 @@ struct OpenReq {
 }
 
 /// Requests tracked in flight at once; beyond this new requests are not
-/// captured for the reservoir (counted, never silent).
+/// captured for the reservoir (counted in [`ObsReport::captures_dropped`],
+/// never silent).
 const OPEN_CAP: usize = 1 << 14;
 
 /// The per-simulation observability state: span rings, causal edge
@@ -416,11 +417,10 @@ impl Recorder {
         ObsReport {
             spans,
             edges,
-            counters: self.counters.clone(),
-            hists: self.hists.clone(),
             cpu: self.cpu.clone(),
             spans_dropped,
             edges_dropped,
+            captures_dropped: self.open_overflow,
             exemplars,
             health,
             health_windows,
@@ -436,16 +436,15 @@ pub struct ObsReport {
     pub spans: Vec<SpanEvent>,
     /// All retained causal edges in global `(time, src)` order.
     pub edges: Vec<EdgeEvent>,
-    /// Counters keyed by `(node, name)`.
-    pub counters: BTreeMap<(u32, &'static str), u64>,
-    /// Histograms keyed by `(node, name)`.
-    pub hists: BTreeMap<(u32, &'static str), Histogram>,
     /// Attributed busy time keyed by `(node, component, op)`.
     pub cpu: BTreeMap<(u32, &'static str, &'static str), SimTime>,
     /// Span events lost to ring truncation (0 = the spans are complete).
     pub spans_dropped: u64,
     /// Edge events lost to ring truncation.
     pub edges_dropped: u64,
+    /// Requests the exemplar reservoir did not capture because 16 384
+    /// others were already in flight (0 = every request was a candidate).
+    pub captures_dropped: u64,
     /// Exemplar requests with full span/edge detail: the slowest K plus
     /// a deterministic uniform sample, deduped, sorted by request id.
     pub exemplars: Vec<Exemplar>,
@@ -465,18 +464,13 @@ impl ObsReport {
         self.spans.sort_by_key(|e| (e.at, e.node.0, e.req, e.phase));
         self.edges.extend(other.edges.iter().copied());
         self.edges.sort_by_key(|e| (e.at, e.src.0, e.dst.0, e.req, e.kind));
-        for (k, v) in &other.counters {
-            *self.counters.entry(*k).or_insert(0) += v;
-        }
-        for (k, h) in &other.hists {
-            self.hists.entry(*k).or_default().merge(h);
-        }
         for (k, v) in &other.cpu {
             let slot = self.cpu.entry(*k).or_insert(SimTime::ZERO);
             *slot += *v;
         }
         self.spans_dropped += other.spans_dropped;
         self.edges_dropped += other.edges_dropped;
+        self.captures_dropped += other.captures_dropped;
         self.exemplars.extend(other.exemplars.iter().cloned());
         self.exemplars.sort_by_key(|x| x.req);
         self.exemplars.dedup_by_key(|x| x.req);
@@ -519,8 +513,7 @@ mod tests {
         r.cpu_add(NodeId(0), "c", "o", SimTime::from_micros(3));
         r.health_mark(SimTime::from_millis(1), NodeId(0), "commit", 0);
         let rep = r.report();
-        assert!(rep.spans.is_empty() && rep.counters.is_empty());
-        assert!(rep.hists.is_empty() && rep.cpu.is_empty());
+        assert!(rep.spans.is_empty() && rep.cpu.is_empty());
         assert!(rep.edges.is_empty() && rep.exemplars.is_empty() && rep.health.is_empty());
     }
 
@@ -631,6 +624,15 @@ mod tests {
         assert_eq!(rep.health.len(), 1);
         assert!(matches!(rep.health[0], HealthEvent::IrmcWindowStall { .. }));
         assert_eq!(rep.gauges[&(4, "commit", 2)], (8, 8));
+    }
+
+    #[test]
+    fn requests_beyond_the_open_cap_are_counted() {
+        let mut r = Recorder::enabled(ObsConfig::default());
+        for i in 0..=OPEN_CAP as u64 {
+            r.span_enter(SimTime::from_millis(i), NodeId(0), req_id(0, i + 1), PHASE_REQUEST);
+        }
+        assert_eq!(r.report().captures_dropped, 1, "a request turned away is counted");
     }
 
     #[test]
