@@ -329,11 +329,9 @@ impl AgreementReplica {
             return;
         };
         ctx.span(0, PHASE_BATCH, |ctx| {
-            ctx.metric_hist("commit_run_len", run.len() as u64);
             for (s, req, item) in &run {
                 self.sn = *s;
                 self.ordered += 1;
-                ctx.metric_inc("ordered", 1);
                 let c = req.request.client;
                 let tc = req.request.tc;
                 self.t.insert(c, tc);

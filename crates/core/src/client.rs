@@ -308,7 +308,6 @@ impl SpiderClient {
             if inf.kind != OpKind::WeakRead {
                 ctx.close_request(req_id(self.id.0, inf.tc));
             }
-            ctx.metric_hist("client_latency_ns", sample.latency().as_nanos());
             self.samples.push(sample);
             self.in_flight = None;
             ctx.disarm(TAG_RETRY);

@@ -222,7 +222,6 @@ impl<A: Application> ExecutionReplica<A> {
                         self.app.execute(&ordered.request.operation.op)
                     });
                     self.executed += 1;
-                    ctx.metric_inc("executed", 1);
                     self.replies.insert(c, CachedReply::Result { tc, result: result.clone() });
                     if ordered.origin == self.group {
                         ctx.charge(self.cfg.cost.hmac(result.len()));

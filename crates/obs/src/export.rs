@@ -1,6 +1,6 @@
-//! Exporters: Perfetto `trace_event` JSON, JSONL span dumps, folded
-//! stacks for flamegraphs, per-phase latency breakdowns, and the FNV
-//! digest used by determinism double-run tests.
+//! Exporters: Perfetto `trace_event` JSON, folded stacks for
+//! flamegraphs, per-phase latency breakdowns, the health-event JSONL, and
+//! the FNV digest used by determinism double-run tests.
 //!
 //! All output is rendered with deterministic iteration (the report's
 //! collections are ordered) and fixed-precision formatting, so the same
@@ -177,23 +177,6 @@ pub fn perfetto_json(report: &ObsReport) -> String {
         }
     }
     out.push_str("\n]}\n");
-    out
-}
-
-/// Renders the spans as JSONL: one JSON object per line, oldest first.
-pub fn spans_jsonl(report: &ObsReport) -> String {
-    let mut out = String::new();
-    for e in &report.spans {
-        let _ = writeln!(
-            out,
-            "{{\"at_ns\":{},\"node\":{},\"req\":{},\"phase\":\"{}\",\"kind\":\"{}\"}}",
-            e.at.as_nanos(),
-            e.node.0,
-            e.req,
-            e.phase,
-            e.kind.tag()
-        );
-    }
     out
 }
 
@@ -406,14 +389,6 @@ mod tests {
         let mut rep2 = sample_report();
         rep2.cpu.insert((99, "extra", "op"), SimTime::from_nanos(1));
         assert_ne!(a, fnv64(&digest_render(&rep2)));
-    }
-
-    #[test]
-    fn jsonl_has_one_line_per_event() {
-        let rep = sample_report();
-        let jsonl = spans_jsonl(&rep);
-        assert_eq!(jsonl.lines().count(), rep.spans.len());
-        assert!(jsonl.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
     }
 
     #[test]

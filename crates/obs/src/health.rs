@@ -7,7 +7,7 @@
 //!
 //! The monitor is a pure observer fed from [`crate::Recorder`] hooks:
 //!
-//! * **Progress marks** ([`HealthMonitor::mark`]): an IRMC channel
+//! * **Progress marks** ([`crate::Recorder::health_mark`]): an IRMC channel
 //!   window moved, or a receiver delivered a slot. Stall state is kept
 //!   per *logical* channel `(component, key)`, joining sender-side
 //!   outstanding gauges with receiver-side delivery marks: ack windows
@@ -20,17 +20,13 @@
 //!   for [`STALL_AFTER`] the link raises
 //!   [`HealthEvent::IrmcWindowStall`], and the next mark (or a drain
 //!   to zero) raises [`HealthEvent::IrmcWindowRecover`].
-//! * **Backpressure gauges** ([`HealthMonitor::pending`]): outstanding
-//!   (unacked) work per endpoint; the current and high-water values are
-//!   exported per `(node, component, key)`.
-//! * **View changes** ([`HealthMonitor::view`]): each new view raises
-//!   [`HealthEvent::ViewChange`]; several within
-//!   [`VIEW_STORM_WINDOW`] raise
-//!   [`HealthEvent::ViewChangeStorm`].
-//! * **Rolling latency windows** ([`HealthMonitor::latency`]):
-//!   request latencies bucketed into fixed windows of
-//!   [`WINDOW`], each a full [`Histogram`], so tail
-//!   behaviour over time survives into the report.
+//! * **Backpressure gauges** ([`crate::Recorder::health_pending`]):
+//!   outstanding (unacked) work per endpoint; the current and high-water
+//!   values are exported per `(node, component, key)`
+//!   ([`crate::ObsReport::gauges`]).
+//! * **View changes** ([`crate::Recorder::health_view`]): each new view
+//!   raises [`HealthEvent::ViewChange`]; several within
+//!   [`VIEW_STORM_WINDOW`] raise [`HealthEvent::ViewChangeStorm`].
 //!
 //! Stall detection is *lazy*: there are no timers of its own (that
 //! would perturb the simulation). Every feed call first scans tracked
@@ -39,15 +35,12 @@
 //! plus [`STALL_AFTER`]) — not the (later) time the scan happened to
 //! run, so event times are a deterministic function of the run.
 
-use crate::metrics::Histogram;
 use spider_types::{NodeId, SimTime};
 use std::collections::BTreeMap;
 
 /// A channel with outstanding work and no window movement for this long
 /// is declared stalled.
 pub const STALL_AFTER: SimTime = SimTime::from_secs(1);
-/// Width of one rolling latency window.
-pub const WINDOW: SimTime = SimTime::from_secs(1);
 /// Window over which view changes count towards a storm.
 pub const VIEW_STORM_WINDOW: SimTime = SimTime::from_secs(10);
 /// View changes within [`VIEW_STORM_WINDOW`] that raise a
@@ -160,12 +153,11 @@ struct ViewState {
 
 /// The streaming watchdog state. Owned by an enabled [`crate::Recorder`].
 #[derive(Debug, Default)]
-pub struct HealthMonitor {
+pub(crate) struct HealthMonitor {
     chans: BTreeMap<(&'static str, u32, u32), ChanState>,
     links: BTreeMap<(&'static str, u32), LinkState>,
     views: BTreeMap<u32, ViewState>,
     events: Vec<HealthEvent>,
-    windows: BTreeMap<u64, Histogram>,
 }
 
 impl HealthMonitor {
@@ -276,25 +268,11 @@ impl HealthMonitor {
         }
     }
 
-    /// Feeds one completed-request latency into the rolling windows.
-    pub fn latency(&mut self, at: SimTime, latency: SimTime) {
-        self.scan(at);
-        let w = WINDOW.as_nanos();
-        let idx = at.as_nanos() / w;
-        self.windows.entry(idx).or_default().record(latency.as_nanos());
-    }
-
     /// Events emitted so far, sorted by event time (stable within a tie).
     pub fn events(&self) -> Vec<HealthEvent> {
         let mut out = self.events.clone();
         out.sort_by_key(|e| e.at());
         out
-    }
-
-    /// Rolling latency windows as `(window_start, histogram)` pairs.
-    pub fn windows(&self) -> Vec<(SimTime, Histogram)> {
-        let w = WINDOW.as_nanos();
-        self.windows.iter().map(|(&idx, h)| (SimTime::from_nanos(idx * w), h.clone())).collect()
     }
 
     /// Backpressure gauges as `((node, component, key), (current, high_water))`.
@@ -336,7 +314,7 @@ mod tests {
         let mut m = HealthMonitor::new();
         m.pending(ms(1000), NodeId(1), "commit", 2, 4);
         // No progress; unrelated activity at 3.7s triggers the lazy scan.
-        m.latency(ms(3700), ms(5));
+        m.scan(ms(3700));
         let evs = m.events();
         assert_eq!(evs.len(), 1);
         match evs[0] {
@@ -347,7 +325,7 @@ mod tests {
             ref other => panic!("expected stall, got {other:?}"),
         }
         // A later mark recovers; no duplicate stall in between.
-        m.latency(ms(4000), ms(5));
+        m.scan(ms(4000));
         m.mark(ms(4500), NodeId(1), "commit", 2);
         let evs = m.events();
         assert_eq!(evs.len(), 2);
@@ -397,7 +375,7 @@ mod tests {
         // signal: the stall names the endpoint holding the backlog,
         // not the receiver.
         m.pending(ms(60_100), NodeId(1), "commit", 0, backlog + 1);
-        m.latency(ms(62_000), ms(5));
+        m.scan(ms(62_000));
         let evs = m.events();
         assert_eq!(evs.len(), 1);
         assert!(matches!(
@@ -419,20 +397,6 @@ mod tests {
         let evs = m.events();
         assert_eq!(evs.len(), 4, "third change within 10s raises a storm");
         assert!(matches!(evs[3], HealthEvent::ViewChangeStorm { count: 3, .. }));
-    }
-
-    #[test]
-    fn latency_windows_bucket_by_time() {
-        let mut m = HealthMonitor::new();
-        m.latency(ms(100), ms(5));
-        m.latency(ms(900), ms(7));
-        m.latency(ms(1500), ms(50));
-        let w = m.windows();
-        assert_eq!(w.len(), 2);
-        assert_eq!(w[0].0, SimTime::ZERO);
-        assert_eq!(w[0].1.count(), 2);
-        assert_eq!(w[1].1.count(), 1);
-        assert!(w[1].1.quantile(0.5) >= ms(50).as_nanos());
     }
 
     #[test]

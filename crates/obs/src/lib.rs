@@ -2,7 +2,7 @@
 //!
 //! Every bottleneck found so far (per-slot RSA, the RC receiver hash
 //! wall, the current sender-CPU saturation) was located by ad-hoc printf
-//! archaeology. This crate replaces that with recording substrates and
+//! archaeology. This crate replaces that with five recording substrates and
 //! an analysis layer, all against simulated time so they are
 //! *reproducible artifacts* — the same seed yields the byte-identical
 //! trace:
@@ -18,28 +18,26 @@
 //!    handler's charge/departure point. Spans are per-node islands;
 //!    edges are what links a client's submit to the consensus batch,
 //!    the IRMC range that carried it, and the replica that replied.
-//! 3. **Per-node metrics registry** ([`Recorder::counter_add`],
-//!    [`Recorder::hist_record`]): counters and log-bucketed histograms
-//!    ([`Histogram`]) good to p99.9 with bounded relative error
-//!    (≤ 1/32), snapshotted deterministically at sim end.
-//! 4. **CPU attribution** ([`Recorder::cpu_add`]): busy time per
+//! 3. **CPU attribution** ([`Recorder::cpu_add`]): busy time per
 //!    `(node, component, operation)`, accumulated at every `CostModel`
 //!    charge site, exported as folded stacks for flamegraphs.
-//! 5. **Exemplar reservoir** ([`Exemplar`]): full span/edge detail for
+//! 4. **Exemplar reservoir** ([`Exemplar`]): full span/edge detail for
 //!    the slowest K requests plus a deterministic uniform sample,
 //!    retained outside the rings so fig7-scale traced runs stay
 //!    bounded *and* the requests worth dissecting keep every event.
-//! 6. **Streaming health watchdog** ([`health::HealthMonitor`]): IRMC
-//!    window-stall and view-change detectors, per-channel backpressure
-//!    gauges, and rolling latency windows, fed at runtime and emitting
-//!    typed [`health::HealthEvent`]s on the sim timeline.
+//!    Requests it had no room to capture are counted
+//!    ([`ObsReport::captures_dropped`]).
+//! 5. **Streaming health watchdog** ([`health`]): IRMC window-stall and
+//!    view-change detectors and per-channel backpressure gauges, fed at
+//!    runtime and emitting typed [`HealthEvent`]s on the sim timeline.
 //!
 //! The analysis layer ([`causal`]) assembles the spans and edges into
 //! per-request causal chains and differential critical-path profiles
 //! (p99.9 cohort vs. p50 cohort). Exporters ([`export`]) turn an
-//! [`ObsReport`] into Chrome/Perfetto `trace_event` JSON, a JSONL span
-//! dump, folded stacks (CPU and critical-path), per-phase latency
-//! breakdowns, and a health-event JSONL. [`export::fnv64`] digests any
+//! [`ObsReport`] into Chrome/Perfetto `trace_event` JSON, folded stacks
+//! (CPU and critical-path), per-phase latency breakdowns (each a
+//! log-bucketed [`Histogram`], ≤ 1/32 relative error up to p99.9), and a
+//! health-event JSONL. [`export::fnv64`] digests any
 //! of those for determinism double-run tests.
 
 #![forbid(unsafe_code)]
@@ -53,9 +51,10 @@ pub mod health;
 mod metrics;
 mod trace;
 
-pub use health::{HealthEvent, HealthMonitor};
+pub use health::HealthEvent;
+use health::HealthMonitor;
 pub use metrics::Histogram;
-pub use trace::{EdgeEvent, Ring, SpanEvent, SpanKind};
+pub use trace::{EdgeEvent, SpanEvent, SpanKind};
 
 use spider_types::{NodeId, SimTime};
 use std::collections::BTreeMap;
@@ -142,8 +141,8 @@ struct OpenReq {
 const OPEN_CAP: usize = 1 << 14;
 
 /// The per-simulation observability state: span rings, causal edge
-/// rings, metrics registry, CPU attribution, the exemplar reservoir,
-/// and the streaming health watchdog. A disabled recorder (the default)
+/// rings, CPU attribution, the exemplar reservoir, and the streaming
+/// health watchdog. A disabled recorder (the default)
 /// reduces every record call to one branch.
 #[derive(Debug, Default)]
 pub struct Recorder {
@@ -151,8 +150,6 @@ pub struct Recorder {
     cfg: ObsConfig,
     rings: Vec<trace::Ring<SpanEvent>>,
     edge_rings: Vec<trace::Ring<EdgeEvent>>,
-    counters: BTreeMap<(u32, &'static str), u64>,
-    hists: BTreeMap<(u32, &'static str), Histogram>,
     cpu: BTreeMap<(u32, &'static str, &'static str), SimTime>,
     /// In-flight request capture for the exemplar reservoir.
     open: BTreeMap<u64, OpenReq>,
@@ -237,7 +234,7 @@ impl Recorder {
         }
     }
 
-    /// Reservoir + health bookkeeping for a request-scoped span event.
+    /// Reservoir bookkeeping for a request-scoped span event.
     fn observe_span(&mut self, ev: SpanEvent) {
         if ev.req == 0 {
             return;
@@ -260,9 +257,6 @@ impl Recorder {
         if finished {
             let open = self.open.remove(&ev.req).expect("checked above");
             let latency = ev.at.saturating_sub(open.started);
-            if let Some(h) = &mut self.health {
-                h.latency(ev.at, latency);
-            }
             let ex = Exemplar {
                 req: ev.req,
                 started: open.started,
@@ -326,22 +320,6 @@ impl Recorder {
         if let Some(h) = &mut self.health {
             h.scan(at);
         }
-    }
-
-    /// Adds `delta` to counter `name` of `node`.
-    pub fn counter_add(&mut self, node: NodeId, name: &'static str, delta: u64) {
-        if !self.enabled {
-            return;
-        }
-        *self.counters.entry((node.0, name)).or_insert(0) += delta;
-    }
-
-    /// Records `value` into histogram `name` of `node`.
-    pub fn hist_record(&mut self, node: NodeId, name: &'static str, value: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.hists.entry((node.0, name)).or_default().record(value);
     }
 
     /// Attributes `cost` of busy time to `(node, component, op)`.
@@ -410,9 +388,9 @@ impl Recorder {
         exemplars.extend(self.sample.iter().cloned());
         exemplars.sort_by_key(|x| x.req);
         exemplars.dedup_by_key(|x| x.req);
-        let (health, health_windows, gauges) = match &self.health {
-            Some(h) => (h.events(), h.windows(), h.gauges()),
-            None => (Vec::new(), Vec::new(), BTreeMap::new()),
+        let (health, gauges) = match &self.health {
+            Some(h) => (h.events(), h.gauges()),
+            None => (Vec::new(), BTreeMap::new()),
         };
         ObsReport {
             spans,
@@ -423,7 +401,6 @@ impl Recorder {
             captures_dropped: self.open_overflow,
             exemplars,
             health,
-            health_windows,
             gauges,
         }
     }
@@ -450,44 +427,12 @@ pub struct ObsReport {
     pub exemplars: Vec<Exemplar>,
     /// Watchdog events in time order.
     pub health: Vec<HealthEvent>,
-    /// Rolling request-latency windows as `(window_start, histogram)`.
-    pub health_windows: Vec<(SimTime, Histogram)>,
     /// Backpressure gauges keyed by `(node, component, key)` as
     /// `(current, high_water)` outstanding work.
     pub gauges: BTreeMap<(u32, &'static str, u32), (u64, u64)>,
 }
 
 impl ObsReport {
-    /// Merges another report into this one (multi-sim experiments).
-    pub fn merge(&mut self, other: &ObsReport) {
-        self.spans.extend(other.spans.iter().copied());
-        self.spans.sort_by_key(|e| (e.at, e.node.0, e.req, e.phase));
-        self.edges.extend(other.edges.iter().copied());
-        self.edges.sort_by_key(|e| (e.at, e.src.0, e.dst.0, e.req, e.kind));
-        for (k, v) in &other.cpu {
-            let slot = self.cpu.entry(*k).or_insert(SimTime::ZERO);
-            *slot += *v;
-        }
-        self.spans_dropped += other.spans_dropped;
-        self.edges_dropped += other.edges_dropped;
-        self.captures_dropped += other.captures_dropped;
-        self.exemplars.extend(other.exemplars.iter().cloned());
-        self.exemplars.sort_by_key(|x| x.req);
-        self.exemplars.dedup_by_key(|x| x.req);
-        self.health.extend(other.health.iter().copied());
-        self.health.sort_by_key(|e| e.at());
-        let mut windows: BTreeMap<SimTime, Histogram> = self.health_windows.drain(..).collect();
-        for (start, h) in &other.health_windows {
-            windows.entry(*start).or_default().merge(h);
-        }
-        self.health_windows = windows.into_iter().collect();
-        for (k, &(cur, hw)) in &other.gauges {
-            let slot = self.gauges.entry(*k).or_insert((0, 0));
-            slot.0 = slot.0.max(cur);
-            slot.1 = slot.1.max(hw);
-        }
-    }
-
     /// Total attributed busy time per `(component, op)` across all nodes.
     pub fn cpu_by_op(&self) -> BTreeMap<(&'static str, &'static str), SimTime> {
         let mut out: BTreeMap<(&'static str, &'static str), SimTime> = BTreeMap::new();
@@ -508,8 +453,6 @@ mod tests {
         let mut r = Recorder::disabled();
         r.span_enter(SimTime::from_millis(1), NodeId(0), 1, PHASE_REQUEST);
         r.edge(SimTime::from_millis(1), NodeId(0), NodeId(1), "request", 1);
-        r.counter_add(NodeId(0), "x", 1);
-        r.hist_record(NodeId(0), "h", 5);
         r.cpu_add(NodeId(0), "c", "o", SimTime::from_micros(3));
         r.health_mark(SimTime::from_millis(1), NodeId(0), "commit", 0);
         let rep = r.report();

@@ -1,4 +1,4 @@
-//! Log-bucketed histograms for the per-node metrics registry.
+//! Log-bucketed histograms for the per-phase latency breakdown.
 //!
 //! The bucketing follows the HdrHistogram idea specialized to a fixed
 //! precision: values below [`SUB`] get exact unit buckets; above that,
@@ -102,19 +102,6 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (i, &c) in other.counts.iter().enumerate() {
-            self.counts[i] += c;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -188,27 +175,6 @@ mod tests {
         }
         // Reported quantile is clamped to the exact max.
         assert_eq!(h.quantile(1.0), 77);
-    }
-
-    #[test]
-    fn merge_matches_combined_recording() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut both = Histogram::new();
-        for v in [3u64, 99, 1_000_000, 17, 40] {
-            a.record(v);
-            both.record(v);
-        }
-        for v in [8u64, 2_000_000, 5] {
-            b.record(v);
-            both.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), both.count());
-        assert_eq!(a.max(), both.max());
-        assert_eq!(a.quantile(0.5), both.quantile(0.5));
-        assert_eq!(a.quantile(0.999), both.quantile(0.999));
-        assert!((a.mean() - both.mean()).abs() < 1e-9);
     }
 
     #[test]

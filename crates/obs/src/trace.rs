@@ -69,7 +69,7 @@ pub struct EdgeEvent {
 /// number of overwritten (lost) events is counted so reports can flag
 /// silent truncation.
 #[derive(Debug)]
-pub struct Ring<T = SpanEvent> {
+pub(crate) struct Ring<T> {
     buf: Vec<T>,
     capacity: usize,
     /// Index the next event will be written at once the buffer is full.
@@ -80,12 +80,12 @@ pub struct Ring<T = SpanEvent> {
 
 impl<T: Copy> Ring<T> {
     /// An empty ring retaining at most `capacity` events (minimum 1).
-    pub fn new(capacity: usize) -> Ring<T> {
+    pub(crate) fn new(capacity: usize) -> Ring<T> {
         Ring { buf: Vec::new(), capacity: capacity.max(1), head: 0, dropped: 0 }
     }
 
     /// Appends an event, overwriting (and counting) the oldest once full.
-    pub fn push(&mut self, ev: T) {
+    pub(crate) fn push(&mut self, ev: T) {
         if self.buf.len() < self.capacity {
             self.buf.push(ev);
         } else {
@@ -96,7 +96,7 @@ impl<T: Copy> Ring<T> {
     }
 
     /// Visits retained events oldest-first.
-    pub fn for_each(&self, mut f: impl FnMut(&T)) {
+    pub(crate) fn for_each(&self, mut f: impl FnMut(&T)) {
         let n = self.buf.len();
         for i in 0..n {
             let idx = if n < self.capacity { i } else { (self.head + i) % n };
@@ -104,18 +104,8 @@ impl<T: Copy> Ring<T> {
         }
     }
 
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Events overwritten (lost to truncation) since creation.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 }
@@ -155,7 +145,7 @@ mod tests {
         let mut got = Vec::new();
         r.for_each(|e| got.push(e.req));
         assert_eq!(got, vec![4, 5, 6]);
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.buf.len(), 3);
         assert_eq!(r.dropped(), 4, "four events were overwritten");
     }
 
@@ -164,7 +154,7 @@ mod tests {
         let mut r = Ring::new(0);
         r.push(ev(1));
         r.push(ev(2));
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.buf.len(), 1);
         let mut got = Vec::new();
         r.for_each(|e| got.push(e.req));
         assert_eq!(got, vec![2]);

@@ -218,18 +218,9 @@ impl<'a, M> Context<'a, M> {
         self.obs.health_view(at, self.node, view);
     }
 
-    /// Adds `delta` to this node's counter `name` in the metrics registry.
-    pub fn metric_inc(&mut self, name: &'static str, delta: u64) {
-        self.obs.counter_add(self.node, name, delta);
-    }
-
-    /// Records `value` into this node's histogram `name`.
-    pub fn metric_hist(&mut self, name: &'static str, value: u64) {
-        self.obs.hist_record(self.node, name, value);
-    }
-
     /// Whether observability recording is enabled for this run. Hot paths
-    /// can use this to skip computing values that exist only for metrics.
+    /// can use this to skip computing values that exist only for the
+    /// recorder.
     pub fn obs_enabled(&self) -> bool {
         self.obs.is_enabled()
     }
