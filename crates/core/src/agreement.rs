@@ -834,8 +834,8 @@ impl Actor<SpiderMsg> for AgreementReplica {
                 ctx.charge(self.cfg.cost.rsa_verify());
                 self.pbft_step(ctx, Input::Order(OrderItem::Admin(cmd)));
             }
-            SpiderMsg::Checkpoint { group, msg, state } => self.checkpoint(ctx, |cp, dir, out| {
-                host::checkpoint_frame(cp, dir, from, group, msg, state, out)
+            SpiderMsg::Checkpoint { group, msg } => self.checkpoint(ctx, |cp, dir, out| {
+                host::checkpoint_frame(cp, dir, from, group, msg, out)
             }),
             SpiderMsg::CommitChannel { .. } | SpiderMsg::Request(_) | SpiderMsg::Reply(_) => {}
         }

@@ -213,8 +213,6 @@ pub enum CpAction {
         idx: usize,
         /// The message.
         msg: CheckpointMsg,
-        /// Snapshot payload for fetch responses.
-        state: Option<Snapshot>,
     },
     /// A checkpoint became stable (Fig 13 `stable_cp`): the host must
     /// apply it if it is ahead of the local state. `state` is present when
@@ -358,7 +356,6 @@ impl CheckpointComponent {
                         group: self.group,
                         idx: from,
                         msg: CheckpointMsg::Announce { seq: *stable_seq, state_hash: h, sig: s },
-                        state: None,
                     });
                 }
             }
@@ -443,9 +440,8 @@ impl CheckpointComponent {
                 seq: stable_seq,
                 state_hash: hash,
                 cert: cert.clone(),
-                state_bytes: state.len(),
+                snapshot: state.clone(),
             },
-            state: Some(state.clone()),
         });
     }
 
@@ -555,13 +551,9 @@ mod tests {
             .iter()
             .find_map(|x| match x {
                 CpAction::ToPeer {
-                    msg: CheckpointMsg::FetchResponse { seq, state_hash, cert, state_bytes },
-                    state: Some(state),
+                    msg: CheckpointMsg::FetchResponse { seq, state_hash, cert, snapshot },
                     ..
-                } => {
-                    assert_eq!(*state_bytes, state.len(), "the wire size is the state's length");
-                    Some((*seq, *state_hash, cert.clone(), state.clone()))
-                }
+                } => Some((*seq, *state_hash, cert.clone(), snapshot.clone())),
                 _ => None,
             })
             .expect("fetch response with state")

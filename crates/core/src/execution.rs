@@ -491,8 +491,8 @@ impl<A: Application> Actor<SpiderMsg> for ExecutionReplica<A> {
                     host::receiver_frame(ep, &agreement, from, leg, out)
                 });
             }
-            SpiderMsg::Checkpoint { group, msg, state } => self.checkpoint(ctx, |cp, dir, out| {
-                host::checkpoint_frame(cp, dir, from, group, msg, state, out)
+            SpiderMsg::Checkpoint { group, msg } => self.checkpoint(ctx, |cp, dir, out| {
+                host::checkpoint_frame(cp, dir, from, group, msg, out)
             }),
             // Another group's channels.
             SpiderMsg::RequestChannel { .. }

@@ -19,7 +19,7 @@
 use crate::checkpoint::{CheckpointComponent, CpAction, Snapshot};
 use crate::directory::Directory;
 use crate::keys::{self, AGREEMENT_GROUP};
-use crate::messages::{ChannelLeg, CheckpointMsg, SpiderMsg, StateBlob};
+use crate::messages::{ChannelLeg, CheckpointMsg, SpiderMsg};
 use spider_consensus::{Input, Msg, Output, TimerToken};
 use spider_irmc::{Action, Content, ReceiverEndpoint, SenderEndpoint};
 use spider_sim::Context;
@@ -142,32 +142,28 @@ pub fn checkpoint_io(
     call: impl FnOnce(&mut CheckpointComponent, &Directory, &mut dyn Sink<CpAction>),
 ) -> Option<(SeqNr, Option<Snapshot>)> {
     let (group, me, _) = cp.seat();
-    let frame = |ctx: &mut Context<'_, SpiderMsg>, node: NodeId, msg, state| {
-        ctx.send(node, SpiderMsg::Checkpoint { group, msg, state });
+    let frame = |ctx: &mut Context<'_, SpiderMsg>, node: NodeId, msg| {
+        ctx.send(node, SpiderMsg::Checkpoint { group, msg });
     };
     let mut stable = None;
     call(cp, directory, &mut |action| match action {
         CpAction::ToGroup(msg) => {
             for (i, &node) in directory.group_replicas(group).iter().enumerate() {
                 if i != me {
-                    frame(ctx, node, msg.clone(), None);
+                    frame(ctx, node, msg.clone());
                 }
             }
             if group != AGREEMENT_GROUP && matches!(msg, CheckpointMsg::FetchRequest { .. }) {
                 for &other in directory.active_groups().iter().filter(|g| **g != group) {
                     for &node in directory.group_replicas(other).iter() {
-                        frame(ctx, node, msg.clone(), None);
+                        frame(ctx, node, msg.clone());
                     }
                 }
             }
         }
-        CpAction::ToPeer { group: target, idx, msg, state } => {
+        CpAction::ToPeer { group: target, idx, msg } => {
             if let Some(&node) = directory.group_replicas(target).get(idx) {
-                let seq = match msg {
-                    CheckpointMsg::FetchResponse { seq, .. } => seq,
-                    CheckpointMsg::Announce { .. } | CheckpointMsg::FetchRequest { .. } => SeqNr(0),
-                };
-                frame(ctx, node, msg, state.map(|snapshot| StateBlob { seq, snapshot }));
+                frame(ctx, node, msg);
             }
         }
         CpAction::Stable { seq, state } => stable = Some((seq, state)),
@@ -188,7 +184,6 @@ pub fn checkpoint_frame(
     from: NodeId,
     sender_group: GroupId,
     msg: CheckpointMsg,
-    state: Option<StateBlob>,
     out: &mut dyn Sink<CpAction>,
 ) {
     let (group, _, size) = cp.seat();
@@ -204,19 +199,17 @@ pub fn checkpoint_frame(
         }
         CheckpointMsg::Announce { .. } => {}
         CheckpointMsg::FetchRequest { seq } => cp.on_fetch_request(sender_group, idx, seq, out),
-        CheckpointMsg::FetchResponse { seq, state_hash, cert, .. } => {
-            if let Some(blob) = state {
-                let provider_keys = keys::group_keys(sender_group, size);
-                cp.on_fetch_response(
-                    sender_group,
-                    &provider_keys,
-                    seq,
-                    state_hash,
-                    cert,
-                    blob.snapshot,
-                    out,
-                );
-            }
+        CheckpointMsg::FetchResponse { seq, state_hash, cert, snapshot } => {
+            let provider_keys = keys::group_keys(sender_group, size);
+            cp.on_fetch_response(
+                sender_group,
+                &provider_keys,
+                seq,
+                state_hash,
+                cert,
+                snapshot,
+                out,
+            );
         }
     }
 }
@@ -481,8 +474,8 @@ mod tests {
                     CpAction::Charge(SimTime::from_micros(1), "cp_mac"),
                     CpAction::ToGroup(fetch()),
                     CpAction::Stable { seq: SeqNr(8), state: None },
-                    CpAction::ToPeer { group: target, idx: 1, msg: fetch(), state: None },
-                    CpAction::ToPeer { group: GroupId(999), idx: 0, msg: fetch(), state: None },
+                    CpAction::ToPeer { group: target, idx: 1, msg: fetch() },
+                    CpAction::ToPeer { group: GroupId(999), idx: 0, msg: fetch() },
                 ];
                 let mut cp = component(group, 1);
                 let stable = checkpoint_io(ctx, &directory(), &mut cp, |_, _, out| {
@@ -500,7 +493,7 @@ mod tests {
             to,
             ["n11 -> n2", "n11 -> n4", "n11 -> n5", "n11 -> n6", "n11 -> n7", "n11 -> n6"]
         );
-        let frame = SpiderMsg::Checkpoint { group: GroupId(0), msg: fetch(), state: None };
+        let frame = SpiderMsg::Checkpoint { group: GroupId(0), msg: fetch() };
         assert!(log[1..].iter().all(|l| l.ends_with(&format!("{frame:?}"))), "under the own group");
         assert_eq!(cpu, ["checkpoint;cp_mac 1us"]);
 
@@ -529,26 +522,23 @@ mod tests {
                 _ => None,
             })
             .collect();
-        let mut frame = |from: u32, group, msg, state| {
+        let mut frame = |from: u32, group, msg| {
             let mut out = Vec::new();
-            checkpoint_frame(&mut cp, &directory, NodeId(from), group, msg, state, &mut out);
+            checkpoint_frame(&mut cp, &directory, NodeId(from), group, msg, &mut out);
             out
         };
 
+        assert!(frame(5, GroupId(0), fetch()).is_empty(), "not a member of the group it names");
+        assert!(frame(2, GroupId(999), fetch()).is_empty(), "a group nobody registered");
+        assert!(frame(0, AGREEMENT_GROUP, fetch()).is_empty(), "the two kinds never mix");
         assert!(
-            frame(5, GroupId(0), fetch(), None).is_empty(),
-            "not a member of the group it names"
-        );
-        assert!(frame(2, GroupId(999), fetch(), None).is_empty(), "a group nobody registered");
-        assert!(frame(0, AGREEMENT_GROUP, fetch(), None).is_empty(), "the two kinds never mix");
-        assert!(
-            frame(5, GroupId(1), announces[0].clone(), None).is_empty(),
+            frame(5, GroupId(1), announces[0].clone()).is_empty(),
             "announcements count from the own group only"
         );
         // Own-group announcements from members 1 and 2 make sequence 8
         // stable (f + 1 = 2 matching votes).
-        assert!(!frame(3, GroupId(0), announces[0].clone(), None).is_empty());
-        let out = frame(4, GroupId(0), announces[1].clone(), None);
+        assert!(!frame(3, GroupId(0), announces[0].clone()).is_empty());
+        let out = frame(4, GroupId(0), announces[1].clone());
         assert!(out.iter().any(|a| matches!(a, CpAction::Stable { seq: SeqNr(8), state: None })));
 
         // The state arrives in a fetch response: dropped from a node that
@@ -559,13 +549,13 @@ mod tests {
         };
         peers[0].on_announce(2, seq, state_hash, sig, &mut served);
         peers[0].on_fetch_request(GroupId(0), 0, SeqNr(8), &mut served);
-        let Some(CpAction::ToPeer { msg, state: Some(snapshot), .. }) = served.pop() else {
+        let Some(CpAction::ToPeer { msg: msg @ CheckpointMsg::FetchResponse { .. }, .. }) =
+            served.pop()
+        else {
             panic!("the peer holds the stable state");
         };
-        let blob = || Some(StateBlob { seq: SeqNr(8), snapshot: snapshot.clone() });
-        assert!(frame(9, GroupId(0), msg.clone(), blob()).is_empty(), "not a member");
-        assert!(frame(3, GroupId(0), msg.clone(), None).is_empty(), "no state, nothing to check");
-        let out = frame(3, GroupId(0), msg, blob());
+        assert!(frame(9, GroupId(0), msg.clone()).is_empty(), "not a member");
+        let out = frame(3, GroupId(0), msg);
         assert!(out
             .iter()
             .any(|a| matches!(a, CpAction::Stable { seq: SeqNr(8), state: Some(_) })));

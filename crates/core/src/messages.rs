@@ -224,9 +224,8 @@ pub enum CheckpointMsg {
         state_hash: Digest,
         /// `f + 1` signatures over (seq, hash) from distinct group members.
         cert: Vec<spider_crypto::Signature>,
-        /// Serialized snapshot size in bytes (content travels out of band
-        /// in the host-side `state` field of the enclosing message).
-        state_bytes: usize,
+        /// The snapshot; its length is the response's payload on the wire.
+        snapshot: Snapshot,
     },
 }
 
@@ -235,8 +234,8 @@ impl WireSize for CheckpointMsg {
         match self {
             CheckpointMsg::Announce { .. } => HEADER_BYTES + 8 + DIGEST_BYTES + SIG_BYTES,
             CheckpointMsg::FetchRequest { .. } => HEADER_BYTES + 8 + MAC_BYTES,
-            CheckpointMsg::FetchResponse { cert, state_bytes, .. } => {
-                HEADER_BYTES + 8 + DIGEST_BYTES + cert.len() * SIG_BYTES + state_bytes
+            CheckpointMsg::FetchResponse { cert, snapshot, .. } => {
+                HEADER_BYTES + 8 + DIGEST_BYTES + cert.len() * SIG_BYTES + snapshot.len()
             }
         }
     }
@@ -298,15 +297,6 @@ impl WireSize for OrderItem {
             r.trace_reqs(visit);
         }
     }
-}
-
-/// Identifies which IRMC a channel-leg message belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ChannelKind {
-    /// Execution group -> agreement group (new requests).
-    Request,
-    /// Agreement group -> execution group (ordered `Execute`s).
-    Commit,
 }
 
 /// A transport frame of one IRMC (sender->receiver, receiver->sender, or
@@ -375,21 +365,9 @@ pub enum SpiderMsg {
         group: GroupId,
         /// The message.
         msg: CheckpointMsg,
-        /// Out-of-band snapshot payload for fetch responses. Sized via
-        /// `CheckpointMsg::FetchResponse::state_bytes`.
-        state: Option<StateBlob>,
     },
     /// Admin client -> agreement replicas (reconfiguration, §3.6).
     Admin(AdminCommand),
-}
-
-/// A snapshot travelling in a fetch response.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StateBlob {
-    /// Execution or agreement snapshot, encoded by the owning component.
-    pub snapshot: Snapshot,
-    /// Snapshot sequence number.
-    pub seq: SeqNr,
 }
 
 impl WireSize for SpiderMsg {
@@ -506,18 +484,13 @@ mod tests {
 
     #[test]
     fn fetch_response_size_includes_state() {
-        let small = CheckpointMsg::FetchResponse {
+        let response = |len: usize| CheckpointMsg::FetchResponse {
             seq: SeqNr(1),
             state_hash: Digest::ZERO,
             cert: vec![],
-            state_bytes: 100,
+            snapshot: Snapshot::single(Bytes::from(vec![0; len])),
         };
-        let big = CheckpointMsg::FetchResponse {
-            seq: SeqNr(1),
-            state_hash: Digest::ZERO,
-            cert: vec![],
-            state_bytes: 10_000,
-        };
+        let (small, big) = (response(100), response(10_000));
         assert_eq!(big.wire_size() - small.wire_size(), 9_900);
     }
 

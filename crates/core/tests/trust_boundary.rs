@@ -54,12 +54,7 @@ fn execution_replica_drops_checkpoint_frames_of_an_unregistered_group() {
     let (mut sim, dep) = deployment();
     let (peer, exec) = (dep.group_nodes(0)[1], dep.group_nodes(0)[0]);
     let fetch = CheckpointMsg::FetchRequest { seq: SeqNr(1) };
-    sim.post(
-        SimTime::ZERO,
-        peer,
-        exec,
-        SpiderMsg::Checkpoint { group: NOBODY, msg: fetch, state: None },
-    );
+    sim.post(SimTime::ZERO, peer, exec, SpiderMsg::Checkpoint { group: NOBODY, msg: fetch });
     sim.run_until(SimTime::from_millis(100));
     serves(sim, dep);
 }
