@@ -9,9 +9,8 @@ use crate::directory::{Directory, GroupInfo};
 use crate::execution::ExecutionReplica;
 use crate::messages::{AdminCommand, SpiderMsg};
 use spider_sim::{Actor, Context, Simulation, Timer};
-use spider_types::{ClientId, GroupId, NodeId, SimTime};
+use spider_types::{ClientId, GroupId, NodeId, SimTime, ZoneId};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Builds a full Spider deployment inside a [`Simulation`].
 ///
@@ -25,7 +24,7 @@ pub struct DeploymentBuilder<A: Application = CounterApp> {
     agreement_span: Option<Vec<String>>,
     /// Per-group, per-replica region list (cycled over the group size).
     exec_groups: Vec<Vec<String>>,
-    app_factory: Arc<dyn Fn() -> A>,
+    app_factory: Box<dyn Fn() -> A>,
 }
 
 impl DeploymentBuilder<CounterApp> {
@@ -37,7 +36,7 @@ impl DeploymentBuilder<CounterApp> {
             leader_zone: 0,
             agreement_span: None,
             exec_groups: Vec::new(),
-            app_factory: Arc::new(CounterApp::default),
+            app_factory: Box::new(CounterApp::default),
         }
     }
 }
@@ -55,7 +54,7 @@ impl<A: Application> DeploymentBuilder<A> {
             leader_zone: self.leader_zone,
             agreement_span: self.agreement_span,
             exec_groups: self.exec_groups,
-            app_factory: Arc::new(factory),
+            app_factory: Box::new(factory),
         }
     }
 
@@ -134,6 +133,11 @@ impl<A: Application> DeploymentBuilder<A> {
         directory.set_agreement(agreement.clone());
 
         // Execution groups, replicas spread over their span's zones.
+        let (cfg, dir, factory) = (self.cfg.clone(), directory.clone(), self.app_factory);
+        let spawn_replica: SpawnReplica = Box::new(move |sim, zone, group, j| {
+            let replica = ExecutionReplica::new(cfg.clone(), group, j, dir.clone(), factory());
+            sim.add_node(zone, replica)
+        });
         let mut groups = Vec::new();
         for (gi, span) in self.exec_groups.iter().enumerate() {
             let group = GroupId(gi as u16);
@@ -141,20 +145,12 @@ impl<A: Application> DeploymentBuilder<A> {
             let zones = sim.topology().cycle_zones(span, 0, self.cfg.execution_size());
             let mut nodes = Vec::new();
             for (j, zone) in zones.into_iter().enumerate() {
-                let replica = ExecutionReplica::new(
-                    self.cfg.clone(),
-                    group,
-                    j,
-                    directory.clone(),
-                    (self.app_factory)(),
-                );
-                nodes.push(sim.add_node(zone, replica));
+                nodes.push(spawn_replica(sim, zone, group, j));
             }
             directory.register_group(group, GroupInfo { replicas: nodes.clone(), active: true });
             groups.push((group, home.clone(), nodes));
         }
 
-        let factory = self.app_factory.clone();
         Deployment {
             cfg: self.cfg,
             directory,
@@ -163,16 +159,15 @@ impl<A: Application> DeploymentBuilder<A> {
             clients: Vec::new(),
             next_client: 0,
             byzantine: BTreeSet::new(),
-            app_factory_boxed: AppFactoryBox(Arc::new(move || {
-                Box::new(factory()) as Box<dyn Application>
-            })),
+            spawn_replica,
         }
     }
 }
 
-/// Type-erased application factory retained for runtime group addition.
-#[derive(Clone)]
-struct AppFactoryBox(Arc<dyn Fn() -> Box<dyn Application>>);
+/// Adds replica `j` of execution group `group` in a zone, running the
+/// deployment's application; kept so groups added at runtime run the same
+/// replica type as the initial ones.
+type SpawnReplica = Box<dyn Fn(&mut Simulation<SpiderMsg>, ZoneId, GroupId, usize) -> NodeId>;
 
 /// Minimal admin-client actor: submits a reconfiguration command to the
 /// agreement group at a configured time (§3.6).
@@ -213,7 +208,7 @@ pub struct Deployment {
     next_client: u32,
     /// Nodes made Byzantine ([`Deployment::make_byzantine`]).
     byzantine: BTreeSet<NodeId>,
-    app_factory_boxed: AppFactoryBox,
+    spawn_replica: SpawnReplica,
 }
 
 impl Deployment {
@@ -287,14 +282,7 @@ impl Deployment {
         let zones = sim.topology().cycle_zones(&[region], 0, self.cfg.execution_size());
         let mut nodes = Vec::new();
         for (j, zone) in zones.into_iter().enumerate() {
-            let replica = ExecutionReplicaDyn::new(
-                self.cfg.clone(),
-                group,
-                j,
-                self.directory.clone(),
-                (self.app_factory_boxed.0)(),
-            );
-            nodes.push(sim.add_node(zone, replica));
+            nodes.push((self.spawn_replica)(sim, zone, group, j));
         }
         self.directory.register_group(group, GroupInfo { replicas: nodes.clone(), active: false });
         self.groups.push((group, region.to_owned(), nodes));
@@ -330,27 +318,5 @@ impl Deployment {
     /// Node ids of one execution group.
     pub fn group_nodes(&self, group_idx: usize) -> &[NodeId] {
         &self.groups[group_idx].2
-    }
-}
-
-/// Execution replica over a boxed application (used for groups added at
-/// runtime, where the concrete app type has been erased).
-type ExecutionReplicaDyn = ExecutionReplica<Box<dyn Application>>;
-
-impl Application for Box<dyn Application> {
-    fn execute(&mut self, op: &bytes::Bytes) -> bytes::Bytes {
-        (**self).execute(op)
-    }
-    fn execute_read(&self, op: &[u8]) -> bytes::Bytes {
-        (**self).execute_read(op)
-    }
-    fn snapshot(&self) -> bytes::Bytes {
-        (**self).snapshot()
-    }
-    fn snapshot_parts(&mut self) -> Vec<crate::checkpoint::Part> {
-        (**self).snapshot_parts()
-    }
-    fn restore(&mut self, parts: &[crate::checkpoint::Part]) -> bool {
-        (**self).restore(parts)
     }
 }

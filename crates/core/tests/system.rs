@@ -9,9 +9,7 @@
 use spider::agreement::AgreementReplica;
 use spider::byzantine;
 use spider::execution::ExecutionReplica;
-use spider::{
-    Application, CounterApp, DeploymentBuilder, SpiderClient, SpiderConfig, WorkloadSpec,
-};
+use spider::{CounterApp, DeploymentBuilder, SpiderClient, SpiderConfig, WorkloadSpec};
 use spider_crypto::CostModel;
 use spider_sim::{FaultPlan, Simulation, Topology};
 use spider_types::{OpKind, SimTime};
@@ -267,7 +265,7 @@ fn add_group_at_runtime_serves_new_clients() {
     // The new group converged to the same state as the old ones.
     let old = sim.actor::<ExecReplica>(dep.group_nodes(0)[0]).app_digest();
     for node in dep.group_nodes(gi) {
-        let d = sim.actor::<ExecutionReplica<Box<dyn Application>>>(*node).app_digest();
+        let d = sim.actor::<ExecReplica>(*node).app_digest();
         assert_eq!(d, old, "new group caught up via cross-group checkpoint");
     }
 }

@@ -10,7 +10,7 @@
 //! regenerated `BENCH_*` artifacts.
 
 use spider::execution::ExecutionReplica;
-use spider::{Application, SpiderConfig, WorkloadSpec};
+use spider::{SpiderConfig, WorkloadSpec};
 use spider_app::{kv_op_factory, KvStore};
 use spider_baselines::BftDeployment;
 use spider_harness::ec2_topology;
@@ -164,17 +164,13 @@ fn runtime_add_group_run() {
     let (mut sim, mut dep) = standard_deployment(22, cfg);
     let workload = WorkloadSpec::writes_per_sec(10.0, 200).with_max_ops(40);
     dep.spawn_clients(&mut sim, 1, 2, workload.with_op_factory(kv_op_factory(100)));
-    let new_group = dep.add_execution_group(&mut sim, "saopaulo", SimTime::from_secs(3));
+    dep.add_execution_group(&mut sim, "saopaulo", SimTime::from_secs(3));
     sim.run_until_quiescent(SimTime::from_secs(120));
 
     let mut rendered = format!("{:?}\n{:?}\n", dep.collect_samples(&sim), sim.stats());
     for (group, _, nodes) in &dep.groups {
         for node in nodes {
-            let seq = if *group == new_group {
-                sim.actor::<ExecutionReplica<Box<dyn Application>>>(*node).sequence()
-            } else {
-                sim.actor::<ExecutionReplica<KvStore>>(*node).sequence()
-            };
+            let seq = sim.actor::<ExecutionReplica<KvStore>>(*node).sequence();
             rendered.push_str(&format!("{group:?} {node:?} {seq:?}\n"));
         }
     }

@@ -3,7 +3,7 @@
 
 use spider::execution::ExecutionReplica;
 use spider::messages::{AdminCommand, SpiderMsg};
-use spider::{Application, SpiderConfig, WorkloadSpec};
+use spider::{SpiderConfig, WorkloadSpec};
 use spider_app::{kv_op_factory, KvStore};
 use spider_tests::standard_deployment;
 use spider_types::{GroupId, SimTime};
@@ -90,7 +90,7 @@ fn late_joining_group_converges_to_full_history() {
     let reference = sim.actor::<ExecutionReplica<KvStore>>(dep.group_nodes(0)[0]).app_digest();
     let gi = dep.groups.iter().position(|(g, _, _)| *g == new_group).unwrap();
     for node in dep.group_nodes(gi) {
-        let replica = sim.actor::<ExecutionReplica<Box<dyn Application>>>(*node);
+        let replica = sim.actor::<ExecutionReplica<KvStore>>(*node);
         assert_eq!(
             replica.app_digest(),
             reference,
