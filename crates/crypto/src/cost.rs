@@ -34,28 +34,28 @@ use spider_types::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
     /// RSA-1024 signature generation.
-    pub rsa_sign_ns: u64,
+    rsa_sign_ns: u64,
     /// RSA-1024 signature verification.
-    pub rsa_verify_ns: u64,
+    rsa_verify_ns: u64,
     /// Fixed cost of one HMAC computation (dominated by the keyed
     /// setup/finalization, not the data).
-    pub hmac_base_ns: u64,
+    hmac_base_ns: u64,
     /// Fixed cost of one *unkeyed* hash compression (SHA-256 block). An
     /// order of magnitude below `hmac_base_ns`: a digest pays no key
     /// schedule and no inner/outer re-hash.
-    pub hash_base_ns: u64,
+    hash_base_ns: u64,
     /// Per-byte cost of hashing message payloads.
-    pub hash_per_byte_ns: u64,
+    hash_per_byte_ns: u64,
     /// Threshold-RSA share generation (Shoup).
-    pub threshold_share_ns: u64,
+    threshold_share_ns: u64,
     /// Combining f+1 threshold shares.
-    pub threshold_combine_ns: u64,
+    threshold_combine_ns: u64,
     /// Verifying a combined threshold signature.
-    pub threshold_verify_ns: u64,
+    threshold_verify_ns: u64,
     /// Fixed per-message dispatch overhead (deserialize, demux, bookkeep).
-    pub msg_overhead_ns: u64,
+    msg_overhead_ns: u64,
     /// Cost of executing one application request (key-value store get/put).
-    pub app_execute_ns: u64,
+    app_execute_ns: u64,
 }
 
 impl Default for CostModel {
