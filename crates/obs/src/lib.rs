@@ -37,8 +37,8 @@
 //! [`ObsReport`] into Chrome/Perfetto `trace_event` JSON, folded stacks
 //! (CPU and critical-path), per-phase latency breakdowns (each a
 //! log-bucketed [`Histogram`], ≤ 1/32 relative error up to p99.9), and a
-//! health-event JSONL. [`export::fnv64`] digests any
-//! of those for determinism double-run tests.
+//! health-event JSONL. [`export::fnv64`] digests any of those for
+//! determinism double-run tests.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
@@ -142,8 +142,8 @@ const OPEN_CAP: usize = 1 << 14;
 
 /// The per-simulation observability state: span rings, causal edge
 /// rings, CPU attribution, the exemplar reservoir, and the streaming
-/// health watchdog. A disabled recorder (the default)
-/// reduces every record call to one branch.
+/// health watchdog. A disabled recorder (the default) reduces every
+/// record call to one branch.
 #[derive(Debug, Default)]
 pub struct Recorder {
     enabled: bool,
