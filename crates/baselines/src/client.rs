@@ -4,6 +4,7 @@
 
 use crate::messages::BaseMsg;
 use bytes::Bytes;
+use spider::client::CLIENT_RETRY;
 use spider::messages::{ClientRequest, Operation, Reply};
 use spider::{Sample, SpiderConfig, WorkloadSpec};
 use spider_crypto::Hashed;
@@ -87,7 +88,7 @@ impl BaselineClient {
         self.in_flight =
             Some(InFlight { kind, op, tc: self.tc, issued: ctx.now(), replies: BTreeMap::new() });
         self.transmit(ctx);
-        ctx.arm(TAG_RETRY, self.cfg.client_retry);
+        ctx.arm(TAG_RETRY, CLIENT_RETRY);
     }
 
     fn transmit(&mut self, ctx: &mut Context<'_, BaseMsg>) {
@@ -153,7 +154,7 @@ impl Actor<BaseMsg> for BaselineClient {
             }
             TAG_RETRY if self.in_flight.is_some() => {
                 self.transmit(ctx);
-                ctx.arm(TAG_RETRY, self.cfg.client_retry);
+                ctx.arm(TAG_RETRY, CLIENT_RETRY);
             }
             _ => {}
         }

@@ -1,15 +1,14 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
-//! consensus batch size, global flow control `z` with a slow execution
-//! group, checkpoint interval, and IRMC subchannel capacity.
+//! Ablation sweeps of three design knobs no other program varies: global
+//! flow control `z` with a slow execution group (§3.5), the checkpoint
+//! interval, and the IRMC subchannel capacity. Each prints a small table.
+//! The batching and commit-range sweeps are `bench_summary`'s.
 //!
-//! Each ablation prints a small sweep table (the interesting output) and
-//! registers one Criterion measurement.
+//! Run with: `cargo bench -p spider_bench --bench ablations`
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use spider::{DeploymentBuilder, SpiderConfig, WorkloadSpec};
 use spider_app::{kv_op_factory, KvStore};
 use spider_harness::ec2_topology;
-use spider_harness::experiments::{batching, commit_channel, fig9bcd};
+use spider_harness::experiments::fig9bcd;
 use spider_harness::stats::LatencySummary;
 use spider_irmc::Variant;
 use spider_sim::{FaultPlan, Simulation};
@@ -74,17 +73,6 @@ fn ablation_z() {
     }
 }
 
-fn ablation_batching() {
-    // The real sweep: greedy (the legacy fixed cut with no delay cap) vs
-    // fixed-size batching (linger-capped) vs rate-adaptive batching,
-    // across offered load. See `spider_harness::experiments::batching`;
-    // the `bench_summary` binary records the same sweep as JSON for the
-    // CI perf gate.
-    println!();
-    let rows = batching::run();
-    println!("{}", batching::render(&rows));
-}
-
 fn ablation_checkpoint_interval() {
     println!("\nAblation — checkpoint intervals ka = ke (liveness needs k <= capacity):");
     println!("{:<6} {:>16} {:>12}", "k", "virginia p50[ms]", "completed");
@@ -97,18 +85,6 @@ fn ablation_checkpoint_interval() {
         let (p50, total) = run_with(cfg, 0, 9);
         println!("{k:<6} {p50:>16.1} {total:>12}");
     }
-}
-
-fn ablation_commit_range() {
-    // The amortization curve of multi-slot commit certification: one RSA
-    // signature (and one verification per signer) per range instead of
-    // per slot. Range 1 is the legacy per-slot baseline; the curve is
-    // what `bench_summary` records in BENCH_*.json and gates at >= 3x
-    // for range 32.
-    println!("\nAblation — commit-channel range certification (slots per certificate):");
-    let cfg = commit_channel::Config::default();
-    let rows = commit_channel::run_range_sweep(&[1, 8, 32, 128], &cfg);
-    println!("{}", commit_channel::render(&rows));
 }
 
 fn ablation_irmc_capacity() {
@@ -126,20 +102,8 @@ fn ablation_irmc_capacity() {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     ablation_z();
-    ablation_batching();
-    ablation_commit_range();
     ablation_checkpoint_interval();
     ablation_irmc_capacity();
-
-    let mut g = c.benchmark_group("ablations");
-    g.sample_size(10);
-    g.bench_function("spider_two_groups_12s", |b| {
-        b.iter(|| run_with(SpiderConfig::default(), 0, 7))
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

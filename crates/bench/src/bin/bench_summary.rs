@@ -198,7 +198,7 @@ fn main() {
     println!("bench_summary: fig7 write-latency sweep…");
     let fig7_scale = quick_scale();
     let fig7_measured = (fig7_scale.duration - fig7_scale.warmup).as_secs_f64();
-    let fig7_rows = fig7::run(&fig7::Config { scenario: fig7_scale.clone(), only: None });
+    let fig7_rows = fig7::run(&fig7_scale);
     println!("{}", fig7::render(&fig7_rows));
     let spider_p50 = fig7_rows
         .iter()

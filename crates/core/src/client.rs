@@ -22,6 +22,19 @@ use std::sync::Arc;
 const TAG_ISSUE: u64 = 1;
 const TAG_RETRY: u64 = 2;
 
+/// Client retry interval (Fig 15 `t_retry`); the PBFT baselines' clients
+/// retry on the same clock.
+pub const CLIENT_RETRY: SimTime = SimTime::from_millis(2_000);
+
+/// Retransmissions before a client assumes its execution group is
+/// unavailable (more than `fe` faulty members) and temporarily switches to
+/// another group (§3.1).
+const GROUP_FAILOVER_RETRIES: u32 = 3;
+
+/// How many times a weakly consistent read is retried before being
+/// escalated to a strongly consistent read (§3.3).
+const WEAK_READ_RETRIES: u32 = 2;
+
 /// Produces operation payloads for generated requests.
 pub type OpFactory = Arc<dyn Fn(u64, OpKind, usize) -> Bytes + Send + Sync>;
 
@@ -242,14 +255,13 @@ impl SpiderClient {
             self.tc
         };
         self.issued_count += 1;
-        let retries = self.cfg.weak_read_retries;
         self.in_flight = Some(InFlight {
             kind,
             op: op.clone(),
             tc,
             issued: ctx.now(),
             replies: BTreeMap::new(),
-            weak_retries_left: retries,
+            weak_retries_left: WEAK_READ_RETRIES,
             retries: 0,
         });
         // Lifecycle span: opened at first issue, closed by the reply
@@ -259,7 +271,7 @@ impl SpiderClient {
             ctx.open_request(req_id(self.id.0, tc));
         }
         self.transmit(ctx);
-        ctx.arm(TAG_RETRY, self.cfg.client_retry);
+        ctx.arm(TAG_RETRY, CLIENT_RETRY);
     }
 
     /// Broadcasts the in-flight request to the execution group (Fig 15
@@ -345,12 +357,12 @@ impl SpiderClient {
 
     /// §3.1: if more than `fe` replicas of the local execution group are
     /// unavailable, a client can temporarily switch to a different group.
-    /// After `group_failover_retries` fruitless retransmissions the client
+    /// After [`GROUP_FAILOVER_RETRIES`] fruitless retransmissions the client
     /// re-targets the next active group from the registry.
     fn maybe_fail_over(&mut self) {
         let Some(inf) = &mut self.in_flight else { return };
         inf.retries += 1;
-        if inf.retries < self.cfg.group_failover_retries {
+        if inf.retries < GROUP_FAILOVER_RETRIES {
             return;
         }
         let active = self.directory.active_groups();
@@ -400,7 +412,7 @@ impl Actor<SpiderMsg> for SpiderClient {
             TAG_RETRY if self.in_flight.is_some() => {
                 self.maybe_fail_over();
                 self.transmit(ctx);
-                ctx.arm(TAG_RETRY, self.cfg.client_retry);
+                ctx.arm(TAG_RETRY, CLIENT_RETRY);
             }
             _ => {}
         }

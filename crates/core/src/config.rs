@@ -26,7 +26,10 @@ const REQUEST_CAPACITY: u64 = 2;
 ///   also reads;
 /// * the seed of the shared simulated PKI is [`keys::KEY_SEED`];
 /// * the consensus pipelining depth is [`PbftConfig::pipeline_depth`],
-///   and the watermark window a consensus constant.
+///   and the watermark window a consensus constant;
+/// * the client retry interval is [`crate::client::CLIENT_RETRY`], and a
+///   client's group failover and weak-read escalation thresholds are
+///   constants in [`crate::client`].
 #[derive(Debug, Clone)]
 pub struct SpiderConfig {
     /// Faults tolerated by the agreement group (group size `3·fa + 1`).
@@ -51,15 +54,6 @@ pub struct SpiderConfig {
     /// the channel uses plus the knob that matters for it (digest-only
     /// dedup for IRMC-RC, §A.9 overlap for IRMC-SC).
     pub commit_mode: ChannelMode,
-    /// Client retry interval (Fig 15 `t_retry`).
-    pub client_retry: SimTime,
-    /// Retransmissions before a client assumes its execution group is
-    /// unavailable (more than `fe` faulty members) and temporarily
-    /// switches to another group (§3.1).
-    pub group_failover_retries: u32,
-    /// How many times a weakly consistent read is retried before being
-    /// escalated to a strongly consistent read (§3.3).
-    pub weak_read_retries: u32,
     /// View-change timeout of the agreement group's consensus protocol
     /// (default [`VIEW_CHANGE_TIMEOUT`], PBFT's own).
     pub view_change_timeout: SimTime,
@@ -89,9 +83,6 @@ impl Default for SpiderConfig {
             commit_capacity: 128,
             request_variant: Variant::ReceiverCollect,
             commit_mode: ChannelMode::ReliableCast { dedup: true },
-            client_retry: SimTime::from_millis(2_000),
-            group_failover_retries: 3,
-            weak_read_retries: 2,
             view_change_timeout: VIEW_CHANGE_TIMEOUT,
             batching: BatcherConfig::default(),
             cost: CostModel::default(),

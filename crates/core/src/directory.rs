@@ -8,8 +8,8 @@
 //! it exactly when the paper would update the registry (on ordered
 //! `AddGroup`/`RemoveGroup` commands), and clients read it to find their
 //! group's replicas. The *control path* (ordering of reconfigurations) is
-//! fully faithful; only the lookup RPC is collapsed into shared memory —
-//! a substitution documented in DESIGN.md.
+//! fully faithful; only the lookup RPC is collapsed into shared memory,
+//! which costs no simulated time and no messages.
 
 use crate::keys::AGREEMENT_GROUP;
 use parking_lot::RwLock;

@@ -312,6 +312,9 @@ impl<A: Application> ExecutionReplica<A> {
             match buf.get_u8() {
                 0 => {
                     let tc = buf.get_u64();
+                    if buf.remaining() < 4 {
+                        return None;
+                    }
                     let len = buf.get_u32() as usize;
                     if buf.remaining() < len {
                         return None;
@@ -617,6 +620,15 @@ mod tests {
         let mut a = replica();
         assert!(a.restore_snapshot(&[Part::new(Bytes::from_static(&[0, 1, 2]))]).is_none());
         assert!(a.restore_snapshot(&[]).is_none());
+        // sn 16 | 1 entry | client 7 | tag 0 | tc 3, cut before the result's length.
+        let mut cut = Vec::new();
+        cut.extend_from_slice(&16u64.to_be_bytes());
+        cut.extend_from_slice(&1u32.to_be_bytes());
+        cut.extend_from_slice(&7u32.to_be_bytes());
+        cut.push(0);
+        cut.extend_from_slice(&3u64.to_be_bytes());
+        assert_eq!(cut.len(), 25);
+        assert!(a.restore_snapshot(&[Part::new(Bytes::from(cut))]).is_none());
     }
 
     #[test]

@@ -21,13 +21,8 @@ fn topology() -> Topology {
 
 #[test]
 fn client_fails_over_when_its_group_dies() {
-    let cfg = SpiderConfig {
-        client_retry: SimTime::from_millis(500),
-        group_failover_retries: 2,
-        ..SpiderConfig::default()
-    };
     let mut sim = Simulation::new(topology(), 31);
-    let mut dep = DeploymentBuilder::new(cfg)
+    let mut dep = DeploymentBuilder::new(SpiderConfig::default())
         .agreement_region("virginia")
         .execution_group("oregon")
         .execution_group("tokyo")
@@ -58,13 +53,8 @@ fn removed_group_redirects_clients() {
     // RemoveGroup (§3.6) + failover: clients of a removed group continue
     // at another group.
     use spider::messages::{AdminCommand, SpiderMsg};
-    let cfg = SpiderConfig {
-        client_retry: SimTime::from_millis(500),
-        group_failover_retries: 2,
-        ..SpiderConfig::default()
-    };
     let mut sim = Simulation::new(topology(), 32);
-    let mut dep = DeploymentBuilder::new(cfg)
+    let mut dep = DeploymentBuilder::new(SpiderConfig::default())
         .agreement_region("virginia")
         .execution_group("oregon")
         .execution_group("tokyo")

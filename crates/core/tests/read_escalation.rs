@@ -72,7 +72,6 @@ fn weak_read_without_quorum_escalates_to_strong_read() {
         spider::directory::GroupInfo { replicas: nodes.clone(), active: true },
     );
 
-    let cfg = SpiderConfig { weak_read_retries: 2, ..SpiderConfig::default() };
     let workload = WorkloadSpec {
         rate_per_sec: 5.0,
         payload_bytes: 64,
@@ -84,7 +83,13 @@ fn weak_read_without_quorum_escalates_to_strong_read() {
     };
     let id = ClientId(1);
     let zone = sim.topology().zone("virginia", 0);
-    let client = SpiderClient::new(cfg, id, GroupId(0), directory.clone(), Some(workload));
+    let client = SpiderClient::new(
+        SpiderConfig::default(),
+        id,
+        GroupId(0),
+        directory.clone(),
+        Some(workload),
+    );
     let node = sim.add_node(zone, client);
     directory.register_client(id, node);
 

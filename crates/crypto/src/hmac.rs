@@ -62,17 +62,6 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
     HmacKey::new(key).mac(message)
 }
 
-/// Constant-time-ish tag comparison. (Timing side channels are irrelevant
-/// in a simulation, but the habit is free.)
-pub fn verify_hmac_sha256(key: &[u8], message: &[u8], tag: &[u8; 32]) -> bool {
-    let expected = hmac_sha256(key, message);
-    let mut diff = 0u8;
-    for i in 0..32 {
-        diff |= expected[i] ^ tag[i];
-    }
-    diff == 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,16 +134,5 @@ mod tests {
             b"Hi There",
             "21cd586aeca0579d99a1c938127c92525a371f807bc5ba6eb78bc825bd4f2be3",
         );
-    }
-
-    #[test]
-    fn verify_accepts_good_rejects_bad() {
-        let tag = hmac_sha256(b"k", b"m");
-        assert!(verify_hmac_sha256(b"k", b"m", &tag));
-        assert!(!verify_hmac_sha256(b"k", b"m2", &tag));
-        assert!(!verify_hmac_sha256(b"k2", b"m", &tag));
-        let mut bad = tag;
-        bad[0] ^= 1;
-        assert!(!verify_hmac_sha256(b"k", b"m", &bad));
     }
 }

@@ -58,6 +58,6 @@ pub mod threshold;
 
 pub use cost::CostModel;
 pub use digest::{Digest, DigestBuilder, Digestible, Hashed};
-pub use keyring::{KeyId, Keyring, Mac, Signature};
+pub use keyring::{KeyId, Keyring, Signature};
 pub use merkle::{merkle_root, RootCache};
 pub use threshold::{SigShare, ThresholdKeyring, ThresholdSig};

@@ -11,22 +11,16 @@ use crate::scenarios::{run_bft, run_hft, run_spider, ScenarioCfg};
 use crate::topology::{NEIGHBORS4, REGIONS4};
 use spider::DeploymentBuilder;
 
-/// Scale configuration for Figure 11.
-#[derive(Debug, Clone, Default)]
-pub struct Config {
-    /// Scenario scale (fault thresholds are overridden to 2, the workload
-    /// to pure writes).
-    pub scenario: ScenarioCfg,
-}
-
 /// Runs the `f = 2` comparison: the Figure 7 systems with `f = 2` group
-/// sizes and the extra replicas spread over neighboring regions.
-pub fn run(cfg: &Config) -> Vec<LatencyRow> {
+/// sizes and the extra replicas spread over neighboring regions, at
+/// `scenario`'s scale (its fault thresholds are overridden to 2, its
+/// workload to pure writes).
+pub fn run(scenario: &ScenarioCfg) -> Vec<LatencyRow> {
     let cfg = &ScenarioCfg {
         write_fraction: 1.0,
         strong_read_fraction: 0.0,
-        spider: cfg.scenario.spider.clone().with_faults(2, 2),
-        ..cfg.scenario.clone()
+        spider: scenario.spider.clone().with_faults(2, 2),
+        ..scenario.clone()
     };
     // BFT: seven replicas — the four client regions plus three fault
     // domains.

@@ -9,15 +9,6 @@
 use super::{latency_rows, LatencyRow};
 use crate::scenarios::{run_scenario, ScenarioCfg, SystemKind};
 
-/// Scale configuration for the Figure 7 sweep.
-#[derive(Debug, Clone, Default)]
-pub struct Config {
-    /// Scenario scale (clients, rate, duration, seed).
-    pub scenario: ScenarioCfg,
-    /// Restrict to one system family for quick runs (`None` = all).
-    pub only: Option<&'static str>,
-}
-
 /// The leader placements evaluated by the paper: every region for BFT and
 /// HFT; Virginia zones 1, 2, 4, 6 for Spider.
 pub fn systems() -> Vec<SystemKind> {
@@ -34,12 +25,11 @@ pub fn systems() -> Vec<SystemKind> {
     v
 }
 
-/// Runs the sweep; one row per (system, client region).
-pub fn run(cfg: &Config) -> Vec<LatencyRow> {
+/// Runs the sweep at `scenario`'s scale; one row per (system, client region).
+pub fn run(scenario: &ScenarioCfg) -> Vec<LatencyRow> {
     systems()
         .into_iter()
-        .filter(|kind| cfg.only.is_none_or(|family| kind.to_string().starts_with(family)))
-        .flat_map(|kind| latency_rows(&kind.to_string(), run_scenario(kind, &cfg.scenario)))
+        .flat_map(|kind| latency_rows(&kind.to_string(), run_scenario(kind, scenario)))
         .collect()
 }
 

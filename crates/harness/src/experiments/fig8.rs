@@ -9,13 +9,6 @@
 use super::{latency_rows, LatencyRow};
 use crate::scenarios::{run_scenario, ScenarioCfg, SystemKind};
 
-/// Scale configuration for Figure 8.
-#[derive(Debug, Clone, Default)]
-pub struct Config {
-    /// Scenario scale.
-    pub scenario: ScenarioCfg,
-}
-
 /// Result: rows for strong reads (8a) and weak reads (8b).
 #[derive(Debug, Clone)]
 pub struct Result {
@@ -31,11 +24,12 @@ const SYSTEMS: [SystemKind; 3] = [
     SystemKind::Spider { leader_zone: 0 },
 ];
 
-/// Runs both read experiments.
-pub fn run(cfg: &Config) -> Result {
+/// Runs both read experiments at `scenario`'s scale (its write mix is
+/// overridden to pure reads).
+pub fn run(scenario: &ScenarioCfg) -> Result {
     let reads = |strong_read_fraction: f64| -> Vec<LatencyRow> {
         let scenario =
-            ScenarioCfg { write_fraction: 0.0, strong_read_fraction, ..cfg.scenario.clone() };
+            ScenarioCfg { write_fraction: 0.0, strong_read_fraction, ..scenario.clone() };
         SYSTEMS
             .iter()
             .flat_map(|kind| latency_rows(&kind.to_string(), run_scenario(*kind, &scenario)))

@@ -8,21 +8,14 @@
 use super::{latency_rows, LatencyRow};
 use crate::scenarios::{run_scenario, ScenarioCfg, SystemKind};
 
-/// Scale configuration for Figure 9a.
-#[derive(Debug, Clone, Default)]
-pub struct Config {
-    /// Scenario scale.
-    pub scenario: ScenarioCfg,
-}
-
 const SYSTEMS: [SystemKind; 3] =
     [SystemKind::Spider0E, SystemKind::Spider1E, SystemKind::Spider { leader_zone: 0 }];
 
-/// Runs the three variants; one row per (variant, region).
-pub fn run(cfg: &Config) -> Vec<LatencyRow> {
+/// Runs the three variants at `scenario`'s scale; one row per (variant, region).
+pub fn run(scenario: &ScenarioCfg) -> Vec<LatencyRow> {
     SYSTEMS
         .iter()
-        .flat_map(|kind| latency_rows(&kind.to_string(), run_scenario(*kind, &cfg.scenario)))
+        .flat_map(|kind| latency_rows(&kind.to_string(), run_scenario(*kind, scenario)))
         .collect()
 }
 

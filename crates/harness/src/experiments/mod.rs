@@ -1,13 +1,15 @@
 //! One module per figure of the paper's evaluation (§5).
 //!
-//! Every module exposes a `Config` (scale knobs with laptop-friendly
-//! defaults), a `run` function returning structured rows, and a `render`
-//! function producing the table/series as text. The Criterion benches in
-//! `crates/bench` and the `paper_figures` example are thin wrappers
-//! around these runners.
+//! Every module exposes a `run` function returning structured rows and a
+//! `render` function producing the table/series as text. The
+//! `paper_figures` example and `bench_summary` are thin wrappers around
+//! these runners.
 //!
 //! The latency figures (7, 8, 9a, 11) are sweeps over
-//! [`crate::scenarios`] summarized by [`latency_rows`]; the two IRMC
+//! [`crate::scenarios`] at the scale of the
+//! [`ScenarioCfg`](crate::scenarios::ScenarioCfg) they are given,
+//! summarized by [`latency_rows`]; the others carry their own scale
+//! knobs. The two IRMC
 //! microbenchmarks ([`fig9bcd`], [`commit_channel`]) drive the one
 //! Virginia→Tokyo channel rig in `channel_rig.rs` with different feed
 //! policies.

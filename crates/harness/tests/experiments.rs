@@ -2,7 +2,7 @@
 //! qualitative results* hold in the reproduction: who wins, by roughly
 //! what factor, and where the crossovers are.
 
-use spider_harness::experiments::{fig10, fig11, fig7, fig8, fig9a, fig9bcd};
+use spider_harness::experiments::{fig10, fig11, fig7, fig8, fig9a, fig9bcd, latency_rows};
 use spider_harness::scenarios::{run_scenario, ScenarioCfg, SystemKind};
 use spider_harness::stats::LatencySummary;
 use spider_types::SimTime;
@@ -74,8 +74,7 @@ fn fig7_bft_latency_depends_on_leader_location() {
 
 #[test]
 fn fig8_read_paths_behave_as_reported() {
-    let cfg = fig8::Config { scenario: quick() };
-    let result = fig8::run(&cfg);
+    let result = fig8::run(&quick());
     let find = |rows: &[spider_harness::experiments::LatencyRow], sys: &str, region: &str| {
         rows.iter()
             .find(|r| r.system.starts_with(sys) && r.client_region == region)
@@ -104,8 +103,7 @@ fn fig8_read_paths_behave_as_reported() {
 
 #[test]
 fn fig9a_modularity_overhead_is_small() {
-    let cfg = fig9a::Config { scenario: quick() };
-    let rows = fig9a::run(&cfg);
+    let rows = fig9a::run(&quick());
     let find = |sys: &str, region: &str| {
         rows.iter()
             .find(|r| r.system == sys && r.client_region == region)
@@ -201,7 +199,7 @@ fn fig11_f2_increases_latency_moderately_and_spider_still_wins() {
     let mut scenario = quick();
     scenario.clients_per_region = 2;
     scenario.duration = SimTime::from_secs(10);
-    let rows = fig11::run(&fig11::Config { scenario });
+    let rows = fig11::run(&scenario);
     let find = |sys_prefix: &str, region: &str| {
         rows.iter()
             .find(|r| r.system.starts_with(sys_prefix) && r.client_region == region)
@@ -222,16 +220,17 @@ fn fig11_f2_increases_latency_moderately_and_spider_still_wins() {
 
 #[test]
 fn fig7_render_produces_a_table() {
-    let cfg = fig7::Config {
-        scenario: ScenarioCfg {
-            clients_per_region: 2,
-            duration: SimTime::from_secs(6),
-            warmup: SimTime::from_secs(1),
-            ..ScenarioCfg::default()
-        },
-        only: Some("SPIDER"),
+    let cfg = ScenarioCfg {
+        clients_per_region: 2,
+        duration: SimTime::from_secs(6),
+        warmup: SimTime::from_secs(1),
+        ..ScenarioCfg::default()
     };
-    let rows = fig7::run(&cfg);
+    let spiders =
+        fig7::systems().into_iter().filter(|kind| matches!(kind, SystemKind::Spider { .. }));
+    let rows: Vec<_> = spiders
+        .flat_map(|kind| latency_rows(&kind.to_string(), run_scenario(kind, &cfg)))
+        .collect();
     let table = fig7::render(&rows);
     assert!(table.contains("Figure 7"));
     assert!(table.contains("SPIDER(leader=V-1)"));

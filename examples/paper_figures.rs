@@ -42,16 +42,16 @@ fn main() {
     };
     println!("Regenerating the paper's evaluation figures (simulated EC2)…\n");
 
-    let rows = fig7::run(&fig7::Config { scenario: scenario.clone(), only: None });
+    let rows = fig7::run(&scenario);
     println!("{}", fig7::render(&rows));
     write("fig7_writes", spider_harness::export::latency_rows_to_csv(&rows));
 
-    let result = fig8::run(&fig8::Config { scenario: scenario.clone() });
+    let result = fig8::run(&scenario);
     println!("{}", fig8::render(&result));
     write("fig8a_strong_reads", spider_harness::export::latency_rows_to_csv(&result.strong));
     write("fig8b_weak_reads", spider_harness::export::latency_rows_to_csv(&result.weak));
 
-    let rows = fig9a::run(&fig9a::Config { scenario: scenario.clone() });
+    let rows = fig9a::run(&scenario);
     println!("{}", fig9a::render(&rows));
     write("fig9a_modularity", spider_harness::export::latency_rows_to_csv(&rows));
 
@@ -66,7 +66,7 @@ fn main() {
 
     let mut f11_scenario = scenario;
     f11_scenario.clients_per_region = f11_scenario.clients_per_region.min(6);
-    let rows = fig11::run(&fig11::Config { scenario: f11_scenario });
+    let rows = fig11::run(&f11_scenario);
     println!("{}", fig11::render(&rows));
     write("fig11_f2", spider_harness::export::latency_rows_to_csv(&rows));
 }

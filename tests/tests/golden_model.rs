@@ -128,7 +128,7 @@ fn disaster_fault_path_rows() {
 #[test]
 fn fig11_f2_rows() {
     let scenario = ScenarioCfg { clients_per_region: 1, ..small() };
-    pin("fig11", format!("{:?}", fig11::run(&fig11::Config { scenario })), 0x8c83_54da_28c9_f42f);
+    pin("fig11", format!("{:?}", fig11::run(&scenario)), 0x8c83_54da_28c9_f42f);
 }
 
 /// BFT-WV (`BftDeployment::build_weighted`) is the one PBFT host no other
