@@ -27,8 +27,6 @@ pub struct BftReplica<A: Application> {
     app: A,
     executed: BTreeMap<ClientId, (u64, Bytes)>,
     delivered: u64,
-    /// Number of executed requests (diagnostics).
-    pub execute_count: u64,
 }
 
 impl<A: Application> BftReplica<A> {
@@ -47,7 +45,6 @@ impl<A: Application> BftReplica<A> {
             app,
             executed: BTreeMap::new(),
             delivered: 0,
-            execute_count: 0,
         }
     }
 
@@ -79,7 +76,6 @@ impl<A: Application> BftReplica<A> {
                 }
                 ctx.charge(self.cfg.cost.app_execute());
                 let result = self.app.execute(&req.operation.op);
-                self.execute_count += 1;
                 self.executed.insert(req.client, (req.tc, result.clone()));
                 if let Some(node) = self.directory.client_node(req.client) {
                     ctx.charge(self.cfg.cost.hmac(result.len()));

@@ -129,13 +129,6 @@ impl<A: Application> StewardReplica<A> {
     pub fn app_digest(&self) -> spider_crypto::Digest {
         self.steward.app.state_digest()
     }
-
-    /// Diagnostics: (site PBFT view, locally delivered instances, next
-    /// global seq assigned, next seq to execute, pending proposals).
-    pub fn diagnostics(&self) -> (u64, u64, u64, u64, usize) {
-        let s = &self.steward;
-        (self.pbft.view().0, s.delivered_local, s.next_seq, s.exec_next, s.proposals.len())
-    }
 }
 
 impl<A: Application> Steward<A> {

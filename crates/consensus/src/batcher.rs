@@ -7,10 +7,11 @@
 //! load. The [`Batcher`] closes a batch on whichever cap fires first:
 //!
 //! * **size cap** — at most `max_batch` payloads per batch,
-//! * **byte cap** — at most `max_bytes` of payload wire bytes (a single
-//!   oversized payload still ships alone),
 //! * **delay cap** — no payload lingers more than `delay` past its
 //!   enqueue time (the leader arms a linger timer for the oldest entry).
+//!
+//! The queue needs no byte bound: a client's request subchannel admits a
+//! fixed number of requests, so the number of clients bounds its length.
 //!
 //! With `delay == 0` the batcher degenerates to the legacy greedy cut
 //! (`pending.len().min(max_batch)`, proposed immediately) — the default,
@@ -27,7 +28,7 @@
 //! amortize their fixed agreement cost (maximal throughput). The linger
 //! timer bounds the worst case either way.
 
-use spider_types::{SimTime, WireSize};
+use spider_types::SimTime;
 use std::collections::VecDeque;
 
 /// Policy knobs of a [`Batcher`].
@@ -35,9 +36,6 @@ use std::collections::VecDeque;
 pub struct BatcherConfig {
     /// Maximum payloads per batch.
     pub max_batch: usize,
-    /// Maximum payload wire bytes per batch (an oversized single payload
-    /// still ships alone).
-    pub max_bytes: usize,
     /// Maximum time a payload may linger in the queue before it is
     /// proposed. Zero = propose immediately (legacy greedy batching).
     pub delay: SimTime,
@@ -49,10 +47,9 @@ pub struct BatcherConfig {
 }
 
 impl Default for BatcherConfig {
-    /// Legacy greedy batching: up to 8 payloads / 1 MiB, proposed
-    /// immediately.
+    /// Legacy greedy batching: up to 8 payloads, proposed immediately.
     fn default() -> Self {
-        BatcherConfig { max_batch: 8, max_bytes: 1 << 20, delay: SimTime::ZERO, adaptive: false }
+        BatcherConfig { max_batch: 8, delay: SimTime::ZERO, adaptive: false }
     }
 }
 
@@ -70,11 +67,10 @@ const TARGET_HEADROOM: f64 = 2.0;
 #[derive(Debug)]
 struct Entry<P> {
     payload: P,
-    bytes: usize,
     enqueued: SimTime,
 }
 
-/// Leader-side payload queue with size/byte/delay-capped batch cuts.
+/// Leader-side payload queue with size/delay-capped batch cuts.
 ///
 /// Sans-IO like the rest of the crate: the owner asks [`Batcher::ready`]
 /// whether a batch should close now, [`Batcher::take`] to cut one, and
@@ -84,30 +80,17 @@ struct Entry<P> {
 pub struct Batcher<P> {
     cfg: BatcherConfig,
     queue: VecDeque<Entry<P>>,
-    queued_bytes: usize,
     /// EWMA of inter-arrival gaps in nanoseconds (`None` until two
     /// arrivals have been observed).
     ewma_gap_ns: Option<f64>,
     last_arrival: Option<SimTime>,
 }
 
-impl<P: WireSize> Batcher<P> {
+impl<P> Batcher<P> {
     /// Creates an empty batcher with the given policy.
     pub fn new(cfg: BatcherConfig) -> Self {
         assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
-        assert!(cfg.max_bytes >= 1, "max_bytes must be at least 1");
-        Batcher {
-            cfg,
-            queue: VecDeque::new(),
-            queued_bytes: 0,
-            ewma_gap_ns: None,
-            last_arrival: None,
-        }
-    }
-
-    /// The active policy.
-    pub fn config(&self) -> &BatcherConfig {
-        &self.cfg
+        Batcher { cfg, queue: VecDeque::new(), ewma_gap_ns: None, last_arrival: None }
     }
 
     /// Number of queued payloads.
@@ -118,11 +101,6 @@ impl<P: WireSize> Batcher<P> {
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Total wire bytes of all queued payloads.
-    pub fn queued_bytes(&self) -> usize {
-        self.queued_bytes
     }
 
     /// Enqueues a payload at `now` and updates the arrival-rate estimate.
@@ -146,13 +124,11 @@ impl<P: WireSize> Batcher<P> {
     /// otherwise look like a same-instant burst and inflate the adaptive
     /// target.
     pub fn requeue(&mut self, now: SimTime, payload: P) {
-        let bytes = payload.wire_size();
-        self.queued_bytes += bytes;
-        self.queue.push_back(Entry { payload, bytes, enqueued: now });
+        self.queue.push_back(Entry { payload, enqueued: now });
     }
 
     /// Estimated arrival rate in payloads per second (0 until measurable).
-    pub fn arrival_rate_per_sec(&self) -> f64 {
+    fn arrival_rate_per_sec(&self) -> f64 {
         match self.ewma_gap_ns {
             Some(gap) if gap > 0.0 => 1e9 / gap,
             Some(_) => f64::INFINITY,
@@ -163,7 +139,7 @@ impl<P: WireSize> Batcher<P> {
     /// The batch size the policy currently aims for: `max_batch` when not
     /// adaptive, else the expected number of arrivals within one linger
     /// window, clamped to `[1, max_batch]`.
-    pub fn target_len(&self) -> usize {
+    fn target_len(&self) -> usize {
         if !self.cfg.adaptive {
             return self.cfg.max_batch;
         }
@@ -180,38 +156,23 @@ impl<P: WireSize> Batcher<P> {
         self.queue.front().map(|e| e.enqueued + self.cfg.delay)
     }
 
-    /// Whether a batch should close at `now`: any of the size, byte, or
-    /// delay caps (or the adaptive target) has been reached.
+    /// Whether a batch should close at `now`: the size or delay cap (or
+    /// the adaptive target) has been reached.
     pub fn ready(&self, now: SimTime) -> bool {
         let Some(front) = self.queue.front() else {
             return false;
         };
-        if self.cfg.delay == SimTime::ZERO {
-            return true;
-        }
-        self.queue.len() >= self.target_len()
-            || self.queued_bytes >= self.cfg.max_bytes
+        self.cfg.delay == SimTime::ZERO
+            || self.queue.len() >= self.target_len()
             || now >= front.enqueued + self.cfg.delay
     }
 
-    /// Cuts one batch off the queue front, respecting the size and byte
-    /// caps. Returns an empty batch when the queue is empty.
+    /// Cuts the oldest `max_batch` payloads (or all, if fewer) off the
+    /// queue, in arrival order. Returns an empty batch when the queue is
+    /// empty.
     pub fn take(&mut self) -> Vec<P> {
-        let mut batch = Vec::new();
-        let mut bytes = 0usize;
-        while let Some(front) = self.queue.front() {
-            if batch.len() >= self.cfg.max_batch {
-                break;
-            }
-            if !batch.is_empty() && bytes + front.bytes > self.cfg.max_bytes {
-                break;
-            }
-            let e = self.queue.pop_front().expect("front checked");
-            bytes += e.bytes;
-            self.queued_bytes -= e.bytes;
-            batch.push(e.payload);
-        }
-        batch
+        let n = self.queue.len().min(self.cfg.max_batch);
+        self.queue.drain(..n).map(|e| e.payload).collect()
     }
 
     /// Drops all queued payloads (used when a view change supersedes the
@@ -219,7 +180,6 @@ impl<P: WireSize> Batcher<P> {
     /// just because leadership did.
     pub fn clear(&mut self) {
         self.queue.clear();
-        self.queued_bytes = 0;
     }
 }
 
@@ -227,24 +187,15 @@ impl<P: WireSize> Batcher<P> {
 mod tests {
     use super::*;
 
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    struct Sized(usize);
-
-    impl WireSize for Sized {
-        fn wire_size(&self) -> usize {
-            self.0
-        }
-    }
-
-    fn cfg(max_batch: usize, max_bytes: usize, delay_ms: u64, adaptive: bool) -> BatcherConfig {
-        BatcherConfig { max_batch, max_bytes, delay: SimTime::from_millis(delay_ms), adaptive }
+    fn cfg(max_batch: usize, delay_ms: u64, adaptive: bool) -> BatcherConfig {
+        BatcherConfig { max_batch, delay: SimTime::from_millis(delay_ms), adaptive }
     }
 
     #[test]
     fn zero_delay_is_greedy() {
-        let mut b = Batcher::new(cfg(8, 1 << 20, 0, false));
+        let mut b = Batcher::new(cfg(8, 0, false));
         assert!(!b.ready(SimTime::ZERO));
-        b.push(SimTime::ZERO, Sized(10));
+        b.push(SimTime::ZERO, 10);
         assert!(b.ready(SimTime::ZERO), "greedy mode proposes immediately");
         assert_eq!(b.take().len(), 1);
         assert!(b.is_empty());
@@ -252,46 +203,33 @@ mod tests {
 
     #[test]
     fn size_cap_closes_batch() {
-        let mut b = Batcher::new(cfg(3, 1 << 20, 50, false));
+        let mut b = Batcher::new(cfg(3, 50, false));
         let t = SimTime::from_millis(1);
         for _ in 0..2 {
-            b.push(t, Sized(10));
+            b.push(t, 10);
         }
         assert!(!b.ready(t), "below size cap and before deadline");
-        b.push(t, Sized(10));
+        b.push(t, 10);
         assert!(b.ready(t), "size cap reached");
         assert_eq!(b.take().len(), 3);
     }
 
     #[test]
-    fn byte_cap_closes_and_splits_batches() {
-        let mut b = Batcher::new(cfg(100, 100, 50, false));
-        let t = SimTime::from_millis(1);
-        for _ in 0..4 {
-            b.push(t, Sized(40));
+    fn take_cuts_the_oldest_max_batch_in_order() {
+        let mut b = Batcher::new(cfg(3, 0, false));
+        for k in 0..5 {
+            b.push(SimTime::from_millis(k), k);
         }
-        assert!(b.ready(t), "byte cap reached");
-        let batch = b.take();
-        assert_eq!(batch.len(), 2, "40 + 40 fits, third would exceed 100");
-        assert_eq!(b.len(), 2);
-    }
-
-    #[test]
-    fn oversized_payload_ships_alone() {
-        let mut b = Batcher::new(cfg(8, 100, 50, false));
-        b.push(SimTime::ZERO, Sized(500));
-        b.push(SimTime::ZERO, Sized(10));
-        assert!(b.ready(SimTime::ZERO));
-        let batch = b.take();
-        assert_eq!(batch, vec![Sized(500)]);
-        assert_eq!(b.take(), vec![Sized(10)]);
+        assert_eq!(b.take(), vec![0, 1, 2]);
+        assert_eq!(b.take(), vec![3, 4]);
+        assert!(b.is_empty());
     }
 
     #[test]
     fn deadline_flushes_partial_batch() {
-        let mut b = Batcher::new(cfg(8, 1 << 20, 10, false));
+        let mut b = Batcher::new(cfg(8, 10, false));
         let t0 = SimTime::from_millis(5);
-        b.push(t0, Sized(10));
+        b.push(t0, 10);
         assert_eq!(b.deadline(), Some(SimTime::from_millis(15)));
         assert!(!b.ready(SimTime::from_millis(14)));
         assert!(b.ready(SimTime::from_millis(15)), "delay cap fires");
@@ -303,9 +241,9 @@ mod tests {
     fn adaptive_target_tracks_rate() {
         // 1 request per ms, linger 8 ms -> 8 expected arrivals per linger
         // window, times the 2x headroom -> target 16.
-        let mut b = Batcher::new(cfg(64, 1 << 20, 8, true));
+        let mut b = Batcher::new(cfg(64, 8, true));
         for k in 0..50u64 {
-            b.push(SimTime::from_millis(k), Sized(10));
+            b.push(SimTime::from_millis(k), 10);
             let _ = b.take(); // keep the queue short; we only train the rate
         }
         let rate = b.arrival_rate_per_sec();
@@ -317,9 +255,9 @@ mod tests {
     fn adaptive_low_load_proposes_immediately() {
         // One request every 100 ms, linger 5 ms -> expected arrivals < 1,
         // so a single request is already a full batch.
-        let mut b = Batcher::new(cfg(64, 1 << 20, 5, true));
+        let mut b = Batcher::new(cfg(64, 5, true));
         for k in 0..10u64 {
-            b.push(SimTime::from_millis(k * 100), Sized(10));
+            b.push(SimTime::from_millis(k * 100), 10);
             assert!(b.ready(SimTime::from_millis(k * 100)), "target is 1 at low load");
             let _ = b.take();
         }
@@ -327,15 +265,15 @@ mod tests {
 
     #[test]
     fn adaptive_high_load_waits_for_target() {
-        let mut b = Batcher::new(cfg(64, 1 << 20, 8, true));
+        let mut b = Batcher::new(cfg(64, 8, true));
         // Train: 1 req/ms.
         for k in 0..50u64 {
-            b.push(SimTime::from_millis(k), Sized(10));
+            b.push(SimTime::from_millis(k), 10);
             let _ = b.take();
         }
         // Now a single queued request is NOT ready before its deadline…
         let t = SimTime::from_millis(60);
-        b.push(t, Sized(10));
+        b.push(t, 10);
         assert!(!b.ready(t), "target is {} at high load", b.target_len());
         // …but the linger deadline still bounds its wait.
         assert!(b.ready(t + SimTime::from_millis(8)));
@@ -343,16 +281,16 @@ mod tests {
 
     #[test]
     fn requeue_does_not_train_the_rate_estimate() {
-        let mut b = Batcher::new(cfg(64, 1 << 20, 5, true));
+        let mut b = Batcher::new(cfg(64, 5, true));
         // Train a low rate: one arrival every 100 ms.
         for k in 0..10u64 {
-            b.push(SimTime::from_millis(k * 100), Sized(10));
+            b.push(SimTime::from_millis(k * 100), 10);
             let _ = b.take();
         }
         let rate = b.arrival_rate_per_sec();
         // A view change dumps a backlog in at one instant…
         for _ in 0..10 {
-            b.requeue(SimTime::from_secs(2), Sized(10));
+            b.requeue(SimTime::from_secs(2), 10);
         }
         // …without making the batcher believe load spiked.
         assert_eq!(b.arrival_rate_per_sec(), rate);
@@ -361,13 +299,12 @@ mod tests {
 
     #[test]
     fn clear_empties_queue_but_keeps_rate() {
-        let mut b = Batcher::new(cfg(8, 1 << 20, 10, true));
-        b.push(SimTime::from_millis(0), Sized(10));
-        b.push(SimTime::from_millis(1), Sized(10));
+        let mut b = Batcher::new(cfg(8, 10, true));
+        b.push(SimTime::from_millis(0), 10);
+        b.push(SimTime::from_millis(1), 10);
         let rate = b.arrival_rate_per_sec();
         b.clear();
         assert!(b.is_empty());
-        assert_eq!(b.queued_bytes(), 0);
         assert_eq!(b.arrival_rate_per_sec(), rate);
     }
 }

@@ -29,7 +29,7 @@ pub struct PbftConfig {
     /// Weight a prepare/commit/view-change quorum must reach; set by the
     /// constructor.
     pub(crate) quorum_weight: u32,
-    /// The leader's batching policy: size, byte and linger caps plus
+    /// The leader's batching policy: size and linger caps plus
     /// rate-adaptive sizing (see [`crate::Batcher`]).
     pub batching: BatcherConfig,
     /// Maximum number of concurrently active (proposed, undelivered)

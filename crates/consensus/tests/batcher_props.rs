@@ -3,8 +3,7 @@
 //!
 //! The batcher's contract (see `spider_consensus::Batcher`):
 //!
-//! 1. a cut batch never exceeds the size cap, and never exceeds the byte
-//!    cap unless a single payload alone does,
+//! 1. a cut batch never exceeds the size cap,
 //! 2. whenever the owner can propose, no payload lingers more than
 //!    `batch_delay` past its enqueue time — the deadline is always
 //!    `oldest enqueue + delay` and `ready` is true at (and after) it,
@@ -25,64 +24,42 @@ use spider_crypto::CostModel;
 use spider_types::{SimTime, WireSize};
 use std::collections::VecDeque;
 
-/// Test payload with an explicit wire size and identity.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Item {
-    id: usize,
-    bytes: usize,
-}
-
-impl WireSize for Item {
-    fn wire_size(&self) -> usize {
-        self.bytes
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Contract 1: size and byte caps hold for every cut, under random
-    /// push/take interleavings, sizes, and timings.
+    /// Contract 1: the size cap holds for every cut, under random
+    /// push/take interleavings and timings.
     #[test]
     fn batches_never_exceed_caps(
         seed in 0u64..100_000,
         max_batch in 1usize..16,
-        max_bytes in 40usize..400,
         delay_ms in 0u64..20,
         adaptive_sel in 0u8..2,
     ) {
         let cfg = BatcherConfig {
             max_batch,
-            max_bytes,
             delay: SimTime::from_millis(delay_ms),
             adaptive: adaptive_sel == 1,
         };
-        let mut b: Batcher<Item> = Batcher::new(cfg);
+        let mut b: Batcher<usize> = Batcher::new(cfg);
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut now = SimTime::ZERO;
         let mut next_id = 0usize;
         for _ in 0..200 {
             now += SimTime::from_micros(rng.gen_range(0..5_000u64));
             if rng.gen_range(0..3u8) < 2 {
-                b.push(now, Item { id: next_id, bytes: rng.gen_range(1..200usize) });
+                b.push(now, next_id);
                 next_id += 1;
             } else if b.ready(now) {
                 let batch = b.take();
                 prop_assert!(!batch.is_empty(), "ready implies a non-empty cut");
                 prop_assert!(batch.len() <= max_batch, "size cap violated");
-                let bytes: usize = batch.iter().map(|i| i.bytes).sum();
-                prop_assert!(
-                    bytes <= max_bytes || batch.len() == 1,
-                    "byte cap violated by a multi-payload batch ({bytes} > {max_bytes})"
-                );
             }
         }
-        // Drain: caps must hold for the leftovers too.
+        // Drain: the cap must hold for the leftovers too.
         while !b.is_empty() {
             let batch = b.take();
             prop_assert!(batch.len() <= max_batch);
-            let bytes: usize = batch.iter().map(|i| i.bytes).sum();
-            prop_assert!(bytes <= max_bytes || batch.len() == 1);
         }
     }
 
@@ -97,20 +74,16 @@ proptest! {
         adaptive_sel in 0u8..2,
     ) {
         let delay = SimTime::from_millis(delay_ms);
-        let cfg = BatcherConfig { max_batch, max_bytes: 1 << 20, delay, adaptive: adaptive_sel == 1 };
-        let mut b: Batcher<Item> = Batcher::new(cfg);
+        let cfg = BatcherConfig { max_batch, delay, adaptive: adaptive_sel == 1 };
+        let mut b: Batcher<usize> = Batcher::new(cfg);
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut enqueued: Vec<SimTime> = Vec::new();
         let mut now = SimTime::ZERO;
 
-        let flush = |b: &mut Batcher<Item>, now: SimTime, enq: &[SimTime]| {
-            for item in b.take() {
-                let waited = now.saturating_sub(enq[item.id]);
-                assert!(
-                    waited <= delay,
-                    "payload {} waited {waited} (> {delay})",
-                    item.id
-                );
+        let flush = |b: &mut Batcher<usize>, now: SimTime, enq: &[SimTime]| {
+            for id in b.take() {
+                let waited = now.saturating_sub(enq[id]);
+                assert!(waited <= delay, "payload {id} waited {waited} (> {delay})");
             }
         };
 
@@ -130,7 +103,7 @@ proptest! {
             now = arrival;
             let id = enqueued.len();
             enqueued.push(now);
-            b.push(now, Item { id, bytes: rng.gen_range(1..300usize) });
+            b.push(now, id);
             // A host may also flush eagerly whenever the policy says so.
             while b.ready(now) {
                 flush(&mut b, now, &enqueued);

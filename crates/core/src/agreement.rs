@@ -438,9 +438,8 @@ impl AgreementReplica {
         let mut buf = BytesMut::with_capacity(len);
         buf.put_u64(self.sn);
         buf.put_u32(self.t.len() as u32);
-        let mut t: Vec<(&ClientId, &u64)> = self.t.iter().collect();
-        t.sort_by_key(|(c, _)| c.0);
-        for (c, tc) in t {
+        // A `BTreeMap` iterates in `ClientId` order: the encoding's order.
+        for (c, tc) in &self.t {
             buf.put_u32(c.0);
             buf.put_u64(*tc);
         }

@@ -341,8 +341,8 @@ impl CheckpointComponent {
         if !self.keyring.verify(key, &digest, &sig) {
             return;
         }
-        // Old announcement: help the laggard with our own latest vote
-        // (keeps CP-Liveness without a periodic gossip timer).
+        // Old announcement: answer the laggard at once with our own latest
+        // vote, rather than leaving it to the next `gossip` round.
         if let Some((stable_seq, hash, _)) = &self.stable {
             if seq < *stable_seq {
                 if let Some((_, (h, s))) = self

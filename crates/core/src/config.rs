@@ -7,7 +7,7 @@ use spider_irmc::{ChannelMode, IrmcConfig, Variant};
 use spider_types::{GroupId, SimTime};
 
 /// Capacity of each client's request subchannel (Fig 16 uses 2).
-const REQUEST_CAPACITY: u64 = 2;
+pub(crate) const REQUEST_CAPACITY: u64 = 2;
 
 /// Configuration of a Spider deployment.
 ///
@@ -57,9 +57,9 @@ pub struct SpiderConfig {
     /// View-change timeout of the agreement group's consensus protocol
     /// (default [`VIEW_CHANGE_TIMEOUT`], PBFT's own).
     pub view_change_timeout: SimTime,
-    /// Consensus batching policy (size, byte and linger caps, adaptive
-    /// sizing), handed unchanged to the agreement group's PBFT leader and
-    /// to every PBFT baseline.
+    /// Consensus batching policy (size and linger caps, adaptive sizing),
+    /// handed unchanged to the agreement group's PBFT leader and to every
+    /// PBFT baseline.
     pub batching: BatcherConfig,
     /// CPU cost model applied by all nodes.
     pub cost: CostModel,
@@ -106,7 +106,7 @@ impl SpiderConfig {
         );
         assert!(self.ag_win >= self.ka, "AG-WIN must be >= ka (Fig 17)");
         let b = &self.batching;
-        assert!(b.max_batch >= 1 && b.max_bytes >= 1);
+        assert!(b.max_batch >= 1);
         assert!(
             !b.adaptive || b.delay > SimTime::ZERO,
             "adaptive batching needs a non-zero batching.delay (the linger cap it adapts within)"
@@ -162,7 +162,7 @@ impl SpiderConfig {
     #[must_use]
     pub fn with_adaptive_batching(mut self, delay: SimTime, max_batch: usize) -> Self {
         assert!(delay > SimTime::ZERO, "adaptive batching needs a non-zero linger cap");
-        self.batching = BatcherConfig { max_batch, delay, adaptive: true, ..self.batching };
+        self.batching = BatcherConfig { max_batch, delay, adaptive: true };
         self
     }
 

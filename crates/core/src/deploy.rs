@@ -108,7 +108,7 @@ impl<A: Application> DeploymentBuilder<A> {
     pub fn build(self, sim: &mut Simulation<SpiderMsg>) -> Deployment {
         self.cfg.validate();
         if self.cfg.tracing && !sim.obs().is_enabled() {
-            sim.enable_obs(spider_sim::ObsConfig::default());
+            sim.enable_obs();
         }
         assert!(
             !self.agreement_region.is_empty() || self.agreement_span.is_some(),

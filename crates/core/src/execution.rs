@@ -15,7 +15,7 @@ use crate::app::Application;
 use crate::checkpoint::{
     CheckpointComponent, CpAction, Part, Snapshot, FETCH_RETRY, GOSSIP_INTERVAL,
 };
-use crate::config::SpiderConfig;
+use crate::config::{SpiderConfig, REQUEST_CAPACITY};
 use crate::directory::Directory;
 use crate::host;
 use crate::messages::{ClientRequest, Execute, ExecutePayload, OrderedRequest, Reply, SpiderMsg};
@@ -118,6 +118,12 @@ impl<A: Application> ExecutionReplica<A> {
     fn on_client_request(&mut self, ctx: &mut Context<'_, SpiderMsg>, req: Hashed<ClientRequest>) {
         // MAC check on every request.
         ctx.charge(self.cfg.cost.hmac(req.wire_size()));
+        // Request-channel windows move to `tc + 1` and are checked up to a
+        // window length past their end, so a counter within two windows of
+        // `u64::MAX` would overflow there; no correct client counts that far.
+        if req.tc > u64::MAX - 2 * REQUEST_CAPACITY {
+            return;
+        }
         let c = req.client;
 
         if req.operation.kind == OpKind::WeakRead {
@@ -267,9 +273,8 @@ impl<A: Application> ExecutionReplica<A> {
         let mut buf = BytesMut::with_capacity(len);
         buf.put_u64(self.sn);
         buf.put_u32(self.replies.len() as u32);
-        let mut entries: Vec<(&ClientId, &CachedReply)> = self.replies.iter().collect();
-        entries.sort_by_key(|(c, _)| c.0);
-        for (c, r) in entries {
+        // A `BTreeMap` iterates in `ClientId` order: the encoding's order.
+        for (c, r) in &self.replies {
             buf.put_u32(c.0);
             match r {
                 CachedReply::Result { tc, result } => {

@@ -221,7 +221,7 @@ mod tests {
     use spider_consensus::TestPayload;
     use spider_crypto::{CostModel, Digest, Digestible, Keyring};
     use spider_irmc::{ChannelMsg, ReceiverMsg};
-    use spider_sim::{Actor, ObsConfig, Simulation, Timer, Topology};
+    use spider_sim::{Actor, Simulation, Timer, Topology};
     use spider_types::{Position, SimTime, ViewNr};
     use std::cell::RefCell;
     use std::fmt::Debug;
@@ -263,7 +263,7 @@ mod tests {
     ) -> (Vec<String>, Vec<String>) {
         let topology = Topology::builder().region("r", 1).jitter(0.0).build();
         let mut sim: Simulation<M> = Simulation::new(topology, 1);
-        sim.enable_obs(ObsConfig::default());
+        sim.enable_obs();
         let zone = sim.topology().zone("r", 0);
         let log = Transcript::default();
         for _ in 0..sinks {

@@ -1,12 +1,14 @@
-//! Group ids arrive in frames: one naming a group nobody registered must
-//! be dropped by the replica that receives it, not abort the run.
+//! Group ids and client counters arrive in frames: one naming a group
+//! nobody registered, or a counter no correct client reaches, must be
+//! dropped by the replica that receives it, not abort the run.
 
-use spider::messages::{ChannelLeg, CheckpointMsg, SpiderMsg};
+use bytes::Bytes;
+use spider::messages::{ChannelLeg, CheckpointMsg, ClientRequest, Operation, SpiderMsg};
 use spider::{Deployment, DeploymentBuilder, SpiderConfig, WorkloadSpec};
-use spider_crypto::Digest;
+use spider_crypto::{Digest, Hashed};
 use spider_irmc::{ChannelMsg, ReceiverMsg};
 use spider_sim::{Simulation, Topology};
-use spider_types::{GroupId, Position, SeqNr, SimTime};
+use spider_types::{ClientId, GroupId, OpKind, Position, SeqNr, SimTime};
 
 const NOBODY: GroupId = GroupId(999);
 
@@ -57,4 +59,22 @@ fn execution_replica_drops_checkpoint_frames_of_an_unregistered_group() {
     sim.post(SimTime::ZERO, peer, exec, SpiderMsg::Checkpoint { group: NOBODY, msg: fetch });
     sim.run_until(SimTime::from_millis(100));
     serves(sim, dep);
+}
+
+/// A write under a counter near `u64::MAX`, from a client nobody spawned,
+/// posted to every replica of group 0.
+#[test]
+fn execution_replica_drops_requests_at_counters_no_client_reaches() {
+    for tc in [u64::MAX, u64::MAX - 1, u64::MAX - 2] {
+        let (mut sim, dep) = deployment();
+        let agreement = dep.agreement[0];
+        let operation = Operation { op: Bytes::from_static(b"x"), kind: OpKind::Write };
+        let req: Hashed<ClientRequest> =
+            ClientRequest { client: ClientId(77), tc, operation }.into();
+        for &exec in dep.group_nodes(0) {
+            sim.post(SimTime::ZERO, agreement, exec, SpiderMsg::Request(req.clone()));
+        }
+        sim.run_until(SimTime::from_millis(500));
+        serves(sim, dep);
+    }
 }

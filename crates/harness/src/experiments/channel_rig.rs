@@ -16,7 +16,7 @@ use spider_crypto::{CostModel, Digest, Digestible, Keyring};
 use spider_irmc::{
     Action, ChannelMode, IrmcConfig, ReceiveResult, ReceiverEndpoint, SenderEndpoint, TICK_INTERVAL,
 };
-use spider_sim::{Actor, Context, NodeId, ObsConfig, ObsReport, Simulation, Timer};
+use spider_sim::{Actor, Context, NodeId, ObsReport, Simulation, Timer};
 use spider_types::{Position, SimTime, Sink, WireSize};
 use std::sync::Arc;
 
@@ -356,7 +356,7 @@ impl Rig {
     pub(super) fn run(&self) -> Outcome {
         let mut sim: Simulation<M> = Simulation::new(ec2_topology(), self.seed);
         if self.traced {
-            sim.enable_obs(ObsConfig::default());
+            sim.enable_obs();
         }
         let range = self.feed.range();
         let icfg = IrmcConfig::new(self.mode, N_SENDERS, 1, N_RECEIVERS, 1, self.capacity)

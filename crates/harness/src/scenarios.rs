@@ -12,7 +12,7 @@ use crate::topology::{ec2_topology, REGIONS4};
 use spider::{DeploymentBuilder, Sample, SpiderClient, SpiderConfig, WorkloadSpec};
 use spider_app::{kv_op_factory, KvStore};
 use spider_baselines::{BaseMsg, BaselineClient, BftDeployment, StewardDeployment};
-use spider_sim::{NodeId, ObsConfig, ObsReport, Simulation};
+use spider_sim::{NodeId, ObsReport, Simulation};
 use spider_types::{ClientId, SimTime, WireSize};
 use std::collections::BTreeMap;
 
@@ -189,7 +189,7 @@ fn run_regions<M: Clone + WireSize + 'static>(
 fn new_sim<M: Clone + WireSize + 'static>(cfg: &ScenarioCfg) -> Simulation<M> {
     let mut sim = Simulation::new(ec2_topology(), cfg.seed);
     if cfg.spider.tracing {
-        sim.enable_obs(ObsConfig::default());
+        sim.enable_obs();
     }
     sim
 }

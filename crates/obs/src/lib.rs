@@ -84,21 +84,22 @@ pub fn req_id(client: u32, seq: u64) -> u64 {
     ((client as u64) << 40) | (seq & 0xff_ffff_ffff)
 }
 
-/// Recorder configuration.
+/// Recorder capacities. Every run uses the defaults; only this crate's
+/// ring and reservoir tests set smaller ones.
 #[derive(Debug, Clone, Copy)]
 pub struct ObsConfig {
     /// Span events retained per node; the ring overwrites its oldest
     /// events beyond this (counted in [`ObsReport::spans_dropped`]).
-    pub span_capacity: usize,
+    pub(crate) span_capacity: usize,
     /// Causal edge events retained per (source) node; overwritten
     /// beyond this (counted in [`ObsReport::edges_dropped`]).
-    pub edge_capacity: usize,
+    pub(crate) edge_capacity: usize,
     /// Slowest requests kept with full span/edge detail in the
     /// exemplar reservoir.
-    pub exemplar_slowest: usize,
+    pub(crate) exemplar_slowest: usize,
     /// Uniform-sample slots of the exemplar reservoir (Algorithm R
     /// over completed requests, seeded from the sim seed).
-    pub exemplar_sample: usize,
+    pub(crate) exemplar_sample: usize,
 }
 
 impl Default for ObsConfig {

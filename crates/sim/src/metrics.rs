@@ -25,21 +25,15 @@ impl std::fmt::Display for LinkClass {
     }
 }
 
-/// Byte counters for one node.
+/// Send-side byte and message counters of one node.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct NetStats {
     /// Bytes sent over intra-region links.
     pub lan_sent: u64,
     /// Bytes sent over inter-region links.
     pub wan_sent: u64,
-    /// Bytes received over intra-region links.
-    pub lan_received: u64,
-    /// Bytes received over inter-region links.
-    pub wan_received: u64,
     /// Messages sent (any class).
     pub messages_sent: u64,
-    /// Messages received (any class).
-    pub messages_received: u64,
 }
 
 /// CPU accounting for one node.
@@ -47,8 +41,6 @@ pub struct NetStats {
 pub struct NodeStats {
     /// Total CPU time charged by this node's handlers.
     pub busy: SimTime,
-    /// Number of events (messages + timers) processed.
-    pub events: u64,
 }
 
 impl NodeStats {
@@ -91,19 +83,8 @@ impl SimStats {
         }
     }
 
-    pub(crate) fn record_receive(&mut self, to: NodeId, class: LinkClass, bytes: u64) {
-        let s = &mut self.net[to.0 as usize];
-        s.messages_received += 1;
-        match class {
-            LinkClass::Lan => s.lan_received += bytes,
-            LinkClass::Wan => s.wan_received += bytes,
-        }
-    }
-
     pub(crate) fn record_busy(&mut self, node: NodeId, busy: SimTime) {
-        let s = &mut self.cpu[node.0 as usize];
-        s.busy += busy;
-        s.events += 1;
+        self.cpu[node.0 as usize].busy += busy;
     }
 
     /// Network counters of a node.
@@ -137,13 +118,10 @@ mod tests {
         s.ensure_node(NodeId(1));
         s.record_send(NodeId(1), LinkClass::Wan, 100);
         s.record_send(NodeId(1), LinkClass::Lan, 40);
-        s.record_receive(NodeId(1), LinkClass::Wan, 7);
         let n = s.net(NodeId(1));
         assert_eq!(n.wan_sent, 100);
         assert_eq!(n.lan_sent, 40);
-        assert_eq!(n.wan_received, 7);
         assert_eq!(n.messages_sent, 2);
-        assert_eq!(n.messages_received, 1);
         assert_eq!(s.total_wan_sent(), 100);
         assert_eq!(s.total_lan_sent(), 40);
     }
@@ -155,13 +133,12 @@ mod tests {
         s.record_busy(NodeId(0), SimTime::from_millis(250));
         let u = s.cpu(NodeId(0)).utilization(SimTime::from_secs(1));
         assert!((u - 0.25).abs() < 1e-12);
-        assert_eq!(s.cpu(NodeId(0)).events, 1);
     }
 
     #[test]
     fn unknown_node_reads_as_default() {
         let s = SimStats::default();
         assert_eq!(s.net(NodeId(42)).wan_sent, 0);
-        assert_eq!(s.cpu(NodeId(42)).events, 0);
+        assert_eq!(s.cpu(NodeId(42)).busy, SimTime::ZERO);
     }
 }

@@ -151,7 +151,7 @@ fn bft_weighted_voting_run() {
     }
     sim.run_until_quiescent(SimTime::from_secs(60));
     let rendered = format!("{:?}\n{:?}", dep.collect_samples(&sim), sim.stats());
-    pin("BFT-WV", rendered, 0x6d88_fcab_9a8e_92e9);
+    pin("BFT-WV", rendered, 0x7bbb_ab15_9d21_5042);
 }
 
 /// A group added at runtime: the agreement replicas replay `hist` into
@@ -178,7 +178,7 @@ fn runtime_add_group_run() {
         let seq = sim.actor::<spider::agreement::AgreementReplica>(*node).sequence();
         rendered.push_str(&format!("agreement {node:?} {seq:?}\n"));
     }
-    pin("runtime AddGroup", rendered, 0xe6d9_d3e6_2e75_d880);
+    pin("runtime AddGroup", rendered, 0xa480_42db_879e_da7c);
 }
 
 /// The recorder's whole report of a traced Spider run — spans, edges,
@@ -227,5 +227,5 @@ fn view_change_storm_trace() {
         let replica = sim.actor::<spider::agreement::AgreementReplica>(*node);
         rendered.push_str(&format!("{node:?} {:?} {:?}\n", replica.view(), replica.sequence()));
     }
-    pin("view-change storm trace", rendered, 0x793b_3db2_a7e5_3683);
+    pin("view-change storm trace", rendered, 0x3a6f_33fd_47aa_890a);
 }
