@@ -69,7 +69,7 @@ impl<A: Application> BftReplica<A> {
             else {
                 return;
             };
-            for req in batch {
+            for req in batch.iter() {
                 let fresh = self.executed.get(&req.client).is_none_or(|(tc, _)| *tc < req.tc);
                 if !fresh {
                     continue;

@@ -166,7 +166,7 @@ impl<A: Application> Steward<A> {
             if let Some(Output::Deliver { batch, .. }) =
                 host::pbft_io(ctx, &site_nodes, BaseMsg::Pbft, output)
             {
-                for req in batch {
+                for req in batch.iter() {
                     self.on_local_delivery(ctx, req);
                 }
                 self.delivered_local += 1;
@@ -185,7 +185,7 @@ impl<A: Application> Steward<A> {
     }
 
     /// The site-local agreement delivered a request.
-    fn on_local_delivery(&mut self, ctx: &mut Context<'_, BaseMsg>, req: Request) {
+    fn on_local_delivery(&mut self, ctx: &mut Context<'_, BaseMsg>, req: &Request) {
         if self.is_leader_site() {
             // Assign the next global sequence number and produce a
             // threshold share for the proposal (deterministic across the
@@ -203,7 +203,7 @@ impl<A: Application> Steward<A> {
                 self.assigned.retain(|_, s| *s > horizon);
             }
             let seq = SeqNr(self.next_seq);
-            let pd = proposal_digest(seq, &req);
+            let pd = proposal_digest(seq, req);
             self.proposals.insert(seq.0, (req.clone(), pd));
             // The leader site accepts its own proposal implicitly.
             self.accepts.entry(seq.0).or_default().insert(self.site);

@@ -18,8 +18,9 @@ pub struct PreparedCert<P> {
     pub view: ViewNr,
     /// Digest of the batch.
     pub digest: Digest,
-    /// The batch itself (so re-proposal needs no extra fetch round).
-    pub batch: Vec<P>,
+    /// The batch itself (so re-proposal needs no extra fetch round),
+    /// shared with the instance that prepared it.
+    pub batch: Arc<Vec<P>>,
 }
 
 impl<P: Payload> WireSize for PreparedCert<P> {
@@ -198,7 +199,7 @@ mod tests {
                 seq: SeqNr(1),
                 view: ViewNr(0),
                 digest: Digest::ZERO,
-                batch: vec![TestPayload(9)],
+                batch: Arc::new(vec![TestPayload(9)]),
             }],
             sender: 2,
         });

@@ -60,8 +60,10 @@ pub enum Output<P> {
     Deliver {
         /// Consensus instance number.
         seq: SeqNr,
-        /// The ordered batch; empty = no-op instance.
-        batch: Vec<P>,
+        /// The ordered batch; empty = no-op instance. It is the instance's
+        /// own batch, shared with the `PrePrepare` that proposed it: a host
+        /// reads it by reference, and nothing is copied to deliver it.
+        batch: Arc<Vec<P>>,
     },
     /// (Re-)arm the timer identified by `token`.
     SetTimer {
@@ -93,6 +95,36 @@ pub enum Output<P> {
     },
 }
 
+/// One phase's votes of an instance: the digest each replica voted for,
+/// by replica index. A repeated vote replaces the replica's earlier one.
+#[derive(Debug)]
+struct Votes(Vec<Option<Digest>>);
+
+impl Votes {
+    fn new(n: usize) -> Self {
+        Votes(vec![None; n])
+    }
+
+    /// Records `replica`'s vote (an index outside the group is ignored:
+    /// [`Pbft::handle`] drops such senders).
+    fn insert(&mut self, replica: usize, digest: Digest) {
+        if let Some(vote) = self.0.get_mut(replica) {
+            *vote = Some(digest);
+        }
+    }
+
+    /// The voting weight of the replicas that voted for `digest`.
+    fn weight(&self, digest: Digest, cfg: &PbftConfig) -> u32 {
+        let voted = self.0.iter().enumerate().filter(|(_, vote)| **vote == Some(digest));
+        voted.map(|(i, _)| cfg.weight(i)).sum()
+    }
+
+    /// Forgets every vote, keeping the storage.
+    fn clear(&mut self) {
+        self.0.fill(None);
+    }
+}
+
 #[derive(Debug)]
 struct Instance<P> {
     view: ViewNr,
@@ -100,25 +132,37 @@ struct Instance<P> {
     /// The proposed batch, shared with the PrePrepare broadcast so the
     /// hot path never copies payloads.
     batch: Option<Arc<Vec<P>>>,
-    /// Prepare-phase votes: replica index -> digest voted for. The leader's
-    /// pre-prepare counts as its prepare vote.
-    prepares: BTreeMap<usize, Digest>,
-    commits: BTreeMap<usize, Digest>,
+    /// Prepare-phase votes. The leader's pre-prepare counts as its
+    /// prepare vote.
+    prepares: Votes,
+    commits: Votes,
     prepared: bool,
     committed: bool,
 }
 
 impl<P> Instance<P> {
-    fn new() -> Self {
+    fn new(n: usize) -> Self {
         Instance {
             view: ViewNr(0),
             digest: None,
             batch: None,
-            prepares: BTreeMap::new(),
-            commits: BTreeMap::new(),
+            prepares: Votes::new(n),
+            commits: Votes::new(n),
             prepared: false,
             committed: false,
         }
+    }
+
+    /// Returns the instance to the state [`Instance::new`] makes, keeping
+    /// the vote storage, so that it can stand for another sequence number.
+    fn reset(&mut self) {
+        self.view = ViewNr(0);
+        self.digest = None;
+        self.batch = None;
+        self.prepares.clear();
+        self.commits.clear();
+        self.prepared = false;
+        self.committed = false;
     }
 }
 
@@ -137,6 +181,9 @@ pub struct Pbft<P> {
     /// Next instance to deliver.
     next_deliver: u64,
     instances: BTreeMap<u64, Instance<P>>,
+    /// Forgotten instances, reset and kept for the next sequence numbers
+    /// (at most as many as were ever live at once).
+    spare: Vec<Instance<P>>,
     /// Leader-side queue of payloads awaiting proposal, with the
     /// size/byte/delay-capped (optionally rate-adaptive) cut policy.
     batcher: Batcher<P>,
@@ -184,6 +231,7 @@ impl<P: Payload> Pbft<P> {
             next_seq: 1,
             next_deliver: 1,
             instances: BTreeMap::new(),
+            spare: Vec::new(),
             batcher,
             pending_digests: BTreeSet::new(),
             batch_timer_deadline: None,
@@ -234,7 +282,7 @@ impl<P: Payload> Pbft<P> {
             return;
         }
         self.h = self.h.max(keep_from - 1);
-        self.instances.retain(|&s, _| s >= keep_from);
+        self.forget_below(keep_from);
         self.next_deliver = self.next_deliver.max(keep_from);
         self.next_seq = self.next_seq.max(keep_from);
     }
@@ -314,13 +362,14 @@ impl<P: Payload> Pbft<P> {
                 *charge +=
                     self.cfg.cost.mac_vector(self.cfg.n() - 1, spider_types::wire::DIGEST_BYTES);
 
-                let inst = self.instances.entry(seq).or_insert_with(Instance::new);
-                inst.view = self.view;
+                let (view, me) = (self.view, self.me);
+                let inst = self.instance(seq);
+                inst.view = view;
                 inst.digest = Some(digest);
                 inst.batch = Some(batch.clone());
-                inst.prepares.insert(self.me, digest);
+                inst.prepares.insert(me, digest);
 
-                self.broadcast(out, Msg::PrePrepare { view: self.view, seq: SeqNr(seq), batch });
+                self.broadcast(out, Msg::PrePrepare { view, seq: SeqNr(seq), batch });
             }
         }
         self.update_batch_timer(now, out);
@@ -404,7 +453,7 @@ impl<P: Payload> Pbft<P> {
         *charge += self.cfg.cost.hmac(batch.iter().map(|p| p.wire_size()).sum());
 
         let me = self.me;
-        let inst = self.instances.entry(seq).or_insert_with(Instance::new);
+        let inst = self.instance(seq);
         if inst.digest.is_some() && inst.view == view {
             // Duplicate or equivocating pre-prepare: keep the first.
             return;
@@ -453,7 +502,7 @@ impl<P: Payload> Pbft<P> {
         if seq <= self.h || seq > self.h + WINDOW {
             return;
         }
-        let inst = self.instances.entry(seq).or_insert_with(Instance::new);
+        let inst = self.instance(seq);
         if is_commit {
             inst.commits.insert(from, digest);
         } else {
@@ -483,35 +532,18 @@ impl<P: Payload> Pbft<P> {
             return;
         }
 
-        if !inst.prepared {
-            let weight: u32 = inst
-                .prepares
-                .iter()
-                .filter(|(_, d)| **d == digest)
-                .map(|(i, _)| self.cfg.weight(*i))
-                .sum();
-            if weight >= quorum {
-                inst.prepared = true;
-                inst.commits.insert(me, digest);
-                *charge +=
-                    self.cfg.cost.mac_vector(self.cfg.n() - 1, spider_types::wire::DIGEST_BYTES);
-                self.broadcast(out, Msg::Commit { view, seq: SeqNr(seq), digest });
-            }
+        if !inst.prepared && inst.prepares.weight(digest, &self.cfg) >= quorum {
+            inst.prepared = true;
+            inst.commits.insert(me, digest);
+            *charge += self.cfg.cost.mac_vector(self.cfg.n() - 1, spider_types::wire::DIGEST_BYTES);
+            self.broadcast(out, Msg::Commit { view, seq: SeqNr(seq), digest });
         }
 
         let Some(inst) = self.instances.get_mut(&seq) else {
             return;
         };
-        if inst.prepared && !inst.committed {
-            let weight: u32 = inst
-                .commits
-                .iter()
-                .filter(|(_, d)| **d == digest)
-                .map(|(i, _)| self.cfg.weight(*i))
-                .sum();
-            if weight >= quorum {
-                inst.committed = true;
-            }
+        if inst.prepared && !inst.committed && inst.commits.weight(digest, &self.cfg) >= quorum {
+            inst.committed = true;
         }
         self.try_deliver(now, out, charge);
     }
@@ -522,8 +554,8 @@ impl<P: Payload> Pbft<P> {
             if !inst.committed {
                 break;
             }
-            let batch: Vec<P> = inst.batch.as_ref().map(|b| (**b).clone()).unwrap_or_default();
-            for p in &batch {
+            let batch = inst.batch.clone().unwrap_or_default();
+            for p in batch.iter() {
                 let d = p.digest();
                 self.pool.remove(&d);
                 self.watching.remove(&d);
@@ -620,7 +652,7 @@ impl<P: Payload> Pbft<P> {
                     seq: SeqNr(seq),
                     view: inst.view,
                     digest: inst.digest?,
-                    batch: inst.batch.as_ref().map(|b| (**b).clone())?,
+                    batch: inst.batch.clone()?,
                 })
             })
             .collect()
@@ -785,7 +817,7 @@ impl<P: Payload> Pbft<P> {
         // If the quorum's horizon is ahead of us, we missed deliveries; the
         // host must fetch a checkpoint (Output::Skipped).
         if start >= self.next_deliver {
-            self.instances.retain(|&s, _| s > start);
+            self.forget_below(start + 1);
             self.h = self.h.max(start);
             self.next_deliver = start + 1;
             // Everything this replica was tracking predates the skip: the
@@ -817,12 +849,9 @@ impl<P: Payload> Pbft<P> {
         for seq in (start + 1)..=max_seq {
             let (digest, batch) = match best.get(&seq) {
                 Some(cert) => (cert.digest, cert.batch.clone()),
-                None => {
-                    let empty: Vec<P> = Vec::new();
-                    (batch_digest(&empty), empty)
-                }
+                None => (batch_digest::<P>(&[]), Arc::default()),
             };
-            let inst = self.instances.entry(seq).or_insert_with(Instance::new);
+            let inst = self.instance(seq);
             if inst.committed && inst.view < view {
                 // Already committed in an earlier view; keep it (safety
                 // guarantees the digest matches).
@@ -830,11 +859,13 @@ impl<P: Payload> Pbft<P> {
             }
             inst.view = view;
             inst.digest = Some(digest);
-            inst.batch = Some(Arc::new(batch));
+            inst.batch = Some(batch);
             inst.prepared = false;
             inst.committed = false;
-            inst.prepares = BTreeMap::from([(leader, digest), (me, digest)]);
-            inst.commits = BTreeMap::new();
+            inst.prepares.clear();
+            inst.prepares.insert(leader, digest);
+            inst.prepares.insert(me, digest);
+            inst.commits.clear();
             self.broadcast(out, Msg::Prepare { view, seq: SeqNr(seq), digest });
         }
         self.next_seq = self.next_seq.max(max_seq + 1).max(self.next_deliver);
@@ -882,6 +913,23 @@ impl<P: Payload> Pbft<P> {
     // ------------------------------------------------------------------
     // Helpers
     // ------------------------------------------------------------------
+
+    /// The instance at `seq`, made from a spare one if there is none yet.
+    fn instance(&mut self, seq: u64) -> &mut Instance<P> {
+        let n = self.cfg.n();
+        let spare = &mut self.spare;
+        self.instances.entry(seq).or_insert_with(|| spare.pop().unwrap_or_else(|| Instance::new(n)))
+    }
+
+    /// Forgets every instance below `keep_from`, keeping each as a spare.
+    fn forget_below(&mut self, keep_from: u64) {
+        while self.instances.first_key_value().is_some_and(|(&s, _)| s < keep_from) {
+            if let Some((_, mut inst)) = self.instances.pop_first() {
+                inst.reset();
+                self.spare.push(inst);
+            }
+        }
+    }
 
     fn should_stash(&self, msg_view: ViewNr) -> bool {
         msg_view > self.view || (self.in_view_change && msg_view == self.view)
@@ -931,7 +979,7 @@ mod tests {
             for o in out {
                 match o {
                     Output::Send { to, msg } => inbox.push_back((i, to, msg)),
-                    Output::Deliver { seq, batch } => delivered[i].push((seq, batch)),
+                    Output::Deliver { seq, batch } => delivered[i].push((seq, batch.to_vec())),
                     _ => {}
                 }
             }
@@ -942,7 +990,7 @@ mod tests {
             for o in out {
                 match o {
                     Output::Send { to: t, msg } => inbox.push_back((to, t, msg)),
-                    Output::Deliver { seq, batch } => delivered[to].push((seq, batch)),
+                    Output::Deliver { seq, batch } => delivered[to].push((seq, batch.to_vec())),
                     _ => {}
                 }
             }
@@ -1034,7 +1082,7 @@ mod tests {
             for o in out {
                 match o {
                     Output::Send { to: t, msg } => inbox.push_back((to, t, msg)),
-                    Output::Deliver { seq, batch } => delivered[to].push((seq, batch)),
+                    Output::Deliver { seq, batch } => delivered[to].push((seq, batch.to_vec())),
                     _ => {}
                 }
             }
@@ -1064,7 +1112,7 @@ mod tests {
                 for o in out {
                     match o {
                         Output::Send { to, msg } => inbox.push_back((i, to, msg)),
-                        Output::Deliver { seq, batch } => delivered[i].push((seq, batch)),
+                        Output::Deliver { seq, batch } => delivered[i].push((seq, batch.to_vec())),
                         _ => {}
                     }
                 }
@@ -1076,7 +1124,7 @@ mod tests {
             for o in out {
                 match o {
                     Output::Send { to: t, msg } => inbox.push_back((to, t, msg)),
-                    Output::Deliver { seq, batch } => delivered[to].push((seq, batch)),
+                    Output::Deliver { seq, batch } => delivered[to].push((seq, batch.to_vec())),
                     _ => {}
                 }
             }
@@ -1110,6 +1158,151 @@ mod tests {
         for d in delivered.iter() {
             assert_eq!(d.len(), 1);
         }
+    }
+
+    /// Feeds `msg` from replica `from` to `r`; returns what it emitted.
+    fn feed(
+        r: &mut Pbft<TestPayload>,
+        from: usize,
+        msg: Msg<TestPayload>,
+    ) -> Vec<Output<TestPayload>> {
+        let mut out = Vec::new();
+        r.handle(SimTime::ZERO, Input::Message { from, msg }, &mut out);
+        out
+    }
+
+    fn pre_prepare(view: u64, seq: u64) -> Msg<TestPayload> {
+        let batch = Arc::new(vec![TestPayload(seq)]);
+        Msg::PrePrepare { view: ViewNr(view), seq: SeqNr(seq), batch }
+    }
+
+    /// The digest of [`pre_prepare`]'s batch at `seq`.
+    fn digest_at(seq: u64) -> Digest {
+        batch_digest(&[TestPayload(seq)])
+    }
+
+    fn prepare(view: u64, seq: u64, digest: Digest) -> Msg<TestPayload> {
+        Msg::Prepare { view: ViewNr(view), seq: SeqNr(seq), digest }
+    }
+
+    fn commit(view: u64, seq: u64, digest: Digest) -> Msg<TestPayload> {
+        Msg::Commit { view: ViewNr(view), seq: SeqNr(seq), digest }
+    }
+
+    fn sends_commit(out: &[Output<TestPayload>]) -> bool {
+        out.iter().any(|o| matches!(o, Output::Send { msg: Msg::Commit { .. }, .. }))
+    }
+
+    fn delivers(out: &[Output<TestPayload>]) -> bool {
+        out.iter().any(|o| matches!(o, Output::Deliver { .. }))
+    }
+
+    #[test]
+    fn a_repeated_vote_replaces_the_earlier_one_and_counts_once() {
+        let mut r: Pbft<TestPayload> = Pbft::new(cfg(), 1);
+        let (d, other) = (digest_at(1), digest_at(2));
+        // Replica 2 prepares `d`, then changes its vote: only the last
+        // counts, so the pre-prepare (leader 0 and replica 1) leaves `d`
+        // at weight 2 of the 3 it needs.
+        assert!(feed(&mut r, 2, prepare(0, 1, d)).is_empty());
+        assert!(feed(&mut r, 2, prepare(0, 1, other)).is_empty());
+        assert!(
+            !sends_commit(&feed(&mut r, 0, pre_prepare(0, 1))),
+            "a replaced vote still counted"
+        );
+        assert!(sends_commit(&feed(&mut r, 3, prepare(0, 1, d))));
+        // Commits: replica 1's own and replica 2's, however often it repeats.
+        for _ in 0..3 {
+            assert!(!delivers(&feed(&mut r, 2, commit(0, 1, d))), "a repeated vote counted twice");
+        }
+        // Replica 3 commits another digest first, then `d`: its vote moves.
+        assert!(!delivers(&feed(&mut r, 3, commit(0, 1, other))));
+        assert!(delivers(&feed(&mut r, 3, commit(0, 1, d))));
+    }
+
+    #[test]
+    fn prepares_before_the_pre_prepare_count_once_it_lands() {
+        let mut r: Pbft<TestPayload> = Pbft::new(cfg(), 1);
+        let d = digest_at(1);
+        assert!(feed(&mut r, 2, prepare(0, 1, d)).is_empty());
+        assert!(feed(&mut r, 3, prepare(0, 1, d)).is_empty());
+        // Leader 0, replica 1 itself and the two early votes: prepared at once.
+        assert!(sends_commit(&feed(&mut r, 0, pre_prepare(0, 1))));
+    }
+
+    /// Replica 3, moved to view 1 by a view-change quorum, with instances
+    /// 1..=3 delivered in that view: each holds a view, a digest, a batch,
+    /// every replica's prepare and commit, and both flags.
+    fn replica_with_decided_instances() -> Pbft<TestPayload> {
+        let mut r: Pbft<TestPayload> = Pbft::new(cfg(), 3);
+        install(&mut r, 1, 0);
+        for seq in 1..=3 {
+            let d = digest_at(seq);
+            feed(&mut r, 1, pre_prepare(1, seq));
+            for from in [0, 2] {
+                feed(&mut r, from, prepare(1, seq, d));
+            }
+            for from in 0..3 {
+                feed(&mut r, from, commit(1, seq, d));
+            }
+            let inst = &r.instances[&seq];
+            assert!(inst.committed && inst.prepared && inst.batch.is_some());
+            assert_eq!(inst.view, ViewNr(1));
+            assert!(inst.prepares.0.iter().chain(&inst.commits.0).all(|v| *v == Some(d)));
+        }
+        assert_eq!(r.next_deliver(), SeqNr(4));
+        r
+    }
+
+    /// Installs `view` on `r` from a quorum of view changes whose senders
+    /// all forgot instances up to `h`.
+    fn install(r: &mut Pbft<TestPayload>, view: u64, h: u64) {
+        let vc = |sender| ViewChangeMsg {
+            new_view: ViewNr(view),
+            h: SeqNr(h),
+            prepared: Vec::new(),
+            sender,
+        };
+        let nv = NewViewMsg { view: ViewNr(view), vcs: (0..3).map(vc).collect() };
+        let leader = r.cfg.leader_of(view);
+        feed(r, leader, Msg::NewView(nv));
+        assert_eq!(r.view(), ViewNr(view));
+    }
+
+    /// A prepare from replica 0 for `seq` in `view`, on a replica holding
+    /// `spares` spare instances: the instance it makes is a spare one and
+    /// holds that vote and nothing else.
+    fn assert_reused_blank(r: &mut Pbft<TestPayload>, view: u64, seq: u64, spares: usize) {
+        assert_eq!(r.spare.len(), spares);
+        let d = digest_at(seq);
+        feed(r, 0, prepare(view, seq, d));
+        assert_eq!(r.spare.len(), spares - 1, "the instance is a spare one");
+        let inst = &r.instances[&seq];
+        assert_eq!(inst.view, ViewNr(0), "view");
+        assert_eq!(inst.digest, None, "digest");
+        assert!(inst.batch.is_none(), "batch");
+        assert_eq!(inst.prepares.0, [Some(d), None, None, None], "prepares");
+        assert_eq!(inst.commits.0, [None; 4], "commits");
+        assert!(!inst.prepared, "prepared");
+        assert!(!inst.committed, "committed");
+    }
+
+    #[test]
+    fn an_instance_reused_after_gc_starts_blank() {
+        let mut r = replica_with_decided_instances();
+        r.gc(SeqNr(4));
+        assert!(r.instances.is_empty());
+        assert_reused_blank(&mut r, 1, 5, 3);
+    }
+
+    #[test]
+    fn an_instance_reused_after_a_skipping_view_change_starts_blank() {
+        let mut r = replica_with_decided_instances();
+        // The quorum forgot everything up to 10: replica 3 skips to 11.
+        install(&mut r, 2, 10);
+        assert_eq!(r.next_deliver(), SeqNr(11));
+        assert!(r.instances.is_empty());
+        assert_reused_blank(&mut r, 2, 12, 3);
     }
 
     #[test]

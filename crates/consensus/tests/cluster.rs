@@ -67,7 +67,7 @@ impl Cluster {
                     let delay = SimTime::from_micros(self.rng.gen_range(0..5_000));
                     self.pool.push((from, to, msg, self.now + delay));
                 }
-                Output::Deliver { seq, batch } => self.delivered[from].push((seq, batch)),
+                Output::Deliver { seq, batch } => self.delivered[from].push((seq, batch.to_vec())),
                 Output::SetTimer { token, delay } => {
                     self.timers[from].insert(token.0, self.now + delay);
                 }

@@ -35,6 +35,7 @@ use spider_sim::{
 };
 use spider_types::{ClientId, GroupId, NodeId, OpKind, Position, SeqNr, Sink};
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// Timer tags (the consensus tokens' tags are `host::pbft_io`'s).
 const TAG_SC_TICK: u64 = 1;
@@ -83,6 +84,10 @@ pub struct AgreementReplica {
     /// Clients whose request subchannel a call made ready or moved, to be
     /// polled once it returns (one buffer, reused).
     polls: Vec<ClientId>,
+    /// `process_backlog`'s run being cut and the instances it completes
+    /// (two buffers, reused; a nested call while they are out uses its own).
+    run: Vec<(u64, Hashed<OrderedRequest>)>,
+    completed: Vec<(u64, u64)>,
     /// Ordered request count (metrics).
     pub ordered: u64,
 }
@@ -115,6 +120,8 @@ impl AgreementReplica {
             instance_map: VecDeque::new(),
             fetching: false,
             polls: Vec::new(),
+            run: Vec::new(),
+            completed: Vec::new(),
             ordered: 0,
             cfg,
         };
@@ -194,12 +201,12 @@ impl AgreementReplica {
             match host::pbft_io(ctx, &agreement, SpiderMsg::Agreement, output) {
                 Some(Output::Deliver { seq, batch }) => {
                     let n = batch.len();
-                    for (i, item) in batch.into_iter().enumerate() {
-                        if let OrderItem::Request(req) = &item {
+                    for (i, item) in batch.iter().enumerate() {
+                        if let OrderItem::Request(req) = item {
                             let rid = req_id(req.request.client.0, req.request.tc);
                             ctx.span_instant(rid, PHASE_COMMIT);
                         }
-                        self.backlog.push_back((seq.0, item, i + 1 == n));
+                        self.backlog.push_back((seq.0, item.clone(), i + 1 == n));
                     }
                     if n == 0 {
                         // No-op instance: completes immediately at the
@@ -240,22 +247,27 @@ impl AgreementReplica {
     /// that is already out — IRMC-SC by per-slot share fallback
     /// (`SenderEndpoint::tick`), RC dedup by refetching each voucher's
     /// own copy and converging on per-slot quorums receiver-side.
+    ///
+    /// Forwarding a run re-enters this function (a moved commit window, a
+    /// checkpoint made stable) while the replica's run buffers are taken:
+    /// the nested call cuts its runs in buffers of its own.
     fn process_backlog(&mut self, ctx: &mut Context<'_, SpiderMsg>) {
+        let mut run = std::mem::take(&mut self.run);
+        let mut completed = std::mem::take(&mut self.completed);
         loop {
-            let mut run: Vec<(u64, Hashed<OrderedRequest>, OrderItem)> = Vec::new();
-            let mut completed: Vec<(u64, u64)> = Vec::new();
+            run.clear();
+            completed.clear();
             let mut stalled = false;
             let mut applied_admin = false;
             while run.len() < MAX_RANGE {
                 let Some((instance, item, last)) = self.backlog.front().cloned() else {
                     break;
                 };
-                match &item {
+                match item {
                     OrderItem::Admin(cmd) => {
                         if !run.is_empty() {
                             break; // Flush the run before reconfiguring.
                         }
-                        let cmd = cmd.clone();
                         self.backlog.pop_front();
                         self.apply_admin(ctx, cmd);
                         applied_admin = true;
@@ -287,7 +299,6 @@ impl AgreementReplica {
                                 break;
                             }
                         }
-                        let req = req.clone();
                         self.backlog.pop_front();
                         if last {
                             completed.push((instance, s));
@@ -297,7 +308,7 @@ impl AgreementReplica {
                         // cap, so replicas whose runs diverged at local
                         // back-pressure re-align at the next grid line.
                         let at_grid = s.is_multiple_of(MAX_RANGE as u64);
-                        run.push((s, req, item));
+                        run.push((s, req));
                         if at_checkpoint || at_grid {
                             break;
                         }
@@ -308,14 +319,17 @@ impl AgreementReplica {
                 if applied_admin && !stalled {
                     continue; // Reconfigured; rescan the backlog.
                 }
-                return;
+                break;
             }
-            self.assign_and_forward_run(ctx, run);
-            self.instance_map.extend(completed);
+            self.assign_and_forward_run(ctx, &run);
+            self.instance_map.extend(completed.drain(..));
             if stalled {
-                return;
+                break;
             }
         }
+        // Hold no requests between calls.
+        run.clear();
+        (self.run, self.completed) = (run, completed);
     }
 
     /// Assigns sequence numbers to a contiguous run of ordered requests
@@ -323,13 +337,13 @@ impl AgreementReplica {
     fn assign_and_forward_run(
         &mut self,
         ctx: &mut Context<'_, SpiderMsg>,
-        run: Vec<(u64, Hashed<OrderedRequest>, OrderItem)>,
+        run: &[(u64, Hashed<OrderedRequest>)],
     ) {
         let Some(first) = run.first().map(|r| r.0) else {
             return;
         };
         ctx.span(0, PHASE_BATCH, |ctx| {
-            for (s, req, item) in &run {
+            for (s, req) in run {
                 self.sn = *s;
                 self.ordered += 1;
                 let c = req.request.client;
@@ -337,7 +351,7 @@ impl AgreementReplica {
                 self.t.insert(c, tc);
                 let entry = self.t_next.entry(c).or_insert(1);
                 *entry = (*entry).max(tc + 1);
-                self.hist.push_back((*s, item.clone()));
+                self.hist.push_back((*s, OrderItem::Request(req.clone())));
             }
             while self.hist.len() as u64 > self.cfg.commit_capacity {
                 self.hist.pop_front();
@@ -346,18 +360,18 @@ impl AgreementReplica {
             // executes all of them; §3.3 placeholders make a run of its own.
             let full: Vec<Hashed<Execute>> = run
                 .iter()
-                .map(|(s, req, _)| {
+                .map(|(s, req)| {
                     Execute { seq: SeqNr(*s), payload: ExecutePayload::Full(req.clone()) }.into()
                 })
                 .collect();
             let full = Run::from(full);
             for &group in self.directory.active_groups().iter() {
-                let execs = group_run(&full, &run, group);
+                let execs = group_run(&full, run, group);
                 self.commit_channel(ctx, group, |ep, out| {
                     ep.send_batch(0, Position(first), execs, out);
                 });
             }
-            for (_, req, _) in &run {
+            for (_, req) in run {
                 ctx.span_instant(req_id(req.request.client.0, req.request.tc), PHASE_SHIP);
             }
         });
@@ -502,10 +516,7 @@ impl AgreementReplica {
         // Fig 17 L44-45: move commit windows + collect consensus garbage.
         let hist_len = self.hist.len() as u64;
         let window_start = seq.0.saturating_sub(hist_len).saturating_add(1);
-        let groups: Vec<GroupId> = self.channels.keys().copied().collect();
-        for g in groups {
-            self.commit_channel(ctx, g, |ep, out| ep.move_window(0, Position(window_start), out));
-        }
+        self.each_commit_channel(ctx, |ep, out| ep.move_window(0, Position(window_start), out));
         // Consensus gc: forget instances whose requests are all covered.
         let mut gc_before = None;
         while let Some((instance, last_seq)) = self.instance_map.front().copied() {
@@ -610,6 +621,24 @@ impl AgreementReplica {
         }
     }
 
+    /// Runs `call` on every group's commit-channel sender, in group order,
+    /// through [`Self::commit_channel`]. The next group is looked up after
+    /// each call, so nothing copies the group list.
+    fn each_commit_channel(
+        &mut self,
+        ctx: &mut Context<'_, SpiderMsg>,
+        mut call: impl FnMut(
+            &mut SenderEndpoint<Hashed<Execute>>,
+            &mut dyn Sink<Action<Hashed<Execute>>>,
+        ),
+    ) {
+        let mut next = self.channels.keys().next().copied();
+        while let Some(group) = next {
+            self.commit_channel(ctx, group, &mut call);
+            next = self.channels.range((Excluded(group), Unbounded)).next().map(|(g, _)| *g);
+        }
+    }
+
     /// IRMC-SC commit channels keep a standing heartbeat, armed at start
     /// and re-armed by its own handler — asked of the configuration, not
     /// of the endpoints, because a replica may start without any group.
@@ -687,13 +716,13 @@ fn execute_for_group(s: u64, req: &Hashed<OrderedRequest>, group: GroupId) -> Ha
 /// holds placeholders where it does not.
 fn group_run(
     full: &Run<Hashed<Execute>>,
-    run: &[(u64, Hashed<OrderedRequest>, OrderItem)],
+    run: &[(u64, Hashed<OrderedRequest>)],
     group: GroupId,
 ) -> Run<Hashed<Execute>> {
-    if run.iter().all(|(_, req, _)| executes_at(req, group)) {
+    if run.iter().all(|(_, req)| executes_at(req, group)) {
         return full.clone();
     }
-    let slots = run.iter().zip(full.iter()).map(|((s, req, _), exec)| {
+    let slots = run.iter().zip(full.iter()).map(|((s, req), exec)| {
         if executes_at(req, group) {
             exec.clone()
         } else {
@@ -843,10 +872,7 @@ impl Actor<SpiderMsg> for AgreementReplica {
     fn on_timer(&mut self, ctx: &mut Context<'_, SpiderMsg>, timer: Timer) {
         match timer.tag {
             TAG_SC_TICK => {
-                let groups: Vec<GroupId> = self.channels.keys().copied().collect();
-                for g in groups {
-                    self.commit_channel(ctx, g, |ep, out| ep.tick(out));
-                }
+                self.each_commit_channel(ctx, |ep, out| ep.tick(out));
                 if self.standing_tick() || self.has_unacked() {
                     ctx.arm(TAG_SC_TICK, TICK_INTERVAL);
                 }
@@ -919,7 +945,7 @@ mod tests {
     }
 
     type Shipped = std::rc::Rc<std::cell::RefCell<Vec<(GroupId, Run<Hashed<Execute>>)>>>;
-    type OrderedRun = Vec<(u64, Hashed<OrderedRequest>, OrderItem)>;
+    type OrderedRun = Vec<(u64, Hashed<OrderedRequest>)>;
 
     /// An execution replica that keeps the runs cast to it.
     struct Keep(Shipped);
@@ -944,7 +970,7 @@ mod tests {
         impl Actor<SpiderMsg> for Agree {
             fn on_start(&mut self, ctx: &mut Context<'_, SpiderMsg>) {
                 if let Some((mut a, run)) = self.0.take() {
-                    a.assign_and_forward_run(ctx, run);
+                    a.assign_and_forward_run(ctx, &run);
                 }
             }
             fn on_message(&mut self, _: &mut Context<'_, SpiderMsg>, _: NodeId, _: SpiderMsg) {}
@@ -976,16 +1002,9 @@ mod tests {
         runs
     }
 
-    fn ordered(s: u64, req: Hashed<OrderedRequest>) -> (u64, Hashed<OrderedRequest>, OrderItem) {
-        (s, req.clone(), OrderItem::Request(req))
-    }
-
     #[test]
     fn a_write_batch_is_one_run_for_every_group() {
-        let run = vec![
-            ordered(1, request(1, 5, OpKind::Write)),
-            ordered(2, request(3, 2, OpKind::Write)),
-        ];
+        let run = vec![(1, request(1, 5, OpKind::Write)), (2, request(3, 2, OpKind::Write))];
         let runs = forward(run);
         assert_eq!(runs.iter().map(|(g, _)| g.0).collect::<Vec<_>>(), [0, 1, 2, 3]);
         let (_, first) = &runs[0];
@@ -1000,7 +1019,7 @@ mod tests {
     fn a_strong_read_makes_placeholders_for_the_other_groups() {
         // `request` targets group 2.
         let (write, read) = (request(1, 5, OpKind::Write), request(3, 2, OpKind::StrongRead));
-        let runs = forward(vec![ordered(1, write), ordered(2, read)]);
+        let runs = forward(vec![(1, write), (2, read)]);
         assert_eq!(runs.len(), 4);
         let (_, target) = &runs[2];
         for (g, r) in &runs {

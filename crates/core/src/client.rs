@@ -308,14 +308,10 @@ impl SpiderClient {
         }
         inf.replies.insert(from, (reply.result.clone(), reply.resubmit));
 
-        // fe + 1 matching results complete the request (Fig 15 L23).
-        let mut counts: BTreeMap<&Bytes, usize> = BTreeMap::new();
-        for (r, resub) in inf.replies.values() {
-            if !*resub {
-                *counts.entry(r).or_default() += 1;
-            }
-        }
-        if counts.values().any(|n| *n >= quorum) {
+        // fe + 1 matching results complete the request (Fig 15 L23),
+        // counted in place: there are at most as many replies as replicas.
+        let results = || inf.replies.values().filter(|(_, resub)| !resub).map(|(r, _)| r);
+        if results().any(|r| results().filter(|q| *q == r).count() >= quorum) {
             let sample = Sample { kind: inf.kind, issued: inf.issued, completed: ctx.now() };
             if inf.kind != OpKind::WeakRead {
                 ctx.close_request(req_id(self.id.0, inf.tc));

@@ -301,7 +301,7 @@ mod tests {
             Output::Charge(ms(1)),
             Output::Send { to: 1, msg: vote(1) },
             Output::SetTimer { token: token(3), delay: ms(5) },
-            Output::Deliver { seq: SeqNr(1), batch: vec![TestPayload(7)] },
+            Output::Deliver { seq: SeqNr(1), batch: std::sync::Arc::new(vec![TestPayload(7)]) },
             Output::Send { to: 0, msg: vote(2) },
             Output::CancelTimer { token: token(3) },
             Output::SetTimer { token: token(4), delay: ms(2) },
@@ -323,7 +323,10 @@ mod tests {
             [
                 format!(
                     "back {:?}",
-                    Output::Deliver { seq: SeqNr(1), batch: vec![TestPayload(7)] }
+                    Output::Deliver {
+                        seq: SeqNr(1),
+                        batch: std::sync::Arc::new(vec![TestPayload(7)])
+                    }
                 ),
                 format!(
                     "back {:?}",

@@ -529,7 +529,7 @@ impl<M: Content> SenderEndpoint<M> {
         let mut held = Submitted { run: msgs.clone(), shipped: Vec::new() };
         if self.cfg.variant() == Variant::ReceiverCollect {
             self.sub(sc).runs.insert(first, held);
-            self.cast(sc, first, 0..n_receivers, None, out);
+            self.cast(sc, first, &msgs, 0..n_receivers, None, out);
             return;
         }
         let cost = RunCost::of(&self.cfg.cost, &msgs);
@@ -555,7 +555,7 @@ impl<M: Content> SenderEndpoint<M> {
         self.share(sc, first, count, msgs.root(), cost.sign(self.cfg.cost.rsa_sign()), out);
     }
 
-    /// RC: ships the retained run at `first` to the receivers `to` — as
+    /// RC: ships `run`, retained at `first`, to the receivers `to` — as
     /// this endpoint's signed copy, or, for a range of a dedup channel it
     /// is not the carrier of, as a digest-only vouch. A re-cast charges
     /// everything under the one label it is given.
@@ -563,16 +563,14 @@ impl<M: Content> SenderEndpoint<M> {
         &self,
         sc: Subchannel,
         first: u64,
+        run: &Run<M>,
         to: impl Iterator<Item = usize>,
         recast: Option<&'static str>,
         out: &mut dyn Sink<Action<M>>,
     ) {
-        let (Some(key), Some(held)) =
-            (self.key_of_sender(self.me), self.subs.get(&sc).and_then(|sub| sub.runs.get(&first)))
-        else {
-            return; // `new` validated `me`, and callers name a run they hold.
+        let Some(key) = self.key_of_sender(self.me) else {
+            return; // `new` validated `me`.
         };
-        let run = &held.run;
         let cost = RunCost::of(&self.cfg.cost, run);
         let (count, first) = (run.len() as u32, Position(first));
         if cost.ranged {
@@ -802,8 +800,10 @@ impl<M: Content> SenderEndpoint<M> {
     /// them would otherwise wedge the channel forever, because receivers
     /// that never saw a vouch cannot even ask to fetch.
     fn rc_recast_tick(&mut self, out: &mut dyn Sink<Action<M>>) {
-        let mut due: Vec<Subchannel> = Vec::new();
-        for (&sc, sub) in &mut self.subs {
+        // The subchannels are out of `self` while they are walked, so a due
+        // one is re-cast as it is reached (`cast` reads none of them).
+        let mut subs = std::mem::take(&mut self.subs);
+        for (&sc, sub) in &mut subs {
             let start = sub.awin.start().0;
             if !sub.unacked() {
                 sub.rc_stall_ticks = 0;
@@ -818,12 +818,10 @@ impl<M: Content> SenderEndpoint<M> {
             sub.rc_stall_ticks = sub.rc_stall_ticks.saturating_add(1);
             if sub.rc_stall_ticks >= RC_RECAST_TICKS {
                 sub.rc_stall_ticks = 0;
-                due.push(sc);
+                self.recast_sub(sc, sub, out);
             }
         }
-        for sc in due {
-            self.recast_sub(sc, out);
-        }
+        self.subs = subs;
     }
 
     /// Re-casts this endpoint's retained in-window content on `sc` to
@@ -831,29 +829,20 @@ impl<M: Content> SenderEndpoint<M> {
     /// Receivers treat duplicates idempotently, and a receiver that
     /// already moved past a slot re-announces its window start on the
     /// below-window duplicate, so recasting converges rather than loops.
-    fn recast_sub(&self, sc: Subchannel, out: &mut dyn Sink<Action<M>>) {
-        let Some(sub) = self.subs.get(&sc) else {
-            return;
-        };
-        // Ranges first, then single slots: sends depart in emission order,
-        // and that is the order they have always left in.
-        let mut runs: Vec<(bool, u64, u64)> = sub
-            .runs
-            .iter()
-            .map(|(&first, held)| {
-                (RunCost::of(&self.cfg.cost, &held.run).ranged, first, held.len())
-            })
-            .map(|(ranged, first, len)| (!ranged, first, first + len - 1))
-            .collect();
-        runs.sort_unstable();
-        for (_, first, last) in runs {
+    fn recast_sub(&self, sc: Subchannel, sub: &SenderSub<M>, out: &mut dyn Sink<Action<M>>) {
+        // Ranges first, then single slots (a run of one is not a range, see
+        // `RunCost`), each in position order: sends depart in emission
+        // order, and that is the order they have always left in.
+        let ranges = sub.runs.iter().filter(|(_, held)| held.len() > 1);
+        let slots = sub.runs.iter().filter(|(_, held)| held.len() == 1);
+        for (&first, held) in ranges.chain(slots) {
+            let last = first + held.len() - 1;
             // Only receivers whose announced window still reaches the
             // run: the rest already delivered it (their `Move` told us so).
-            let to: Vec<usize> = (0..self.cfg.n_receivers)
-                .filter(|&r| sub.receiver_starts.get(r).is_none_or(|s| s.0 <= last))
-                .collect();
-            if !to.is_empty() {
-                self.cast(sc, first, to.into_iter(), Some(crate::OP_RECAST), out);
+            let reaches = |r: &usize| sub.receiver_starts.get(*r).is_none_or(|s| s.0 <= last);
+            let mut to = (0..self.cfg.n_receivers).filter(reaches).peekable();
+            if to.peek().is_some() {
+                self.cast(sc, first, &held.run, to, Some(crate::OP_RECAST), out);
             }
         }
     }

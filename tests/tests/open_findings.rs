@@ -13,8 +13,15 @@
 //! All three share the disaster tests' clock (fault at 6 s, heal at
 //! 14 s, 24 s of offered load at 3 req/s per client) and vary only the
 //! client count and the seed.
+//!
+//! One more pins a waste rather than a failure: a run without faults
+//! recasts content that was already delivered. Its fix changes the
+//! modelled plane, so it lands with a benchmark re-baseline.
 
+use spider::{SpiderConfig, WorkloadSpec};
+use spider_app::kv_op_factory;
 use spider_harness::experiments::disaster::{run_view_change_storm, run_wan_partition, Config};
+use spider_tests::standard_deployment;
 use spider_types::SimTime;
 
 fn cfg(clients_per_region: usize, seed: u64) -> Config {
@@ -53,4 +60,44 @@ fn wan_partition_seed_14_loses_writes_and_diverges() {
     let row = run_wan_partition(&cfg(6, 14));
     assert_eq!(row.lost_ops, 5, "{row:?}");
     assert_eq!(row.diverged_replicas, 9, "{row:?}");
+}
+
+/// Recasts without a fault. An IRMC-RC sender keeps a run until the
+/// receivers move the window past it, and after 25 ticks (500 ms) without
+/// a window move it re-casts every run it keeps to each receiver whose
+/// announced window start has not passed the run. A receiver's window
+/// start never passes what it delivered last, so a subchannel that holds
+/// a delivered run and sees no new content is re-cast to all of its
+/// receivers every 500 ms: a request channel's runs (one client request
+/// each) go to all four agreement replicas again, a commit channel's runs
+/// to all three execution replicas of a group while its window waits for
+/// the next checkpoint. Here the last of 160 writes completes at 7.3 s;
+/// the commit channels have stopped recasting by 8 s, the request
+/// channels are still at it when the run stops at 12 s.
+#[test]
+fn fault_free_writes_are_recast_after_delivery() {
+    let (mut sim, mut dep) = standard_deployment(42, SpiderConfig::default());
+    sim.enable_obs();
+    let workload =
+        WorkloadSpec::writes_per_sec(5.0, 200).with_max_ops(20).with_op_factory(kv_op_factory(200));
+    for group in 0..4 {
+        dep.spawn_clients(&mut sim, group, 2, workload.clone());
+    }
+    // Recast CPU, request channel then commit channel, at `secs`.
+    let mut recast_at = |secs| {
+        sim.run_until(SimTime::from_secs(secs));
+        let cpu = sim.obs().report().cpu_by_op();
+        let recast = |channel| cpu.get(&(channel, "recast")).copied().unwrap_or(SimTime::ZERO);
+        (recast("req-channel"), recast("commit-channel"))
+    };
+    let at_8s = recast_at(8);
+    let at_12s = recast_at(12);
+    let samples = dep.collect_samples(&sim);
+    let completed = samples.iter().flat_map(|(_, _, s)| s);
+    assert_eq!(completed.clone().count(), 160, "every write completes");
+    let last = completed.map(|s| s.completed).max();
+    assert!(last < Some(SimTime::from_secs(8)), "the last write completes before 8 s: {last:?}");
+    let ns = SimTime::from_nanos;
+    assert_eq!(at_8s, (ns(119_377_962), ns(1_941_337_053)));
+    assert_eq!(at_12s, (ns(235_138_410), ns(1_941_337_053)));
 }
