@@ -50,7 +50,7 @@ type DecodedSnapshot = (u64, BTreeMap<ClientId, u64>, VecDeque<(u64, OrderItem)>
 /// execution group (§3.2: one request channel + one commit channel).
 struct GroupChannels {
     req_recv: ReceiverEndpoint<Hashed<OrderedRequest>>,
-    commit_send: SenderEndpoint<Hashed<Execute>>,
+    commit_send: SenderEndpoint<Execute>,
 }
 
 /// An agreement replica actor.
@@ -358,13 +358,13 @@ impl AgreementReplica {
             }
             // One `Execute` per slot and one run for every group that
             // executes all of them; §3.3 placeholders make a run of its own.
-            let full: Vec<Hashed<Execute>> = run
+            let full: Run<Execute> = run
                 .iter()
-                .map(|(s, req)| {
-                    Execute { seq: SeqNr(*s), payload: ExecutePayload::Full(req.clone()) }.into()
+                .map(|(s, req)| Execute {
+                    seq: SeqNr(*s),
+                    payload: ExecutePayload::Full(req.clone()),
                 })
                 .collect();
-            let full = Run::from(full);
             for &group in self.directory.active_groups().iter() {
                 let execs = group_run(&full, run, group);
                 self.commit_channel(ctx, group, |ep, out| {
@@ -579,7 +579,7 @@ impl AgreementReplica {
         &mut self,
         ctx: &mut Context<'_, SpiderMsg>,
         group: GroupId,
-        call: impl FnOnce(&mut SenderEndpoint<Hashed<Execute>>, &mut dyn Sink<Action<Hashed<Execute>>>),
+        call: impl FnOnce(&mut SenderEndpoint<Execute>, &mut dyn Sink<Action<Execute>>),
     ) {
         let (agreement, exec_nodes) =
             (self.directory.agreement(), self.directory.group_replicas(group));
@@ -627,10 +627,7 @@ impl AgreementReplica {
     fn each_commit_channel(
         &mut self,
         ctx: &mut Context<'_, SpiderMsg>,
-        mut call: impl FnMut(
-            &mut SenderEndpoint<Hashed<Execute>>,
-            &mut dyn Sink<Action<Hashed<Execute>>>,
-        ),
+        mut call: impl FnMut(&mut SenderEndpoint<Execute>, &mut dyn Sink<Action<Execute>>),
     ) {
         let mut next = self.channels.keys().next().copied();
         while let Some(group) = next {
@@ -694,16 +691,16 @@ fn executes_at(req: &Hashed<OrderedRequest>, group: GroupId) -> bool {
 }
 
 /// The §3.3 placeholder for `req` at sequence number `s`.
-fn placeholder(s: u64, req: &Hashed<OrderedRequest>) -> Hashed<Execute> {
+fn placeholder(s: u64, req: &Hashed<OrderedRequest>) -> Execute {
     let (client, tc, target) = (req.request.client, req.request.tc, req.origin);
-    Execute { seq: SeqNr(s), payload: ExecutePayload::Placeholder { client, tc, target } }.into()
+    Execute { seq: SeqNr(s), payload: ExecutePayload::Placeholder { client, tc, target } }
 }
 
 /// Builds the per-group `Execute`: full request for writes and for the
 /// read's target group, placeholder elsewhere (§3.3).
-fn execute_for_group(s: u64, req: &Hashed<OrderedRequest>, group: GroupId) -> Hashed<Execute> {
+fn execute_for_group(s: u64, req: &Hashed<OrderedRequest>, group: GroupId) -> Execute {
     if executes_at(req, group) {
-        Execute { seq: SeqNr(s), payload: ExecutePayload::Full(req.clone()) }.into()
+        Execute { seq: SeqNr(s), payload: ExecutePayload::Full(req.clone()) }
     } else {
         placeholder(s, req)
     }
@@ -712,13 +709,13 @@ fn execute_for_group(s: u64, req: &Hashed<OrderedRequest>, group: GroupId) -> Ha
 /// `group`'s commit-channel content for an ordered `run`, given `full`, the
 /// run with every request in full: `full` itself — the same object — if
 /// the group executes every slot, as it does every write; otherwise a run
-/// that shares `full`'s `Execute`s where the group executes the request and
-/// holds placeholders where it does not.
+/// that copies `full`'s `Execute`s (and so shares their requests) where the
+/// group executes the request and holds placeholders where it does not.
 fn group_run(
-    full: &Run<Hashed<Execute>>,
+    full: &Run<Execute>,
     run: &[(u64, Hashed<OrderedRequest>)],
     group: GroupId,
-) -> Run<Hashed<Execute>> {
+) -> Run<Execute> {
     if run.iter().all(|(_, req)| executes_at(req, group)) {
         return full.clone();
     }
@@ -729,7 +726,7 @@ fn group_run(
             placeholder(*s, req)
         }
     });
-    Run::from(slots.collect::<Vec<_>>())
+    slots.collect()
 }
 
 /// Length of what [`encode_order_item`] writes for `item`.
@@ -944,7 +941,7 @@ mod tests {
         );
     }
 
-    type Shipped = std::rc::Rc<std::cell::RefCell<Vec<(GroupId, Run<Hashed<Execute>>)>>>;
+    type Shipped = std::rc::Rc<std::cell::RefCell<Vec<(GroupId, Run<Execute>)>>>;
     type OrderedRun = Vec<(u64, Hashed<OrderedRequest>)>;
 
     /// An execution replica that keeps the runs cast to it.
@@ -964,7 +961,7 @@ mod tests {
 
     /// The runs agreement replica 0 of a four-group deployment casts to
     /// the first replica of every group when it forwards `run`.
-    fn forward(run: OrderedRun) -> Vec<(GroupId, Run<Hashed<Execute>>)> {
+    fn forward(run: OrderedRun) -> Vec<(GroupId, Run<Execute>)> {
         use spider_sim::{Simulation, Topology};
         struct Agree(Option<(AgreementReplica, OrderedRun)>);
         impl Actor<SpiderMsg> for Agree {
@@ -1022,9 +1019,10 @@ mod tests {
         let runs = forward(vec![(1, write), (2, read)]);
         assert_eq!(runs.len(), 4);
         let (_, target) = &runs[2];
+        let ExecutePayload::Full(write) = &target[0].payload else { panic!("a write is full") };
         for (g, r) in &runs {
-            assert!(matches!(r[0].payload, ExecutePayload::Full(_)));
-            assert!(std::ptr::eq(&*r[0], &*target[0]), "the write's `Execute` is shared");
+            let ExecutePayload::Full(ordered) = &r[0].payload else { panic!("a write is full") };
+            assert!(std::ptr::eq(&**ordered, &**write), "the write's request is shared");
             if *g == GroupId(2) {
                 assert!(matches!(r[1].payload, ExecutePayload::Full(_)));
             } else {
@@ -1044,7 +1042,7 @@ mod tests {
         use crate::messages::ChannelLeg::ToReceiver;
         use spider_crypto::Digestible;
         let honest = execute_for_group(9, &request(1, 5, OpKind::Write), GroupId(0));
-        // Remembered at every level: execute, ordered request, request.
+        // Remembered where it is kept: the ordered request and the request.
         let honest_digest = honest.digest();
         // A one-slot cast: its statement binds the content digest.
         let (ring, key) = (Keyring::new(KEY_SEED), agreement_key(2));

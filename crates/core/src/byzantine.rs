@@ -10,7 +10,7 @@
 use crate::keys::{agreement_key, KEY_SEED};
 use crate::messages::{ChannelLeg, Execute, ExecutePayload, OrderedRequest, SpiderMsg};
 use bytes::Bytes;
-use spider_crypto::{merkle_root, Digest, Digestible, Hashed, Keyring};
+use spider_crypto::{merkle_root, Digest, Digestible, Keyring};
 use spider_irmc::{range_digest, ChannelMsg, Run};
 use spider_types::NodeId;
 
@@ -78,9 +78,9 @@ pub fn commit_traitor(replica: usize) -> impl FnMut(NodeId, SpiderMsg) -> Option
 /// `run` with the operation of every full request an `add:666` instead: a
 /// new run of new `Execute`s, hashed anew at every level that held a
 /// digest.
-fn corrupt(run: &Run<Hashed<Execute>>) -> Run<Hashed<Execute>> {
+fn corrupt(run: &Run<Execute>) -> Run<Execute> {
     let execs = run.iter().map(|exec| {
-        let Execute { seq, payload } = exec.clone().into_inner();
+        let Execute { seq, payload } = exec.clone();
         let payload = match payload {
             ExecutePayload::Full(ordered) => {
                 let OrderedRequest { request, origin } = ordered.into_inner();
@@ -90,7 +90,7 @@ fn corrupt(run: &Run<Hashed<Execute>>) -> Run<Hashed<Execute>> {
             }
             placeholder @ ExecutePayload::Placeholder { .. } => placeholder,
         };
-        Execute { seq, payload }.into()
+        Execute { seq, payload }
     });
-    Run::from(execs.collect::<Vec<_>>())
+    execs.collect()
 }

@@ -16,7 +16,6 @@ use rand::Rng;
 use spider_crypto::Hashed;
 use spider_sim::{req_id, Actor, Context, Timer};
 use spider_types::{ClientId, GroupId, NodeId, OpKind, SimTime, WireSize};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const TAG_ISSUE: u64 = 1;
@@ -180,8 +179,6 @@ struct InFlight {
     op: Bytes,
     tc: u64,
     issued: SimTime,
-    /// Replies per replica node: (result, resubmit flag).
-    replies: BTreeMap<NodeId, (Bytes, bool)>,
     weak_retries_left: u32,
     /// Retransmissions without completion; drives group failover (§3.1).
     retries: u32,
@@ -205,6 +202,10 @@ pub struct SpiderClient {
     weak_tc: u64,
     issued_count: u64,
     in_flight: Option<InFlight>,
+    /// Replies to the in-flight request, at most one per replica node:
+    /// (node, result, resubmit flag). Cleared for each request, not
+    /// rebuilt, so its storage is reused.
+    replies: Vec<(NodeId, Bytes, bool)>,
     /// Completed request samples (read by the harness after the run).
     pub samples: Vec<Sample>,
 }
@@ -228,6 +229,7 @@ impl SpiderClient {
             weak_tc: 0,
             issued_count: 0,
             in_flight: None,
+            replies: Vec::new(),
             samples: Vec::new(),
         }
     }
@@ -255,12 +257,12 @@ impl SpiderClient {
             self.tc
         };
         self.issued_count += 1;
+        self.replies.clear();
         self.in_flight = Some(InFlight {
             kind,
             op: op.clone(),
             tc,
             issued: ctx.now(),
-            replies: BTreeMap::new(),
             weak_retries_left: WEAK_READ_RETRIES,
             retries: 0,
         });
@@ -306,11 +308,16 @@ impl SpiderClient {
         if reply.weak != (inf.kind == OpKind::WeakRead) {
             return;
         }
-        inf.replies.insert(from, (reply.result.clone(), reply.resubmit));
+        // A repeated reply from a node replaces its earlier one.
+        let reply = (from, reply.result, reply.resubmit);
+        match self.replies.iter_mut().find(|(node, ..)| *node == from) {
+            Some(earlier) => *earlier = reply,
+            None => self.replies.push(reply),
+        }
 
         // fe + 1 matching results complete the request (Fig 15 L23),
         // counted in place: there are at most as many replies as replicas.
-        let results = || inf.replies.values().filter(|(_, resub)| !resub).map(|(r, _)| r);
+        let results = || self.replies.iter().filter(|(.., resub)| !resub).map(|(_, r, _)| r);
         if results().any(|r| results().filter(|q| *q == r).count() >= quorum) {
             let sample = Sample { kind: inf.kind, issued: inf.issued, completed: ctx.now() };
             if inf.kind != OpKind::WeakRead {
@@ -324,7 +331,7 @@ impl SpiderClient {
 
         // fe + 1 resubmit indications: the value was skipped here (§A.7.9
         // remark); reissue under a fresh counter.
-        let resubmits = inf.replies.values().filter(|(_, r)| *r).count();
+        let resubmits = self.replies.iter().filter(|(.., resub)| *resub).count();
         if resubmits >= quorum {
             let (kind, op, issued) = (inf.kind, inf.op.clone(), inf.issued);
             self.issue(ctx, kind, op);
@@ -336,10 +343,10 @@ impl SpiderClient {
 
         // All replicas answered a weak read without a quorum: stale /
         // concurrent writes. Retry, then escalate to a strong read (§3.3).
-        if inf.kind == OpKind::WeakRead && inf.replies.len() >= group_size {
+        if inf.kind == OpKind::WeakRead && self.replies.len() >= group_size {
             if inf.weak_retries_left > 0 {
                 inf.weak_retries_left -= 1;
-                inf.replies.clear();
+                self.replies.clear();
                 self.transmit(ctx);
             } else {
                 let (op, issued) = (inf.op.clone(), inf.issued);
@@ -376,7 +383,7 @@ impl SpiderClient {
         self.group = next;
         if let Some(inf) = &mut self.in_flight {
             inf.retries = 0;
-            inf.replies.clear();
+            self.replies.clear();
         }
     }
 }

@@ -22,7 +22,7 @@ use crate::messages::{ClientRequest, Execute, ExecutePayload, OrderedRequest, Re
 use bytes::{BufMut, Bytes, BytesMut};
 use spider_crypto::{Hashed, Keyring};
 use spider_irmc::{
-    Action, ReceiveResult, ReceiverEndpoint, SenderEndpoint, Variant, TICK_INTERVAL,
+    Action, ReceiveResult, ReceiverEndpoint, Run, SenderEndpoint, Variant, TICK_INTERVAL,
 };
 use spider_sim::{req_id, Actor, Context, Timer, PHASE_DELIVER, PHASE_EXEC};
 use spider_types::{ClientId, GroupId, NodeId, OpKind, Position, SeqNr, Sink, WireSize};
@@ -64,7 +64,7 @@ pub struct ExecutionReplica<A: Application> {
     replies: BTreeMap<ClientId, CachedReply>,
     app: A,
     req_sender: SenderEndpoint<Hashed<OrderedRequest>>,
-    commit_recv: ReceiverEndpoint<Hashed<Execute>>,
+    commit_recv: ReceiverEndpoint<Execute>,
     cp: CheckpointComponent,
 
     /// Outstanding checkpoint fetch (sequence we must reach).
@@ -168,8 +168,8 @@ impl<A: Application> ExecutionReplica<A> {
         let (sc, pos, origin) = (c.0 as u64, Position(req.tc), self.group);
         self.request_channel(ctx, |ep, out| {
             ep.move_window(sc, pos, out);
-            let ordered = OrderedRequest { request: req, origin }.into();
-            ep.send_batch(sc, pos, vec![ordered], out);
+            let ordered = Hashed::new(OrderedRequest { request: req, origin });
+            ep.send_batch(sc, pos, Run::one(ordered), out);
         });
     }
 
@@ -210,7 +210,7 @@ impl<A: Application> ExecutionReplica<A> {
         }
     }
 
-    fn apply_execute(&mut self, ctx: &mut Context<'_, SpiderMsg>, exec: Hashed<Execute>) {
+    fn apply_execute(&mut self, ctx: &mut Context<'_, SpiderMsg>, exec: Execute) {
         debug_assert_eq!(exec.seq.0, self.sn + 1);
         self.sn += 1;
         ctx.charge(self.cfg.cost.msg_overhead());
@@ -435,10 +435,7 @@ impl<A: Application> ExecutionReplica<A> {
     fn commit_channel(
         &mut self,
         ctx: &mut Context<'_, SpiderMsg>,
-        call: impl FnOnce(
-            &mut ReceiverEndpoint<Hashed<Execute>>,
-            &mut dyn Sink<Action<Hashed<Execute>>>,
-        ),
+        call: impl FnOnce(&mut ReceiverEndpoint<Execute>, &mut dyn Sink<Action<Execute>>),
     ) {
         let agreement = self.directory.agreement();
         let wrap = |leg| SpiderMsg::CommitChannel { group: self.group, leg };

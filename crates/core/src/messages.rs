@@ -125,6 +125,11 @@ pub enum ExecutePayload {
 
 /// `⟨Execute, r, s⟩`: an ordered request forwarded through a commit
 /// channel (Fig 17 L36).
+///
+/// It travels without a digest memo of its own: the commit channel's
+/// [`spider_irmc::Run`] keeps each slot's digest, and hashing an `Execute`
+/// hashes its sequence number over the full request's memoized digest,
+/// never the request itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Execute {
     /// Agreement sequence number.
@@ -354,7 +359,7 @@ pub enum SpiderMsg {
         /// The execution group owning the channel.
         group: GroupId,
         /// The frame.
-        leg: ChannelLeg<Hashed<Execute>>,
+        leg: ChannelLeg<Execute>,
     },
     /// Consensus traffic within the agreement group.
     Agreement(spider_consensus::Msg<OrderItem>),

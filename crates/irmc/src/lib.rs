@@ -107,6 +107,7 @@ mod config;
 mod error;
 mod messages;
 mod receiver;
+mod ring;
 mod sender;
 mod window;
 

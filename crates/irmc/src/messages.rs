@@ -35,7 +35,8 @@
 //! computed. Fan-out to several receivers, retention and re-shipping
 //! clone a pointer, not the content, and every in-process holder of the
 //! same run — a sender and each endpoint it was cast to — hashes it at
-//! most once between them.
+//! most once between them. A run of one keeps its slot inline, so the
+//! per-slot frame's content is one allocation.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
@@ -66,20 +67,54 @@ use std::sync::{Arc, OnceLock};
 /// content down several channels builds one run and hands each of them a
 /// clone, and its content is hashed once for all of them. Equality and
 /// `Debug` look at the content alone.
+///
+/// The per-slot digests are memoized by the run, not by each slot: a slot
+/// type needs no digest cache of its own (the commit channel's `Execute`
+/// has none), since every endpoint that credits slots one by one reads
+/// them from the run's leaves. A run of one ([`Run::one`], or a one-item
+/// [`FromIterator::from_iter`]) holds its slot inline, inside the run's
+/// one allocation, with no separate list.
 pub struct Run<M>(Arc<RunInner<M>>);
 
 struct RunInner<M> {
-    msgs: Vec<M>,
+    msgs: Slots<M>,
     /// Payload bytes: the sum of the slots' wire sizes.
     bytes: usize,
     leaves: OnceLock<Leaves>,
     root: OnceLock<Digest>,
 }
 
+/// A run's slots: a run of one holds its slot inline, in the run's own
+/// allocation, so the per-slot frame of a lightly loaded channel costs
+/// one allocation, not two.
+enum Slots<M> {
+    One([M; 1]),
+    Many(Vec<M>),
+}
+
+impl<M> std::ops::Deref for Slots<M> {
+    type Target = [M];
+    fn deref(&self) -> &[M] {
+        match self {
+            Slots::One(slot) => slot,
+            Slots::Many(slots) => slots,
+        }
+    }
+}
+
 impl<M: Content> Run<M> {
     /// Wraps the content of a run; nothing is hashed until a digest is
     /// asked for.
     pub fn new(msgs: Vec<M>) -> Self {
+        Run::of(Slots::Many(msgs))
+    }
+
+    /// A run of the one slot `m`, held inline.
+    pub fn one(m: M) -> Self {
+        Run::of(Slots::One([m]))
+    }
+
+    fn of(msgs: Slots<M>) -> Self {
         let bytes = msgs.iter().map(|m| m.wire_size()).sum();
         Run(Arc::new(RunInner { msgs, bytes, leaves: OnceLock::new(), root: OnceLock::new() }))
     }
@@ -90,7 +125,7 @@ impl<M: Content> Run<M> {
     /// endpoints that will) asks for them — and asks before [`Self::root`],
     /// which then comes from the same pass over the content.
     pub(crate) fn leaves(&self) -> &[Digest] {
-        self.0.leaves.get_or_init(|| Leaves::of(&self.0.msgs))
+        self.0.leaves.get_or_init(|| Leaves::of(self))
     }
 
     /// The root a statement over the run binds: the Merkle root of the
@@ -100,7 +135,7 @@ impl<M: Content> Run<M> {
     pub(crate) fn root(&self) -> Digest {
         *self.0.root.get_or_init(|| match self.0.leaves.get() {
             Some(leaves) => leaves.root(),
-            None => Leaves::of(&self.0.msgs).root(),
+            None => Leaves::of(self).root(),
         })
     }
 
@@ -115,12 +150,30 @@ impl<M: Content> Run<M> {
         if range == (0..self.len()) {
             return self.clone();
         }
-        Run::new(self.0.msgs.get(range).map(<[M]>::to_vec).unwrap_or_default())
+        self.0.msgs.get(range).unwrap_or_default().iter().cloned().collect()
     }
 }
 
 impl<M: Content> From<Vec<M>> for Run<M> {
     fn from(msgs: Vec<M>) -> Self {
+        Run::new(msgs)
+    }
+}
+
+/// Collects slots into a run: one slot is held inline, more are one
+/// exact-size list when the iterator knows its length.
+impl<M: Content> FromIterator<M> for Run<M> {
+    fn from_iter<I: IntoIterator<Item = M>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let Some(first) = iter.next() else {
+            return Run::new(Vec::new());
+        };
+        let Some(second) = iter.next() else {
+            return Run::one(first);
+        };
+        let mut msgs = Vec::with_capacity(2 + iter.size_hint().0);
+        msgs.extend([first, second]);
+        msgs.extend(iter);
         Run::new(msgs)
     }
 }
@@ -140,13 +193,13 @@ impl<M> std::ops::Deref for Run<M> {
 
 impl<M: PartialEq> PartialEq for Run<M> {
     fn eq(&self, other: &Self) -> bool {
-        self.0.msgs == other.0.msgs
+        **self == **other
     }
 }
 
 impl<M: std::fmt::Debug> std::fmt::Debug for Run<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.msgs.fmt(f)
+        (**self).fmt(f)
     }
 }
 
@@ -635,6 +688,47 @@ pub(crate) mod tests {
         assert_eq!(a, b, "hashed or not");
         assert_eq!(format!("{a:?}"), format!("{:?}", &b[..]));
         assert_eq!((a.bytes(), a.len()), (300, 3));
+    }
+
+    /// A run of one held inline is, to everything that looks at it, the
+    /// run of a one-slot list: equality, `Debug`, root, leaves and the
+    /// weight of every frame that carries it.
+    #[test]
+    fn a_run_of_one_inline_is_a_run_of_a_one_slot_list() {
+        let m = Blob(vec![7; 100]);
+        let listed = Run::new(vec![m.clone()]);
+        let frames = |run: &Run<Blob>| {
+            let (sc, first, msgs) = (0, Position(1), run.clone());
+            [
+                ChannelMsg::Cast { sc, first, msgs: msgs.clone(), sig: sig() },
+                ChannelMsg::Content { sc, first, msgs: msgs.clone() },
+                cert(1, 2, Some(msgs)),
+            ]
+            .map(|frame| frame.wire_size())
+        };
+        for inline in [Run::one(m.clone()), [m.clone()].into_iter().collect()] {
+            assert_eq!(inline, listed);
+            assert_eq!(format!("{inline:?}"), format!("{listed:?}"));
+            assert_eq!(inline.root(), listed.root());
+            assert_eq!(inline.leaves(), listed.leaves());
+            assert_eq!((inline.bytes(), inline.len()), (listed.bytes(), 1));
+            assert_eq!(frames(&inline), frames(&listed));
+        }
+        assert_eq!(frames(&listed), [292, 204, 452]);
+    }
+
+    #[test]
+    fn a_collected_run_or_sub_run_is_the_run_of_its_slots() {
+        for n in [0, 2, 5] {
+            let slots: Vec<Blob> = (0..n).map(|i| Blob(vec![i; 10])).collect();
+            let run: Run<Blob> = slots.iter().cloned().collect();
+            assert_eq!(run, Run::new(slots.clone()));
+            assert_eq!(run.bytes(), 10 * n as usize);
+        }
+        let run = payload(3, 10);
+        assert_eq!(run.sub_run(1..2), Run::new(vec![Blob(vec![0; 10])]));
+        assert_eq!(run.sub_run(1..3), payload(2, 10));
+        assert!(std::ptr::eq(&run.sub_run(0..3)[..], &run[..]), "the whole run is the run");
     }
 
     #[test]

@@ -27,6 +27,7 @@
 
 use crate::config::{IrmcConfig, Variant};
 use crate::messages::{carrier_for, range_digest, ChannelMsg, ReceiverMsg, Run, RunCost};
+use crate::ring::RunRing;
 use crate::window::Window;
 use crate::{Action, Content, IrmcError, Subchannel};
 use spider_crypto::{Digest, Keyring, Signature};
@@ -106,7 +107,7 @@ struct SenderSub<M> {
     /// carrier rotation keys on the chunk's first position).
     blocked: BTreeMap<u64, Run<M>>,
     /// What this endpoint submitted, by first position.
-    runs: BTreeMap<u64, Submitted<M>>,
+    runs: RunRing<Submitted<M>>,
     /// SC: the statement each sender shared for a run `(first, count)` —
     /// its root and signature. First statement per sender wins (Fig 19
     /// L17), so a faulty peer cannot grow this beyond the window.
@@ -137,7 +138,7 @@ impl<M: Content> SenderSub<M> {
             starts_scratch: Vec::new(),
             my_move: Position(0),
             blocked: BTreeMap::new(),
-            runs: BTreeMap::new(),
+            runs: RunRing::default(),
             shares: BTreeMap::new(),
             certs: BTreeMap::new(),
             certified_hwm: 0,
@@ -151,7 +152,7 @@ impl<M: Content> SenderSub<M> {
     fn gc_below(&mut self, start: Position) {
         let s = start.0;
         self.blocked.retain(|&p, chunk| p + chunk.len() as u64 > s);
-        self.runs.retain(|&p, run| p + run.len() > s);
+        self.runs.retain(|p, run| p + run.len() > s);
         self.shares.retain(|&(p, count), _| p + count as u64 > s);
         self.certs.retain(|&p, cert| p + cert.run.len() as u64 > s);
     }
@@ -183,7 +184,7 @@ impl<M: Content> SenderSub<M> {
     /// The content this endpoint submitted for slot `p`, if it still
     /// holds it.
     fn slot(&self, p: u64) -> Option<&M> {
-        let (first, held) = self.runs.range(..=p).next_back()?;
+        let (first, held) = self.runs.at_or_below(p)?;
         held.run.get((p - first) as usize)
     }
 
@@ -192,9 +193,9 @@ impl<M: Content> SenderSub<M> {
     /// fallback shares — one slot out of a longer run (a copy, and so a
     /// run of its own; the fallback is rare).
     fn statement(&self, first: u64, count: u32) -> Option<Run<M>> {
-        match self.runs.get(&first) {
+        match self.runs.get(first) {
             Some(held) if held.len() == count as u64 => Some(held.run.clone()),
-            _ if count == 1 => self.slot(first).map(|m| Run::new(vec![m.clone()])),
+            _ if count == 1 => self.slot(first).map(|m| Run::one(m.clone())),
             _ => None,
         }
     }
@@ -378,7 +379,7 @@ impl<M: Content> SenderEndpoint<M> {
                     return Err(IrmcError::WrongVariant);
                 }
                 self.cfg.check_count(sc, first, count as u64)?;
-                let Some(held) = self.sub(sc).runs.get(&first.0) else {
+                let Some(held) = self.sub(sc).runs.get(first.0) else {
                     // Already GC'd (the window moved past it) or cut at a
                     // different boundary: the receiver will ask another
                     // voucher, so staying quiet is safe.
@@ -445,7 +446,7 @@ impl<M: Content> SenderEndpoint<M> {
         let price = RunCost::of(cost, &cert.run);
         let (mut mac, mut content) = (price.bytes, Some(cert.run.clone()));
         if price.ranged {
-            let held = sub.runs.get_mut(&first).is_some_and(|r| r.mark_shipped(to, n_receivers));
+            let held = sub.runs.get_mut(first).is_some_and(|r| r.mark_shipped(to, n_receivers));
             if resend || !held {
                 out.emit(Action::Charge(cost.hmac(price.bytes), label));
                 let msgs = cert.run.clone();
@@ -835,7 +836,7 @@ impl<M: Content> SenderEndpoint<M> {
         // order, and that is the order they have always left in.
         let ranges = sub.runs.iter().filter(|(_, held)| held.len() > 1);
         let slots = sub.runs.iter().filter(|(_, held)| held.len() == 1);
-        for (&first, held) in ranges.chain(slots) {
+        for (first, held) in ranges.chain(slots) {
             let last = first + held.len() - 1;
             // Only receivers whose announced window still reaches the
             // run: the rest already delivered it (their `Move` told us so).
@@ -875,7 +876,7 @@ impl<M: Content> SenderEndpoint<M> {
                 let retained: u64 = sub
                     .runs
                     .iter()
-                    .map(|(&f, run)| (f + run.len()).saturating_sub(start.max(f)))
+                    .map(|(f, run)| (f + run.len()).saturating_sub(start.max(f)))
                     .sum();
                 blocked + retained
             })

@@ -13,7 +13,9 @@ anything is counted, so shares are of what is left; how many went is
 printed to stderr. `--self N` charges each sample to the nearest frame of
 this workspace (a function of a `spider*` crate) at or above its leaf, so
 hashing or allocating inside the standard library counts for the code that
-asked for it.
+asked for it. A workspace `GlobalAlloc` impl (the benchmark's counting
+allocator) is never the owner: it only passes the request on, so its
+sample goes to the workspace frame above it.
 """
 import argparse
 import collections
@@ -25,6 +27,9 @@ import sys
 # A function of one of this workspace's crates (`spider`, `spider_irmc`, ...,
 # `spider_benchmark`), also as the self type of a trait impl.
 WORKSPACE_FRAME = re.compile(r"^<?spider\w*::")
+# A workspace type's `GlobalAlloc` method: it forwards every allocation to the
+# system allocator, so the memory is owed to whatever frame called it.
+ALLOCATOR_FRAME = re.compile(r" as (\w+::)*GlobalAlloc>::")
 
 
 def stacks_of(path):
@@ -104,7 +109,8 @@ def main():
     elif args.self_n:
         owner = collections.Counter()
         for frames in stacks:
-            mine = [f for f in frames if WORKSPACE_FRAME.match(f)]
+            mine = [f for f in frames
+                    if WORKSPACE_FRAME.match(f) and not ALLOCATOR_FRAME.search(f)]
             owner[mine[-1] if mine else "(no workspace frame)"] += 1
         for name, n in owner.most_common(args.self_n):
             print("%5.1f%%  %s" % (100.0 * n / total, name))
