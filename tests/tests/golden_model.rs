@@ -12,14 +12,14 @@
 use spider::execution::ExecutionReplica;
 use spider::{SpiderConfig, WorkloadSpec};
 use spider_app::{kv_op_factory, KvStore};
-use spider_baselines::BftDeployment;
-use spider_harness::ec2_topology;
+use spider_baselines::{BftDeployment, BftReplica, StewardDeployment, StewardReplica};
 use spider_harness::experiments::{commit_channel, disaster, fig11, fig9bcd};
 use spider_harness::scenarios::{run_scenario, run_scenario_obs, ScenarioCfg, SystemKind};
+use spider_harness::{ec2_topology, REGIONS4};
 use spider_irmc::{ChannelMode, Variant};
 use spider_sim::{FaultPlan, Simulation};
 use spider_tests::{digest, standard_deployment};
-use spider_types::SimTime;
+use spider_types::{NodeId, SimTime};
 
 fn small() -> ScenarioCfg {
     ScenarioCfg {
@@ -152,6 +152,80 @@ fn bft_weighted_voting_run() {
     sim.run_until_quiescent(SimTime::from_secs(60));
     let rendered = format!("{:?}\n{:?}", dep.collect_samples(&sim), sim.stats());
     pin("BFT-WV", rendered, 0x7bbb_ab15_9d21_5042);
+}
+
+/// Writes, strong reads and weak reads from one client per region.
+fn baseline_mix() -> WorkloadSpec {
+    WorkloadSpec {
+        write_fraction: 0.4,
+        strong_read_fraction: 0.3,
+        ..WorkloadSpec::writes_per_sec(4.0, 200).with_max_ops(12)
+    }
+    .with_op_factory(kv_op_factory(20))
+}
+
+/// Writes from a client that is cut off while its first write's replies
+/// are on their way: its retransmission is answered from the replicas'
+/// reply cache.
+fn resending_client() -> WorkloadSpec {
+    WorkloadSpec::writes_per_sec(2.0, 200)
+        .with_max_ops(3)
+        .with_start_delay(SimTime::from_millis(500))
+        .with_op_factory(kv_op_factory(20))
+}
+
+fn cut_off_across_a_reply(sim: &mut Simulation<spider_baselines::BaseMsg>, client: NodeId) {
+    let plan = FaultPlan::new().isolate_replica(
+        client,
+        SimTime::from_millis(530),
+        SimTime::from_millis(1_500),
+    );
+    sim.install_fault_plan(plan);
+}
+
+/// The BFT replica's client-facing paths the other digests miss (they run
+/// writes only): strong and weak reads answered from committed state,
+/// and a retransmitted write answered from the reply cache.
+#[test]
+fn bft_reads_and_a_resend_run() {
+    let mut sim = Simulation::new(ec2_topology(), 29);
+    let mut dep = BftDeployment::build(&mut sim, SpiderConfig::default(), &REGIONS4, KvStore::new);
+    for region in REGIONS4 {
+        dep.spawn_clients(&mut sim, region, 1, baseline_mix());
+    }
+    let resender = dep.spawn_clients(&mut sim, "tokyo", 1, resending_client());
+    cut_off_across_a_reply(&mut sim, resender[0]);
+    sim.run_until_quiescent(SimTime::from_secs(60));
+
+    let mut rendered = format!("{:?}\n{:?}\n", dep.collect_samples(&sim), sim.stats());
+    for node in &dep.replicas {
+        let replica = sim.actor::<BftReplica<KvStore>>(*node);
+        rendered.push_str(&format!("{node:?} {:?} {:?}\n", replica.view(), replica.app_digest()));
+    }
+    pin("BFT reads and resend", rendered, 0x98e4_5583_d0f7_68dc);
+}
+
+/// The HFT counterpart: strong reads ordered through the hierarchy, weak
+/// reads answered by the client's own site, and a retransmitted write
+/// answered from the reply cache.
+#[test]
+fn hft_reads_and_a_resend_run() {
+    let mut sim = Simulation::new(ec2_topology(), 31);
+    let mut dep =
+        StewardDeployment::build(&mut sim, SpiderConfig::default(), &REGIONS4, 0, KvStore::new);
+    for (site, region) in REGIONS4.iter().enumerate() {
+        dep.spawn_clients(&mut sim, site as u16, region, 1, baseline_mix());
+    }
+    let resender = dep.spawn_clients(&mut sim, 3, "tokyo", 1, resending_client());
+    cut_off_across_a_reply(&mut sim, resender[0]);
+    sim.run_until_quiescent(SimTime::from_secs(60));
+
+    let mut rendered = format!("{:?}\n{:?}\n", dep.collect_samples(&sim), sim.stats());
+    for node in dep.sites.iter().flatten() {
+        let replica = sim.actor::<StewardReplica<KvStore>>(*node);
+        rendered.push_str(&format!("{node:?} {:?}\n", replica.app_digest()));
+    }
+    pin("HFT reads and resend", rendered, 0x8041_6b3e_852c_f28e);
 }
 
 /// A group added at runtime: the agreement replicas replay `hist` into
