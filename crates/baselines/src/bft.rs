@@ -1,56 +1,30 @@
 //! The BFT baseline: one PBFT group spread across regions (Fig 1a), with
 //! optional weighted voting (BFT-WV).
 
+use crate::client::ClientSet;
 use crate::messages::{BaseMsg, Request};
-use bytes::Bytes;
+use crate::replica::{Front, Ordering};
 use spider::app::Application;
 use spider::directory::Directory;
 use spider::host;
 use spider::keys::AGREEMENT_GROUP;
-use spider::messages::Reply;
 use spider::SpiderConfig;
-use spider_consensus::{Input, Output, Pbft, PbftConfig};
+use spider_consensus::{Input, PbftConfig};
 use spider_sim::{Actor, Context, Simulation, Timer};
-use spider_types::{ClientId, NodeId, OpKind, SeqNr};
-use std::collections::BTreeMap;
-
-/// Unilateral consensus garbage collection interval (the baselines skip
-/// the full checkpoint protocol; its CPU cost is negligible next to the
-/// WAN round trips being measured).
-const GC_INTERVAL: u64 = 64;
+use spider_types::{ClientId, NodeId, OpKind};
 
 /// A replica of the traditional geo-distributed PBFT deployment.
 pub struct BftReplica<A: Application> {
-    directory: Directory,
-    cfg: SpiderConfig,
-    pbft: Pbft<Request>,
-    app: A,
-    executed: BTreeMap<ClientId, (u64, Bytes)>,
-    delivered: u64,
+    /// The global consensus, kept apart from the front, which executes
+    /// what it delivers while it runs.
+    pbft: Ordering,
+    front: Front<A>,
 }
 
 impl<A: Application> BftReplica<A> {
-    /// Creates replica `me` of the global group.
-    pub fn new(
-        cfg: SpiderConfig,
-        pbft_cfg: PbftConfig,
-        me: usize,
-        directory: Directory,
-        app: A,
-    ) -> Self {
-        BftReplica {
-            directory,
-            cfg,
-            pbft: Pbft::new(pbft_cfg, me),
-            app,
-            executed: BTreeMap::new(),
-            delivered: 0,
-        }
-    }
-
     /// Digest of the application state (tests).
     pub fn app_digest(&self) -> spider_crypto::Digest {
-        self.app.state_digest()
+        self.front.app.state_digest()
     }
 
     /// Current view of the global consensus.
@@ -58,122 +32,45 @@ impl<A: Application> BftReplica<A> {
         self.pbft.view()
     }
 
-    /// Runs one input through the global consensus, executing what it
-    /// delivers as it delivers it.
-    fn pbft_step(&mut self, ctx: &mut Context<'_, BaseMsg>, input: Input<Request>) {
-        let replicas = self.directory.agreement();
-        let mut gc = None;
-        self.pbft.handle(ctx.now(), input, &mut |output| {
-            let Some(Output::Deliver { batch, .. }) =
-                host::pbft_io(ctx, &replicas, BaseMsg::Pbft, output)
-            else {
-                return;
-            };
-            for req in batch.iter() {
-                let fresh = self.executed.get(&req.client).is_none_or(|(tc, _)| *tc < req.tc);
-                if !fresh {
-                    continue;
-                }
-                ctx.charge(self.cfg.cost.app_execute());
-                let result = self.app.execute(&req.operation.op);
-                self.executed.insert(req.client, (req.tc, result.clone()));
-                if let Some(node) = self.directory.client_node(req.client) {
-                    ctx.charge(self.cfg.cost.hmac(result.len()));
-                    let reply = Reply { tc: req.tc, result, weak: false, resubmit: false };
-                    ctx.send(node, BaseMsg::Reply(reply));
-                }
-            }
-            self.delivered += 1;
-            if self.delivered.is_multiple_of(GC_INTERVAL) && self.delivered > GC_INTERVAL {
-                gc = Some(SeqNr(self.delivered - GC_INTERVAL));
-            }
-        });
-        // `gc` only raises a horizon, so the last one requested covers
-        // every earlier one.
-        if let Some(before) = gc {
-            self.pbft.gc(before);
-        }
+    fn step(&mut self, ctx: &mut Context<'_, BaseMsg>, input: Input<Request>) {
+        let front = &mut self.front;
+        self.pbft.step(ctx, input, |ctx, req| front.execute(ctx, req, true));
     }
 }
 
 impl<A: Application> Actor<BaseMsg> for BftReplica<A> {
     fn on_message(&mut self, ctx: &mut Context<'_, BaseMsg>, from: NodeId, msg: BaseMsg) {
-        ctx.charge(self.cfg.cost.msg_overhead());
-        match msg {
-            BaseMsg::Request(req) => {
-                ctx.charge(self.cfg.cost.hmac(spider_types::WireSize::wire_size(&req)));
-                if req.operation.kind != OpKind::Write {
-                    // PBFT's optimized read path (§5 "Reads"): replicas
-                    // answer reads directly from their committed state.
-                    // Weak reads need f+1 matching replies at the client;
-                    // strongly consistent reads need 2f+1 (the read quorum
-                    // intersects every write quorum in a correct replica).
-                    ctx.charge(self.cfg.cost.app_execute());
-                    let result = self.app.execute_read(&req.operation.op);
-                    if let Some(node) = self.directory.client_node(req.client) {
-                        ctx.send(
-                            node,
-                            BaseMsg::Reply(Reply {
-                                tc: req.tc,
-                                result,
-                                weak: req.operation.kind == OpKind::WeakRead,
-                                resubmit: false,
-                            }),
-                        );
-                    }
-                    return;
-                }
-                // Retried request already executed? Resend the reply.
-                if let Some((tc, result)) = self.executed.get(&req.client) {
-                    if *tc >= req.tc {
-                        if *tc == req.tc {
-                            if let Some(node) = self.directory.client_node(req.client) {
-                                ctx.send(
-                                    node,
-                                    BaseMsg::Reply(Reply {
-                                        tc: req.tc,
-                                        result: result.clone(),
-                                        weak: false,
-                                        resubmit: false,
-                                    }),
-                                );
-                            }
-                        }
-                        return;
-                    }
-                }
-                ctx.charge(self.cfg.cost.rsa_verify());
-                self.pbft_step(ctx, Input::Order(req));
-            }
-            BaseMsg::Pbft(m) => {
-                if let Some(idx) = self.directory.replica_index(AGREEMENT_GROUP, from) {
-                    self.pbft_step(ctx, Input::Message { from: idx, msg: m });
-                }
-            }
-            BaseMsg::Reply(_) | BaseMsg::Steward(_) => {}
+        ctx.charge(self.front.cfg.cost.msg_overhead());
+        let input = match msg {
+            // PBFT's optimized read path (§5 "Reads"): replicas answer
+            // reads directly from their committed state. Weak reads need
+            // f+1 matching replies at the client; strongly consistent
+            // reads need 2f+1 (the read quorum intersects every write
+            // quorum in a correct replica).
+            BaseMsg::Request(req) => self
+                .front
+                .admit(ctx, req, &[OpKind::StrongRead, OpKind::WeakRead])
+                .map(Input::Order),
+            BaseMsg::Pbft(m) => self.pbft.frame(from, m),
+            BaseMsg::Reply(_) | BaseMsg::Steward(_) => None,
+        };
+        if let Some(input) = input {
+            self.step(ctx, input);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, BaseMsg>, timer: Timer) {
         if let Some(input) = host::pbft_timer(timer.tag) {
-            self.pbft_step(ctx, input);
+            self.step(ctx, input);
         }
     }
 }
 
 /// A built BFT / BFT-WV deployment.
 pub struct BftDeployment {
-    /// Shared directory.
-    pub directory: Directory,
     /// Replica nodes, replica-index order (replica 0 = initial leader).
     pub replicas: Vec<NodeId>,
-    /// Configuration.
-    pub cfg: SpiderConfig,
-    /// Reply quorum clients wait for (`f + 1`).
-    pub reply_quorum: usize,
-    next_client: u32,
-    /// Spawned clients.
-    pub clients: Vec<(ClientId, NodeId)>,
+    clients: ClientSet,
 }
 
 impl BftDeployment {
@@ -238,19 +135,19 @@ impl BftDeployment {
         let mut replicas = Vec::new();
         for (i, (region, zone)) in placements.iter().enumerate() {
             let zone = sim.topology().zone(region, *zone);
-            let replica =
-                BftReplica::new(cfg.clone(), pbft_cfg.clone(), i, directory.clone(), app_factory());
+            let replica = BftReplica {
+                pbft: Ordering::new(pbft_cfg.clone(), i, directory.clone(), AGREEMENT_GROUP),
+                front: Front::new(cfg.clone(), directory.clone(), app_factory()),
+            };
             replicas.push(sim.add_node(zone, replica));
         }
         directory.set_agreement(replicas.clone());
-        BftDeployment {
-            directory,
-            replicas,
-            reply_quorum: cfg.fa + 1,
-            cfg,
-            next_client: 0,
-            clients: Vec::new(),
-        }
+        // PBFT optimized reads need 2f+1 matching replies; with weighted
+        // voting (n > 3f+1) a count-based conservative equivalent is n-1
+        // matching replies.
+        let n = replicas.len();
+        let strong_reads = if n > 3 * cfg.fa + 1 { n - 1 } else { 2 * cfg.fa + 1 };
+        BftDeployment { replicas, clients: ClientSet::new(cfg, directory, strong_reads) }
     }
 
     /// Spawns `count` clients in `region` issuing `workload`; they talk to
@@ -262,31 +159,7 @@ impl BftDeployment {
         count: usize,
         workload: spider::WorkloadSpec,
     ) -> Vec<NodeId> {
-        let mut nodes = Vec::new();
-        for zone in sim.topology().cycle_zones(&[region], 0, count) {
-            let id = ClientId(self.next_client);
-            self.next_client += 1;
-            let client = crate::client::BaselineClient::new(
-                self.cfg.clone(),
-                id,
-                self.replicas.clone(),
-                self.reply_quorum,
-                Some(workload.clone()),
-            )
-            // PBFT optimized reads need 2f+1 matching replies; with
-            // weighted voting (n > 3f+1) a count-based conservative
-            // equivalent is n-1 matching replies.
-            .with_strong_read_quorum(if self.replicas.len() > 3 * self.cfg.fa + 1 {
-                self.replicas.len() - 1
-            } else {
-                2 * self.cfg.fa + 1
-            });
-            let node = sim.add_node(zone, client);
-            self.directory.register_client(id, node);
-            self.clients.push((id, node));
-            nodes.push(node);
-        }
-        nodes
+        self.clients.spawn(sim, AGREEMENT_GROUP, region, count, workload)
     }
 
     /// Collects samples from every client.
@@ -294,11 +167,6 @@ impl BftDeployment {
         &self,
         sim: &Simulation<BaseMsg>,
     ) -> Vec<(ClientId, Vec<spider::Sample>)> {
-        self.clients
-            .iter()
-            .map(|(id, node)| {
-                (*id, sim.actor::<crate::client::BaselineClient>(*node).samples.clone())
-            })
-            .collect()
+        self.clients.samples(sim).map(|(id, _, samples)| (id, samples)).collect()
     }
 }

@@ -28,6 +28,7 @@
 pub mod bft;
 pub mod client;
 pub mod messages;
+mod replica;
 pub mod steward;
 
 pub use bft::{BftDeployment, BftReplica};

@@ -18,14 +18,14 @@
 //! agreement (§5) — is charged via the cost model, which is why HFT pays
 //! noticeably more CPU per request than Spider's plain channels.
 
+use crate::client::ClientSet;
 use crate::messages::{accept_digest, proposal_digest, BaseMsg, Request, StewardMsg};
-use bytes::Bytes;
+use crate::replica::{Front, Ordering};
 use spider::app::Application;
 use spider::directory::Directory;
 use spider::host;
-use spider::messages::Reply;
 use spider::SpiderConfig;
-use spider_consensus::{Input, Output, Pbft, PbftConfig};
+use spider_consensus::{Input, PbftConfig};
 use spider_crypto::threshold::ThresholdGroupId;
 use spider_crypto::{Digest, Digestible, SigShare, ThresholdKeyring};
 use spider_sim::{Actor, Context, Simulation, Timer};
@@ -33,27 +33,23 @@ use spider_types::{ClientId, GroupId, NodeId, OpKind, SeqNr, WireSize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-const GC_INTERVAL: u64 = 64;
-
 /// A replica of one Steward site.
 pub struct StewardReplica<A: Application> {
     /// Site-local agreement (orders requests at the leader site, proposals
     /// at follower sites). It is kept apart from the rest of the replica,
     /// which handles what it delivers while it runs.
-    pbft: Pbft<Request>,
+    pbft: Ordering,
     steward: Steward<A>,
 }
 
 /// Everything of a Steward replica but its site-local agreement.
 struct Steward<A: Application> {
-    cfg: SpiderConfig,
+    front: Front<A>,
     site: u16,
     me: usize,
     leader_site: u16,
     num_sites: usize,
-    directory: Directory,
     tkr: ThresholdKeyring,
-    app: A,
 
     /// Leader site: next global sequence number to assign.
     next_seq: u64,
@@ -80,11 +76,8 @@ struct Steward<A: Application> {
     accepts: BTreeMap<u64, BTreeSet<u16>>,
     /// Next sequence number to execute.
     exec_next: u64,
-    /// Reply cache.
-    executed: BTreeMap<ClientId, (u64, Bytes)>,
     /// Requests already handed to local agreement (dedup).
     forwarded: BTreeMap<ClientId, u64>,
-    delivered_local: u64,
 }
 
 impl<A: Application> StewardReplica<A> {
@@ -100,14 +93,14 @@ impl<A: Application> StewardReplica<A> {
         app: A,
     ) -> Self {
         let pbft_cfg = cfg.tune_pbft(PbftConfig::new(cfg.fa));
+        let pbft = Ordering::new(pbft_cfg, me, directory.clone(), GroupId(site));
         let steward = Steward {
             site,
             me,
             leader_site,
             num_sites,
-            directory,
             tkr: ThresholdKeyring::new(spider::keys::KEY_SEED, cfg.fa + 1),
-            app,
+            front: Front::new(cfg, directory, app),
             next_seq: 0,
             assigned: BTreeMap::new(),
             proposals: BTreeMap::new(),
@@ -117,71 +110,24 @@ impl<A: Application> StewardReplica<A> {
             shares: BTreeMap::new(),
             accepts: BTreeMap::new(),
             exec_next: 1,
-            executed: BTreeMap::new(),
             forwarded: BTreeMap::new(),
-            delivered_local: 0,
-            cfg,
         };
-        StewardReplica { pbft: Pbft::new(pbft_cfg, me), steward }
+        StewardReplica { pbft, steward }
     }
 
     /// Digest of the application state (tests).
     pub fn app_digest(&self) -> spider_crypto::Digest {
-        self.steward.app.state_digest()
+        self.steward.front.app.state_digest()
     }
 }
 
 impl<A: Application> Steward<A> {
     fn site_nodes(&self, site: u16) -> Arc<[NodeId]> {
-        self.directory.group_replicas(GroupId(site))
-    }
-
-    fn my_site_nodes(&self) -> Arc<[NodeId]> {
-        self.site_nodes(self.site)
+        self.front.directory.group_replicas(GroupId(site))
     }
 
     fn is_leader_site(&self) -> bool {
         self.site == self.leader_site
-    }
-
-    fn majority(&self) -> usize {
-        self.num_sites / 2 + 1
-    }
-
-    // ------------------------------------------------------------------
-    // Local agreement plumbing
-    // ------------------------------------------------------------------
-
-    /// Runs one input through the site-local agreement `pbft`, handling
-    /// what it delivers as it delivers it.
-    fn pbft_step(
-        &mut self,
-        ctx: &mut Context<'_, BaseMsg>,
-        pbft: &mut Pbft<Request>,
-        input: Input<Request>,
-    ) {
-        let site_nodes = self.my_site_nodes();
-        let mut gc = None;
-        pbft.handle(ctx.now(), input, &mut |output| {
-            if let Some(Output::Deliver { batch, .. }) =
-                host::pbft_io(ctx, &site_nodes, BaseMsg::Pbft, output)
-            {
-                for req in batch.iter() {
-                    self.on_local_delivery(ctx, req);
-                }
-                self.delivered_local += 1;
-                if self.delivered_local.is_multiple_of(GC_INTERVAL)
-                    && self.delivered_local > GC_INTERVAL
-                {
-                    gc = Some(SeqNr(self.delivered_local - GC_INTERVAL));
-                }
-            }
-        });
-        // `gc` only raises a horizon, so the last one requested covers
-        // every earlier one.
-        if let Some(before) = gc {
-            pbft.gc(before);
-        }
     }
 
     /// The site-local agreement delivered a request.
@@ -207,9 +153,7 @@ impl<A: Application> Steward<A> {
             self.proposals.insert(seq.0, (req.clone(), pd));
             // The leader site accepts its own proposal implicitly.
             self.accepts.entry(seq.0).or_default().insert(self.site);
-            ctx.charge(self.cfg.cost.threshold_share());
-            let share = self.tkr.share(ThresholdGroupId(self.site as u32), self.me as u32, &pd);
-            self.route_share(ctx, seq, pd, share, false);
+            self.share(ctx, seq, pd, false);
         } else {
             // A follower site finished local agreement on a proposal's
             // request: threshold-share the Accept for every sequence
@@ -239,26 +183,19 @@ impl<A: Application> Steward<A> {
         let Some((_, pd)) = self.proposals.get(&seq.0) else {
             return;
         };
-        let ad = accept_digest(seq, pd);
-        ctx.charge(self.cfg.cost.threshold_share());
-        let share = self.tkr.share(ThresholdGroupId(self.site as u32), self.me as u32, &ad);
-        self.route_share(ctx, seq, ad, share, true);
+        self.share(ctx, seq, accept_digest(seq, pd), true);
     }
 
-    /// Sends a threshold share to the site representative (replica 0), or
-    /// processes it directly if we are the representative.
-    fn route_share(
-        &mut self,
-        ctx: &mut Context<'_, BaseMsg>,
-        seq: SeqNr,
-        digest: Digest,
-        share: SigShare,
-        accept: bool,
-    ) {
+    /// Threshold-shares `digest` and sends the share to the site
+    /// representative (replica 0), or collects it if this is the
+    /// representative.
+    fn share(&mut self, ctx: &mut Context<'_, BaseMsg>, seq: SeqNr, digest: Digest, accept: bool) {
+        ctx.charge(self.front.cfg.cost.threshold_share());
+        let share = self.tkr.share(ThresholdGroupId(self.site as u32), self.me as u32, &digest);
         if self.me == 0 {
             self.collect_share(ctx, seq, digest, share, accept);
         } else {
-            let rep = self.my_site_nodes()[0];
+            let rep = self.site_nodes(self.site)[0];
             ctx.send(rep, BaseMsg::Steward(StewardMsg::Share { seq, digest, share, accept }));
         }
     }
@@ -280,51 +217,41 @@ impl<A: Application> Steward<A> {
             return;
         }
         entry.push(share);
-        if entry.len() < self.cfg.fa + 1 {
+        if entry.len() < self.front.cfg.fa + 1 {
             return;
         }
         let shares = entry.clone();
-        ctx.charge(self.cfg.cost.threshold_combine());
+        ctx.charge(self.front.cfg.cost.threshold_combine());
         let Some(tsig) = self.tkr.combine(&digest, &shares) else {
             return;
         };
-        if accept {
-            let msg = BaseMsg::Steward(StewardMsg::Accept { seq, digest, site: self.site, tsig });
-            // Announce the site's acceptance to every replica everywhere.
-            for site in 0..self.num_sites as u16 {
-                for &node in self.site_nodes(site).iter() {
-                    if node != ctx.node_id() {
-                        ctx.send(node, msg.clone());
-                    }
-                }
-            }
-            self.on_accept(ctx, seq, self.site);
+        let msg = if accept {
+            StewardMsg::Accept { seq, digest, site: self.site, tsig }
         } else {
             let Some((request, _)) = self.proposals.get(&seq.0).cloned() else {
                 return;
             };
-            let msg = BaseMsg::Steward(StewardMsg::Proposal { seq, request, tsig });
-            for site in 0..self.num_sites as u16 {
-                if site == self.site {
-                    continue;
-                }
-                for &node in self.site_nodes(site).iter() {
-                    ctx.send(node, msg.clone());
-                }
+            StewardMsg::Proposal { seq, request, tsig }
+        };
+        // The site's acceptance goes to every other replica everywhere, its
+        // proposal to the other sites.
+        let me = ctx.node_id();
+        for site in (0..self.num_sites as u16).filter(|s| accept || *s != self.site) {
+            for &node in self.site_nodes(site).iter().filter(|n| **n != me) {
+                ctx.send(node, BaseMsg::Steward(msg.clone()));
             }
         }
-    }
-
-    fn on_accept(&mut self, ctx: &mut Context<'_, BaseMsg>, seq: SeqNr, site: u16) {
-        self.accepts.entry(seq.0).or_default().insert(site);
-        self.try_execute(ctx);
+        if accept {
+            self.accepts.entry(seq.0).or_default().insert(self.site);
+            self.try_execute(ctx);
+        }
     }
 
     fn try_execute(&mut self, ctx: &mut Context<'_, BaseMsg>) {
         loop {
             let seq = self.exec_next;
-            let enough_accepts = self.accepts.get(&seq).is_some_and(|s| s.len() >= self.majority());
-            if !enough_accepts {
+            // A majority of sites accepted.
+            if self.accepts.get(&seq).is_none_or(|s| s.len() <= self.num_sites / 2) {
                 return;
             }
             let Some((req, _)) = self.proposals.get(&seq) else {
@@ -332,27 +259,9 @@ impl<A: Application> Steward<A> {
             };
             let req = req.clone();
             self.exec_next += 1;
-            let fresh = self.executed.get(&req.client).is_none_or(|(tc, _)| *tc < req.tc);
-            if fresh {
-                ctx.charge(self.cfg.cost.app_execute());
-                let result = self.app.execute(&req.operation.op);
-                self.executed.insert(req.client, (req.tc, result.clone()));
-                // Only the client's local site replies (Fig 1b).
-                if self.directory.client_group(req.client) == Some(GroupId(self.site)) {
-                    if let Some(node) = self.directory.client_node(req.client) {
-                        ctx.charge(self.cfg.cost.hmac(result.len()));
-                        ctx.send(
-                            node,
-                            BaseMsg::Reply(Reply {
-                                tc: req.tc,
-                                result,
-                                weak: false,
-                                resubmit: false,
-                            }),
-                        );
-                    }
-                }
-            }
+            // Only the client's local site replies (Fig 1b).
+            let local = self.front.directory.client_group(req.client) == Some(GroupId(self.site));
+            self.front.execute(ctx, &req, local);
             // Bound memory: drop far-past bookkeeping.
             let horizon = seq.saturating_sub(256);
             self.proposals.retain(|s, _| *s > horizon);
@@ -361,63 +270,25 @@ impl<A: Application> Steward<A> {
         }
     }
 
-    fn order_locally(
-        &mut self,
-        ctx: &mut Context<'_, BaseMsg>,
-        pbft: &mut Pbft<Request>,
-        req: Request,
-    ) {
-        let last = self.forwarded.get(&req.client).copied().unwrap_or(0);
-        if req.tc <= last {
-            return;
+    fn order_locally(&mut self, ctx: &mut Context<'_, BaseMsg>, pbft: &mut Ordering, req: Request) {
+        if self.forwarded.get(&req.client).copied().unwrap_or(0) < req.tc {
+            self.forwarded.insert(req.client, req.tc);
+            pbft.step(ctx, Input::Order(req), |ctx, req| self.on_local_delivery(ctx, req));
         }
-        self.forwarded.insert(req.client, req.tc);
-        self.pbft_step(ctx, pbft, Input::Order(req));
     }
 }
 
 impl<A: Application> Actor<BaseMsg> for StewardReplica<A> {
     fn on_message(&mut self, ctx: &mut Context<'_, BaseMsg>, from: NodeId, msg: BaseMsg) {
         let StewardReplica { pbft, steward } = self;
-        ctx.charge(steward.cfg.cost.msg_overhead());
+        ctx.charge(steward.front.cfg.cost.msg_overhead());
         match msg {
             BaseMsg::Request(req) => {
-                ctx.charge(steward.cfg.cost.hmac(req.wire_size()));
-                if req.operation.kind == OpKind::WeakRead {
-                    ctx.charge(steward.cfg.cost.app_execute());
-                    let result = steward.app.execute_read(&req.operation.op);
-                    if let Some(node) = steward.directory.client_node(req.client) {
-                        ctx.send(
-                            node,
-                            BaseMsg::Reply(Reply {
-                                tc: req.tc,
-                                result,
-                                weak: true,
-                                resubmit: false,
-                            }),
-                        );
-                    }
+                // Weak reads are answered by the local site; strong reads
+                // are ordered like writes.
+                let Some(req) = steward.front.admit(ctx, req, &[OpKind::WeakRead]) else {
                     return;
-                }
-                if let Some((tc, result)) = steward.executed.get(&req.client) {
-                    if *tc >= req.tc {
-                        if *tc == req.tc {
-                            if let Some(node) = steward.directory.client_node(req.client) {
-                                ctx.send(
-                                    node,
-                                    BaseMsg::Reply(Reply {
-                                        tc: req.tc,
-                                        result: result.clone(),
-                                        weak: false,
-                                        resubmit: false,
-                                    }),
-                                );
-                            }
-                        }
-                        return;
-                    }
-                }
-                ctx.charge(steward.cfg.cost.rsa_verify());
+                };
                 if steward.is_leader_site() {
                     steward.order_locally(ctx, pbft, req);
                 } else {
@@ -431,17 +302,14 @@ impl<A: Application> Actor<BaseMsg> for StewardReplica<A> {
             }
             BaseMsg::Steward(StewardMsg::Forward(req)) => {
                 if steward.is_leader_site() {
-                    ctx.charge(steward.cfg.cost.hmac(req.wire_size()));
+                    ctx.charge(steward.front.cfg.cost.hmac(req.wire_size()));
                     steward.order_locally(ctx, pbft, req);
                 }
             }
             BaseMsg::Steward(StewardMsg::Proposal { seq, request, tsig }) => {
-                ctx.charge(steward.cfg.cost.threshold_verify());
+                ctx.charge(steward.front.cfg.cost.threshold_verify());
                 let pd = proposal_digest(seq, &request);
-                if !steward.tkr.verify(&pd, &tsig) {
-                    return;
-                }
-                if steward.proposals.contains_key(&seq.0) {
+                if !steward.tkr.verify(&pd, &tsig) || steward.proposals.contains_key(&seq.0) {
                     return;
                 }
                 steward.proposals.insert(seq.0, (request.clone(), pd));
@@ -462,33 +330,29 @@ impl<A: Application> Actor<BaseMsg> for StewardReplica<A> {
                 steward.try_execute(ctx);
             }
             BaseMsg::Steward(StewardMsg::Share { seq, digest, share, accept }) => {
-                if steward.me != 0 {
-                    return; // Only the representative collects.
+                // Only the representative collects.
+                if steward.me == 0 {
+                    ctx.charge(steward.front.cfg.cost.rsa_verify());
+                    steward.collect_share(ctx, seq, digest, share, accept);
                 }
-                ctx.charge(steward.cfg.cost.rsa_verify());
-                steward.collect_share(ctx, seq, digest, share, accept);
             }
             BaseMsg::Steward(StewardMsg::Accept { seq, digest, site, tsig }) => {
-                ctx.charge(steward.cfg.cost.threshold_verify());
-                // Validate against the proposal we know for that seq.
-                let Some((_, pd)) = steward.proposals.get(&seq.0) else {
-                    // Accept before proposal: remember optimistically once
-                    // the proposal arrives (simplification: verify against
-                    // the digest carried in the message).
-                    if steward.tkr.verify(&digest, &tsig) {
-                        steward.accepts.entry(seq.0).or_default().insert(site);
-                    }
-                    return;
-                };
-                let expected = accept_digest(seq, pd);
-                if digest != expected || !steward.tkr.verify(&digest, &tsig) {
+                ctx.charge(steward.front.cfg.cost.threshold_verify());
+                // Validate against the proposal we know for that seq. An
+                // accept before its proposal is remembered optimistically
+                // (simplification: verified against the digest it carries).
+                let known = steward.proposals.get(&seq.0).map(|(_, pd)| accept_digest(seq, pd));
+                if known.is_some_and(|d| d != digest) || !steward.tkr.verify(&digest, &tsig) {
                     return;
                 }
-                steward.on_accept(ctx, seq, site);
+                steward.accepts.entry(seq.0).or_default().insert(site);
+                if known.is_some() {
+                    steward.try_execute(ctx);
+                }
             }
             BaseMsg::Pbft(m) => {
-                if let Some(idx) = steward.directory.replica_index(GroupId(steward.site), from) {
-                    steward.pbft_step(ctx, pbft, Input::Message { from: idx, msg: m });
+                if let Some(input) = pbft.frame(from, m) {
+                    pbft.step(ctx, input, |ctx, req| steward.on_local_delivery(ctx, req));
                 }
             }
             BaseMsg::Reply(_) => {}
@@ -496,23 +360,18 @@ impl<A: Application> Actor<BaseMsg> for StewardReplica<A> {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, BaseMsg>, timer: Timer) {
+        let StewardReplica { pbft, steward } = self;
         if let Some(input) = host::pbft_timer(timer.tag) {
-            self.steward.pbft_step(ctx, &mut self.pbft, input);
+            pbft.step(ctx, input, |ctx, req| steward.on_local_delivery(ctx, req));
         }
     }
 }
 
 /// A built Steward (HFT) deployment.
 pub struct StewardDeployment {
-    /// Shared directory (sites are registered as groups).
-    pub directory: Directory,
     /// Replica nodes per site.
     pub sites: Vec<Vec<NodeId>>,
-    /// Configuration.
-    pub cfg: SpiderConfig,
-    next_client: u32,
-    /// Spawned clients: (id, site index, node).
-    pub clients: Vec<(ClientId, u16, NodeId)>,
+    clients: ClientSet,
 }
 
 impl StewardDeployment {
@@ -563,7 +422,9 @@ impl StewardDeployment {
             );
             sites.push(nodes);
         }
-        StewardDeployment { directory, sites, cfg, next_client: 0, clients: Vec::new() }
+        // Strong reads are ordered, so f + 1 matching replies answer them.
+        let strong_reads = cfg.fa + 1;
+        StewardDeployment { sites, clients: ClientSet::new(cfg, directory, strong_reads) }
     }
 
     /// Spawns clients attached to site `site` (their local cluster).
@@ -575,24 +436,7 @@ impl StewardDeployment {
         count: usize,
         workload: spider::WorkloadSpec,
     ) -> Vec<NodeId> {
-        let mut nodes = Vec::new();
-        for zone in sim.topology().cycle_zones(&[region], 0, count) {
-            let id = ClientId(self.next_client);
-            self.next_client += 1;
-            let client = crate::client::BaselineClient::new(
-                self.cfg.clone(),
-                id,
-                self.sites[site as usize].clone(),
-                self.cfg.fa + 1,
-                Some(workload.clone()),
-            );
-            let node = sim.add_node(zone, client);
-            self.directory.register_client(id, node);
-            self.directory.register_client_group(id, GroupId(site));
-            self.clients.push((id, site, node));
-            nodes.push(node);
-        }
-        nodes
+        self.clients.spawn(sim, GroupId(site), region, count, workload)
     }
 
     /// Collects samples from every client.
@@ -600,11 +444,6 @@ impl StewardDeployment {
         &self,
         sim: &Simulation<BaseMsg>,
     ) -> Vec<(ClientId, u16, Vec<spider::Sample>)> {
-        self.clients
-            .iter()
-            .map(|(id, site, node)| {
-                (*id, *site, sim.actor::<crate::client::BaselineClient>(*node).samples.clone())
-            })
-            .collect()
+        self.clients.samples(sim).map(|(id, site, samples)| (id, site.0, samples)).collect()
     }
 }
