@@ -80,18 +80,6 @@ impl std::fmt::Display for GroupId {
     }
 }
 
-/// Index of a replica within its group (0-based).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-pub struct ReplicaIdx(pub u8);
-
-impl std::fmt::Display for ReplicaIdx {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "p{}", self.0)
-    }
-}
-
 /// A client identity.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
@@ -218,7 +206,6 @@ mod tests {
         assert_eq!(SeqNr(1).to_string(), "s1");
         assert_eq!(Position(4).to_string(), "@4");
         assert_eq!(ViewNr(0).to_string(), "v0");
-        assert_eq!(ReplicaIdx(3).to_string(), "p3");
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod ids;
 pub mod time;
 pub mod wire;
 
-pub use ids::{ClientId, GroupId, NodeId, Position, RegionId, ReplicaIdx, SeqNr, ViewNr, ZoneId};
+pub use ids::{ClientId, GroupId, NodeId, Position, RegionId, SeqNr, ViewNr, ZoneId};
 pub use time::SimTime;
 pub use wire::WireSize;
 
@@ -74,29 +74,6 @@ impl<T> Sink<T> for Vec<T> {
 impl<T, F: FnMut(T)> Sink<T> for F {
     fn emit(&mut self, entry: T) {
         self(entry);
-    }
-}
-
-/// The kind of consistency a read request asks for.
-///
-/// Spider distinguishes weakly consistent reads (answered locally by the
-/// client's execution group, §3.3) from strongly consistent reads (ordered
-/// by the agreement group like writes, but executed only at the designated
-/// group).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub enum ReadConsistency {
-    /// Served directly by the local execution group; may return stale data.
-    Weak,
-    /// Ordered through the agreement group; linearizable.
-    Strong,
-}
-
-impl std::fmt::Display for ReadConsistency {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReadConsistency::Weak => write!(f, "weak"),
-            ReadConsistency::Strong => write!(f, "strong"),
-        }
     }
 }
 
