@@ -14,21 +14,15 @@
 #![forbid(unsafe_code)]
 
 use spider::Sample;
-use spider_types::SimTime;
+use spider_harness::LatencySummary;
 
-/// Formats a latency list as `p50/p90 (n)` for example output.
+/// Formats samples as `p50 … p90 … (n requests)` for example output, with
+/// the quantiles `spider_harness` computes for every table and figure.
 pub fn fmt_latencies(samples: &[Sample]) -> String {
-    if samples.is_empty() {
-        return "no samples".to_owned();
+    match LatencySummary::of_samples(samples) {
+        None => "no samples".to_owned(),
+        Some(s) => {
+            format!("p50 {:.1}ms  p90 {:.1}ms  ({} requests)", s.p50_ms, s.p90_ms, s.count)
+        }
     }
-    let mut lats: Vec<SimTime> = samples.iter().map(Sample::latency).collect();
-    lats.sort();
-    let p50 = lats[lats.len() / 2];
-    let p90 = lats[(lats.len() * 9 / 10).min(lats.len() - 1)];
-    format!(
-        "p50 {:.1}ms  p90 {:.1}ms  ({} requests)",
-        p50.as_millis_f64(),
-        p90.as_millis_f64(),
-        lats.len()
-    )
 }
