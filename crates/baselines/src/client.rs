@@ -156,7 +156,7 @@ impl ClientSet {
     }
 
     /// Spawns `count` clients in `region` issuing `workload`, each talking
-    /// to every replica of `group`.
+    /// to every replica of `group`. Panics if `group` has no replicas.
     pub(crate) fn spawn(
         &mut self,
         sim: &mut Simulation<BaseMsg>,
@@ -166,6 +166,7 @@ impl ClientSet {
         workload: WorkloadSpec,
     ) -> Vec<NodeId> {
         let replicas = self.directory.group_replicas(group).to_vec();
+        assert!(!replicas.is_empty(), "unknown group {group}");
         let mut nodes = Vec::new();
         for zone in sim.topology().cycle_zones(&[region], 0, count) {
             let id = ClientId(self.clients.len() as u32);

@@ -126,8 +126,16 @@ impl<A: Application> Steward<A> {
         self.front.directory.group_replicas(GroupId(site))
     }
 
+    fn my_site_nodes(&self) -> Arc<[NodeId]> {
+        self.site_nodes(self.site)
+    }
+
     fn is_leader_site(&self) -> bool {
         self.site == self.leader_site
+    }
+
+    fn majority(&self) -> usize {
+        self.num_sites / 2 + 1
     }
 
     /// The site-local agreement delivered a request.
@@ -195,7 +203,7 @@ impl<A: Application> Steward<A> {
         if self.me == 0 {
             self.collect_share(ctx, seq, digest, share, accept);
         } else {
-            let rep = self.site_nodes(self.site)[0];
+            let rep = self.my_site_nodes()[0];
             ctx.send(rep, BaseMsg::Steward(StewardMsg::Share { seq, digest, share, accept }));
         }
     }
@@ -242,16 +250,20 @@ impl<A: Application> Steward<A> {
             }
         }
         if accept {
-            self.accepts.entry(seq.0).or_default().insert(self.site);
-            self.try_execute(ctx);
+            self.on_accept(ctx, seq, self.site);
         }
+    }
+
+    fn on_accept(&mut self, ctx: &mut Context<'_, BaseMsg>, seq: SeqNr, site: u16) {
+        self.accepts.entry(seq.0).or_default().insert(site);
+        self.try_execute(ctx);
     }
 
     fn try_execute(&mut self, ctx: &mut Context<'_, BaseMsg>) {
         loop {
             let seq = self.exec_next;
-            // A majority of sites accepted.
-            if self.accepts.get(&seq).is_none_or(|s| s.len() <= self.num_sites / 2) {
+            let enough_accepts = self.accepts.get(&seq).is_some_and(|s| s.len() >= self.majority());
+            if !enough_accepts {
                 return;
             }
             let Some((req, _)) = self.proposals.get(&seq) else {
@@ -271,10 +283,12 @@ impl<A: Application> Steward<A> {
     }
 
     fn order_locally(&mut self, ctx: &mut Context<'_, BaseMsg>, pbft: &mut Ordering, req: Request) {
-        if self.forwarded.get(&req.client).copied().unwrap_or(0) < req.tc {
-            self.forwarded.insert(req.client, req.tc);
-            pbft.step(ctx, Input::Order(req), |ctx, req| self.on_local_delivery(ctx, req));
+        let last = self.forwarded.get(&req.client).copied().unwrap_or(0);
+        if req.tc <= last {
+            return;
         }
+        self.forwarded.insert(req.client, req.tc);
+        pbft.step(ctx, Input::Order(req), |ctx, req| self.on_local_delivery(ctx, req));
     }
 }
 
@@ -309,7 +323,10 @@ impl<A: Application> Actor<BaseMsg> for StewardReplica<A> {
             BaseMsg::Steward(StewardMsg::Proposal { seq, request, tsig }) => {
                 ctx.charge(steward.front.cfg.cost.threshold_verify());
                 let pd = proposal_digest(seq, &request);
-                if !steward.tkr.verify(&pd, &tsig) || steward.proposals.contains_key(&seq.0) {
+                if !steward.tkr.verify(&pd, &tsig) {
+                    return;
+                }
+                if steward.proposals.contains_key(&seq.0) {
                     return;
                 }
                 steward.proposals.insert(seq.0, (request.clone(), pd));
@@ -330,25 +347,29 @@ impl<A: Application> Actor<BaseMsg> for StewardReplica<A> {
                 steward.try_execute(ctx);
             }
             BaseMsg::Steward(StewardMsg::Share { seq, digest, share, accept }) => {
-                // Only the representative collects.
-                if steward.me == 0 {
-                    ctx.charge(steward.front.cfg.cost.rsa_verify());
-                    steward.collect_share(ctx, seq, digest, share, accept);
+                if steward.me != 0 {
+                    return; // Only the representative collects.
                 }
+                ctx.charge(steward.front.cfg.cost.rsa_verify());
+                steward.collect_share(ctx, seq, digest, share, accept);
             }
             BaseMsg::Steward(StewardMsg::Accept { seq, digest, site, tsig }) => {
                 ctx.charge(steward.front.cfg.cost.threshold_verify());
-                // Validate against the proposal we know for that seq. An
-                // accept before its proposal is remembered optimistically
-                // (simplification: verified against the digest it carries).
-                let known = steward.proposals.get(&seq.0).map(|(_, pd)| accept_digest(seq, pd));
-                if known.is_some_and(|d| d != digest) || !steward.tkr.verify(&digest, &tsig) {
+                // Validate against the proposal we know for that seq.
+                let Some((_, pd)) = steward.proposals.get(&seq.0) else {
+                    // Accept before proposal: remember optimistically once
+                    // the proposal arrives (simplification: verify against
+                    // the digest carried in the message).
+                    if steward.tkr.verify(&digest, &tsig) {
+                        steward.accepts.entry(seq.0).or_default().insert(site);
+                    }
+                    return;
+                };
+                let expected = accept_digest(seq, pd);
+                if digest != expected || !steward.tkr.verify(&digest, &tsig) {
                     return;
                 }
-                steward.accepts.entry(seq.0).or_default().insert(site);
-                if known.is_some() {
-                    steward.try_execute(ctx);
-                }
+                steward.on_accept(ctx, seq, site);
             }
             BaseMsg::Pbft(m) => {
                 if let Some(input) = pbft.frame(from, m) {
@@ -428,6 +449,7 @@ impl StewardDeployment {
     }
 
     /// Spawns clients attached to site `site` (their local cluster).
+    /// Panics if the deployment has no site `site`.
     pub fn spawn_clients(
         &mut self,
         sim: &mut Simulation<BaseMsg>,

@@ -238,3 +238,12 @@ fn steward_writes_cost_more_than_spider_but_complete() {
     assert!(m > SimTime::from_millis(80), "median {m}");
     assert!(m < SimTime::from_millis(400), "median {m}");
 }
+
+#[test]
+#[should_panic(expected = "unknown group")]
+fn steward_clients_of_a_missing_site_are_refused() {
+    let mut sim = Simulation::new(topo(), 8);
+    let mut dep =
+        StewardDeployment::build(&mut sim, SpiderConfig::default(), &REGIONS, 0, KvStore::new);
+    dep.spawn_clients(&mut sim, 4, "tokyo", 1, WorkloadSpec::writes_per_sec(3.0, 200));
+}

@@ -1,31 +1,33 @@
 #!/usr/bin/env python3
-"""Counts the lines of each Rust file that come before its first
-`#[cfg(test)]`, per file and per directory: the non-test size that
-ROADMAP.md and CHANGES.md quote, so a size claim can be reproduced.
+"""Counts the lines of each Rust file that come before its test module,
+per file and per directory: the non-test size that ROADMAP.md and
+CHANGES.md quote, so a size claim can be reproduced.
 
     tools/loc.py                          # every crates/*/src, one total per crate
-    tools/loc.py crates/baselines/src     # one directory, one line per file
-    tools/loc.py --files crates/irmc/src crates/sim/src
+    tools/loc.py crates/baselines/src     # the given directories, one line per file
 
-Every line counts, comments and blank lines included. A file without
-`#[cfg(test)]` counts whole. Run it from the repository root, or pass
-paths that resolve from where it runs.
+The test module starts at a `#[cfg(test)]` in column 0 whose next line
+declares a `mod`; an indented `#[cfg(test)]` inside other code does not
+end the count. Every line counts, comments and blank lines included. A
+file without a test module counts whole. Run it from the repository
+root, or pass paths that resolve from where it runs.
 """
-import argparse
 import glob
 import os
+import re
 import sys
+
+TEST_MOD = re.compile(r"(pub(\([^)]*\))? )?mod ")
 
 
 def non_test_lines(path):
-    """Lines of `path` before the first line that starts `#[cfg(test)]`."""
-    count = 0
+    """Lines of `path` before its `#[cfg(test)]` module."""
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.lstrip().startswith("#[cfg(test)]"):
-                break
-            count += 1
-    return count
+        lines = f.readlines()
+    for i, (line, next_line) in enumerate(zip(lines, lines[1:])):
+        if line.rstrip() == "#[cfg(test)]" and TEST_MOD.match(next_line):
+            return i
+    return len(lines)
 
 
 def rust_files(root):
@@ -37,14 +39,12 @@ def rust_files(root):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("paths", nargs="*", help="directories (default: every crates/*/src)")
-    parser.add_argument("--files", action="store_true", help="also print one line per file")
-    args = parser.parse_args()
-    roots = args.paths or sorted(glob.glob("crates/*/src"))
+    paths = sys.argv[1:]
+    if any(p.startswith("-") for p in paths):
+        sys.exit(__doc__)
+    roots = paths or sorted(glob.glob("crates/*/src"))
     if not roots:
         sys.exit("no directories to count (run from the repository root or pass paths)")
-    show_files = args.files or len(args.paths) == 1
     total = 0
     for root in roots:
         if not os.path.isdir(root):
@@ -53,9 +53,9 @@ def main():
         for path in rust_files(root):
             lines = non_test_lines(path)
             subtotal += lines
-            if show_files:
+            if paths:
                 print(f"{lines:7d}  {path}")
-        print(f"{subtotal:7d}  {root}{'  (total)' if show_files else ''}")
+        print(f"{subtotal:7d}  {root}{'  (total)' if paths else ''}")
         total += subtotal
     if len(roots) > 1:
         print(f"{total:7d}  all")
