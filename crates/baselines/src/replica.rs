@@ -34,8 +34,10 @@ impl<A: Application> Front<A> {
         Front { cfg, directory, app, executed: BTreeMap::new() }
     }
 
+    /// Sends `reply` to `client`'s node, charging its MAC.
     fn reply(&self, ctx: &mut Context<'_, BaseMsg>, client: ClientId, reply: Reply) {
         if let Some(node) = self.directory.client_node(client) {
+            ctx.charge(self.cfg.cost.hmac(reply.result.len()));
             ctx.send(node, BaseMsg::Reply(reply));
         }
     }
@@ -80,10 +82,8 @@ impl<A: Application> Front<A> {
         ctx.charge(self.cfg.cost.app_execute());
         let result = self.app.execute(&req.operation.op);
         self.executed.insert(req.client, (req.tc, result.clone()));
-        if let (true, Some(node)) = (reply, self.directory.client_node(req.client)) {
-            ctx.charge(self.cfg.cost.hmac(result.len()));
-            let reply = Reply { tc: req.tc, result, weak: false, resubmit: false };
-            ctx.send(node, BaseMsg::Reply(reply));
+        if reply {
+            self.reply(ctx, req.client, Reply { tc: req.tc, result, weak: false, resubmit: false });
         }
     }
 }

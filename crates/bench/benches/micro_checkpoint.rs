@@ -12,10 +12,10 @@
 //! checkpoint: an empty store takes over the parts, slicing its entries
 //! out of their pieces in place; it grows with `n` but copies no byte.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use spider::checkpoint::{CheckpointComponent, Part, Snapshot};
 use spider::Application;
 use spider_app::{KvOp, KvStore};
+use spider_bench::time_per_call;
 use spider_crypto::{CostModel, Digest, Keyring};
 use spider_types::{GroupId, SeqNr};
 use std::cell::RefCell;
@@ -26,7 +26,7 @@ fn put(store: &mut KvStore, i: u64) {
     store.execute(&KvOp::sized_put(key.as_bytes(), 200, b'x').encode());
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let stores: Vec<(&str, u64, RefCell<KvStore>)> =
         [("1k", 1_000u64), ("4k", 4_000), ("16k", 16_000)]
             .into_iter()
@@ -38,58 +38,45 @@ fn bench(c: &mut Criterion) {
             })
             .collect();
 
-    let mut g = c.benchmark_group("checkpoint");
-    g.sample_size(30);
     for (label, keys, store) in &stores {
         let mut cp = CheckpointComponent::new(GroupId(0), 0, 1, Keyring::new(1), CostModel::zero());
         let mut next = 0;
-        g.bench_function(format!("{label}_keys_dirty32"), |b| {
-            b.iter_batched(
-                || {
-                    // Overwrites, so the store keeps its size.
-                    (next..next + 32).for_each(|i| put(&mut store.borrow_mut(), i % keys));
-                    next += 32;
-                    SeqNr(next)
-                },
-                |seq| {
-                    let header = Part::new(vec![0u8; 64].into());
-                    let parts = store.borrow_mut().snapshot_parts();
-                    let mut out = Vec::new();
-                    cp.generate(seq, Snapshot::new(std::iter::once(header).chain(parts)), &mut out);
-                    out
-                },
-                BatchSize::SmallInput,
-            )
-        });
+        time_per_call(
+            &format!("checkpoint/{label}_keys_dirty32"),
+            || {
+                // Overwrites, so the store keeps its size.
+                (next..next + 32).for_each(|i| put(&mut store.borrow_mut(), i % keys));
+                next += 32;
+                SeqNr(next)
+            },
+            |seq| {
+                let header = Part::new(vec![0u8; 64].into());
+                let parts = store.borrow_mut().snapshot_parts();
+                let mut out = Vec::new();
+                cp.generate(*seq, Snapshot::new(std::iter::once(header).chain(parts)), &mut out);
+                out
+            },
+        );
     }
-    g.finish();
 
-    let mut g = c.benchmark_group("checkpoint_full");
-    g.sample_size(30);
     for (label, _, store) in &stores {
-        g.bench_function(format!("{label}_keys"), |b| {
-            b.iter(|| Digest::of_bytes(&std::hint::black_box(store).borrow().snapshot()))
-        });
+        time_per_call(
+            &format!("checkpoint_full/{label}_keys"),
+            || (),
+            |_| Digest::of_bytes(&std::hint::black_box(store).borrow().snapshot()),
+        );
     }
-    g.finish();
 
-    let mut g = c.benchmark_group("restore");
-    g.sample_size(30);
     for (label, _, store) in &stores {
         let parts = store.borrow_mut().snapshot_parts();
-        g.bench_function(format!("{label}_keys"), |b| {
-            b.iter_batched(
-                KvStore::new,
-                |mut fresh| {
-                    assert!(fresh.restore(&parts));
-                    fresh
-                },
-                BatchSize::SmallInput,
-            )
-        });
+        time_per_call(
+            &format!("restore/{label}_keys"),
+            || Some(KvStore::new()),
+            |empty| {
+                let mut fresh = empty.take().expect("a restore takes a fresh store");
+                assert!(fresh.restore(&parts));
+                fresh
+            },
+        );
     }
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the PBFT black-box: pure state-machine throughput
 //! (no simulator), measured on the real host CPU.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use spider_bench::time_per_call;
 use spider_consensus::{Input, Msg, Output, Pbft, PbftConfig, TestPayload};
 use spider_crypto::CostModel;
 use spider_types::SimTime;
@@ -38,14 +38,10 @@ fn order_n(n: u64) -> usize {
     delivered
 }
 
-fn bench(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pbft");
-    g.throughput(Throughput::Elements(64));
-    g.bench_function("order_64_requests_4_replicas", |b| {
-        b.iter(|| order_n(std::hint::black_box(64)))
-    });
-    g.finish();
+fn main() {
+    time_per_call(
+        "pbft/order_64_requests_4_replicas",
+        || (),
+        |_| order_n(std::hint::black_box(64)),
+    );
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

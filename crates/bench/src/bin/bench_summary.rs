@@ -41,13 +41,12 @@
 //! against the checked-in copies; an intended modelled change commits
 //! the regenerated files in the same PR.
 
-use spider_bench::{quick_fig10, quick_scale};
+use spider_bench::{quick_disaster, quick_fig10, quick_scale};
 use spider_harness::experiments::{batching, commit_channel, disaster, fig10, fig7};
 use spider_harness::scenarios::{run_scenario_obs, SystemKind};
 use spider_irmc::ChannelMode;
 use spider_obs::export as obs_export;
 use spider_obs::{causal, HealthEvent, ObsReport};
-use spider_types::SimTime;
 use std::fmt::Write as _;
 
 /// Range sizes of the commit-channel amortization curve.
@@ -62,19 +61,6 @@ const HEADLINE_REGION: &str = "virginia";
 /// in flight on the WAN. A shifted name means the tail moved (or the
 /// edge/span plumbing broke).
 const TAIL_DOMINANT_SEGMENT: &str = "cast/wire/transit";
-
-/// Disaster scale: the same scaled-down clock the CI `disaster` job's
-/// integration tests use (fault at 6 s, heal at 14 s, 24 s of load).
-fn disaster_scale() -> disaster::Config {
-    disaster::Config {
-        clients_per_region: 2,
-        rate_per_client: 3.0,
-        fault_at: SimTime::from_secs(6),
-        heal_at: SimTime::from_secs(14),
-        duration: SimTime::from_secs(24),
-        ..disaster::Config::default()
-    }
-}
 
 /// How a gate compares its measurement with its bound.
 #[derive(Debug, Clone, Copy)]
@@ -319,7 +305,7 @@ fn main() {
     );
 
     println!("bench_summary: disaster suite…");
-    let dis_cfg = disaster_scale();
+    let dis_cfg = quick_disaster();
     let (partition_row, partition_trace) = disaster::run_wan_partition_traced(&dis_cfg);
     let mut disaster_rows = vec![disaster::run_correlated_outage(&dis_cfg), partition_row.clone()];
     disaster_rows.push(disaster::run_view_change_storm(&dis_cfg));

@@ -135,7 +135,8 @@ pub struct IrmcConfig {
 }
 
 impl IrmcConfig {
-    /// Creates a configuration with the default cost model.
+    /// Creates a configuration with the default cost model. `mode` is a
+    /// [`ChannelMode`] or a bare [`Variant`] (legacy-faithful mapping).
     ///
     /// # Panics
     ///
@@ -187,14 +188,6 @@ impl IrmcConfig {
         self
     }
 
-    /// Replaces the per-subchannel capacity (builder-style).
-    #[must_use]
-    pub fn with_capacity(mut self, capacity: u64) -> Self {
-        assert!(capacity >= 1);
-        self.capacity = capacity;
-        self
-    }
-
     /// Replaces the maximum slots per range certificate (builder-style;
     /// see [`IrmcConfig::max_range`]).
     ///
@@ -205,14 +198,6 @@ impl IrmcConfig {
     pub fn with_range(mut self, max_range: usize) -> Self {
         assert!(max_range >= 1, "max_range must be at least 1");
         self.max_range = max_range;
-        self
-    }
-
-    /// Replaces the delivery mode (builder-style). Accepts a
-    /// [`ChannelMode`] or a bare [`Variant`] (legacy-faithful mapping).
-    #[must_use]
-    pub fn with_mode(mut self, mode: impl Into<ChannelMode>) -> Self {
-        self.mode = mode.into();
         self
     }
 
@@ -283,8 +268,7 @@ mod tests {
 
     #[test]
     fn mode_builder_replaces_flag_sprawl() {
-        let c = IrmcConfig::new(Variant::ReceiverCollect, 3, 1, 3, 1, 2)
-            .with_mode(ChannelMode::ReliableCast { dedup: true });
+        let c = IrmcConfig::new(ChannelMode::ReliableCast { dedup: true }, 3, 1, 3, 1, 2);
         assert!(c.dedup());
         assert_eq!(c.variant(), Variant::ReceiverCollect);
         assert!(!c.sc_overlap(), "overlap is an SC-only lever");

@@ -186,13 +186,7 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
     /// Panics if `at` is before the current simulated time.
     pub fn post(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: M) {
         assert!(at >= self.now, "cannot post into the past");
-        let (arrival, class, bytes) = self.delivery_plan(at, from, to, &msg);
-        if self.net_control.should_drop(from, to, &mut self.rng) {
-            self.stats.dropped_messages += 1;
-            return;
-        }
-        self.stats.record_send(from, class, bytes);
-        self.queue.push(arrival, to, EventKind::Deliver { from, msg });
+        self.send(at, from, to, msg);
     }
 
     /// Access the concrete actor behind a node for post-run inspection.
@@ -299,17 +293,16 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
         }
     }
 
-    /// Computes (arrival time, link class, bytes) for a message departing
-    /// at `departure`, charging NIC serialization to the sender's egress.
-    fn delivery_plan(
-        &mut self,
-        departure: SimTime,
-        from: NodeId,
-        to: NodeId,
-        msg: &M,
-    ) -> (SimTime, LinkClass, u64) {
+    /// Sends `msg` from `from` to `to`, departing at `departure`. A message
+    /// the network loses is counted and costs nothing more: it occupies no
+    /// NIC time and draws no latency. Any other serializes on the sender's
+    /// egress after what it already queued, then crosses the link.
+    fn send(&mut self, departure: SimTime, from: NodeId, to: NodeId, msg: M) {
+        if self.net_control.should_drop(from, to, &mut self.rng) {
+            self.stats.dropped_messages += 1;
+            return;
+        }
         let bytes = msg.wire_size() as u64;
-        let class = self.link_class(from, to);
         let ser = self.topology.serialization_delay(bytes as usize);
         let slot = &mut self.nodes[from.0 as usize];
         let egress_start = slot.egress_free_at.max(departure);
@@ -319,7 +312,8 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
         let to_zone = self.nodes[to.0 as usize].zone;
         let prop = self.topology.sample_latency(from_zone, to_zone, &mut self.rng);
         let extra = self.net_control.extra_delay(from, to);
-        (egress_end + prop + extra, class, bytes)
+        self.stats.record_send(from, self.link_class(from, to), bytes);
+        self.queue.push(egress_end + prop + extra, to, EventKind::Deliver { from, msg });
     }
 
     /// Runs one actor handler with a fresh context, then applies buffered
@@ -355,16 +349,7 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
 
         for action in out.drain(..) {
             match action {
-                OutAction::Send { to, msg, at } => {
-                    let departure = start + at;
-                    if self.net_control.should_drop(node, to, &mut self.rng) {
-                        self.stats.dropped_messages += 1;
-                        continue;
-                    }
-                    let (arrival, class, bytes) = self.delivery_plan(departure, node, to, &msg);
-                    self.stats.record_send(node, class, bytes);
-                    self.queue.push(arrival, to, EventKind::Deliver { from: node, msg });
-                }
+                OutAction::Send { to, msg, at } => self.send(start + at, node, to, msg),
                 OutAction::SetTimer { delay, tag, armed } => {
                     self.queue.push(
                         end + delay,
@@ -739,6 +724,35 @@ mod tests {
         let (t1, t2) = (rec.arrivals[0].0, rec.arrivals[1].0);
         assert!(t1 >= SimTime::from_millis(510), "0.5s ser + 10ms prop");
         assert!(t2 - t1 >= SimTime::from_millis(499), "NIC is serialized");
+    }
+
+    #[test]
+    fn a_posted_message_lost_to_a_cut_leaves_the_senders_nic_free() {
+        let topo = Topology::builder()
+            .region("a", 1)
+            .region("b", 2)
+            .symmetric_latency("a", "b", SimTime::from_millis(10))
+            .jitter(0.0)
+            .bandwidth_bits_per_sec(8_000_000) // 1 MB/s
+            .build();
+        let mut sim = Simulation::new(topo, 1);
+        let a = sim.add_node(sim.topology().zone("a", 0), Recorder::default());
+        let b = sim.add_node(sim.topology().zone("b", 0), Recorder::default());
+        let cut = sim.add_node(sim.topology().zone("b", 1), Recorder::default());
+        sim.install_fault_plan(FaultPlan::new().isolate_replica(
+            cut,
+            SimTime::ZERO,
+            SimTime::from_secs(1),
+        ));
+        // 500 KB would hold the NIC for 0.5 s, but the cut loses it first.
+        sim.post(SimTime::ZERO, a, cut, Msg(1, 500_000));
+        sim.post(SimTime::ZERO, a, b, Msg(2, 8));
+        sim.run_until_quiescent(SimTime::from_secs(2));
+        assert!(sim.actor::<Recorder>(cut).arrivals.is_empty());
+        assert_eq!(sim.stats().dropped_messages, 1);
+        let at_b = &sim.actor::<Recorder>(b).arrivals;
+        assert_eq!(at_b.len(), 1);
+        assert!(at_b[0].0 < SimTime::from_millis(11), "departs at once: 10 ms away, 8 bytes");
     }
 
     #[test]

@@ -6,31 +6,16 @@
 //! Run with: `cargo run --release -p spider_examples --example disaster_suite`
 //!
 //! Environment:
-//! * `SPIDER_QUICK=1` — the CI-scale clock (fault at 6 s, heal at 14 s,
-//!   24 s of offered load).
+//! * `SPIDER_QUICK=1` — the CI-scale clock, `spider_bench::quick_disaster`
+//!   (fault at 6 s, heal at 14 s, 24 s of offered load).
 //! * default — the full clock (fault at 8 s, heal at 18 s, 30 s of
 //!   load), a few minutes of wall time.
 
 use spider_harness::experiments::disaster;
-use spider_types::SimTime;
-
-fn scale() -> disaster::Config {
-    if std::env::var("SPIDER_QUICK").is_ok() {
-        disaster::Config {
-            clients_per_region: 2,
-            rate_per_client: 3.0,
-            fault_at: SimTime::from_secs(6),
-            heal_at: SimTime::from_secs(14),
-            duration: SimTime::from_secs(24),
-            ..disaster::Config::default()
-        }
-    } else {
-        disaster::Config::default()
-    }
-}
 
 fn main() {
-    let cfg = scale();
+    let quick = std::env::var("SPIDER_QUICK").is_ok();
+    let cfg = if quick { spider_bench::quick_disaster() } else { disaster::Config::default() };
     let rows = disaster::run(&cfg);
     println!("{}", disaster::render(&rows));
     println!(

@@ -202,7 +202,7 @@ fn bft_reads_and_a_resend_run() {
         let replica = sim.actor::<BftReplica<KvStore>>(*node);
         rendered.push_str(&format!("{node:?} {:?} {:?}\n", replica.view(), replica.app_digest()));
     }
-    pin("BFT reads and resend", rendered, 0x98e4_5583_d0f7_68dc);
+    pin("BFT reads and resend", rendered, 0x6fe0_b435_4449_17a8);
 }
 
 /// The HFT counterpart: strong reads ordered through the hierarchy, weak
@@ -225,7 +225,7 @@ fn hft_reads_and_a_resend_run() {
         let replica = sim.actor::<StewardReplica<KvStore>>(*node);
         rendered.push_str(&format!("{node:?} {:?}\n", replica.app_digest()));
     }
-    pin("HFT reads and resend", rendered, 0x8041_6b3e_852c_f28e);
+    pin("HFT reads and resend", rendered, 0x290a_e95e_6f66_7a43);
 }
 
 /// A group added at runtime: the agreement replicas replay `hist` into
