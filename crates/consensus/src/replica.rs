@@ -854,7 +854,13 @@ impl<P: Payload> Pbft<P> {
             let inst = self.instance(seq);
             if inst.committed && inst.view < view {
                 // Already committed in an earlier view; keep it (safety
-                // guarantees the digest matches).
+                // guarantees the digest matches), but vote for it in this
+                // one: a replica that has not committed it needs a quorum
+                // of this view's votes.
+                if let Some(digest) = inst.digest {
+                    self.broadcast(out, Msg::Prepare { view, seq: SeqNr(seq), digest });
+                    self.broadcast(out, Msg::Commit { view, seq: SeqNr(seq), digest });
+                }
                 continue;
             }
             inst.view = view;
@@ -1303,6 +1309,45 @@ mod tests {
         assert_eq!(r.next_deliver(), SeqNr(11));
         assert!(r.instances.is_empty());
         assert_reused_blank(&mut r, 2, 12, 3);
+    }
+
+    /// A replica that committed instances in an earlier view votes for
+    /// them again in the new one: a replica that did not commit them can
+    /// only do so with this view's votes.
+    #[test]
+    fn a_committed_instance_is_voted_for_again_in_a_new_view() {
+        let mut r = replica_with_decided_instances();
+        let cert = |seq| PreparedCert {
+            seq: SeqNr(seq),
+            view: ViewNr(1),
+            digest: digest_at(seq),
+            batch: Arc::new(vec![TestPayload(seq)]),
+        };
+        let vc = |sender| ViewChangeMsg {
+            new_view: ViewNr(2),
+            h: SeqNr(0),
+            prepared: (1..=3).map(cert).collect(),
+            sender,
+        };
+        let nv = NewViewMsg { view: ViewNr(2), vcs: (0..3).map(vc).collect() };
+        let leader = r.cfg.leader_of(2);
+        let out = feed(&mut r, leader, Msg::NewView(nv));
+        assert_eq!(r.view(), ViewNr(2));
+        for seq in 1..=3 {
+            let d = digest_at(seq);
+            for vote in [prepare(2, seq, d), commit(2, seq, d)] {
+                let to: Vec<usize> = out
+                    .iter()
+                    .filter_map(|o| match o {
+                        Output::Send { to, msg } if *msg == vote => Some(*to),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(to, [0, 1, 2], "{vote:?}");
+            }
+            assert!(r.instances[&seq].committed, "the instance stays committed");
+        }
+        assert!(!delivers(&out), "and is not delivered again");
     }
 
     #[test]

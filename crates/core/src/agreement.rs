@@ -252,6 +252,11 @@ impl AgreementReplica {
     /// checkpoint made stable) while the replica's run buffers are taken:
     /// the nested call cuts its runs in buffers of its own.
     fn process_backlog(&mut self, ctx: &mut Context<'_, SpiderMsg>) {
+        // While a checkpoint fetch is out the group has numbered past `sn`:
+        // numbering now would give delivered items numbers of their own.
+        if self.fetching {
+            return;
+        }
         let mut run = std::mem::take(&mut self.run);
         let mut completed = std::mem::take(&mut self.completed);
         loop {
@@ -548,6 +553,14 @@ impl AgreementReplica {
                         let e = self.t_next.entry(*c).or_insert(1);
                         *e = (*e).max(tc + 1);
                     }
+                    // Drop what the snapshot already numbered, judged by
+                    // the client counters it covers.
+                    self.backlog.retain(|(_, item, _)| match item {
+                        OrderItem::Request(req) => {
+                            t.get(&req.request.client).is_none_or(|tc| req.request.tc > *tc)
+                        }
+                        OrderItem::Admin(_) => true,
+                    });
                     self.t = t;
                     self.hist = hist;
                     let items: Vec<(u64, OrderItem)> =

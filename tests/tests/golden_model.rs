@@ -96,7 +96,7 @@ fn wan_partition_row() {
         duration: SimTime::from_secs(10),
         ..disaster::Config::default()
     };
-    pin("wan-partition", format!("{:?}", disaster::run_wan_partition(&cfg)), 0xc66a_290f_2847_d028);
+    pin("wan-partition", format!("{:?}", disaster::run_wan_partition(&cfg)), 0x1a20_9487_7f48_5650);
 }
 
 /// The scaled-down clock of `disaster.rs`: fault at 6 s, heal at 14 s.
@@ -120,7 +120,7 @@ fn disaster_cfg() -> disaster::Config {
 fn disaster_fault_path_rows() {
     let cfg = disaster_cfg();
     let storm = disaster::run_view_change_storm(&cfg);
-    pin("view-change storm", format!("{storm:?}"), 0x89ae_e31b_340f_e0c5);
+    pin("view-change storm", format!("{storm:?}"), 0xb2d8_3f54_8b3c_123a);
     let outage = disaster::run_correlated_outage(&cfg);
     pin("correlated outage", format!("{outage:?}"), 0xff35_72ca_581b_48f6);
 }
@@ -301,5 +301,5 @@ fn view_change_storm_trace() {
         let replica = sim.actor::<spider::agreement::AgreementReplica>(*node);
         rendered.push_str(&format!("{node:?} {:?} {:?}\n", replica.view(), replica.sequence()));
     }
-    pin("view-change storm trace", rendered, 0x3a6f_33fd_47aa_890a);
+    pin("view-change storm trace", rendered, 0x92ff_5480_62cc_2229);
 }
