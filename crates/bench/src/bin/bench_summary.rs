@@ -41,7 +41,7 @@
 //! against the checked-in copies; an intended modelled change commits
 //! the regenerated files in the same PR.
 
-use spider_bench::{quick_disaster, quick_fig10, quick_scale};
+use spider_bench::{quick_fig10, quick_scale};
 use spider_harness::experiments::{batching, commit_channel, disaster, fig10, fig7};
 use spider_harness::scenarios::{run_scenario_obs, SystemKind};
 use spider_irmc::ChannelMode;
@@ -305,7 +305,7 @@ fn main() {
     );
 
     println!("bench_summary: disaster suite…");
-    let dis_cfg = quick_disaster();
+    let dis_cfg = disaster::Config::quick();
     let (partition_row, partition_trace) = disaster::run_wan_partition_traced(&dis_cfg);
     let mut disaster_rows = vec![disaster::run_correlated_outage(&dis_cfg), partition_row.clone()];
     disaster_rows.push(disaster::run_view_change_storm(&dis_cfg));

@@ -1,6 +1,7 @@
 //! The quick scales of the checked-in artifacts, shared by
-//! `bench_summary`, `SPIDER_QUICK=1 paper_figures` and `SPIDER_QUICK=1
-//! disaster_suite`, and the timer of the `micro_*` benches.
+//! `bench_summary` and `SPIDER_QUICK=1 paper_figures` (the disaster
+//! suite's is `disaster::Config::quick`), and the timer of the `micro_*`
+//! benches.
 //!
 //! The crate's benches are the `micro_*` host-time measurements and the
 //! `ablations` sweeps, all plain programs; the paper's figures are printed
@@ -8,7 +9,7 @@
 
 #![forbid(unsafe_code)]
 
-use spider_harness::experiments::{disaster, fig10};
+use spider_harness::experiments::fig10;
 use spider_harness::scenarios::ScenarioCfg;
 use spider_types::SimTime;
 
@@ -31,20 +32,6 @@ pub fn quick_fig10() -> fig10::Config {
         duration: SimTime::from_secs(40),
         join_at: SimTime::from_secs(25),
         bucket: SimTime::from_secs(5),
-    }
-}
-
-/// The disaster suite at the quick scale of `bench_summary` and
-/// `SPIDER_QUICK=1 disaster_suite`: fault at 6 s, heal at 14 s, 24 s of
-/// load.
-pub fn quick_disaster() -> disaster::Config {
-    disaster::Config {
-        clients_per_region: 2,
-        rate_per_client: 3.0,
-        fault_at: SimTime::from_secs(6),
-        heal_at: SimTime::from_secs(14),
-        duration: SimTime::from_secs(24),
-        ..disaster::Config::default()
     }
 }
 

@@ -82,6 +82,22 @@ impl Default for Config {
     }
 }
 
+impl Config {
+    /// The quick clock the disaster tests, `bench_summary` and
+    /// `SPIDER_QUICK=1 disaster_suite` share: fault at 6 s, heal at 14 s,
+    /// 24 s of offered load, 2 clients per region at 3 req/s each.
+    pub fn quick() -> Config {
+        Config {
+            clients_per_region: 2,
+            rate_per_client: 3.0,
+            fault_at: SimTime::from_secs(6),
+            heal_at: SimTime::from_secs(14),
+            duration: SimTime::from_secs(24),
+            ..Config::default()
+        }
+    }
+}
+
 /// Outcome of one disaster scenario.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct DisasterRow {

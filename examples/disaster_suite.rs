@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release -p spider_examples --example disaster_suite`
 //!
 //! Environment:
-//! * `SPIDER_QUICK=1` — the CI-scale clock, `spider_bench::quick_disaster`
+//! * `SPIDER_QUICK=1` — the CI-scale clock, `disaster::Config::quick`
 //!   (fault at 6 s, heal at 14 s, 24 s of offered load).
 //! * default — the full clock (fault at 8 s, heal at 18 s, 30 s of
 //!   load), a few minutes of wall time.
@@ -15,7 +15,7 @@ use spider_harness::experiments::disaster;
 
 fn main() {
     let quick = std::env::var("SPIDER_QUICK").is_ok();
-    let cfg = if quick { spider_bench::quick_disaster() } else { disaster::Config::default() };
+    let cfg = if quick { disaster::Config::quick() } else { disaster::Config::default() };
     let rows = disaster::run(&cfg);
     println!("{}", disaster::render(&rows));
     println!(

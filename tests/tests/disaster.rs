@@ -7,27 +7,15 @@
 //! propagates instead of shedding load, and checkpoints repair lagging
 //! groups after the network heals. The CI `disaster` job runs exactly
 //! this file.
+//!
+//! Every scenario runs on the quick clock, [`Config::quick`]: fault at
+//! 6 s, heal at 14 s, offered load for 24 s, then drain to quiescence.
 
 use spider_harness::experiments::disaster::{
     run_correlated_outage, run_placement, run_view_change_storm, run_wan_partition, Config,
     STORM_ACTS,
 };
 use spider_tests::digest;
-use spider_types::SimTime;
-
-/// Scaled-down scenario clock: fault at 6 s, heal at 14 s, offered load
-/// for 24 s, then drain to quiescence.
-fn test_cfg() -> Config {
-    Config {
-        clients_per_region: 2,
-        rate_per_client: 3.0,
-        fault_at: SimTime::from_secs(6),
-        heal_at: SimTime::from_secs(14),
-        duration: SimTime::from_secs(24),
-        seed: 42,
-        ..Config::default()
-    }
-}
 
 /// The CI-gated scenario: severing the agreement side from half the
 /// execution groups at `z = 0` stalls everyone (back-pressure), yet
@@ -35,7 +23,7 @@ fn test_cfg() -> Config {
 /// duplicated ops, identical stores, and bounded recovery time.
 #[test]
 fn wan_partition_stalls_then_recovers_without_losing_ops() {
-    let row = run_wan_partition(&test_cfg());
+    let row = run_wan_partition(&Config::quick());
     assert_eq!(row.lost_ops, 0, "completed writes missing from the store: {row:?}");
     assert_eq!(row.duplicated_ops, 0, "operations executed twice: {row:?}");
     assert_eq!(row.diverged_replicas, 0, "stores did not converge: {row:?}");
@@ -54,7 +42,7 @@ fn wan_partition_stalls_then_recovers_without_losing_ops() {
 /// the restore.
 #[test]
 fn correlated_outage_survivors_keep_committing() {
-    let row = run_correlated_outage(&test_cfg());
+    let row = run_correlated_outage(&Config::quick());
     assert_eq!(row.lost_ops, 0, "{row:?}");
     assert_eq!(row.duplicated_ops, 0, "{row:?}");
     assert_eq!(row.diverged_replicas, 0, "dead groups failed to catch up: {row:?}");
@@ -70,7 +58,7 @@ fn correlated_outage_survivors_keep_committing() {
 /// a view change, and the system still drains cleanly.
 #[test]
 fn view_change_storm_rotates_leaders_and_drains() {
-    let cfg = test_cfg();
+    let cfg = Config::quick();
     let row = run_view_change_storm(&cfg);
     assert!(
         row.final_view >= STORM_ACTS as u64,
@@ -88,7 +76,7 @@ fn view_change_storm_rotates_leaders_and_drains() {
 /// region failure that stalls the concentrated placement entirely.
 #[test]
 fn placement_spread_backups_dominate_concentrated_on_availability() {
-    let cfg = test_cfg();
+    let cfg = Config::quick();
     let concentrated = run_placement(&cfg, 0, false);
     let spread = run_placement(&cfg, 0, true);
     for row in [&concentrated, &spread] {
@@ -120,8 +108,8 @@ fn placement_spread_backups_dominate_concentrated_on_availability() {
 /// scenario to byte-identical rows.
 #[test]
 fn disaster_scenario_is_deterministic_across_runs() {
-    let a = format!("{:?}", run_wan_partition(&test_cfg()));
-    let b = format!("{:?}", run_wan_partition(&test_cfg()));
+    let a = format!("{:?}", run_wan_partition(&Config::quick()));
+    let b = format!("{:?}", run_wan_partition(&Config::quick()));
     assert!(!a.is_empty());
     assert_eq!(digest(&a), digest(&b), "same seed, different disaster: {a} vs {b}");
 }

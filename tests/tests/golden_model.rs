@@ -99,26 +99,13 @@ fn wan_partition_row() {
     pin("wan-partition", format!("{:?}", disaster::run_wan_partition(&cfg)), 0x1a20_9487_7f48_5650);
 }
 
-/// The scaled-down clock of `disaster.rs`: fault at 6 s, heal at 14 s.
-fn disaster_cfg() -> disaster::Config {
-    disaster::Config {
-        clients_per_region: 2,
-        rate_per_client: 3.0,
-        fault_at: SimTime::from_secs(6),
-        heal_at: SimTime::from_secs(14),
-        duration: SimTime::from_secs(24),
-        seed: 42,
-        ..disaster::Config::default()
-    }
-}
-
 /// The fault paths no other digest covers: PBFT's `ViewChanged` and
 /// `Skipped` with the agreement checkpoint fetch they start (the storm),
 /// and an execution group's `TooOld` → fetch → snapshot restore (the
 /// outage).
 #[test]
 fn disaster_fault_path_rows() {
-    let cfg = disaster_cfg();
+    let cfg = disaster::Config::quick();
     let storm = disaster::run_view_change_storm(&cfg);
     pin("view-change storm", format!("{storm:?}"), 0xb2d8_3f54_8b3c_123a);
     let outage = disaster::run_correlated_outage(&cfg);

@@ -14,9 +14,9 @@
 //! view is pinned as what remains open (ROADMAP.md, item 1). The runs are
 //! byte-deterministic, so every figure here is exact.
 //!
-//! All three share the disaster tests' clock (fault at 6 s, heal at
-//! 14 s, 24 s of offered load at 3 req/s per client) and vary only the
-//! client count and the seed.
+//! All three share the disaster tests' clock ([`Config::quick`]: fault at
+//! 6 s, heal at 14 s, 24 s of offered load at 3 req/s per client) and
+//! vary only the client count and the seed.
 //!
 //! One more pins a waste rather than a failure: a run without faults
 //! recasts content that was already delivered. Its fix changes the
@@ -29,15 +29,7 @@ use spider_tests::standard_deployment;
 use spider_types::SimTime;
 
 fn cfg(clients_per_region: usize, seed: u64) -> Config {
-    Config {
-        clients_per_region,
-        rate_per_client: 3.0,
-        fault_at: SimTime::from_secs(6),
-        heal_at: SimTime::from_secs(14),
-        duration: SimTime::from_secs(24),
-        seed,
-        ..Config::default()
-    }
+    Config { clients_per_region, seed, ..Config::quick() }
 }
 
 /// The storm's three isolations allow a final view of at most 4.
