@@ -12,9 +12,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-use crate::checkpoint::{
-    CheckpointComponent, CpAction, Part, Snapshot, FETCH_RETRY, GOSSIP_INTERVAL,
-};
+use crate::checkpoint::{CheckpointComponent, CpAction, Part, Snapshot};
 use crate::config::SpiderConfig;
 use crate::directory::Directory;
 use crate::host;
@@ -37,10 +35,8 @@ use spider_types::{ClientId, GroupId, NodeId, OpKind, Position, SeqNr, Sink};
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound::{Excluded, Unbounded};
 
-/// Timer tags (the consensus tokens' tags are `host::pbft_io`'s).
+/// Timer tag (PBFT's and the checkpoint component's are `host`'s).
 const TAG_SC_TICK: u64 = 1;
-const TAG_FETCH_RETRY: u64 = 3;
-const TAG_CP_GOSSIP: u64 = 4;
 
 /// Decoded agreement snapshot: `(sn, t, hist)` as written by
 /// `encode_snapshot`.
@@ -80,7 +76,6 @@ pub struct AgreementReplica {
     /// Delivered consensus instances and the highest agreement sequence
     /// number each produced (for black-box gc).
     instance_map: VecDeque<(u64, u64)>,
-    fetching: bool,
     /// Clients whose request subchannel a call made ready or moved, to be
     /// polled once it returns (one buffer, reused).
     polls: Vec<ClientId>,
@@ -118,7 +113,6 @@ impl AgreementReplica {
             cp: CheckpointComponent::new(AGREEMENT_GROUP, me, cfg.fa, keyring, cfg.cost),
             backlog: VecDeque::new(),
             instance_map: VecDeque::new(),
-            fetching: false,
             polls: Vec::new(),
             run: Vec::new(),
             completed: Vec::new(),
@@ -216,9 +210,13 @@ impl AgreementReplica {
                 }
                 Some(Output::ViewChanged { view, .. }) => ctx.health_view(view.0),
                 // We missed decided instances: catch up via the agreement
-                // checkpoint (§3.4).
+                // checkpoint past `sn` (§3.4, Fig 17 L47). A fetch request
+                // makes nothing stable.
                 Some(Output::Skipped { .. }) => {
-                    start_fetch(ctx, &self.directory, &mut self.cp, &mut self.fetching, self.sn)
+                    let (need, dir) = (SeqNr(self.sn + 1), &self.directory);
+                    let _ = host::checkpoint_io(ctx, dir, &mut self.cp, |cp, _, out| {
+                        cp.fetch(need, out)
+                    });
                 }
                 _ => {}
             }
@@ -254,7 +252,7 @@ impl AgreementReplica {
     fn process_backlog(&mut self, ctx: &mut Context<'_, SpiderMsg>) {
         // While a checkpoint fetch is out the group has numbered past `sn`:
         // numbering now would give delivered items numbers of their own.
-        if self.fetching {
+        if self.cp.is_fetching() {
             return;
         }
         let mut run = std::mem::take(&mut self.run);
@@ -523,24 +521,17 @@ impl AgreementReplica {
         let window_start = seq.0.saturating_sub(hist_len).saturating_add(1);
         self.each_commit_channel(ctx, |ep, out| ep.move_window(0, Position(window_start), out));
         // Consensus gc: forget instances whose requests are all covered.
-        let mut gc_before = None;
-        while let Some((instance, last_seq)) = self.instance_map.front().copied() {
-            if last_seq <= seq.0 {
-                gc_before = Some(instance + 1);
-                self.instance_map.pop_front();
-            } else {
-                break;
-            }
-        }
-        if let Some(before) = gc_before {
-            self.pbft.gc(SeqNr(before));
+        let covered = self.instance_map.iter().take_while(|(_, last)| *last <= seq.0).count();
+        if let Some((instance, _)) = self.instance_map.drain(..covered).next_back() {
+            self.pbft.gc(SeqNr(instance + 1));
         }
 
         if seq.0 > self.sn {
             if state.is_none() {
                 // A stable checkpoint exists ahead of us but we lack the
                 // snapshot: fetch it (Fig 17 L47 path).
-                start_fetch(ctx, &self.directory, &mut self.cp, &mut self.fetching, self.sn);
+                let need = SeqNr(self.sn + 1);
+                self.checkpoint(ctx, |cp, _, out| cp.fetch(need, out));
             }
             if let Some(snapshot) = state {
                 ctx.charge(self.cfg.cost.hmac(snapshot.len()));
@@ -572,10 +563,10 @@ impl AgreementReplica {
                     for &group in self.directory.active_groups().iter() {
                         self.replay_execs(ctx, group, &items);
                     }
-                    self.fetching = false;
                 }
             }
         }
+        self.cp.settle(SeqNr(self.sn));
         // Fig 17 L57: slide the agreement window.
         self.win_upper = self.win_upper.max(seq.0 + self.cfg.ag_win);
         self.process_backlog(ctx);
@@ -673,24 +664,6 @@ impl AgreementReplica {
             self.on_stable_checkpoint(ctx, seq, state);
         }
     }
-}
-
-/// Asks the agreement group for a stable checkpoint past `sn` (Fig 17
-/// L47), unless a fetch is already out. It takes the fields it uses, not
-/// the replica: PBFT's `Skipped` starts it while consensus is running.
-fn start_fetch(
-    ctx: &mut Context<'_, SpiderMsg>,
-    directory: &Directory,
-    cp: &mut CheckpointComponent,
-    fetching: &mut bool,
-    sn: u64,
-) {
-    if std::mem::replace(fetching, true) {
-        return;
-    }
-    // A fetch request makes nothing stable.
-    let _ = host::checkpoint_io(ctx, directory, cp, |cp, _, out| cp.fetch(SeqNr(sn + 1), out));
-    ctx.arm(TAG_FETCH_RETRY, FETCH_RETRY);
 }
 
 /// Whether `group` executes `req` (§3.3): every group executes a write,
@@ -825,7 +798,7 @@ impl Actor<SpiderMsg> for AgreementReplica {
         if self.standing_tick() {
             ctx.arm(TAG_SC_TICK, TICK_INTERVAL);
         }
-        ctx.arm(TAG_CP_GOSSIP, GOSSIP_INTERVAL);
+        self.checkpoint(ctx, |cp, _, out| cp.start(out));
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, SpiderMsg>, from: NodeId, msg: SpiderMsg) {
@@ -887,16 +860,10 @@ impl Actor<SpiderMsg> for AgreementReplica {
                     ctx.arm(TAG_SC_TICK, TICK_INTERVAL);
                 }
             }
-            TAG_FETCH_RETRY if self.fetching => {
-                self.fetching = false;
-                start_fetch(ctx, &self.directory, &mut self.cp, &mut self.fetching, self.sn);
-            }
-            TAG_CP_GOSSIP => {
-                self.checkpoint(ctx, |cp, _, out| cp.gossip(out));
-                ctx.arm(TAG_CP_GOSSIP, GOSSIP_INTERVAL);
-            }
             tag => {
-                if let Some(input) = host::pbft_timer(tag) {
+                if let Some(timer) = host::checkpoint_timer(tag) {
+                    self.checkpoint(ctx, |cp, _, out| cp.on_timer(timer, out));
+                } else if let Some(input) = host::pbft_timer(tag) {
                     self.pbft_step(ctx, input);
                 }
             }

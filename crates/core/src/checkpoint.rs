@@ -9,6 +9,14 @@
 //! state plus the certificate, which the component validates before
 //! delivering it (state transfer).
 //!
+//! The component, not the replica, owns the fetch, its retry and the
+//! gossip heartbeat, for both replica kinds. It keeps the outstanding fetch
+//! target, asks for it again until the replica [`settle`]s at or past it,
+//! and re-announces its stable vote (§A.4.3), on [`CpAction::SetTimer`]s
+//! that the host arms and hands back to [`CheckpointComponent::on_timer`].
+//!
+//! [`settle`]: CheckpointComponent::settle
+//!
 //! Components verify certificates against *logical group keys*
 //! ([`crate::keys`]), so execution replicas can also validate checkpoints
 //! fetched from *other* execution groups (§3.5 — needed by freshly added
@@ -52,13 +60,11 @@ use spider_types::{GroupId, SeqNr, SimTime, Sink};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Interval of the checkpoint-gossip heartbeat every replica keeps
-/// (§A.4.3).
-pub(crate) const GOSSIP_INTERVAL: SimTime = SimTime::from_millis(1_000);
+/// Interval of the checkpoint-gossip heartbeat (§A.4.3).
+const GOSSIP_INTERVAL: SimTime = SimTime::from_millis(1_000);
 
-/// How long a replica waits for a fetched checkpoint before asking again
-/// while it stays behind.
-pub(crate) const FETCH_RETRY: SimTime = SimTime::from_millis(500);
+/// How long a fetch waits for the checkpoint before asking again.
+const FETCH_RETRY: SimTime = SimTime::from_millis(500);
 
 /// One immutable share of a [`Snapshot`]: some bytes of the serialized
 /// state and the digest they are claimed to hash to. [`Part::new`] and
@@ -200,6 +206,15 @@ impl Snapshot {
     }
 }
 
+/// The timers a checkpoint component keeps; the discriminant is the token.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CpTimer {
+    /// Ask again for the outstanding fetch target.
+    FetchRetry,
+    /// Re-announce the vote for the latest stable checkpoint.
+    Gossip,
+}
+
 /// Effects of checkpoint-component calls.
 #[derive(Debug, Clone)]
 pub enum CpAction {
@@ -227,6 +242,13 @@ pub enum CpAction {
     /// Charge CPU to the host node, labeled with the operation the cost
     /// models (for CPU attribution).
     Charge(SimTime, &'static str),
+    /// (Re-)arm a timer.
+    SetTimer {
+        /// Which timer.
+        token: CpTimer,
+        /// Time until it fires.
+        delay: SimTime,
+    },
 }
 
 fn cp_digest(group: GroupId, seq: SeqNr, state_hash: &Digest) -> Digest {
@@ -253,6 +275,8 @@ pub struct CheckpointComponent {
     /// Highest sequence number announced via a state-less `Stable`
     /// notification (the host reacts by fetching).
     notified: u64,
+    /// Outstanding fetch: the sequence number the replica must reach.
+    fetching: Option<SeqNr>,
 }
 
 impl CheckpointComponent {
@@ -276,6 +300,7 @@ impl CheckpointComponent {
             stable: None,
             delivered: 0,
             notified: 0,
+            fetching: None,
         }
     }
 
@@ -302,26 +327,60 @@ impl CheckpointComponent {
         self.check_stable(seq, out);
     }
 
-    /// Fig 13 `fetch_cp`: ask peers for a stable checkpoint at or after
-    /// `seq`. The host decides which peers receive the emitted request.
-    pub fn fetch(&mut self, seq: SeqNr, out: &mut dyn Sink<CpAction>) {
-        out.emit(CpAction::Charge(self.cost.hmac(32), "cp_mac"));
-        out.emit(CpAction::ToGroup(CheckpointMsg::FetchRequest { seq }));
+    /// Arms the gossip heartbeat; a replica calls it once, at start.
+    pub fn start(&mut self, out: &mut dyn Sink<CpAction>) {
+        out.emit(CpAction::SetTimer { token: CpTimer::Gossip, delay: GOSSIP_INTERVAL });
     }
 
-    /// Periodic gossip (§A.4.3: correct replicas continuously inform each
-    /// other about their latest stable checkpoint): re-broadcasts this
-    /// replica's announce vote for the latest stable sequence number so
-    /// that a partition-healed laggard learns it fell behind.
-    pub fn gossip(&mut self, out: &mut dyn Sink<CpAction>) {
-        let Some((seq, _, _)) = &self.stable else {
+    /// Fig 13 `fetch_cp`: ask peers for a stable checkpoint at or after
+    /// `seq`, unless the outstanding fetch covers it, until [`Self::settle`]
+    /// reports `seq` reached. The host decides which peers are asked.
+    pub fn fetch(&mut self, seq: SeqNr, out: &mut dyn Sink<CpAction>) {
+        if self.fetching.is_some_and(|target| target >= seq) {
             return;
-        };
-        let Some((hash, sig)) = self.votes.get(&seq.0).and_then(|v| v.get(&self.me)).copied()
-        else {
-            return;
-        };
-        out.emit(CpAction::ToGroup(CheckpointMsg::Announce { seq: *seq, state_hash: hash, sig }));
+        }
+        self.fetching = Some(seq);
+        out.emit(CpAction::Charge(self.cost.hmac(32), "cp_mac"));
+        out.emit(CpAction::ToGroup(CheckpointMsg::FetchRequest { seq }));
+        out.emit(CpAction::SetTimer { token: CpTimer::FetchRetry, delay: FETCH_RETRY });
+    }
+
+    /// The replica's state has reached `sn`: a fetch for no more is over.
+    pub fn settle(&mut self, sn: SeqNr) {
+        if self.fetching.is_some_and(|target| target <= sn) {
+            self.fetching = None;
+        }
+    }
+
+    /// Whether a fetch is out.
+    pub fn is_fetching(&self) -> bool {
+        self.fetching.is_some()
+    }
+
+    /// A timer the component set has fired. The retry asks for the
+    /// outstanding target again; gossip (§A.4.3) re-broadcasts this
+    /// replica's stable vote, so that a healed laggard learns it is behind.
+    pub fn on_timer(&mut self, timer: CpTimer, out: &mut dyn Sink<CpAction>) {
+        match timer {
+            CpTimer::FetchRetry => {
+                if let Some(target) = self.fetching.take() {
+                    self.fetch(target, out);
+                }
+            }
+            CpTimer::Gossip => {
+                if let Some(vote) = self.own_stable_vote() {
+                    out.emit(CpAction::ToGroup(vote));
+                }
+                self.start(out);
+            }
+        }
+    }
+
+    /// This replica's own announcement for its latest stable checkpoint.
+    fn own_stable_vote(&self) -> Option<CheckpointMsg> {
+        let (seq, _, _) = self.stable.as_ref()?;
+        let (state_hash, sig) = *self.votes.get(&seq.0)?.get(&self.me)?;
+        Some(CheckpointMsg::Announce { seq: *seq, state_hash, sig })
     }
 
     /// Handles an `Announce` from member `from` of the own group.
@@ -342,23 +401,13 @@ impl CheckpointComponent {
             return;
         }
         // Old announcement: answer the laggard at once with our own latest
-        // vote, rather than leaving it to the next `gossip` round.
-        if let Some((stable_seq, hash, _)) = &self.stable {
-            if seq < *stable_seq {
-                if let Some((_, (h, s))) = self
-                    .votes
-                    .get(&stable_seq.0)
-                    .and_then(|v| v.get_key_value(&self.me))
-                    .map(|(k, v)| (*k, *v))
-                {
-                    debug_assert_eq!(h, *hash);
-                    out.emit(CpAction::ToPeer {
-                        group: self.group,
-                        idx: from,
-                        msg: CheckpointMsg::Announce { seq: *stable_seq, state_hash: h, sig: s },
-                    });
-                }
-            }
+        // vote, rather than leaving it to the next gossip round.
+        let stable_hash = self.stable.as_ref().filter(|(s, _, _)| seq < *s).map(|(_, h, _)| *h);
+        if let (Some(hash), Some(vote @ CheckpointMsg::Announce { state_hash, .. })) =
+            (stable_hash, self.own_stable_vote())
+        {
+            debug_assert_eq!(state_hash, hash);
+            out.emit(CpAction::ToPeer { group: self.group, idx: from, msg: vote });
         }
         self.votes.entry(seq.0).or_default().insert(from, (state_hash, sig));
         self.check_stable(seq, out);
@@ -701,6 +750,62 @@ mod tests {
         let mut extra = parts;
         extra.push(Part::new(Bytes::from_static(b"more")));
         assert!(rebuilt(extra).is_none());
+    }
+
+    /// The fetch requests and timers `call` makes `c` emit, in order.
+    fn fetch_io(
+        c: &mut CheckpointComponent,
+        call: impl FnOnce(&mut CheckpointComponent, &mut Vec<CpAction>),
+    ) -> Vec<String> {
+        let mut out = Vec::new();
+        call(c, &mut out);
+        out.iter()
+            .filter_map(|a| match a {
+                CpAction::ToGroup(CheckpointMsg::FetchRequest { seq }) => {
+                    Some(format!("fetch {}", seq.0))
+                }
+                CpAction::SetTimer { token, delay } => Some(format!("{token:?} {delay}")),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_fetch_is_out_until_the_replica_reaches_it() {
+        let mut c = comp(2);
+        let fetch = |seq| {
+            move |c: &mut CheckpointComponent, out: &mut Vec<CpAction>| c.fetch(SeqNr(seq), out)
+        };
+        let retry = |c: &mut CheckpointComponent, out: &mut Vec<CpAction>| {
+            c.on_timer(CpTimer::FetchRetry, out)
+        };
+        let asked = |seq| vec![format!("fetch {seq}"), "FetchRetry 500.000ms".to_owned()];
+        assert_eq!(fetch_io(&mut c, fetch(16)), asked(16));
+        // A target the outstanding fetch covers sends nothing…
+        assert!(fetch_io(&mut c, fetch(16)).is_empty());
+        assert!(fetch_io(&mut c, fetch(9)).is_empty());
+        // …a higher one asks again.
+        assert_eq!(fetch_io(&mut c, fetch(24)), asked(24));
+        // The retry asks for the outstanding target and re-arms.
+        assert_eq!(fetch_io(&mut c, retry), asked(24));
+        // A state short of the target leaves the fetch out; one that
+        // reaches it ends the fetch, and the retry then sends nothing.
+        c.settle(SeqNr(23));
+        assert_eq!(fetch_io(&mut c, retry), asked(24));
+        c.settle(SeqNr(24));
+        assert!(!c.is_fetching());
+        assert!(fetch_io(&mut c, retry).is_empty());
+    }
+
+    #[test]
+    fn the_gossip_heartbeat_re_arms_itself() {
+        let mut a = comp(0);
+        assert_eq!(fetch_io(&mut a, |a, out| a.start(out)), ["Gossip 1.000s"]);
+        // Nothing is stable yet, so there is nothing to announce, but the
+        // heartbeat goes on.
+        let mut out = Vec::new();
+        a.on_timer(CpTimer::Gossip, &mut out);
+        assert!(matches!(out[..], [CpAction::SetTimer { token: CpTimer::Gossip, .. }]));
     }
 
     #[test]

@@ -12,9 +12,7 @@
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::app::Application;
-use crate::checkpoint::{
-    CheckpointComponent, CpAction, Part, Snapshot, FETCH_RETRY, GOSSIP_INTERVAL,
-};
+use crate::checkpoint::{CheckpointComponent, CpAction, Part, Snapshot};
 use crate::config::{SpiderConfig, REQUEST_CAPACITY};
 use crate::directory::Directory;
 use crate::host;
@@ -28,11 +26,9 @@ use spider_sim::{req_id, Actor, Context, Timer, PHASE_DELIVER, PHASE_EXEC};
 use spider_types::{ClientId, GroupId, NodeId, OpKind, Position, SeqNr, Sink, WireSize};
 use std::collections::BTreeMap;
 
-/// Timer tags used by execution replicas.
+/// Timer tags (the checkpoint component's are `host`'s).
 const TAG_SC_TICK: u64 = 1;
 const TAG_COMMIT_COLLECTOR: u64 = 2;
-const TAG_FETCH_RETRY: u64 = 3;
-const TAG_CP_GOSSIP: u64 = 4;
 
 /// Cached reply state per client (Fig 16 `u[c]`).
 #[derive(Debug, Clone)]
@@ -67,8 +63,6 @@ pub struct ExecutionReplica<A: Application> {
     commit_recv: ReceiverEndpoint<Execute>,
     cp: CheckpointComponent,
 
-    /// Outstanding checkpoint fetch (sequence we must reach).
-    fetching: Option<SeqNr>,
     /// Executed request count (metrics).
     pub executed: u64,
 }
@@ -89,7 +83,6 @@ impl<A: Application> ExecutionReplica<A> {
             req_sender: SenderEndpoint::new(req_cfg, me, keyring.clone()),
             commit_recv: ReceiverEndpoint::new(commit_cfg, me, keyring.clone()),
             cp: CheckpointComponent::new(group, me, cfg.fe, keyring, cfg.cost),
-            fetching: None,
             executed: 0,
             cfg,
         }
@@ -196,7 +189,8 @@ impl<A: Application> ExecutionReplica<A> {
                 }
                 ReceiveResult::TooOld(start) => {
                     // Fell behind: recover via checkpoint (Fig 16 L27-29).
-                    self.start_fetch(ctx, SeqNr(start.0.saturating_sub(1)));
+                    let need = SeqNr(start.0.saturating_sub(1));
+                    self.checkpoint(ctx, |cp, _, out| cp.fetch(need, out));
                     break;
                 }
                 ReceiveResult::Pending => break,
@@ -350,16 +344,6 @@ impl<A: Application> ExecutionReplica<A> {
         Some(sn)
     }
 
-    fn start_fetch(&mut self, ctx: &mut Context<'_, SpiderMsg>, need: SeqNr) {
-        if self.fetching.is_some_and(|s| s >= need) {
-            return;
-        }
-        self.fetching = Some(need);
-        self.checkpoint(ctx, |cp, _, out| cp.fetch(need, out));
-        // Retry while we stay behind.
-        ctx.arm(TAG_FETCH_RETRY, FETCH_RETRY);
-    }
-
     fn on_stable_checkpoint(
         &mut self,
         ctx: &mut Context<'_, SpiderMsg>,
@@ -376,20 +360,14 @@ impl<A: Application> ExecutionReplica<A> {
                     if let Some(sn) = self.restore_snapshot(snapshot.parts()) {
                         debug_assert_eq!(sn, seq.0);
                         self.sn = seq.0;
-                        if self.fetching.is_some_and(|f| f <= seq) {
-                            self.fetching = None;
-                        }
                     }
                 }
-                None => {
-                    // A stable checkpoint exists somewhere ahead of us but
-                    // we lack the snapshot: fetch it (§3.4).
-                    self.start_fetch(ctx, seq);
-                }
+                // A stable checkpoint exists somewhere ahead of us but we
+                // lack the snapshot: fetch it (§3.4).
+                None => self.checkpoint(ctx, |cp, _, out| cp.fetch(seq, out)),
             }
-        } else if self.fetching.is_some_and(|f| f <= SeqNr(self.sn)) {
-            self.fetching = None;
         }
+        self.cp.settle(SeqNr(self.sn));
         self.drain_commits(ctx);
     }
 
@@ -474,7 +452,7 @@ impl<A: Application> Actor<SpiderMsg> for ExecutionReplica<A> {
         if self.req_sender.wants_tick() {
             ctx.arm(TAG_SC_TICK, TICK_INTERVAL);
         }
-        ctx.arm(TAG_CP_GOSSIP, GOSSIP_INTERVAL);
+        self.checkpoint(ctx, |cp, _, out| cp.start(out));
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, SpiderMsg>, from: NodeId, msg: SpiderMsg) {
@@ -524,17 +502,11 @@ impl<A: Application> Actor<SpiderMsg> for ExecutionReplica<A> {
                     let _ = ep.on_timer(0, out);
                 });
             }
-            TAG_FETCH_RETRY => {
-                if let Some(need) = self.fetching {
-                    self.fetching = None;
-                    self.start_fetch(ctx, need);
+            tag => {
+                if let Some(timer) = host::checkpoint_timer(tag) {
+                    self.checkpoint(ctx, |cp, _, out| cp.on_timer(timer, out));
                 }
             }
-            TAG_CP_GOSSIP => {
-                self.checkpoint(ctx, |cp, _, out| cp.gossip(out));
-                ctx.arm(TAG_CP_GOSSIP, GOSSIP_INTERVAL);
-            }
-            _ => {}
         }
     }
 }

@@ -16,7 +16,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-use crate::checkpoint::{CheckpointComponent, CpAction, Snapshot};
+use crate::checkpoint::{CheckpointComponent, CpAction, CpTimer, Snapshot};
 use crate::directory::Directory;
 use crate::keys::{self, AGREEMENT_GROUP};
 use crate::messages::{ChannelLeg, CheckpointMsg, SpiderMsg};
@@ -29,10 +29,20 @@ use spider_types::{GroupId, NodeId, SeqNr, Sink, WireSize};
 /// keep their own tags below it.
 const TAG_PBFT_BASE: u64 = 100;
 
+/// Checkpoint timers are armed under `TAG_CP_BASE + token` (3 and 4);
+/// hosts keep their own tags below it.
+const TAG_CP_BASE: u64 = 3;
+
 /// The consensus input a fired timer `tag` stands for, if [`pbft_io`]
 /// armed it.
 pub fn pbft_timer<P>(tag: u64) -> Option<Input<P>> {
     tag.checked_sub(TAG_PBFT_BASE).map(|token| Input::Timer(TimerToken(token)))
+}
+
+/// The checkpoint timer a fired timer `tag` stands for, if
+/// [`checkpoint_io`] armed it.
+pub fn checkpoint_timer(tag: u64) -> Option<CpTimer> {
+    [CpTimer::FetchRetry, CpTimer::Gossip].into_iter().find(|t| TAG_CP_BASE + *t as u64 == tag)
 }
 
 /// Carries out one consensus output: a message goes to the `peers` entry
@@ -132,9 +142,9 @@ pub fn receiver_frame<C: Content>(
 /// as it emits it: `ToGroup` goes to the other members of the component's
 /// group — an execution group's fetch request also to every replica of
 /// the other active groups (§3.5: a freshly added or skipped group needs
-/// foreign state) — `ToPeer` to the member it names, CPU to `checkpoint`.
-/// The checkpoint the call made stable (a call makes at most one) comes
-/// back, for the host to act on once the frames are out.
+/// foreign state) — `ToPeer` to the member it names, CPU to `checkpoint`,
+/// timers under their tags. The checkpoint the call made stable (a call
+/// makes at most one) comes back, to act on once the frames are out.
 pub fn checkpoint_io(
     ctx: &mut Context<'_, SpiderMsg>,
     directory: &Directory,
@@ -168,6 +178,7 @@ pub fn checkpoint_io(
         }
         CpAction::Stable { seq, state } => stable = Some((seq, state)),
         CpAction::Charge(cost, op) => ctx.charge_op("checkpoint", op, cost),
+        CpAction::SetTimer { token, delay } => ctx.arm(TAG_CP_BASE + token as u64, delay),
     });
     stable
 }
@@ -504,6 +515,26 @@ mod tests {
         let (log, _) = run(11, script(AGREEMENT_GROUP, AGREEMENT_GROUP));
         assert_eq!((log.len(), frames_to(0, &log)), (3, 1), "its other member, then the peer");
         assert_eq!(frames_to(1, &log), 1);
+    }
+
+    #[test]
+    fn checkpoint_timers_are_armed_under_tags_3_and_4_and_map_back() {
+        let ms = SimTime::from_millis;
+        let (log, _) = run(0, move |ctx: &mut Context<'_, SpiderMsg>, _| {
+            let actions = vec![
+                CpAction::SetTimer { token: CpTimer::FetchRetry, delay: ms(5) },
+                CpAction::SetTimer { token: CpTimer::Gossip, delay: ms(2) },
+            ];
+            let mut cp = component(GroupId(0), 1);
+            let stable = checkpoint_io(ctx, &directory(), &mut cp, |_, _, out| {
+                emit_all(actions, out);
+            });
+            assert!(stable.is_none());
+        });
+        assert_eq!(log, ["timer 4", "timer 3"]);
+        assert_eq!(checkpoint_timer(3), Some(CpTimer::FetchRetry));
+        assert_eq!(checkpoint_timer(4), Some(CpTimer::Gossip));
+        assert_eq!((checkpoint_timer(2), checkpoint_timer(5)), (None, None), "not a checkpoint's");
     }
 
     #[test]
