@@ -272,9 +272,6 @@ pub struct CheckpointComponent {
     stable: Option<(SeqNr, Digest, Vec<Signature>)>,
     /// Highest sequence number delivered via `Stable` *with* state.
     delivered: u64,
-    /// Highest sequence number announced via a state-less `Stable`
-    /// notification (the host reacts by fetching).
-    notified: u64,
     /// Outstanding fetch: the sequence number the replica must reach.
     fetching: Option<SeqNr>,
 }
@@ -299,7 +296,6 @@ impl CheckpointComponent {
             votes: BTreeMap::new(),
             stable: None,
             delivered: 0,
-            notified: 0,
             fetching: None,
         }
     }
@@ -454,12 +450,9 @@ impl CheckpointComponent {
                 self.votes.retain(|&s, _| s >= seq.0);
                 out.emit(CpAction::Stable { seq, state: Some(state) });
             }
-            None => {
-                if seq.0 > self.notified {
-                    self.notified = seq.0;
-                    out.emit(CpAction::Stable { seq, state: None });
-                }
-            }
+            // `check_stable` only ever raises `stable`, so this checkpoint
+            // was never announced before.
+            None => out.emit(CpAction::Stable { seq, state: None }),
         }
     }
 
