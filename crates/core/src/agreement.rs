@@ -251,7 +251,7 @@ impl AgreementReplica {
     /// the nested call cuts its runs in buffers of its own.
     fn process_backlog(&mut self, ctx: &mut Context<'_, SpiderMsg>) {
         // While a checkpoint fetch is out the group has numbered past `sn`:
-        // numbering now would give delivered items numbers of their own.
+        // numbering from `sn` now would number its items a second time.
         if self.cp.is_fetching() {
             return;
         }

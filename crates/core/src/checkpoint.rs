@@ -399,10 +399,10 @@ impl CheckpointComponent {
         // Old announcement: answer the laggard at once with our own latest
         // vote, rather than leaving it to the next gossip round.
         let stable_hash = self.stable.as_ref().filter(|(s, _, _)| seq < *s).map(|(_, h, _)| *h);
-        if let (Some(hash), Some(vote @ CheckpointMsg::Announce { state_hash, .. })) =
+        if let (Some(hash), Some(vote @ CheckpointMsg::Announce { state_hash: own, .. })) =
             (stable_hash, self.own_stable_vote())
         {
-            debug_assert_eq!(state_hash, hash);
+            debug_assert_eq!(own, hash);
             out.emit(CpAction::ToPeer { group: self.group, idx: from, msg: vote });
         }
         self.votes.entry(seq.0).or_default().insert(from, (state_hash, sig));
