@@ -32,9 +32,6 @@ fn cfg(clients_per_region: usize, seed: u64) -> Config {
     Config { clients_per_region, seed, ..Config::quick() }
 }
 
-/// The storm's three isolations allow a final view of at most 4.
-const STORM_VIEW_BAR: u64 = 4;
-
 /// The benchmark's `leader_storm` hang at seed 1 (it stopped at view 12
 /// and goodput never returned) now loses nothing and recovers, but ends
 /// at view 9: five view changes more than the isolations explain.
@@ -44,7 +41,6 @@ fn view_change_storm_seed_1_recovers_above_the_view_bar() {
     assert_eq!((row.lost_ops, row.duplicated_ops, row.diverged_replicas), (0, 0, 0), "{row:?}");
     assert_eq!(row.recovery_ms, Some(2_000.0), "{row:?}");
     assert_eq!(row.final_view, 9, "{row:?}");
-    assert!(row.final_view > STORM_VIEW_BAR, "the open part has closed: {row:?}");
 }
 
 /// The livelock (the storm at seed 4 kept changing views up to view 274)

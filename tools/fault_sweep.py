@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sweep the benchmark's two fault workloads over a range of seeds.
 
-    python3 tools/fault_sweep.py FIRST LAST [--jobs N]
+    python3 tools/fault_sweep.py FIRST LAST
 
 Builds the benchmark package (`benchmark/Cargo.toml`, release, offline) and
 runs its binary for `wan_partition` and `leader_storm` at `--seconds 1`
@@ -12,8 +12,8 @@ failing seed is printed with its failed-op count and the run's problems;
 the exit status is 1 if any seed failed.
 
 The binary is looked up under `CARGO_TARGET_DIR` when that is set, else
-under `benchmark/target`. `--jobs` runs that many seeds at once (default 2);
-one run is a single thread of about 10 MB.
+under `benchmark/target`. Two seeds run at once; one run is a single thread
+of about 10 MB.
 """
 
 import argparse
@@ -27,6 +27,7 @@ from pathlib import Path
 WORKLOADS = ["wan_partition", "leader_storm"]
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "benchmark" / "Cargo.toml"
+JOBS = 2
 
 
 def binary():
@@ -52,14 +53,13 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("first", type=int)
     parser.add_argument("last", type=int)
-    parser.add_argument("--jobs", type=int, default=2)
     args = parser.parse_args()
     build = ["cargo", "build", "--release", "--quiet", "--offline", "--manifest-path"]
     subprocess.run(build + [str(MANIFEST)], cwd=ROOT, check=True)
     exe = binary()
     seeds = range(args.first, args.last + 1)
     runs = [(w, s) for w in WORKLOADS for s in seeds]
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
         results = list(pool.map(lambda ws: run(exe, *ws), runs))
     failing = 0
     for workload in WORKLOADS:
