@@ -858,6 +858,12 @@ impl<P: Payload> Pbft<P> {
                 // one: a replica that has not committed it needs a quorum
                 // of this view's votes.
                 if let Some(digest) = inst.digest {
+                    // Each vote carries a MAC vector, as in check_progress.
+                    let mac = self
+                        .cfg
+                        .cost
+                        .mac_vector(self.cfg.n() - 1, spider_types::wire::DIGEST_BYTES);
+                    *charge += mac * 2;
                     self.broadcast(out, Msg::Prepare { view, seq: SeqNr(seq), digest });
                     self.broadcast(out, Msg::Commit { view, seq: SeqNr(seq), digest });
                 }
@@ -1311,12 +1317,9 @@ mod tests {
         assert_reused_blank(&mut r, 2, 12, 3);
     }
 
-    /// A replica that committed instances in an earlier view votes for
-    /// them again in the new one: a replica that did not commit them can
-    /// only do so with this view's votes.
-    #[test]
-    fn a_committed_instance_is_voted_for_again_in_a_new_view() {
-        let mut r = replica_with_decided_instances();
+    /// The `NewView` for view 2 from its leader, 2: a quorum of view
+    /// changes, each carrying view-1 certificates for instances `seqs`.
+    fn new_view_2(seqs: std::ops::Range<u64>) -> Msg<TestPayload> {
         let cert = |seq| PreparedCert {
             seq: SeqNr(seq),
             view: ViewNr(1),
@@ -1326,12 +1329,19 @@ mod tests {
         let vc = |sender| ViewChangeMsg {
             new_view: ViewNr(2),
             h: SeqNr(0),
-            prepared: (1..=3).map(cert).collect(),
+            prepared: seqs.clone().map(cert).collect(),
             sender,
         };
-        let nv = NewViewMsg { view: ViewNr(2), vcs: (0..3).map(vc).collect() };
-        let leader = r.cfg.leader_of(2);
-        let out = feed(&mut r, leader, Msg::NewView(nv));
+        Msg::NewView(NewViewMsg { view: ViewNr(2), vcs: (0..3).map(vc).collect() })
+    }
+
+    /// A replica that committed instances in an earlier view votes for
+    /// them again in the new one: a replica that did not commit them can
+    /// only do so with this view's votes.
+    #[test]
+    fn a_committed_instance_is_voted_for_again_in_a_new_view() {
+        let mut r = replica_with_decided_instances();
+        let out = feed(&mut r, 2, new_view_2(1..4));
         assert_eq!(r.view(), ViewNr(2));
         for seq in 1..=3 {
             let d = digest_at(seq);
@@ -1348,6 +1358,25 @@ mod tests {
             assert!(r.instances[&seq].committed, "the instance stays committed");
         }
         assert!(!delivers(&out), "and is not delivered again");
+    }
+
+    /// Each re-vote pays for its MAC vector, as every other vote does.
+    #[test]
+    fn the_re_votes_are_charged() {
+        let cost = CostModel::default();
+        let charged = |seqs| {
+            let mut r = replica_with_decided_instances();
+            r.cfg.cost = cost;
+            let out = feed(&mut r, 2, new_view_2(seqs));
+            let charges = out.iter().filter_map(|o| match o {
+                Output::Charge(c) => Some(*c),
+                _ => None,
+            });
+            charges.fold(SimTime::ZERO, |sum, c| sum + c)
+        };
+        let vote = cost.mac_vector(3, spider_types::wire::DIGEST_BYTES);
+        // Three committed instances, a Prepare and a Commit each.
+        assert_eq!(charged(1..4), charged(1..1) + vote * 6);
     }
 
     #[test]

@@ -107,7 +107,7 @@ fn wan_partition_row() {
 fn disaster_fault_path_rows() {
     let cfg = disaster::Config::quick();
     let storm = disaster::run_view_change_storm(&cfg);
-    pin("view-change storm", format!("{storm:?}"), 0xb2d8_3f54_8b3c_123a);
+    pin("view-change storm", format!("{storm:?}"), 0x5251_5a72_f138_13cf);
     let outage = disaster::run_correlated_outage(&cfg);
     pin("correlated outage", format!("{outage:?}"), 0xff35_72ca_581b_48f6);
 }
@@ -288,5 +288,5 @@ fn view_change_storm_trace() {
         let replica = sim.actor::<spider::agreement::AgreementReplica>(*node);
         rendered.push_str(&format!("{node:?} {:?} {:?}\n", replica.view(), replica.sequence()));
     }
-    pin("view-change storm trace", rendered, 0x92ff_5480_62cc_2229);
+    pin("view-change storm trace", rendered, 0x1451_13f5_c2e9_e4fd);
 }
