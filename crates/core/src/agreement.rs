@@ -279,6 +279,23 @@ impl AgreementReplica {
                         }
                     }
                     OrderItem::Request(req) => {
+                        let (c, tc) = (req.request.client, req.request.tc);
+                        // Numbered already, here or in a checkpoint this
+                        // replica restored: a correct client has one
+                        // request out at a time, so its counters reach the
+                        // order increasing.
+                        if self.t.get(&c).is_some_and(|numbered| tc <= *numbered) {
+                            self.backlog.pop_front();
+                            if last {
+                                let entry = (instance, self.sn + run.len() as u64);
+                                if run.is_empty() {
+                                    self.instance_map.push_back(entry);
+                                } else {
+                                    completed.push(entry);
+                                }
+                            }
+                            continue;
+                        }
                         let s = self.sn + run.len() as u64 + 1;
                         if s > self.win_upper {
                             stalled = true; // Fig 17 L27: wait for a checkpoint.
@@ -306,6 +323,9 @@ impl AgreementReplica {
                         if last {
                             completed.push((instance, s));
                         }
+                        self.t.insert(c, tc);
+                        let next = self.t_next.entry(c).or_insert(1);
+                        *next = (*next).max(tc + 1);
                         let at_checkpoint = s.is_multiple_of(self.cfg.ka);
                         // Grid cut: never straddle a multiple of the range
                         // cap, so replicas whose runs diverged at local
@@ -349,11 +369,6 @@ impl AgreementReplica {
             for (s, req) in run {
                 self.sn = *s;
                 self.ordered += 1;
-                let c = req.request.client;
-                let tc = req.request.tc;
-                self.t.insert(c, tc);
-                let entry = self.t_next.entry(c).or_insert(1);
-                *entry = (*entry).max(tc + 1);
                 self.hist.push_back((*s, OrderItem::Request(req.clone())));
             }
             while self.hist.len() as u64 > self.cfg.commit_capacity {
@@ -544,14 +559,6 @@ impl AgreementReplica {
                         let e = self.t_next.entry(*c).or_insert(1);
                         *e = (*e).max(tc + 1);
                     }
-                    // Drop what the snapshot already numbered, judged by
-                    // the client counters it covers.
-                    self.backlog.retain(|(_, item, _)| match item {
-                        OrderItem::Request(req) => {
-                            t.get(&req.request.client).is_none_or(|tc| req.request.tc > *tc)
-                        }
-                        OrderItem::Admin(_) => true,
-                    });
                     self.t = t;
                     self.hist = hist;
                     let items: Vec<(u64, OrderItem)> =
@@ -939,15 +946,24 @@ mod tests {
         }
     }
 
+    type Act = Box<dyn FnOnce(&mut AgreementReplica, &mut Context<'_, SpiderMsg>)>;
+
     /// The runs agreement replica 0 of a four-group deployment casts to
     /// the first replica of every group when it forwards `run`.
     fn forward(run: OrderedRun) -> Vec<(GroupId, Run<Execute>)> {
+        on_replica_0(Box::new(move |a, ctx| a.assign_and_forward_run(ctx, &run)))
+    }
+
+    /// Runs `act` on agreement replica 0 of a four-group deployment once
+    /// it has started; returns the runs it cast to the first replica of
+    /// every group.
+    fn on_replica_0(act: Act) -> Vec<(GroupId, Run<Execute>)> {
         use spider_sim::{Simulation, Topology};
-        struct Agree(Option<(AgreementReplica, OrderedRun)>);
+        struct Agree(Option<(AgreementReplica, Act)>);
         impl Actor<SpiderMsg> for Agree {
             fn on_start(&mut self, ctx: &mut Context<'_, SpiderMsg>) {
-                if let Some((mut a, run)) = self.0.take() {
-                    a.assign_and_forward_run(ctx, &run);
+                if let Some((mut a, act)) = self.0.take() {
+                    act(&mut a, ctx);
                 }
             }
             fn on_message(&mut self, _: &mut Context<'_, SpiderMsg>, _: NodeId, _: SpiderMsg) {}
@@ -972,11 +988,32 @@ mod tests {
             .with_commit_mode(spider_irmc::ChannelMode::ReliableCast { dedup: false });
         let a = AgreementReplica::new(cfg, 0, dir.clone(), &groups);
         dir.set_agreement(agreement);
-        sim.add_node(zone, Agree(Some((a, run))));
+        sim.add_node(zone, Agree(Some((a, act))));
         sim.run_until_quiescent(spider_types::SimTime::from_secs(1));
         let mut runs = shipped.borrow().clone();
         runs.sort_by_key(|(g, _)| *g);
         runs
+    }
+
+    /// A request delivered again, or one a restored checkpoint covers,
+    /// gets no second number: its counter is at or below the last one
+    /// numbered for its client.
+    #[test]
+    fn a_numbered_request_gets_no_second_number() {
+        let write = |c, tc| OrderItem::Request(request(c, tc, OpKind::Write));
+        let numbered = std::rc::Rc::new(std::cell::RefCell::new(None));
+        let seen = numbered.clone();
+        on_replica_0(Box::new(move |a, ctx| {
+            a.backlog.push_back((1, write(1, 5), true));
+            a.process_backlog(ctx);
+            a.backlog.extend([(2, write(1, 5), false), (2, write(3, 2), true)]);
+            a.process_backlog(ctx);
+            *seen.borrow_mut() = Some((a.sn, a.instance_map.clone(), a.hist.clone()));
+        }));
+        let (sn, instance_map, hist) = numbered.take().expect("replica 0 started");
+        assert_eq!(sn, 2);
+        assert_eq!(instance_map, [(1, 1), (2, 2)]);
+        assert_eq!(hist, [(1, write(1, 5)), (2, write(3, 2))]);
     }
 
     #[test]
