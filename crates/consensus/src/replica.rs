@@ -908,10 +908,13 @@ impl<P: Payload> Pbft<P> {
         // linger timer armed.
         self.update_batch_timer(now, out);
 
-        // Re-watch everything undelivered under the new regime.
-        for d in self.pool.keys() {
-            self.watching.entry(*d).or_insert(now);
+        // Re-watch everything undelivered under the new regime, from now:
+        // a clock kept from an earlier view would suspect this view's
+        // leader at its first progress check.
+        for first_seen in self.watching.values_mut() {
+            *first_seen = now;
         }
+        self.watching.extend(self.pool.keys().map(|d| (*d, now)));
         self.arm_progress_timer(out);
 
         // Process messages that arrived for this view while it was being
@@ -1377,6 +1380,32 @@ mod tests {
         let vote = cost.mac_vector(3, spider_types::wire::DIGEST_BYTES);
         // Three committed instances, a Prepare and a Commit each.
         assert_eq!(charged(1..4), charged(1..1) + vote * 6);
+    }
+
+    /// A new view restarts the watch on what is still undelivered: its
+    /// leader gets a whole timeout before it is suspected.
+    #[test]
+    fn a_new_view_restarts_the_progress_clock() {
+        let at = SimTime::from_millis;
+        let mut r: Pbft<TestPayload> = Pbft::new(cfg(), 2);
+        r.handle(at(0), Input::Order(TestPayload(9)), &mut Vec::new());
+        // View 1 is installed 150 ms later; the timeout is 100 ms.
+        let vc = |sender| ViewChangeMsg {
+            new_view: ViewNr(1),
+            h: SeqNr(0),
+            prepared: Vec::new(),
+            sender,
+        };
+        let nv = Msg::NewView(NewViewMsg { view: ViewNr(1), vcs: (0..3).map(vc).collect() });
+        r.handle(at(150), Input::Message { from: 1, msg: nv }, &mut Vec::new());
+        assert_eq!(r.view(), ViewNr(1));
+        let mut check = |ms| {
+            let mut out = Vec::new();
+            r.handle(at(ms), Input::Timer(TOKEN_PROGRESS), &mut out);
+            out.iter().any(|o| matches!(o, Output::Send { msg: Msg::ViewChange(_), .. }))
+        };
+        assert!(!check(200), "the new leader was suspected 50 ms into its view");
+        assert!(check(250), "the new leader was not suspected after a whole timeout");
     }
 
     #[test]
