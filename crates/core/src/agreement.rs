@@ -12,7 +12,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-use crate::checkpoint::{CheckpointComponent, CpAction, Part, Snapshot};
+use crate::checkpoint::{Apply, CheckpointComponent, CpAction, Part, Snapshot};
 use crate::config::SpiderConfig;
 use crate::directory::Directory;
 use crate::host;
@@ -525,12 +525,7 @@ impl AgreementReplica {
         Some((sn, t, hist))
     }
 
-    fn on_stable_checkpoint(
-        &mut self,
-        ctx: &mut Context<'_, SpiderMsg>,
-        seq: SeqNr,
-        state: Option<Snapshot>,
-    ) {
+    fn on_stable_checkpoint(&mut self, ctx: &mut Context<'_, SpiderMsg>, seq: SeqNr, apply: Apply) {
         // Fig 17 L44-45: move commit windows + collect consensus garbage.
         let hist_len = self.hist.len() as u64;
         let window_start = seq.0.saturating_sub(hist_len).saturating_add(1);
@@ -541,14 +536,15 @@ impl AgreementReplica {
             self.pbft.gc(SeqNr(instance + 1));
         }
 
-        if seq.0 > self.sn {
-            if state.is_none() {
-                // A stable checkpoint exists ahead of us but we lack the
-                // snapshot: fetch it (Fig 17 L47 path).
+        match apply {
+            Apply::Keep => {}
+            // A stable checkpoint exists ahead of us but we lack the
+            // snapshot: fetch one past `sn` (Fig 17 L47 path).
+            Apply::Fetch => {
                 let need = SeqNr(self.sn + 1);
                 self.checkpoint(ctx, |cp, _, out| cp.fetch(need, out));
             }
-            if let Some(snapshot) = state {
+            Apply::Install(snapshot) => {
                 ctx.charge(self.cfg.cost.hmac(snapshot.len()));
                 if let Some((sn, t, hist)) = self.restore_snapshot(snapshot.parts()) {
                     debug_assert_eq!(sn, seq.0);
@@ -573,7 +569,6 @@ impl AgreementReplica {
                 }
             }
         }
-        self.cp.settle(SeqNr(self.sn));
         // Fig 17 L57: slide the agreement window.
         self.win_upper = self.win_upper.max(seq.0 + self.cfg.ag_win);
         self.process_backlog(ctx);
@@ -667,8 +662,8 @@ impl AgreementReplica {
         ctx: &mut Context<'_, SpiderMsg>,
         call: impl FnOnce(&mut CheckpointComponent, &Directory, &mut dyn Sink<CpAction>),
     ) {
-        if let Some((seq, state)) = host::checkpoint_io(ctx, &self.directory, &mut self.cp, call) {
-            self.on_stable_checkpoint(ctx, seq, state);
+        if let Some((seq, apply)) = host::checkpoint_io(ctx, &self.directory, &mut self.cp, call) {
+            self.on_stable_checkpoint(ctx, seq, apply);
         }
     }
 }

@@ -9,13 +9,25 @@
 //! state plus the certificate, which the component validates before
 //! delivering it (state transfer).
 //!
-//! The component, not the replica, owns the fetch, its retry and the
-//! gossip heartbeat, for both replica kinds. It keeps the outstanding fetch
-//! target, asks for it again until the replica [`settle`]s at or past it,
-//! and re-announces its stable vote (§A.4.3), on [`CpAction::SetTimer`]s
-//! that the host arms and hands back to [`CheckpointComponent::on_timer`].
+//! # One rule for a stable checkpoint
 //!
-//! [`settle`]: CheckpointComponent::settle
+//! What a newly stable checkpoint asks of the replica (Fig 13 `stable_cp`)
+//! is decided here, once, for both replica kinds, from one fact: the
+//! replica's own vote at that sequence number. [`CpAction::Stable`] hands
+//! the answer over as an [`Apply`]:
+//! - [`Apply::Keep`]: the replica voted there, so its state is at or past
+//!   the checkpoint; there is nothing to apply.
+//! - [`Apply::Install`]: the replica did not vote there and the component
+//!   holds the certified state, which came from a fetch response.
+//! - [`Apply::Fetch`]: the replica did not vote there and the component
+//!   holds no state: the replica is behind and asks for it.
+//!
+//! The component, not the replica, owns the fetch, its retry and the
+//! gossip heartbeat, for both replica kinds. A fetch stays out until the
+//! component hands over a state at or past its target; it asks again on a
+//! [`CpAction::SetTimer`] that the host arms and hands back to
+//! [`CheckpointComponent::on_timer`], which also re-announces the stable
+//! vote (§A.4.3).
 //!
 //! Components verify certificates against *logical group keys*
 //! ([`crate::keys`]), so execution replicas can also validate checkpoints
@@ -215,6 +227,18 @@ pub enum CpTimer {
     Gossip,
 }
 
+/// What a stable checkpoint asks of its replica, decided by the replica's
+/// own vote at its sequence number (see the [module docs](self)).
+#[derive(Debug, Clone)]
+pub enum Apply {
+    /// The replica voted for this checkpoint: nothing to apply.
+    Keep,
+    /// Take over this certified state, fetched from a peer.
+    Install(Snapshot),
+    /// The replica is behind and the component holds no state: fetch it.
+    Fetch,
+}
+
 /// Effects of checkpoint-component calls.
 #[derive(Debug, Clone)]
 pub enum CpAction {
@@ -229,15 +253,13 @@ pub enum CpAction {
         /// The message.
         msg: CheckpointMsg,
     },
-    /// A checkpoint became stable (Fig 13 `stable_cp`): the host must
-    /// apply it if it is ahead of the local state. `state` is present when
-    /// the component holds the snapshot (own or fetched). A call emits at
+    /// A checkpoint became stable (Fig 13 `stable_cp`); a call emits at
     /// most one.
     Stable {
         /// Snapshot sequence number.
         seq: SeqNr,
-        /// The snapshot, if locally available.
-        state: Option<Snapshot>,
+        /// What it asks of the replica (see the [module docs](self)).
+        apply: Apply,
     },
     /// Charge CPU to the host node, labeled with the operation the cost
     /// models (for CPU attribution).
@@ -270,10 +292,11 @@ pub struct CheckpointComponent {
     votes: BTreeMap<u64, BTreeMap<usize, (Digest, Signature)>>,
     /// Latest stable checkpoint: (seq, hash, certificate).
     stable: Option<(SeqNr, Digest, Vec<Signature>)>,
-    /// Highest sequence number delivered via `Stable` *with* state.
+    /// Highest sequence number handed over as kept or installed.
     delivered: u64,
-    /// Outstanding fetch: the sequence number the replica must reach.
-    fetching: Option<SeqNr>,
+    /// Highest sequence number a fetch asked for: the fetch is out while
+    /// it is above `delivered`.
+    asked: u64,
 }
 
 impl CheckpointComponent {
@@ -296,7 +319,7 @@ impl CheckpointComponent {
             votes: BTreeMap::new(),
             stable: None,
             delivered: 0,
-            fetching: None,
+            asked: 0,
         }
     }
 
@@ -329,28 +352,26 @@ impl CheckpointComponent {
     }
 
     /// Fig 13 `fetch_cp`: ask peers for a stable checkpoint at or after
-    /// `seq`, unless the outstanding fetch covers it, until [`Self::settle`]
-    /// reports `seq` reached. The host decides which peers are asked.
+    /// `seq`, unless a fetch already asked for it, until the component
+    /// hands over a state at or past it. The host decides which peers are
+    /// asked.
     pub fn fetch(&mut self, seq: SeqNr, out: &mut dyn Sink<CpAction>) {
-        if self.fetching.is_some_and(|target| target >= seq) {
+        if self.asked >= seq.0 {
             return;
         }
-        self.fetching = Some(seq);
-        out.emit(CpAction::Charge(self.cost.hmac(32), "cp_mac"));
-        out.emit(CpAction::ToGroup(CheckpointMsg::FetchRequest { seq }));
-        out.emit(CpAction::SetTimer { token: CpTimer::FetchRetry, delay: FETCH_RETRY });
+        self.asked = seq.0;
+        self.ask(out);
     }
 
-    /// The replica's state has reached `sn`: a fetch for no more is over.
-    pub fn settle(&mut self, sn: SeqNr) {
-        if self.fetching.is_some_and(|target| target <= sn) {
-            self.fetching = None;
-        }
+    fn ask(&self, out: &mut dyn Sink<CpAction>) {
+        out.emit(CpAction::Charge(self.cost.hmac(32), "cp_mac"));
+        out.emit(CpAction::ToGroup(CheckpointMsg::FetchRequest { seq: SeqNr(self.asked) }));
+        out.emit(CpAction::SetTimer { token: CpTimer::FetchRetry, delay: FETCH_RETRY });
     }
 
     /// Whether a fetch is out.
     pub fn is_fetching(&self) -> bool {
-        self.fetching.is_some()
+        self.asked > self.delivered
     }
 
     /// A timer the component set has fired. The retry asks for the
@@ -359,8 +380,8 @@ impl CheckpointComponent {
     pub fn on_timer(&mut self, timer: CpTimer, out: &mut dyn Sink<CpAction>) {
         match timer {
             CpTimer::FetchRetry => {
-                if let Some(target) = self.fetching.take() {
-                    self.fetch(target, out);
+                if self.is_fetching() {
+                    self.ask(out);
                 }
             }
             CpTimer::Gossip => {
@@ -428,32 +449,28 @@ impl CheckpointComponent {
         // The certificate lists the signatures in member order.
         let cert = matching(hash).map(|(_, sig)| *sig).collect();
         self.stable = Some((seq, hash, cert));
-        self.deliver_stable(out);
+        if seq.0 > self.delivered {
+            self.hand_over(seq, None, out);
+        }
     }
 
-    fn deliver_stable(&mut self, out: &mut dyn Sink<CpAction>) {
-        let Some(&(seq, hash, _)) = self.stable.as_ref() else {
-            return;
+    /// Hands the replica the checkpoint stable at `seq`, with the state a
+    /// fetch brought if there is one: the one rule of the
+    /// [module docs](self).
+    fn hand_over(&mut self, seq: SeqNr, fetched: Option<Snapshot>, out: &mut dyn Sink<CpAction>) {
+        let voted = self.votes.get(&seq.0).is_some_and(|votes| votes.contains_key(&self.me));
+        let apply = match (voted, fetched) {
+            (true, _) => Apply::Keep,
+            (false, Some(state)) => Apply::Install(state),
+            (false, None) => Apply::Fetch,
         };
-        if seq.0 <= self.delivered {
-            return;
+        if !matches!(apply, Apply::Fetch) {
+            self.delivered = seq.0;
+            // Keep only what backs the stable checkpoint and what is newer.
+            self.snapshots.retain(|&s, _| s >= seq.0);
+            self.votes.retain(|&s, _| s >= seq.0);
         }
-        // Deliver with state when we hold a matching snapshot; otherwise
-        // notify without state so the host can fetch (a later
-        // FetchResponse will re-deliver with state).
-        let state = self.snapshots.get(&seq.0).filter(|(h, _)| *h == hash).map(|(_, b)| b.clone());
-        match state {
-            Some(state) => {
-                self.delivered = seq.0;
-                // Keep only the snapshot backing the stable checkpoint.
-                self.snapshots.retain(|&s, _| s >= seq.0);
-                self.votes.retain(|&s, _| s >= seq.0);
-                out.emit(CpAction::Stable { seq, state: Some(state) });
-            }
-            // `check_stable` only ever raises `stable`, so this checkpoint
-            // was never announced before.
-            None => out.emit(CpAction::Stable { seq, state: None }),
-        }
+        out.emit(CpAction::Stable { seq, apply });
     }
 
     /// Handles a `FetchRequest` from replica `from_idx` of `from_group`
@@ -534,10 +551,7 @@ impl CheckpointComponent {
         if provider_group == self.group && self.stable.as_ref().is_none_or(|(s, _, _)| *s < seq) {
             self.stable = Some((seq, state_hash, cert));
         }
-        self.delivered = seq.0;
-        self.snapshots.retain(|&s, _| s >= seq.0);
-        self.votes.retain(|&s, _| s >= seq.0);
-        out.emit(CpAction::Stable { seq, state: Some(state) });
+        self.hand_over(seq, Some(state), out);
     }
 }
 
@@ -601,21 +615,47 @@ mod tests {
             .expect("fetch response with state")
     }
 
-    /// What a fresh replica 2 delivers when handed this fetch response.
+    /// Hands replica `c` the fetch response `a` of [`stable_fetch_response`]
+    /// gave.
+    fn respond(
+        c: &mut CheckpointComponent,
+        (seq, hash, cert, state): (SeqNr, Digest, Vec<Signature>, Snapshot),
+        out: &mut Vec<CpAction>,
+    ) {
+        let keys = crate::keys::exec_keys(GroupId(0), 3);
+        c.on_fetch_response(GroupId(0), &keys, seq, hash, cert, state, out);
+    }
+
+    /// What a fresh replica 2 installs when handed this fetch response.
     fn fetched(
         seq: SeqNr,
         hash: Digest,
         cert: Vec<Signature>,
         state: Snapshot,
     ) -> Option<Snapshot> {
-        let mut c = comp(2);
         let mut out = Vec::new();
-        let keys = crate::keys::exec_keys(GroupId(0), 3);
-        c.on_fetch_response(GroupId(0), &keys, seq, hash, cert, state, &mut out);
+        respond(&mut comp(2), (seq, hash, cert, state), &mut out);
         out.into_iter().find_map(|x| match x {
-            CpAction::Stable { state, .. } => state,
+            CpAction::Stable { apply: Apply::Install(state), .. } => Some(state),
             _ => None,
         })
+    }
+
+    /// The stable checkpoints `out` hands over, as `"<apply> <seq>"`.
+    fn stables(out: &[CpAction]) -> Vec<String> {
+        out.iter()
+            .filter_map(|a| match a {
+                CpAction::Stable { seq, apply } => {
+                    let apply = match apply {
+                        Apply::Keep => "keep",
+                        Apply::Install(_) => "install",
+                        Apply::Fetch => "fetch",
+                    };
+                    Some(format!("{apply} {}", seq.0))
+                }
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -668,10 +708,46 @@ mod tests {
         let mut out = Vec::new();
         a.on_announce(1, seq, hash, sig, &mut out);
         assert_eq!(a.stable_seq(), Some(SeqNr(10)));
-        assert!(out.iter().any(|x| matches!(
-            x,
-            CpAction::Stable { seq, state: Some(_) } if *seq == SeqNr(10)
-        )));
+        assert_eq!(stables(&out), ["keep 10"], "a voted for it");
+    }
+
+    /// A replica that did not vote at a checkpoint that became stable is
+    /// behind it: with no state to install, it fetches.
+    #[test]
+    fn a_replica_without_a_vote_fetches() {
+        let (mut a, mut b, mut c) = (comp(0), comp(1), comp(2));
+        let state = snap("snapshot", "bytes");
+        let mut announced = Vec::new();
+        a.generate(SeqNr(10), state.clone(), &mut announced);
+        b.generate(SeqNr(10), state, &mut announced);
+        let mut out = Vec::new();
+        for (from, (seq, hash, sig)) in
+            [(0, announce_of(&announced)), (1, announce_of(&announced[2..]))]
+        {
+            c.on_announce(from, seq, hash, sig, &mut out);
+        }
+        assert_eq!(c.stable_seq(), Some(SeqNr(10)));
+        assert_eq!(stables(&out), ["fetch 10"]);
+        // The fetched state is then installed, once.
+        let response = stable_fetch_response(10, snap("snapshot", "bytes"));
+        let mut out = Vec::new();
+        respond(&mut c, response.clone(), &mut out);
+        assert_eq!(stables(&out), ["install 10"]);
+        let mut out = Vec::new();
+        respond(&mut c, response, &mut out);
+        assert!(stables(&out).is_empty(), "nothing new");
+    }
+
+    /// A fetch response at a checkpoint the replica voted for holds
+    /// nothing it lacks.
+    #[test]
+    fn a_fetched_checkpoint_the_replica_voted_for_is_kept() {
+        let mut c = comp(2);
+        c.generate(SeqNr(10), snap("snapshot", "bytes"), &mut Vec::new());
+        let mut out = Vec::new();
+        respond(&mut c, stable_fetch_response(10, snap("snapshot", "bytes")), &mut out);
+        assert_eq!(stables(&out), ["keep 10"]);
+        assert_eq!(c.stable_seq(), Some(SeqNr(10)), "the certificate is adopted");
     }
 
     #[test]
@@ -745,7 +821,8 @@ mod tests {
         assert!(rebuilt(extra).is_none());
     }
 
-    /// The fetch requests and timers `call` makes `c` emit, in order.
+    /// The fetch requests, timers and stable checkpoints `call` makes `c`
+    /// emit, in order.
     fn fetch_io(
         c: &mut CheckpointComponent,
         call: impl FnOnce(&mut CheckpointComponent, &mut Vec<CpAction>),
@@ -758,19 +835,25 @@ mod tests {
                     Some(format!("fetch {}", seq.0))
                 }
                 CpAction::SetTimer { token, delay } => Some(format!("{token:?} {delay}")),
+                CpAction::Stable { .. } => stables(std::slice::from_ref(a)).pop(),
                 _ => None,
             })
             .collect()
     }
 
     #[test]
-    fn one_fetch_is_out_until_the_replica_reaches_it() {
+    fn one_fetch_is_out_until_a_state_at_or_past_it_is_installed() {
         let mut c = comp(2);
         let fetch = |seq| {
             move |c: &mut CheckpointComponent, out: &mut Vec<CpAction>| c.fetch(SeqNr(seq), out)
         };
         let retry = |c: &mut CheckpointComponent, out: &mut Vec<CpAction>| {
             c.on_timer(CpTimer::FetchRetry, out)
+        };
+        let install = |seq| {
+            move |c: &mut CheckpointComponent, out: &mut Vec<CpAction>| {
+                respond(c, stable_fetch_response(seq, snap("state", "x")), out)
+            }
         };
         let asked = |seq| vec![format!("fetch {seq}"), "FetchRetry 500.000ms".to_owned()];
         assert_eq!(fetch_io(&mut c, fetch(16)), asked(16));
@@ -781,13 +864,17 @@ mod tests {
         assert_eq!(fetch_io(&mut c, fetch(24)), asked(24));
         // The retry asks for the outstanding target and re-arms.
         assert_eq!(fetch_io(&mut c, retry), asked(24));
-        // A state short of the target leaves the fetch out; one that
-        // reaches it ends the fetch, and the retry then sends nothing.
-        c.settle(SeqNr(23));
+        // A state short of the target is installed and leaves the fetch
+        // out; one at or past it ends the fetch, and the retry then sends
+        // nothing.
+        assert_eq!(fetch_io(&mut c, install(16)), ["install 16"]);
+        assert!(c.is_fetching());
         assert_eq!(fetch_io(&mut c, retry), asked(24));
-        c.settle(SeqNr(24));
+        assert_eq!(fetch_io(&mut c, install(32)), ["install 32"]);
         assert!(!c.is_fetching());
         assert!(fetch_io(&mut c, retry).is_empty());
+        // A target past what was installed asks again.
+        assert_eq!(fetch_io(&mut c, fetch(40)), asked(40));
     }
 
     #[test]

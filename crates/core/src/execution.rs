@@ -12,7 +12,7 @@
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::app::Application;
-use crate::checkpoint::{CheckpointComponent, CpAction, Part, Snapshot};
+use crate::checkpoint::{Apply, CheckpointComponent, CpAction, Part, Snapshot};
 use crate::config::{SpiderConfig, REQUEST_CAPACITY};
 use crate::directory::Directory;
 use crate::host;
@@ -344,30 +344,19 @@ impl<A: Application> ExecutionReplica<A> {
         Some(sn)
     }
 
-    fn on_stable_checkpoint(
-        &mut self,
-        ctx: &mut Context<'_, SpiderMsg>,
-        seq: SeqNr,
-        state: Option<Snapshot>,
-    ) {
+    fn on_stable_checkpoint(&mut self, ctx: &mut Context<'_, SpiderMsg>, seq: SeqNr, apply: Apply) {
         // Allow garbage collection of the commit channel (Fig 16 L44)
-        // regardless of whether we are ahead or behind.
+        // whether we are ahead or behind. A replica behind `seq` then finds
+        // its next `Execute` too old and fetches the checkpoint (§3.4) in
+        // `drain_commits`.
         self.commit_channel(ctx, |ep, out| ep.move_window(0, Position(seq.0 + 1), out));
-        if seq.0 > self.sn {
-            match state {
-                Some(snapshot) => {
-                    ctx.charge(self.cfg.cost.hmac(snapshot.len()));
-                    if let Some(sn) = self.restore_snapshot(snapshot.parts()) {
-                        debug_assert_eq!(sn, seq.0);
-                        self.sn = seq.0;
-                    }
-                }
-                // A stable checkpoint exists somewhere ahead of us but we
-                // lack the snapshot: fetch it (§3.4).
-                None => self.checkpoint(ctx, |cp, _, out| cp.fetch(seq, out)),
+        if let Apply::Install(snapshot) = apply {
+            ctx.charge(self.cfg.cost.hmac(snapshot.len()));
+            if let Some(sn) = self.restore_snapshot(snapshot.parts()) {
+                debug_assert_eq!(sn, seq.0);
+                self.sn = seq.0;
             }
         }
-        self.cp.settle(SeqNr(self.sn));
         self.drain_commits(ctx);
     }
 
@@ -441,8 +430,8 @@ impl<A: Application> ExecutionReplica<A> {
         ctx: &mut Context<'_, SpiderMsg>,
         call: impl FnOnce(&mut CheckpointComponent, &Directory, &mut dyn Sink<CpAction>),
     ) {
-        if let Some((seq, state)) = host::checkpoint_io(ctx, &self.directory, &mut self.cp, call) {
-            self.on_stable_checkpoint(ctx, seq, state);
+        if let Some((seq, apply)) = host::checkpoint_io(ctx, &self.directory, &mut self.cp, call) {
+            self.on_stable_checkpoint(ctx, seq, apply);
         }
     }
 }

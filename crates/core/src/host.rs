@@ -16,7 +16,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-use crate::checkpoint::{CheckpointComponent, CpAction, CpTimer, Snapshot};
+use crate::checkpoint::{Apply, CheckpointComponent, CpAction, CpTimer};
 use crate::directory::Directory;
 use crate::keys::{self, AGREEMENT_GROUP};
 use crate::messages::{ChannelLeg, CheckpointMsg, SpiderMsg};
@@ -144,13 +144,14 @@ pub fn receiver_frame<C: Content>(
 /// the other active groups (§3.5: a freshly added or skipped group needs
 /// foreign state) — `ToPeer` to the member it names, CPU to `checkpoint`,
 /// timers under their tags. The checkpoint the call made stable (a call
-/// makes at most one) comes back, to act on once the frames are out.
+/// makes at most one) comes back with what it asks of the replica, to act
+/// on once the frames are out.
 pub fn checkpoint_io(
     ctx: &mut Context<'_, SpiderMsg>,
     directory: &Directory,
     cp: &mut CheckpointComponent,
     call: impl FnOnce(&mut CheckpointComponent, &Directory, &mut dyn Sink<CpAction>),
-) -> Option<(SeqNr, Option<Snapshot>)> {
+) -> Option<(SeqNr, Apply)> {
     let (group, me, _) = cp.seat();
     let frame = |ctx: &mut Context<'_, SpiderMsg>, node: NodeId, msg| {
         ctx.send(node, SpiderMsg::Checkpoint { group, msg });
@@ -176,7 +177,7 @@ pub fn checkpoint_io(
                 frame(ctx, node, msg);
             }
         }
-        CpAction::Stable { seq, state } => stable = Some((seq, state)),
+        CpAction::Stable { seq, apply } => stable = Some((seq, apply)),
         CpAction::Charge(cost, op) => ctx.charge_op("checkpoint", op, cost),
         CpAction::SetTimer { token, delay } => ctx.arm(TAG_CP_BASE + token as u64, delay),
     });
@@ -487,7 +488,7 @@ mod tests {
                 let actions = vec![
                     CpAction::Charge(SimTime::from_micros(1), "cp_mac"),
                     CpAction::ToGroup(fetch()),
-                    CpAction::Stable { seq: SeqNr(8), state: None },
+                    CpAction::Stable { seq: SeqNr(8), apply: Apply::Fetch },
                     CpAction::ToPeer { group: target, idx: 1, msg: fetch() },
                     CpAction::ToPeer { group: GroupId(999), idx: 0, msg: fetch() },
                 ];
@@ -499,7 +500,7 @@ mod tests {
             }
         };
         let (log, cpu) = run(11, script(GroupId(0), GroupId(1)));
-        assert_eq!(log[0], "back Some((SeqNr(8), None))");
+        assert_eq!(log[0], "back Some((SeqNr(8), Fetch))");
         // The group's other members, then every replica of the other
         // active group (§3.5), then the named peer: replica 1 of group 1.
         let to: Vec<&str> = log[1..].iter().map(|l| &l[..l.find(':').expect("a frame")]).collect();
@@ -543,7 +544,7 @@ mod tests {
         let mut cp = component(GroupId(0), 0);
         let fetch = || CheckpointMsg::FetchRequest { seq: SeqNr(0) };
         // A peer's genuine announcement and fetch response for sequence 8.
-        let snapshot = Snapshot::single(bytes::Bytes::from_static(b"state"));
+        let snapshot = crate::checkpoint::Snapshot::single(bytes::Bytes::from_static(b"state"));
         let mut peers = [component(GroupId(0), 1), component(GroupId(0), 2)];
         let mut announced = Vec::new();
         for peer in &mut peers {
@@ -573,7 +574,9 @@ mod tests {
         // stable (f + 1 = 2 matching votes).
         assert!(!frame(3, GroupId(0), announces[0].clone()).is_empty());
         let out = frame(4, GroupId(0), announces[1].clone());
-        assert!(out.iter().any(|a| matches!(a, CpAction::Stable { seq: SeqNr(8), state: None })));
+        let fetch_it =
+            |a: &CpAction| matches!(a, CpAction::Stable { seq: SeqNr(8), apply: Apply::Fetch });
+        assert!(out.iter().any(fetch_it), "member 0 did not vote at 8");
 
         // The state arrives in a fetch response: dropped from a node that
         // is not a member of the group it claims, installed from one that is.
@@ -590,8 +593,9 @@ mod tests {
         };
         assert!(frame(9, GroupId(0), msg.clone()).is_empty(), "not a member");
         let out = frame(3, GroupId(0), msg);
-        assert!(out
-            .iter()
-            .any(|a| matches!(a, CpAction::Stable { seq: SeqNr(8), state: Some(_) })));
+        let install = |a: &CpAction| {
+            matches!(a, CpAction::Stable { seq: SeqNr(8), apply: Apply::Install(_) })
+        };
+        assert!(out.iter().any(install));
     }
 }
