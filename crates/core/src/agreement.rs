@@ -147,6 +147,12 @@ impl AgreementReplica {
         self.pbft.view()
     }
 
+    /// How many of this replica's checkpoint votes lost (its state
+    /// differed from the one its group certified).
+    pub fn lost_votes(&self) -> u64 {
+        self.cp.lost_votes()
+    }
+
     // ------------------------------------------------------------------
     // Request intake (Fig 17 L13-22)
     // ------------------------------------------------------------------

@@ -297,6 +297,9 @@ pub struct CheckpointComponent {
     /// Highest sequence number a fetch asked for: the fetch is out while
     /// it is above `delivered`.
     asked: u64,
+    /// Own votes that lost: the group certified another state at their
+    /// sequence number.
+    lost_votes: u64,
 }
 
 impl CheckpointComponent {
@@ -320,6 +323,7 @@ impl CheckpointComponent {
             stable: None,
             delivered: 0,
             asked: 0,
+            lost_votes: 0,
         }
     }
 
@@ -334,6 +338,12 @@ impl CheckpointComponent {
         self.stable.as_ref().map(|s| s.0)
     }
 
+    /// How many of this replica's votes lost: each one a checkpoint at
+    /// which its state differed from the state its group certified.
+    pub fn lost_votes(&self) -> u64 {
+        self.lost_votes
+    }
+
     /// Fig 13 `gen_cp`: snapshot taken at `seq`; announce its hash.
     pub fn generate(&mut self, seq: SeqNr, state: Snapshot, out: &mut dyn Sink<CpAction>) {
         let hash = state.hash();
@@ -343,6 +353,11 @@ impl CheckpointComponent {
         let msg = CheckpointMsg::Announce { seq, state_hash: hash, sig };
         self.votes.entry(seq.0).or_default().insert(self.me, (hash, sig));
         out.emit(CpAction::ToGroup(msg));
+        // A vote cast after its checkpoint became stable is checked here;
+        // `check_stable` checks the others.
+        if self.stable.as_ref().is_some_and(|&(s, h, _)| s == seq && h != hash) {
+            self.lost_votes += 1;
+        }
         self.check_stable(seq, out);
     }
 
@@ -393,11 +408,26 @@ impl CheckpointComponent {
         }
     }
 
-    /// This replica's own announcement for its latest stable checkpoint.
+    /// This replica's own announcement for its latest stable checkpoint,
+    /// if it voted for the certified state.
     fn own_stable_vote(&self) -> Option<CheckpointMsg> {
-        let (seq, _, _) = self.stable.as_ref()?;
+        let &(seq, hash, _) = self.stable.as_ref()?;
         let (state_hash, sig) = *self.votes.get(&seq.0)?.get(&self.me)?;
-        Some(CheckpointMsg::Announce { seq: *seq, state_hash, sig })
+        (state_hash == hash).then_some(CheckpointMsg::Announce { seq, state_hash, sig })
+    }
+
+    /// The hash this replica voted for at `seq`, if it voted there.
+    fn own_vote(&self, seq: SeqNr) -> Option<Digest> {
+        self.votes.get(&seq.0)?.get(&self.me).map(|(hash, _)| *hash)
+    }
+
+    /// Makes `hash` the state stable at `seq`; an own vote there for
+    /// another state lost.
+    fn certify(&mut self, seq: SeqNr, hash: Digest, cert: Vec<Signature>) {
+        if self.own_vote(seq).is_some_and(|own| own != hash) {
+            self.lost_votes += 1;
+        }
+        self.stable = Some((seq, hash, cert));
     }
 
     /// Handles an `Announce` from member `from` of the own group.
@@ -419,11 +449,8 @@ impl CheckpointComponent {
         }
         // Old announcement: answer the laggard at once with our own latest
         // vote, rather than leaving it to the next gossip round.
-        let stable_hash = self.stable.as_ref().filter(|(s, _, _)| seq < *s).map(|(_, h, _)| *h);
-        if let (Some(hash), Some(vote @ CheckpointMsg::Announce { state_hash: own, .. })) =
-            (stable_hash, self.own_stable_vote())
-        {
-            debug_assert_eq!(own, hash);
+        let old = self.stable.as_ref().is_some_and(|(s, _, _)| seq < *s);
+        if let Some(vote) = self.own_stable_vote().filter(|_| old) {
             out.emit(CpAction::ToPeer { group: self.group, idx: from, msg: vote });
         }
         self.votes.entry(seq.0).or_default().insert(from, (state_hash, sig));
@@ -448,7 +475,7 @@ impl CheckpointComponent {
         };
         // The certificate lists the signatures in member order.
         let cert = matching(hash).map(|(_, sig)| *sig).collect();
-        self.stable = Some((seq, hash, cert));
+        self.certify(seq, hash, cert);
         if seq.0 > self.delivered {
             self.hand_over(seq, None, out);
         }
@@ -458,8 +485,7 @@ impl CheckpointComponent {
     /// fetch brought if there is one: the one rule of the
     /// [module docs](self).
     fn hand_over(&mut self, seq: SeqNr, fetched: Option<Snapshot>, out: &mut dyn Sink<CpAction>) {
-        let voted = self.votes.get(&seq.0).is_some_and(|votes| votes.contains_key(&self.me));
-        let apply = match (voted, fetched) {
+        let apply = match (self.own_vote(seq).is_some(), fetched) {
             (true, _) => Apply::Keep,
             (false, Some(state)) => Apply::Install(state),
             (false, None) => Apply::Fetch,
@@ -549,7 +575,7 @@ impl CheckpointComponent {
         // can serve later fetches ourselves. A foreign-group checkpoint is
         // applied but not re-served (its certificate names foreign keys).
         if provider_group == self.group && self.stable.as_ref().is_none_or(|(s, _, _)| *s < seq) {
-            self.stable = Some((seq, state_hash, cert));
+            self.certify(seq, state_hash, cert);
         }
         self.hand_over(seq, Some(state), out);
     }
@@ -762,6 +788,49 @@ mod tests {
         let mut out = Vec::new();
         a.on_announce(1, seq, hash, sig, &mut out);
         assert_eq!(a.stable_seq(), None);
+    }
+
+    /// A replica whose state differs from its group's loses its vote, and
+    /// the loss is counted: when the group's votes make the checkpoint
+    /// stable after it voted, and when it votes after that.
+    #[test]
+    fn a_vote_for_another_state_is_counted_as_lost() {
+        let (mut a, mut b) = (comp(0), comp(1));
+        let mut announced = Vec::new();
+        a.generate(SeqNr(5), snap("state", "five"), &mut announced);
+        let old = announce_of(&announced);
+        let mut announced = Vec::new();
+        a.generate(SeqNr(10), snap("state", "one"), &mut announced);
+        b.generate(SeqNr(10), snap("state", "one"), &mut announced);
+        let group = [(0, announce_of(&announced)), (1, announce_of(&announced[2..]))];
+        let certify = |c: &mut CheckpointComponent| {
+            let mut out = Vec::new();
+            for (from, (seq, hash, sig)) in group {
+                c.on_announce(from, seq, hash, sig, &mut out);
+            }
+            assert_eq!(c.stable_seq(), Some(SeqNr(10)));
+            stables(&out)
+        };
+
+        let mut c = comp(2);
+        c.generate(SeqNr(10), snap("state", "two"), &mut Vec::new());
+        assert_eq!(c.lost_votes(), 0, "nothing is stable yet");
+        assert_eq!(certify(&mut c), ["keep 10"]);
+        assert_eq!(c.lost_votes(), 1);
+        // A laggard's old announcement is answered only with a vote for
+        // the certified state.
+        let mut out = Vec::new();
+        c.on_announce(0, old.0, old.1, old.2, &mut out);
+        assert!(!out.iter().any(|a| matches!(a, CpAction::ToPeer { .. })), "{out:?}");
+
+        let mut late = comp(2);
+        assert_eq!(certify(&mut late), ["fetch 10"]);
+        late.generate(SeqNr(10), snap("state", "two"), &mut Vec::new());
+        assert_eq!(late.lost_votes(), 1);
+        let mut matching = comp(2);
+        certify(&mut matching);
+        matching.generate(SeqNr(10), snap("state", "one"), &mut Vec::new());
+        assert_eq!(matching.lost_votes(), 0);
     }
 
     #[test]

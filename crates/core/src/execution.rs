@@ -104,6 +104,12 @@ impl<A: Application> ExecutionReplica<A> {
         &self.app
     }
 
+    /// How many of this replica's checkpoint votes lost (its state
+    /// differed from the one its group certified).
+    pub fn lost_votes(&self) -> u64 {
+        self.cp.lost_votes()
+    }
+
     // ------------------------------------------------------------------
     // Client requests (Fig 16 L8-22)
     // ------------------------------------------------------------------

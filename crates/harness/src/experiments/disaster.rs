@@ -121,6 +121,10 @@ pub struct DisasterRow {
     pub diverged_replicas: usize,
     /// Highest consensus view reached by any agreement replica.
     pub final_view: u64,
+    /// Checkpoint votes that lost, over every agreement and execution
+    /// replica: each a checkpoint at which a replica's state differed from
+    /// its group's.
+    pub lost_votes: u64,
 }
 
 /// Tight flow-control windows so stalls (and their back-pressure) show
@@ -234,22 +238,14 @@ fn finish(
     }
     let duplicated_ops = store.ops_applied.saturating_sub(store.len() as u64);
     let reference_digest = store.map_digest();
-    let diverged_replicas = run
-        .dep
-        .groups
-        .iter()
-        .flat_map(|(_, _, nodes)| nodes.iter())
-        .filter(|&&node| {
-            run.sim.actor::<ExecutionReplica<KvStore>>(node).app().map_digest() != reference_digest
-        })
-        .count();
-    let final_view = run
-        .dep
-        .agreement
-        .iter()
-        .map(|&node| run.sim.actor::<AgreementReplica>(node).view().0)
-        .max()
-        .unwrap_or(0);
+    let execution = run.dep.groups.iter().flat_map(|(_, _, nodes)| nodes.iter());
+    let execution = execution.map(|&node| run.sim.actor::<ExecutionReplica<KvStore>>(node));
+    let diverged_replicas =
+        execution.clone().filter(|replica| replica.app().map_digest() != reference_digest).count();
+    let agreement = run.dep.agreement.iter().map(|&node| run.sim.actor::<AgreementReplica>(node));
+    let final_view = agreement.clone().map(|replica| replica.view().0).max().unwrap_or(0);
+    let lost_votes = agreement.map(AgreementReplica::lost_votes).sum::<u64>()
+        + execution.map(ExecutionReplica::lost_votes).sum::<u64>();
 
     let obs = run.sim.obs().is_enabled().then(|| run.sim.obs().report());
     let row = DisasterRow {
@@ -263,6 +259,7 @@ fn finish(
         duplicated_ops,
         diverged_replicas,
         final_view,
+        lost_votes,
     };
     (row, obs)
 }

@@ -27,6 +27,7 @@ fn wan_partition_stalls_then_recovers_without_losing_ops() {
     assert_eq!(row.lost_ops, 0, "completed writes missing from the store: {row:?}");
     assert_eq!(row.duplicated_ops, 0, "operations executed twice: {row:?}");
     assert_eq!(row.diverged_replicas, 0, "stores did not converge: {row:?}");
+    assert_eq!(row.lost_votes, 0, "a replica's checkpoint vote lost: {row:?}");
     assert!(
         row.unavailability_ms >= 3_000.0,
         "z = 0 back-pressure should stall all clients for most of the \
@@ -46,6 +47,7 @@ fn correlated_outage_survivors_keep_committing() {
     assert_eq!(row.lost_ops, 0, "{row:?}");
     assert_eq!(row.duplicated_ops, 0, "{row:?}");
     assert_eq!(row.diverged_replicas, 0, "dead groups failed to catch up: {row:?}");
+    assert_eq!(row.lost_votes, 0, "{row:?}");
     assert!(
         row.unavailability_ms < 4_000.0,
         "survivors should commit through the 8 s outage (z = 2), \
@@ -69,6 +71,7 @@ fn view_change_storm_rotates_leaders_and_drains() {
     assert_eq!(row.lost_ops, 0, "{row:?}");
     assert_eq!(row.duplicated_ops, 0, "{row:?}");
     assert_eq!(row.diverged_replicas, 0, "{row:?}");
+    assert_eq!(row.lost_votes, 0, "{row:?}");
 }
 
 /// The placement frontier's headline shape: spreading execution-group
@@ -83,6 +86,7 @@ fn placement_spread_backups_dominate_concentrated_on_availability() {
         assert_eq!(row.lost_ops, 0, "{row:?}");
         assert_eq!(row.duplicated_ops, 0, "{row:?}");
         assert_eq!(row.diverged_replicas, 0, "{row:?}");
+        assert_eq!(row.lost_votes, 0, "{row:?}");
     }
     assert!(
         concentrated.unavailability_ms >= 4_000.0,

@@ -10,9 +10,9 @@
 //! a new view kept the progress clock of the view before it, so its
 //! leader could be suspected at once. With all three fixed, each run
 //! asserts the clean outcome (`lost_ops == 0`, `diverged_replicas == 0`,
-//! a final view of at most the number of isolations plus one, and a
-//! recovery time). The runs are byte-deterministic, so every figure here
-//! is exact.
+//! `lost_votes == 0`, a final view of at most the number of isolations
+//! plus one, and a recovery time). The runs are byte-deterministic, so
+//! every figure here is exact.
 //!
 //! All three share the disaster tests' clock ([`Config::quick`]: fault at
 //! 6 s, heal at 14 s, 24 s of offered load at 3 req/s per client) and
@@ -38,6 +38,7 @@ fn cfg(clients_per_region: usize, seed: u64) -> Config {
 fn view_change_storm_seed_1_recovers() {
     let row = run_view_change_storm(&cfg(4, 1));
     assert_eq!((row.lost_ops, row.duplicated_ops, row.diverged_replicas), (0, 0, 0), "{row:?}");
+    assert_eq!(row.lost_votes, 0, "{row:?}");
     assert_eq!(row.final_view, 3, "{row:?}");
     assert_eq!(row.recovery_ms, Some(4_000.0), "{row:?}");
 }
@@ -48,6 +49,7 @@ fn view_change_storm_seed_1_recovers() {
 fn view_change_storm_seed_4_recovers() {
     let row = run_view_change_storm(&cfg(4, 4));
     assert_eq!((row.lost_ops, row.duplicated_ops, row.diverged_replicas), (0, 0, 0), "{row:?}");
+    assert_eq!(row.lost_votes, 0, "{row:?}");
     assert_eq!(row.final_view, 3, "{row:?}");
     assert_eq!(row.recovery_ms, Some(500.0), "{row:?}");
 }
@@ -58,6 +60,7 @@ fn view_change_storm_seed_4_recovers() {
 fn wan_partition_seed_14_loses_nothing() {
     let row = run_wan_partition(&cfg(6, 14));
     assert_eq!((row.lost_ops, row.duplicated_ops, row.diverged_replicas), (0, 0, 0), "{row:?}");
+    assert_eq!(row.lost_votes, 0, "{row:?}");
     assert_eq!(row.recovery_ms, Some(1_000.0), "{row:?}");
 }
 
