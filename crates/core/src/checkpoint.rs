@@ -15,12 +15,25 @@
 //! is decided here, once, for both replica kinds, from one fact: the
 //! replica's own vote at that sequence number. [`CpAction::Stable`] hands
 //! the answer over as an [`Apply`]:
-//! - [`Apply::Keep`]: the replica voted there, so its state is at or past
-//!   the checkpoint; there is nothing to apply.
-//! - [`Apply::Install`]: the replica did not vote there and the component
-//!   holds the certified state, which came from a fetch response.
-//! - [`Apply::Fetch`]: the replica did not vote there and the component
-//!   holds no state: the replica is behind and asks for it.
+//! - [`Apply::Keep`]: the replica voted for the certified state; there is
+//!   nothing to apply.
+//! - [`Apply::Install`]: the replica did not vote there, or its vote lost,
+//!   and the component holds the certified state, which came from a fetch
+//!   response.
+//! - [`Apply::Fetch`]: the replica did not vote there, or its vote lost,
+//!   and the component holds no state.
+//!
+//! A replica without a vote is behind the checkpoint. A replica whose vote
+//! lost — it voted for another state than the `f + 1` certified — has
+//! diverged: the component counts it ([`CheckpointComponent::lost_votes`])
+//! and the replica repairs itself by the same fetch a laggard makes
+//! (§3.4 lets a correct replica adopt any certified checkpoint). An
+//! execution replica fetches the checkpoint itself, installs it and
+//! replays what followed from its commit channel; an agreement replica
+//! fetches past its `sn` and numbers nothing until a checkpoint there is
+//! installed, so it never goes back. A fetched state behind the target
+//! of the outstanding fetch is installed only if the replica did not
+//! vote at it.
 //!
 //! The component, not the replica, owns the fetch, its retry and the
 //! gossip heartbeat, for both replica kinds. A fetch stays out until the
@@ -235,7 +248,8 @@ pub enum Apply {
     Keep,
     /// Take over this certified state, fetched from a peer.
     Install(Snapshot),
-    /// The replica is behind and the component holds no state: fetch it.
+    /// The replica is behind, or its vote lost, and the component holds
+    /// no state: fetch it.
     Fetch,
 }
 
@@ -485,10 +499,16 @@ impl CheckpointComponent {
     /// fetch brought if there is one: the one rule of the
     /// [module docs](self).
     fn hand_over(&mut self, seq: SeqNr, fetched: Option<Snapshot>, out: &mut dyn Sink<CpAction>) {
-        let apply = match (self.own_vote(seq).is_some(), fetched) {
-            (true, _) => Apply::Keep,
-            (false, Some(state)) => Apply::Install(state),
-            (false, None) => Apply::Fetch,
+        let own = self.own_vote(seq);
+        let certified = self.stable.as_ref().filter(|(s, _, _)| *s == seq).map(|(_, h, _)| *h);
+        let kept = own.is_some_and(|own| certified.is_none_or(|hash| hash == own));
+        let apply = match fetched {
+            _ if kept => Apply::Keep,
+            // A lost vote: only a fetch that asked for no more than `seq`
+            // takes the replica back to it.
+            Some(_) if own.is_some() && seq.0 < self.asked => return,
+            Some(state) => Apply::Install(state),
+            None => Apply::Fetch,
         };
         if !matches!(apply, Apply::Fetch) {
             self.delivered = seq.0;
@@ -793,29 +813,33 @@ mod tests {
     /// A replica whose state differs from its group's loses its vote, and
     /// the loss is counted: when the group's votes make the checkpoint
     /// stable after it voted, and when it votes after that.
-    #[test]
-    fn a_vote_for_another_state_is_counted_as_lost() {
+    /// Members 0 and 1 announce `snap("state", "one")` at 10 to `c`; returns
+    /// the stable checkpoints that hands over.
+    fn certify(c: &mut CheckpointComponent) -> Vec<String> {
         let (mut a, mut b) = (comp(0), comp(1));
-        let mut announced = Vec::new();
-        a.generate(SeqNr(5), snap("state", "five"), &mut announced);
-        let old = announce_of(&announced);
         let mut announced = Vec::new();
         a.generate(SeqNr(10), snap("state", "one"), &mut announced);
         b.generate(SeqNr(10), snap("state", "one"), &mut announced);
-        let group = [(0, announce_of(&announced)), (1, announce_of(&announced[2..]))];
-        let certify = |c: &mut CheckpointComponent| {
-            let mut out = Vec::new();
-            for (from, (seq, hash, sig)) in group {
-                c.on_announce(from, seq, hash, sig, &mut out);
-            }
-            assert_eq!(c.stable_seq(), Some(SeqNr(10)));
-            stables(&out)
-        };
+        let mut out = Vec::new();
+        for (from, (seq, hash, sig)) in
+            [(0, announce_of(&announced)), (1, announce_of(&announced[2..]))]
+        {
+            c.on_announce(from, seq, hash, sig, &mut out);
+        }
+        assert_eq!(c.stable_seq(), Some(SeqNr(10)));
+        stables(&out)
+    }
+
+    #[test]
+    fn a_vote_for_another_state_is_counted_as_lost() {
+        let mut announced = Vec::new();
+        comp(0).generate(SeqNr(5), snap("state", "five"), &mut announced);
+        let old = announce_of(&announced);
 
         let mut c = comp(2);
         c.generate(SeqNr(10), snap("state", "two"), &mut Vec::new());
         assert_eq!(c.lost_votes(), 0, "nothing is stable yet");
-        assert_eq!(certify(&mut c), ["keep 10"]);
+        assert_eq!(certify(&mut c), ["fetch 10"], "it repairs itself");
         assert_eq!(c.lost_votes(), 1);
         // A laggard's old announcement is answered only with a vote for
         // the certified state.
@@ -831,6 +855,36 @@ mod tests {
         certify(&mut matching);
         matching.generate(SeqNr(10), snap("state", "one"), &mut Vec::new());
         assert_eq!(matching.lost_votes(), 0);
+    }
+
+    /// A replica whose vote lost installs the certified state that the
+    /// fetch it asks for brings, although it voted at that checkpoint. A
+    /// fetch that asks past the checkpoint, as an agreement replica's
+    /// does, takes it no further back.
+    #[test]
+    fn a_lost_vote_is_repaired_by_the_fetch_that_asked_for_it() {
+        let diverged = || {
+            let mut c = comp(2);
+            c.generate(SeqNr(10), snap("state", "two"), &mut Vec::new());
+            assert_eq!(certify(&mut c), ["fetch 10"]);
+            c
+        };
+        let response = stable_fetch_response(10, snap("state", "one"));
+
+        let mut execution = diverged();
+        let mut out = Vec::new();
+        execution.fetch(SeqNr(10), &mut out);
+        respond(&mut execution, response.clone(), &mut out);
+        assert_eq!(stables(&out), ["install 10"]);
+        assert!(!execution.is_fetching());
+
+        let mut agreement = diverged();
+        let mut out = Vec::new();
+        agreement.fetch(SeqNr(12), &mut out);
+        respond(&mut agreement, response, &mut out);
+        assert!(stables(&out).is_empty(), "{out:?}");
+        assert!(agreement.is_fetching());
+        assert_eq!((execution.lost_votes(), agreement.lost_votes()), (1, 1));
     }
 
     #[test]

@@ -104,6 +104,12 @@ impl<A: Application> ExecutionReplica<A> {
         &self.app
     }
 
+    /// The application itself, for a test that makes this replica's state
+    /// differ from its group's.
+    pub fn app_mut(&mut self) -> &mut A {
+        &mut self.app
+    }
+
     /// How many of this replica's checkpoint votes lost (its state
     /// differed from the one its group certified).
     pub fn lost_votes(&self) -> u64 {
@@ -352,15 +358,22 @@ impl<A: Application> ExecutionReplica<A> {
 
     fn on_stable_checkpoint(&mut self, ctx: &mut Context<'_, SpiderMsg>, seq: SeqNr, apply: Apply) {
         // Allow garbage collection of the commit channel (Fig 16 L44)
-        // whether we are ahead or behind. A replica behind `seq` then finds
-        // its next `Execute` too old and fetches the checkpoint (§3.4) in
-        // `drain_commits`.
+        // whether we are ahead or behind.
         self.commit_channel(ctx, |ep, out| ep.move_window(0, Position(seq.0 + 1), out));
-        if let Apply::Install(snapshot) = apply {
-            ctx.charge(self.cfg.cost.hmac(snapshot.len()));
-            if let Some(sn) = self.restore_snapshot(snapshot.parts()) {
-                debug_assert_eq!(sn, seq.0);
-                self.sn = seq.0;
+        match apply {
+            Apply::Keep => {}
+            // A replica behind `seq` has this fetch out already: its next
+            // `Execute` was too old (`drain_commits`). One whose vote lost
+            // asks here (§3.4).
+            Apply::Fetch => self.checkpoint(ctx, |cp, _, out| cp.fetch(seq, out)),
+            // Past `seq` or not, the certified state replaces this one, and
+            // what followed it replays from the commit channel.
+            Apply::Install(snapshot) => {
+                ctx.charge(self.cfg.cost.hmac(snapshot.len()));
+                if let Some(sn) = self.restore_snapshot(snapshot.parts()) {
+                    debug_assert_eq!(sn, seq.0);
+                    self.sn = seq.0;
+                }
             }
         }
         self.drain_commits(ctx);

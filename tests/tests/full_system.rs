@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use spider::execution::ExecutionReplica;
-use spider::{SpiderConfig, WorkloadSpec};
+use spider::{Application, SpiderConfig, WorkloadSpec};
 use spider_app::{kv_op_factory, KvOp, KvStore};
 use spider_tests::standard_deployment;
 use spider_types::{OpKind, SimTime};
@@ -135,5 +135,44 @@ fn acknowledged_write_is_present_in_final_state() {
             let store = sim.actor::<ExecReplica>(*node).app();
             assert_eq!(store.get(b"marker"), Some(&[1u8, 2, 3][..]), "write durable everywhere");
         }
+    }
+}
+
+/// A replica whose state differs from its group's is caught at the next
+/// checkpoint, where its vote loses, and repairs itself: it fetches the
+/// certified checkpoint, installs it although it is already past it, and
+/// replays what followed from its commit channel.
+#[test]
+fn a_replica_whose_checkpoint_vote_loses_repairs_itself() {
+    let (mut sim, mut dep) = standard_deployment(3, SpiderConfig::default());
+    // Every write has a key of its own, so a lost or doubled one shows.
+    for gi in 0..4 {
+        let writes = move |seq, _, payload: usize| {
+            let key = format!("g{gi}-{seq}");
+            KvOp::sized_put(key.as_bytes(), payload, b'x').encode()
+        };
+        let workload = WorkloadSpec::writes_per_sec(10.0, 200)
+            .with_max_ops(60)
+            .with_op_factory(std::sync::Arc::new(writes));
+        dep.spawn_clients(&mut sim, gi, 1, workload);
+    }
+    let victim = dep.group_nodes(1)[2];
+    sim.run_until(SimTime::from_secs(2));
+    let replica = sim.actor_mut::<ExecReplica>(victim);
+    let diverged_at = replica.sequence();
+    replica.app_mut().execute(&KvOp::put(b"stray", vec![1]).encode());
+    sim.run_until_quiescent(SimTime::from_secs(60));
+
+    let samples = dep.collect_samples(&sim);
+    assert_eq!(samples.iter().map(|(_, _, s)| s.len()).sum::<usize>(), 240);
+    let replica = sim.actor::<ExecReplica>(victim);
+    assert!(diverged_at.0 > 0 && replica.sequence().0 == 240, "{diverged_at:?}");
+    assert_eq!(replica.lost_votes(), 1, "caught at one checkpoint, repaired by the next");
+    let group = dep.group_nodes(1).iter().map(|node| sim.actor::<ExecReplica>(*node).app());
+    let reference = sim.actor::<ExecReplica>(dep.group_nodes(1)[0]).app().map_digest();
+    for store in group {
+        assert_eq!(store.map_digest(), reference);
+        assert_eq!((store.len(), store.ops_applied), (240, 240), "no write lost or doubled");
+        assert!(store.get(b"stray").is_none());
     }
 }
