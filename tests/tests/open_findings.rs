@@ -18,9 +18,10 @@
 //! 6 s, heal at 14 s, 24 s of offered load at 3 req/s per client) and
 //! vary only the client count and the seed.
 //!
-//! One more pins a waste rather than a failure: a run without faults
-//! recasts content that was already delivered. Its fix changes the
-//! modelled plane, so it lands with a benchmark re-baseline.
+//! Two more pin wastes rather than failures: a run without faults
+//! recasts content that was already delivered, and fetches whole states
+//! from every other execution replica. Their fixes change the modelled
+//! plane, so they land with a benchmark re-baseline.
 
 use spider::{SpiderConfig, WorkloadSpec};
 use spider_app::kv_op_factory;
@@ -102,4 +103,32 @@ fn fault_free_writes_are_recast_after_delivery() {
     let ns = SimTime::from_nanos;
     assert_eq!(at_8s, (ns(119_377_962), ns(1_941_337_053)));
     assert_eq!(at_12s, (ns(235_138_410), ns(1_941_337_053)));
+}
+
+/// Whole-state transfers without a fault. A stable checkpoint moves an
+/// execution replica's commit window past it (Fig 16 L44) even when the
+/// replica has not executed that far, which drops `Execute`s it already
+/// holds: a replica a few `Execute`s behind the `f + 1` fastest of its
+/// group then finds its next one too old and fetches the checkpoint. The
+/// request goes to all eleven other execution replicas, nine of them
+/// across the WAN, each answers with its whole state, and the fetcher
+/// checks every answer before it drops all but one. Serving an answer is
+/// what `("checkpoint", "cp_hash")` CPU is charged for.
+#[test]
+fn fault_free_replicas_fetch_whole_states() {
+    let (mut sim, mut dep) = standard_deployment(42, SpiderConfig::default());
+    sim.enable_obs();
+    let workload =
+        WorkloadSpec::writes_per_sec(5.0, 200).with_max_ops(20).with_op_factory(kv_op_factory(200));
+    for group in 0..4 {
+        dep.spawn_clients(&mut sim, group, 2, workload.clone());
+    }
+    sim.run_until(SimTime::from_secs(12));
+    let cpu = sim.obs().report().cpu_by_op();
+    let cpu = |op| cpu.get(&("checkpoint", op)).copied().unwrap_or(SimTime::ZERO);
+    // A fetch request costs one MAC of 32 bytes.
+    let fetches = cpu("cp_mac").as_nanos() / SpiderConfig::default().cost.hmac(32).as_nanos();
+    let served = cpu("cp_hash");
+    assert!(served > SimTime::ZERO, "no whole state was served");
+    assert_eq!((fetches, served), (4, SimTime::from_nanos(530_805)));
 }
