@@ -846,6 +846,9 @@ impl<P: Payload> Pbft<P> {
         // new view, as if fresh pre-prepares had arrived.
         let leader = self.cfg.leader_of(view.0);
         let me = self.me;
+        // Each vote carries a MAC vector, as in on_pre_prepare and
+        // check_progress.
+        let vote_mac = self.cfg.cost.mac_vector(self.cfg.n() - 1, spider_types::wire::DIGEST_BYTES);
         for seq in (start + 1)..=max_seq {
             let (digest, batch) = match best.get(&seq) {
                 Some(cert) => (cert.digest, cert.batch.clone()),
@@ -858,12 +861,7 @@ impl<P: Payload> Pbft<P> {
                 // one: a replica that has not committed it needs a quorum
                 // of this view's votes.
                 if let Some(digest) = inst.digest {
-                    // Each vote carries a MAC vector, as in check_progress.
-                    let mac = self
-                        .cfg
-                        .cost
-                        .mac_vector(self.cfg.n() - 1, spider_types::wire::DIGEST_BYTES);
-                    *charge += mac * 2;
+                    *charge += vote_mac * 2;
                     self.broadcast(out, Msg::Prepare { view, seq: SeqNr(seq), digest });
                     self.broadcast(out, Msg::Commit { view, seq: SeqNr(seq), digest });
                 }
@@ -878,6 +876,7 @@ impl<P: Payload> Pbft<P> {
             inst.prepares.insert(leader, digest);
             inst.prepares.insert(me, digest);
             inst.commits.clear();
+            *charge += vote_mac;
             self.broadcast(out, Msg::Prepare { view, seq: SeqNr(seq), digest });
         }
         self.next_seq = self.next_seq.max(max_seq + 1).max(self.next_deliver);
@@ -1380,6 +1379,33 @@ mod tests {
         let vote = cost.mac_vector(3, spider_types::wire::DIGEST_BYTES);
         // Three committed instances, a Prepare and a Commit each.
         assert_eq!(charged(1..4), charged(1..1) + vote * 6);
+    }
+
+    /// The `Prepare` a replica sends for an instance a new view carries
+    /// over pays for its MAC vector, as the one for a fresh pre-prepare
+    /// does.
+    #[test]
+    fn the_carried_over_prepares_are_charged() {
+        let cost = CostModel::default();
+        let votes = |seqs| {
+            let mut r: Pbft<TestPayload> = Pbft::new(cfg(), 3);
+            r.cfg.cost = cost;
+            install(&mut r, 1, 0);
+            let out = feed(&mut r, 2, new_view_2(seqs));
+            let charges = out.iter().filter_map(|o| match o {
+                Output::Charge(c) => Some(*c),
+                _ => None,
+            });
+            let charged = charges.fold(SimTime::ZERO, |sum, c| sum + c);
+            let sent = out.iter().filter(|o| matches!(o, Output::Send { .. })).count();
+            (charged, sent)
+        };
+        let vote = cost.mac_vector(3, spider_types::wire::DIGEST_BYTES);
+        // Three instances prepared in view 1 and carried over: a Prepare
+        // to each of the three others, one MAC vector each.
+        let ((none, sent_none), (three, sent_three)) = (votes(1..1), votes(1..4));
+        assert_eq!(sent_three - sent_none, 3 * 3);
+        assert_eq!(three, none + vote * 3);
     }
 
     /// A new view restarts the watch on what is still undelivered: its

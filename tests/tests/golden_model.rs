@@ -295,5 +295,5 @@ fn view_change_storm_trace() {
         let replica = sim.actor::<spider::agreement::AgreementReplica>(*node);
         rendered.push_str(&format!("{node:?} {:?} {:?}\n", replica.view(), replica.sequence()));
     }
-    pin("view-change storm trace", rendered, 0x1451_13f5_c2e9_e4fd);
+    pin("view-change storm trace", rendered, 0xee8c_b58c_0098_0bb2);
 }
