@@ -15,25 +15,21 @@
 //! is decided here, once, for both replica kinds, from one fact: the
 //! replica's own vote at that sequence number. [`CpAction::Stable`] hands
 //! the answer over as an [`Apply`]:
-//! - [`Apply::Keep`]: the replica voted for the certified state; there is
-//!   nothing to apply.
-//! - [`Apply::Install`]: the replica did not vote there, or its vote lost,
-//!   and the component holds the certified state, which came from a fetch
-//!   response.
-//! - [`Apply::Fetch`]: the replica did not vote there, or its vote lost,
-//!   and the component holds no state.
+//! - [`Apply::Keep`]: the replica voted there, and its group certified no
+//!   other state; there is nothing to apply.
+//! - [`Apply::Install`]: it did not vote there, or its vote lost, and the
+//!   component holds the certified state, which a fetch response brought.
+//! - [`Apply::Fetch`]: the same, without the state.
 //!
-//! A replica without a vote is behind the checkpoint. A replica whose vote
-//! lost — it voted for another state than the `f + 1` certified — has
-//! diverged: the component counts it ([`CheckpointComponent::lost_votes`])
-//! and the replica repairs itself by the same fetch a laggard makes
-//! (§3.4 lets a correct replica adopt any certified checkpoint). An
-//! execution replica fetches the checkpoint itself, installs it and
-//! replays what followed from its commit channel; an agreement replica
-//! fetches past its `sn` and numbers nothing until a checkpoint there is
-//! installed, so it never goes back. A fetched state behind the target
-//! of the outstanding fetch is installed only if the replica did not
-//! vote at it.
+//! A replica without a vote is behind the checkpoint; one whose vote lost
+//! has diverged. The component counts lost votes
+//! ([`CheckpointComponent::lost_votes`]), and the replica repairs itself
+//! with the fetch a laggard makes (§3.4 lets a correct replica adopt any
+//! certified checkpoint): an execution replica fetches the checkpoint and
+//! replays what followed it from its commit channel; an agreement replica
+//! fetches past its `sn` and numbers nothing until that installs, so it
+//! never goes back. The state at a lost vote is installed only if the
+//! outstanding fetch asked for no more.
 //!
 //! The component, not the replica, owns the fetch, its retry and the
 //! gossip heartbeat, for both replica kinds. A fetch stays out until the
@@ -368,10 +364,8 @@ impl CheckpointComponent {
         self.votes.entry(seq.0).or_default().insert(self.me, (hash, sig));
         out.emit(CpAction::ToGroup(msg));
         // A vote cast after its checkpoint became stable is checked here;
-        // `check_stable` checks the others.
-        if self.stable.as_ref().is_some_and(|&(s, h, _)| s == seq && h != hash) {
-            self.lost_votes += 1;
-        }
+        // `certify` checks the others.
+        self.lost_votes += u64::from(self.lost(seq));
         self.check_stable(seq, out);
     }
 
@@ -435,13 +429,18 @@ impl CheckpointComponent {
         self.votes.get(&seq.0)?.get(&self.me).map(|(hash, _)| *hash)
     }
 
-    /// Makes `hash` the state stable at `seq`; an own vote there for
-    /// another state lost.
+    /// Whether this replica voted at `seq` for another state than the one
+    /// stable there.
+    fn lost(&self, seq: SeqNr) -> bool {
+        let stable = self.stable.as_ref().filter(|(s, _, _)| *s == seq).map(|(_, h, _)| *h);
+        self.own_vote(seq).zip(stable).is_some_and(|(own, hash)| own != hash)
+    }
+
+    /// Makes `hash` the state stable at `seq`, counting an own vote there
+    /// that lost.
     fn certify(&mut self, seq: SeqNr, hash: Digest, cert: Vec<Signature>) {
-        if self.own_vote(seq).is_some_and(|own| own != hash) {
-            self.lost_votes += 1;
-        }
         self.stable = Some((seq, hash, cert));
+        self.lost_votes += u64::from(self.lost(seq));
     }
 
     /// Handles an `Announce` from member `from` of the own group.
@@ -499,14 +498,12 @@ impl CheckpointComponent {
     /// fetch brought if there is one: the one rule of the
     /// [module docs](self).
     fn hand_over(&mut self, seq: SeqNr, fetched: Option<Snapshot>, out: &mut dyn Sink<CpAction>) {
-        let own = self.own_vote(seq);
-        let certified = self.stable.as_ref().filter(|(s, _, _)| *s == seq).map(|(_, h, _)| *h);
-        let kept = own.is_some_and(|own| certified.is_none_or(|hash| hash == own));
+        let lost = self.lost(seq);
         let apply = match fetched {
-            _ if kept => Apply::Keep,
-            // A lost vote: only a fetch that asked for no more than `seq`
-            // takes the replica back to it.
-            Some(_) if own.is_some() && seq.0 < self.asked => return,
+            _ if self.own_vote(seq).is_some() && !lost => Apply::Keep,
+            // Only a fetch that asked for no more than `seq` takes the
+            // replica back to it.
+            Some(_) if lost && seq.0 < self.asked => return,
             Some(state) => Apply::Install(state),
             None => Apply::Fetch,
         };
