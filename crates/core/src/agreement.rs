@@ -544,8 +544,8 @@ impl AgreementReplica {
 
         match apply {
             Apply::Keep => {}
-            // A stable checkpoint exists ahead of us but we lack the
-            // snapshot: fetch one past `sn` (Fig 17 L47 path).
+            // Behind the checkpoint, or our vote there lost: fetch one past
+            // `sn` (Fig 17 L47 path), so that nothing numbered goes back.
             Apply::Fetch => {
                 let need = SeqNr(self.sn + 1);
                 self.checkpoint(ctx, |cp, _, out| cp.fetch(need, out));

@@ -962,7 +962,7 @@ mod tests {
     }
 
     #[test]
-    fn one_fetch_is_out_until_a_state_at_or_past_it_is_installed() {
+    fn one_fetch_is_out_until_the_replica_reaches_it() {
         let mut c = comp(2);
         let fetch = |seq| {
             move |c: &mut CheckpointComponent, out: &mut Vec<CpAction>| c.fetch(SeqNr(seq), out)
