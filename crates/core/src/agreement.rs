@@ -24,7 +24,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use spider_consensus::{Input, Output, Pbft, PbftConfig};
 use spider_crypto::{Hashed, Keyring};
 use spider_irmc::{
-    Action, ReceiveResult, ReceiverEndpoint, Run, SenderEndpoint, Variant, MAX_RANGE, OP_RECAST,
+    Action, ReceiveResult, ReceiverEndpoint, Run, SenderEndpoint, MAX_RANGE, OP_RECAST,
     TICK_INTERVAL,
 };
 use spider_sim::{
@@ -36,7 +36,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound::{Excluded, Unbounded};
 
 /// Timer tag (PBFT's and the checkpoint component's are `host`'s).
-const TAG_SC_TICK: u64 = 1;
+const TAG_TICK: u64 = 1;
 
 /// Decoded agreement snapshot: `(sn, t, hist)` as written by
 /// `encode_snapshot`.
@@ -586,7 +586,8 @@ impl AgreementReplica {
 
     /// Runs `call` on `group`'s commit-channel sender, carrying out what it
     /// emits as it emits it; once it returns, a moved window lets the
-    /// backlog advance.
+    /// backlog advance, and the tick is kept pending while any sender
+    /// wants one.
     fn commit_channel(
         &mut self,
         ctx: &mut Context<'_, SpiderMsg>,
@@ -624,12 +625,8 @@ impl AgreementReplica {
         if window_moved {
             self.process_backlog(ctx);
         }
-        // RC commit channels have no standing heartbeat: arm the recast
-        // tick lazily while any channel holds undelivered content, so a
-        // partition that swallowed the one-shot casts cannot wedge the
-        // system, yet idle runs still quiesce.
-        if !self.standing_tick() && self.has_unacked() {
-            ctx.arm_if_idle(TAG_SC_TICK, TICK_INTERVAL);
+        if self.channels.values().any(|ch| ch.commit_send.wants_tick()) {
+            ctx.arm_if_idle(TAG_TICK, TICK_INTERVAL);
         }
     }
 
@@ -646,19 +643,6 @@ impl AgreementReplica {
             self.commit_channel(ctx, group, &mut call);
             next = self.channels.range((Excluded(group), Unbounded)).next().map(|(g, _)| *g);
         }
-    }
-
-    /// IRMC-SC commit channels keep a standing heartbeat, armed at start
-    /// and re-armed by its own handler — asked of the configuration, not
-    /// of the endpoints, because a replica may start without any group.
-    fn standing_tick(&self) -> bool {
-        self.cfg.commit_mode.variant() == Variant::SenderCollect
-    }
-
-    /// Whether any commit channel holds content its receivers have not
-    /// acknowledged (what an IRMC-RC sender ticks for).
-    fn has_unacked(&self) -> bool {
-        self.channels.values().any(|ch| ch.commit_send.has_unacked())
     }
 
     /// Runs `call` on the checkpoint component; a checkpoint it makes
@@ -803,8 +787,8 @@ fn decode_order_item(buf: &mut &[u8]) -> Option<OrderItem> {
 
 impl Actor<SpiderMsg> for AgreementReplica {
     fn on_start(&mut self, ctx: &mut Context<'_, SpiderMsg>) {
-        if self.standing_tick() {
-            ctx.arm(TAG_SC_TICK, TICK_INTERVAL);
+        if self.channels.values().any(|ch| ch.commit_send.wants_tick()) {
+            ctx.arm_if_idle(TAG_TICK, TICK_INTERVAL);
         }
         self.checkpoint(ctx, |cp, _, out| cp.start(out));
     }
@@ -862,12 +846,7 @@ impl Actor<SpiderMsg> for AgreementReplica {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, SpiderMsg>, timer: Timer) {
         match timer.tag {
-            TAG_SC_TICK => {
-                self.each_commit_channel(ctx, |ep, out| ep.tick(out));
-                if self.standing_tick() || self.has_unacked() {
-                    ctx.arm(TAG_SC_TICK, TICK_INTERVAL);
-                }
-            }
+            TAG_TICK => self.each_commit_channel(ctx, |ep, out| ep.tick(out)),
             tag => {
                 if let Some(timer) = host::checkpoint_timer(tag) {
                     self.checkpoint(ctx, |cp, _, out| cp.on_timer(timer, out));

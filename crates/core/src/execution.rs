@@ -19,15 +19,13 @@ use crate::host;
 use crate::messages::{ClientRequest, Execute, ExecutePayload, OrderedRequest, Reply, SpiderMsg};
 use bytes::{BufMut, Bytes, BytesMut};
 use spider_crypto::{Hashed, Keyring};
-use spider_irmc::{
-    Action, ReceiveResult, ReceiverEndpoint, Run, SenderEndpoint, Variant, TICK_INTERVAL,
-};
+use spider_irmc::{Action, ReceiveResult, ReceiverEndpoint, Run, SenderEndpoint, TICK_INTERVAL};
 use spider_sim::{req_id, Actor, Context, Timer, PHASE_DELIVER, PHASE_EXEC};
 use spider_types::{ClientId, GroupId, NodeId, OpKind, Position, SeqNr, Sink, WireSize};
 use std::collections::BTreeMap;
 
 /// Timer tags (the checkpoint component's are `host`'s).
-const TAG_SC_TICK: u64 = 1;
+const TAG_TICK: u64 = 1;
 const TAG_COMMIT_COLLECTOR: u64 = 2;
 
 /// Cached reply state per client (Fig 16 `u[c]`).
@@ -384,7 +382,8 @@ impl<A: Application> ExecutionReplica<A> {
     // ------------------------------------------------------------------
 
     /// Runs `call` on the request-channel sender, carrying out what it
-    /// emits as it emits it.
+    /// emits as it emits it; once it returns, the tick is kept pending
+    /// while the endpoint wants one.
     fn request_channel(
         &mut self,
         ctx: &mut Context<'_, SpiderMsg>,
@@ -406,13 +405,8 @@ impl<A: Application> ExecutionReplica<A> {
         if ctx.obs_enabled() {
             ctx.health_pending("req-channel", self.group.0 as u32, self.req_sender.unacked_slots());
         }
-        // RC request channels have no standing heartbeat: keep the tick
-        // armed only while submitted requests await receiver-window
-        // acknowledgement, so a partition that swallowed the one-shot
-        // casts cannot wedge the channel, yet idle runs still quiesce.
-        // (A standing IRMC-SC heartbeat is re-armed by its own handler.)
-        if self.cfg.request_variant != Variant::SenderCollect && self.req_sender.has_unacked() {
-            ctx.arm_if_idle(TAG_SC_TICK, TICK_INTERVAL);
+        if self.req_sender.wants_tick() {
+            ctx.arm_if_idle(TAG_TICK, TICK_INTERVAL);
         }
     }
 
@@ -458,7 +452,7 @@ impl<A: Application> ExecutionReplica<A> {
 impl<A: Application> Actor<SpiderMsg> for ExecutionReplica<A> {
     fn on_start(&mut self, ctx: &mut Context<'_, SpiderMsg>) {
         if self.req_sender.wants_tick() {
-            ctx.arm(TAG_SC_TICK, TICK_INTERVAL);
+            ctx.arm_if_idle(TAG_TICK, TICK_INTERVAL);
         }
         self.checkpoint(ctx, |cp, _, out| cp.start(out));
     }
@@ -496,12 +490,7 @@ impl<A: Application> Actor<SpiderMsg> for ExecutionReplica<A> {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, SpiderMsg>, timer: Timer) {
         match timer.tag {
-            TAG_SC_TICK => {
-                self.request_channel(ctx, |ep, out| ep.tick(out));
-                if self.req_sender.wants_tick() {
-                    ctx.arm(TAG_SC_TICK, TICK_INTERVAL);
-                }
-            }
+            TAG_TICK => self.request_channel(ctx, |ep, out| ep.tick(out)),
             TAG_COMMIT_COLLECTOR => {
                 // A `CarrierTimeout` is informational: the refetch traffic
                 // that works around the slow or faulty carrier is already

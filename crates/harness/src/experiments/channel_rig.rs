@@ -327,7 +327,7 @@ impl ReceiverHost {
             if let Some(Action::SetTimer { token, delay }) =
                 channel_io(ctx, "receiver", &self.senders, &[], |leg| leg, a)
             {
-                ctx.set_timer(delay, TAG_COLLECTOR + token);
+                ctx.arm(TAG_COLLECTOR + token, delay);
             }
         });
     }

@@ -164,7 +164,8 @@ impl<T: Digestible + Clone + PartialEq + std::fmt::Debug + WireSize + 'static> C
 pub type Subchannel = u64;
 
 /// Cadence at which hosts call [`SenderEndpoint::tick`] while
-/// [`SenderEndpoint::wants_tick`]: the IRMC-SC progress heartbeat and the
+/// [`SenderEndpoint::wants_tick`] (asked after every call on the sender,
+/// never worked out by the host): the IRMC-SC progress heartbeat and the
 /// unit [`RC_RECAST_TICKS`] counts in.
 pub const TICK_INTERVAL: SimTime = SimTime::from_millis(20);
 

@@ -850,8 +850,9 @@ impl<M: Content> SenderEndpoint<M> {
 
     /// Whether any subchannel still holds content the receiver quorum has
     /// not acknowledged by moving the window past it (or sends queued
-    /// behind the window). Actors keep the RC recast tick armed only
-    /// while this is true, so idle simulations still quiesce.
+    /// behind the window): what an IRMC-RC sender
+    /// [`wants_tick`](SenderEndpoint::wants_tick) for, so idle
+    /// simulations still quiesce.
     pub fn has_unacked(&self) -> bool {
         self.subs.values().any(|sub| sub.unacked())
     }
@@ -859,7 +860,10 @@ impl<M: Content> SenderEndpoint<M> {
     /// Whether the host should keep this endpoint's [`SenderEndpoint::tick`]
     /// timer pending (one tick every [`TICK_INTERVAL`](crate::TICK_INTERVAL)):
     /// IRMC-SC keeps a standing heartbeat for its progress announcements,
-    /// IRMC-RC ticks only while something is unacknowledged.
+    /// IRMC-RC ticks only while something is unacknowledged. Hosts ask at
+    /// start and after every call on the endpoint, the tick included, and
+    /// arm the tick if it is idle while this is true; none works the rule
+    /// out itself.
     pub fn wants_tick(&self) -> bool {
         self.cfg.variant() == Variant::SenderCollect || self.has_unacked()
     }
