@@ -246,7 +246,7 @@ fn runtime_add_group_run() {
         let seq = sim.actor::<spider::agreement::AgreementReplica>(*node).sequence();
         rendered.push_str(&format!("agreement {node:?} {seq:?}\n"));
     }
-    pin("runtime AddGroup", rendered, 0xa480_42db_879e_da7c);
+    pin("runtime AddGroup", rendered, 0xe88d_bde6_cb91_7021);
 }
 
 /// The recorder's whole report of a traced Spider run — spans, edges,
@@ -295,5 +295,5 @@ fn view_change_storm_trace() {
         let replica = sim.actor::<spider::agreement::AgreementReplica>(*node);
         rendered.push_str(&format!("{node:?} {:?} {:?}\n", replica.view(), replica.sequence()));
     }
-    pin("view-change storm trace", rendered, 0xee8c_b58c_0098_0bb2);
+    pin("view-change storm trace", rendered, 0x8272_9c59_76d7_74b1);
 }
