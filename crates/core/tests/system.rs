@@ -318,3 +318,30 @@ fn byzantine_agreement_replica_cannot_corrupt_the_commit_channel() {
         }
     }
 }
+
+/// Agreement in Virginia, one execution group in Tokyo, one client whose
+/// 5 writes complete long before 10 s. Nothing moves a window past the
+/// last request or the last `Execute`, so the seven IRMC-RC senders keep
+/// ticking after the writes, and one quiet simulated second is 511
+/// events: 350 tick timers (7 senders, one every 20 ms), 144 recast casts
+/// (every 500 ms, each agreement replica re-sends 5 runs to 3 execution
+/// replicas and each execution replica 1 run to 4 agreement replicas), 10
+/// of those casts waiting for a busy replica, and 7 checkpoint gossip
+/// timers. A tick that arms a second timer adds 350; senders that stop
+/// re-casting content their receivers already delivered take the casts
+/// away.
+#[test]
+fn a_quiet_second_arms_one_timer_per_tick() {
+    let mut sim = Simulation::new(topology(), 5);
+    let mut dep = DeploymentBuilder::new(SpiderConfig::default())
+        .agreement_region("virginia")
+        .execution_group("tokyo")
+        .build(&mut sim);
+    dep.spawn_clients(&mut sim, 0, 1, WorkloadSpec::writes_per_sec(20.0, 200).with_max_ops(5));
+    sim.run_until(SimTime::from_secs(10));
+    let done: usize = dep.collect_samples(&sim).iter().map(|(_, _, s)| s.len()).sum();
+    assert_eq!(done, 5);
+    let before = sim.stats().total_events;
+    sim.run_until(SimTime::from_secs(11));
+    assert_eq!(sim.stats().total_events - before, 511);
+}
