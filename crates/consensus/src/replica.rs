@@ -909,11 +909,12 @@ impl<P: Payload> Pbft<P> {
 
         // Re-watch everything undelivered under the new regime, from now:
         // a clock kept from an earlier view would suspect this view's
-        // leader at its first progress check.
+        // leader at its first progress check. Every pooled request is
+        // watched already: the pool and the watch list gain and lose it
+        // together.
         for first_seen in self.watching.values_mut() {
             *first_seen = now;
         }
-        self.watching.extend(self.pool.keys().map(|d| (*d, now)));
         self.arm_progress_timer(out);
 
         // Process messages that arrived for this view while it was being
