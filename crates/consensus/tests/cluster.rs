@@ -24,6 +24,9 @@ struct Cluster {
     pool: Vec<(usize, usize, Msg<TestPayload>, SimTime)>,
     timers: Vec<BTreeMap<u64, SimTime>>,
     delivered: Vec<Delivered>,
+    /// Directed cuts `(from, to, open, close)`: a message `from` sends to
+    /// `to` while `open <= now < close` is lost.
+    cuts: Vec<(usize, usize, SimTime, SimTime)>,
     now: SimTime,
     rng: SmallRng,
 }
@@ -36,6 +39,7 @@ impl Cluster {
             pool: Vec::new(),
             timers: vec![BTreeMap::new(); n],
             delivered: vec![Vec::new(); n],
+            cuts: Vec::new(),
             now: SimTime::ZERO,
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -43,6 +47,15 @@ impl Cluster {
 
     fn crash(&mut self, i: usize) {
         self.replicas[i] = None;
+    }
+
+    /// Cuts replica `i` off from every other replica, both ways, over
+    /// `[open, close)`.
+    fn isolate(&mut self, i: usize, open: SimTime, close: SimTime) {
+        for j in (0..self.replicas.len()).filter(|&j| j != i) {
+            self.cuts.push((i, j, open, close));
+            self.cuts.push((j, i, open, close));
+        }
     }
 
     fn order_on(&mut self, i: usize, p: TestPayload) {
@@ -62,6 +75,10 @@ impl Cluster {
     fn absorb(&mut self, from: usize, out: Vec<Output<TestPayload>>) {
         for o in out {
             match o {
+                Output::Send { to, .. }
+                    if self.cuts.iter().any(|&(f, t, open, close)| {
+                        (f, t) == (from, to) && (open..close).contains(&self.now)
+                    }) => {}
                 Output::Send { to, msg } => {
                     // Random extra delay up to 5ms models reordering.
                     let delay = SimTime::from_micros(self.rng.gen_range(0..5_000));
@@ -87,6 +104,23 @@ impl Cluster {
             }
         }
         panic!("cluster did not quiesce within {max_steps} steps");
+    }
+
+    /// Steps every event due at or before `t`, then moves the clock to
+    /// `t`; nothing later runs.
+    fn run_to(&mut self, t: SimTime) {
+        while self.next_at().is_some_and(|at| at <= t) {
+            self.step();
+        }
+        self.now = self.now.max(t);
+    }
+
+    /// When the next message or timer of a live replica is due.
+    fn next_at(&self) -> Option<SimTime> {
+        let live = |i: usize| self.replicas[i].is_some();
+        let msgs = self.pool.iter().filter(|m| live(m.1)).map(|m| m.3);
+        let timers = self.timers.iter().enumerate().filter(|(i, _)| live(*i));
+        msgs.chain(timers.flat_map(|(_, t)| t.values().copied())).min()
     }
 
     fn step(&mut self) -> bool {
@@ -402,4 +436,34 @@ fn cascading_leader_crashes_reach_the_third_leader() {
     }
     let total: usize = c.delivered[2].iter().map(|(_, b)| b.len()).sum();
     assert_eq!(total, 5, "requests survive cascading view changes");
+}
+
+/// A known fault, pinned: a leader cut off while its group changes view
+/// never learns the new view. The group's `NewView` goes out during the
+/// cut and nothing sends it again, so the cut-off replica waits in a view
+/// change of its own, raising its target with backoff, and stashes every
+/// message of the view the others installed. A `NewView` re-send or a
+/// status exchange would end this; until then the group has no fault left
+/// to tolerate.
+#[test]
+fn a_leader_cut_off_during_a_view_change_never_learns_the_new_view() {
+    let mut c = Cluster::new(fast_cfg(1), 1);
+    for k in 0..5 {
+        c.order_everywhere(TestPayload(k));
+    }
+    c.run_to(SimTime::from_millis(5));
+    c.isolate(0, SimTime::from_millis(5), SimTime::from_millis(205));
+    c.order_everywhere(TestPayload(5));
+    c.run_to(SimTime::from_millis(305));
+    for k in 6..10 {
+        c.order_everywhere(TestPayload(k));
+    }
+    while c.now < SimTime::from_secs(60) && c.step() {}
+    c.assert_prefix_consistent();
+    let replicas = || c.replicas.iter().flatten();
+    let views: Vec<u64> = replicas().map(|r| r.view().0).collect();
+    let delivered: Vec<usize> =
+        c.delivered.iter().map(|d| d.iter().map(|(_, b)| b.len()).sum()).collect();
+    assert_eq!((views, delivered), (vec![0, 1, 1, 1], vec![0, 10, 10, 10]));
+    assert!(c.replicas[0].as_ref().is_some_and(|r| r.in_view_change()));
 }
