@@ -46,7 +46,7 @@ use spider_harness::experiments::{batching, commit_channel, disaster, fig10, fig
 use spider_harness::scenarios::{run_scenario_obs, SystemKind};
 use spider_irmc::ChannelMode;
 use spider_obs::export as obs_export;
-use spider_obs::{causal, HealthEvent, ObsReport};
+use spider_obs::{causal, HealthEvent};
 use std::fmt::Write as _;
 
 /// Range sizes of the commit-channel amortization curve.
@@ -154,23 +154,6 @@ fn json_array<T>(
     format!("  \"{key}\": [\n{}\n  ]", lines.join(",\n"))
 }
 
-/// Prints the non-silent-truncation warning for a traced run. Dropped
-/// events skew aggregate profiles toward the retained window; the
-/// exemplar reservoir (slowest-K + uniform sample) keeps full detail
-/// for its requests regardless, so tail forensics stay possible.
-fn warn_drops(label: &str, rep: &ObsReport) {
-    if rep.spans_dropped > 0 || rep.edges_dropped > 0 {
-        println!(
-            "WARNING: {label} trace truncated ({} span events, {} edge events dropped); \
-             aggregate profiles cover retained events only — use the {} exemplar \
-             requests (slowest-K + uniform sample) for full-detail tail forensics",
-            rep.spans_dropped,
-            rep.edges_dropped,
-            rep.exemplars.len()
-        );
-    }
-}
-
 fn main() {
     let mut out_path = "BENCH_model.json".to_owned();
     let mut args = std::env::args().skip(1);
@@ -268,7 +251,6 @@ fn main() {
     );
     println!("{}", obs_export::cpu_table(&commit_trace));
     let top_sender = obs_export::top_op(&commit_trace, "sender");
-    warn_drops("dedup-RC flood", &commit_trace);
 
     println!("bench_summary: differential critical-path profile (p99.9 vs p50 cohort)…");
     let commit_paths = causal::assemble(&commit_trace);
@@ -311,8 +293,6 @@ fn main() {
     disaster_rows.push(disaster::run_view_change_storm(&dis_cfg));
     disaster_rows.extend(disaster::run_placement_sweep(&dis_cfg, &[0, 3]));
     println!("{}", disaster::render(&disaster_rows));
-    warn_drops("wan-partition", &partition_trace);
-    warn_drops("spider fig7", &spider_trace);
 
     // Watchdog event stream vs the known fault schedule: the partition
     // cut must surface as an IRMC window stall shortly after `fault_at`,
@@ -357,9 +337,6 @@ fn main() {
         ("fig7_spider_p50_ms", json_f64(spider_p50)),
         ("tail_dominant_segment", json_str(&tail_dominant)),
         ("tail_dominant_share", json_f64(tail_share)),
-        ("flood_spans_dropped", commit_trace.spans_dropped.to_string()),
-        ("flood_edges_dropped", commit_trace.edges_dropped.to_string()),
-        ("partition_spans_dropped", partition_trace.spans_dropped.to_string()),
         ("partition_first_stall_ms", json_f64(first_stall_ms.unwrap_or(f64::NAN))),
         ("partition_recover_after_heal", recover_after_heal.to_string()),
         ("fig7_stall_events", fig7_stalls.to_string()),

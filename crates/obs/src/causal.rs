@@ -1,6 +1,6 @@
 //! Causal trace assembly and critical-path tail forensics.
 //!
-//! The span rings record per-node milestones and the edge rings record
+//! The span logs record per-node milestones and the edge logs record
 //! cross-node message departures; neither alone says *why* a p99.9
 //! request was slow. This module joins them:
 //!
@@ -26,10 +26,9 @@
 //!    folded stacks by [`crate::export::critical_path_folded`].
 //!
 //! Everything here is a pure function of the [`ObsReport`], so the
-//! forensics of a run are as reproducible as the run itself. When the
-//! span rings truncated (`spans_dropped > 0`), the exemplar reservoir's
-//! retained requests are merged in, so the slowest requests keep full
-//! detail even in runs that overflow the rings.
+//! forensics of a run are as reproducible as the run itself, and since
+//! the recorder keeps every event, every completed request has its full
+//! chain.
 
 use crate::{ObsReport, SpanKind, PHASE_REQUEST};
 use spider_types::SimTime;
@@ -124,25 +123,10 @@ impl RequestPath {
     }
 }
 
-/// Collects each request's chain steps from spans, edges, and (when the
-/// rings truncated) the exemplar reservoir.
+/// Collects each request's chain steps from its spans and edges.
 fn steps_per_request(report: &ObsReport) -> BTreeMap<u64, Vec<Step>> {
-    // Dedup across ring + exemplar copies of the same event.
-    let mut span_seen: BTreeSet<(u64, u64, u32, &'static str, char)> = BTreeSet::new();
-    let mut edge_seen: BTreeSet<(u64, u64, u32, u32, &'static str)> = BTreeSet::new();
     let mut out: BTreeMap<u64, Vec<Step>> = BTreeMap::new();
-    let spans = report
-        .spans
-        .iter()
-        .copied()
-        .chain(report.exemplars.iter().flat_map(|x| x.spans.iter().copied()));
-    for e in spans {
-        if e.req == 0 {
-            continue;
-        }
-        if !span_seen.insert((e.req, e.at.as_nanos(), e.node.0, e.phase, e.kind.tag())) {
-            continue;
-        }
+    for e in report.spans.iter().filter(|e| e.req != 0) {
         out.entry(e.req).or_default().push(Step::Span {
             at: e.at,
             node: e.node.0,
@@ -150,18 +134,7 @@ fn steps_per_request(report: &ObsReport) -> BTreeMap<u64, Vec<Step>> {
             kind: e.kind,
         });
     }
-    let edges = report
-        .edges
-        .iter()
-        .copied()
-        .chain(report.exemplars.iter().flat_map(|x| x.edges.iter().copied()));
-    for e in edges {
-        if e.req == 0 {
-            continue;
-        }
-        if !edge_seen.insert((e.req, e.at.as_nanos(), e.src.0, e.dst.0, e.kind)) {
-            continue;
-        }
+    for e in report.edges.iter().filter(|e| e.req != 0) {
         out.entry(e.req).or_default().push(Step::Edge {
             at: e.at,
             src: e.src.0,

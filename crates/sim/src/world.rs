@@ -36,10 +36,6 @@ pub struct Simulation<M> {
     queue: EventQueue<M>,
     now: SimTime,
     rng: SmallRng,
-    /// The seed `rng` was built from; forwarded to the observability
-    /// recorder so exemplar sampling is deterministic per run without
-    /// drawing from (and thereby perturbing) the sim RNG.
-    seed: u64,
     stats: SimStats,
     net_control: NetworkControl,
     next_arm_id: u64,
@@ -62,7 +58,6 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             rng: SmallRng::seed_from_u64(seed),
-            seed,
             stats: SimStats::default(),
             net_control: NetworkControl::default(),
             next_arm_id: 0,
@@ -73,12 +68,12 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
         }
     }
 
-    /// Turns on observability recording (trace spans, causal edges, CPU
-    /// attribution, exemplars, the health watchdog) for the rest of the
-    /// run. Nodes added before and after this call are both covered.
+    /// Turns on observability recording (trace spans and causal edges,
+    /// every one kept, CPU attribution, the health watchdog) for the rest
+    /// of the run. Nodes added before and after this call are both
+    /// covered.
     pub fn enable_obs(&mut self) {
         self.obs = Recorder::enabled(ObsConfig::default());
-        self.obs.set_seed(self.seed);
         for i in 0..self.nodes.len() {
             self.obs.ensure_node(NodeId(i as u32));
         }
