@@ -259,7 +259,7 @@ fn traced_spider_obs_report() {
     assert!(rendered.contains("span ") && rendered.contains("edge ") && rendered.contains("cpu "));
     let got = digest(&rendered);
     // The render runs to megabytes: report the digest, not the text.
-    assert_eq!(got, 0x7635_d794_346a_e156, "traced Spider ObsReport moved: digest {got:#018x}");
+    assert_eq!(got, 0xe802_a528_224c_2673, "traced Spider ObsReport moved: digest {got:#018x}");
 }
 
 /// The storm again, at the level of every sample, the simulator's
