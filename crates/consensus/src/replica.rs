@@ -206,8 +206,9 @@ pub struct Pbft<P> {
     vc_attempts: u32,
     /// View-change votes per target view, per sender.
     vc_msgs: BTreeMap<u64, BTreeMap<usize, ViewChangeMsg<P>>>,
-    /// Highest view for which this replica already announced a NewView.
-    announced_new_view: Option<ViewNr>,
+    /// The last NewView this replica announced, sent again to a replica
+    /// that shows it missed it.
+    announced_new_view: Option<NewViewMsg<P>>,
     progress_timer_armed: bool,
     /// Normal-case messages buffered during a view change / for future
     /// views, drained after installation.
@@ -710,17 +711,31 @@ impl<P: Payload> Pbft<P> {
         *charge += self.cfg.cost.rsa_verify();
         let target = vc.new_view;
         let votes = self.vc_msgs.entry(target.0).or_default();
-        votes.insert(from, vc);
+        let fresh = votes.insert(from, vc).is_none();
+        let weight: u32 = votes.keys().map(|i| self.cfg.weight(*i)).sum();
+        if fresh {
+            self.resend_new_view(from, out, charge);
+        }
 
         // Join rule: if more voting weight than the adversary can control
         // asks for a higher view, a correct replica must be among them.
-        if !self.in_view_change || target > self.vc_target {
-            let weight: u32 = votes.keys().map(|i| self.cfg.weight(*i)).sum();
-            if weight > self.max_faulty_weight() {
-                self.start_view_change(now, target, out, charge);
-            }
+        if (!self.in_view_change || target > self.vc_target) && weight > self.max_faulty_weight() {
+            self.start_view_change(now, target, out, charge);
         }
         self.maybe_announce_new_view(now, target, out, charge);
+    }
+
+    /// A replica asking for a view past this one while this view's leader
+    /// runs normally missed the NewView that installed it (it was cut off
+    /// when the NewView went out): the leader sends it again.
+    fn resend_new_view(&self, to: usize, out: &mut dyn Sink<Output<P>>, charge: &mut SimTime) {
+        if !self.is_leader() {
+            return;
+        }
+        if let Some(nv) = self.announced_new_view.as_ref().filter(|nv| nv.view == self.view) {
+            *charge += self.cfg.cost.hmac(spider_types::wire::DIGEST_BYTES);
+            out.emit(Output::Send { to, msg: Msg::NewView(nv.clone()) });
+        }
     }
 
     fn maybe_announce_new_view(
@@ -733,7 +748,7 @@ impl<P: Payload> Pbft<P> {
         if self.cfg.leader_of(target.0) != self.me {
             return;
         }
-        if self.announced_new_view.is_some_and(|v| v >= target) {
+        if self.announced_new_view.as_ref().is_some_and(|nv| nv.view >= target) {
             return;
         }
         let Some(votes) = self.vc_msgs.get(&target.0) else {
@@ -743,11 +758,11 @@ impl<P: Payload> Pbft<P> {
         if weight < self.cfg.quorum_weight {
             return;
         }
-        let vcs: Vec<ViewChangeMsg<P>> = votes.values().cloned().collect();
-        self.announced_new_view = Some(target);
+        let nv = NewViewMsg { view: target, vcs: votes.values().cloned().collect() };
+        self.announced_new_view = Some(nv.clone());
         *charge += self.cfg.cost.rsa_sign();
-        self.broadcast(out, Msg::NewView(NewViewMsg { view: target, vcs: vcs.clone() }));
-        self.install_new_view(now, target, &vcs, out, charge);
+        self.broadcast(out, Msg::NewView(nv.clone()));
+        self.install_new_view(now, target, &nv.vcs, out, charge);
     }
 
     fn on_new_view(

@@ -438,15 +438,16 @@ fn cascading_leader_crashes_reach_the_third_leader() {
     assert_eq!(total, 5, "requests survive cascading view changes");
 }
 
-/// A known fault, pinned: a leader cut off while its group changes view
-/// never learns the new view. The group's `NewView` goes out during the
-/// cut and nothing sends it again, so the cut-off replica waits in a view
-/// change of its own, raising its target with backoff, and stashes every
-/// message of the view the others installed. A `NewView` re-send or a
-/// status exchange would end this; until then the group has no fault left
-/// to tolerate.
+/// A leader cut off while its group changes view misses the group's
+/// `NewView`, and waits in a view change of its own, raising its target
+/// with backoff. Once the cut heals, the new leader sees its `ViewChange`
+/// for a later view and sends it the `NewView` again, so it joins view 1
+/// within a round trip of its next `ViewChange`. It still delivers
+/// nothing: it missed the instances decided during the cut, and `Cluster`
+/// has no checkpoints, so nothing skips it past them; the requests it
+/// watches stall, and it suspects view 1's leader in turn.
 #[test]
-fn a_leader_cut_off_during_a_view_change_never_learns_the_new_view() {
+fn a_leader_cut_off_during_a_view_change_learns_the_new_view_again() {
     let mut c = Cluster::new(fast_cfg(1), 1);
     for k in 0..5 {
         c.order_everywhere(TestPayload(k));
@@ -458,12 +459,16 @@ fn a_leader_cut_off_during_a_view_change_never_learns_the_new_view() {
     for k in 6..10 {
         c.order_everywhere(TestPayload(k));
     }
+    c.run_to(SimTime::from_millis(400));
+    let r0 = c.replicas[0].as_ref().expect("replica 0 runs");
+    assert_eq!((r0.view().0, r0.in_view_change()), (1, false), "the NewView reached replica 0");
     while c.now < SimTime::from_secs(60) && c.step() {}
     c.assert_prefix_consistent();
     let replicas = || c.replicas.iter().flatten();
     let views: Vec<u64> = replicas().map(|r| r.view().0).collect();
     let delivered: Vec<usize> =
         c.delivered.iter().map(|d| d.iter().map(|(_, b)| b.len()).sum()).collect();
-    assert_eq!((views, delivered), (vec![0, 1, 1, 1], vec![0, 10, 10, 10]));
-    assert!(c.replicas[0].as_ref().is_some_and(|r| r.in_view_change()));
+    assert_eq!((views, delivered), (vec![1, 1, 1, 1], vec![0, 10, 10, 10]));
+    let in_view_change: Vec<bool> = replicas().map(|r| r.in_view_change()).collect();
+    assert_eq!(in_view_change, vec![true, false, false, false]);
 }
