@@ -114,7 +114,7 @@ fn row(row: disaster::DisasterRow) -> String {
 fn disaster_fault_path_rows() {
     let cfg = disaster::Config::quick();
     let storm = disaster::run_view_change_storm(&cfg);
-    pin("view-change storm", row(storm), 0x5251_5a72_f138_13cf);
+    pin("view-change storm", row(storm), 0x8e2b_38bb_4969_4f4a);
     let outage = disaster::run_correlated_outage(&cfg);
     pin("correlated outage", row(outage), 0xff35_72ca_581b_48f6);
 }
@@ -295,5 +295,5 @@ fn view_change_storm_trace() {
         let replica = sim.actor::<spider::agreement::AgreementReplica>(*node);
         rendered.push_str(&format!("{node:?} {:?} {:?}\n", replica.view(), replica.sequence()));
     }
-    pin("view-change storm trace", rendered, 0x8272_9c59_76d7_74b1);
+    pin("view-change storm trace", rendered, 0x68b7_86d2_26bb_42a6);
 }

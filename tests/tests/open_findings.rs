@@ -41,7 +41,7 @@ fn view_change_storm_seed_1_recovers() {
     assert_eq!((row.lost_ops, row.duplicated_ops, row.diverged_replicas), (0, 0, 0), "{row:?}");
     assert_eq!(row.lost_votes, 0, "{row:?}");
     assert_eq!(row.final_view, 3, "{row:?}");
-    assert_eq!(row.recovery_ms, Some(4_000.0), "{row:?}");
+    assert_eq!(row.recovery_ms, Some(1_000.0), "{row:?}");
 }
 
 /// The livelock (the storm at seed 4 kept changing views up to view 274)
