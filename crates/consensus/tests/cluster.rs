@@ -472,3 +472,32 @@ fn a_leader_cut_off_during_a_view_change_learns_the_new_view_again() {
     let in_view_change: Vec<bool> = replicas().map(|r| r.in_view_change()).collect();
     assert_eq!(in_view_change, vec![true, false, false, false]);
 }
+
+/// A known fault, pinned: a backup cut off alone suspects the leader and
+/// then stays in a view change of its own at view 0 for good. There is no
+/// `NewView` to send it, since view 0 was never announced, and its
+/// `ViewChange` never finds the f + 1 senders it needs. A replica that
+/// asked for view 1 cannot simply go back to view 0; ending this needs a
+/// design.
+#[test]
+fn a_backup_cut_off_alone_stays_in_its_view_change() {
+    let mut c = Cluster::new(fast_cfg(1), 1);
+    for k in 0..5 {
+        c.order_everywhere(TestPayload(k));
+    }
+    c.run_to(SimTime::from_millis(5));
+    c.isolate(2, SimTime::from_millis(5), SimTime::from_millis(405));
+    c.order_everywhere(TestPayload(5));
+    c.run_to(SimTime::from_millis(505));
+    for k in 6..10 {
+        c.order_everywhere(TestPayload(k));
+    }
+    while c.now < SimTime::from_secs(60) && c.step() {}
+    c.assert_prefix_consistent();
+    let replicas = || c.replicas.iter().flatten();
+    let views: Vec<u64> = replicas().map(|r| r.view().0).collect();
+    let delivered: Vec<usize> =
+        c.delivered.iter().map(|d| d.iter().map(|(_, b)| b.len()).sum()).collect();
+    assert_eq!((views, delivered), (vec![0, 0, 0, 0], vec![10, 10, 0, 10]));
+    assert!(c.replicas[2].as_ref().is_some_and(|r| r.in_view_change()));
+}
