@@ -90,10 +90,10 @@ pub(super) struct Outcome {
 }
 
 /// Traced runs record full request spans for every `SAMPLE_STRIDE`-th slot
-/// position. Flooding certifies hundreds of thousands of slots per run;
-/// sampling keeps the recorder rings representative without letting trace
-/// bookkeeping dominate. The stride is prime so it never beats against the
-/// power-of-two range sizes the sweep uses.
+/// position. Flooding certifies hundreds of thousands of slots per run,
+/// and the recorder keeps every event: sampling bounds what its logs hold
+/// and keeps trace bookkeeping from dominating. The stride is prime so it
+/// never beats against the power-of-two range sizes the sweep uses.
 const SAMPLE_STRIDE: u64 = 97;
 
 /// Whether a slot position is one of the traced samples.

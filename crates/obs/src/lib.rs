@@ -298,9 +298,9 @@ mod tests {
             r.edge(SimTime::from_nanos(i), NodeId(0), NodeId(1), "request", i);
         }
         let rep = r.report();
-        let all: Vec<u64> = (0..n).collect();
-        assert_eq!(rep.spans.iter().map(|e| e.req).collect::<Vec<_>>(), all);
-        assert_eq!(rep.edges.iter().map(|e| e.req).collect::<Vec<_>>(), all);
+        assert_eq!((rep.spans.len(), rep.edges.len()), (40_000, 40_000));
+        assert!(rep.spans.iter().map(|e| e.req).eq(0..n), "spans come back in order");
+        assert!(rep.edges.iter().map(|e| e.req).eq(0..n), "edges come back in order");
         assert_eq!((rep.spans_dropped, rep.edges_dropped), (0, 0));
     }
 
