@@ -308,20 +308,22 @@ fn aggregate(cohort: &'static str, paths: &[&RequestPath]) -> CohortProfile {
     }
 }
 
+/// The `q`-quantile (`0.0 ..= 1.0`) of an ascending slice by nearest
+/// rank: the sample at 1-based rank `max(1, ceil(q·n))`, or `None` for an
+/// empty slice.
+pub(crate) fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
+    let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
+    sorted.get(rank - 1).copied()
+}
+
 /// Builds the differential profile: the p50 cohort (latency between the
 /// 40th and 60th percentile) against the p99.9 cohort (latency at or
 /// above the 99.9th percentile; always at least the slowest request).
 /// Returns `[p50, p999]`, each aggregated with [`CohortProfile`] rows.
 pub fn differential_profile(paths: &[RequestPath]) -> Vec<CohortProfile> {
-    if paths.is_empty() {
-        return vec![aggregate("p50", &[]), aggregate("p999", &[])];
-    }
     let mut lats: Vec<SimTime> = paths.iter().map(|p| p.latency).collect();
     lats.sort_unstable();
-    let at = |q: f64| {
-        let idx = ((q * lats.len() as f64).ceil() as usize).max(1) - 1;
-        lats[idx.min(lats.len() - 1)]
-    };
+    let at = |q: f64| nearest_rank(&lats, q).unwrap_or(SimTime::ZERO);
     let (p40, p60, p999) = (at(0.40), at(0.60), at(0.999));
     let mid: Vec<&RequestPath> =
         paths.iter().filter(|p| p.latency >= p40 && p.latency <= p60).collect();

@@ -1,15 +1,15 @@
 //! Exporters: Perfetto `trace_event` JSON, folded stacks for
-//! flamegraphs, per-phase latency breakdowns, the health-event JSONL, and
-//! the FNV digest used by determinism double-run tests.
+//! flamegraphs, per-phase latency breakdowns (exact, nearest rank), the
+//! health-event JSONL, and the FNV digest used by determinism double-run
+//! tests.
 //!
 //! All output is rendered with deterministic iteration (the report's
 //! collections are ordered) and fixed-precision formatting, so the same
 //! run always produces byte-identical artifacts.
 
-use crate::causal::CohortProfile;
+use crate::causal::{nearest_rank, CohortProfile};
 use crate::{
-    HealthEvent, Histogram, ObsReport, SpanKind, PHASE_COMMIT, PHASE_DELIVER, PHASE_PROPOSE,
-    PHASE_REQUEST,
+    HealthEvent, ObsReport, SpanKind, PHASE_COMMIT, PHASE_DELIVER, PHASE_PROPOSE, PHASE_REQUEST,
 };
 use std::fmt::Write as _;
 
@@ -251,6 +251,8 @@ pub struct PhaseRow {
 /// propose→commit, commit→deliver, deliver→reply) from the trace. For
 /// each request, each milestone's *first* occurrence is used (the first
 /// execution replica to receive the commit, the first reply quorum).
+/// Quantiles are exact: the recorded latency at nearest rank
+/// `max(1, ceil(q·n))`. A segment without samples reports 0.
 pub fn phase_breakdown(report: &ObsReport) -> Vec<PhaseRow> {
     // Milestone slots per request: submit, propose, commit, deliver, reply.
     let mut marks: std::collections::BTreeMap<u64, [Option<u64>; 5]> =
@@ -282,20 +284,20 @@ pub fn phase_breakdown(report: &ObsReport) -> Vec<PhaseRow> {
     SEGMENTS
         .iter()
         .map(|&(segment, a, b)| {
-            let mut h = Histogram::new();
-            for m in marks.values() {
-                if let (Some(t0), Some(t1)) = (m[a], m[b]) {
-                    h.record(t1.saturating_sub(t0));
-                }
-            }
+            let mut lats: Vec<u64> =
+                marks.values().filter_map(|m| Some(m[b]?.saturating_sub(m[a]?))).collect();
+            lats.sort_unstable();
+            let ms = |q: f64| nearest_rank(&lats, q).unwrap_or(0) as f64 / 1e6;
+            let sum: u128 = lats.iter().map(|&v| v as u128).sum();
+            let count = lats.len() as u64;
             PhaseRow {
                 segment,
-                count: h.count(),
-                p50_ms: h.quantile(0.50) as f64 / 1e6,
-                p90_ms: h.quantile(0.90) as f64 / 1e6,
-                p99_ms: h.quantile(0.99) as f64 / 1e6,
-                p999_ms: h.quantile(0.999) as f64 / 1e6,
-                mean_ms: h.mean() / 1e6,
+                count,
+                p50_ms: ms(0.50),
+                p90_ms: ms(0.90),
+                p99_ms: ms(0.99),
+                p999_ms: ms(0.999),
+                mean_ms: if count == 0 { 0.0 } else { sum as f64 / count as f64 / 1e6 },
             }
         })
         .collect()
@@ -331,10 +333,40 @@ mod tests {
         assert_eq!(rows.len(), 5);
         let seg = |name: &str| rows.iter().find(|r| r.segment == name).unwrap().clone();
         let cp = seg("client->propose");
-        assert_eq!(cp.count, 3);
-        assert!((cp.p50_ms - 2.0).abs() / 2.0 <= 1.0 / 32.0, "p50 = {}", cp.p50_ms);
+        assert_eq!((cp.count, cp.p50_ms, cp.mean_ms), (3, 2.0, 2.0));
         let e2e = seg("client->reply");
-        assert!((e2e.p50_ms - 9.0).abs() / 9.0 <= 1.0 / 32.0, "p50 = {}", e2e.p50_ms);
+        assert_eq!((e2e.count, e2e.p50_ms, e2e.p999_ms), (3, 9.0, 9.0));
+    }
+
+    #[test]
+    fn phase_quantiles_are_exact_nearest_ranks() {
+        let mut r = Recorder::enabled(ObsConfig::default());
+        for k in 1..=1_000u64 {
+            let req = req_id(0, k);
+            let base = SimTime::from_millis(k);
+            r.span_enter(base, NodeId(0), req, PHASE_REQUEST);
+            r.span_instant(base + SimTime::from_micros(k), NodeId(10), req, PHASE_PROPOSE);
+        }
+        let rows = phase_breakdown(&r.report());
+        let cp = rows.iter().find(|r| r.segment == "client->propose").unwrap();
+        assert_eq!(cp.count, 1_000);
+        assert_eq!((cp.p50_ms, cp.p90_ms, cp.p99_ms, cp.p999_ms), (0.5, 0.9, 0.99, 0.999));
+        assert_eq!(cp.mean_ms, 0.5005);
+    }
+
+    #[test]
+    fn a_segment_without_samples_reports_zero() {
+        let mut r = Recorder::enabled(ObsConfig::default());
+        let req = req_id(0, 1);
+        r.span_enter(SimTime::from_millis(1), NodeId(0), req, PHASE_REQUEST);
+        r.span_instant(SimTime::from_millis(3), NodeId(10), req, PHASE_PROPOSE);
+        r.span_exit(SimTime::from_millis(9), NodeId(0), req, PHASE_REQUEST);
+        let rows = phase_breakdown(&r.report());
+        let cd = rows.iter().find(|r| r.segment == "commit->deliver").unwrap();
+        assert_eq!(cd.count, 0);
+        assert_eq!([cd.p50_ms, cd.p90_ms, cd.p99_ms, cd.p999_ms, cd.mean_ms], [0.0; 5]);
+        let e2e = rows.iter().find(|r| r.segment == "client->reply").unwrap();
+        assert_eq!((e2e.count, e2e.p50_ms), (1, 8.0));
     }
 
     #[test]

@@ -28,9 +28,8 @@
 //! per-request causal chains and differential critical-path profiles
 //! (p99.9 cohort vs. p50 cohort). Exporters ([`export`]) turn an
 //! [`ObsReport`] into Chrome/Perfetto `trace_event` JSON, folded stacks
-//! (CPU and critical-path), per-phase latency breakdowns (each a
-//! log-bucketed [`Histogram`], ≤ 1/32 relative error up to p99.9), and a
-//! health-event JSONL. [`export::fnv64`] digests any of those for
+//! (CPU and critical-path), per-phase latency breakdowns (exact, nearest
+//! rank over every recorded request), and a health-event JSONL. [`export::fnv64`] digests any of those for
 //! determinism double-run tests.
 
 #![forbid(unsafe_code)]
@@ -41,12 +40,10 @@
 pub mod causal;
 pub mod export;
 pub mod health;
-mod metrics;
 mod trace;
 
 pub use health::HealthEvent;
 use health::HealthMonitor;
-pub use metrics::Histogram;
 pub use trace::{EdgeEvent, SpanEvent, SpanKind};
 
 use spider_types::{NodeId, SimTime};
