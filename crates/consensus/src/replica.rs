@@ -899,13 +899,10 @@ impl<P: Payload> Pbft<P> {
             self.check_progress(now, seq, out, charge);
         }
 
-        // Requests still in the pool go back into the proposal pipeline.
+        // Requests still in the pool go back into the proposal pipeline,
+        // in digest order (the pool's own).
         if self.cfg.leader_of(view.0) == self.me {
-            let mut pool: Vec<(Digest, P)> =
-                self.pool.iter().map(|(d, p)| (*d, p.clone())).collect();
-            // Deterministic order for reproducibility.
-            pool.sort_by_key(|(d, _)| *d);
-            for (d, p) in pool {
+            for (&d, p) in &self.pool {
                 let proposed = self
                     .instances
                     .values()
@@ -913,7 +910,7 @@ impl<P: Payload> Pbft<P> {
                 if !proposed && self.pending_digests.insert(d) {
                     // Rate-neutral: these arrivals were already counted
                     // when they first entered the pool.
-                    self.batcher.requeue(now, p);
+                    self.batcher.requeue(now, p.clone());
                 }
             }
             self.try_propose(now, out, charge);
