@@ -501,3 +501,89 @@ fn a_backup_cut_off_alone_stays_in_its_view_change() {
     assert_eq!((views, delivered), (vec![0, 0, 0, 0], vec![10, 10, 0, 10]));
     assert!(c.replicas[2].as_ref().is_some_and(|r| r.in_view_change()));
 }
+
+/// One generated leader isolation case: 5 payloads, then `rounds` times
+/// the leader of the connected replicas' view cut off for 200 ms while
+/// one more payload is ordered, then 4 more payloads and a run to 10 s.
+/// Returns the replicas cut off, and why the case failed, if it did.
+fn leader_isolation_case(
+    seed: u64,
+    f: usize,
+    weighted: bool,
+    rounds: usize,
+) -> (Vec<usize>, Result<(), String>) {
+    let cfg = if weighted {
+        PbftConfig::weighted(f, f, &(0..2 * f).collect::<Vec<_>>())
+            .with_cost(CostModel::zero())
+            .with_view_change_timeout(SimTime::from_millis(100))
+    } else {
+        fast_cfg(f)
+    };
+    let n = cfg.n();
+    let mut c = Cluster::new(cfg.clone(), seed);
+    for k in 0..5 {
+        c.order_everywhere(TestPayload(k));
+    }
+    c.run_to(SimTime::from_millis(5));
+    let mut cut = Vec::new();
+    for round in 0..rounds as u64 {
+        let connected = (0..n).find(|i| !cut.contains(i)).expect("a replica stays connected");
+        let view = c.replicas[connected].as_ref().map_or(0, |r| r.view().0);
+        let leader = cfg.leader_of(view);
+        cut.push(leader);
+        let open = c.now;
+        c.isolate(leader, open, open + SimTime::from_millis(200));
+        c.order_everywhere(TestPayload(5 + round));
+        c.run_to(open + SimTime::from_millis(300));
+    }
+    for k in 0..4 {
+        c.order_everywhere(TestPayload(5 + rounds as u64 + k));
+    }
+    while c.now < SimTime::from_secs(10) && c.step() {}
+    c.assert_prefix_consistent();
+    let views: Vec<u64> = c.replicas.iter().flatten().map(|r| r.view().0).collect();
+    let delivered: Vec<usize> =
+        c.delivered.iter().map(|d| d.iter().map(|(_, b)| b.len()).sum()).collect();
+    let total = 5 + rounds + 4;
+    let verdict = if (0..n).any(|i| !cut.contains(&i) && delivered[i] != total) {
+        Err(format!("a connected replica missed payloads: deliveries {delivered:?}"))
+    } else if views.windows(2).any(|w| w[0] != w[1]) {
+        Err(format!("views differ: {views:?}, deliveries {delivered:?}"))
+    } else if views[0] > rounds as u64 + 1 {
+        Err(format!("view {} after {rounds} isolations", views[0]))
+    } else {
+        Ok(())
+    };
+    (cut, verdict)
+}
+
+/// Generated leader isolations: seeds × f ∈ {1, 2} × classic and
+/// weighted groups × 1..=f rounds. A cut-off leader never catches up on
+/// what it missed (`Cluster` has no checkpoints), so it counts against f
+/// and the rounds stay at most f.
+#[test]
+fn generated_leader_isolations_end_in_one_view() {
+    let mut cases = 0;
+    let mut failures = Vec::new();
+    for seed in 0..250 {
+        for f in [1, 2] {
+            for weighted in [false, true] {
+                for rounds in 1..=f {
+                    cases += 1;
+                    let (cut, verdict) = leader_isolation_case(seed, f, weighted, rounds);
+                    if let Err(why) = verdict {
+                        failures.push(format!(
+                            "seed {seed}, f {f}, weighted {weighted}, cut {cut:?}: {why}"
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of {cases} cases failed, first: {}",
+        failures.len(),
+        failures[..failures.len().min(5)].join("; ")
+    );
+}
