@@ -528,7 +528,7 @@ fn leader_isolation_case(
     let mut cut = Vec::new();
     for round in 0..rounds as u64 {
         let connected = (0..n).find(|i| !cut.contains(i)).expect("a replica stays connected");
-        let view = c.replicas[connected].as_ref().map_or(0, |r| r.view().0);
+        let view = c.replicas[connected].as_ref().expect("no replica crashes").view().0;
         let leader = cfg.leader_of(view);
         cut.push(leader);
         let open = c.now;
