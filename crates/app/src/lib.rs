@@ -5,23 +5,63 @@
 //! [`Application`]: binary get/put operations, full-state snapshots, and a
 //! workload-operation encoder used by the experiment harness.
 //!
-//! The store keeps its entries in a fixed number of key-hashed buckets and
-//! hands a checkpoint one hashed [`Part`] per bucket, reusing the part of
-//! every bucket no write has touched since the previous checkpoint (see
-//! [`KvStore`]); a checkpoint costs the host what was written, not what
-//! is stored.
+//! # Checkpoints: hash what changed
 //!
-//! Entries are not copied, in or out. An entry is its *record*,
-//! `[key len u16][key][value len u32][value]`, which is both how the
-//! snapshot encodes it and what a put is after its tag byte: a put's
-//! record is a [`Bytes::slice`] of the request buffer it arrived in, a
-//! restored entry's is a slice of the verified snapshot piece it arrived
-//! in, a bucket's part is the list of its records, and reads answer with
-//! slices of the stored value. The price is memory: a record pins the
-//! whole buffer it is a slice of — a put's request, with its tag byte and
-//! anything after the value, or a fetched snapshot's piece, which a piece
-//! of several records keeps allocated until every entry from it has been
-//! overwritten.
+//! Execution replicas checkpoint every `ke` requests (§3.4) and sign a
+//! hash over the digests of the state's parts (see [`spider::checkpoint`]).
+//! A store that hands out again the parts no write has touched since the
+//! last checkpoint makes a checkpoint cost the host what was written, not
+//! what is stored.
+//!
+//! - **Buckets.** [`KvStore`] keeps its entries in 256 buckets chosen by an
+//!   FNV-1a hash of the key, and its snapshot is one [`Part`] per bucket
+//!   between a count part and an operation-counter part. The bucket count
+//!   is a private constant, not a knob: replicas sign a hash over the part
+//!   list, so all of them must cut the state the same way. Which bucket a
+//!   key is in and the order inside a bucket depend on the keys alone, so
+//!   equal contents give equal parts whatever the order of puts and
+//!   wherever snapshots were taken in between.
+//! - **Records.** A put is `P [key len u16][key][value len u32][value]` on
+//!   the wire, and the snapshot encodes an entry as `[key len u16][key]
+//!   [value len u32][value]`: an entry's snapshot bytes are its put's
+//!   request without the tag byte. The store keeps exactly that
+//!   [`Bytes::slice`] of the request as the entry, its *record*; bytes
+//!   after the value are not part of it. Reads answer with slices of the
+//!   stored value. No byte is copied, in or out.
+//! - **A bucket is its part.** A bucket's records are one immutable shared
+//!   list (`Arc<[Bytes]>`, one record a piece, in key order), and that list
+//!   is the piece list of the bucket's part ([`Part::from_list`]). A
+//!   checkpoint hashes each bucket a put touched over its list and builds
+//!   no list for it; every other bucket's part, digest included, is the
+//!   previous snapshot's. A put builds its bucket's next list once, at its
+//!   exact size; an overwrite replaces its slot in place when no snapshot
+//!   holds the list.
+//! - **Restore adopts the lists.** [`Application::restore`] is handed the
+//!   verified parts. When every piece of a bucket's part is one whole
+//!   record, the part's list becomes the bucket's records as it is
+//!   ([`Part::pieces`]) and the part stays the bucket's, so the first
+//!   checkpoint after a restore hashes nothing. Where the pieces are cut is
+//!   not signed, so no part is rejected for its cut alone: pieces of
+//!   several whole records are sliced in place, and a part whose pieces
+//!   split a record is joined into one buffer, once, and sliced from that.
+//!   The store accepts only the contents it would encode — a part per
+//!   bucket and the two around them, every key in its own bucket, keys
+//!   strictly ascending, the count matching — and otherwise leaves its
+//!   state as it was.
+//! - **What it costs.** A record pins the whole buffer it is a slice of: a
+//!   put's request, with its tag byte and anything after the value, or a
+//!   fetched piece, which a piece of several records keeps allocated until
+//!   every entry from it has been overwritten. A put into a bucket whose
+//!   list a snapshot shares copies the list's handles, one per record in
+//!   the bucket. A dirty bucket is re-hashed whole, so a checkpoint's cost
+//!   still grows with the store. More buckets would flatten that curve but
+//!   raise the floor every checkpoint pays (the part list and its hash are
+//!   as long as the bucket count), the wrong trade for stores of a few
+//!   thousand keys; a digest tree over the buckets would remove the trade.
+//! - **Adversarial keys** can only skew bucket sizes: a client that finds
+//!   many keys for one bucket makes that bucket's puts and re-hashing
+//!   slower on every replica alike. That is a performance effect, not a
+//!   safety one: the part list is still a function of the contents.
 //!
 //! # Examples
 //!
@@ -41,80 +81,45 @@
 #![cfg_attr(not(test), warn(clippy::match_wildcard_for_single_variants))]
 #![warn(missing_docs)]
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use spider::{Application, Part};
 use std::ops::Range;
+use std::sync::Arc;
 
-/// A key-value store operation.
+/// A key-value store operation, held as its wire encoding: a tag byte and
+/// then a record (a put) or a length-prefixed key (a get). The
+/// constructors write it once, in one buffer of its exact size, and
+/// [`KvOp::encode`] shares that buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KvOp {
-    /// Store `value` under `key`.
-    Put {
-        /// The key.
-        key: Vec<u8>,
-        /// The value.
-        value: Vec<u8>,
-    },
-    /// Read the value under `key`.
-    Get {
-        /// The key.
-        key: Vec<u8>,
-    },
+pub struct KvOp {
+    bytes: Bytes,
+    fields: Fields,
 }
 
 impl KvOp {
-    /// Convenience constructor for puts.
-    pub fn put(key: &[u8], value: Vec<u8>) -> KvOp {
-        KvOp::Put { key: key.to_vec(), value }
-    }
-
-    /// Convenience constructor for gets.
-    pub fn get(key: &[u8]) -> KvOp {
-        KvOp::Get { key: key.to_vec() }
-    }
-
-    /// Serializes the operation to the store's wire format.
+    /// A put of `value` under `key`.
     ///
     /// # Panics
     ///
     /// Panics if the key is longer than 65 535 bytes or the value longer
     /// than 4 294 967 295 bytes: the format writes their lengths as a
     /// `u16` and a `u32`.
-    pub fn encode(&self) -> Bytes {
-        let len = match self {
-            KvOp::Put { key, value } => 1 + 2 + key.len() + 4 + value.len(),
-            KvOp::Get { key } => 1 + 2 + key.len(),
-        };
-        let mut buf = BytesMut::with_capacity(len);
-        match self {
-            KvOp::Put { key, value } => {
-                buf.put_u8(b'P');
-                buf.put_u16(key_len(key));
-                buf.put_slice(key);
-                let vlen = u32::try_from(value.len()).unwrap_or_else(|_| {
-                    panic!("a value is at most {} bytes, not {}", u32::MAX, value.len())
-                });
-                buf.put_u32(vlen);
-                buf.put_slice(value);
-            }
-            KvOp::Get { key } => {
-                buf.put_u8(b'G');
-                buf.put_u16(key_len(key));
-                buf.put_slice(key);
-            }
-        }
-        debug_assert_eq!(buf.len(), len, "the buffer was sized exactly");
-        buf.freeze()
+    pub fn put(key: &[u8], value: impl AsRef<[u8]>) -> KvOp {
+        let value = value.as_ref();
+        KvOp::put_with(key, value.len(), |buf| buf.put_slice(value))
     }
 
-    /// Parses an operation; `None` for malformed input.
-    pub fn decode(buf: &[u8]) -> Option<KvOp> {
-        Some(match Fields::of(buf)? {
-            Fields::Put { key, value } => {
-                KvOp::Put { key: buf[key].to_vec(), value: buf[value].to_vec() }
-            }
-            Fields::Get { key } => KvOp::Get { key: buf[key].to_vec() },
-        })
+    /// A get of `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key is longer than 65 535 bytes.
+    pub fn get(key: &[u8]) -> KvOp {
+        let mut buf = Vec::with_capacity(1 + 2 + key.len());
+        buf.put_u8(b'G');
+        buf.put_u16(key_len(key));
+        buf.put_slice(key);
+        KvOp { fields: Fields::Get { key: 3..buf.len() }, bytes: Bytes::from(buf) }
     }
 
     /// Builds a put whose total encoded size is exactly `total_bytes`
@@ -126,7 +131,56 @@ impl KvOp {
     pub fn sized_put(key: &[u8], total_bytes: usize, fill: u8) -> KvOp {
         let overhead = 1 + 2 + key.len() + 4;
         assert!(total_bytes >= overhead, "payload too small for key");
-        KvOp::Put { key: key.to_vec(), value: vec![fill; total_bytes - overhead] }
+        KvOp::put_with(key, total_bytes - overhead, |buf| buf.resize(total_bytes, fill))
+    }
+
+    /// The put of a value of `value_len` bytes under `key`, which `value`
+    /// appends to the buffer.
+    fn put_with(key: &[u8], value_len: usize, value: impl FnOnce(&mut Vec<u8>)) -> KvOp {
+        let vlen = u32::try_from(value_len)
+            .unwrap_or_else(|_| panic!("a value is at most {} bytes, not {value_len}", u32::MAX));
+        let len = 1 + 2 + key.len() + 4 + value_len;
+        let mut buf = Vec::with_capacity(len);
+        buf.put_u8(b'P');
+        buf.put_u16(key_len(key));
+        buf.put_slice(key);
+        buf.put_u32(vlen);
+        value(&mut buf);
+        debug_assert_eq!(buf.len(), len, "the buffer was sized exactly");
+        let key = 3..3 + key.len();
+        KvOp { fields: Fields::Put { value: key.end + 4..len, key }, bytes: Bytes::from(buf) }
+    }
+
+    /// The operation's wire format: its own buffer, shared.
+    pub fn encode(&self) -> Bytes {
+        self.bytes.clone()
+    }
+
+    /// Parses an operation, keeping the slice of `buf` it is (bytes after
+    /// it are not part of it); `None` for malformed input.
+    pub fn decode(buf: &Bytes) -> Option<KvOp> {
+        let fields = Fields::of(buf)?;
+        Some(KvOp { bytes: buf.slice(..fields.end()), fields })
+    }
+
+    /// Whether the operation is a put.
+    pub fn is_put(&self) -> bool {
+        matches!(self.fields, Fields::Put { .. })
+    }
+
+    /// The key.
+    pub fn key(&self) -> &[u8] {
+        match &self.fields {
+            Fields::Put { key, .. } | Fields::Get { key } => &self.bytes[key.clone()],
+        }
+    }
+
+    /// The value of a put; `None` for a get.
+    pub fn value(&self) -> Option<&[u8]> {
+        match &self.fields {
+            Fields::Put { value, .. } => Some(&self.bytes[value.clone()]),
+            Fields::Get { .. } => None,
+        }
     }
 }
 
@@ -157,6 +211,7 @@ fn record(buf: &[u8], at: usize) -> Option<(Range<usize>, Range<usize>)> {
 
 /// Where the fields of an encoded [`KvOp`] lie in its buffer: what the
 /// store slices out of the buffer instead of copying.
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Fields {
     Put { key: Range<usize>, value: Range<usize> },
     Get { key: Range<usize> },
@@ -171,6 +226,13 @@ impl Fields {
             b'P' => record(op, 1).map(|(key, value)| Fields::Put { key, value }),
             b'G' => field(op, 1, 2).map(|key| Fields::Get { key }),
             _ => None,
+        }
+    }
+
+    /// Where the operation ends.
+    fn end(&self) -> usize {
+        match self {
+            Fields::Put { value: end, .. } | Fields::Get { key: end } => end.end,
         }
     }
 }
@@ -188,81 +250,80 @@ pub const MALFORMED: &[u8] = b"\0malformed";
 /// checkpoint hash covers the part list). A checkpoint pays a floor per
 /// bucket (the part list and its hash) and `len / BUCKETS` entries per
 /// dirty bucket; 256 balances the two for stores of a few thousand keys
-/// (measured in the README's "Checkpoints" section).
+/// (see the [crate docs](crate)).
 const BUCKETS: usize = 256;
 
-/// One entry as the snapshot encodes it, `[key len u16][key][value len
-/// u32][value]`, which is what a put is after its tag byte: a put's record
-/// is a slice of its request and a restored entry's a slice of a snapshot
-/// piece ([`Record::parse`]).
-#[derive(Debug, Clone)]
-struct Record(Bytes);
-
-impl Record {
-    /// The record at the front of `bytes[at..]` and where it ends; `None`
-    /// if the bytes there are not one whole record.
-    fn parse(bytes: &Bytes, at: usize) -> Option<(Record, usize)> {
-        let (_, value) = record(bytes, at)?;
-        Some((Record(bytes.slice(at..value.end)), value.end))
-    }
-
-    fn key(&self) -> &[u8] {
-        let klen = usize::from(u16::from_be_bytes([self.0[0], self.0[1]]));
-        &self.0[2..2 + klen]
-    }
-
-    fn value(&self) -> &[u8] {
-        &self.0[2 + self.key().len() + 4..]
-    }
-
-    /// The value as a slice of the buffer the record is a slice of.
-    fn value_bytes(&self) -> Bytes {
-        self.0.slice(2 + self.key().len() + 4..)
-    }
+/// The key of `record`, an entry as the snapshot encodes it: `[key len
+/// u16][key][value len u32][value]`. A record is a slice of a put's
+/// request or of a snapshot piece, checked whole when it was sliced.
+fn key_of(record: &Bytes) -> &[u8] {
+    let klen = usize::from(u16::from_be_bytes([record[0], record[1]]));
+    &record[2..2 + klen]
 }
 
-/// The records whose keys hash to one bucket, in key order, with the
-/// snapshot part holding them while no write has touched the bucket since
-/// it was built (or since it was restored from that part).
-///
-/// A sorted `Vec`: a bucket holds `len / BUCKETS` records, so a put's
-/// shift is short, and a restored bucket is the list of its records as
-/// they arrive, in one allocation.
+/// Where the value of `record` starts.
+fn value_at(record: &Bytes) -> usize {
+    2 + key_of(record).len() + 4
+}
+
+/// One key-hashed bucket: its records in key order and, while no put has
+/// touched them since, the snapshot part over them (see the [crate
+/// docs](crate)).
 #[derive(Debug, Clone, Default)]
 struct Bucket {
-    records: Vec<Record>,
+    /// One record a piece: the piece list of the bucket's part. Shared
+    /// with every snapshot that holds the part, so a put replaces it
+    /// rather than changing it, unless no snapshot holds it.
+    records: Arc<[Bytes]>,
+    /// The part over `records`, built by a checkpoint or adopted by a
+    /// restore; `None` once a put has changed them.
     part: Option<Part>,
 }
 
 impl Bucket {
     /// Where `key`'s record is, or where it would go.
     fn find(&self, key: &[u8]) -> Result<usize, usize> {
-        self.records.binary_search_by(|record| record.key().cmp(key))
+        self.records.binary_search_by(|record| key_of(record).cmp(key))
     }
 
-    fn get(&self, key: &[u8]) -> Option<&Record> {
+    fn get(&self, key: &[u8]) -> Option<&Bytes> {
         self.find(key).ok().and_then(|at| self.records.get(at))
+    }
+
+    /// The bucket `index` restored from `part`, if its bytes are what
+    /// [`Application::snapshot_parts`] makes of a bucket: whole records,
+    /// every key hashing to `index`, the keys strictly ascending.
+    fn restored(part: &Part, index: usize) -> Option<Bucket> {
+        let list = part.pieces();
+        let records: Arc<[Bytes]> = if list.iter().all(|piece| is_one_record(piece)) {
+            // The cut this store makes: the list is the bucket's records.
+            Arc::clone(list)
+        } else {
+            // Pieces of whole records are sliced in place; a part cut
+            // inside a record is joined once and sliced instead.
+            records_in(list).or_else(|| records_in(&[part.to_bytes()]))?.into()
+        };
+        let ascending = records.windows(2).all(|w| key_of(&w[0]) < key_of(&w[1]));
+        let own = records.iter().all(|record| bucket_of(key_of(record)) == index);
+        (ascending && own).then(|| Bucket { records, part: Some(part.clone()) })
     }
 }
 
-/// The records of bucket `index` as slices of `pieces`, if their
-/// concatenation is what [`Application::snapshot_parts`] makes of them:
-/// every piece whole records, every key hashing to `index`, the keys
-/// strictly ascending. Then the pieces can stand in for the bucket's
+/// Whether `bytes` are one whole record and nothing more.
+fn is_one_record(bytes: &[u8]) -> bool {
+    record(bytes, 0).is_some_and(|(_, value)| value.end == bytes.len())
+}
+
+/// The records in `pieces`, as slices of them, if every piece is whole
 /// records.
-fn records_of(pieces: &[Bytes], index: usize) -> Option<Vec<Record>> {
-    // A piece is usually one record.
-    let mut records: Vec<Record> = Vec::with_capacity(pieces.len());
+fn records_in(pieces: &[Bytes]) -> Option<Vec<Bytes>> {
+    let mut records = Vec::with_capacity(pieces.len());
     for piece in pieces {
         let mut at = 0;
         while at < piece.len() {
-            let (record, end) = Record::parse(piece, at)?;
-            let ascending = records.last().is_none_or(|last| last.key() < record.key());
-            if bucket_of(record.key()) != index || !ascending {
-                return None;
-            }
-            records.push(record);
-            at = end;
+            let (_, value) = record(piece, at)?;
+            records.push(piece.slice(at..value.end));
+            at = value.end;
         }
     }
     Some(records)
@@ -282,18 +343,14 @@ fn records_of(pieces: &[Bytes], index: usize) -> Option<Vec<Record>> {
 /// correct replicas disagree.
 ///
 /// An entry is its *record*, the bytes the snapshot encodes it as, and a
-/// record is a slice of the buffer it arrived in (see the [crate
-/// docs](crate)): a put's of its request, a restored entry's of the
-/// snapshot piece. A bucket's part is the list of its records in key
-/// order ([`Part::from_pieces`]), so a checkpoint copies no byte.
-/// [`Application::restore`] keeps the pieces it is handed: a piece of
-/// whole records is sliced in place, and only a part whose pieces split a
-/// record is joined into one buffer first; it keeps the parts themselves
-/// as the buckets' parts, so the first checkpoint after a restore hashes
-/// nothing. It accepts only the contents this store would encode —
-/// `BUCKETS + 2` parts, every key in its own bucket, keys strictly
-/// ascending, the count matching — and otherwise leaves the store as it
-/// was.
+/// record is a slice of the buffer it arrived in: a put's of its request,
+/// a restored entry's of the snapshot piece. A bucket's records are one
+/// shared list that is its part's piece list, so a checkpoint copies no
+/// byte and builds no list, and [`Application::restore`] adopts the lists
+/// it is handed (see the [crate docs](crate)). A restore accepts only the
+/// contents this store would encode — `BUCKETS + 2` parts, every key in
+/// its own bucket, keys strictly ascending, the count matching — and
+/// otherwise leaves the store as it was.
 #[derive(Debug, Clone)]
 pub struct KvStore {
     buckets: Vec<Bucket>,
@@ -335,25 +392,36 @@ impl KvStore {
 
     /// Direct lookup (tests).
     pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
-        self.buckets[bucket_of(key)].get(key).map(Record::value)
+        self.buckets[bucket_of(key)].get(key).map(|record| &record[value_at(record)..])
     }
 
     /// The reply to a get of `key`: a slice of the stored value.
     fn read(&self, key: &[u8]) -> Bytes {
         let record = self.buckets[bucket_of(key)].get(key);
-        record.map_or(Bytes::from_static(NOT_FOUND), Record::value_bytes)
+        record.map_or(Bytes::from_static(NOT_FOUND), |record| record.slice(value_at(record)..))
     }
 
-    fn put(&mut self, record: Record) {
-        let bucket = &mut self.buckets[bucket_of(record.key())];
+    fn put(&mut self, record: Bytes) {
+        let bucket = &mut self.buckets[bucket_of(key_of(&record))];
         bucket.part = None;
-        match bucket.find(record.key()) {
-            Ok(at) => bucket.records[at] = record,
-            Err(at) => {
-                bucket.records.insert(at, record);
-                self.len += 1;
-            }
+        let found = bucket.find(key_of(&record));
+        if let (Ok(at), Some(records)) = (found, Arc::get_mut(&mut bucket.records)) {
+            // No snapshot holds the list: overwrite in place.
+            records[at] = record;
+            return;
         }
+        let (head, tail) = match found {
+            Ok(at) => (at, at + 1),
+            Err(at) => {
+                self.len += 1;
+                (at, at)
+            }
+        };
+        let old = &bucket.records;
+        // The iterator knows its length: one allocation of the exact size.
+        let records =
+            old[..head].iter().cloned().chain([record]).chain(old[tail..].iter().cloned());
+        bucket.records = records.collect();
     }
 
     /// Digest of the key-value contents only, excluding the
@@ -365,11 +433,11 @@ impl KvStore {
     /// counter may differ (strongly consistent reads run only at their
     /// target group, §3.3), while the map contents must still match.
     pub fn map_digest(&self) -> spider_crypto::Digest {
-        let mut records: Vec<&Record> = self.buckets.iter().flat_map(|b| &b.records).collect();
-        records.sort_unstable_by(|a, b| a.key().cmp(b.key()));
+        let mut records: Vec<&Bytes> = self.buckets.iter().flat_map(|b| &*b.records).collect();
+        records.sort_unstable_by(|a, b| key_of(a).cmp(key_of(b)));
         let mut b = spider_crypto::Digest::builder().u64(self.len as u64);
         for record in records {
-            b = b.bytes(record.key()).bytes(record.value());
+            b = b.bytes(key_of(record)).bytes(&record[value_at(record)..]);
         }
         b.finish()
     }
@@ -382,7 +450,7 @@ impl Application for KvStore {
             Some(Fields::Put { value, .. }) => {
                 // All but the tag byte, up to the value's last byte: bytes
                 // after the value are not part of the record.
-                self.put(Record(op.slice(1..value.end)));
+                self.put(op.slice(1..value.end));
                 Bytes::from_static(OK)
             }
             Some(Fields::Get { key }) => self.read(&op[key]),
@@ -399,24 +467,21 @@ impl Application for KvStore {
     }
 
     fn snapshot(&self) -> Bytes {
-        let records = || self.buckets.iter().flat_map(|b| &b.records);
-        let mut buf = BytesMut::with_capacity(4 + records().map(|r| r.0.len()).sum::<usize>() + 8);
+        let records = || self.buckets.iter().flat_map(|b| b.records.iter());
+        let mut buf = Vec::with_capacity(4 + records().map(Bytes::len).sum::<usize>() + 8);
         buf.put_u32(self.len as u32);
-        records().for_each(|record| buf.put_slice(&record.0));
+        records().for_each(|record| buf.put_slice(record));
         buf.put_u64(self.ops_applied);
-        buf.freeze()
+        Bytes::from(buf)
     }
 
-    fn snapshot_parts(&mut self) -> Vec<Part> {
-        let mut parts = Vec::with_capacity(BUCKETS + 2);
+    fn snapshot_parts(&mut self, parts: &mut Vec<Part>) {
+        parts.reserve(BUCKETS + 2);
         parts.push(Part::new(Bytes::from((self.len as u32).to_be_bytes().to_vec())));
         for Bucket { records, part } in &mut self.buckets {
-            let part =
-                part.get_or_insert_with(|| Part::from_pieces(records.iter().map(|r| r.0.clone())));
-            parts.push(part.clone());
+            parts.push(part.get_or_insert_with(|| Part::from_list(Arc::clone(records))).clone());
         }
         parts.push(Part::new(Bytes::from(self.ops_applied.to_be_bytes().to_vec())));
-        parts
     }
 
     fn restore(&mut self, parts: &[Part]) -> bool {
@@ -432,18 +497,13 @@ impl Application for KvStore {
             return false;
         }
         let mut restored = Vec::with_capacity(BUCKETS);
-        let mut len = 0;
         for (index, part) in buckets.iter().enumerate() {
-            // Pieces of whole records are kept as they are; a part cut
-            // inside a record is joined once and sliced instead.
-            let records =
-                records_of(part.pieces(), index).or_else(|| records_of(&[part.to_bytes()], index));
-            let Some(records) = records else {
+            let Some(bucket) = Bucket::restored(part, index) else {
                 return false;
             };
-            len += records.len();
-            restored.push(Bucket { records, part: Some(part.clone()) });
+            restored.push(bucket);
         }
+        let len = restored.iter().map(|bucket| bucket.records.len()).sum();
         if len != u32::from_be_bytes(count) as usize {
             return false;
         }
@@ -476,6 +536,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
+
+    /// The store's snapshot parts, as a checkpoint collects them.
+    fn parts_of(store: &mut KvStore) -> Vec<Part> {
+        let mut parts = Vec::new();
+        store.snapshot_parts(&mut parts);
+        parts
+    }
 
     #[test]
     fn put_then_get_roundtrip() {
@@ -521,7 +588,7 @@ mod tests {
             a.execute(&KvOp::put(format!("k{i}").as_bytes(), vec![i as u8; 10]).encode());
         }
         let mut b = KvStore::new();
-        assert!(b.restore(&a.snapshot_parts()));
+        assert!(b.restore(&parts_of(&mut a)));
         assert_eq!(a.state_digest(), b.state_digest());
         assert_eq!(b.get(b"k7"), Some(&[7u8; 10][..]));
         assert_eq!(b.ops_applied, 50);
@@ -547,7 +614,7 @@ mod tests {
         let (a, b) = (&keys[0], keys.iter().find(|k| bucket_of(k) != bucket_of(&keys[0])).unwrap());
         s.execute(&KvOp::put(a, vec![1]).encode());
         s.execute(&KvOp::put(b, vec![2]).encode());
-        let parts = s.snapshot_parts();
+        let parts = parts_of(&mut s);
         (s, parts, [bucket_of(a), bucket_of(b)])
     }
 
@@ -594,7 +661,7 @@ mod tests {
             assert!(!store.restore(&cut), "accepted {what}");
             assert_eq!(store.state_digest(), digest, "{what} changed the store");
             assert_eq!(store.get(b"mine"), Some(&[9][..]));
-            assert_ne!(store.snapshot_parts(), before);
+            assert_ne!(parts_of(&mut store), before);
         }
     }
 
@@ -604,7 +671,7 @@ mod tests {
         for i in 0..n {
             s.execute(&KvOp::put(format!("k{i}").as_bytes(), vec![i as u8; 20]).encode());
         }
-        let parts = s.snapshot_parts();
+        let parts = parts_of(&mut s);
         (s, parts)
     }
 
@@ -613,23 +680,23 @@ mod tests {
         let (a, parts) = filled(600);
         let pieces: BTreeMap<*const u8, usize> = parts[1..=BUCKETS]
             .iter()
-            .flat_map(Part::pieces)
+            .flat_map(|part| part.pieces().iter())
             .map(|piece| (piece.as_ptr(), piece.len()))
             .collect();
         let mut b = KvStore::new();
         assert!(b.restore(&parts));
-        let records: Vec<&Record> = b.buckets.iter().flat_map(|b| &b.records).collect();
+        let records: Vec<&Bytes> = b.buckets.iter().flat_map(|b| &*b.records).collect();
         assert_eq!(records.len(), 600);
         for record in records {
-            let piece = pieces.get(&record.0.as_ptr());
-            assert_eq!(piece, Some(&record.0.len()), "{record:?} is a source piece");
+            let piece = pieces.get(&record.as_ptr());
+            assert_eq!(piece, Some(&record.len()), "{record:?} is a source piece");
         }
-        let again = b.snapshot_parts();
-        let reencoded = again.iter().zip(&parts).skip(1).take(BUCKETS);
-        assert_eq!(
-            reencoded.filter(|(n, p)| n.pieces().as_ptr() != p.pieces().as_ptr()).count(),
-            0
-        );
+        for (bucket, part) in b.buckets.iter().zip(&parts[1..=BUCKETS]) {
+            assert!(Arc::ptr_eq(&bucket.records, part.pieces()), "the bucket is the fetched list");
+        }
+        let again = parts_of(&mut b);
+        let mut kept = again.iter().zip(&parts).skip(1).take(BUCKETS);
+        assert!(kept.all(|(n, p)| Arc::ptr_eq(n.pieces(), p.pieces())), "nothing re-hashed");
         assert_eq!(again, parts);
         assert_eq!((b.map_digest(), b.state_digest()), (a.map_digest(), a.state_digest()));
     }
@@ -640,7 +707,8 @@ mod tests {
         let at = 1 + (0..BUCKETS).max_by_key(|&i| parts[1 + i].pieces().len()).unwrap();
         let bytes = parts[at].to_bytes();
         let first = parts[at].pieces()[0].len();
-        assert!(parts[at].pieces().len() >= 3, "a bucket of several records");
+        let entries = parts[at].pieces().len();
+        assert!(entries >= 3, "a bucket of several records");
         let cuts = [
             ("flattened into one piece", Part::new(bytes.clone())),
             ("cut inside a key", Part::from_pieces([bytes.slice(..3), bytes.slice(3..)])),
@@ -660,10 +728,44 @@ mod tests {
             parts[at] = cut;
             let mut b = KvStore::new();
             assert!(b.restore(&parts), "{what}");
+            let records = &b.buckets[at - 1].records;
+            assert_eq!(records.len(), entries, "{what}: one record a piece");
+            assert!(records.iter().all(|r| is_one_record(r)), "{what}: whole records");
             assert_eq!(b.map_digest(), a.map_digest(), "{what}");
             assert_eq!(b.state_digest(), a.state_digest(), "{what}");
-            assert_eq!(b.snapshot_parts(), parts, "{what}");
+            assert_eq!(parts_of(&mut b), parts, "{what}");
         }
+    }
+
+    #[test]
+    fn a_clean_bucket_shares_its_part_and_a_dirty_one_hashes_its_own_list() {
+        let (mut s, first) = filled(600);
+        let dirty = bucket_of(b"k7");
+        s.execute(&KvOp::put(b"k7", vec![1; 20]).encode());
+        let second = parts_of(&mut s);
+        for (index, bucket) in s.buckets.iter().enumerate() {
+            let (before, now) = (&first[1 + index], &second[1 + index]);
+            assert!(Arc::ptr_eq(now.pieces(), &bucket.records), "bucket {index}: its own list");
+            let shared = Arc::ptr_eq(before.pieces(), now.pieces()) && before.digest == now.digest;
+            assert_eq!(shared, index != dirty, "bucket {index}");
+        }
+        assert!(second[1 + dirty].is_intact());
+        assert_ne!(second[1 + dirty], first[1 + dirty]);
+    }
+
+    #[test]
+    fn an_overwrite_into_an_unshared_list_keeps_its_pointer() {
+        let (mut s, parts) = filled(600);
+        let at = bucket_of(b"k7");
+        let list = |s: &KvStore| Arc::as_ptr(&s.buckets[at].records).cast::<Bytes>();
+        s.execute(&KvOp::put(b"k7", vec![1; 20]).encode());
+        let copied = list(&s);
+        assert_ne!(copied, parts[1 + at].pieces().as_ptr(), "a snapshot holds the list: copied");
+        s.execute(&KvOp::put(b"k7", vec![2; 20]).encode());
+        assert_eq!(list(&s), copied, "no snapshot holds the copy: overwritten in place");
+        assert_eq!(s.get(b"k7"), Some(&[2; 20][..]));
+        assert_eq!(s.len(), 600);
+        assert_eq!(parts[1 + at], filled(600).1[1 + at], "the snapshot kept its bytes");
     }
 
     #[test]
@@ -674,7 +776,7 @@ mod tests {
         a.execute(&clean);
         b.execute(&trailing);
         assert_eq!(b.get(b"k"), Some(&[5; 32][..]));
-        assert_eq!(b.snapshot_parts(), a.snapshot_parts());
+        assert_eq!(parts_of(&mut b), parts_of(&mut a));
         assert_eq!(b.state_digest(), a.state_digest());
         assert_eq!(b.snapshot(), a.snapshot());
     }
@@ -684,9 +786,9 @@ mod tests {
         let f = kv_op_factory(100);
         let w = f(3, spider_types::OpKind::Write, 200);
         assert_eq!(w.len(), 200);
-        assert!(matches!(KvOp::decode(&w), Some(KvOp::Put { .. })));
+        assert!(KvOp::decode(&w).is_some_and(|op| op.is_put()));
         let r = f(3, spider_types::OpKind::WeakRead, 200);
-        assert!(matches!(KvOp::decode(&r), Some(KvOp::Get { .. })));
+        assert!(KvOp::decode(&r).is_some_and(|op| !op.is_put()));
     }
 
     proptest! {
@@ -702,11 +804,7 @@ mod tests {
             let mut a = KvStore::new();
             let mut b = KvStore::new();
             for (key, value, is_put) in ops {
-                let op = if is_put {
-                    KvOp::Put { key, value }.encode()
-                } else {
-                    KvOp::Get { key }.encode()
-                };
+                let op = if is_put { KvOp::put(&key, value) } else { KvOp::get(&key) }.encode();
                 prop_assert_eq!(a.execute(&op), b.execute(&op));
             }
             prop_assert_eq!(a.state_digest(), b.state_digest());
@@ -717,12 +815,11 @@ mod tests {
         fn codec_roundtrip(key in prop::collection::vec(any::<u8>(), 0..64),
                            value in prop::collection::vec(any::<u8>(), 0..256),
                            is_put in any::<bool>()) {
-            let op = if is_put {
-                KvOp::Put { key, value }
-            } else {
-                KvOp::Get { key }
-            };
-            prop_assert_eq!(KvOp::decode(&op.encode()), Some(op));
+            let op = if is_put { KvOp::put(&key, &value) } else { KvOp::get(&key) };
+            let decoded = KvOp::decode(&op.encode());
+            prop_assert_eq!(decoded.as_ref().map(KvOp::key), Some(&key[..]));
+            prop_assert_eq!(decoded.as_ref().and_then(KvOp::value), is_put.then_some(&value[..]));
+            prop_assert_eq!(decoded, Some(op));
         }
 
         /// Snapshot/restore reproduces the exact state for arbitrary maps.
@@ -734,10 +831,10 @@ mod tests {
         )) {
             let mut a = KvStore::new();
             for (k, v) in &entries {
-                a.execute(&KvOp::Put { key: k.clone(), value: v.clone() }.encode());
+                a.execute(&KvOp::put(k, v).encode());
             }
             let mut b = KvStore::new();
-            prop_assert!(b.restore(&a.snapshot_parts()));
+            prop_assert!(b.restore(&parts_of(&mut a)));
             prop_assert_eq!(a.state_digest(), b.state_digest());
         }
 
@@ -759,21 +856,21 @@ mod tests {
             }
             let mut a = KvStore::new();
             let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-            let mut prev = a.snapshot_parts();
+            let mut prev = parts_of(&mut a);
             let mut puts = 0;
             for (key, value, action) in steps {
                 match action {
                     0..=4 => {
-                        a.execute(&KvOp::Put { key: key.clone(), value: value.clone() }.encode());
+                        a.execute(&KvOp::put(&key, &value).encode());
                         model.insert(key, value);
                         puts += 1;
                     }
                     5 => {
                         let expected = model.get(&key).map_or(NOT_FOUND, |v| v.as_slice());
-                        prop_assert_eq!(&a.execute(&KvOp::Get { key }.encode())[..], expected);
+                        prop_assert_eq!(&a.execute(&KvOp::get(&key).encode())[..], expected);
                     }
                     _ => {
-                        let now = a.snapshot_parts();
+                        let now = parts_of(&mut a);
                         // The bucket parts; the count and the counter
                         // around them are fresh every time.
                         prop_assert!(reencoded(&prev[1..=BUCKETS], &now[1..=BUCKETS]) <= puts);
@@ -782,9 +879,9 @@ mod tests {
                     }
                 }
             }
-            let parts = a.snapshot_parts();
+            let parts = parts_of(&mut a);
             prop_assert!(reencoded(&prev[1..=BUCKETS], &parts[1..=BUCKETS]) <= puts);
-            let again = a.snapshot_parts();
+            let again = parts_of(&mut a);
             prop_assert_eq!(reencoded(&parts[1..=BUCKETS], &again[1..=BUCKETS]), 0);
             prop_assert_eq!(&again, &parts);
 
@@ -799,7 +896,7 @@ mod tests {
             // its next snapshot re-encodes none of them.
             let mut restored = KvStore::new();
             prop_assert!(restored.restore(&parts));
-            let again = restored.snapshot_parts();
+            let again = parts_of(&mut restored);
             prop_assert_eq!(reencoded(&parts[1..=BUCKETS], &again[1..=BUCKETS]), 0);
             prop_assert_eq!(&again, &parts);
             prop_assert_eq!(restored.len(), model.len());
@@ -811,9 +908,9 @@ mod tests {
             // last part) counts the history, the rest must not.
             let mut sorted = KvStore::new();
             for (k, v) in &model {
-                sorted.execute(&KvOp::Put { key: k.clone(), value: v.clone() }.encode());
+                sorted.execute(&KvOp::put(k, v).encode());
             }
-            prop_assert_eq!(&sorted.snapshot_parts()[..=BUCKETS], &parts[..=BUCKETS]);
+            prop_assert_eq!(&parts_of(&mut sorted)[..=BUCKETS], &parts[..=BUCKETS]);
 
             // The contents digest is over the entries in key order, so it
             // cannot depend on the bucket layout.

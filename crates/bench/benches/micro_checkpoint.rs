@@ -9,8 +9,12 @@
 //! single-buffer scheme it replaced: serialize the whole store and hash
 //! it. The first should barely move with `n`, the second grows with it.
 //! `restore/{n}_keys` is what a lagging replica does with a fetched
-//! checkpoint: an empty store takes over the parts, slicing its entries
-//! out of their pieces in place; it grows with `n` but copies no byte.
+//! checkpoint: an empty store takes over the parts, adopting each bucket's
+//! list of records as it is; it grows with `n` but copies no byte.
+//! `put/{n}_keys` is one overwrite of a 200-byte value while a checkpoint
+//! holds the store's parts, as an execution replica's does until a later
+//! one is stable: the first put into a bucket copies the bucket's list of
+//! records, `n / 256` handles, and a second one overwrites in place.
 
 use spider::checkpoint::{CheckpointComponent, Part, Snapshot};
 use spider::Application;
@@ -21,9 +25,19 @@ use spider_types::{GroupId, SeqNr};
 use std::cell::RefCell;
 
 /// The paper's 200-byte write to key `i`.
+fn request(i: u64) -> KvOp {
+    KvOp::sized_put(format!("key-{i:06}").as_bytes(), 200, b'x')
+}
+
 fn put(store: &mut KvStore, i: u64) {
-    let key = format!("key-{i:06}");
-    store.execute(&KvOp::sized_put(key.as_bytes(), 200, b'x').encode());
+    store.execute(&request(i).encode());
+}
+
+/// The store's parts, as a checkpoint collects them.
+fn parts_of(store: &mut KvStore) -> Vec<Part> {
+    let mut parts = Vec::new();
+    store.snapshot_parts(&mut parts);
+    parts
 }
 
 fn main() {
@@ -33,7 +47,7 @@ fn main() {
             .map(|(label, keys)| {
                 let mut store = KvStore::new();
                 (0..keys).for_each(|i| put(&mut store, i));
-                store.snapshot_parts();
+                parts_of(&mut store);
                 (label, keys, RefCell::new(store))
             })
             .collect();
@@ -51,7 +65,7 @@ fn main() {
             },
             |seq| {
                 let header = Part::new(vec![0u8; 64].into());
-                let parts = store.borrow_mut().snapshot_parts();
+                let parts = parts_of(&mut store.borrow_mut());
                 let mut out = Vec::new();
                 cp.generate(*seq, Snapshot::new(std::iter::once(header).chain(parts)), &mut out);
                 out
@@ -68,7 +82,7 @@ fn main() {
     }
 
     for (label, _, store) in &stores {
-        let parts = store.borrow_mut().snapshot_parts();
+        let parts = parts_of(&mut store.borrow_mut());
         time_per_call(
             &format!("restore/{label}_keys"),
             || Some(KvStore::new()),
@@ -76,6 +90,19 @@ fn main() {
                 let mut fresh = empty.take().expect("a restore takes a fresh store");
                 assert!(fresh.restore(&parts));
                 fresh
+            },
+        );
+    }
+
+    for (label, keys, store) in &stores {
+        let requests: Vec<_> = (0..*keys).map(|i| request(i).encode()).collect();
+        let mut next = 0;
+        time_per_call(
+            &format!("put/{label}_keys"),
+            || parts_of(&mut store.borrow_mut()),
+            |_held| {
+                next = (next + 1) % requests.len();
+                store.borrow_mut().execute(&requests[next])
             },
         );
     }

@@ -12,10 +12,12 @@
 //! Bytes cross the interface without being copied. [`Application::execute`]
 //! is handed the ordered operation's own buffer and may keep slices of it
 //! ([`Bytes::slice`]) as state, and [`Application::snapshot_parts`] may
-//! hand those slices back as the pieces of a part ([`Part::from_pieces`]);
-//! [`Application::restore`] is handed the snapshot's parts as they
-//! arrived, verified, and may keep their pieces, slices of them or the
-//! parts themselves, and it says whether it accepted them.
+//! hand those slices back as the pieces of a part ([`Part::from_pieces`]),
+//! or hand over a shared list of them that it keeps as its state
+//! ([`Part::from_list`]); [`Application::restore`] is handed the
+//! snapshot's parts as they arrived, verified, and may keep their lists,
+//! their pieces, slices of them or the parts themselves, and it says
+//! whether it accepted them.
 
 use crate::checkpoint::Part;
 use bytes::Bytes;
@@ -44,13 +46,14 @@ pub trait Application: 'static {
     /// Serializes the full application state.
     fn snapshot(&self) -> Bytes;
 
-    /// The bytes of [`Application::snapshot`] cut into hashed parts, in
-    /// order. The cut must depend on the state alone — never on the order
-    /// of operations or on when earlier snapshots were taken — because
-    /// replicas sign a hash over the list. `&mut self` lets an
-    /// implementation keep the parts it built for reuse.
-    fn snapshot_parts(&mut self) -> Vec<Part> {
-        vec![Part::new(self.snapshot())]
+    /// Appends the bytes of [`Application::snapshot`], cut into hashed
+    /// parts, to `parts`, in order. The cut must depend on the state alone
+    /// — never on the order of operations or on when earlier snapshots
+    /// were taken — because replicas sign a hash over the list. `&mut
+    /// self` lets an implementation keep the parts it built for reuse; the
+    /// caller's list lets a host reuse one buffer across checkpoints.
+    fn snapshot_parts(&mut self, parts: &mut Vec<Part>) {
+        parts.push(Part::new(self.snapshot()));
     }
 
     /// Replaces the state with the one whose
@@ -61,8 +64,9 @@ pub trait Application: 'static {
     /// count, and whatever else its encoding requires) and returns `false`
     /// — leaving the state as it was — if it is not. Where a part's bytes
     /// are cut into pieces is not part of the encoding: a part is accepted
-    /// or rejected for its bytes alone. It may keep the parts, or slices of
-    /// their pieces, as state.
+    /// or rejected for its bytes alone. It may keep the parts, their
+    /// shared lists of pieces ([`Part::pieces`]) or slices of their pieces as
+    /// state.
     fn restore(&mut self, parts: &[Part]) -> bool;
 
     /// Digest of the current state (defaults to hashing the snapshot).
@@ -165,7 +169,8 @@ mod tests {
     fn snapshot_restore_roundtrip() {
         let mut a = CounterApp::default();
         a.execute(&op("add:41"));
-        let parts = a.snapshot_parts();
+        let mut parts = Vec::new();
+        a.snapshot_parts(&mut parts);
         let mut b = CounterApp::default();
         assert!(b.restore(&parts));
         assert_eq!(b.value(), 41);
@@ -176,7 +181,9 @@ mod tests {
     fn restore_rejects_a_cut_it_would_not_make() {
         let mut a = CounterApp::default();
         a.execute(&op("add:7"));
-        let part = a.snapshot_parts().remove(0);
+        let mut parts = Vec::new();
+        a.snapshot_parts(&mut parts);
+        let part = parts.remove(0);
         let short = Part::new(part.to_bytes().slice(..7));
         for parts in [vec![], vec![part.clone(), part], vec![short]] {
             let mut b = CounterApp::default();

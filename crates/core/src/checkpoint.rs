@@ -55,13 +55,34 @@
 //! replicas with equal state must cut it into equal parts; the cut into
 //! parts is part of the state's encoding, like field order.
 //!
-//! A part's bytes are themselves held as a list of *pieces*, buffers the
-//! replica already has — a key-value store hands over the slices of the
-//! requests its entries came from — so building a part copies nothing.
-//! The cut into pieces is *not* part of the encoding: a part's digest is
-//! over the concatenation of its pieces, equality compares bytes, and a
-//! reader that needs them in one buffer asks [`Part::to_bytes`]. A part
+//! The application cuts its own state
+//! ([`crate::Application::snapshot_parts`]; by default one part holding
+//! the whole [`crate::Application::snapshot`]) into a list the execution
+//! replica keeps across checkpoints. The replica puts one small fresh part
+//! in front, its `(sn, replies, app length)` header, and collects the list
+//! into the snapshot in one allocation. The agreement replica's snapshot,
+//! bounded by its window, stays a single part. Parts carry no per-part
+//! header, so a snapshot is exactly as long as its state serialized into
+//! one buffer.
+//!
+//! A part's bytes are themselves held as a shared list of *pieces*,
+//! buffers the replica already has, so building a part copies nothing. A
+//! key-value store's bucket *is* such a list, of slices of the requests
+//! its entries came from, and [`Part::from_list`] hashes it and shares it
+//! without building another (see `spider_app::KvStore`). The cut into
+//! pieces is *not* part of the encoding: a part's digest is over the
+//! concatenation of its pieces, equality compares bytes, and a reader
+//! that needs them in one buffer, such as the readers of the execution
+//! header and of the agreement snapshot, asks [`Part::to_bytes`]. A part
 //! is the unit a checkpoint re-hashes and a fetch ships.
+//!
+//! A restore ([`crate::Application::restore`]) is handed the verified
+//! parts themselves, never one concatenated buffer, and may keep their
+//! lists ([`Part::pieces`]), their pieces or slices of them as state. As the
+//! cut into pieces is not signed, no part may be refused for its cut
+//! alone. The application checks that the cut into parts is one it would
+//! make and otherwise refuses the parts; the execution replica then
+//! rejects the whole snapshot and does not adopt its sequence number.
 //!
 //! Nothing about the list is trusted on arrival:
 //! [`CheckpointComponent::on_fetch_response`] re-hashes every part against
@@ -88,9 +109,10 @@ const GOSSIP_INTERVAL: SimTime = SimTime::from_millis(1_000);
 const FETCH_RETRY: SimTime = SimTime::from_millis(500);
 
 /// One immutable share of a [`Snapshot`]: some bytes of the serialized
-/// state and the digest they are claimed to hash to. [`Part::new`] and
-/// [`Part::from_pieces`] make the claim true; a part that arrived in a
-/// message is only a claim until [`Part::is_intact`] says so.
+/// state and the digest they are claimed to hash to. [`Part::new`],
+/// [`Part::from_pieces`] and [`Part::from_list`] make the claim true; a
+/// part that arrived in a message is only a claim until
+/// [`Part::is_intact`] says so.
 ///
 /// The bytes are held as a list of *pieces* whose concatenation they are,
 /// so a part can be made of buffers that already exist — the slices an
@@ -121,13 +143,22 @@ impl Part {
         I::IntoIter: ExactSizeIterator,
     {
         // An iterator that knows its length is collected in one allocation.
-        let pieces: Arc<[Bytes]> = pieces.into_iter().collect();
+        Part::from_list(pieces.into_iter().collect())
+    }
+
+    /// Hashes the concatenation of `pieces` into a part that shares the
+    /// list itself: no allocation. An application that keeps its state as
+    /// such lists hands them over as they are (see the [module
+    /// docs](self)).
+    pub fn from_list(pieces: Arc<[Bytes]>) -> Part {
         let len = pieces.iter().map(Bytes::len).sum();
         Part { digest: Self::digest_of(&pieces), pieces, len }
     }
 
     /// The pieces, in order: the part's bytes are their concatenation.
-    pub fn pieces(&self) -> &[Bytes] {
+    /// The list is shared, so an application that restores from the part
+    /// may keep it as its state.
+    pub fn pieces(&self) -> &Arc<[Bytes]> {
         &self.pieces
     }
 

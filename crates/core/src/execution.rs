@@ -57,6 +57,9 @@ pub struct ExecutionReplica<A: Application> {
     forwarded: BTreeMap<ClientId, u64>,
     replies: BTreeMap<ClientId, CachedReply>,
     app: A,
+    /// The application's parts of the checkpoint being encoded: one
+    /// buffer, kept across checkpoints, drained into each snapshot.
+    app_parts: Vec<Part>,
     req_sender: SenderEndpoint<Hashed<OrderedRequest>>,
     commit_recv: ReceiverEndpoint<Execute>,
     cp: CheckpointComponent,
@@ -78,6 +81,7 @@ impl<A: Application> ExecutionReplica<A> {
             forwarded: BTreeMap::new(),
             replies: BTreeMap::new(),
             app,
+            app_parts: Vec::new(),
             req_sender: SenderEndpoint::new(req_cfg, me, keyring.clone()),
             commit_recv: ReceiverEndpoint::new(commit_cfg, me, keyring.clone()),
             cp: CheckpointComponent::new(group, me, cfg.fe, keyring, cfg.cost),
@@ -263,8 +267,8 @@ impl<A: Application> ExecutionReplica<A> {
     /// own parts — the ones it did not touch since the last checkpoint are
     /// the previous snapshot's.
     fn encode_snapshot(&mut self) -> Snapshot {
-        let app_parts = self.app.snapshot_parts();
-        let app_len: usize = app_parts.iter().map(Part::len).sum();
+        self.app.snapshot_parts(&mut self.app_parts);
+        let app_len: usize = self.app_parts.iter().map(Part::len).sum();
         let replies_len: usize = self
             .replies
             .values()
@@ -295,7 +299,9 @@ impl<A: Application> ExecutionReplica<A> {
         }
         buf.put_u32(app_len as u32);
         debug_assert_eq!(buf.len(), len, "the header was sized exactly");
-        Snapshot::new(std::iter::once(Part::new(buf.freeze())).chain(app_parts))
+        // Both iterators know their length: the list is collected in one
+        // allocation, and the buffer keeps its capacity for the next one.
+        Snapshot::new(std::iter::once(Part::new(buf.freeze())).chain(self.app_parts.drain(..)))
     }
 
     /// Decodes a snapshot [`Self::encode_snapshot`] made — the header part,

@@ -13,6 +13,13 @@ use spider::{Application, Snapshot};
 use spider_app::{kv_op_factory, KvOp, KvStore};
 use spider_types::OpKind;
 
+/// The store's snapshot, as an execution replica's checkpoint collects it.
+fn snapshot_of(store: &mut KvStore) -> Snapshot {
+    let mut parts = Vec::new();
+    store.snapshot_parts(&mut parts);
+    Snapshot::new(parts)
+}
+
 fn hex(digest: [u8; 32]) -> String {
     digest.iter().map(|b| format!("{b:02x}")).collect()
 }
@@ -27,7 +34,7 @@ fn fixed_store() -> (KvStore, Vec<String>) {
     for seq in 0..1_000u64 {
         store.execute(&ops(seq, OpKind::Write, 200));
         if seq % 250 == 249 {
-            hashes.push(hex(Snapshot::new(store.snapshot_parts()).hash().0));
+            hashes.push(hex(snapshot_of(&mut store).hash().0));
         }
     }
     let mut padded = KvOp::put(b"padded", vec![7; 40]).encode().to_vec();
@@ -49,7 +56,7 @@ fn a_fixed_store_signs_the_same_bytes() {
         ],
         "the snapshot hash after every 250 puts"
     );
-    let snapshot = Snapshot::new(store.snapshot_parts());
+    let snapshot = snapshot_of(&mut store);
     assert_eq!(snapshot.parts().len(), 258);
     assert_eq!(snapshot.len(), 139_364);
     assert_eq!(
@@ -68,6 +75,6 @@ fn a_fixed_store_signs_the_same_bytes() {
     // A store restored from those parts signs the same value.
     let mut restored = KvStore::new();
     assert!(restored.restore(snapshot.parts()));
-    assert_eq!(Snapshot::new(restored.snapshot_parts()).hash(), snapshot.hash());
+    assert_eq!(snapshot_of(&mut restored).hash(), snapshot.hash());
     assert_eq!(restored.state_digest(), store.state_digest());
 }
