@@ -15,6 +15,14 @@
 //!   several times costlier than plain RSA — the reason Steward's local
 //!   protocol is CPU-heavy),
 //! * a small per-message dispatch overhead.
+//!
+//! These model the *paper's* hardware, not this host: [`CostModel::hash`]
+//! and [`CostModel::hmac`] stay put when the host's SHA-256 gets faster
+//! (the SHA-NI kernel in [`crate::sha256`]), and [`CostModel::merkle`]
+//! prices the paper's Merkle construction, not the cheaper one
+//! [`crate::merkle`] computes. The benchmark's `crypto.model_ratio_hash`
+//! and `crypto.model_ratio_hmac` rows (host time ÷ modelled time) falling
+//! below 1 is the host getting faster; the model has not moved.
 
 use serde::{Deserialize, Serialize};
 use spider_types::SimTime;

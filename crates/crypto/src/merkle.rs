@@ -39,6 +39,17 @@
 //! accept an inner node passed in as a leaf digest. A membership proof has
 //! to bind the leaf's index and the leaf count as well.
 //!
+//! What it saves. A root over 32 leaves costs 31 compressions, where a
+//! construction that wraps each leaf and hashes each inner node as a
+//! padded two-block message cost 94; `micro_crypto`'s
+//! `merkle_root/{2,32,128}` rows grow by one compression per leaf. The
+//! IRMC's signed range statement (`spider_irmc::range_digest`, 116 bytes,
+//! the first 64 a [`Domain`]'s tag block) is one compression too. So
+//! range certification hashes each block of a range once. The test
+//! oracles are the portable kernel over the tag block and the fields
+//! written out, and a test-only counter in the SHA-256 dispatcher pins
+//! `n − 1` compressions for every size 1..=65.
+//!
 //! [`crate::CostModel::merkle`] prices the paper's construction (a wrap
 //! per leaf plus a two-block combine per inner node), not this one: what
 //! the host saves here moves no modelled number.

@@ -1,28 +1,59 @@
 //! SHA-256 (FIPS 180-4), implemented from scratch.
 //!
-//! A streaming implementation with the standard Merkle–Damgård padding,
-//! over one block-level entry point, `compress_blocks`, with two kernels
-//! under it:
+//! Every hop of the protocols is authenticated, so most host CPU of a
+//! simulation is SHA-256. This is a streaming implementation with the
+//! standard Merkle–Damgård padding, over one block-level entry point,
+//! `compress_blocks`, with two kernels under it:
 //!
 //! * the **portable** kernel — plain scalar Rust, the path on every target
 //!   and CPU, and the reference the tests compare the other kernel against;
 //! * the **SHA-NI** kernel — `std::arch::x86_64` intrinsics over the Intel
-//!   SHA extensions, about four times the portable kernel's throughput.
+//!   SHA extensions, several times the portable kernel's throughput.
+//!
+//! # Kernel choice
 //!
 //! Each call picks the kernel from what the CPU reports at run time
-//! (`is_x86_feature_detected!`); nothing else selects it — no Cargo
-//! feature, environment variable or config field — and
-//! [`Sha256::kernel`] names the choice. Both kernels compute the same
-//! function, so no digest depends on the host. The call from the
-//! dispatcher into the `#[target_feature]` kernel is the workspace's one
-//! `unsafe` block.
+//! (`is_x86_feature_detected!` for `sha`, `sse2`, `ssse3` and `sse4.1`);
+//! nothing else selects it — no Cargo feature, environment variable or
+//! config field — and every other target takes the portable path.
+//! [`Sha256::kernel`] names the choice (`"sha-ni"` or `"portable"`), and
+//! the crate's tests print it. They run the NIST/FIPS example vectors and
+//! a differential proptest against both kernels. Both compute the same
+//! function, so no digest, run digest or modelled number depends on the
+//! host CPU.
+//!
+//! # The one `unsafe` block
+//!
+//! Calling a `#[target_feature]` function from code compiled without that
+//! feature is the one thing here safe Rust has no operation for, so this
+//! crate is the only one with `#![deny(unsafe_code)]` instead of
+//! `#![forbid(unsafe_code)]`. The dispatcher carries the workspace's
+//! single `#[expect(unsafe_code)]`, and its single `unsafe {
+//! ni::compress(..) }` sits directly under the feature check with its
+//! `// SAFETY:` line. A second `unsafe` block fails the build, and one
+//! without its `// SAFETY:` comment fails
+//! `clippy::undocumented_unsafe_blocks`.
+//!
+//! The kernel itself is safe code with no raw-pointer loads: each 16
+//! message bytes become one register through `_mm_set_epi64x` of two
+//! `i64::from_le_bytes` halves and one `_mm_shuffle_epi8` byte swap (a
+//! `movdqu` + `pshufb` once compiled), and the round constants sit in a
+//! `[[u32; 4]; 16]` table, one row per four rounds; assembling the words
+//! lane by lane was markedly slower. What is left is throughput, not
+//! latency: a two-stream kernel that interleaved the rounds of two
+//! independent blocks gained little per block, so hashing fewer blocks is
+//! the lever, not multi-buffer hashing ([`crate::merkle`] does that).
+//!
+//! # Streaming and domains
 //!
 //! The streaming layer hands whole runs of blocks to the kernel straight
 //! from the caller's slice and writes the padding in place. A [`Domain`]
-//! starts it from a chaining value computed at compile time instead of
-//! the initial value, so a fixed tag in front of short messages costs no
-//! block at run time. Validated against the NIST/FIPS example vectors, on
-//! both kernels, in the tests below.
+//! is a tag block compressed once, at compile time (a `const fn` over the
+//! portable kernel): [`Domain::digest`] of `msg` is the standard SHA-256
+//! of `tag block ‖ msg` for the price of `msg`'s own blocks, and the
+//! crate-private `chain` is one bare compression from the same chaining
+//! value. A test-only counter in `compress_blocks` pins how many blocks
+//! each of them compresses.
 //!
 //! # Examples
 //!

@@ -16,7 +16,24 @@
 //! * **CPU** follows a busy-server model: a node processes one event at a
 //!   time; handlers charge processing cost via [`Context::charge`]; messages
 //!   depart when the handler's charged work completes. This produces
-//!   realistic saturation behaviour and CPU-utilization numbers.
+//!   realistic saturation behaviour and CPU-utilization numbers. An event
+//!   that meets its node busy is turned away: it is due again when the
+//!   node frees up, behind everything queued for that instant, and each
+//!   turn-away counts as an event ([`SimStats::total_events`]).
+//! * **Lines**: a node's turned-away events wait in its line, a FIFO inside
+//!   the event queue with one heap key, the head's. When the node frees up
+//!   and is busy again after one handler, the rest of the line is turned
+//!   away in one step instead of one heap sift per event. The line keeps
+//!   the pop order of re-keying every event bit for bit, with four rules:
+//!   (a) the rest of a line is turned away in one step, with consecutive
+//!   fresh sequence numbers, only when no other event at the line's
+//!   instant would pop between its members, and otherwise the members go
+//!   back into the heap at their own keys; (b) an event joins a line only
+//!   while the head's key is at the node's current busy-until instant, and
+//!   is otherwise re-keyed in the heap alone; (c) a head that charged
+//!   nothing hands over to the next member at that member's own key; (d) a
+//!   crashed node drops its whole line, each member counted once. So a
+//!   line moves no event count and no run.
 //! * **Determinism**: one seed, one execution. All randomness flows through
 //!   a single seeded RNG, and ties in the event queue are broken by
 //!   insertion order.

@@ -61,7 +61,11 @@ pub struct SimStats {
     cpu: Vec<NodeStats>,
     /// Messages dropped by fault injection.
     pub dropped_messages: u64,
-    /// Total events processed.
+    /// Total events processed: every event taken out of the queue (to run
+    /// its handler, as a stale armed timer, or dropped at a crashed node)
+    /// and every turn-away of the busy-server model, an event meeting its
+    /// node busy, also where a node's whole line is turned away in one
+    /// step.
     pub total_events: u64,
 }
 

@@ -90,6 +90,7 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
         let id = NodeId(self.nodes.len() as u32);
         self.stats.ensure_node(id);
         self.obs.ensure_node(id);
+        self.queue.ensure_node(id);
         self.net_control.add_node(zone.region());
         self.nodes.push(NodeSlot {
             actor: Box::new(actor),
@@ -217,51 +218,67 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
     }
 
     /// Runs until simulated time reaches `deadline` (events after the
-    /// deadline stay queued). Returns the number of events processed.
+    /// deadline stay queued). Returns the number of events processed: every
+    /// event that ran or was dropped at a crashed node, and every time the
+    /// busy-server model turned an event away from a busy node, as
+    /// [`SimStats::total_events`] counts them.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut n = 0;
         while let Some(t) = self.queue.peek_time() {
             if t > deadline {
                 break;
             }
-            self.step();
-            n += 1;
+            n += self.next_events();
         }
         self.now = self.now.max(deadline);
         self.apply_due_faults(self.now);
         n
     }
 
-    /// Processes a single event. Returns `false` if the queue was empty.
+    /// Processes the earliest event. Returns `false` if the queue was
+    /// empty.
+    ///
+    /// One step counts one event or more in [`SimStats::total_events`]: an
+    /// event that meets its node busy may take the node's whole line of
+    /// waiting events with it, each of them one turn-away of the
+    /// busy-server model (see the [crate-level documentation](crate)).
     pub fn step(&mut self) -> bool {
+        self.next_events() > 0
+    }
+
+    /// Processes the earliest event and returns how many events that
+    /// counted (0 on an empty queue).
+    fn next_events(&mut self) -> u64 {
         let Some((at, node)) = self.queue.peek() else {
-            return false;
+            return 0;
         };
         // Scripted faults due before the next event take effect first, so
         // the event's send decisions see the post-fault network.
         self.apply_due_faults(at.max(self.now));
         self.now = self.now.max(at);
-        self.stats.total_events += 1;
 
-        // Dead nodes consume nothing.
-        if self.net_control.is_crashed(node) {
-            self.queue.pop();
-            return true;
-        }
-
-        // Busy-server model: if the node's CPU is still busy, the event
-        // waits in the queue for when it frees up, arrival order preserved
-        // via seq. Most events of a loaded run meet a busy node first.
-        let busy_until = self.nodes[node.0 as usize].busy_until;
-        if busy_until > at {
-            self.queue.defer_top(busy_until);
-            return true;
-        }
-        let Some(kind) = self.queue.pop() else {
-            return false;
+        let events = if self.net_control.is_crashed(node) {
+            // Dead nodes consume nothing, nor does the line waiting on one.
+            self.queue.drop_top()
+        } else {
+            // Busy-server model: if the node's CPU is still busy, the event
+            // waits for when it frees up, arrival order preserved; most
+            // events of a loaded run meet a busy node first.
+            let busy_until = self.nodes[node.0 as usize].busy_until;
+            if busy_until > at {
+                self.queue.turn_away(busy_until)
+            } else {
+                self.run_top(node);
+                1 + self.queue.after_run(self.nodes[node.0 as usize].busy_until)
+            }
         };
+        self.stats.total_events += events;
+        events
+    }
 
-        match kind {
+    /// Pops the earliest event, at `node`, and runs its handler.
+    fn run_top(&mut self, node: NodeId) {
+        match self.queue.pop().expect("peeked") {
             EventKind::Deliver { from, msg } => {
                 self.run_handler(node, |actor, ctx| actor.on_message(ctx, from, msg));
             }
@@ -270,14 +287,13 @@ impl<M: Clone + WireSize + 'static> Simulation<M> {
                     // An armed timer fires only while its tag still holds it.
                     let pending = &mut self.nodes[node.0 as usize].armed;
                     if pending.get(&timer.tag) != Some(&id) {
-                        return true;
+                        return;
                     }
                     pending.remove(&timer.tag);
                 }
                 self.run_handler(node, |actor, ctx| actor.on_timer(ctx, timer));
             }
         }
-        true
     }
 
     fn link_class(&self, from: NodeId, to: NodeId) -> LinkClass {
@@ -801,6 +817,134 @@ mod tests {
         let late = SimTime::from_millis(200); // an echo sent before a cut still lands
         assert_eq!(between(s(1) + late, s(4)), 0, "isolated until the outer window closes");
         assert!(between(s(4) + late, s(6)) > 10, "traffic resumes after it");
+    }
+
+    impl<M: Clone + WireSize + 'static> Simulation<M> {
+        /// The busy-server step without lines, the reference the line
+        /// stepper must match: an event that meets its node busy is re-keyed
+        /// in the heap on its own, each time. Returns whether it turned the
+        /// event away, `None` on an empty queue.
+        fn bouncing_step(&mut self) -> Option<bool> {
+            let (at, node) = self.queue.peek()?;
+            self.apply_due_faults(at.max(self.now));
+            self.now = self.now.max(at);
+            self.stats.total_events += 1;
+            if self.net_control.is_crashed(node) {
+                self.queue.pop();
+                return Some(false);
+            }
+            let busy_until = self.nodes[node.0 as usize].busy_until;
+            if busy_until > at {
+                self.queue.defer_top(busy_until);
+                return Some(true);
+            }
+            self.run_top(node);
+            Some(false)
+        }
+
+        /// [`Simulation::run_until`] over [`Self::bouncing_step`]; returns
+        /// how many turn-aways it made.
+        fn run_bouncing(&mut self, deadline: SimTime) -> u64 {
+            let mut turned_away = 0;
+            while self.queue.peek_time().is_some_and(|t| t <= deadline) {
+                turned_away += u64::from(self.bouncing_step() == Some(true));
+            }
+            self.now = self.now.max(deadline);
+            self.apply_due_faults(self.now);
+            turned_away
+        }
+    }
+
+    type HandlerLog = Vec<(SimTime, u64, u64)>;
+
+    /// Logs every handler it runs (when, what, its random draw) and keeps
+    /// a tie-heavy load going: a handler charges 0–2 µs, and a message
+    /// with hops left sends a zero-byte message on and now and then sets a
+    /// zero-delay timer, or arms one under a tag a later arm replaces.
+    struct Tangle {
+        peers: Vec<NodeId>,
+        log: HandlerLog,
+    }
+    impl Tangle {
+        fn handle(&mut self, ctx: &mut Context<'_, Msg>, what: u64) -> u64 {
+            use rand::RngCore;
+            let draw = ctx.rng().next_u64();
+            ctx.charge(SimTime::from_micros(draw % 3));
+            self.log.push((ctx.now(), what, draw));
+            draw
+        }
+    }
+    impl Actor<Msg> for Tangle {
+        fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _: NodeId, msg: Msg) {
+            let draw = self.handle(ctx, msg.0);
+            if msg.0 > 0 {
+                let to = self.peers[(draw >> 8) as usize % self.peers.len()];
+                ctx.send(to, Msg(msg.0 - 1, 0));
+                match (draw >> 16) % 4 {
+                    0 => ctx.set_timer(SimTime::ZERO, msg.0),
+                    1 => ctx.arm((draw >> 18) % 2, SimTime::ZERO),
+                    _ => {}
+                }
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, timer: Timer) {
+            self.handle(ctx, 1_000 + timer.tag);
+        }
+    }
+
+    /// One [`Tangle`] run over four nodes 1 µs apart, without jitter, with
+    /// a crash on every third seed: each node's handler log, the event
+    /// count, and (from the bouncing stepper only) its turn-aways.
+    fn tangle(seed: u64, bouncing: bool) -> (Vec<HandlerLog>, u64, u64) {
+        let topo = Topology::builder()
+            .region("a", 4)
+            .jitter(0.0)
+            .inter_zone_latency(SimTime::from_micros(1))
+            .intra_zone_latency(SimTime::from_micros(1))
+            .build();
+        let mut sim = Simulation::new(topo, seed);
+        let peers: Vec<NodeId> = (0..4).map(NodeId).collect();
+        for zone in 0..4 {
+            let zone = sim.topology().zone("a", zone);
+            sim.add_node(zone, Tangle { peers: peers.clone(), log: Vec::new() });
+        }
+        for i in 0..12u32 {
+            let at = SimTime::from_micros(u64::from(i % 3));
+            sim.post(at, NodeId(i % 4), NodeId(i * 3 % 4), Msg(24, 0));
+        }
+        if seed.is_multiple_of(3) {
+            let at = SimTime::from_micros(10 + seed % 30);
+            sim.install_fault_plan(FaultPlan::new().crash_replica(NodeId(seed as u32 / 3 % 4), at));
+        }
+        let deadline = SimTime::from_secs(1);
+        let (counted, turned_away) = if bouncing {
+            (None, sim.run_bouncing(deadline))
+        } else {
+            (Some(sim.run_until(deadline)), 0)
+        };
+        let total = sim.stats().total_events;
+        assert!(counted.is_none_or(|n| n == total), "run_until counts what total_events counts");
+        let logs = peers.iter().map(|&n| sim.actor::<Tangle>(n).log.clone()).collect();
+        (logs, total, turned_away)
+    }
+
+    /// Lines change how the queue holds a busy node's events, never when
+    /// they run: over a tie-heavy grid, every node runs the same handlers
+    /// at the same instants with the same random draws as under the
+    /// bouncing stepper, and the event count is the same.
+    #[test]
+    fn lines_run_every_handler_when_bouncing_off_busy_nodes_does() {
+        let mut turned_away = 0;
+        for seed in 0..300 {
+            let (logs, total, _) = tangle(seed, false);
+            let (reference, reference_total, bounces) = tangle(seed, true);
+            for (node, (log, reference)) in logs.iter().zip(&reference).enumerate() {
+                assert!(log == reference, "seed {seed}: node {node}'s handlers differ");
+            }
+            assert_eq!(total, reference_total, "seed {seed}: event count");
+            turned_away += bounces;
+        }
+        assert!(turned_away > 10_000, "ties at busy nodes are common: {turned_away} turn-aways");
     }
 
     #[test]
